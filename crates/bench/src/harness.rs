@@ -10,7 +10,6 @@ use dlog_core::net::ClientNet;
 use dlog_net::wire::NodeAddr;
 use dlog_net::{FaultPlan, MemEndpoint, MemNetwork};
 use dlog_server::gen::GenStore;
-use dlog_server::runner::ServerRunner;
 use dlog_server::shard::ShardSupervisor;
 use dlog_server::{LogServer, ServerConfig, ServerStats};
 use dlog_storage::store::Durability;
@@ -58,7 +57,7 @@ pub struct ClusterOptions {
     /// Group-commit coalescing window for every server (`ZERO`: the
     /// synchronous force-per-message path).
     pub coalesce_window: std::time::Duration,
-    /// Shard event loops per server (1: the classic single-loop runner).
+    /// Shard event loops per server.
     /// Defaults to `DLOG_TEST_SHARDS` from the environment so the whole
     /// test suite can be re-run against a sharded topology unchanged.
     pub shards: u64,
@@ -98,13 +97,6 @@ pub fn test_shards() -> u64 {
         .map_or(1, |v| v.max(1))
 }
 
-/// A server's event loops: the classic single-loop runner, or a shard
-/// supervisor fanning a dispatcher into N loops.
-enum Backend {
-    Single(ServerRunner),
-    Sharded(ShardSupervisor),
-}
-
 /// A running in-process cluster.
 pub struct Cluster {
     /// The network (partition / down control lives here).
@@ -112,7 +104,7 @@ pub struct Cluster {
     /// The servers' ids.
     pub servers: Vec<ServerId>,
     opts: ClusterOptions,
-    backends: HashMap<ServerId, Backend>,
+    backends: HashMap<ServerId, ShardSupervisor>,
     nvrams: HashMap<(ServerId, u64), NvramDevice>,
     /// One observability handle per server *shard*; they survive kills
     /// and reboots so a scenario's trace spans the server's
@@ -261,16 +253,13 @@ impl Cluster {
         let mut ep = self.net.endpoint(server_addr(sid));
         ep.set_obs(obs_list.first().cloned().unwrap_or_default());
         self.net.set_down(server_addr(sid), false);
-        let backend = match (shards, servers.pop()) {
-            (1, Some(only)) => Backend::Single(ServerRunner::spawn(only, ep)),
-            (_, Some(last)) => {
-                servers.push(last);
-                // The in-memory transport routes frames to shard queues
-                // itself (sender-side, from the wire header), so the
-                // sharded backend runs without a dispatcher thread.
-                Backend::Sharded(ShardSupervisor::spawn_routed(servers, ep))
-            }
-            (_, None) => unreachable!("shards >= 1"),
+        // One shard receives from the endpoint itself. For more, the
+        // in-memory transport routes frames to shard queues (sender-side,
+        // from the wire header), so no dispatcher thread runs either way.
+        let backend = if shards == 1 {
+            ShardSupervisor::spawn(servers, ep)
+        } else {
+            ShardSupervisor::spawn_routed(servers, ep)
         };
         self.backends.insert(sid, backend);
     }
@@ -314,11 +303,10 @@ impl Cluster {
     /// schedules are legible in observability dumps.
     pub fn kill_server(&mut self, sid: ServerId) {
         self.net.set_down(server_addr(sid), true);
-        let ends = match self.backends.remove(&sid) {
-            Some(Backend::Single(r)) => vec![r.crash()],
-            Some(Backend::Sharded(s)) => s.crash(),
-            None => return,
+        let Some(backend) = self.backends.remove(&sid) else {
+            return;
         };
+        let ends = backend.crash();
         if let Some(obs_list) = self.server_obs.get(&sid) {
             for (obs, end) in obs_list.iter().zip(ends) {
                 obs.event(dlog_obs::Stage::Crash, end, sid.0);
@@ -331,11 +319,9 @@ impl Cluster {
     /// the server is not running).
     pub fn stop_server(&mut self, sid: ServerId) -> Vec<LogServer> {
         self.net.set_down(server_addr(sid), true);
-        match self.backends.remove(&sid) {
-            Some(Backend::Single(r)) => vec![r.stop()],
-            Some(Backend::Sharded(s)) => s.stop(),
-            None => Vec::new(),
-        }
+        self.backends
+            .remove(&sid)
+            .map_or_else(Vec::new, ShardSupervisor::stop)
     }
 
     /// Stop every server and collect `(protocol stats, storage stats)`
@@ -382,9 +368,8 @@ impl Cluster {
 
 impl Drop for Cluster {
     fn drop(&mut self) {
-        for (_, r) in self.backends.drain() {
-            drop(r);
-        }
+        // Stop the servers before their directories go.
+        self.backends.clear();
         if self.cleanup {
             let _ = std::fs::remove_dir_all(&self.root);
         }

@@ -11,6 +11,13 @@
 //! stream under `--dir`, buffers them in a simulated NVRAM device (within
 //! this process; a crash of the whole process relies on the fsync'd
 //! stream), and serves the §4.2 protocol to any client that shows up.
+//!
+//! Every `--shards` value runs the library's one event loop
+//! ([`ShardSupervisor`]): one thread receiving from the socket itself for
+//! `--shards 1`, a dispatcher thread feeding N shard loops otherwise. The
+//! process exits non-zero when the socket dies; failed archive rounds are
+//! retried and show in the `upload_retries` / `pending` gauges of
+//! `dlog status`.
 
 use std::net::SocketAddr;
 use std::process::exit;
@@ -18,8 +25,8 @@ use std::process::exit;
 use dlog_cli::Args;
 use dlog_net::udp::UdpEndpoint;
 use dlog_net::wire::NodeAddr;
-use dlog_net::Endpoint;
 use dlog_server::gen::GenStore;
+use dlog_server::shard::ShardSupervisor;
 use dlog_server::{LogServer, ServerConfig};
 use dlog_storage::{LogStore, NvramDevice, StoreOptions};
 use dlog_types::ServerId;
@@ -159,48 +166,11 @@ fn run() -> Result<(), String> {
     let bound = ep.socket_addr().map_err(|e| e.to_string())?;
     eprintln!("dlog-server {id}: serving {dir} on {bound} with {shards} shard(s) (ctrl-c to stop)");
 
-    if shards > 1 {
-        // Sharded: the supervisor owns the socket's receive side and
-        // routes by logical log; this thread just keeps the process up.
-        let _sup = dlog_server::shard::ShardSupervisor::spawn(servers, ep);
-        loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        }
-    }
-    let mut server = servers.pop().expect("one shard");
-
-    loop {
-        // With forces pending, poll instead of blocking so the group
-        // commits the moment the socket drains (the window is the
-        // maximum extra latency, not a fixed delay).
-        let timeout = if server.has_pending_forces() {
-            std::time::Duration::ZERO
-        } else {
-            std::time::Duration::from_millis(100)
-        };
-        match ep.recv(timeout) {
-            Ok(Some((from, pkt))) => {
-                for (to, reply) in server.handle(from, &pkt) {
-                    let _ = ep.send(to, &reply);
-                }
-                for (to, reply) in server.force_tick() {
-                    let _ = ep.send(to, &reply);
-                }
-            }
-            Ok(None) => {
-                if server.has_pending_forces() {
-                    for (to, reply) in server.flush_pending_forces() {
-                        let _ = ep.send(to, &reply);
-                    }
-                } else if let Err(e) = server.archive_tick() {
-                    // Retried next interval; the watermark holds retention
-                    // back until the upload goes through.
-                    eprintln!("dlog-server {id}: archive round failed: {e}");
-                }
-            }
-            Err(e) => return Err(format!("socket error: {e}")),
-        }
-    }
+    // One event loop per shard, the same loop for every `--shards`
+    // value; this thread only waits for one of them to leave, which
+    // without a stop request means the socket died.
+    let sup = ShardSupervisor::spawn(servers, ep);
+    sup.wait().map_err(|e| format!("socket error: {e}"))
 }
 
 fn main() {

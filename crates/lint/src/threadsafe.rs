@@ -1185,8 +1185,8 @@ fn is_write(file: &SourceFile, t: usize) -> bool {
 
 /// Per-function alias map: local binding name → atomic id. Resolves the
 /// `let stop2 = stop.clone()` idiom by first attributing struct-literal
-/// values (`ServerRunner { stop, … }` maps the local `stop` to
-/// `ServerRunner.stop`) and then chasing `let a = b.clone()` /
+/// values (`ShardSupervisor { stop, … }` maps the local `stop` to
+/// `ShardSupervisor.stop`) and then chasing `let a = b.clone()` /
 /// `Arc::clone(&b)` / `let a = b;` chains.
 fn atomic_aliases(file: &SourceFile, f: &FnSpan, ctx: &Ctx<'_>) -> BTreeMap<String, String> {
     let toks = &file.tokens;

@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 
+use dlog_types::crc::crc32;
 use dlog_types::{ClientId, Epoch, Interval, IntervalList, LogData, LogId, LogRecord, Lsn};
 
 /// Maximum encoded packet size. The client packs as many log records as
@@ -572,81 +573,6 @@ fn decode_frame(bytes: &[u8], share: Option<&Arc<Vec<u8>>>) -> Result<Packet, De
         log,
         msg,
     })
-}
-
-// CRC-32 (IEEE polynomial, reflected), slice-by-8: the hot loop folds
-// eight bytes per step through eight precomputed tables instead of one
-// dependent lookup per byte — the same digest, ~4-6x the throughput, and
-// the encode + decode passes run over every data-plane packet. Same
-// polynomial as the storage layer; duplicated rather than shared to keep
-// the net crate free of the storage dependency.
-const fn build_crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut state = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            state = if state & 1 != 0 {
-                (state >> 1) ^ 0xEDB8_8320
-            } else {
-                state >> 1
-            };
-            k += 1;
-        }
-        t[0][i] = state;
-        i += 1;
-    }
-    // t[j][i] extends t[j-1][i] by one zero byte: folding eight bytes
-    // through t[7]..t[0] equals eight sequential t[0] steps.
-    let mut j = 1usize;
-    while j < 8 {
-        let mut i = 0usize;
-        while i < 256 {
-            let prev = t[j - 1][i];
-            t[j][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        j += 1;
-    }
-    t
-}
-
-static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
-
-/// Guarded table probe: the index is masked to 0..256 so the `None` arm
-/// is unreachable and the whole call compiles to a plain load.
-#[inline(always)]
-fn lut(table: &[u32; 256], idx: u32) -> u32 {
-    match table.get((idx & 0xFF) as usize) {
-        Some(v) => *v,
-        None => 0,
-    }
-}
-
-fn crc32(data: &[u8]) -> u32 {
-    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
-    let mut state = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(8);
-    for c in chunks.by_ref() {
-        let &[b0, b1, b2, b3, b4, b5, b6, b7] = c else {
-            break; // unreachable: chunks_exact yields 8-byte slices
-        };
-        let lo = state ^ u32::from_le_bytes([b0, b1, b2, b3]);
-        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
-        state = lut(t7, lo)
-            ^ lut(t6, lo >> 8)
-            ^ lut(t5, lo >> 16)
-            ^ lut(t4, lo >> 24)
-            ^ lut(t3, hi)
-            ^ lut(t2, hi >> 8)
-            ^ lut(t1, hi >> 16)
-            ^ lut(t0, hi >> 24);
-    }
-    for &b in chunks.remainder() {
-        state = (state >> 8) ^ lut(t0, state ^ u32::from(b));
-    }
-    state ^ 0xFFFF_FFFF
 }
 
 // ---------------------------------------------------------------------------

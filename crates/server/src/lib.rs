@@ -21,8 +21,9 @@
 //!
 //! [`LogServer::handle`] is sans-I/O — it maps one incoming packet to a
 //! list of outgoing packets — so the full protocol is unit-testable
-//! without threads; [`runner::ServerRunner`] drives it over any
-//! [`dlog_net::Endpoint`].
+//! without threads; the one event loop in [`shard`] drives it over any
+//! [`dlog_net::Endpoint`], once per shard ([`runner::ServerRunner`] is the
+//! one-shard case).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,7 +67,7 @@ pub struct ServerConfig {
     /// Group-commit coalescing window: a `ForceLog` ack may be deferred
     /// up to this long so forces from concurrently-waiting clients share
     /// one physical durability round. The window is the *maximum* extra
-    /// latency under sustained load — the runner flushes the pending
+    /// latency under sustained load — the event loop flushes the pending
     /// batch as soon as its inbox drains. Zero (the default) keeps the
     /// fully synchronous force-per-message path.
     pub coalesce_window: Duration,
@@ -246,7 +247,7 @@ impl LogServer {
 
     /// One background archival round, throttled to the attach interval;
     /// a no-op when no archive is attached or the interval has not
-    /// elapsed. Called from the runner's idle loop.
+    /// elapsed. Called from the event loop's idle arm.
     ///
     /// # Errors
     /// Propagates upload failures after the archiver's bounded retries;
@@ -322,7 +323,7 @@ impl LogServer {
     }
 
     /// Handle one packet; returns the packets to transmit. Convenience
-    /// wrapper over [`LogServer::handle_into`] — the runner's hot loop
+    /// wrapper over [`LogServer::handle_into`] — the event loop
     /// calls `handle_into` with a reused reply buffer instead.
     pub fn handle(&mut self, from: NodeAddr, pkt: &Packet) -> Vec<(NodeAddr, Packet)> {
         let mut out = Vec::default();
@@ -552,7 +553,7 @@ impl LogServer {
     }
 
     /// True when at least one `ForceLog` ack is waiting on the next group
-    /// commit. The runner uses this to shrink its receive timeout so a
+    /// commit. The event loop uses this to shrink its receive timeout so a
     /// pending batch is never stranded behind a quiet socket.
     #[must_use]
     pub fn has_pending_forces(&self) -> bool {
@@ -604,8 +605,8 @@ impl LogServer {
         out
     }
 
-    /// Flush the pending batch *now*, regardless of the window. The
-    /// runner calls this when its inbox drains: the window is the maximum
+    /// Flush the pending batch *now*, regardless of the window. The event
+    /// loop calls this when its inbox drains: the window is the maximum
     /// extra latency under sustained load, while an otherwise-idle server
     /// acks a lone client's force immediately.
     #[must_use]

@@ -1,229 +1,30 @@
-//! Thread runner: drives a [`LogServer`] over any [`Endpoint`].
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+//! Single-server runner: a one-shard [`ShardSupervisor`].
 
 use dlog_net::Endpoint;
 
+use crate::shard::ShardSupervisor;
 use crate::LogServer;
 
-/// How many queued packets one poll may ingest before replies are
-/// flushed. Bounds the extra latency a burst can impose on the first
-/// sender's ack while still amortizing per-packet overhead.
-const INGEST_BATCH: usize = 32;
-
-/// Handle to a running server thread.
-pub struct ServerRunner {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<LogServer>>,
-}
+/// Handle to a running server thread: the supervisor's N = 1 case, whose
+/// loop receives from the endpoint directly.
+pub struct ServerRunner(ShardSupervisor);
 
 impl ServerRunner {
     /// Spawn a thread that receives packets from `endpoint`, feeds them to
     /// `server`, and transmits its replies, until stopped.
     #[must_use]
-    pub fn spawn<E: Endpoint + 'static>(mut server: LogServer, endpoint: E) -> ServerRunner {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("log-server-{}", server.id()))
-            .spawn(move || {
-                // One reply buffer for the life of the thread: handle_into
-                // appends into it, so after warm-up the steady-state loop
-                // issues no per-packet Vec allocations for replies.
-                let mut replies = Vec::with_capacity(64);
-                while !stop2.load(Ordering::Relaxed) {
-                    // With forces waiting on a group commit, poll rather
-                    // than block: the batch must flush the moment the
-                    // inbox drains, so the coalescing window only adds
-                    // latency while more work is actually arriving.
-                    let timeout = if server.has_pending_forces() {
-                        Duration::ZERO
-                    } else {
-                        Duration::from_millis(20)
-                    };
-                    match endpoint.recv(timeout) {
-                        Ok(Some((from, pkt))) => {
-                            // Batch ingest: after the first packet, drain
-                            // whatever else is already queued (up to a cap
-                            // that keeps force acks prompt) before sending
-                            // replies, amortizing the send/recv syscall
-                            // boundary across the burst.
-                            replies.clear();
-                            server.handle_into(from, &pkt, &mut replies);
-                            for _ in 0..INGEST_BATCH - 1 {
-                                match endpoint.recv(Duration::ZERO) {
-                                    Ok(Some((from, pkt))) => {
-                                        server.handle_into(from, &pkt, &mut replies);
-                                    }
-                                    _ => break,
-                                }
-                            }
-                            for (to, reply) in replies.drain(..) {
-                                // Send failures are network loss — the
-                                // protocol recovers end to end.
-                                let _ = endpoint.send(to, &reply);
-                            }
-                            for (to, reply) in server.force_tick() {
-                                let _ = endpoint.send(to, &reply);
-                            }
-                        }
-                        Ok(None) => {
-                            if server.has_pending_forces() {
-                                // Inbox drained: commit the group now.
-                                for (to, reply) in server.flush_pending_forces() {
-                                    let _ = endpoint.send(to, &reply);
-                                }
-                            } else {
-                                // Idle: let the archive tier make progress.
-                                // Upload failures are retried next interval.
-                                let _ = server.archive_tick();
-                            }
-                        }
-                        Err(_) => break, // endpoint torn down
-                    }
-                }
-                // Never strand queued force obligations at shutdown: the
-                // graceful path finishes the round and even tries to get
-                // the acks out before the endpoint goes away.
-                for (to, reply) in server.flush_pending_forces() {
-                    let _ = endpoint.send(to, &reply);
-                }
-                // Leave storage clean on graceful shutdown.
-                let _ = server.store_mut().sync();
-                server
-            })
-            .expect("spawn server thread");
-        ServerRunner {
-            stop,
-            handle: Some(handle),
-        }
+    pub fn spawn<E: Endpoint + Sync + 'static>(server: LogServer, endpoint: E) -> ServerRunner {
+        ServerRunner(ShardSupervisor::spawn(vec![server], endpoint))
     }
 
     /// Stop the thread and recover the server (with its store).
     #[must_use]
-    pub fn stop(mut self) -> LogServer {
-        self.stop.store(true, Ordering::Relaxed);
-        self.handle
-            .take()
-            .expect("not yet stopped")
-            .join()
-            .expect("server thread panicked")
+    pub fn stop(self) -> LogServer {
+        self.0.stop().pop().expect("one shard was spawned")
     }
 
-    /// Simulate a hard crash: the thread stops without syncing anything
-    /// beyond what already happened; the store is dropped where it stands.
-    /// Returns the durable stream end at the moment of the crash, so
-    /// harnesses can stamp a `Stage::Crash` trace event with it.
-    pub fn crash(mut self) -> u64 {
-        self.stop.store(true, Ordering::Relaxed);
-        let Some(h) = self.handle.take() else {
-            return 0;
-        };
-        let mut server = h.join().expect("server thread panicked");
-        let end = server.store_mut().stream_end();
-        // Drop without further syncing. (The graceful-path sync in the
-        // thread already ran; true torn-write crashes are exercised at
-        // the storage layer, where the disk state can be manipulated
-        // directly.)
-        drop(server);
-        end
-    }
-}
-
-impl Drop for ServerRunner {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::gen::GenStore;
-    use crate::ServerConfig;
-    use dlog_net::wire::{Message, NodeAddr, Packet, Request, Response};
-    use dlog_net::{FaultPlan, MemNetwork};
-    use dlog_storage::{LogStore, NvramDevice, StoreOptions};
-    use dlog_types::{ClientId, Epoch, LogData, Lsn, ServerId};
-
-    #[test]
-    fn runner_serves_over_mem_network() {
-        let dir = std::env::temp_dir()
-            .join("dlog-runner-tests")
-            .join(format!("serve-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = StoreOptions {
-            fsync: false,
-            ..StoreOptions::default()
-        };
-        let store = LogStore::open(&dir, opts, NvramDevice::new(1 << 20)).unwrap();
-        let gens = GenStore::open(dir.join("gens")).unwrap();
-        let server = LogServer::new(ServerConfig::new(ServerId(1)), store, gens).unwrap();
-
-        let net = MemNetwork::new(FaultPlan::reliable());
-        let server_ep = net.endpoint(NodeAddr(1));
-        let client_ep = net.endpoint(NodeAddr(100));
-        let runner = ServerRunner::spawn(server, server_ep);
-
-        // Force three records and await the ack.
-        let records: Vec<(Lsn, LogData)> = (1..=3)
-            .map(|i| (Lsn(i), LogData::from(vec![i as u8; 10])))
-            .collect();
-        client_ep
-            .send(
-                NodeAddr(1),
-                &Packet::bare(Message::ForceLog {
-                    client: ClientId(9),
-                    epoch: Epoch(1),
-                    records,
-                }),
-            )
-            .unwrap();
-        let (_, pkt) = client_ep
-            .recv(Duration::from_secs(2))
-            .unwrap()
-            .expect("ack");
-        assert_eq!(
-            pkt.msg,
-            Message::NewHighLsn {
-                client: ClientId(9),
-                lsn: Lsn(3)
-            }
-        );
-
-        // RPC round trip.
-        client_ep
-            .send(
-                NodeAddr(1),
-                &Packet::bare(Message::Request {
-                    id: 77,
-                    body: Request::IntervalList {
-                        client: ClientId(9),
-                    },
-                }),
-            )
-            .unwrap();
-        let (_, pkt) = client_ep
-            .recv(Duration::from_secs(2))
-            .unwrap()
-            .expect("resp");
-        match pkt.msg {
-            Message::Response {
-                id: 77,
-                body: Response::Intervals { intervals },
-            } => {
-                assert_eq!(intervals.len(), 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-
-        let server = runner.stop();
-        assert_eq!(server.stats().records_stored, 3);
+    /// Simulate a hard crash ([`ShardSupervisor::crash`]); returns the durable stream end.
+    pub fn crash(self) -> u64 {
+        self.0.crash().pop().unwrap_or(0)
     }
 }

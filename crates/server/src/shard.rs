@@ -1,15 +1,23 @@
-//! Shard supervisor: N per-shard event loops behind one endpoint.
+//! The server event loop and its supervisor: N per-shard loops behind
+//! one endpoint, N = 1 being the paper's single sequential server.
 //!
-//! The paper's log server is one sequential loop; this module splits it
-//! into a thin **dispatcher** that owns the endpoint's receive side and N
-//! **shard loops**, each owning a private [`LogServer`] (and therefore a
-//! private `LogStore`, obligation table, and group-commit window). The
-//! dispatcher decodes nothing itself — the endpoint already produced a
-//! [`Packet`] whose record payloads are zero-copy views into the pooled
-//! receive buffer — and moves the decoded packet to the queue of the
-//! shard `LogId → shard` hashes to. The views survive the cross-thread
-//! handoff: `LogData` is `Arc`-backed, so the pool's buffer stays parked
-//! until the owning shard drops the last view.
+//! `shard_loop` is the only code that drives a [`LogServer`] from a
+//! transport. Each loop owns a private `LogServer` (and therefore a
+//! private `LogStore`, obligation table, and group-commit window); the
+//! entry points differ only in where a loop's next packet comes from:
+//!
+//! * **one shard** ([`ShardSupervisor::spawn`] with one server, which is
+//!   all [`crate::runner::ServerRunner`] is): the loop calls
+//!   [`Endpoint::recv`] itself — one thread, no queue hop;
+//! * **N shards on a [`RoutedEndpoint`]** ([`ShardSupervisor::spawn_routed`]):
+//!   the transport steers frames to per-shard receive handles from the
+//!   wire header, so a packet crosses one thread boundary;
+//! * **N > 1 shards on any other transport** (UDP): a thin **dispatcher**
+//!   thread owns the endpoint's receive side and moves each decoded
+//!   packet to the queue of the shard `LogId → shard` hashes to. It
+//!   decodes nothing itself, and the zero-copy payload views survive the
+//!   handoff: `LogData` is `Arc`-backed, so the pool's buffer stays
+//!   parked until the owning shard drops the last view.
 //!
 //! Routing rule (must match [`Packet::route_key`] and
 //! [`LogId::shard`](dlog_types::LogId::shard)):
@@ -25,6 +33,7 @@
 //! (`Endpoint` sends are `&self`); the transports are `Sync`.
 
 use std::collections::VecDeque;
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -35,10 +44,14 @@ use dlog_net::{Endpoint, RoutedEndpoint, ShardRx};
 
 use crate::LogServer;
 
-/// How many queued packets one shard-loop iteration may ingest before
-/// replies are flushed — same bound (and same rationale) as the
-/// single-loop runner's.
+/// How many queued packets one loop iteration may ingest before replies
+/// are flushed. Bounds the extra latency a burst can impose on the first
+/// sender's ack while still amortizing per-packet overhead.
 const INGEST_BATCH: usize = 32;
+
+/// One poll of a loop's packet source: a packet, nothing within the
+/// timeout, or the transport's failure.
+type Polled = io::Result<Option<(NodeAddr, Packet)>>;
 
 /// One shard's packet queue. The `sleepers` counter lets the dispatcher
 /// skip the condvar syscall entirely while the shard loop is awake — the
@@ -75,8 +88,7 @@ impl ShardQueue {
     }
 
     /// Pop one packet, waiting up to `timeout`. `Duration::ZERO` never
-    /// blocks (the shard loop polls with it while a group commit is
-    /// pending, exactly like the runner's `recv(ZERO)`).
+    /// blocks, exactly like an endpoint's `recv(ZERO)`.
     fn pop(&self, timeout: Duration) -> Option<(NodeAddr, Packet)> {
         let mut inbox = self.inbox.lock().ok()?;
         if let Some(item) = inbox.q.pop_front() {
@@ -103,22 +115,41 @@ impl ShardQueue {
     }
 }
 
-/// Handle to a running sharded server: one dispatcher thread plus one
-/// event loop per shard. The single-shard degenerate case behaves like
-/// the plain [`crate::runner::ServerRunner`], with one extra queue hop.
+/// Why the first loop to leave left — `Ok` for a stop request, `Err` for
+/// a dead transport — kept until [`ShardSupervisor::wait`] takes it.
+struct Exits {
+    first: Mutex<Option<io::Result<()>>>,
+    left: Condvar,
+}
+
+impl Exits {
+    fn report(&self, why: io::Result<()>) {
+        if let Ok(mut first) = self.first.lock() {
+            if first.is_none() {
+                *first = Some(why);
+            }
+            self.left.notify_all();
+        }
+    }
+}
+
+/// Handle to a running server: one event loop per shard, plus a
+/// dispatcher thread only where the transport cannot route for N > 1.
 pub struct ShardSupervisor {
     stop: Arc<AtomicBool>,
+    exits: Arc<Exits>,
     queues: Vec<Arc<ShardQueue>>,
     dispatcher: Option<JoinHandle<()>>,
-    shards: Vec<Option<JoinHandle<LogServer>>>,
+    shards: Vec<JoinHandle<LogServer>>,
 }
 
 impl ShardSupervisor {
-    /// Spawn the dispatcher and one event loop per element of `servers`
-    /// (shard k serves `servers[k]`; the caller stamps each config with
+    /// Spawn one event loop per element of `servers` (shard k serves
+    /// `servers[k]`; the caller stamps each config with
     /// [`crate::ServerConfig::for_shard`] and opens per-shard storage
-    /// roots). The endpoint is shared: the dispatcher owns its receive
-    /// side, every shard replies through it.
+    /// roots). Every shard replies through the shared endpoint. A single
+    /// shard receives from it directly; with more, a dispatcher thread
+    /// owns the receive side and feeds per-shard queues.
     ///
     /// # Panics
     /// Panics when `servers` is empty or a thread fails to spawn.
@@ -127,62 +158,19 @@ impl ShardSupervisor {
         servers: Vec<LogServer>,
         endpoint: E,
     ) -> ShardSupervisor {
-        assert!(!servers.is_empty(), "a sharded server needs >= 1 shard");
-        let nshards = servers.len();
         let endpoint = Arc::new(endpoint);
-        let stop = Arc::new(AtomicBool::new(false));
-        let queues: Vec<Arc<ShardQueue>> =
-            (0..nshards).map(|_| Arc::new(ShardQueue::new())).collect();
-
-        let server_id = servers.first().map_or(0, |s| s.id().0);
-        let mut shards = Vec::with_capacity(nshards);
-        for (k, server) in servers.into_iter().enumerate() {
-            let queue = queues.get(k).expect("queue per shard").clone();
+        if servers.len() <= 1 {
             let ep = endpoint.clone();
-            let stop2 = stop.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("log-server-{server_id}-s{k}"))
-                .spawn(move || shard_loop(server, &stop2, &*ep, |t| queue.pop(t)))
-                .expect("spawn shard thread");
-            shards.push(Some(handle));
+            Self::spawn_loops(servers, endpoint, [move |t| ep.recv(t)], Vec::new())
+        } else {
+            let queues: Vec<Arc<ShardQueue>> = servers
+                .iter()
+                .map(|_| Arc::new(ShardQueue::new()))
+                .collect();
+            let nexts = queues.clone().into_iter().map(|q| move |t| Ok(q.pop(t)));
+            Self::spawn_loops(servers, endpoint, nexts, queues)
         }
-
-        let stop2 = stop.clone();
-        let routes: Vec<Arc<ShardQueue>> = queues.clone();
-        let dispatcher = std::thread::Builder::new()
-            .name(format!("log-shard-router-{server_id}"))
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    match endpoint.recv(Duration::from_millis(20)) {
-                        Ok(Some((from, pkt))) => match pkt.route_key() {
-                            Some(id) => {
-                                if let Some(q) = routes.get(id.shard(routes.len())) {
-                                    q.push(from, pkt);
-                                }
-                            }
-                            None => {
-                                // Shard-agnostic control traffic: every
-                                // shard sees it. Cloning the packet is a
-                                // refcount bump per payload view, and
-                                // control messages carry no records.
-                                for q in &routes {
-                                    q.push(from, pkt.clone());
-                                }
-                            }
-                        },
-                        Ok(None) => {}
-                        Err(_) => break, // endpoint torn down
-                    }
-                }
-            })
-            .expect("spawn shard dispatcher");
-
-        ShardSupervisor {
-            stop,
-            queues,
-            dispatcher: Some(dispatcher),
-            shards: shards.into_iter().collect(),
-        }
+        .expect("spawn server thread")
     }
 
     /// Spawn one event loop per shard on a transport that routes frames
@@ -200,27 +188,71 @@ impl ShardSupervisor {
     where
         E: RoutedEndpoint + Sync + 'static,
     {
-        assert!(!servers.is_empty(), "a sharded server needs >= 1 shard");
-        let endpoint = Arc::new(endpoint);
-        let stop = Arc::new(AtomicBool::new(false));
+        let nexts = endpoint
+            .shard_rx(servers.len())
+            .into_iter()
+            .map(|mut rx| move |t| rx.recv(t));
+        Self::spawn_loops(servers, Arc::new(endpoint), nexts, Vec::new())
+            .expect("spawn server thread")
+    }
+
+    /// The one place server threads start: a [`shard_loop`] per server,
+    /// shard k polling the k-th element of `nexts`, and — when `queues`
+    /// (one per shard, what those `nexts` pop) is not empty — the
+    /// dispatcher that feeds them from `endpoint`.
+    fn spawn_loops<E, N>(
+        servers: Vec<LogServer>,
+        endpoint: Arc<E>,
+        nexts: impl IntoIterator<Item = N>,
+        queues: Vec<Arc<ShardQueue>>,
+    ) -> io::Result<ShardSupervisor>
+    where
+        E: Endpoint + Sync + 'static,
+        N: FnMut(Duration) -> Polled + Send + 'static,
+    {
+        assert!(!servers.is_empty(), "a server needs >= 1 shard");
         let server_id = servers.first().map_or(0, |s| s.id().0);
-        let rxs = endpoint.shard_rx(servers.len());
+        let stop = Arc::new(AtomicBool::new(false));
+        let exits = Arc::new(Exits {
+            first: Mutex::new(None),
+            left: Condvar::new(),
+        });
         let mut shards = Vec::with_capacity(servers.len());
-        for (k, (mut rx, server)) in rxs.into_iter().zip(servers).enumerate() {
-            let ep = endpoint.clone();
-            let stop2 = stop.clone();
+        for (k, (server, next)) in servers.into_iter().zip(nexts).enumerate() {
+            let (ep, stop, exits) = (endpoint.clone(), stop.clone(), exits.clone());
             let handle = std::thread::Builder::new()
                 .name(format!("log-server-{server_id}-s{k}"))
-                .spawn(move || shard_loop(server, &stop2, &*ep, |t| rx.recv(t).unwrap_or(None)))
-                .expect("spawn shard thread");
-            shards.push(Some(handle));
+                .spawn(move || {
+                    let (server, why) = shard_loop(server, &stop, &*ep, next);
+                    exits.report(why);
+                    server
+                })?;
+            shards.push(handle);
         }
-        ShardSupervisor {
+        let dispatcher = if queues.is_empty() {
+            None
+        } else {
+            let (stop, exits, routes) = (stop.clone(), exits.clone(), queues.clone());
+            let handle = std::thread::Builder::new()
+                .name(format!("log-shard-router-{server_id}"))
+                .spawn(move || {
+                    exits.report(dispatch(&*endpoint, &stop, &routes));
+                    // No queue is fed again, whatever ended the dispatcher:
+                    // a dead transport must not leave the shard loops parked.
+                    stop.store(true, Ordering::Relaxed);
+                    for q in &routes {
+                        q.wake_all();
+                    }
+                })?;
+            Some(handle)
+        };
+        Ok(ShardSupervisor {
             stop,
-            queues: Vec::new(),
-            dispatcher: None,
+            exits,
+            queues,
+            dispatcher,
             shards,
-        }
+        })
     }
 
     /// Number of shards.
@@ -229,35 +261,47 @@ impl ShardSupervisor {
         self.shards.len()
     }
 
+    /// Block until a loop has exited and say why: `Ok` after a stop
+    /// request, `Err` with the transport failure that ended it. The
+    /// supervisor is still whole afterwards — [`ShardSupervisor::stop`]
+    /// (or dropping it) ends the remaining loops gracefully.
+    ///
+    /// # Errors
+    /// The receive error of the first loop a dead transport ended.
+    pub fn wait(&self) -> io::Result<()> {
+        let Ok(first) = self.exits.first.lock() else {
+            return Ok(());
+        };
+        match self.exits.left.wait_while(first, |first| first.is_none()) {
+            Ok(mut first) => first.take().unwrap_or(Ok(())),
+            Err(_) => Ok(()),
+        }
+    }
+
     /// Stop every loop gracefully and recover the per-shard servers, in
     /// shard order. Each shard finishes its pending group commit and
-    /// syncs its store, exactly like the single-loop runner's stop path.
+    /// syncs its store on the way out.
     #[must_use]
     pub fn stop(mut self) -> Vec<LogServer> {
         self.shutdown();
-        self.shards
-            .iter_mut()
-            .filter_map(|slot| slot.take())
+        std::mem::take(&mut self.shards)
+            .into_iter()
             .map(|h| h.join().expect("shard thread panicked"))
             .collect()
     }
 
     /// Simulate a hard crash of the whole process: every shard stops
-    /// where it stands (no extra syncing beyond what already happened)
-    /// and its store is dropped. Returns each shard's durable stream end
-    /// at the moment of the crash, in shard order — per-shard recovery
-    /// replays each shard's own storage root independently.
-    pub fn crash(mut self) -> Vec<u64> {
-        self.shutdown();
-        self.shards
-            .iter_mut()
-            .filter_map(|slot| slot.take())
-            .map(|h| {
-                let mut server = h.join().expect("shard thread panicked");
-                let end = server.store_mut().stream_end();
-                drop(server);
-                end
-            })
+    /// where it stands (no syncing beyond what the loop's exit already
+    /// did; true torn-write crashes are exercised at the storage layer,
+    /// where the disk state can be manipulated directly) and its store is
+    /// dropped. Returns each shard's durable stream end at the moment of
+    /// the crash, in shard order — per-shard recovery replays each
+    /// shard's own storage root independently, and harnesses stamp a
+    /// `Stage::Crash` trace event with it.
+    pub fn crash(self) -> Vec<u64> {
+        self.stop()
+            .into_iter()
+            .map(|mut server| server.store_mut().stream_end())
             .collect()
     }
 
@@ -275,67 +319,122 @@ impl ShardSupervisor {
 impl Drop for ShardSupervisor {
     fn drop(&mut self) {
         self.shutdown();
-        for slot in &mut self.shards {
-            if let Some(h) = slot.take() {
-                let _ = h.join();
-            }
+        for h in self.shards.drain(..) {
+            let _ = h.join();
         }
     }
 }
 
-/// One shard's event loop, shared by the dispatcher-fed and
-/// transport-routed spawn paths: `next` yields the shard's next packet
-/// (queue pop or routed receive), everything else — ingest batching,
-/// reply flushing, group-commit ticks, idle archive work, and the
-/// final flush-and-sync on stop — is identical.
+/// The dispatcher's work: move each packet `endpoint` receives to the
+/// queue of the shard it routes to, until stopped.
+fn dispatch<E: Endpoint>(
+    endpoint: &E,
+    stop: &AtomicBool,
+    routes: &[Arc<ShardQueue>],
+) -> io::Result<()> {
+    while !stop.load(Ordering::Relaxed) {
+        let Some((from, pkt)) = endpoint.recv(Duration::from_millis(20))? else {
+            continue;
+        };
+        match pkt.route_key() {
+            Some(id) => {
+                if let Some(q) = routes.get(id.shard(routes.len())) {
+                    q.push(from, pkt);
+                }
+            }
+            None => {
+                // Shard-agnostic control traffic: every shard sees it.
+                // Cloning the packet is a refcount bump per payload
+                // view, and control messages carry no records.
+                for q in routes {
+                    q.push(from, pkt.clone());
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The server event loop — the only one. `next` yields the loop's next
+/// packet (endpoint receive, routed receive, or dispatcher-queue pop);
+/// ingest batching, reply flushing, group-commit ticks, idle archive
+/// work, and the final flush-and-sync are the same for all of them.
+/// Returns the server and why the loop left: `Ok` for a stop request,
+/// `Err` for the receive error of a dead transport.
 fn shard_loop<E: Endpoint + ?Sized>(
     mut server: LogServer,
     stop: &AtomicBool,
     ep: &E,
-    mut next: impl FnMut(Duration) -> Option<(NodeAddr, Packet)>,
-) -> LogServer {
+    mut next: impl FnMut(Duration) -> Polled,
+) -> (LogServer, io::Result<()>) {
+    // One reply buffer for the life of the thread: handle_into appends
+    // into it, so after warm-up the steady-state loop issues no
+    // per-packet Vec allocations for replies.
     let mut replies = Vec::with_capacity(64);
-    while !stop.load(Ordering::Relaxed) {
+    let why = loop {
+        if stop.load(Ordering::Relaxed) {
+            break Ok(());
+        }
+        // With forces waiting on a group commit, poll rather than block:
+        // the batch must flush the moment the inbox drains, so the
+        // coalescing window only adds latency while more work is
+        // actually arriving.
         let timeout = if server.has_pending_forces() {
             Duration::ZERO
         } else {
             Duration::from_millis(20)
         };
         match next(timeout) {
-            Some((from, pkt)) => {
+            Ok(Some((from, pkt))) => {
+                // Batch ingest: after the first packet, drain whatever
+                // else is already queued (up to a cap that keeps force
+                // acks prompt) before sending replies, amortizing the
+                // send/recv syscall boundary across the burst.
                 replies.clear();
                 server.handle_into(from, &pkt, &mut replies);
                 for _ in 0..INGEST_BATCH - 1 {
                     match next(Duration::ZERO) {
-                        Some((from, pkt)) => {
+                        Ok(Some((from, pkt))) => {
                             server.handle_into(from, &pkt, &mut replies);
                         }
-                        None => break,
+                        // A dead transport fails again on the next poll,
+                        // after this batch's replies are out.
+                        _ => break,
                     }
                 }
                 for (to, reply) in replies.drain(..) {
+                    // Send failures are network loss — the protocol
+                    // recovers end to end.
                     let _ = ep.send(to, &reply);
                 }
                 for (to, reply) in server.force_tick() {
                     let _ = ep.send(to, &reply);
                 }
             }
-            None => {
+            Ok(None) => {
                 if server.has_pending_forces() {
+                    // Inbox drained: commit the group now.
                     for (to, reply) in server.flush_pending_forces() {
                         let _ = ep.send(to, &reply);
                     }
                 } else {
+                    // Idle: let the archive tier make progress. A failed
+                    // round is retried next interval and shows in the
+                    // `upload_retries` / `pending` Status gauges.
                     let _ = server.archive_tick();
                 }
             }
+            Err(e) => break Err(e),
         }
-    }
+    };
+    // Never strand queued force obligations: whatever ended the loop, it
+    // finishes the round and tries to get the acks out before the
+    // endpoint goes away, then leaves storage clean.
     for (to, reply) in server.flush_pending_forces() {
         let _ = ep.send(to, &reply);
     }
     let _ = server.store_mut().sync();
-    server
+    (server, why)
 }
 
 #[cfg(test)]
@@ -344,11 +443,18 @@ mod tests {
     use crate::gen::GenStore;
     use crate::ServerConfig;
     use dlog_net::wire::{Message, Request, Response};
-    use dlog_net::{FaultPlan, MemNetwork};
+    use dlog_net::{FaultPlan, MemEndpoint, MemNetwork, MemShardRx};
     use dlog_storage::{LogStore, NvramDevice, StoreOptions};
     use dlog_types::{ClientId, Epoch, LogData, LogId, Lsn, ServerId};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Instant;
 
-    fn shard_server(root: &std::path::Path, shard: u64, shards: u64) -> LogServer {
+    fn shard_server_with(
+        root: &std::path::Path,
+        shard: u64,
+        shards: u64,
+        coalesce_window: Duration,
+    ) -> LogServer {
         let dir = root.join(format!("shard-{shard}"));
         let opts = StoreOptions {
             fsync: false,
@@ -356,12 +462,13 @@ mod tests {
         };
         let store = LogStore::open(&dir, opts, NvramDevice::new(1 << 20)).unwrap();
         let gens = GenStore::open(dir.join("gens")).unwrap();
-        LogServer::new(
-            ServerConfig::new(ServerId(1)).for_shard(shard, shards),
-            store,
-            gens,
-        )
-        .unwrap()
+        let mut config = ServerConfig::new(ServerId(1)).for_shard(shard, shards);
+        config.coalesce_window = coalesce_window;
+        LogServer::new(config, store, gens).unwrap()
+    }
+
+    fn shard_server(root: &std::path::Path, shard: u64, shards: u64) -> LogServer {
+        shard_server_with(root, shard, shards, Duration::ZERO)
     }
 
     fn tmproot(name: &str) -> std::path::PathBuf {
@@ -387,110 +494,238 @@ mod tests {
         )
     }
 
-    #[test]
-    fn routes_clients_to_distinct_shards_and_acks() {
-        let root = tmproot("route");
-        let servers = vec![shard_server(&root, 0, 2), shard_server(&root, 1, 2)];
-        let net = MemNetwork::new(FaultPlan::reliable());
-        let sup = ShardSupervisor::spawn(servers, net.endpoint(NodeAddr(1)));
+    /// The three ways a loop gets its packets.
+    #[derive(Clone, Copy, Debug)]
+    enum Entry {
+        /// One shard receiving from the endpoint itself (`ServerRunner`).
+        Direct,
+        /// Two shards fed by the dispatcher thread.
+        Dispatcher,
+        /// Two shards on the transport's routed receive handles.
+        Routed,
+    }
 
-        // Find two clients that hash to different shards.
+    const ENTRIES: [Entry; 3] = [Entry::Direct, Entry::Dispatcher, Entry::Routed];
+
+    impl Entry {
+        fn shards(self) -> u64 {
+            match self {
+                Entry::Direct => 1,
+                Entry::Dispatcher | Entry::Routed => 2,
+            }
+        }
+
+        fn spawn<E>(self, tag: &str, endpoint: E) -> ShardSupervisor
+        where
+            E: RoutedEndpoint + Sync + 'static,
+        {
+            let root = tmproot(&format!("{tag}-{self:?}"));
+            let n = self.shards();
+            let servers = (0..n).map(|k| shard_server(&root, k, n)).collect();
+            let sup = match self {
+                Entry::Direct | Entry::Dispatcher => ShardSupervisor::spawn(servers, endpoint),
+                Entry::Routed => ShardSupervisor::spawn_routed(servers, endpoint),
+            };
+            assert_eq!(sup.dispatcher.is_some(), matches!(self, Entry::Dispatcher));
+            sup
+        }
+    }
+
+    /// Two clients that hash to different shards of two.
+    fn two_clients() -> (u64, u64) {
         let c0 = 1u64;
         let c1 = (2..64)
             .find(|&c| LogId(c).shard(2) != LogId(c0).shard(2))
             .expect("some client maps to the other shard");
-
-        let ep = net.endpoint(NodeAddr(100));
-        ep.send(NodeAddr(1), &force_pkt(c0, 1, 3)).unwrap();
-        ep.send(NodeAddr(1), &force_pkt(c1, 1, 5)).unwrap();
-        let mut acks = std::collections::HashMap::new();
-        for _ in 0..2 {
-            let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("ack");
-            if let Message::NewHighLsn { client, lsn } = pkt.msg {
-                acks.insert(client.0, lsn.0);
-            }
-        }
-        assert_eq!(acks.get(&c0), Some(&3));
-        assert_eq!(acks.get(&c1), Some(&5));
-
-        // Graceful stop: each shard holds exactly its own client's log,
-        // under its own storage root.
-        let recovered = sup.stop();
-        assert_eq!(recovered.len(), 2);
-        let total: u64 = recovered.iter().map(|s| s.stats().records_stored).sum();
-        assert_eq!(total, 8);
-        for s in &recovered {
-            for c in s.store_stats().tracks_flushed..=0 {
-                // no-op loop; records checked below via per-shard stats
-                let _ = c;
-            }
-        }
-        let per_shard: Vec<u64> = recovered.iter().map(|s| s.stats().records_stored).collect();
-        assert!(
-            per_shard.iter().all(|&n| n > 0),
-            "both shards must have ingested: {per_shard:?}"
-        );
+        (c0, c1)
     }
 
     #[test]
-    fn routed_endpoint_path_matches_dispatcher_semantics() {
-        // Same traffic as the dispatcher test, but over spawn_routed:
-        // the transport steers frames from the wire header, no
-        // dispatcher thread exists, and the acks and per-shard
-        // placement come out identical.
-        let root = tmproot("routed");
-        let servers = vec![shard_server(&root, 0, 2), shard_server(&root, 1, 2)];
-        let net = MemNetwork::new(FaultPlan::reliable());
-        let sup = ShardSupervisor::spawn_routed(servers, net.endpoint(NodeAddr(1)));
+    fn every_entry_point_serves_forces_rpcs_and_status() {
+        for entry in ENTRIES {
+            let net = MemNetwork::new(FaultPlan::reliable());
+            let sup = entry.spawn("serve", net.endpoint(NodeAddr(1)));
+            let n = entry.shards();
+            assert_eq!(sup.shards() as u64, n);
 
-        let c0 = 1u64;
-        let c1 = (2..64)
-            .find(|&c| LogId(c).shard(2) != LogId(c0).shard(2))
-            .expect("some client maps to the other shard");
+            let (c0, c1) = two_clients();
+            let ep = net.endpoint(NodeAddr(100));
+            ep.send(NodeAddr(1), &force_pkt(c0, 1, 3)).unwrap();
+            ep.send(NodeAddr(1), &force_pkt(c1, 1, 5)).unwrap();
+            let mut acks = std::collections::HashMap::new();
+            for _ in 0..2 {
+                let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("ack");
+                if let Message::NewHighLsn { client, lsn } = pkt.msg {
+                    acks.insert(client.0, lsn.0);
+                }
+            }
+            assert_eq!(acks.get(&c0), Some(&3), "{entry:?}");
+            assert_eq!(acks.get(&c1), Some(&5), "{entry:?}");
+
+            // RPC round trip, routed to the client's shard.
+            ep.send(
+                NodeAddr(1),
+                &Packet::routed(
+                    LogId::for_client(ClientId(c0)),
+                    Message::Request {
+                        id: 77,
+                        body: Request::IntervalList {
+                            client: ClientId(c0),
+                        },
+                    },
+                ),
+            )
+            .unwrap();
+            let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("resp");
+            match pkt.msg {
+                Message::Response {
+                    id: 77,
+                    body: Response::Intervals { intervals },
+                } => assert_eq!(intervals.len(), 1, "{entry:?}"),
+                other => panic!("{entry:?}: unexpected {other:?}"),
+            }
+
+            // A shard-agnostic Status request fans out to every shard.
+            ep.send(
+                NodeAddr(1),
+                &Packet::bare(Message::Request {
+                    id: 11,
+                    body: Request::Status,
+                }),
+            )
+            .unwrap();
+            let mut rows = std::collections::BTreeSet::new();
+            for _ in 0..n {
+                let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("row");
+                match pkt.msg {
+                    Message::Response {
+                        id: 11,
+                        body: Response::Status { shard, shards, .. },
+                    } => {
+                        assert_eq!(shards, n, "{entry:?}");
+                        rows.insert(shard);
+                    }
+                    other => panic!("{entry:?}: unexpected {other:?}"),
+                }
+            }
+            assert_eq!(rows, (0..n).collect(), "{entry:?}");
+
+            // Graceful stop: each shard holds exactly its own client's
+            // log, under its own storage root.
+            let recovered = sup.stop();
+            let per_shard: Vec<u64> = recovered.iter().map(|s| s.stats().records_stored).collect();
+            assert_eq!(per_shard.len() as u64, n, "{entry:?}");
+            assert_eq!(per_shard.iter().sum::<u64>(), 8, "{entry:?}");
+            assert!(
+                per_shard.iter().all(|&n| n > 0),
+                "{entry:?}: every shard must have ingested: {per_shard:?}"
+            );
+        }
+    }
+
+    /// A transport whose receive side fails for good once `left` packets
+    /// have been delivered (counted across the endpoint and its shard
+    /// handles).
+    struct Dying<T> {
+        inner: T,
+        left: Arc<AtomicUsize>,
+    }
+
+    fn poll_dying(left: &AtomicUsize, recv: impl FnOnce() -> Polled) -> Polled {
+        if left.load(Ordering::SeqCst) == 0 {
+            return Err(io::Error::other("transport died"));
+        }
+        let got = recv()?;
+        if got.is_some() {
+            left.fetch_sub(1, Ordering::SeqCst);
+        }
+        Ok(got)
+    }
+
+    impl Endpoint for Dying<MemEndpoint> {
+        fn local_addr(&self) -> NodeAddr {
+            self.inner.local_addr()
+        }
+        fn send(&self, to: NodeAddr, packet: &Packet) -> io::Result<()> {
+            self.inner.send(to, packet)
+        }
+        fn recv(&self, timeout: Duration) -> Polled {
+            poll_dying(&self.left, || self.inner.recv(timeout))
+        }
+    }
+
+    impl ShardRx for Dying<MemShardRx> {
+        fn recv(&mut self, timeout: Duration) -> Polled {
+            poll_dying(&self.left, || self.inner.recv(timeout))
+        }
+    }
+
+    impl RoutedEndpoint for Dying<MemEndpoint> {
+        type Rx = Dying<MemShardRx>;
+        fn shard_rx(&self, shards: usize) -> Vec<Self::Rx> {
+            let wrap = |inner| Dying {
+                inner,
+                left: self.left.clone(),
+            };
+            self.inner.shard_rx(shards).into_iter().map(wrap).collect()
+        }
+    }
+
+    #[test]
+    fn dead_transport_ends_every_loop_through_the_graceful_exit() {
+        for entry in ENTRIES {
+            let net = MemNetwork::new(FaultPlan::reliable());
+            let dying = Dying {
+                inner: net.endpoint(NodeAddr(1)),
+                left: Arc::new(AtomicUsize::new(1)),
+            };
+            let sup = entry.spawn("dying", dying);
+
+            // The one packet the transport still delivers is forced and
+            // acked; the next receive fails.
+            let ep = net.endpoint(NodeAddr(100));
+            ep.send(NodeAddr(1), &force_pkt(1, 1, 3)).unwrap();
+            let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("ack");
+            assert!(matches!(pkt.msg, Message::NewHighLsn { .. }), "{entry:?}");
+
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !sup.shards.iter().all(JoinHandle::is_finished) {
+                assert!(
+                    Instant::now() < deadline,
+                    "{entry:?}: loops still running on a dead transport"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let why = sup.wait().expect_err("a loop left on a receive error");
+            assert_eq!(why.to_string(), "transport died", "{entry:?}");
+
+            let recovered = sup.stop();
+            assert_eq!(recovered.len() as u64, entry.shards(), "{entry:?}");
+            let stored: u64 = recovered.iter().map(|s| s.stats().records_stored).sum();
+            assert_eq!(stored, 3, "{entry:?}");
+        }
+    }
+
+    #[test]
+    fn one_shard_commits_a_coalesced_group_when_its_inbox_drains() {
+        // The window never expires, so the acks can only come from the
+        // pending-force arm: poll with ZERO, find the inbox empty, flush.
+        let root = tmproot("coalesce");
+        let server = shard_server_with(&root, 0, 1, Duration::from_secs(3600));
+        let net = MemNetwork::new(FaultPlan::reliable());
+        let sup = ShardSupervisor::spawn(vec![server], net.endpoint(NodeAddr(1)));
 
         let ep = net.endpoint(NodeAddr(100));
-        ep.send(NodeAddr(1), &force_pkt(c0, 1, 3)).unwrap();
-        ep.send(NodeAddr(1), &force_pkt(c1, 1, 5)).unwrap();
-        let mut acks = std::collections::HashMap::new();
+        ep.send(NodeAddr(1), &force_pkt(1, 1, 3)).unwrap();
+        ep.send(NodeAddr(1), &force_pkt(2, 1, 5)).unwrap();
         for _ in 0..2 {
             let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("ack");
-            if let Message::NewHighLsn { client, lsn } = pkt.msg {
-                acks.insert(client.0, lsn.0);
-            }
+            assert!(matches!(pkt.msg, Message::NewHighLsn { .. }));
         }
-        assert_eq!(acks.get(&c0), Some(&3));
-        assert_eq!(acks.get(&c1), Some(&5));
-
-        // A shard-agnostic Status request still fans out to every shard.
-        ep.send(
-            NodeAddr(1),
-            &Packet::bare(Message::Request {
-                id: 11,
-                body: Request::Status,
-            }),
-        )
-        .unwrap();
-        let mut rows = std::collections::BTreeSet::new();
-        for _ in 0..2 {
-            let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("row");
-            if let Message::Response {
-                id: 11,
-                body: Response::Status { shard, shards, .. },
-            } = pkt.msg
-            {
-                assert_eq!(shards, 2);
-                rows.insert(shard);
-            }
-        }
-        assert_eq!(rows, [0u64, 1].into_iter().collect());
-
-        let recovered = sup.stop();
-        let per_shard: Vec<u64> = recovered.iter().map(|s| s.stats().records_stored).collect();
-        assert_eq!(per_shard.iter().sum::<u64>(), 8);
-        assert!(
-            per_shard.iter().all(|&n| n > 0),
-            "both shards must have ingested: {per_shard:?}"
-        );
+        let stats = sup.stop().pop().expect("one shard").stats();
+        assert_eq!(stats.coalesced_forces, 2);
+        assert!((1..=2).contains(&stats.group_commits), "{stats:?}");
+        assert_eq!(stats.records_stored, 8);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use crate::ServerId;
 ///   (unacknowledged) at once, which is also the number of records the
 ///   restart procedure must rewrite (§4.2).
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReplicationConfig {
     /// The M log servers the client may use.
     pub servers: Vec<ServerId>,

@@ -7,7 +7,6 @@ use std::fmt;
 /// A replicated log is used by exactly one client (§3.1); log servers key
 /// all stored state by `ClientId`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClientId(pub u64);
 
 impl ClientId {
@@ -35,7 +34,6 @@ impl fmt::Display for ClientId {
 /// Clients address the M servers of a replicated-log configuration by
 /// `ServerId`; transports map server ids to endpoints.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ServerId(pub u64);
 
 impl ServerId {
@@ -67,7 +65,6 @@ impl fmt::Display for ServerId {
 /// routing hint" on the wire — such packets fall back to a body-derived
 /// key (or shard 0 for control traffic).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogId(pub u64);
 
 impl LogId {

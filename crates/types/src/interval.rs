@@ -16,7 +16,6 @@ use crate::{Epoch, Lsn, ServerId};
 /// A maximal run of records with equal epoch and consecutive LSNs, stored
 /// on one log server. The range is closed: `lo..=hi`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Interval {
     /// Epoch of every record in the run.
     pub epoch: Epoch,
@@ -91,7 +90,6 @@ impl fmt::Debug for Interval {
 /// its predecessors (the recovery procedure's `CopyLog` rewrites do this,
 /// cf. Figure 3-3).
 #[derive(Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IntervalList {
     intervals: Vec<Interval>,
 }

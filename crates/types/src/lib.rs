@@ -23,6 +23,7 @@
 
 pub mod bytes;
 pub mod config;
+pub mod crc;
 pub mod error;
 pub mod ids;
 pub mod interval;

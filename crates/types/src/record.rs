@@ -9,7 +9,6 @@ use std::sync::Arc;
 /// record of a log has LSN 1; [`Lsn::ZERO`] is a sentinel meaning "before
 /// the first record" and is never assigned to a record.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Lsn(pub u64);
 
 impl Lsn {
@@ -78,7 +77,6 @@ impl From<u64> for Lsn {
 /// unique-identifier generator of Appendix I and are strictly increasing
 /// across restarts of one client, though not necessarily consecutive.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Epoch(pub u64);
 
 impl Epoch {
@@ -116,7 +114,6 @@ impl From<u64> for Epoch {
 /// Two stored records with the same LSN but different epochs can coexist on
 /// one server (the higher epoch wins at merge time); the pair is unique.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RecordId {
     /// Position in the replicated log.
     pub lsn: Lsn,

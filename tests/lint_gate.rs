@@ -64,8 +64,9 @@ fn workspace_passes_dlog_lint() {
 /// The race report must demonstrably cover the PR 8 concurrency
 /// surface: the in-memory network's endpoint inbox (`Inbox.q`,
 /// `Inbox.sleepers` under `EndpointQueue.inbox`), the receive buffer
-/// pool's free list (`BufPool.slots`), and the server runner's stop
-/// flag (`ServerRunner.stop`). If a refactor renames or drops one of
+/// pool's free list (`BufPool.slots`), and the server supervisor's stop
+/// flag (`ShardSupervisor.stop`, read by the one event loop and set from
+/// the function that spawns it). If a refactor renames or drops one of
 /// these out of the access map, the detector has lost its primary
 /// subject and this gate fails before the lint sweep can go quietly
 /// blind.
@@ -78,9 +79,9 @@ fn race_report_covers_the_shared_server_surface() {
         "\"name\":\"q\"",
         "\"name\":\"BufPool\"",
         "\"name\":\"slots\"",
-        "\"name\":\"ServerRunner\"",
-        "ServerRunner.stop",
-        "crates/server/src/runner.rs::spawn",
+        "\"name\":\"ShardSupervisor\"",
+        "ShardSupervisor.stop",
+        "crates/server/src/shard.rs::spawn_loops",
     ] {
         assert!(
             json.contains(needle),
