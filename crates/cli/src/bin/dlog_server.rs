@@ -15,7 +15,8 @@
 //! Every `--shards` value runs the library's one event loop
 //! ([`ShardSupervisor`]): one thread receiving from the socket itself for
 //! `--shards 1`, a dispatcher thread feeding N shard loops otherwise. The
-//! process exits non-zero when the socket dies; failed archive rounds are
+//! process exits non-zero when the socket dies or a loop fail-stops (a
+//! panic, printed before the exit message); failed archive rounds are
 //! retried and show in the `upload_retries` / `pending` gauges of
 //! `dlog status`.
 
@@ -168,7 +169,7 @@ fn run() -> Result<(), String> {
 
     // One event loop per shard, the same loop for every `--shards`
     // value; this thread only waits for one of them to leave, which
-    // without a stop request means the socket died.
+    // without a stop request means the socket died or a loop panicked.
     let sup = ShardSupervisor::spawn(servers, ep);
     sup.wait().map_err(|e| format!("socket error: {e}"))
 }

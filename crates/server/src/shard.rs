@@ -53,6 +53,9 @@ const INGEST_BATCH: usize = 32;
 /// timeout, or the transport's failure.
 type Polled = io::Result<Option<(NodeAddr, Packet)>>;
 
+/// The dispatcher's run: feed the shard queues until the stop flag is up.
+type Dispatcher = Box<dyn FnOnce(&AtomicBool) -> io::Result<()> + Send>;
+
 /// One shard's packet queue. The `sleepers` counter lets the dispatcher
 /// skip the condvar syscall entirely while the shard loop is awake — the
 /// common case under load, where the queue never runs dry.
@@ -108,27 +111,35 @@ impl ShardQueue {
         inbox.sleepers = inbox.sleepers.saturating_sub(1);
         inbox.q.pop_front()
     }
-
-    /// Wake every sleeper (shutdown path).
-    fn wake_all(&self) {
-        self.available.notify_all();
-    }
 }
 
-/// Why the first loop to leave left — `Ok` for a stop request, `Err` for
-/// a dead transport — kept until [`ShardSupervisor::wait`] takes it.
+/// Why the first server thread to leave left — `Ok` for a stop request,
+/// `Err` for a dead transport or a panic — kept (as kind and text, so it
+/// can be handed out more than once) for [`ShardSupervisor::wait`].
 struct Exits {
-    first: Mutex<Option<io::Result<()>>>,
+    first: Mutex<Option<Result<(), (io::ErrorKind, String)>>>,
     left: Condvar,
 }
 
 impl Exits {
     fn report(&self, why: io::Result<()>) {
         if let Ok(mut first) = self.first.lock() {
-            if first.is_none() {
-                *first = Some(why);
-            }
+            first.get_or_insert(why.map_err(|e| (e.kind(), e.to_string())));
             self.left.notify_all();
+        }
+    }
+}
+
+/// Held by every server thread: a panic (the §3.1 fail-stops in
+/// `LogServer::ingest` are panics) is reported like any other exit, so
+/// [`ShardSupervisor::wait`] never outlives the loop it waits for.
+struct ReportPanic(Arc<Exits>);
+
+impl Drop for ReportPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0
+                .report(Err(io::Error::other("server thread panicked")));
         }
     }
 }
@@ -138,7 +149,6 @@ impl Exits {
 pub struct ShardSupervisor {
     stop: Arc<AtomicBool>,
     exits: Arc<Exits>,
-    queues: Vec<Arc<ShardQueue>>,
     dispatcher: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<LogServer>>,
 }
@@ -159,16 +169,17 @@ impl ShardSupervisor {
         endpoint: E,
     ) -> ShardSupervisor {
         let endpoint = Arc::new(endpoint);
+        let ep = endpoint.clone();
         if servers.len() <= 1 {
-            let ep = endpoint.clone();
-            Self::spawn_loops(servers, endpoint, [move |t| ep.recv(t)], Vec::new())
+            Self::spawn_loops(servers, endpoint, [move |t| ep.recv(t)], None)
         } else {
             let queues: Vec<Arc<ShardQueue>> = servers
                 .iter()
                 .map(|_| Arc::new(ShardQueue::new()))
                 .collect();
             let nexts = queues.clone().into_iter().map(|q| move |t| Ok(q.pop(t)));
-            Self::spawn_loops(servers, endpoint, nexts, queues)
+            let feed = move |stop: &AtomicBool| dispatch(&*ep, stop, &queues);
+            Self::spawn_loops(servers, endpoint, nexts, Some(Box::new(feed)))
         }
         .expect("spawn server thread")
     }
@@ -192,19 +203,17 @@ impl ShardSupervisor {
             .shard_rx(servers.len())
             .into_iter()
             .map(|mut rx| move |t| rx.recv(t));
-        Self::spawn_loops(servers, Arc::new(endpoint), nexts, Vec::new())
-            .expect("spawn server thread")
+        Self::spawn_loops(servers, Arc::new(endpoint), nexts, None).expect("spawn server thread")
     }
 
     /// The one place server threads start: a [`shard_loop`] per server,
-    /// shard k polling the k-th element of `nexts`, and — when `queues`
-    /// (one per shard, what those `nexts` pop) is not empty — the
-    /// dispatcher that feeds them from `endpoint`.
+    /// shard k polling the k-th element of `nexts`, and a thread for the
+    /// dispatcher that feeds those `nexts`, where there is one.
     fn spawn_loops<E, N>(
         servers: Vec<LogServer>,
         endpoint: Arc<E>,
         nexts: impl IntoIterator<Item = N>,
-        queues: Vec<Arc<ShardQueue>>,
+        dispatcher: Option<Dispatcher>,
     ) -> io::Result<ShardSupervisor>
     where
         E: Endpoint + Sync + 'static,
@@ -223,33 +232,33 @@ impl ShardSupervisor {
             let handle = std::thread::Builder::new()
                 .name(format!("log-server-{server_id}-s{k}"))
                 .spawn(move || {
+                    let _panic = ReportPanic(exits.clone());
                     let (server, why) = shard_loop(server, &stop, &*ep, next);
                     exits.report(why);
                     server
                 })?;
             shards.push(handle);
         }
-        let dispatcher = if queues.is_empty() {
-            None
-        } else {
-            let (stop, exits, routes) = (stop.clone(), exits.clone(), queues.clone());
-            let handle = std::thread::Builder::new()
-                .name(format!("log-shard-router-{server_id}"))
-                .spawn(move || {
-                    exits.report(dispatch(&*endpoint, &stop, &routes));
-                    // No queue is fed again, whatever ended the dispatcher:
-                    // a dead transport must not leave the shard loops parked.
-                    stop.store(true, Ordering::Relaxed);
-                    for q in &routes {
-                        q.wake_all();
-                    }
-                })?;
-            Some(handle)
+        let dispatcher = match dispatcher {
+            None => None,
+            Some(run) => {
+                let (stop, exits) = (stop.clone(), exits.clone());
+                let handle = std::thread::Builder::new()
+                    .name(format!("log-shard-router-{server_id}"))
+                    .spawn(move || {
+                        let _panic = ReportPanic(exits.clone());
+                        exits.report(run(&stop));
+                        // No queue is fed again, whatever ended the
+                        // dispatcher: the shard loops, which poll their
+                        // queues every 20 ms, must leave too.
+                        stop.store(true, Ordering::Relaxed);
+                    })?;
+                Some(handle)
+            }
         };
         Ok(ShardSupervisor {
             stop,
             exits,
-            queues,
             dispatcher,
             shards,
         })
@@ -261,20 +270,26 @@ impl ShardSupervisor {
         self.shards.len()
     }
 
-    /// Block until a loop has exited and say why: `Ok` after a stop
-    /// request, `Err` with the transport failure that ended it. The
+    /// Block until a server thread has exited and say why: `Ok` after a
+    /// stop request, `Err` for the transport failure or panic that ended
+    /// it. The answer stays the same on every later call, and the
     /// supervisor is still whole afterwards — [`ShardSupervisor::stop`]
     /// (or dropping it) ends the remaining loops gracefully.
     ///
     /// # Errors
-    /// The receive error of the first loop a dead transport ended.
+    /// The receive error of the first loop a dead transport ended, or a
+    /// note that a server thread panicked.
     pub fn wait(&self) -> io::Result<()> {
-        let Ok(first) = self.exits.first.lock() else {
-            return Ok(());
-        };
-        match self.exits.left.wait_while(first, |first| first.is_none()) {
-            Ok(mut first) => first.take().unwrap_or(Ok(())),
-            Err(_) => Ok(()),
+        let poisoned = |_| io::Error::other("server exit state poisoned");
+        let first = self.exits.first.lock().map_err(poisoned)?;
+        let first = self
+            .exits
+            .left
+            .wait_while(first, |first| first.is_none())
+            .map_err(poisoned)?;
+        match &*first {
+            Some(Err((kind, text))) => Err(io::Error::new(*kind, text.clone())),
+            _ => Ok(()),
         }
     }
 
@@ -307,9 +322,6 @@ impl ShardSupervisor {
 
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        for q in &self.queues {
-            q.wake_all();
-        }
         if let Some(h) = self.dispatcher.take() {
             let _ = h.join();
         }
@@ -625,10 +637,12 @@ mod tests {
 
     /// A transport whose receive side fails for good once `left` packets
     /// have been delivered (counted across the endpoint and its shard
-    /// handles).
+    /// handles), or — with `send_panics` — whose first reply panics the
+    /// loop that sends it, as a §3.1 fail-stop inside `handle_into` would.
     struct Dying<T> {
         inner: T,
         left: Arc<AtomicUsize>,
+        send_panics: bool,
     }
 
     fn poll_dying(left: &AtomicUsize, recv: impl FnOnce() -> Polled) -> Polled {
@@ -647,6 +661,7 @@ mod tests {
             self.inner.local_addr()
         }
         fn send(&self, to: NodeAddr, packet: &Packet) -> io::Result<()> {
+            assert!(!self.send_panics, "fail-stop (this test's own)");
             self.inner.send(to, packet)
         }
         fn recv(&self, timeout: Duration) -> Polled {
@@ -666,6 +681,7 @@ mod tests {
             let wrap = |inner| Dying {
                 inner,
                 left: self.left.clone(),
+                send_panics: self.send_panics,
             };
             self.inner.shard_rx(shards).into_iter().map(wrap).collect()
         }
@@ -678,6 +694,7 @@ mod tests {
             let dying = Dying {
                 inner: net.endpoint(NodeAddr(1)),
                 left: Arc::new(AtomicUsize::new(1)),
+                send_panics: false,
             };
             let sup = entry.spawn("dying", dying);
 
@@ -696,13 +713,48 @@ mod tests {
                 );
                 std::thread::sleep(Duration::from_millis(1));
             }
-            let why = sup.wait().expect_err("a loop left on a receive error");
-            assert_eq!(why.to_string(), "transport died", "{entry:?}");
+            // The reason is kept, not consumed: a second wait says the same.
+            for _ in 0..2 {
+                let why = sup.wait().expect_err("a loop left on a receive error");
+                assert_eq!(why.to_string(), "transport died", "{entry:?}");
+            }
 
             let recovered = sup.stop();
             assert_eq!(recovered.len() as u64, entry.shards(), "{entry:?}");
             let stored: u64 = recovered.iter().map(|s| s.stats().records_stored).sum();
             assert_eq!(stored, 3, "{entry:?}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_loop_is_an_exit_that_wait_reports() {
+        for entry in ENTRIES {
+            let net = MemNetwork::new(FaultPlan::reliable());
+            let panicking = Dying {
+                inner: net.endpoint(NodeAddr(1)),
+                left: Arc::new(AtomicUsize::new(usize::MAX)),
+                send_panics: true,
+            };
+            let sup = entry.spawn("panicking", panicking);
+
+            // The force is ingested; sending its ack kills the loop.
+            let ep = net.endpoint(NodeAddr(100));
+            ep.send(NodeAddr(1), &force_pkt(1, 1, 3)).unwrap();
+
+            // `wait` would block for as long as nothing is reported, so
+            // bound the report itself.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while sup.exits.first.lock().unwrap().is_none() {
+                assert!(
+                    Instant::now() < deadline,
+                    "{entry:?}: a loop panicked and nothing was reported"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let why = sup.wait().expect_err("a loop left by panicking");
+            assert_eq!(why.to_string(), "server thread panicked", "{entry:?}");
+            // Dropping the supervisor still ends the surviving loops.
+            drop(sup);
         }
     }
 
