@@ -143,6 +143,9 @@ pub struct ReplicatedLog<E: Endpoint> {
     /// xorshift64 state for retry jitter; seeded from the client id so
     /// replays are deterministic but distinct clients de-convoy.
     jitter: u64,
+    /// Reused scratch: the servers holding the window head
+    /// (`harvest_completions`).
+    holders: Vec<ServerId>,
 }
 
 impl<E: Endpoint> ReplicatedLog<E> {
@@ -166,6 +169,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
             stats: ClientStats::default(),
             obs: dlog_obs::Obs::off(),
             jitter: id.0 ^ 0x9E37_79B9_7F4A_7C15,
+            holders: Vec::new(),
         }
     }
 
@@ -685,12 +689,12 @@ impl<E: Endpoint> ReplicatedLog<E> {
         let mut demanded_ack = false;
         loop {
             // Admit buffered records into the δ window.
-            let mut fresh: Vec<(Lsn, LogData)> = Vec::new();
+            let mut fresh = 0usize;
             while (self.in_flight.len() as u64) < self.opts.config.delta {
                 match self.buffer.pop_front() {
                     Some(r) => {
-                        self.in_flight.push_back(r.clone());
-                        fresh.push(r);
+                        self.in_flight.push_back(r);
+                        fresh += 1;
                     }
                     None => break,
                 }
@@ -701,8 +705,8 @@ impl<E: Endpoint> ReplicatedLog<E> {
                 self.stats.window_stalls += 1;
             }
             let need_ack = drain || window_full;
-            if !fresh.is_empty() {
-                self.transmit(&fresh, need_ack)?;
+            if fresh > 0 {
+                self.transmit(fresh, need_ack)?;
                 if need_ack {
                     demanded_ack = true;
                 }
@@ -712,9 +716,8 @@ impl<E: Endpoint> ReplicatedLog<E> {
                 // ForceLog demands the force and its ack without
                 // resending a single record — this replaces a silent
                 // full-timeout wait for acks that were never coming.
-                let targets = self.targets.clone();
                 self.net.send_many(
-                    &targets,
+                    &self.targets,
                     Message::ForceLog {
                         client: self.id,
                         epoch: self.epoch,
@@ -738,12 +741,16 @@ impl<E: Endpoint> ReplicatedLog<E> {
         }
     }
 
-    /// Send records to every target, as `ForceLog` when an ack is needed.
-    /// Each batch is encoded once and fanned out: the replicas receive
-    /// byte-identical packets, so the message is built and serialized a
-    /// single time regardless of the replica count.
-    fn transmit(&mut self, records: &[(Lsn, LogData)], force: bool) -> Result<()> {
-        let targets = self.targets.clone();
+    /// Send the `fresh` newest records of the window to every target, as
+    /// `ForceLog` when an ack is needed. Each batch is encoded once and
+    /// fanned out: the replicas receive byte-identical packets, so the
+    /// message is built and serialized a single time regardless of the
+    /// replica count.
+    fn transmit(&mut self, fresh: usize, force: bool) -> Result<()> {
+        let window = self.in_flight.make_contiguous();
+        let records = window
+            .get(window.len().saturating_sub(fresh)..)
+            .unwrap_or(&[]);
         let batches = dlog_net::wire::pack_batches(records);
         for batch in batches {
             let msg = if force {
@@ -759,7 +766,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
                     records: batch,
                 }
             };
-            self.net.send_many(&targets, msg)?;
+            self.net.send_many(&self.targets, msg)?;
         }
         Ok(())
     }
@@ -1054,20 +1061,33 @@ impl<E: Endpoint> ReplicatedLog<E> {
     }
 
     /// Pop fully replicated records off the window head and note them in
-    /// the view.
+    /// the view, a range at a time: the holder set is computed for the
+    /// window head, together with how far up the window it stays the same
+    /// (one acknowledgment normally completes the whole window, so this
+    /// runs once per harvest, not once per record).
     fn harvest_completions(&mut self) {
-        while let Some(&(lsn, _)) = self.in_flight.front() {
-            let holders: Vec<ServerId> = self
-                .covers_from
-                .iter()
-                .filter(|(s, &from)| from <= lsn && self.net.acked(**s) >= lsn)
-                .map(|(s, _)| *s)
-                .collect();
-            if holders.len() >= self.opts.config.n {
-                self.view.note_write(lsn, self.epoch, &holders);
-                self.in_flight.pop_front();
-            } else {
+        while let (Some(&(lo, _)), Some(&(newest, _))) =
+            (self.in_flight.front(), self.in_flight.back())
+        {
+            self.holders.clear();
+            let mut hi = newest;
+            for (&server, &from) in &self.covers_from {
+                let acked = self.net.acked(server);
+                if from <= lo && acked >= lo {
+                    self.holders.push(server);
+                    hi = hi.min(acked);
+                } else if from > lo && acked >= from {
+                    // Joins the holder set at `from`.
+                    hi = hi.min(from.prev().unwrap_or(lo));
+                }
+            }
+            if self.holders.len() < self.opts.config.n {
                 break;
+            }
+            self.view
+                .note_write_range(lo, hi, self.epoch, &self.holders);
+            while self.in_flight.front().is_some_and(|(lsn, _)| *lsn <= hi) {
+                self.in_flight.pop_front();
             }
         }
     }

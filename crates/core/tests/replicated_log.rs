@@ -370,3 +370,42 @@ fn server_restart_preserves_its_copies() {
         );
     }
 }
+
+/// One acknowledgment completes a whole window, and harvesting it is one
+/// holder-set computation and one range noted in the view: what a commit
+/// allocates on the client thread does not grow with the records in it.
+/// (At the parent every completed record cost a `Vec<ServerId>` collect
+/// in `harvest_completions` plus a `to_vec` in `note_write`.)
+#[test]
+fn a_commit_allocates_nothing_per_record_on_the_client() {
+    use dlog_obs::gauge::thread_allocs;
+    use dlog_types::LogData;
+
+    let cluster = Cluster::start("commit-allocs", 3, FaultPlan::reliable());
+    let mut log = cluster.client(1, 2, 16);
+    log.initialize().unwrap();
+    // Payloads are built up front and shared in: the caller's own
+    // allocations are not the client's.
+    let data = LogData::from(vec![0xA5u8; 16]);
+    // The calm level over many commits: a retry after a slow ack
+    // allocates, a quiet commit never allocates less than the code does.
+    let mut calm_commit = |records: usize| {
+        (0..200)
+            .map(|_| {
+                let before = thread_allocs();
+                for _ in 0..records {
+                    log.write(data.share()).unwrap();
+                }
+                log.force().unwrap();
+                thread_allocs() - before
+            })
+            .min()
+            .expect("commits ran")
+    };
+    calm_commit(14); // warm-up: queues, scratch and the view's segment
+    let (seven, fourteen) = (calm_commit(7), calm_commit(14));
+    assert_eq!(
+        seven, fourteen,
+        "a 14-record commit allocates more than a 7-record one"
+    );
+}

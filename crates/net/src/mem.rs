@@ -153,13 +153,31 @@ enum Route {
 struct Inbox {
     q: VecDeque<(NodeAddr, Arc<Vec<u8>>)>,
     sleepers: u32,
+    /// When a receiver last took a frame off `q`.
+    last_rx: Option<Instant>,
 }
 
-/// Yields a receiver burns on an empty queue before paying the futex
-/// sleep. On an oversubscribed box the sender is usually runnable:
-/// `yield_now` lets it push and the next poll finds the packet, saving
-/// the sleep/wake syscall pair on both sides of every round trip.
-const SPIN_YIELDS: u32 = 64;
+/// How long after its last frame a receiver keeps polling an empty queue
+/// (ceding the CPU between polls) before it pays the futex sleep. On an
+/// oversubscribed box the sender is usually runnable: `yield_now` lets it
+/// push and the next poll finds the packet, saving the sleep/wake syscall
+/// pair on both sides of every round trip.
+///
+/// A span of time, not a number of polls: a poll takes 0.2 µs when the
+/// receiver has its core to itself and a scheduler rotation when it
+/// shares one, so a count is a budget of anything from 10 µs to 1 ms that
+/// shrinks as the peers get faster. Too short, and a lone receiver falls
+/// asleep inside a single round trip, where a wake-up costs ten to a
+/// thousand polls on a virtual CPU. Too long, and nobody in a busy
+/// exchange ever sleeps — and a thread that never sleeps is never placed
+/// again: waking a sleeper is the scheduler's one chance to put it on an
+/// idle core or beside its sender, and threads across cores from their
+/// peers run a third slower. 100 µs is several round trips plus a track
+/// flush, so an exchange in step never sleeps, and short of every real
+/// pause: a receiver whose peer has stopped, or whose every wait is long
+/// because of where it runs, sleeps and is placed afresh by the next
+/// packet.
+const POLL_AFTER_RX: Duration = Duration::from_micros(100);
 
 /// Read-mostly cluster topology: which endpoints exist, which links are
 /// severed, which nodes are down. Senders and receivers take the read
@@ -484,23 +502,25 @@ impl MemNetwork {
 /// by single-queue receive and per-shard receive handles. A corrupt
 /// datagram is dropped (`None`), as a NIC would.
 fn recv_from(ep: &EndpointQueue, timeout: Duration) -> Option<(NodeAddr, Packet)> {
-    let deadline = Instant::now() + timeout;
-    let mut spins = 0u32;
+    let mut now = Instant::now();
+    let deadline = now + timeout;
     loop {
         {
             let mut b = ep.inbox.lock();
             loop {
                 if let Some((from, bytes)) = b.q.pop_front() {
+                    b.last_rx = Some(now);
                     drop(b);
                     return match Packet::decode_shared(&bytes) {
                         Ok(p) => Some((from, p)),
                         Err(_) => None,
                     };
                 }
-                if Instant::now() >= deadline {
+                now = Instant::now();
+                if now >= deadline {
                     return None;
                 }
-                if spins < SPIN_YIELDS {
+                if b.last_rx.is_some_and(|rx| now < rx + POLL_AFTER_RX) {
                     // Cooperative poll: release the lock and cede the
                     // CPU below so the sender can run, then re-check —
                     // cheaper than a futex sleep when the packet is
@@ -510,9 +530,9 @@ fn recv_from(ep: &EndpointQueue, timeout: Duration) -> Option<(NodeAddr, Packet)
                 b.sleepers += 1;
                 ep.cv.wait_until(&mut b, deadline);
                 b.sleepers -= 1;
+                now = Instant::now();
             }
         }
-        spins += 1;
         std::thread::yield_now();
     }
 }
@@ -717,6 +737,36 @@ mod tests {
         let stats = net.stats();
         assert!(stats.duplicated > 0);
         assert!(stats.reordered > 0);
+    }
+
+    #[test]
+    fn quiet_receiver_parks_and_a_send_wakes_it() {
+        let net = MemNetwork::new(FaultPlan::reliable());
+        let rx = net.endpoint(NodeAddr(1));
+        let tx = net.endpoint(NodeAddr(2));
+        let q = match net.inner.topo.read().queues.get(&NodeAddr(1)) {
+            Some(Route::Single(q)) => Arc::clone(q),
+            _ => panic!("endpoint 1 has one queue"),
+        };
+        std::thread::scope(|s| {
+            let got = s.spawn(|| rx.recv(Duration::from_secs(30)).unwrap());
+            // Nobody has written to it: it must be asleep on the condvar,
+            // not polling out its timeout.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while q.inbox.lock().sleepers == 0 {
+                assert!(Instant::now() < deadline, "receiver never parked");
+                std::thread::yield_now();
+            }
+            assert_eq!(q.inbox.lock().last_rx, None);
+            tx.send(NodeAddr(1), &ping(7)).unwrap();
+            assert_eq!(got.join().unwrap().unwrap().1, ping(7));
+        });
+        // The frame it took is what the next wait's polling is timed from.
+        assert!(q.inbox.lock().last_rx.is_some(), "stamped by the pop");
+        // A wait that outlasts the polling span still ends at its timeout.
+        let t = Instant::now();
+        assert!(rx.recv(POLL_AFTER_RX * 20).unwrap().is_none());
+        assert!(t.elapsed() >= POLL_AFTER_RX * 20);
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn many_senders_never_lose_a_wakeup() {
 }
 
 /// Bursts separated by idle gaps: every gap is long enough for the
-/// receiver to burn its spin yields and park on the condvar, so each
+/// receiver to poll out its 100 µs and park on the condvar, so each
 /// burst's first send must take the `sleepers > 0` notify branch. A
 /// lost wakeup would strand the receiver until its timeout; the tight
 /// per-burst budget turns that into a failure instead of a slow pass.
@@ -106,7 +106,7 @@ fn sleep_wake_transitions_deliver_every_burst() {
                     tx.send(NodeAddr(0), &ping(b * BURST_LEN + i + 1)).unwrap();
                 }
                 // Idle long enough for the receiver to finish the burst,
-                // spin dry, and park before the next burst begins.
+                // stop polling, and park before the next burst begins.
                 std::thread::sleep(Duration::from_millis(2));
             }
         });

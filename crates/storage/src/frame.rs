@@ -56,60 +56,78 @@ impl Frame {
     /// Serialize the frame (envelope included) onto `out`, returning the
     /// encoded length.
     pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
-        let start = out.len();
-        out.extend_from_slice(&[0u8; ENVELOPE_BYTES]); // len + crc, patched below
         match self {
             Frame::Record {
                 client,
                 record,
                 staged,
-            } => {
-                out.push(KIND_RECORD);
-                out.extend_from_slice(&client.0.to_le_bytes());
-                out.extend_from_slice(&record.lsn.0.to_le_bytes());
-                out.extend_from_slice(&record.epoch.0.to_le_bytes());
-                let mut flags = 0u8;
-                if record.present {
-                    flags |= FLAG_PRESENT;
-                }
-                if *staged {
-                    flags |= FLAG_STAGED;
-                }
-                out.push(flags);
-                out.extend_from_slice(&(record.data.len() as u32).to_le_bytes());
-                out.extend_from_slice(record.data.as_bytes());
-            }
+            } => Self::encode_record_into(
+                out,
+                *client,
+                record.lsn,
+                record.epoch,
+                Self::record_flags(record.present, *staged),
+                record.data.as_bytes(),
+            ),
             Frame::Install { client, epoch } => {
+                let start = open_envelope(out);
                 out.push(KIND_INSTALL);
                 out.extend_from_slice(&client.0.to_le_bytes());
                 out.extend_from_slice(&epoch.0.to_le_bytes());
+                close_envelope(out, start)
             }
             Frame::Checkpoint(payload) => {
+                let start = open_envelope(out);
                 out.push(KIND_CHECKPOINT);
                 out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
                 out.extend_from_slice(payload);
+                close_envelope(out, start)
             }
         }
-        let body_len = out.len() - start - ENVELOPE_BYTES;
-        let crc = crc32(out.get(start + ENVELOPE_BYTES..).unwrap_or(&[]));
-        if let Some(slot) = out.get_mut(start..start + 4) {
-            slot.copy_from_slice(&(body_len as u32).to_le_bytes());
-        }
-        if let Some(slot) = out.get_mut(start + 4..start + 8) {
-            slot.copy_from_slice(&crc.to_le_bytes());
-        }
-        out.len() - start
+    }
+
+    /// The flags byte of a record frame.
+    pub(crate) fn record_flags(present: bool, staged: bool) -> u8 {
+        (if present { FLAG_PRESENT } else { 0 }) | (if staged { FLAG_STAGED } else { 0 })
+    }
+
+    /// Serialize a [`Frame::Record`] from its parts onto `out`, returning
+    /// the encoded length: how the store frames a run of records without
+    /// building a `Frame` (and bumping a payload refcount) per record.
+    pub(crate) fn encode_record_into(
+        out: &mut Vec<u8>,
+        client: ClientId,
+        lsn: Lsn,
+        epoch: Epoch,
+        flags: u8,
+        data: &[u8],
+    ) -> usize {
+        let start = open_envelope(out);
+        out.push(KIND_RECORD);
+        out.extend_from_slice(&client.0.to_le_bytes());
+        out.extend_from_slice(&lsn.0.to_le_bytes());
+        out.extend_from_slice(&epoch.0.to_le_bytes());
+        out.push(flags);
+        out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+        out.extend_from_slice(data);
+        close_envelope(out, start)
+    }
+
+    /// Serialized size of a record frame carrying `data_len` payload
+    /// bytes, envelope included.
+    #[must_use]
+    pub const fn record_len(data_len: usize) -> usize {
+        ENVELOPE_BYTES + 1 + 8 + 8 + 8 + 1 + 4 + data_len
     }
 
     /// Serialized size of the frame, envelope included.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        ENVELOPE_BYTES
-            + match self {
-                Frame::Record { record, .. } => 1 + 8 + 8 + 8 + 1 + 4 + record.data.len(),
-                Frame::Install { .. } => 1 + 8 + 8,
-                Frame::Checkpoint(p) => 1 + 4 + p.len(),
-            }
+        match self {
+            Frame::Record { record, .. } => Self::record_len(record.data.len()),
+            Frame::Install { .. } => ENVELOPE_BYTES + 1 + 8 + 8,
+            Frame::Checkpoint(p) => ENVELOPE_BYTES + 1 + 4 + p.len(),
+        }
     }
 
     /// Decode one frame from the front of `buf`.
@@ -188,6 +206,28 @@ impl Frame {
             _ => Err(corrupt("unknown frame kind")),
         }
     }
+}
+
+/// Reserve the envelope (`len` + `crc`) of a frame starting at the end of
+/// `out`; [`close_envelope`] patches it once the body is written.
+fn open_envelope(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; ENVELOPE_BYTES]);
+    start
+}
+
+/// Patch the envelope of the frame that began at `start`; returns the
+/// frame's encoded length.
+fn close_envelope(out: &mut [u8], start: usize) -> usize {
+    let body_len = out.len() - start - ENVELOPE_BYTES;
+    let crc = crc32(out.get(start + ENVELOPE_BYTES..).unwrap_or(&[]));
+    if let Some(slot) = out.get_mut(start..start + 4) {
+        slot.copy_from_slice(&(body_len as u32).to_le_bytes());
+    }
+    if let Some(slot) = out.get_mut(start + 4..start + 8) {
+        slot.copy_from_slice(&crc.to_le_bytes());
+    }
+    out.len() - start
 }
 
 #[cfg(test)]

@@ -61,34 +61,63 @@ impl IntervalTable {
         epoch: Epoch,
         pos: u64,
     ) -> Result<(), String> {
+        self.append_run(client, epoch, std::iter::once((lsn, pos)))
+    }
+
+    /// [`IntervalTable::append`] for a run of `(lsn, position)` pairs one
+    /// client wrote in one epoch, finding the client's entry once.
+    ///
+    /// # Errors
+    /// As [`IntervalTable::append`]; records before the offending one stay
+    /// appended, so callers that must not half-apply a run validate it with
+    /// [`IntervalTable::check_run`] first.
+    pub fn append_run(
+        &mut self,
+        client: ClientId,
+        epoch: Epoch,
+        run: impl Iterator<Item = (Lsn, u64)>,
+    ) -> Result<(), String> {
         // Static rejection reasons: append sits on the write hot path,
         // and callers log the offending <LSN, epoch> themselves.
         let entries = self.clients.entry(client).or_default();
-        if let Some(last) = entries.last_mut() {
-            if epoch < last.interval.epoch {
-                return Err("epoch regression in server storage order".into());
-            }
-            if epoch == last.interval.epoch {
-                if last.interval.hi.precedes(lsn) {
-                    last.index
-                        .append(lsn, pos)
-                        .map_err(|_| "index gap within an interval")?;
+        let gap = |_| "index gap within an interval";
+        for (lsn, pos) in run {
+            match entries.last_mut() {
+                Some(last) if order_after(last.interval, epoch, lsn)? => {
+                    last.index.append(lsn, pos).map_err(gap)?;
                     last.interval.hi = lsn;
-                    return Ok(());
                 }
-                if lsn <= last.interval.hi {
-                    return Err("non-increasing LSN within an epoch".into());
+                _ => {
+                    let mut index = LsnIndex::new(INDEX_FANOUT);
+                    index.append(lsn, pos).map_err(gap)?;
+                    entries.push(TableEntry {
+                        interval: Interval::point(epoch, lsn),
+                        index,
+                    });
                 }
             }
         }
-        let mut index = LsnIndex::new(INDEX_FANOUT);
-        index
-            .append(lsn, pos)
-            .map_err(|_| "index gap within an interval")?;
-        entries.push(TableEntry {
-            interval: Interval::point(epoch, lsn),
-            index,
-        });
+        Ok(())
+    }
+
+    /// Whether [`IntervalTable::append_run`] would accept `lsns` from
+    /// `client` in `epoch`, without changing the table.
+    ///
+    /// # Errors
+    /// The rejection `append_run` would give.
+    pub fn check_run(
+        &self,
+        client: ClientId,
+        epoch: Epoch,
+        lsns: impl Iterator<Item = Lsn>,
+    ) -> Result<(), String> {
+        let mut last = self.last(client);
+        for lsn in lsns {
+            last = Some(match last {
+                Some(iv) if order_after(iv, epoch, lsn)? => Interval::new(epoch, iv.lo, lsn),
+                _ => Interval::point(epoch, lsn),
+            });
+        }
         Ok(())
     }
 
@@ -243,6 +272,19 @@ impl IntervalTable {
         }
         Ok(table)
     }
+}
+
+/// Server storage order (§3.1.1) for the record `<lsn, epoch>` arriving
+/// after the interval `last`: `Ok(true)` when it extends `last`,
+/// `Ok(false)` when it opens a new interval.
+fn order_after(last: Interval, epoch: Epoch, lsn: Lsn) -> Result<bool, &'static str> {
+    if epoch < last.epoch {
+        return Err("epoch regression in server storage order");
+    }
+    if epoch == last.epoch && lsn <= last.hi {
+        return Err("non-increasing LSN within an epoch");
+    }
+    Ok(epoch == last.epoch && last.hi.precedes(lsn))
 }
 
 struct Reader<'a> {

@@ -104,15 +104,59 @@ struct NvramState {
     seal: u64,
 }
 
+/// Where an insert landed, read under the lock that performed it: the
+/// store learns its append position, the track fill and the new seal from
+/// the one acquisition the insert already pays for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tail {
+    /// Stream position of the first inserted byte.
+    pub pos: u64,
+    /// Bytes pending after the insert.
+    pub pending: usize,
+    /// The device seal after the insert.
+    pub seal: u64,
+}
+
 impl NvramState {
     fn advance_seal(&mut self, bytes: &[u8]) {
-        // FNV-1a over (old seal, operation bytes): cheap and stateful.
+        // FNV-1a-style fold over (old seal, operation bytes), one
+        // little-endian u64 word per step: cheap and stateful. The last
+        // step folds the zero-padded remainder together with the length,
+        // so operations differing only in trailing zeros still differ.
+        const PRIME: u64 = 0x1000_0000_01b3;
+        let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(PRIME).rotate_left(23);
         let mut h = self.seal ^ 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(w);
+            h = fold(h, u64::from_le_bytes(word));
         }
-        self.seal = h;
+        let mut word = [0u8; 8];
+        for (slot, b) in word.iter_mut().zip(words.remainder()) {
+            *slot = *b;
+        }
+        h = fold(h, u64::from_le_bytes(word));
+        self.seal = fold(h, bytes.len() as u64);
+    }
+
+    /// Append `bytes` to the pending track if they fit `capacity`.
+    fn admit(&mut self, capacity: usize, bytes: &[u8]) -> Result<Tail, NvramFull> {
+        let available = capacity - self.track.len();
+        if bytes.len() > available {
+            return Err(NvramFull {
+                requested: bytes.len(),
+                available,
+            });
+        }
+        let pos = self.base_pos + self.track.len() as u64;
+        self.track.extend_from_slice(bytes);
+        self.advance_seal(bytes);
+        Ok(Tail {
+            pos,
+            pending: self.track.len(),
+            seal: self.seal,
+        })
     }
 }
 
@@ -171,17 +215,7 @@ impl NvramDevice {
     /// [`NvramFull`] when the bytes do not fit; the caller must retire a
     /// track to disk first.
     pub fn insert(&self, bytes: &[u8]) -> Result<(), NvramFull> {
-        let mut st = self.state.lock();
-        let available = self.capacity - st.track.len();
-        if bytes.len() > available {
-            return Err(NvramFull {
-                requested: bytes.len(),
-                available,
-            });
-        }
-        st.track.extend_from_slice(bytes);
-        st.advance_seal(bytes);
-        Ok(())
+        self.state.lock().admit(self.capacity, bytes).map(drop)
     }
 
     /// The device's current guard seal (§5.1). A caller intending a
@@ -199,23 +233,27 @@ impl NvramDevice {
     /// [`GuardError::Mismatch`] (memory untouched) for a wrong seal;
     /// [`GuardError::Full`] when the bytes do not fit.
     pub fn insert_guarded(&self, presented_seal: u64, bytes: &[u8]) -> Result<u64, GuardError> {
+        self.insert_at_tail(Some(presented_seal), bytes)
+            .map(|tail| tail.seal)
+    }
+
+    /// Insert `bytes` at the tail of the pending track — guarded (§5.1)
+    /// when `guard` carries a seal, plain otherwise — and report where
+    /// they landed. Whatever one call inserts is one `extend` under the
+    /// device lock: a crash finds all of it or none of it.
+    ///
+    /// # Errors
+    /// As [`NvramDevice::insert_guarded`]; without a guard only
+    /// [`GuardError::Full`]. The memory is untouched on error.
+    pub fn insert_at_tail(&self, guard: Option<u64>, bytes: &[u8]) -> Result<Tail, GuardError> {
         let mut st = self.state.lock();
-        if presented_seal != st.seal {
+        if let Some(presented) = guard.filter(|seal| *seal != st.seal) {
             return Err(GuardError::Mismatch(SealMismatch {
-                presented: presented_seal,
+                presented,
                 current: st.seal,
             }));
         }
-        let available = self.capacity - st.track.len();
-        if bytes.len() > available {
-            return Err(GuardError::Full(NvramFull {
-                requested: bytes.len(),
-                available,
-            }));
-        }
-        st.track.extend_from_slice(bytes);
-        st.advance_seal(bytes);
-        Ok(st.seal)
+        st.admit(self.capacity, bytes).map_err(GuardError::Full)
     }
 
     /// Snapshot the pending track for writing to disk: returns the stream

@@ -18,12 +18,14 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use dlog_types::{ClientId, DlogError, Epoch, Interval, IntervalList, LogRecord, Lsn, Result};
+use dlog_types::{
+    ClientId, DlogError, Epoch, Interval, IntervalList, LogData, LogRecord, Lsn, Result,
+};
 
 use crate::crc::crc32;
 use crate::frame::Frame;
 use crate::intervals::IntervalTable;
-use crate::nvram::NvramDevice;
+use crate::nvram::{GuardError, NvramDevice, Tail};
 use crate::stream::SegmentedStream;
 
 const CKPT_MAGIC: u32 = 0x444C_4B50; // "DLKP"
@@ -282,25 +284,101 @@ impl LogStore {
     }
 
     /// Store a record for `client` (the `ServerWriteLog` operation,
-    /// §3.1.1). The record is durable when this returns.
+    /// §3.1.1): [`LogStore::write_batch`] of one record, which may be one
+    /// marked *not present*. The record is durable when this returns.
     ///
     /// # Errors
     /// Rejects records violating server storage order (decreasing epoch or
     /// non-increasing LSN within an epoch) and propagates I/O failures.
     pub fn write(&mut self, client: ClientId, record: &LogRecord) -> Result<()> {
-        let pos = self.append_position();
+        let run = [(record.lsn, record.data.share())];
+        self.write_run(client, record.epoch, record.present, &run)
+    }
+
+    /// Store the records of one message from `client`, all written in
+    /// `epoch`, as **one** append (§4.1: records are grouped into
+    /// messages and the server pays per message): the frames are encoded
+    /// back to back and reach the NVRAM buffer in a single insert, so a
+    /// crash finds all of them or none. Every record is durable when this
+    /// returns.
+    ///
+    /// A run larger than the whole device goes in device-sized pieces;
+    /// each piece is then all-or-nothing.
+    ///
+    /// # Errors
+    /// As [`LogStore::write`]. The order of the whole run is checked
+    /// before anything is stored, and a piece is indexed only once it is
+    /// in the buffer: an `Err` leaves no record of the failed piece in the
+    /// table, the counters or the NVRAM.
+    pub fn write_batch(
+        &mut self,
+        client: ClientId,
+        epoch: Epoch,
+        records: &[(Lsn, LogData)],
+    ) -> Result<()> {
+        self.write_run(client, epoch, true, records)
+    }
+
+    fn write_run(
+        &mut self,
+        client: ClientId,
+        epoch: Epoch,
+        present: bool,
+        records: &[(Lsn, LogData)],
+    ) -> Result<()> {
         self.table
-            .append(client, record.lsn, record.epoch, pos)
+            .check_run(client, epoch, records.iter().map(|(lsn, _)| *lsn))
             .map_err(DlogError::Protocol)?;
-        self.put_frame(&Frame::Record {
-            client,
-            record: record.share(),
-            staged: false,
-        })?;
-        self.stats.records_written += 1;
-        self.stats.bytes_written += record.data.len() as u64;
-        self.maybe_checkpoint()?;
-        Ok(())
+        let mut rest = records;
+        while !rest.is_empty() {
+            let stored = self.write_piece(client, epoch, present, rest)?;
+            rest = rest.get(stored..).unwrap_or(&[]);
+        }
+        self.maybe_checkpoint()
+    }
+
+    /// Frame the longest prefix of `records` that fits the device (one
+    /// record at least: a frame larger than the device takes the bypass in
+    /// `put_frames`), insert it, then index it. Returns its length.
+    fn write_piece(
+        &mut self,
+        client: ClientId,
+        epoch: Epoch,
+        present: bool,
+        records: &[(Lsn, LogData)],
+    ) -> Result<usize> {
+        let flags = Frame::record_flags(present, false);
+        let mut buf = std::mem::take(&mut self.frame_buf);
+        buf.clear();
+        let mut taken = 0usize;
+        let mut payload = 0u64;
+        for (lsn, data) in records {
+            let framed = buf.len() + Frame::record_len(data.len());
+            if taken > 0 && framed > self.nvram.capacity() {
+                break;
+            }
+            Frame::encode_record_into(&mut buf, client, *lsn, epoch, flags, data.as_bytes());
+            taken += 1;
+            payload += data.len() as u64;
+        }
+        let inserted = self.put_frames(&buf);
+        self.frame_buf = buf;
+        let tail = inserted?;
+        // Frames sit back to back from `tail.pos`, so each record's
+        // position follows from the lengths of the ones before it.
+        let mut next = tail.pos;
+        let placed = records.iter().take(taken).map(|(lsn, data)| {
+            let at = next;
+            next += Frame::record_len(data.len()) as u64;
+            (*lsn, at)
+        });
+        self.table
+            .append_run(client, epoch, placed)
+            .map_err(DlogError::Protocol)?;
+        self.stats.records_written += taken as u64;
+        self.stats.bytes_written += payload;
+        self.retire_full_track(tail.pending)?;
+        Ok(taken)
     }
 
     /// Satisfy a force for `client`: under [`Durability::Nvram`] the data
@@ -392,8 +470,7 @@ impl LogStore {
                 });
             }
         }
-        let pos = self.append_position();
-        self.put_frame(&Frame::Record {
+        let pos = self.put_frame(&Frame::Record {
             client,
             record: record.share(),
             staged: true,
@@ -664,7 +741,8 @@ impl LogStore {
         self.archived_to
     }
 
-    fn put_frame(&mut self, frame: &Frame) -> Result<()> {
+    /// Append one frame to the log stream; returns its stream position.
+    fn put_frame(&mut self, frame: &Frame) -> Result<u64> {
         // Serialize through the store's reused scratch (taken out so the
         // borrow checker lets the helpers borrow `self`): after warm-up
         // the per-record framing cost is a memcpy, not an allocation.
@@ -672,54 +750,74 @@ impl LogStore {
         buf.clear();
         buf.reserve(frame.encoded_len());
         frame.encode_into(&mut buf);
-        let result = self.put_frame_bytes(&buf);
+        let inserted = self.put_frames(&buf);
         self.frame_buf = buf;
-        result
+        let tail = inserted?;
+        self.retire_full_track(tail.pending)?;
+        Ok(tail.pos)
     }
 
-    fn put_frame_bytes(&mut self, buf: &[u8]) -> Result<()> {
-        if buf.len() > self.nvram.available() {
-            self.flush_track()?;
-        }
-        if buf.len() > self.nvram.capacity() {
-            // Oversized frame (streamed bulk data): bypass the buffer.
-            // Ordering is preserved because the track was just flushed.
-            let pos = self.stream.append(buf)?;
-            if self.opts.fsync {
-                self.stream.sync()?;
-                self.stats.fsyncs += 1;
-            }
-            self.bytes_since_ckpt += buf.len() as u64;
-            self.nvram.format(pos + buf.len() as u64);
-            self.seal = self.nvram.seal();
-            return Ok(());
-        }
-        if self.opts.guarded_nvram {
+    /// Append whole encoded frames to the log stream as one unit and
+    /// report where they landed: the one place this store inserts into
+    /// the NVRAM. A track that has no room for them is flushed first. The
+    /// caller retires a full track (`retire_full_track`) after it has
+    /// indexed the frames.
+    fn put_frames(&mut self, buf: &[u8]) -> Result<Tail> {
+        let mut flushed = false;
+        loop {
             // §5.1 guarded write: prove this insert was computed from the
             // device's previous state. A mismatch means foreign code wrote
             // the NVRAM behind our back — treat the buffer as corrupt.
-            match self.nvram.insert_guarded(self.seal, buf) {
-                Ok(new_seal) => self.seal = new_seal,
-                Err(crate::nvram::GuardError::Mismatch(m)) => {
-                    return Err(DlogError::GuardViolation {
-                        presented: m.presented,
-                        current: m.current,
-                    })
+            let guard = self.opts.guarded_nvram.then_some(self.seal);
+            match self.nvram.insert_at_tail(guard, buf) {
+                Ok(tail) => {
+                    self.seal = tail.seal;
+                    return Ok(tail);
                 }
-                Err(crate::nvram::GuardError::Full(e)) => {
+                Err(GuardError::Full(_)) if !flushed => {
+                    self.flush_track()?;
+                    flushed = true;
+                    if buf.len() > self.nvram.capacity() {
+                        return self.bypass_nvram(buf);
+                    }
+                }
+                Err(GuardError::Full(e)) => {
                     return Err(DlogError::NvramFull {
                         requested: e.requested,
                         available: e.available,
                     })
                 }
+                Err(GuardError::Mismatch(m)) => {
+                    return Err(DlogError::GuardViolation {
+                        presented: m.presented,
+                        current: m.current,
+                    })
+                }
             }
-        } else {
-            self.nvram.insert(buf).map_err(|e| DlogError::NvramFull {
-                requested: e.requested,
-                available: e.available,
-            })?;
         }
-        if self.nvram.pending_len() >= self.opts.track_bytes {
+    }
+
+    /// Oversized frame (streamed bulk data): write it straight to the
+    /// stream. Ordering is preserved because the track was just flushed.
+    fn bypass_nvram(&mut self, buf: &[u8]) -> Result<Tail> {
+        let pos = self.stream.append(buf)?;
+        if self.opts.fsync {
+            self.stream.sync()?;
+            self.stats.fsyncs += 1;
+        }
+        self.bytes_since_ckpt += buf.len() as u64;
+        self.nvram.format(pos + buf.len() as u64);
+        self.seal = self.nvram.seal();
+        Ok(Tail {
+            pos,
+            pending: 0,
+            seal: self.seal,
+        })
+    }
+
+    /// Write the track to disk once it holds `pending >= track_bytes`.
+    fn retire_full_track(&mut self, pending: usize) -> Result<()> {
+        if pending >= self.opts.track_bytes {
             self.flush_track()?;
         }
         Ok(())
@@ -1415,5 +1513,147 @@ mod tests {
         assert!(store.write(ClientId(1), &rec(5, 2, 1)).is_err());
         assert!(store.write(ClientId(1), &rec(4, 2, 1)).is_err());
         assert!(store.write(ClientId(1), &rec(6, 1, 1)).is_err());
+    }
+
+    fn run(lo: u64, hi: u64) -> Vec<(Lsn, LogData)> {
+        (lo..=hi)
+            .map(|i| (Lsn(i), LogData::from(vec![i as u8; 64])))
+            .collect()
+    }
+
+    #[test]
+    fn write_batch_is_write_many_times() {
+        let dir = tmpdir("batch-eq");
+        let mut store = LogStore::open(&dir, small_opts(), NvramDevice::new(4096)).unwrap();
+        let c = ClientId(1);
+        store.write_batch(c, Epoch(1), &run(1, 20)).unwrap();
+        store.write_batch(c, Epoch(1), &[]).unwrap();
+        store.write_batch(c, Epoch(1), &run(21, 21)).unwrap();
+        for i in 1..=21u64 {
+            let r = store.read(c, Lsn(i)).unwrap().unwrap();
+            assert_eq!(r.data.as_bytes(), &[i as u8; 64]);
+            assert!(r.present);
+        }
+        assert_eq!(store.interval_list(c).len(), 1);
+        assert_eq!(store.stats().records_written, 21);
+        assert_eq!(store.stats().bytes_written, 21 * 64);
+        assert!(store.stats().tracks_flushed > 0, "20 frames exceed a track");
+    }
+
+    #[test]
+    fn batch_larger_than_the_device_goes_in_pieces() {
+        let dir = tmpdir("batch-pieces");
+        // 102-byte frames, a 512-byte device: at most five frames a piece.
+        let nvram = NvramDevice::new(512);
+        let mut store = LogStore::open(&dir, small_opts(), nvram.clone()).unwrap();
+        let c = ClientId(1);
+        let mut records = run(1, 13);
+        records.insert(6, (Lsn(100), LogData::from(vec![7u8; 10_000]))); // bypasses
+        let records: Vec<_> = records
+            .into_iter()
+            .enumerate()
+            .map(|(i, (_, d))| (Lsn(i as u64 + 1), d))
+            .collect();
+        store.write_batch(c, Epoch(1), &records).unwrap();
+        assert!(nvram.pending_len() <= 512);
+        for (lsn, data) in &records {
+            let r = store.read(c, *lsn).unwrap().unwrap();
+            assert_eq!(&r.data, data, "{lsn}");
+        }
+        assert_eq!(store.interval_list(c).len(), 1);
+    }
+
+    /// What a failed call must leave untouched.
+    fn fingerprint(store: &LogStore) -> (Option<Interval>, StoreStats, u64, usize, u64) {
+        (
+            store.last_interval(ClientId(1)),
+            store.stats(),
+            store.nvram().seal(),
+            store.nvram().pending_len(),
+            store.append_position(),
+        )
+    }
+
+    #[test]
+    fn failed_flush_leaves_the_index_where_the_bytes_are() {
+        // Index-before-insert regression: the parent appended to the
+        // interval table first, so a write whose track flush failed left
+        // `last_interval` naming a record that was never stored.
+        let dir = tmpdir("atomic-flush");
+        let mut opts = small_opts();
+        opts.track_bytes = 600;
+        let mut store = LogStore::open(&dir, opts, NvramDevice::new(600)).unwrap();
+        let c = ClientId(1);
+        store.write_batch(c, Epoch(1), &run(1, 4)).unwrap(); // 408 B pending
+        let before = fingerprint(&store);
+        assert_eq!(before.0, Some(Interval::new(Epoch(1), Lsn(1), Lsn(4))));
+
+        // The disk goes away: the flush that must make room now fails.
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(store.write_batch(c, Epoch(1), &run(5, 7)).is_err());
+        assert_eq!(fingerprint(&store), before);
+        let wide = LogRecord::present(Lsn(5), Epoch(1), vec![5u8; 300]);
+        assert!(store.write(c, &wide).is_err());
+        assert_eq!(fingerprint(&store), before);
+        for i in 1..=4u64 {
+            assert!(store.read(c, Lsn(i)).unwrap().is_some(), "lsn {i}");
+        }
+        assert_eq!(store.read(c, Lsn(5)).unwrap(), None);
+
+        // The disk comes back: the same batch now lands, nothing skipped.
+        fs::create_dir_all(&dir).unwrap();
+        store.write_batch(c, Epoch(1), &run(5, 7)).unwrap();
+        assert_eq!(
+            store.last_interval(c),
+            Some(Interval::new(Epoch(1), Lsn(1), Lsn(7)))
+        );
+        for i in 1..=7u64 {
+            let r = store.read(c, Lsn(i)).unwrap().unwrap();
+            assert_eq!(r.data.as_bytes(), &[i as u8; 64], "lsn {i}");
+        }
+    }
+
+    #[test]
+    fn refused_insert_leaves_the_index_where_the_bytes_are() {
+        let dir = tmpdir("atomic-guard");
+        let mut opts = small_opts();
+        opts.guarded_nvram = true;
+        let nvram = NvramDevice::new(4096);
+        let mut store = LogStore::open(&dir, opts, nvram.clone()).unwrap();
+        let c = ClientId(1);
+        store.write_batch(c, Epoch(1), &run(1, 3)).unwrap();
+        nvram.insert(b"stray").unwrap(); // foreign write: the seal moves on
+        let before = fingerprint(&store);
+        assert!(matches!(
+            store.write_batch(c, Epoch(1), &run(4, 6)),
+            Err(DlogError::GuardViolation { .. })
+        ));
+        assert_eq!(fingerprint(&store), before);
+        assert!(store.read(c, Lsn(3)).unwrap().is_some());
+        assert_eq!(store.read(c, Lsn(4)).unwrap(), None);
+    }
+
+    #[test]
+    fn misordered_batch_stores_nothing() {
+        let dir = tmpdir("atomic-order");
+        let mut store = LogStore::open(&dir, small_opts(), NvramDevice::new(4096)).unwrap();
+        let c = ClientId(1);
+        store.write_batch(c, Epoch(2), &run(1, 3)).unwrap();
+        let before = fingerprint(&store);
+        let mut bad = run(4, 8);
+        bad[3].0 = Lsn(5); // 4 5 6 5 8
+        for (epoch, records) in [(2, &bad[..]), (2, &run(3, 5)[..]), (1, &run(4, 5)[..])] {
+            assert!(matches!(
+                store.write_batch(c, Epoch(epoch), records),
+                Err(DlogError::Protocol(_))
+            ));
+            assert_eq!(fingerprint(&store), before);
+        }
+        // A gap inside a run is legal storage order: it opens an interval.
+        let mut gap = run(4, 6);
+        gap[2].0 = Lsn(9);
+        store.write_batch(c, Epoch(2), &gap).unwrap();
+        assert_eq!(store.interval_list(c).len(), 2);
+        assert!(store.read(c, Lsn(9)).unwrap().is_some());
     }
 }

@@ -1,9 +1,10 @@
 //! Crash-consistency property tests for the log-server store.
 //!
-//! Random workloads of writes, forces, track flushes, and simulated
-//! crashes (drop the store, keep the NVRAM device) must never lose a
-//! record that was accepted by `write` — the store's durability point is
-//! the NVRAM insert (§4.1).
+//! Random workloads of writes, message-sized batches, forces, track
+//! flushes, and simulated crashes (drop the store, keep the NVRAM device)
+//! must never lose a record that was accepted by `write` or
+//! `write_batch` — the store's durability point is the NVRAM insert
+//! (§4.1).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -12,13 +13,19 @@ use proptest::prelude::*;
 
 use dlog_storage::store::{Durability, LogStore, StoreOptions};
 use dlog_storage::NvramDevice;
-use dlog_types::{ClientId, Epoch, LogRecord, Lsn};
+use dlog_types::{ClientId, Epoch, LogData, LogRecord, Lsn};
 
 #[derive(Clone, Debug)]
 enum Op {
     /// Write the next record for client (0..3).
     Write {
         client: u8,
+        len: u16,
+    },
+    /// Write the next `n` records for client as one `write_batch`.
+    Batch {
+        client: u8,
+        n: u8,
         len: u16,
     },
     Force {
@@ -32,7 +39,9 @@ enum Op {
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
-            6 => (0u8..3, 1u16..300).prop_map(|(client, len)| Op::Write { client, len }),
+            4 => (0u8..3, 1u16..300).prop_map(|(client, len)| Op::Write { client, len }),
+            4 => (0u8..3, 1u8..10, 1u16..300)
+                .prop_map(|(client, n, len)| Op::Batch { client, n, len }),
             2 => (0u8..3).prop_map(|client| Op::Force { client }),
             1 => Just(Op::Flush),
             1 => Just(Op::Crash),
@@ -88,6 +97,19 @@ proptest! {
                     model.entry(client).or_default().insert(*lsn, len);
                     *lsn += 1;
                 }
+                Op::Batch { client, n, len } => {
+                    let lsn = next_lsn.entry(client).or_insert(1);
+                    let records: Vec<(Lsn, LogData)> = (*lsn..*lsn + u64::from(n))
+                        .map(|l| (Lsn(l), LogData::from(vec![(len % 251) as u8; len as usize])))
+                        .collect();
+                    store
+                        .write_batch(ClientId(u64::from(client)), Epoch(1), &records)
+                        .unwrap();
+                    for (l, _) in &records {
+                        model.entry(client).or_default().insert(l.0, len);
+                    }
+                    *lsn += u64::from(n);
+                }
                 Op::Force { client } => {
                     store.force(ClientId(u64::from(client))).unwrap();
                 }
@@ -122,6 +144,44 @@ proptest! {
             let beyond = records.keys().next_back().map_or(1, |m| m + 1);
             prop_assert!(store.read(cid, Lsn(beyond)).unwrap().is_none());
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A preload far larger than the device, written a message at a time
+    /// and cut by crashes at arbitrary message boundaries: every batch
+    /// `write_batch` acknowledged is there after recovery, whole.
+    #[test]
+    fn a_crash_mid_preload_keeps_every_acknowledged_batch(
+        crash_after in proptest::collection::vec(1usize..40, 1..6),
+        per_batch in 1u64..9,
+        tag in 0u64..1_000_000,
+    ) {
+        let dir = tmpdir(tag);
+        let nvram = NvramDevice::new(2_048);
+        let mut store = LogStore::open(&dir, opts(), nvram.clone()).unwrap();
+        let client = ClientId(7);
+        let mut next = 1u64;
+        for batches in crash_after {
+            for _ in 0..batches {
+                let records: Vec<(Lsn, LogData)> = (next..next + per_batch)
+                    .map(|l| (Lsn(l), LogData::from(vec![(l % 251) as u8; 256])))
+                    .collect();
+                store.write_batch(client, Epoch(1), &records).unwrap();
+                next += per_batch;
+            }
+            drop(store); // crash between two batches; the device survives
+            store = LogStore::open(&dir, opts(), nvram.clone()).unwrap();
+            prop_assert_eq!(
+                store.last_interval(client).map(|iv| (iv.lo, iv.hi)),
+                Some((Lsn(1), Lsn(next - 1)))
+            );
+        }
+        for l in 1..next {
+            let got = store.read(client, Lsn(l)).unwrap();
+            let got = got.unwrap_or_else(|| panic!("lost LSN {l}"));
+            prop_assert_eq!(got.data.as_bytes(), &[(l % 251) as u8; 256][..]);
+        }
+        prop_assert!(store.read(client, Lsn(next)).unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -342,19 +342,28 @@ impl MergedView {
     /// Extend the cached view after the client writes `<lsn, epoch>` to
     /// `servers` — keeps the cache current without re-merging.
     pub fn note_write(&mut self, lsn: Lsn, epoch: Epoch, servers: &[ServerId]) {
-        let mut sv = servers.to_vec();
-        sv.sort_unstable();
-        sv.dedup();
+        self.note_write_range(lsn, lsn, epoch, servers);
+    }
+
+    /// [`MergedView::note_write`] for every LSN of `lo..=hi` at once: the
+    /// records one acknowledgment completed, all on the same `servers`.
+    /// Extending the last segment — the steady state of a client writing
+    /// to fixed targets — allocates nothing.
+    pub fn note_write_range(&mut self, lo: Lsn, hi: Lsn, epoch: Epoch, servers: &[ServerId]) {
+        debug_assert!(lo <= hi, "note_write_range needs lo <= hi");
         if let Some(last) = self.segments.last_mut() {
-            debug_assert!(last.hi < lsn, "note_write must move forward");
-            if last.hi.precedes(lsn) && last.epoch == epoch && last.servers == sv {
-                last.hi = lsn;
+            debug_assert!(last.hi < lo, "note_write must move forward");
+            if last.hi.precedes(lo) && last.epoch == epoch && same_set(&last.servers, servers) {
+                last.hi = hi;
                 return;
             }
         }
+        let mut sv = servers.to_vec();
+        sv.sort_unstable();
+        sv.dedup();
         self.segments.push(MergedSegment {
-            lo: lsn,
-            hi: lsn,
+            lo,
+            hi,
             epoch,
             servers: sv,
         });
@@ -365,6 +374,13 @@ impl MergedView {
     pub fn is_empty(&self) -> bool {
         self.segments.is_empty()
     }
+}
+
+/// True when `servers` (any order, repeats allowed) names exactly the
+/// servers of `sorted`, a sorted and deduplicated segment server list.
+fn same_set(sorted: &[ServerId], servers: &[ServerId]) -> bool {
+    servers.iter().all(|s| sorted.binary_search(s).is_ok())
+        && sorted.iter().all(|s| servers.contains(s))
 }
 
 impl MergedSegment {

@@ -126,28 +126,51 @@ proptest! {
     }
 
     /// note_write on a merged view matches a re-merge that includes the new
-    /// record appended to each written server's list.
+    /// records — noted one LSN at a time, and as one range (the form an
+    /// acknowledgment completing several records uses), with the servers
+    /// given in either order.
     #[test]
-    fn note_write_matches_remerge(lists in arb_server_lists()) {
-        let mut view = MergedView::merge(&lists);
-        let end = view.end_of_log();
-        let lsn = end.next();
-        // Write the next record at a high epoch to the first two servers.
+    fn note_write_matches_remerge(lists in arb_server_lists(), count in 1u64..9) {
+        let merged = MergedView::merge(&lists);
+        let lo = merged.end_of_log().next();
+        let hi = Lsn(lo.0 + count - 1);
+        // Write the next records at a high epoch to the first two servers.
         let epoch = Epoch(100);
         let targets: Vec<ServerId> = lists.iter().take(2).map(|(s, _)| *s).collect();
-        view.note_write(lsn, epoch, &targets);
+        let reversed: Vec<ServerId> = targets.iter().rev().copied().collect();
+
+        let mut one_by_one = merged.clone();
+        for lsn in lo.0..=hi.0 {
+            one_by_one.note_write(Lsn(lsn), epoch, &targets);
+        }
+        let mut ranged = merged.clone();
+        ranged.note_write_range(lo, hi, epoch, &reversed);
+        // Half as one range, the rest as another: the second extends the
+        // first's segment instead of opening one.
+        let mut split = merged;
+        let mid = Lsn(lo.0 + (count - 1) / 2);
+        split.note_write_range(lo, mid, epoch, &targets);
+        if mid < hi {
+            split.note_write_range(mid.next(), hi, epoch, &reversed);
+        }
+        prop_assert_eq!(&one_by_one, &ranged);
+        prop_assert_eq!(&one_by_one, &split);
 
         let mut lists2 = lists.clone();
         for (sid, list) in &mut lists2 {
             if targets.contains(sid) {
-                list.append_record(lsn, epoch).unwrap();
+                for lsn in lo.0..=hi.0 {
+                    list.append_record(Lsn(lsn), epoch).unwrap();
+                }
             }
         }
         let remerged = MergedView::merge(&lists2);
-        prop_assert_eq!(view.end_of_log(), remerged.end_of_log());
-        let (s1, e1) = view.locate(lsn).unwrap();
-        let (s2, e2) = remerged.locate(lsn).unwrap();
-        prop_assert_eq!(s1, s2);
-        prop_assert_eq!(e1, e2);
+        prop_assert_eq!(ranged.end_of_log(), remerged.end_of_log());
+        for lsn in lo.0..=hi.0 {
+            let (s1, e1) = ranged.locate(Lsn(lsn)).unwrap();
+            let (s2, e2) = remerged.locate(Lsn(lsn)).unwrap();
+            prop_assert_eq!(s1, s2);
+            prop_assert_eq!(e1, e2);
+        }
     }
 }
