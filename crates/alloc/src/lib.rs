@@ -19,11 +19,23 @@
 //!   unrelated threads must not bleed in).
 //!
 //! This is the one crate in the workspace that needs `unsafe`
-//! (`GlobalAlloc` is an unsafe trait); the `forbid-unsafe` lint gate
-//! carries an audited allow entry for it. Nothing here can panic: the
-//! thread-local read falls back to 0 during TLS teardown.
+//! (`GlobalAlloc` is an unsafe trait): its `Cargo.toml` denies
+//! `unsafe_code` instead of inheriting the workspace's `forbid`, and the
+//! one impl carries the only `#[allow(unsafe_code)]`. Nothing here can
+//! panic: the thread-local read falls back to 0 during TLS teardown.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -44,6 +56,10 @@ fn count(bytes: usize) {
     TOTAL_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     // During thread teardown the TLS slot may already be gone; losing
     // those few counts is fine (and unavoidable without a lock).
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "a TLS slot already torn down loses a few counts, and nothing can be done about it inside the allocator"
+    )]
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get().wrapping_add(1)));
 }
 
@@ -55,6 +71,10 @@ pub struct CountingAlloc;
 // SAFETY: every method forwards verbatim to `System`, which upholds the
 // `GlobalAlloc` contract; the counters touched before forwarding cannot
 // unwind (relaxed atomics and a `try_with` thread-local access).
+#[allow(
+    unsafe_code,
+    reason = "counting global allocator must implement the unsafe GlobalAlloc trait"
+)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());

@@ -6,7 +6,6 @@
 //! Monte-Carlo cross-checks live in `dlog-sim` and the measured
 //! counterparts in `dlog-bench`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod availability;

@@ -31,7 +31,17 @@
 //! * [`LsnIndex`] — the paper's intended use: nodes keyed by LSN *ranges*,
 //!   each holding the storage positions of every record in its range.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod disk;

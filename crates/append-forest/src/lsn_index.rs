@@ -73,6 +73,10 @@ impl LsnIndex {
     /// Returns `Err(lsn)` when `lsn` is not the successor of the last
     /// indexed LSN (the index covers one gap-free sequence; gaps start a
     /// new index in the storage layer).
+    #[expect(
+        clippy::expect_used,
+        reason = "the open node was created two statements above and high LSNs are strictly increasing by construction"
+    )]
     pub fn append(&mut self, lsn: Lsn, position: u64) -> Result<(), Lsn> {
         if let Some(expected) = self.next_lsn {
             if lsn != expected {
@@ -152,6 +156,10 @@ impl LsnIndex {
     /// # Panics
     /// Panics if `fanout` is zero.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "LSNs are generated consecutively in the loop, so append cannot reject them"
+    )]
     pub fn from_parts(fanout: usize, lo: Lsn, positions: &[u64]) -> Self {
         let mut idx = LsnIndex::new(fanout);
         for (i, &p) in positions.iter().enumerate() {

@@ -24,7 +24,17 @@
 //! crashes half-way is simply re-run — it converges to a byte-identical
 //! manifest with no duplicate or torn entries. See `docs/ARCHIVE.md`.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod archiver;

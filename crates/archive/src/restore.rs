@@ -234,6 +234,10 @@ impl ArchiveReader {
 /// merging is coalescing: sort by (epoch, lo) and fuse overlapping or
 /// adjacent same-epoch runs.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "runs are sorted and coalesced by construction; a push rejection means corrupted state, fail-stop is correct"
+)]
 pub fn merge_interval_lists(archived: &IntervalList, live: &IntervalList) -> IntervalList {
     let mut all: Vec<Interval> = archived
         .intervals()

@@ -3,7 +3,6 @@
 //! (threaded, storage-backed) and replicated-log clients over them, on
 //! either the fault-injectable in-memory network or real UDP.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harness;

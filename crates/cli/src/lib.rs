@@ -2,7 +2,6 @@
 //! argument parsing (the workspace stays dependency-light) and client
 //! construction over UDP.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;

@@ -113,27 +113,29 @@ mod tests {
     fn parses_and_matches() {
         let a = Allowlist::parse(
             "# header comment\n\n\
-             panic-freedom crates/x.rs ingest # fatal invariant\n\
+             hot-path-alloc crates/x.rs ingest # audited allocation\n\
              lock-order crates/y.rs * # single mutex\n",
         )
         .unwrap();
         assert_eq!(a.len(), 2);
         assert!(a
-            .matches("panic-freedom", "crates/x.rs", "ingest")
+            .matches("hot-path-alloc", "crates/x.rs", "ingest")
             .is_some());
-        assert!(a.matches("panic-freedom", "crates/x.rs", "other").is_none());
+        assert!(a
+            .matches("hot-path-alloc", "crates/x.rs", "other")
+            .is_none());
         assert!(a.matches("lock-order", "crates/y.rs", "anything").is_some());
     }
 
     #[test]
     fn rejects_missing_justification() {
-        assert!(Allowlist::parse("panic-freedom crates/x.rs f\n").is_err());
-        assert!(Allowlist::parse("panic-freedom crates/x.rs f #   \n").is_err());
+        assert!(Allowlist::parse("hot-path-alloc crates/x.rs f\n").is_err());
+        assert!(Allowlist::parse("hot-path-alloc crates/x.rs f #   \n").is_err());
     }
 
     #[test]
     fn rejects_wrong_field_count() {
-        assert!(Allowlist::parse("panic-freedom crates/x.rs # why\n").is_err());
+        assert!(Allowlist::parse("hot-path-alloc crates/x.rs # why\n").is_err());
         assert!(Allowlist::parse("a b c d # why\n").is_err());
     }
 }

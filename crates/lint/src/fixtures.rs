@@ -9,7 +9,6 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use crate::allow::Allowlist;
 use crate::callgraph::CallGraph;
 use crate::dataflow::{run_rule, DataflowRule};
 use crate::report::Violation;
@@ -75,12 +74,11 @@ fn parse(dir: &Path, name: &str) -> Result<SourceFile, String> {
 
 /// Build the interprocedural state for one single-file fixture: the
 /// call graph over just that file (all in-file calls resolve same-file,
-/// so an empty dependency map suffices) plus its summaries with no
-/// allowlist.
+/// so an empty dependency map suffices) plus its summaries.
 fn interprocedural(file: &SourceFile) -> (CallGraph, Summaries) {
     let files = [file];
     let graph = CallGraph::build(&files, &BTreeMap::new());
-    let summaries = summary::compute(&graph, &files, &Allowlist::default());
+    let summaries = summary::compute(&graph, &files);
     (graph, summaries)
 }
 
@@ -122,18 +120,6 @@ pub fn verify_fixtures(dir: &Path) -> Result<usize, String> {
     };
 
     // Lexical rules.
-    drift.record(
-        "panic_freedom_fail.rs",
-        rules::panic_freedom::RULE,
-        &rules::panic_freedom::check(&parse(dir, "panic_freedom_fail.rs")?),
-        &Expect::Exactly(4),
-    );
-    drift.record(
-        "panic_freedom_pass.rs",
-        rules::panic_freedom::RULE,
-        &rules::panic_freedom::check(&parse(dir, "panic_freedom_pass.rs")?),
-        &Expect::Clean,
-    );
     drift.record(
         "lock_order_fail.rs",
         rules::lock_order::RULE,
@@ -197,18 +183,6 @@ pub fn verify_fixtures(dir: &Path) -> Result<usize, String> {
         ),
         &Expect::Clean,
     );
-    drift.record(
-        "forbid_unsafe_fail.rs",
-        rules::forbid_unsafe::RULE,
-        &rules::forbid_unsafe::check(&parse(dir, "forbid_unsafe_fail.rs")?),
-        &Expect::Exactly(1),
-    );
-    drift.record(
-        "forbid_unsafe_pass.rs",
-        rules::forbid_unsafe::RULE,
-        &rules::forbid_unsafe::check(&parse(dir, "forbid_unsafe_pass.rs")?),
-        &Expect::Clean,
-    );
 
     // Flow-sensitive rules.
     run_dataflow(
@@ -224,7 +198,6 @@ pub fn verify_fixtures(dir: &Path) -> Result<usize, String> {
         3,
     )?;
     run_dataflow(&mut drift, dir, &rules::seal_typestate::SealTypestate, 2)?;
-    run_dataflow(&mut drift, dir, &rules::result_swallow::ResultSwallow, 3)?;
     run_dataflow(&mut drift, dir, &rules::view_escape::ViewEscape, 2)?;
 
     // Thread-safety rules: run the threadsafe pass per fixture file.

@@ -21,8 +21,6 @@
 //! (`race-report.json` in CI); `--deep` lifts the interprocedural
 //! entry-lockset round cap for either mode (the nightly lane).
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 

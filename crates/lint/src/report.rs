@@ -5,7 +5,7 @@ use crate::allow::Allowlist;
 /// One rule finding at a source location.
 #[derive(Clone, Debug)]
 pub struct Violation {
-    /// Rule identifier (e.g. `panic-freedom`).
+    /// Rule identifier (e.g. `lock-order`).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -57,29 +57,11 @@ pub struct Report {
 impl Report {
     /// Partition raw findings against the allowlist.
     #[must_use]
-    pub fn build(raw: Vec<Violation>, allows: &Allowlist, files_scanned: usize) -> Report {
-        Report::build_with_used(raw, allows, files_scanned, &[])
-    }
-
-    /// [`Report::build`] with entry indices already consumed elsewhere
-    /// (e.g. interprocedural seed suppression, see [`crate::summary`]) —
-    /// they are excluded from the stale-entry warning.
-    #[must_use]
-    pub fn build_with_used(
-        mut raw: Vec<Violation>,
-        allows: &Allowlist,
-        files_scanned: usize,
-        pre_used: &[usize],
-    ) -> Report {
+    pub fn build(mut raw: Vec<Violation>, allows: &Allowlist, files_scanned: usize) -> Report {
         raw.sort_by(|a, b| {
             (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
         });
         let mut used = vec![false; allows.len()];
-        for &idx in pre_used {
-            if idx < used.len() {
-                used[idx] = true;
-            }
-        }
         let mut violations = Vec::new();
         let mut allowed = Vec::new();
         for v in raw {
@@ -230,12 +212,12 @@ mod tests {
     #[test]
     fn allowlist_partitions_and_tracks_usage() {
         let allows = Allowlist::parse(
-            "panic-freedom crates/a.rs f # fine\nlock-order crates/b.rs * # stale\n",
+            "hot-path-alloc crates/a.rs f # fine\nlock-order crates/b.rs * # stale\n",
         )
         .unwrap();
         let raw = vec![
-            v("panic-freedom", "crates/a.rs", "f"),
-            v("panic-freedom", "crates/a.rs", "g"),
+            v("hot-path-alloc", "crates/a.rs", "f"),
+            v("hot-path-alloc", "crates/a.rs", "g"),
         ];
         let r = Report::build(raw, &allows, 2);
         assert_eq!(r.violations.len(), 1);

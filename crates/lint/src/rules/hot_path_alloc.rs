@@ -92,7 +92,6 @@ pub fn check(graph: &CallGraph, summaries: &Summaries, roots: &[(&str, &str)]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allow::Allowlist;
     use crate::source::SourceFile;
     use std::collections::BTreeMap;
 
@@ -103,7 +102,7 @@ mod tests {
             .collect();
         let refs: Vec<&SourceFile> = files.iter().collect();
         let g = CallGraph::build(&refs, &BTreeMap::new());
-        let s = crate::summary::compute(&g, &refs, &Allowlist::parse("").unwrap());
+        let s = crate::summary::compute(&g, &refs);
         check(&g, &s, roots)
     }
 

@@ -1,23 +1,15 @@
-//! The rule catalog. Each rule is a standalone module; lexical per-file
-//! rules additionally implement [`Rule`], and the flow-sensitive rules
-//! implement [`crate::dataflow::DataflowRule`] and run on the CFG
-//! engine. Cross-file rules (`wire-exhaustiveness`, `lock-order`,
-//! `status-parity`, `forbid-unsafe`) keep bespoke drivers in
+//! The rule catalog. Each rule is a standalone module; the flow-sensitive
+//! rules implement [`crate::dataflow::DataflowRule`] and run on the CFG
+//! engine, and every other rule keeps a bespoke driver block in
 //! [`crate::workspace`]. See `docs/LINT.md` for the catalog and
 //! rationale.
-
-use crate::report::Violation;
-use crate::source::SourceFile;
 
 pub mod ack_after_force;
 pub mod atomics_ordering;
 pub mod blocking_under_lock;
-pub mod forbid_unsafe;
 pub mod hot_path_alloc;
 pub mod lock_order;
 pub mod lsn_checked_arith;
-pub mod panic_freedom;
-pub mod result_swallow;
 pub mod seal_typestate;
 pub mod shared_field_lockset;
 pub mod status_parity;
@@ -25,60 +17,17 @@ pub mod unbounded_recursion;
 pub mod view_escape;
 pub mod wire_exhaustive;
 
-/// A lexical per-file rule: scans one token stream at a time.
-pub trait Rule {
-    /// Rule identifier (e.g. `panic-freedom`).
-    fn name(&self) -> &'static str;
-    /// Workspace-relative path prefixes this rule scans.
-    fn targets(&self) -> &'static [&'static str];
-    /// Scan one file.
-    fn check_file(&self, file: &SourceFile) -> Vec<Violation>;
-}
-
-/// `panic-freedom` as a [`Rule`] instance.
-pub struct PanicFreedom;
-
-impl Rule for PanicFreedom {
-    fn name(&self) -> &'static str {
-        panic_freedom::RULE
-    }
-    fn targets(&self) -> &'static [&'static str] {
-        crate::workspace::HOT_PATH_CRATES
-    }
-    fn check_file(&self, file: &SourceFile) -> Vec<Violation> {
-        panic_freedom::check(file)
-    }
-}
-
-/// `ack-after-force` as a [`Rule`] instance.
-pub struct AckAfterForce;
-
-impl Rule for AckAfterForce {
-    fn name(&self) -> &'static str {
-        ack_after_force::RULE
-    }
-    fn targets(&self) -> &'static [&'static str] {
-        crate::workspace::ACK_AFTER_FORCE_TARGETS
-    }
-    fn check_file(&self, file: &SourceFile) -> Vec<Violation> {
-        ack_after_force::check(file)
-    }
-}
-
 /// Every rule identifier the catalog can emit, for `lint.allow`
 /// validation — an allowlist entry naming an unknown rule is a typo
 /// that would otherwise be silently dead forever.
 pub const ALL_RULES: &[&str] = &[
     wire_exhaustive::RULE,
     lock_order::RULE,
-    panic_freedom::RULE,
     ack_after_force::RULE,
     status_parity::RULE,
-    forbid_unsafe::RULE,
     blocking_under_lock::RULE,
     lsn_checked_arith::RULE,
     seal_typestate::RULE,
-    result_swallow::RULE,
     hot_path_alloc::RULE,
     unbounded_recursion::RULE,
     shared_field_lockset::RULE,

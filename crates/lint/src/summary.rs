@@ -1,26 +1,20 @@
 //! Bottom-up function summaries over the call-graph condensation.
 //!
 //! For every workspace function the analysis computes a small effect
-//! summary — *may panic*, *may block*, *forces*, *acquired locks*,
-//! *direct allocation sites* — seeded from the same token heuristics
-//! the intraprocedural rules already use, then propagated caller-ward
-//! to a fixpoint over the SCC condensation ([`CallGraph::sccs`] is in
+//! summary — *may block*, *forces*, *acquired locks*, *direct
+//! allocation sites* — seeded from the same token heuristics the
+//! intraprocedural rules already use, then propagated caller-ward to a
+//! fixpoint over the SCC condensation ([`CallGraph::sccs`] is in
 //! callees-first order, so one inner fixpoint per SCC suffices).
-//!
-//! Panic seeds honor `lint.allow`: a deliberately-kept `panic!` (the
-//! server's §3.1 fail-stop in `ingest`, the CRC table's masked
-//! indexing) does not taint every transitive caller — the allowlist
-//! entry already audited it.
 //!
 //! Each propagated property carries a [`Cause`] chain, so a violation
 //! can print the full call-chain witness:
-//! `ingest → append_frame → `unwrap()` (crates/…/frame.rs:41)`.
+//! `ingest → append_frame → `.sync_data()` (crates/…/stream.rs:41)`.
 
 use std::collections::BTreeSet;
 
-use crate::allow::Allowlist;
 use crate::callgraph::{CallGraph, FnId};
-use crate::rules::{blocking_under_lock, panic_freedom};
+use crate::rules::blocking_under_lock;
 use crate::source::SourceFile;
 
 /// Why a propagated property holds for a function.
@@ -28,7 +22,7 @@ use crate::source::SourceFile;
 pub enum Cause {
     /// The function itself contains the effect.
     Direct {
-        /// Short description of the site (`` `unwrap()` ``, `` `.force()` ``).
+        /// Short description of the site (`` `.force()` ``, `` `File::open` ``).
         what: String,
         /// 1-based line of the site in the function's file.
         line: u32,
@@ -54,8 +48,6 @@ pub struct AllocSite {
 /// The effect summary of one function.
 #[derive(Clone, Debug, Default)]
 pub struct FnSummary {
-    /// The function may panic (directly or transitively), and why.
-    pub may_panic: Option<Cause>,
     /// The function may block on a device or peer, and why.
     pub may_block: Option<Cause>,
     /// The function (transitively) calls `.force(…)`/`.force_batch(…)`.
@@ -75,11 +67,6 @@ pub struct Summaries {
     pub fns: Vec<FnSummary>,
     /// Total inner fixpoint passes across all SCCs.
     pub passes: usize,
-    /// Indices of `lint.allow` entries consumed while suppressing
-    /// seeds — they must count as *used* in the report, or auditing a
-    /// fail-stop in a non-hot-path crate would trip the stale-entry
-    /// check.
-    pub used_allows: BTreeSet<usize>,
 }
 
 /// Allocation-kind token patterns: `Type::method(` pairs.
@@ -104,7 +91,7 @@ const ALLOC_MACROS: &[(&str, &str)] = &[("format", "format!"), ("vec", "vec!")];
 
 impl Summaries {
     /// Render the call-chain witness for a property of `f`, e.g.
-    /// `handle → append_frame → `unwrap()` (crates/storage/src/frame.rs:41)`.
+    /// `handle → append_frame → `.sync_data()` (crates/storage/src/stream.rs:41)`.
     /// `pick` selects which property's cause chain to follow.
     #[must_use]
     pub fn chain(
@@ -137,12 +124,6 @@ impl Summaries {
         parts.join(" → ")
     }
 
-    /// Witness chain for `may_panic`.
-    #[must_use]
-    pub fn panic_chain(&self, graph: &CallGraph, f: FnId) -> String {
-        self.chain(graph, f, |s| s.may_panic.as_ref())
-    }
-
     /// Witness chain for `may_block`.
     #[must_use]
     pub fn block_chain(&self, graph: &CallGraph, f: FnId) -> String {
@@ -159,9 +140,6 @@ pub fn render_callgraph_text(graph: &CallGraph, s: &Summaries) -> String {
     for (f, def) in graph.defs.iter().enumerate() {
         let sum = &s.fns[f];
         let mut flags = Vec::new();
-        if sum.may_panic.is_some() {
-            flags.push("panics".to_string());
-        }
         if sum.may_block.is_some() {
             flags.push("blocks".to_string());
         }
@@ -275,13 +253,12 @@ pub fn render_callgraph_json(graph: &CallGraph, s: &Summaries) -> String {
             .join(", ");
         out.push_str(&format!(
             "\n    {{\"path\": {}, \"name\": {}, \"line\": {}, \"scc\": {}, \
-             \"may_panic\": {}, \"may_block\": {}, \"forces\": {}, \
+             \"may_block\": {}, \"forces\": {}, \
              \"locks\": [{locks}], \"alloc_sites\": {}, \"calls\": [{calls}]}}",
             json_str(&def.path),
             json_str(&def.name),
             def.line,
             graph.scc_of[f],
-            sum.may_panic.is_some(),
             sum.may_block.is_some(),
             sum.forces,
             sum.allocs.len()
@@ -299,12 +276,9 @@ pub fn render_callgraph_json(graph: &CallGraph, s: &Summaries) -> String {
 }
 
 /// Compute summaries for every function of `graph` (built over `files`).
-/// Panic seeds covered by a `lint.allow` entry are excluded — they are
-/// audited exceptions, not latent hazards to propagate.
 #[must_use]
-pub fn compute(graph: &CallGraph, files: &[&SourceFile], allow: &Allowlist) -> Summaries {
+pub fn compute(graph: &CallGraph, files: &[&SourceFile]) -> Summaries {
     let mut fns: Vec<FnSummary> = vec![FnSummary::default(); graph.defs.len()];
-    let mut used_allows = BTreeSet::new();
 
     // --- Seeds: direct effects per function body. ---
     for (fi, file) in files.iter().enumerate() {
@@ -319,24 +293,6 @@ pub fn compute(graph: &CallGraph, files: &[&SourceFile], allow: &Allowlist) -> S
                 .filter(|&d| graph.defs[d].open <= tok && tok <= graph.defs[d].close)
                 .min_by_key(|&d| graph.defs[d].close - graph.defs[d].open)
         };
-        // Panic seeds ride the intraprocedural heuristics, minus
-        // allowlisted sites.
-        for site in panic_freedom::panic_sites(file) {
-            let Some(d) = innermost(site.token) else {
-                continue;
-            };
-            let scope = file.scope_at(site.token);
-            if let Some(idx) = allow.matches(panic_freedom::RULE, &file.path, &scope) {
-                used_allows.insert(idx);
-                continue;
-            }
-            if fns[d].may_panic.is_none() {
-                fns[d].may_panic = Some(Cause::Direct {
-                    what: site.kind.label().to_string(),
-                    line: file.tokens[site.token].line,
-                });
-            }
-        }
         // Blocking, lock, force, and allocation seeds from the tokens.
         let toks = &file.tokens;
         for i in 0..toks.len() {
@@ -416,19 +372,10 @@ pub fn compute(graph: &CallGraph, files: &[&SourceFile], allow: &Allowlist) -> S
                         if c == f {
                             continue;
                         }
-                        let callee_panics = fns[c].may_panic.is_some();
                         let callee_blocks = fns[c].may_block.is_some();
                         let callee_forces = fns[c].forces;
                         let lock_gap = !fns[c].locks.is_subset(&fns[f].locks);
-                        let s_panics = fns[f].may_panic.is_some();
                         let s_blocks = fns[f].may_block.is_some();
-                        if callee_panics && !s_panics {
-                            fns[f].may_panic = Some(Cause::Call {
-                                callee: c,
-                                line: site.line,
-                            });
-                            changed = true;
-                        }
                         if callee_blocks && !s_blocks {
                             fns[f].may_block = Some(Cause::Call {
                                 callee: c,
@@ -455,11 +402,7 @@ pub fn compute(graph: &CallGraph, files: &[&SourceFile], allow: &Allowlist) -> S
         }
     }
 
-    Summaries {
-        fns,
-        passes,
-        used_allows,
-    }
+    Summaries { fns, passes }
 }
 
 #[cfg(test)]
@@ -477,45 +420,30 @@ mod tests {
         (files, g)
     }
 
-    fn summarize(files: &[SourceFile], g: &CallGraph, allow: &str) -> Summaries {
+    fn summarize(files: &[SourceFile], g: &CallGraph) -> Summaries {
         let refs: Vec<&SourceFile> = files.iter().collect();
-        compute(g, &refs, &Allowlist::parse(allow).unwrap())
+        compute(g, &refs)
     }
 
     #[test]
-    fn panic_propagates_with_chain() {
+    fn blocking_propagates_with_chain() {
         let (files, g) = setup(&[(
-            "crates/types/src/lib.rs",
-            "fn leaf(x: Option<u8>) -> u8 { x.unwrap() }\n\
-             fn mid(x: Option<u8>) -> u8 { leaf(x) }\n\
-             fn top(x: Option<u8>) -> u8 { mid(x) }\n\
-             fn safe(x: Option<u8>) -> u8 { x.unwrap_or(0) }",
+            "crates/storage/src/lib.rs",
+            "fn leaf(&mut self) { self.file.sync_data(); }\n\
+             fn mid(&mut self) { leaf(self) }\n\
+             fn top(&mut self) { mid(self) }\n\
+             fn safe(&mut self) { self.len = 0; }",
         )]);
-        let s = summarize(&files, &g, "");
-        let top = g.defs_named("crates/types/src/lib.rs", "top")[0];
-        let safe = g.defs_named("crates/types/src/lib.rs", "safe")[0];
-        assert!(s.fns[top].may_panic.is_some());
-        assert!(s.fns[safe].may_panic.is_none());
-        let chain = s.panic_chain(&g, top);
+        let s = summarize(&files, &g);
+        let top = g.defs_named("crates/storage/src/lib.rs", "top")[0];
+        let safe = g.defs_named("crates/storage/src/lib.rs", "safe")[0];
+        assert!(s.fns[top].may_block.is_some());
+        assert!(s.fns[safe].may_block.is_none());
+        let chain = s.block_chain(&g, top);
         assert!(
-            chain.starts_with("top → mid → leaf → `unwrap()`"),
+            chain.starts_with("top → mid → leaf → `.sync_data()`"),
             "{chain}"
         );
-    }
-
-    #[test]
-    fn allowlisted_panic_does_not_taint_callers() {
-        let (files, g) = setup(&[(
-            "crates/server/src/lib.rs",
-            "fn ingest() { panic!(\"fail-stop\"); }\nfn caller() { ingest(); }",
-        )]);
-        let s = summarize(
-            &files,
-            &g,
-            "panic-freedom crates/server/src/lib.rs ingest # deliberate fail-stop\n",
-        );
-        let caller = g.defs_named("crates/server/src/lib.rs", "caller")[0];
-        assert!(s.fns[caller].may_panic.is_none());
     }
 
     #[test]
@@ -527,7 +455,7 @@ mod tests {
              fn alloc(&self) -> Vec<u8> { let mut v = Vec::new(); v.extend(self.b.to_vec()); \
              let s = format!(\"x\"); drop(s); v }",
         )]);
-        let s = summarize(&files, &g, "");
+        let s = summarize(&files, &g);
         let io = g.defs_named("crates/storage/src/x.rs", "io")[0];
         let guard = g.defs_named("crates/storage/src/x.rs", "guard")[0];
         let alloc = g.defs_named("crates/storage/src/x.rs", "alloc")[0];
@@ -543,11 +471,14 @@ mod tests {
         let (files, g) = setup(&[(
             "crates/server/src/lib.rs",
             "fn a(d: u32) { if d > 0 { b(d); } }\n\
-             fn b(d: u32) { a(d - 1); sink.unwrap(); }",
+             fn b(d: u32) { a(d - 1); sink.flush(); }",
         )]);
-        let s = summarize(&files, &g, "");
+        let s = summarize(&files, &g);
         let a = g.defs_named("crates/server/src/lib.rs", "a")[0];
-        assert!(s.fns[a].may_panic.is_some(), "panic flows around the cycle");
+        assert!(
+            s.fns[a].may_block.is_some(),
+            "blocking flows around the cycle"
+        );
         assert!(s.passes <= 4 * g.defs.len() + g.sccs.len() + 8);
     }
 }

@@ -13,14 +13,17 @@ use crate::allow::Allowlist;
 use crate::callgraph::CallGraph;
 use crate::dataflow::{self, DataflowRule};
 use crate::report::{Report, RuleTiming, Violation};
-use crate::rules::{self, Rule};
+use crate::rules;
 use crate::source::SourceFile;
 use crate::summary::{self, Summaries};
 use crate::threadsafe;
 
-/// Crates whose `src/` trees must be panic-free (rule `panic-freedom`).
-/// `archive` runs in the server idle loop (`archive_tick`), so it is a
-/// hot-path crate too.
+/// Crates whose `src/` trees no input may crash: no confident call cycle
+/// may touch them (rule `unbounded-recursion`). `archive` runs in the
+/// server idle loop (`archive_tick`), so it is a hot-path crate too.
+/// Panic-freedom on the same crates is clippy's job: each crate root
+/// denies `clippy::{unwrap_used, expect_used, panic, indexing_slicing}`
+/// outside tests, and CI runs clippy with `-D warnings`.
 pub const HOT_PATH_CRATES: &[&str] = &[
     "crates/server/src",
     "crates/net/src",
@@ -159,18 +162,12 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// The flow-sensitive rules, run on the CFG/dataflow engine.
-fn dataflow_rules() -> [&'static dyn DataflowRule; 4] {
+fn dataflow_rules() -> [&'static dyn DataflowRule; 3] {
     [
         &rules::blocking_under_lock::BlockingUnderLock,
         &rules::lsn_checked_arith::LsnCheckedArith,
         &rules::seal_typestate::SealTypestate,
-        &rules::result_swallow::ResultSwallow,
     ]
-}
-
-/// The lexical per-file rules (see [`Rule`]).
-fn lexical_rules() -> [&'static dyn Rule; 2] {
-    [&rules::PanicFreedom, &rules::AckAfterForce]
 }
 
 /// Load every `crates/*/src` tree, compute the crate dependency
@@ -179,7 +176,6 @@ fn lexical_rules() -> [&'static dyn Rule; 2] {
 fn interprocedural_pass(
     root: &Path,
     loader: &mut Loader<'_>,
-    allows: &Allowlist,
 ) -> Result<(CallGraph, Summaries), String> {
     let mut targets: Vec<String> = Vec::new();
     for entry in
@@ -199,7 +195,7 @@ fn interprocedural_pass(
     let files: Vec<&SourceFile> = rels.iter().map(|r| &loader.files[r.as_str()]).collect();
     let deps = dep_closure(root)?;
     let graph = CallGraph::build(&files, &deps);
-    let summaries = summary::compute(&graph, &files, allows);
+    let summaries = summary::compute(&graph, &files);
     Ok((graph, summaries))
 }
 
@@ -218,13 +214,10 @@ fn threadsafe_files<'a>(loader: &'a Loader<'_>) -> Vec<&'a SourceFile> {
 /// entry-lockset round cap.
 ///
 /// # Errors
-/// Returns a message when sources or manifests cannot be read or
-/// `lint.allow` is malformed.
+/// Returns a message when sources or manifests cannot be read.
 pub fn build_race_report(root: &Path, deep: bool) -> Result<String, String> {
-    let allow_text = fs::read_to_string(root.join("lint.allow")).unwrap_or_default();
-    let allows = Allowlist::parse(&allow_text)?;
     let mut loader = Loader::new(root);
-    let (graph, _) = interprocedural_pass(root, &mut loader, &allows)?;
+    let (graph, _) = interprocedural_pass(root, &mut loader)?;
     let rounds = if deep {
         None
     } else {
@@ -238,13 +231,10 @@ pub fn build_race_report(root: &Path, deep: bool) -> Result<String, String> {
 /// subcommand's entry point.
 ///
 /// # Errors
-/// Returns a message when sources or manifests cannot be read or
-/// `lint.allow` is malformed.
+/// Returns a message when sources or manifests cannot be read.
 pub fn build_callgraph(root: &Path) -> Result<(CallGraph, Summaries), String> {
-    let allow_text = fs::read_to_string(root.join("lint.allow")).unwrap_or_default();
-    let allows = Allowlist::parse(&allow_text)?;
     let mut loader = Loader::new(root);
-    interprocedural_pass(root, &mut loader, &allows)
+    interprocedural_pass(root, &mut loader)
 }
 
 /// Per-crate dependency closure (crate *directory* names, including the
@@ -369,16 +359,14 @@ pub fn lint_workspace_with(root: &Path, deep: bool) -> Result<Report, String> {
     raw.extend(rules::lock_order::check(&lock_sources));
     timings.push(RuleTiming::since(rules::lock_order::RULE, t0));
 
-    // Lexical per-file rules: panic-freedom, ack-after-force.
-    for rule in lexical_rules() {
-        let t0 = Instant::now();
-        for rel in loader.load_targets(rule.targets())? {
-            raw.extend(rule.check_file(&loader.files[rel.as_str()]));
-        }
-        timings.push(RuleTiming::since(rule.name(), t0));
+    // Rule 3: §4.2 force-before-ack, per file.
+    let t0 = Instant::now();
+    for rel in loader.load_targets(ACK_AFTER_FORCE_TARGETS)? {
+        raw.extend(rules::ack_after_force::check(&loader.files[rel.as_str()]));
     }
+    timings.push(RuleTiming::since(rules::ack_after_force::RULE, t0));
 
-    // Rule 5: Status / PROTOCOL.md parity.
+    // Rule 4: Status / PROTOCOL.md parity.
     let t0 = Instant::now();
     let doc_rel = "docs/PROTOCOL.md";
     let doc_text = fs::read_to_string(root.join(doc_rel))
@@ -390,27 +378,6 @@ pub fn lint_workspace_with(root: &Path, deep: bool) -> Result<Report, String> {
     ));
     timings.push(RuleTiming::since(rules::status_parity::RULE, t0));
 
-    // Rule 6: #![forbid(unsafe_code)] on every first-party crate root.
-    let t0 = Instant::now();
-    let mut crate_roots = Vec::new();
-    for entry in
-        fs::read_dir(root.join("crates")).map_err(|e| format!("cannot list crates/: {e}"))?
-    {
-        let entry = entry.map_err(|e| e.to_string())?;
-        if entry.path().join("src/lib.rs").is_file() {
-            crate_roots.push(format!(
-                "crates/{}/src/lib.rs",
-                entry.file_name().to_string_lossy()
-            ));
-        }
-    }
-    crate_roots.sort();
-    for rel in &crate_roots {
-        loader.load(rel)?;
-        raw.extend(rules::forbid_unsafe::check(&loader.files[rel.as_str()]));
-    }
-    timings.push(RuleTiming::since(rules::forbid_unsafe::RULE, t0));
-
     // Flow-sensitive rules on the dataflow engine, one timed pass each.
     for rule in dataflow_rules() {
         let t0 = Instant::now();
@@ -421,19 +388,11 @@ pub fn lint_workspace_with(root: &Path, deep: bool) -> Result<Report, String> {
     }
 
     // Interprocedural layer: workspace call graph + bottom-up summaries
-    // (see `callgraph`/`summary`), then the promoted rules and the two
+    // (see `callgraph`/`summary`), then the promoted rule and the two
     // summary-based rules.
     let t0 = Instant::now();
-    let (graph, summaries) = interprocedural_pass(root, &mut loader, &allows)?;
+    let (graph, summaries) = interprocedural_pass(root, &mut loader)?;
     timings.push(RuleTiming::since("callgraph", t0));
-
-    let t0 = Instant::now();
-    raw.extend(rules::panic_freedom::check_ipa(
-        &graph,
-        &summaries,
-        HOT_PATH_CRATES,
-    ));
-    timings.push(RuleTiming::since("panic-freedom (interprocedural)", t0));
 
     let t0 = Instant::now();
     let ipa = rules::blocking_under_lock::BlockingUnderLockIpa::new(&graph, &summaries);
@@ -482,8 +441,7 @@ pub fn lint_workspace_with(root: &Path, deep: bool) -> Result<Report, String> {
     timings.push(RuleTiming::since(rules::view_escape::RULE, t0));
 
     let files_scanned = loader.files.len() + 1; // + PROTOCOL.md
-    let pre_used: Vec<usize> = summaries.used_allows.iter().copied().collect();
-    let mut report = Report::build_with_used(raw, &allows, files_scanned, &pre_used);
+    let mut report = Report::build(raw, &allows, files_scanned);
     report.timings = timings;
     Ok(report)
 }

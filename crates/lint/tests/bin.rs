@@ -88,8 +88,8 @@ const PROTOCOL_MD: &str = r#"# Protocol
 | `trace_dropped` | trace events evicted |
 "#;
 
-/// A result-swallow violation at a pinned line for the snapshot test.
-const BAD_RS: &str = "fn sloppy(&mut self) {\n    let _ = self.dev.force(cursor);\n}\n";
+/// An lsn-checked-arith violation at a pinned line for the snapshot test.
+const BAD_RS: &str = "fn sloppy(&mut self) {\n    let next = self.lsn + 1;\n}\n";
 
 fn write(root: &Path, rel: &str, text: &str) {
     let path = root.join(rel);
@@ -158,7 +158,7 @@ fn exit_one_on_violations() {
     let out = run_at(&root, &[]);
     assert_eq!(out.status.code(), Some(1));
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("result-swallow"), "stdout: {text}");
+    assert!(text.contains("lsn-checked-arith"), "stdout: {text}");
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -212,10 +212,10 @@ fn json_schema_snapshot_violation() {
         "  \"files_scanned\": 7,\n",
         "  \"allowed\": 0,\n",
         "  \"violations\": [\n",
-        "    {\"rule\": \"result-swallow\", \"file\": \"crates/storage/src/bad.rs\", ",
-        "\"line\": 2, \"scope\": \"sloppy\", \"message\": \"`let _ =` discards the Result \
-         of `.force()`; a swallowed durability error breaks ack-after-force (\u{a7}4.2) \
-         \u{2014} handle it or allowlist with justification\"}\n",
+        "    {\"rule\": \"lsn-checked-arith\", \"file\": \"crates/storage/src/bad.rs\", ",
+        "\"line\": 2, \"scope\": \"sloppy\", \"message\": \"raw `+` on LSN/epoch/sequence \
+         value `lsn`; use `checked_add`/`saturating_add` \u{2014} \u{a7}3.1.2 monotonicity \
+         depends on no silent wraparound\"}\n",
         "  ],\n",
         "  \"unused_allow_entries\": []\n",
         "}\n",
@@ -278,7 +278,7 @@ fn callgraph_json_includes_summaries() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
     assert!(text.contains("\"fns\": ["), "stdout: {text}");
-    assert!(text.contains("\"may_panic\": "), "stdout: {text}");
+    assert!(text.contains("\"may_block\": "), "stdout: {text}");
     assert!(text.contains("\"summary_passes\": "), "stdout: {text}");
     let _ = fs::remove_dir_all(&root);
 }
@@ -302,7 +302,7 @@ fn unused_allow_entry_is_warned_and_reported() {
     write(
         &root,
         "lint.allow",
-        "panic-freedom crates/net/src/wire.rs no_such_fn # audited exception that went stale\n",
+        "lock-order crates/net/src/wire.rs no_such_fn # audited exception that went stale\n",
     );
     let out = run_at(&root, &[]);
     // Stale entries warn but do not fail the gate by themselves.
@@ -317,7 +317,7 @@ fn unused_allow_entry_is_warned_and_reported() {
     let json = String::from_utf8_lossy(&out.stdout);
     assert!(
         json.contains(
-            "\"unused_allow_entries\": [\"lint.allow:1: panic-freedom crates/net/src/wire.rs no_such_fn\"]"
+            "\"unused_allow_entries\": [\"lint.allow:1: lock-order crates/net/src/wire.rs no_such_fn\"]"
         ),
         "stdout: {json}"
     );

@@ -4,7 +4,7 @@
 //! The generator produces random multi-function files from a small
 //! grammar — each function body is a sequence of calls to other
 //! generated functions (by index, possibly forming cycles), extern
-//! calls, and effect seeds (`unwrap`, `force`, allocation). Under any
+//! calls, and effect seeds (`sync_data`, `force`, allocation). Under any
 //! such file:
 //!
 //! 1. every call site either resolves to at least one workspace
@@ -18,7 +18,6 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use dlog_lint::allow::Allowlist;
 use dlog_lint::callgraph::CallGraph;
 use dlog_lint::summary;
 use dlog_lint::SourceFile;
@@ -31,7 +30,7 @@ fn stmt() -> BoxedStrategy<String> {
     prop_oneof![
         3 => (0..FNS).prop_map(|i| format!("gen_fn_{i}(a);")),
         1 => Just("extern_helper(a);".to_string()),
-        1 => Just("let v = maybe().unwrap();".to_string()),
+        1 => Just("self.file.sync_data();".to_string()),
         1 => Just("let r = self.dev.force(c);".to_string()),
         1 => Just("let buf = Vec::new();".to_string()),
         1 => Just("let s = x.to_vec();".to_string()),
@@ -82,24 +81,24 @@ proptest! {
         prop_assert!(graph.condensation_is_acyclic());
 
         // 3. The fixpoint converges within the documented bound.
-        let summaries = summary::compute(&graph, &files, &Allowlist::default());
+        let summaries = summary::compute(&graph, &files);
         let bound = 4 * graph.defs.len() + graph.sccs.len() + 8;
         prop_assert!(
             summaries.passes <= bound,
             "fixpoint took {} passes, bound is {bound}", summaries.passes
         );
 
-        // Sanity: an `unwrap` seed must surface in its own summary.
+        // Sanity: a blocking seed must surface in its own summary.
         for (fi, def) in graph.defs.iter().enumerate() {
-            let has_unwrap = src
+            let blocks = src
                 .lines()
                 .skip_while(|l| !l.contains(&format!("fn {}", def.name)))
                 .take(1)
-                .any(|l| l.contains("unwrap"));
-            if has_unwrap {
+                .any(|l| l.contains("sync_data") || l.contains("force"));
+            if blocks {
                 prop_assert!(
-                    summaries.fns[fi].may_panic.is_some(),
-                    "fn {} has a direct unwrap but no may_panic", def.name
+                    summaries.fns[fi].may_block.is_some(),
+                    "fn {} has a direct blocking call but no may_block", def.name
                 );
             }
         }

@@ -19,21 +19,6 @@ fn fixture_text(name: &str) -> String {
 }
 
 #[test]
-fn panic_freedom_fixture_fails() {
-    let vs = rules::panic_freedom::check(&fixture("panic_freedom_fail.rs"));
-    // unwrap, expect, indexing, panic! — all four classes.
-    assert_eq!(vs.len(), 4, "{vs:?}");
-    assert!(vs.iter().all(|v| v.rule == rules::panic_freedom::RULE));
-    assert!(vs.iter().all(|v| v.scope == "hot"));
-}
-
-#[test]
-fn panic_freedom_fixture_passes() {
-    let vs = rules::panic_freedom::check(&fixture("panic_freedom_pass.rs"));
-    assert!(vs.is_empty(), "{vs:?}");
-}
-
-#[test]
 fn lock_order_fixture_fails() {
     let f = fixture("lock_order_fail.rs");
     let vs = rules::lock_order::check(&[&f]);
@@ -104,19 +89,6 @@ fn status_parity_fixture_passes() {
     assert!(vs.is_empty(), "{vs:?}");
 }
 
-#[test]
-fn forbid_unsafe_fixture_fails() {
-    let vs = rules::forbid_unsafe::check(&fixture("forbid_unsafe_fail.rs"));
-    assert_eq!(vs.len(), 1, "{vs:?}");
-    assert_eq!(vs[0].rule, rules::forbid_unsafe::RULE);
-}
-
-#[test]
-fn forbid_unsafe_fixture_passes() {
-    let vs = rules::forbid_unsafe::check(&fixture("forbid_unsafe_pass.rs"));
-    assert!(vs.is_empty(), "{vs:?}");
-}
-
 fn dataflow_fixture(rule: &dyn DataflowRule, name: &str) -> Vec<dlog_lint::Violation> {
     run_rule(rule, &fixture(name))
 }
@@ -164,24 +136,6 @@ fn seal_typestate_fixtures() {
     let vs = dataflow_fixture(
         &rules::seal_typestate::SealTypestate,
         "seal_typestate_pass.rs",
-    );
-    assert!(vs.is_empty(), "{vs:?}");
-}
-
-#[test]
-fn result_swallow_fixtures() {
-    let vs = dataflow_fixture(
-        &rules::result_swallow::ResultSwallow,
-        "result_swallow_fail.rs",
-    );
-    assert_eq!(vs.len(), 3, "{vs:?}");
-    assert!(vs.iter().all(|v| v.scope == "swallow"));
-    assert!(vs
-        .iter()
-        .any(|v| v.message.contains("never consumed on some path")));
-    let vs = dataflow_fixture(
-        &rules::result_swallow::ResultSwallow,
-        "result_swallow_pass.rs",
     );
     assert!(vs.is_empty(), "{vs:?}");
 }
@@ -235,7 +189,7 @@ fn fixtures_are_pinned() {
     let dir = format!("{}/tests/fixtures", env!("CARGO_MANIFEST_DIR"));
     let checked = dlog_lint::fixtures::verify_fixtures(std::path::Path::new(&dir))
         .unwrap_or_else(|e| panic!("{e}"));
-    assert!(checked >= 30, "only {checked} fixture runs checked");
+    assert!(checked >= 24, "only {checked} fixture runs checked");
 }
 
 /// The workspace itself must be clean: zero unallowlisted violations and

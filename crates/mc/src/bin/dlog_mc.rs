@@ -6,6 +6,18 @@
 //! (counterexample printed, and written to `--out` if given), 2 = usage
 //! error.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 use std::process::ExitCode;
 
 use dlog_mc::explore::{default_scratch, Explorer};

@@ -360,6 +360,10 @@ impl Explorer {
         report.replays = counters.replays;
         report.actions_applied = counters.actions;
         report.elapsed_ms = started.elapsed().as_millis() as u64;
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort scratch cleanup: a directory left behind costs disk, not correctness"
+        )]
         let _ = std::fs::remove_dir_all(&self.scratch);
         report
     }
@@ -423,6 +427,10 @@ pub fn render_counterexample(
             push_trace_lines(&mut out, &snap);
         }
     }
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort scratch cleanup: a directory left behind costs disk, not correctness"
+    )]
     let _ = std::fs::remove_dir_all(dir);
     Ok(out)
 }

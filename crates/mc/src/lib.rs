@@ -30,7 +30,17 @@
 //! transition), so replay is exact — which is also what makes a found
 //! counterexample a replayable artifact rather than a flaky anecdote.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod explore;

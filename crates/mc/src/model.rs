@@ -403,6 +403,10 @@ impl McWorld {
     /// # Errors
     /// Propagates scratch-dir and store-open failures as strings.
     pub fn new(cfg: &McConfig, dir: &Path) -> Result<McWorld, String> {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the directory may not exist yet; `create_dir_all` below reports real failures"
+        )]
         let _ = std::fs::remove_dir_all(dir);
         std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         let mut servers = BTreeMap::new();

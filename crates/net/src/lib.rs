@@ -35,7 +35,17 @@
 //! mode for the logging stream, while [`conn`] realizes the general
 //! mechanism and is exercised by its own tests and the UDP example.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod conn;

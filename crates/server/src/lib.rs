@@ -25,7 +25,17 @@
 //! [`dlog_net::Endpoint`], once per shard ([`runner::ServerRunner`] is the
 //! one-shard case).
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod gen;
@@ -418,6 +428,10 @@ impl LogServer {
         // per message, not per record). A well-formed packet is one run.
         let mut last = self.store.last_interval(client).map(|iv| (iv.epoch, iv.hi));
         let store = &mut self.store;
+        #[expect(
+            clippy::panic,
+            reason = "deliberate fail-stop (§3.1): acking a record the store rejected would violate durability promises — crashing is safer than lying"
+        )]
         let mut store_run = |first: usize, len: usize| {
             let run = records.get(first..first.saturating_add(len)).unwrap_or(&[]);
             if run.is_empty() {
@@ -500,6 +514,10 @@ impl LogServer {
 
         if force {
             if self.config.coalesce_window.is_zero() {
+                #[expect(
+                    clippy::panic,
+                    reason = "deliberate fail-stop (§3.1): acking a force the store lost would violate durability promises — crashing is safer than lying"
+                )]
                 if let Err(e) = self.store.force(client) {
                     // A force that cannot reach stable storage is fatal for a
                     // log server.

@@ -19,6 +19,10 @@ impl ServerRunner {
 
     /// Stop the thread and recover the server (with its store).
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "a one-shard supervisor hands back exactly one server at shutdown; anything else is a bug in the supervisor"
+    )]
     pub fn stop(self) -> LogServer {
         self.0.stop().pop().expect("one shard was spawned")
     }

@@ -164,6 +164,10 @@ impl ShardSupervisor {
     /// # Panics
     /// Panics when `servers` is empty or a thread fails to spawn.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "thread-lifecycle expect at server startup, not on the request path"
+    )]
     pub fn spawn<E: Endpoint + Sync + 'static>(
         servers: Vec<LogServer>,
         endpoint: E,
@@ -195,6 +199,10 @@ impl ShardSupervisor {
     /// # Panics
     /// Panics when `servers` is empty or a thread fails to spawn.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "thread-lifecycle expect at server startup, not on the request path"
+    )]
     pub fn spawn_routed<E>(servers: Vec<LogServer>, endpoint: E) -> ShardSupervisor
     where
         E: RoutedEndpoint + Sync + 'static,
@@ -297,6 +305,10 @@ impl ShardSupervisor {
     /// shard order. Each shard finishes its pending group commit and
     /// syncs its store on the way out.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "joining our own shard threads during shutdown; a poisoned join means a shard already panicked"
+    )]
     pub fn stop(mut self) -> Vec<LogServer> {
         self.shutdown();
         std::mem::take(&mut self.shards)
@@ -323,6 +335,10 @@ impl ShardSupervisor {
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.dispatcher.take() {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a panicked thread already reported itself through `ReportPanic`, which `wait` returns"
+            )]
             let _ = h.join();
         }
     }
@@ -332,6 +348,10 @@ impl Drop for ShardSupervisor {
     fn drop(&mut self) {
         self.shutdown();
         for h in self.shards.drain(..) {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a panicked thread already reported itself through `ReportPanic`, which `wait` returns"
+            )]
             let _ = h.join();
         }
     }
@@ -415,11 +435,17 @@ fn shard_loop<E: Endpoint + ?Sized>(
                     }
                 }
                 for (to, reply) in replies.drain(..) {
-                    // Send failures are network loss — the protocol
-                    // recovers end to end.
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "send failures are network loss; the protocol recovers end to end"
+                    )]
                     let _ = ep.send(to, &reply);
                 }
                 for (to, reply) in server.force_tick() {
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "send failures are network loss; the protocol recovers end to end"
+                    )]
                     let _ = ep.send(to, &reply);
                 }
             }
@@ -427,12 +453,18 @@ fn shard_loop<E: Endpoint + ?Sized>(
                 if server.has_pending_forces() {
                     // Inbox drained: commit the group now.
                     for (to, reply) in server.flush_pending_forces() {
+                        #[expect(
+                            clippy::let_underscore_must_use,
+                            reason = "send failures are network loss; the protocol recovers end to end"
+                        )]
                         let _ = ep.send(to, &reply);
                     }
                 } else {
-                    // Idle: let the archive tier make progress. A failed
-                    // round is retried next interval and shows in the
-                    // `upload_retries` / `pending` Status gauges.
+                    // Idle: let the archive tier make progress.
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "a failed archive round is retried next interval and shows in the `upload_retries` / `pending` Status gauges"
+                    )]
                     let _ = server.archive_tick();
                 }
             }
@@ -443,8 +475,16 @@ fn shard_loop<E: Endpoint + ?Sized>(
     // finishes the round and tries to get the acks out before the
     // endpoint goes away, then leaves storage clean.
     for (to, reply) in server.flush_pending_forces() {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "send failures are network loss; the protocol recovers end to end"
+        )]
         let _ = ep.send(to, &reply);
     }
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "graceful-shutdown courtesy sync after the final force flush; every acked record was already forced through the store's force path, whose Result is consumed"
+    )]
     let _ = server.store_mut().sync();
     (server, why)
 }

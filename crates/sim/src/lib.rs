@@ -21,7 +21,6 @@
 //!
 //! Everything is seeded and deterministic.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod assign;

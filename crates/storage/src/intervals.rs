@@ -139,6 +139,10 @@ impl IntervalTable {
     /// The client's interval list as reported by the `IntervalList`
     /// operation.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "the table maintains the interval-list ordering invariant; a push failure here is a corrupted table, fail-stop is correct"
+    )]
     pub fn interval_list(&self, client: ClientId) -> IntervalList {
         let mut list = IntervalList::new();
         if let Some(entries) = self.clients.get(&client) {

@@ -2,8 +2,8 @@
 //!
 //! Every decode path in the workspace parses length-prefixed binary
 //! formats from untrusted bytes (the wire, the disk, the archive). The
-//! `panic-freedom` lint forbids `unwrap()` and bare indexing on those
-//! paths, so the common "read a fixed-width integer at an offset"
+//! hot-path crates deny clippy's `unwrap_used` and `indexing_slicing`
+//! on those paths, so the common "read a fixed-width integer at an offset"
 //! operation lives here once, returning `None` on any out-of-bounds
 //! access instead of panicking. Callers map `None` to their own
 //! corruption error.

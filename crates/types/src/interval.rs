@@ -276,7 +276,8 @@ impl MergedView {
 
         let mut segments: Vec<MergedSegment> = Vec::new();
         for w in bounds.windows(2) {
-            let (lo, hi) = (Lsn(w[0]), Lsn(w[1].saturating_sub(1)));
+            let &[lo, hi] = w else { continue };
+            let (lo, hi) = (Lsn(lo), Lsn(hi.saturating_sub(1)));
             // Winning epoch on this elementary range.
             let mut best: Option<Epoch> = None;
             for (_, iv) in &entries {

@@ -18,7 +18,17 @@
 //! * log servers group records into consecutive sequences with equal epoch
 //!   ([`Interval`]) and report them via the `IntervalList` operation.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod bytes;

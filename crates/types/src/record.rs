@@ -25,6 +25,10 @@ impl Lsn {
     /// Panics on overflow (an append-only log of 2^64 records is
     /// unreachable in practice; overflow indicates a logic error).
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented LSN-overflow fail-stop: an append-only log of 2^64 records is unreachable, overflow means a logic error"
+    )]
     pub fn next(self) -> Lsn {
         Lsn(self.0.checked_add(1).expect("LSN overflow"))
     }
@@ -86,6 +90,10 @@ impl Epoch {
     /// The next epoch in sequence (generators may skip values; this is a
     /// convenience for tests and in-process generators).
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented epoch-overflow fail-stop: 2^64 client incarnations are unreachable, overflow means a logic error"
+    )]
     pub fn next(self) -> Epoch {
         Epoch(self.0.checked_add(1).expect("epoch overflow"))
     }

@@ -19,7 +19,6 @@
 //!   the §5.2 undo cache, and rebuilds the database from the log after a
 //!   crash.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bank;

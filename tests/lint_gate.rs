@@ -1,19 +1,24 @@
 //! Tier-1 gate: the workspace must be clean under `dlog-lint`.
 //!
-//! One pass runs the full rule catalog — the six lexical rules
-//! (wire-exhaustiveness, lock-order, panic-freedom, ack-after-force,
-//! status-parity, forbid-unsafe), the five flow-sensitive rules on
-//! the dataflow engine (blocking-under-lock, lsn-checked-arith,
-//! seal-typestate, result-swallow, view-escape), the interprocedural
-//! rules (hot-path-alloc, unbounded-recursion), and the thread-safety
-//! pass (shared-field-lockset, atomics-ordering) — against the
-//! repository and fails
-//! `cargo test` on any violation not covered by a justified
+//! One pass runs the full twelve-rule catalog — the four lexical rules
+//! (wire-exhaustiveness, lock-order, ack-after-force, status-parity),
+//! the four flow-sensitive rules on the dataflow engine
+//! (blocking-under-lock, lsn-checked-arith, seal-typestate,
+//! view-escape), the interprocedural rules (hot-path-alloc,
+//! unbounded-recursion), and the thread-safety pass
+//! (shared-field-lockset, atomics-ordering) — against the repository
+//! and fails `cargo test` on any violation not covered by a justified
 //! `lint.allow` entry, on stale allowlist entries, on fixture drift
 //! (a rule whose pinned pass/fail fixtures no longer behave), and on a
 //! blown latency budget. The same report is available interactively via
 //! `cargo run -p dlog-lint` (add `--timing` for the per-rule table).
+//!
+//! Forbid-unsafe, must-use discards and panic-freedom are the
+//! compiler's and clippy's (`[workspace.lints]`, the hot-path crate
+//! roots' `deny(clippy::…)`); this file keeps only the guarantee that
+//! no member can leave the workspace lint table.
 
+use std::fs;
 use std::path::Path;
 use std::time::Instant;
 
@@ -100,5 +105,57 @@ fn race_report_covers_the_shared_server_surface() {
 fn rule_fixtures_have_not_drifted() {
     let dir = root().join("crates/lint/tests/fixtures");
     let checked = dlog_lint::fixtures::verify_fixtures(&dir).unwrap_or_else(|e| panic!("{e}"));
-    assert!(checked >= 20, "only {checked} fixture runs checked");
+    assert!(checked >= 24, "only {checked} fixture runs checked");
+}
+
+/// The lines of one TOML table (`header` excluded), trimmed.
+fn table<'a>(toml: &'a str, header: &str) -> Vec<&'a str> {
+    toml.lines()
+        .map(str::trim)
+        .skip_while(|l| *l != header)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .collect()
+}
+
+/// `unsafe_code = "forbid"` and `unused_must_use = "deny"` bind only the
+/// members that opt in to `[workspace.lints]`, so a new crate that
+/// forgets `[lints] workspace = true` would compile `unsafe` blocks and
+/// silently dropped `Result`s. `crates/alloc` is the one exception: it
+/// implements the unsafe `GlobalAlloc` trait under its own `deny` table.
+#[test]
+fn every_member_inherits_the_workspace_lints() {
+    let root = root();
+    let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root Cargo.toml");
+    let lints = table(&manifest, "[workspace.lints.rust]");
+    for want in ["unsafe_code = \"forbid\"", "unused_must_use = \"deny\""] {
+        assert!(
+            lints.contains(&want),
+            "[workspace.lints.rust] lost `{want}`"
+        );
+    }
+    let mut checked = 0;
+    for dir in ["crates", "vendor"] {
+        for entry in fs::read_dir(root.join(dir)).expect("list members") {
+            let path = entry.expect("member entry").path().join("Cargo.toml");
+            let Ok(text) = fs::read_to_string(&path) else {
+                continue; // vendor/README.md
+            };
+            checked += 1;
+            if path.ends_with("crates/alloc/Cargo.toml") {
+                let own = table(&text, "[lints.rust]");
+                for want in ["unsafe_code = \"deny\"", "unused_must_use = \"deny\""] {
+                    assert!(own.contains(&want), "crates/alloc lost `{want}`");
+                }
+            } else {
+                assert!(
+                    table(&text, "[lints]").contains(&"workspace = true"),
+                    "{} does not inherit the workspace lints — add `[lints]` \
+                     with `workspace = true`",
+                    path.display()
+                );
+            }
+        }
+    }
+    assert!(checked > 10, "only {checked} member manifests found");
 }
