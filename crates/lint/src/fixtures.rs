@@ -145,15 +145,6 @@ pub fn verify_fixtures(dir: &Path) -> Result<usize, String> {
         &Expect::Clean,
     );
     drift.record(
-        "wire_fail.rs",
-        rules::wire_exhaustive::RULE,
-        &rules::wire_exhaustive::check(
-            &parse(dir, "wire_fail.rs")?,
-            &parse(dir, "wire_props_fail.rs")?,
-        ),
-        &Expect::Exactly(3),
-    );
-    drift.record(
         "status_doc_fail.md",
         rules::status_parity::RULE,
         &rules::status_parity::check(

@@ -2,21 +2,23 @@
 //!
 //! The paper's correctness story rests on ordering invariants the Rust
 //! compiler cannot see: acks must never be sent before the records they
-//! cover are forced to stable storage (§4.2), and the wire message set
-//! must stay in lock-step with its codec and property coverage. This
+//! cover are forced to stable storage (§4.2), and the status gauges must
+//! stay in lock-step with their documentation. This
 //! crate walks the workspace sources with a hand-rolled lexer (no
 //! external parser — it must build offline against the vendored stubs)
-//! and enforces twelve repo-specific rules, gated in tier-1 via
+//! and enforces eleven repo-specific rules, gated in tier-1 via
 //! `tests/lint_gate.rs`. What the compiler *can* see lives in
 //! `[workspace.lints]` and clippy instead: `unsafe_code` is forbidden,
 //! `unused_must_use` denied, and the hot-path crate roots deny the
-//! panicking and result-discarding clippy lints (`docs/LINT.md`).
+//! panicking and result-discarding clippy lints (`docs/LINT.md`). So
+//! does wire-codec exhaustiveness: each message has one row in its
+//! enum's codec table in `crates/net/src/wire.rs`, and a missing row or
+//! a duplicated tag fails the build.
 //!
-//! Four rules are *lexical* — token-stream scans:
+//! Three rules are *lexical* — token-stream scans:
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `wire-exhaustiveness` | every `Message`/`Request`/`Response` variant has encode + decode arms and property coverage |
 //! | `lock-order` | the `.lock()` acquisition graph is acyclic |
 //! | `ack-after-force` | `NewHighLsn` construction lexically follows `.force()` (§4.2) |
 //! | `status-parity` | `Response::Status` fields match the `docs/PROTOCOL.md` gauge table |

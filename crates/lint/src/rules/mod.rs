@@ -15,13 +15,11 @@ pub mod shared_field_lockset;
 pub mod status_parity;
 pub mod unbounded_recursion;
 pub mod view_escape;
-pub mod wire_exhaustive;
 
 /// Every rule identifier the catalog can emit, for `lint.allow`
 /// validation — an allowlist entry naming an unknown rule is a typo
 /// that would otherwise be silently dead forever.
 pub const ALL_RULES: &[&str] = &[
-    wire_exhaustive::RULE,
     lock_order::RULE,
     ack_after_force::RULE,
     status_parity::RULE,

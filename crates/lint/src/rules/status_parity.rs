@@ -9,8 +9,8 @@
 //! column of the markdown table under the heading, then requires the
 //! two sets to be identical (names and count).
 
+use crate::lexer::TokenKind;
 use crate::report::Violation;
-use crate::rules::wire_exhaustive::enum_variants;
 use crate::source::SourceFile;
 
 /// Rule identifier.
@@ -110,6 +110,50 @@ fn check_variant(
     out
 }
 
+/// Variant names (with a representative token index) of `enum name`.
+/// Returns `None` when the enum is missing.
+fn enum_variants(file: &SourceFile, name: &str) -> Option<Vec<(String, usize)>> {
+    let toks = &file.tokens;
+    let start = (0..toks.len()).find(|&i| {
+        toks[i].is("enum") && toks.get(i + 1).is_some_and(|t| t.is(name)) && !file.test[i]
+    })?;
+    // Body opens at the first `{` after the name (no generics on these).
+    let open = (start + 2..toks.len()).find(|&i| toks[i].is("{"))?;
+    let close = file.matching_brace(open)?;
+    let mut variants = Vec::new();
+    let mut depth = 0i32;
+    let mut i = open + 1;
+    while i < close {
+        let t = &toks[i];
+        if t.is("{") || t.is("(") || t.is("[") {
+            depth += 1;
+        } else if t.is("}") || t.is(")") || t.is("]") {
+            depth -= 1;
+        } else if depth == 0 && t.kind == TokenKind::Ident {
+            let next = toks.get(i + 1);
+            let is_variant =
+                next.is_some_and(|n| n.is("{") || n.is("(") || n.is(",") || n.is("=") || n.is("}"));
+            if is_variant {
+                variants.push((t.text.clone(), i));
+                // Skip to the end of this variant (next `,` at depth 0).
+                while i < close {
+                    let t = &toks[i];
+                    if t.is("{") || t.is("(") || t.is("[") {
+                        depth += 1;
+                    } else if t.is("}") || t.is(")") || t.is("]") {
+                        depth -= 1;
+                    } else if depth == 0 && t.is(",") {
+                        break;
+                    }
+                    i += 1;
+                }
+            }
+        }
+        i += 1;
+    }
+    Some(variants)
+}
+
 /// Field names (with lines) of the named variant of `enum Response`.
 fn variant_fields(wire: &SourceFile, variant: &str) -> Option<Vec<(String, u32)>> {
     let variants = enum_variants(wire, "Response")?;
@@ -126,7 +170,7 @@ fn variant_fields(wire: &SourceFile, variant: &str) -> Option<Vec<(String, u32)>
         } else if t.is("}") || t.is(")") || t.is("]") || t.is(">") {
             depth -= 1;
         } else if depth == 0
-            && t.kind == crate::lexer::TokenKind::Ident
+            && t.kind == TokenKind::Ident
             && toks.get(i + 1).is_some_and(|n| n.is(":"))
             && !t.is("pub")
         {
@@ -250,6 +294,17 @@ mod tests {
         assert!(vs.iter().any(|v| v.message.contains("trace_events")));
         assert!(vs.iter().any(|v| v.message.contains("trace_dropped")));
         assert!(vs.iter().any(|v| v.message.contains("phantom_field")));
+    }
+
+    #[test]
+    fn variant_extraction_handles_struct_and_tuple_fields() {
+        let wire = SourceFile::parse(
+            "wire.rs",
+            "pub enum Message { Syn { isn: u64 }, Data(Vec<u8>), Fin, }",
+        );
+        let vars = enum_variants(&wire, "Message").unwrap();
+        let names: Vec<&str> = vars.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, vec!["Syn", "Data", "Fin"]);
     }
 
     #[test]

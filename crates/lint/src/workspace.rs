@@ -342,37 +342,27 @@ pub fn lint_workspace_with(root: &Path, deep: bool) -> Result<Report, String> {
     let mut raw: Vec<Violation> = Vec::new();
     let mut timings: Vec<RuleTiming> = Vec::new();
 
-    // Rule 1: wire exhaustiveness.
-    let t0 = Instant::now();
-    loader.load("crates/net/src/wire.rs")?;
-    loader.load("crates/net/tests/wire_props.rs")?;
-    raw.extend(rules::wire_exhaustive::check(
-        &loader.files["crates/net/src/wire.rs"],
-        &loader.files["crates/net/tests/wire_props.rs"],
-    ));
-    timings.push(RuleTiming::since(rules::wire_exhaustive::RULE, t0));
-
-    // Rule 2: lock ordering (cross-file acquisition graph).
+    // Rule 1: lock ordering (cross-file acquisition graph).
     let t0 = Instant::now();
     let lock_files = loader.load_targets(LOCK_ORDER_TARGETS)?;
     let lock_sources: Vec<&SourceFile> = lock_files.iter().map(|r| &loader.files[r]).collect();
     raw.extend(rules::lock_order::check(&lock_sources));
     timings.push(RuleTiming::since(rules::lock_order::RULE, t0));
 
-    // Rule 3: §4.2 force-before-ack, per file.
+    // Rule 2: §4.2 force-before-ack, per file.
     let t0 = Instant::now();
     for rel in loader.load_targets(ACK_AFTER_FORCE_TARGETS)? {
         raw.extend(rules::ack_after_force::check(&loader.files[rel.as_str()]));
     }
     timings.push(RuleTiming::since(rules::ack_after_force::RULE, t0));
 
-    // Rule 4: Status / PROTOCOL.md parity.
+    // Rule 3: Status / PROTOCOL.md parity.
     let t0 = Instant::now();
     let doc_rel = "docs/PROTOCOL.md";
     let doc_text = fs::read_to_string(root.join(doc_rel))
         .map_err(|e| format!("cannot read {doc_rel}: {e}"))?;
     raw.extend(rules::status_parity::check(
-        &loader.files["crates/net/src/wire.rs"],
+        loader.load("crates/net/src/wire.rs")?,
         doc_rel,
         &doc_text,
     ));

@@ -11,62 +11,17 @@ use std::process::{Command, Output};
 /// A minimal workspace containing every file `lint_workspace` requires,
 /// crafted so the whole catalog passes.
 const WIRE_RS: &str = r#"
-pub enum Message {
-    Syn { isn: u64 },
-    Fin,
-}
-fn encode_message(m: &Message) {
-    match m {
-        Message::Syn { isn } => drop(isn),
-        Message::Fin => {}
-    }
-}
-fn decode_message(tag: u8) -> Message {
-    match tag {
-        1 => Message::Syn { isn: 0 },
-        _ => Message::Fin,
-    }
-}
-pub enum Request {
-    Ping,
-}
-fn encode_request(r: &Request) {
-    match r {
-        Request::Ping => {}
-    }
-}
-fn decode_request(_: u8) -> Request {
-    Request::Ping
-}
 pub enum Response {
     Ok,
     Status { records_stored: u64, naks_sent: u64 },
     Stats { stages: u64, trace_events: u64, trace_dropped: u64 },
 }
-fn encode_response(r: &Response) {
+fn encode_response(r: &Response) -> u8 {
     match r {
-        Response::Ok => {}
-        Response::Status { records_stored, naks_sent } => drop((records_stored, naks_sent)),
-        Response::Stats { stages, trace_events, trace_dropped } => {
-            drop((stages, trace_events, trace_dropped));
-        }
+        Response::Ok => 1,
+        Response::Status { .. } => 6,
+        Response::Stats { .. } => 7,
     }
-}
-fn decode_response(tag: u8) -> Response {
-    match tag {
-        1 => Response::Ok,
-        2 => Response::Status { records_stored: 0, naks_sent: 0 },
-        _ => Response::Stats { stages: 0, trace_events: 0, trace_dropped: 0 },
-    }
-}
-"#;
-
-const WIRE_PROPS_RS: &str = r#"
-fn arb() {
-    let a = (Message::Syn { isn: 1 }, Message::Fin, Request::Ping);
-    let b = (Response::Ok, Response::Status { records_stored: 0, naks_sent: 0 });
-    let c = Response::Stats { stages: 0, trace_events: 0, trace_dropped: 0 };
-    use_all(a, b, c);
 }
 "#;
 
@@ -104,7 +59,6 @@ fn mini_workspace(tag: &str) -> PathBuf {
     write(&root, "Cargo.toml", "[workspace]\nmembers = []\n");
     write(&root, "crates/net/src/wire.rs", WIRE_RS);
     write(&root, "crates/net/src/mem.rs", "// no locks here\n");
-    write(&root, "crates/net/tests/wire_props.rs", WIRE_PROPS_RS);
     write(&root, "crates/storage/src/nvram.rs", "// no locks here\n");
     write(
         &root,
@@ -194,7 +148,7 @@ fn json_schema_snapshot_clean() {
     let root = mini_workspace("json-clean");
     let out = run_at(&root, &["--json"]);
     assert_eq!(out.status.code(), Some(0));
-    let expected = "{\n  \"ok\": true,\n  \"files_scanned\": 6,\n  \"allowed\": 0,\n  \
+    let expected = "{\n  \"ok\": true,\n  \"files_scanned\": 5,\n  \"allowed\": 0,\n  \
                     \"violations\": [],\n  \"unused_allow_entries\": []\n}\n";
     assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
     let _ = fs::remove_dir_all(&root);
@@ -209,7 +163,7 @@ fn json_schema_snapshot_violation() {
     let expected = concat!(
         "{\n",
         "  \"ok\": false,\n",
-        "  \"files_scanned\": 7,\n",
+        "  \"files_scanned\": 6,\n",
         "  \"allowed\": 0,\n",
         "  \"violations\": [\n",
         "    {\"rule\": \"lsn-checked-arith\", \"file\": \"crates/storage/src/bad.rs\", ",
@@ -249,7 +203,7 @@ fn callgraph_text_dumps_functions() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
-        text.contains("crates/net/src/wire.rs::encode_message"),
+        text.contains("crates/net/src/wire.rs::encode_response"),
         "stdout: {text}"
     );
     assert!(text.contains("summary pass(es)"), "stdout: {text}");

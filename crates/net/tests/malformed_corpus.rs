@@ -11,6 +11,7 @@
 //! semantic rejects (interval bounds). The corpus is committed; the
 //! `bless_corpus` generator (`--ignored`) rewrites it deterministically.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -302,6 +303,41 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     frames.push(("35-interval-count-absurd", response(&m)));
 
     frames
+}
+
+/// The committed corpus is exactly what `corpus()` generates: the same
+/// names and the same bytes. Frames 03–07 mutate an encoded seed, so
+/// this also pins the encoder's output for that seed.
+#[test]
+fn committed_corpus_matches_its_generator() {
+    let committed: BTreeMap<String, Vec<u8>> = std::fs::read_dir(corpus_dir())
+        .expect("tests/corpus missing")
+        .map(|e| e.expect("read_dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "bin"))
+        .map(|p| {
+            let name = p
+                .file_stem()
+                .unwrap_or_default()
+                .to_string_lossy()
+                .into_owned();
+            (name, std::fs::read(&p).expect("read corpus frame"))
+        })
+        .collect();
+    let generated: BTreeMap<String, Vec<u8>> = corpus()
+        .into_iter()
+        .map(|(name, bytes)| (name.to_string(), bytes))
+        .collect();
+    assert_eq!(
+        committed.keys().collect::<Vec<_>>(),
+        generated.keys().collect::<Vec<_>>(),
+        "committed frame names differ from the generator's"
+    );
+    for (name, bytes) in &generated {
+        assert_eq!(
+            &committed[name], bytes,
+            "{name}.bin differs from its generator"
+        );
+    }
 }
 
 /// Regenerate `tests/corpus/` (run explicitly with `--ignored`).
