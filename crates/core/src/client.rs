@@ -90,6 +90,10 @@ fn backoff_at_cap(base: Duration, cap: Duration, round: u32) -> bool {
         >= cap
 }
 
+/// Records the read-ahead cache keeps; the smallest LSNs are evicted
+/// first.
+const READ_CACHE_CAP: usize = 4096;
+
 /// Client-side operation counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClientStats {
@@ -611,7 +615,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
                             if rec.lsn != expected {
                                 break;
                             }
-                            self.read_cache.insert(rec.lsn, rec.clone());
+                            self.cache_read(rec.clone());
                             out.push(rec);
                             got_any = true;
                             match expected.prev() {
@@ -632,6 +636,15 @@ impl<E: Endpoint> ReplicatedLog<E> {
             cursor = out.last().and_then(|r| r.lsn.prev());
         }
         Ok(out)
+    }
+
+    /// Insert into the read-ahead cache, evicting smallest LSNs once it
+    /// holds more than [`READ_CACHE_CAP`] records.
+    fn cache_read(&mut self, rec: LogRecord) {
+        self.read_cache.insert(rec.lsn, rec);
+        while self.read_cache.len() > READ_CACHE_CAP {
+            self.read_cache.pop_first();
+        }
     }
 
     /// Fetch a record from one of the servers the view names for it,
@@ -657,12 +670,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
                         if rec.lsn == lsn {
                             hit = Some(rec.clone());
                         }
-                        self.read_cache.insert(rec.lsn, rec);
-                    }
-                    // Bound the cache.
-                    while self.read_cache.len() > 4096 {
-                        let k = *self.read_cache.keys().next().expect("nonempty");
-                        self.read_cache.remove(&k);
+                        self.cache_read(rec);
                     }
                     if let Some(rec) = hit {
                         return Ok(rec);
@@ -1226,6 +1234,13 @@ fn merge_stats_rows(rows: Vec<Response>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::io;
+
+    use dlog_net::wire::{NodeAddr, Packet};
+    use dlog_server::gen::GenStore;
+    use dlog_server::{LogServer, ServerConfig};
+    use dlog_storage::{LogStore, NvramDevice, StoreOptions};
 
     const BASE: Duration = Duration::from_millis(2);
     const CAP: Duration = Duration::from_millis(120);
@@ -1278,5 +1293,67 @@ mod tests {
         assert!(w > Duration::ZERO);
         assert!(w <= Duration::from_micros(130));
         assert_ne!(state, 0);
+    }
+
+    /// One log server answered inline on the caller's thread.
+    struct InlineServer {
+        server: RefCell<LogServer>,
+        replies: RefCell<VecDeque<(NodeAddr, Packet)>>,
+    }
+
+    impl Endpoint for InlineServer {
+        fn local_addr(&self) -> NodeAddr {
+            NodeAddr(1000)
+        }
+
+        fn send(&self, to: NodeAddr, packet: &Packet) -> io::Result<()> {
+            let out = self.server.borrow_mut().handle(self.local_addr(), packet);
+            let mut replies = self.replies.borrow_mut();
+            replies.extend(out.into_iter().map(|(_, reply)| (to, reply)));
+            Ok(())
+        }
+
+        fn recv(&self, _timeout: Duration) -> io::Result<Option<(NodeAddr, Packet)>> {
+            Ok(self.replies.borrow_mut().pop_front())
+        }
+    }
+
+    /// A recovery manager scanning a long log backward must not keep every
+    /// record it reads (each one pins its reply buffer).
+    #[test]
+    fn a_long_backward_scan_keeps_the_read_cache_bounded() {
+        let dir = std::env::temp_dir().join(format!("dlog-core-read-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = StoreOptions {
+            fsync: false,
+            checkpoint_every: 0,
+            ..StoreOptions::default()
+        };
+        let store = LogStore::open(&dir, opts, NvramDevice::new(1 << 20)).unwrap();
+        let gens = GenStore::open(dir.join("gens")).unwrap();
+        let server = LogServer::new(ServerConfig::new(ServerId(1)), store, gens).unwrap();
+        let ep = InlineServer {
+            server: RefCell::new(server),
+            replies: RefCell::default(),
+        };
+        let net = ClientNet::new(ep, HashMap::from([(ServerId(1), NodeAddr(1))]));
+        let config = ReplicationConfig::new(vec![ServerId(1)], 1, 8).unwrap();
+        let mut log = ReplicatedLog::new(ClientId(1), ClientOptions::new(config), net);
+        log.initialize().unwrap();
+
+        let n = READ_CACHE_CAP as u32 + 1000;
+        let mut last = Lsn::ZERO;
+        for i in 0..n {
+            last = log.write(i.to_le_bytes().to_vec()).unwrap();
+        }
+        log.force().unwrap();
+        let scanned = log.read_backward(last, n).unwrap();
+        assert_eq!(scanned.len(), n as usize);
+        assert!(
+            log.read_cache.len() <= READ_CACHE_CAP,
+            "read cache grew to {} records",
+            log.read_cache.len()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

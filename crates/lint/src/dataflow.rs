@@ -90,12 +90,6 @@ pub trait DataflowRule {
     }
 }
 
-/// True when `path` falls under one of the rule's target prefixes.
-#[must_use]
-pub fn in_targets(rule: &dyn DataflowRule, path: &str) -> bool {
-    rule.targets().iter().any(|t| path.starts_with(t))
-}
-
 /// Iteration cap: fixpoints are guaranteed by monotonicity, but a buggy
 /// transfer must degrade to "stop iterating", never to a spin.
 const MAX_PASSES: usize = 512;
@@ -263,14 +257,6 @@ pub fn method_calls(cx: &StmtCx<'_>) -> Vec<usize> {
     (1..toks.len().saturating_sub(1))
         .filter(|&i| toks[i - 1].is(".") && toks[i].kind == TokenKind::Ident && toks[i + 1].is("("))
         .collect()
-}
-
-/// True when the statement mentions identifier `name` anywhere.
-#[must_use]
-pub fn mentions(cx: &StmtCx<'_>, name: &str) -> bool {
-    cx.tokens()
-        .iter()
-        .any(|t| t.kind == TokenKind::Ident && t.text == name)
 }
 
 /// Kill every fact whose key is exactly `key` or a dotted extension of

@@ -15,7 +15,6 @@ use crate::report::Violation;
 use crate::rules;
 use crate::source::SourceFile;
 use crate::summary::{self, Summaries};
-use crate::threadsafe;
 
 /// How many findings a fixture run must produce.
 enum Expect {
@@ -189,49 +188,6 @@ pub fn verify_fixtures(dir: &Path) -> Result<usize, String> {
         3,
     )?;
     run_dataflow(&mut drift, dir, &rules::seal_typestate::SealTypestate, 2)?;
-    run_dataflow(&mut drift, dir, &rules::view_escape::ViewEscape, 2)?;
-
-    // Thread-safety rules: run the threadsafe pass per fixture file.
-    {
-        let fail = parse(dir, "shared_field_lockset_fail.rs")?;
-        let (graph, _) = interprocedural(&fail);
-        let ts = threadsafe::analyze(&[&fail], &graph, Some(threadsafe::DEFAULT_ROUNDS));
-        drift.record(
-            "shared_field_lockset_fail.rs",
-            rules::shared_field_lockset::RULE,
-            &rules::shared_field_lockset::check(&ts),
-            &Expect::Exactly(1),
-        );
-        let pass = parse(dir, "shared_field_lockset_pass.rs")?;
-        let (graph, _) = interprocedural(&pass);
-        let ts = threadsafe::analyze(&[&pass], &graph, Some(threadsafe::DEFAULT_ROUNDS));
-        drift.record(
-            "shared_field_lockset_pass.rs",
-            rules::shared_field_lockset::RULE,
-            &rules::shared_field_lockset::check(&ts),
-            &Expect::Clean,
-        );
-    }
-    {
-        let fail = parse(dir, "atomics_ordering_fail.rs")?;
-        let (graph, _) = interprocedural(&fail);
-        let ts = threadsafe::analyze(&[&fail], &graph, Some(threadsafe::DEFAULT_ROUNDS));
-        drift.record(
-            "atomics_ordering_fail.rs",
-            rules::atomics_ordering::RULE,
-            &rules::atomics_ordering::check(&ts),
-            &Expect::Exactly(1),
-        );
-        let pass = parse(dir, "atomics_ordering_pass.rs")?;
-        let (graph, _) = interprocedural(&pass);
-        let ts = threadsafe::analyze(&[&pass], &graph, Some(threadsafe::DEFAULT_ROUNDS));
-        drift.record(
-            "atomics_ordering_pass.rs",
-            rules::atomics_ordering::RULE,
-            &rules::atomics_ordering::check(&ts),
-            &Expect::Clean,
-        );
-    }
 
     // Interprocedural rules: graph + summaries per fixture file.
     {

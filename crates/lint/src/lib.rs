@@ -6,14 +6,17 @@
 //! stay in lock-step with their documentation. This
 //! crate walks the workspace sources with a hand-rolled lexer (no
 //! external parser — it must build offline against the vendored stubs)
-//! and enforces eleven repo-specific rules, gated in tier-1 via
+//! and enforces eight repo-specific rules, gated in tier-1 via
 //! `tests/lint_gate.rs`. What the compiler *can* see lives in
 //! `[workspace.lints]` and clippy instead: `unsafe_code` is forbidden,
 //! `unused_must_use` denied, and the hot-path crate roots deny the
 //! panicking and result-discarding clippy lints (`docs/LINT.md`). So
 //! does wire-codec exhaustiveness: each message has one row in its
 //! enum's codec table in `crates/net/src/wire.rs`, and a missing row or
-//! a duplicated tag fails the build.
+//! a duplicated tag fails the build. And so does thread safety: with
+//! `unsafe` forbidden, `Send`/`Sync` decide what crosses threads and
+//! `Mutex<T>` makes the lock the only way to reach `T`, so an
+//! unsynchronised shared write does not compile.
 //!
 //! Three rules are *lexical* — token-stream scans:
 //!
@@ -23,7 +26,7 @@
 //! | `ack-after-force` | `NewHighLsn` construction lexically follows `.force()` (§4.2) |
 //! | `status-parity` | `Response::Status` fields match the `docs/PROTOCOL.md` gauge table |
 //!
-//! Four rules are *flow-sensitive*: [`mod@cfg`] builds a statement-level
+//! Three rules are *flow-sensitive*: [`mod@cfg`] builds a statement-level
 //! control-flow graph per function body, and [`dataflow`] runs a
 //! forward may-analysis over it to a fixpoint, so these rules see
 //! *paths*, not just token order:
@@ -33,7 +36,6 @@
 //! | `blocking-under-lock` | no blocking I/O / channel op while a `MutexGuard` is live (§4.1 latency) |
 //! | `lsn-checked-arith` | LSN/epoch/sequence arithmetic uses `checked_*`/`saturating_*` (§3.1.2 monotonicity) |
 //! | `seal-typestate` | no `append`/`write_at` on a segment after `.seal()` (archive CRC immutability) |
-//! | `view-escape` | a `decode_shared` view is promoted before it is stored (§4.1 zero-copy receive) |
 //!
 //! Two rules are *interprocedural*: [`callgraph`] resolves every call
 //! token against a workspace-wide function index (SCC-condensed), and
@@ -45,14 +47,6 @@
 //! |------|-----------|
 //! | `hot-path-alloc` | allocation sites reachable from the request-path roots are inventoried (ROADMAP item 3 zero-copy worklist) |
 //! | `unbounded-recursion` | no confident call cycle touches the hot-path crates (input-controlled stack depth = crashable by input) |
-//!
-//! Two rules ride the [`threadsafe`] layer (thread-escape discovery plus
-//! per-field locksets and atomic roles):
-//!
-//! | rule | invariant |
-//! |------|-----------|
-//! | `shared-field-lockset` | every mutable field of a thread-shared struct has a non-empty common lockset |
-//! | `atomics-ordering` | a `Relaxed` atomic load does not gate access to unlocked plain shared state |
 //!
 //! Audited exceptions live in `lint.allow` (rule, file, function scope,
 //! mandatory justification). See `docs/LINT.md` for the full catalog,
@@ -70,7 +64,6 @@ pub mod report;
 pub mod rules;
 pub mod source;
 pub mod summary;
-pub mod threadsafe;
 pub mod workspace;
 
 pub use report::{Report, Violation};

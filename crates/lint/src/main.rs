@@ -8,18 +8,14 @@
 //! cargo run -p dlog-lint -- --callgraph          # resolved call graph
 //! cargo run -p dlog-lint -- --callgraph --dot    # Graphviz rendering
 //! cargo run -p dlog-lint -- --callgraph --json   # per-fn summaries
-//! cargo run -p dlog-lint -- --race-report        # thread-safety access map
-//! cargo run -p dlog-lint -- --race-report --deep # unbounded interprocedural depth
 //! ```
 //!
 //! Exit status: 0 when clean (modulo `lint.allow`), 1 on violations,
-//! 2 on usage or I/O errors. With `--json --timing` the timing table
-//! goes to stderr so stdout stays valid JSON. `--callgraph` dumps the
-//! interprocedural engine's view of the workspace and always exits 0
-//! on success (it reports structure, not findings). `--race-report`
-//! dumps the thread-safety layer's per-field access map with locksets
-//! (`race-report.json` in CI); `--deep` lifts the interprocedural
-//! entry-lockset round cap for either mode (the nightly lane).
+//! 2 on usage or I/O errors (an unknown flag included). With
+//! `--json --timing` the timing table goes to stderr so stdout stays
+//! valid JSON. `--callgraph` dumps the interprocedural engine's view of
+//! the workspace and always exits 0 on success (it reports structure,
+//! not findings).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -29,8 +25,6 @@ fn main() -> ExitCode {
     let mut timing = false;
     let mut callgraph = false;
     let mut dot = false;
-    let mut race_report = false;
-    let mut deep = false;
     let mut root_arg: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -39,8 +33,6 @@ fn main() -> ExitCode {
             "--timing" => timing = true,
             "--callgraph" => callgraph = true,
             "--dot" => dot = true,
-            "--race-report" => race_report = true,
-            "--deep" => deep = true,
             "--root" => match args.next() {
                 Some(p) => root_arg = Some(PathBuf::from(p)),
                 None => {
@@ -50,8 +42,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "usage: dlog-lint [--json] [--timing] [--deep] [--root PATH] \
-                     [--callgraph [--dot]] [--race-report]"
+                    "usage: dlog-lint [--json] [--timing] [--root PATH] [--callgraph [--dot]]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -86,19 +77,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if race_report {
-        return match dlog_lint::workspace::build_race_report(&root, deep) {
-            Ok(json) => {
-                print!("{json}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
     if callgraph {
         return match dlog_lint::workspace::build_callgraph(&root) {
             Ok((graph, summaries)) => {
@@ -124,7 +102,7 @@ fn main() -> ExitCode {
         };
     }
 
-    match dlog_lint::workspace::lint_workspace_with(&root, deep) {
+    match dlog_lint::lint_workspace(&root) {
         Ok(report) => {
             if json {
                 print!("{}", report.to_json());

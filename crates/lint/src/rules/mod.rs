@@ -5,16 +5,13 @@
 //! rationale.
 
 pub mod ack_after_force;
-pub mod atomics_ordering;
 pub mod blocking_under_lock;
 pub mod hot_path_alloc;
 pub mod lock_order;
 pub mod lsn_checked_arith;
 pub mod seal_typestate;
-pub mod shared_field_lockset;
 pub mod status_parity;
 pub mod unbounded_recursion;
-pub mod view_escape;
 
 /// Every rule identifier the catalog can emit, for `lint.allow`
 /// validation — an allowlist entry naming an unknown rule is a typo
@@ -28,7 +25,4 @@ pub const ALL_RULES: &[&str] = &[
     seal_typestate::RULE,
     hot_path_alloc::RULE,
     unbounded_recursion::RULE,
-    shared_field_lockset::RULE,
-    atomics_ordering::RULE,
-    view_escape::RULE,
 ];

@@ -16,7 +16,6 @@ use crate::report::{Report, RuleTiming, Violation};
 use crate::rules;
 use crate::source::SourceFile;
 use crate::summary::{self, Summaries};
-use crate::threadsafe;
 
 /// Crates whose `src/` trees no input may crash: no confident call cycle
 /// may touch them (rule `unbounded-recursion`). `archive` runs in the
@@ -45,20 +44,6 @@ pub const LOCK_ORDER_TARGETS: &[&str] = &[
 
 /// Directories scanned for the §4.2 write-before-ack heuristic.
 pub const ACK_AFTER_FORCE_TARGETS: &[&str] = &["crates/server/src", "crates/storage/src"];
-
-/// Crates swept by the thread-safety layer (`shared-field-lockset`,
-/// `atomics-ordering`): the PR 8 concurrency surface — mem.rs inbox /
-/// sleeper state, pool.rs checkout, the runner stop flag, udp.rs
-/// promiscuous mode — plus everything the sharded server loop touches.
-/// Only already-loaded files are consulted, so fixture workspaces
-/// without all of these crates still lint.
-pub const THREADSAFE_TARGETS: &[&str] = &[
-    "crates/server/src",
-    "crates/net/src",
-    "crates/storage/src",
-    "crates/obs/src",
-    "crates/alloc/src",
-];
 
 /// Walk up from `start` to the workspace root (the directory whose
 /// `Cargo.toml` declares `[workspace]`).
@@ -143,7 +128,12 @@ impl<'a> Loader<'a> {
     }
 }
 
-fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Collect every `.rs` file under `dir` into `out`, skipping `target`
+/// and `fixtures` directories.
+///
+/// # Errors
+/// Propagates directory-listing failures.
+pub fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -197,34 +187,6 @@ fn interprocedural_pass(
     let graph = CallGraph::build(&files, &deps);
     let summaries = summary::compute(&graph, &files);
     Ok((graph, summaries))
-}
-
-/// The already-loaded files under [`THREADSAFE_TARGETS`], in path order.
-fn threadsafe_files<'a>(loader: &'a Loader<'_>) -> Vec<&'a SourceFile> {
-    loader
-        .files
-        .iter()
-        .filter(|(rel, _)| THREADSAFE_TARGETS.iter().any(|t| rel.starts_with(t)))
-        .map(|(_, f)| f)
-        .collect()
-}
-
-/// Build the thread-safety access map alone — the `--race-report`
-/// subcommand's entry point. `deep` lifts the interprocedural
-/// entry-lockset round cap.
-///
-/// # Errors
-/// Returns a message when sources or manifests cannot be read.
-pub fn build_race_report(root: &Path, deep: bool) -> Result<String, String> {
-    let mut loader = Loader::new(root);
-    let (graph, _) = interprocedural_pass(root, &mut loader)?;
-    let rounds = if deep {
-        None
-    } else {
-        Some(threadsafe::DEFAULT_ROUNDS)
-    };
-    let ts = threadsafe::analyze(&threadsafe_files(&loader), &graph, rounds);
-    Ok(ts.race_report_json())
 }
 
 /// Build the interprocedural structures alone — the `--callgraph`
@@ -316,16 +278,6 @@ fn dep_closure(root: &Path) -> Result<BTreeMap<String, BTreeSet<String>>, String
 /// is malformed (including entries naming unknown rules); rule findings
 /// are *not* errors — they land in the returned [`Report`].
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
-    lint_workspace_with(root, false)
-}
-
-/// [`lint_workspace`] with the interprocedural depth of the
-/// thread-safety layer selectable: `deep` lifts the entry-lockset
-/// fixpoint round cap (the nightly lane's `--deep`).
-///
-/// # Errors
-/// Same as [`lint_workspace`].
-pub fn lint_workspace_with(root: &Path, deep: bool) -> Result<Report, String> {
     let allow_text = fs::read_to_string(root.join("lint.allow")).unwrap_or_default();
     let allows = Allowlist::parse(&allow_text)?;
     for e in allows.entries() {
@@ -405,30 +357,6 @@ pub fn lint_workspace_with(root: &Path, deep: bool) -> Result<Report, String> {
     let t0 = Instant::now();
     raw.extend(rules::unbounded_recursion::check(&graph, HOT_PATH_CRATES));
     timings.push(RuleTiming::since(rules::unbounded_recursion::RULE, t0));
-
-    // Thread-safety layer (see `threadsafe`): struct/field discovery,
-    // lockset must-analysis, and atomic roles over the concurrency
-    // surface. Reuses the interprocedurally loaded files — no new I/O.
-    let rounds = if deep {
-        None
-    } else {
-        Some(threadsafe::DEFAULT_ROUNDS)
-    };
-    let t0 = Instant::now();
-    let ts = threadsafe::analyze(&threadsafe_files(&loader), &graph, rounds);
-    raw.extend(rules::shared_field_lockset::check(&ts));
-    timings.push(RuleTiming::since(rules::shared_field_lockset::RULE, t0));
-
-    let t0 = Instant::now();
-    raw.extend(rules::atomics_ordering::check(&ts));
-    timings.push(RuleTiming::since(rules::atomics_ordering::RULE, t0));
-
-    let t0 = Instant::now();
-    let ve = rules::view_escape::ViewEscape;
-    for rel in loader.load_targets(DataflowRule::targets(&ve))? {
-        raw.extend(dataflow::run_rule(&ve, &loader.files[rel.as_str()]));
-    }
-    timings.push(RuleTiming::since(rules::view_escape::RULE, t0));
 
     let files_scanned = loader.files.len() + 1; // + PROTOCOL.md
     let mut report = Report::build(raw, &allows, files_scanned);

@@ -279,30 +279,6 @@ fn unused_allow_entry_is_warned_and_reported() {
 }
 
 #[test]
-fn race_report_emits_json() {
-    let root = mini_workspace("race-report");
-    let out = run_at(&root, &["--race-report"]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
-    assert!(text.contains("\"structs\": ["), "stdout: {text}");
-    assert!(text.contains("\"atomics\": ["), "stdout: {text}");
-    assert!(text.contains("\"thread_roots\": ["), "stdout: {text}");
-
-    // The deep lane (no interprocedural round cap) must agree with the
-    // capped run on this tiny workspace.
-    let deep = run_at(&root, &["--race-report", "--deep"]);
-    assert_eq!(deep.status.code(), Some(0));
-    assert_eq!(out.stdout, deep.stdout);
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
 fn json_with_timing_keeps_stdout_parseable() {
     let root = mini_workspace("json-timing");
     let out = run_at(&root, &["--json", "--timing"]);

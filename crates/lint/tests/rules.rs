@@ -130,48 +130,6 @@ fn seal_typestate_fixtures() {
     assert!(vs.is_empty(), "{vs:?}");
 }
 
-/// Run the thread-safety pass over one fixture file.
-fn threadsafe_fixture(name: &str) -> dlog_lint::threadsafe::ThreadSafety {
-    let f = fixture(name);
-    let files = [&f];
-    let graph = dlog_lint::callgraph::CallGraph::build(&files, &std::collections::BTreeMap::new());
-    dlog_lint::threadsafe::analyze(&files, &graph, Some(dlog_lint::threadsafe::DEFAULT_ROUNDS))
-}
-
-#[test]
-fn shared_field_lockset_fixtures() {
-    let ts = threadsafe_fixture("shared_field_lockset_fail.rs");
-    let vs = rules::shared_field_lockset::check(&ts);
-    assert_eq!(vs.len(), 1, "{vs:?}");
-    assert_eq!(vs[0].rule, rules::shared_field_lockset::RULE);
-    assert!(vs[0].message.contains("hits"), "{}", vs[0].message);
-    let ts = threadsafe_fixture("shared_field_lockset_pass.rs");
-    let vs = rules::shared_field_lockset::check(&ts);
-    assert!(vs.is_empty(), "{vs:?}");
-}
-
-#[test]
-fn atomics_ordering_fixtures() {
-    let ts = threadsafe_fixture("atomics_ordering_fail.rs");
-    let vs = rules::atomics_ordering::check(&ts);
-    assert_eq!(vs.len(), 1, "{vs:?}");
-    assert_eq!(vs[0].rule, rules::atomics_ordering::RULE);
-    assert!(vs[0].message.contains("Relaxed"), "{}", vs[0].message);
-    assert!(vs[0].message.contains("payload"), "{}", vs[0].message);
-    let ts = threadsafe_fixture("atomics_ordering_pass.rs");
-    let vs = rules::atomics_ordering::check(&ts);
-    assert!(vs.is_empty(), "{vs:?}");
-}
-
-#[test]
-fn view_escape_fixtures() {
-    let vs = dataflow_fixture(&rules::view_escape::ViewEscape, "view_escape_fail.rs");
-    assert_eq!(vs.len(), 2, "{vs:?}");
-    assert!(vs.iter().all(|v| v.rule == rules::view_escape::RULE));
-    let vs = dataflow_fixture(&rules::view_escape::ViewEscape, "view_escape_pass.rs");
-    assert!(vs.is_empty(), "{vs:?}");
-}
-
 /// The pinned fixture expectations (shared with the tier-1 gate) must
 /// hold — a rule edit that changes what the catalog catches is drift.
 #[test]
@@ -179,7 +137,7 @@ fn fixtures_are_pinned() {
     let dir = format!("{}/tests/fixtures", env!("CARGO_MANIFEST_DIR"));
     let checked = dlog_lint::fixtures::verify_fixtures(std::path::Path::new(&dir))
         .unwrap_or_else(|e| panic!("{e}"));
-    assert!(checked >= 23, "only {checked} fixture runs checked");
+    assert!(checked >= 17, "only {checked} fixture runs checked");
 }
 
 /// The workspace itself must be clean: zero unallowlisted violations and

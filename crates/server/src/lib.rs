@@ -1180,6 +1180,67 @@ mod tests {
         ));
     }
 
+    /// A payload-carrying request decoded zero-copy leaves no view of its
+    /// receive buffer behind: once the packet and its replies are
+    /// dropped, the receiver is the buffer's only owner again, so a
+    /// pooled buffer can be reissued. One case per request whose wire
+    /// row carries `records`.
+    #[test]
+    fn handled_packets_keep_no_view_of_the_receive_buffer() {
+        let mut s = server("retain");
+        let cases = [
+            (
+                "WriteLog",
+                Message::WriteLog {
+                    client: CL,
+                    epoch: Epoch(1),
+                    records: batch(1, 3),
+                },
+            ),
+            (
+                "ForceLog",
+                Message::ForceLog {
+                    client: CL,
+                    epoch: Epoch(1),
+                    records: batch(4, 5),
+                },
+            ),
+            (
+                "CopyLog",
+                Message::Request {
+                    id: 1,
+                    body: Request::CopyLog {
+                        client: CL,
+                        epoch: Epoch(3),
+                        records: vec![LogRecord::present(Lsn(5), Epoch(3), vec![9u8; 40])],
+                    },
+                },
+            ),
+        ];
+        for (name, msg) in cases {
+            let buf = Arc::new(Packet::bare(msg).encode());
+            let pkt = Packet::decode_shared(&buf).unwrap();
+            let replies = s.handle(FROM, &pkt);
+            assert!(
+                !replies.iter().any(|(_, r)| matches!(
+                    r.msg,
+                    Message::Response {
+                        body: Response::Err { .. },
+                        ..
+                    }
+                )),
+                "{name}: {replies:?}"
+            );
+            drop((pkt, replies));
+            assert_eq!(
+                Arc::strong_count(&buf),
+                1,
+                "{name}: the server kept a view of the receive buffer"
+            );
+        }
+        assert_eq!(s.stats().records_stored, 5);
+    }
+
     #[test]
     fn stale_epoch_writes_ignored() {
         let mut s = server("stale");

@@ -31,7 +31,8 @@ use crate::stream::SegmentedStream;
 const CKPT_MAGIC: u32 = 0x444C_4B50; // "DLKP"
 
 /// CopyLog records awaiting InstallCopies: client -> epoch -> records with
-/// their stream positions.
+/// their stream positions. Install reads only a record's LSN and epoch,
+/// so [`LogStore::stage_copy`] stores them without the payload.
 type StagedMap = HashMap<ClientId, HashMap<Epoch, Vec<(LogRecord, u64)>>>;
 
 /// Where interval-table checkpoints are written (§4.3: "they may be
@@ -484,7 +485,15 @@ impl LogStore {
         // A retried CopyLog may stage the same LSN twice; the newest copy
         // wins so InstallCopies stays well-formed.
         slot.retain(|(r, _)| r.lsn != record.lsn);
-        slot.push((record.share(), pos));
+        // Install needs the LSN, epoch and position, not the payload
+        // (durable at `pos`). Keeping `record.data` would pin a
+        // zero-copy-decoded `CopyLog`'s whole receive buffer until
+        // `InstallCopies` — for good if the client crashes first.
+        let header = LogRecord {
+            data: LogData::empty(),
+            ..*record
+        };
+        slot.push((header, pos));
         self.stats.records_written += 1;
         self.stats.bytes_written += record.data.len() as u64;
         Ok(())
