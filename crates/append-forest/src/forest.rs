@@ -320,6 +320,8 @@ impl<K: Ord + Copy, V> AppendForest<K, V> {
         if n.min_key != ln.min_key {
             return Err("min_key not inherited from left son".into());
         }
+        // Recursion depth ≤ this tree's height, O(log n): each level's
+        // height was checked above to be one less than its parent's.
         self.check_subtree(l)?;
         self.check_subtree(r)
     }

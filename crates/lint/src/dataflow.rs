@@ -82,12 +82,6 @@ pub trait DataflowRule {
 
     /// Report violations for `stmt` given the facts flowing *into* it.
     fn check(&self, cx: &StmtCx<'_>, facts: &FactSet, out: &mut Vec<Violation>);
-
-    /// Called once per function with the facts reaching the exit block
-    /// (for rules about facts that must *not* survive the function).
-    fn at_exit(&self, file: &SourceFile, func: &FnSpan, facts: &FactSet, out: &mut Vec<Violation>) {
-        let _ = (file, func, facts, out);
-    }
 }
 
 /// Iteration cap: fixpoints are guaranteed by monotonicity, but a buggy
@@ -180,7 +174,6 @@ fn analyze_fn(rule: &dyn DataflowRule, file: &SourceFile, f: &FnSpan, out: &mut 
             apply(rule, &cx, &mut facts);
         }
     }
-    rule.at_exit(file, f, &inn[cfg.exit], out);
 }
 
 // ---------------------------------------------------------------------------

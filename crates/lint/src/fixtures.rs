@@ -5,16 +5,13 @@
 //! from outside — so a rule edit that silently changes what the catalog
 //! catches fails the gate even if the workspace sweep still looks clean.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use crate::callgraph::CallGraph;
 use crate::dataflow::{run_rule, DataflowRule};
 use crate::report::Violation;
 use crate::rules;
 use crate::source::SourceFile;
-use crate::summary::{self, Summaries};
 
 /// How many findings a fixture run must produce.
 enum Expect {
@@ -69,16 +66,6 @@ fn parse(dir: &Path, name: &str) -> Result<SourceFile, String> {
         &format!("crates/storage/src/{name}"),
         &read(dir, name)?,
     ))
-}
-
-/// Build the interprocedural state for one single-file fixture: the
-/// call graph over just that file (all in-file calls resolve same-file,
-/// so an empty dependency map suffices) plus its summaries.
-fn interprocedural(file: &SourceFile) -> (CallGraph, Summaries) {
-    let files = [file];
-    let graph = CallGraph::build(&files, &BTreeMap::new());
-    let summaries = summary::compute(&graph, &files);
-    (graph, summaries)
 }
 
 fn run_dataflow(
@@ -188,52 +175,6 @@ pub fn verify_fixtures(dir: &Path) -> Result<usize, String> {
         3,
     )?;
     run_dataflow(&mut drift, dir, &rules::seal_typestate::SealTypestate, 2)?;
-
-    // Interprocedural rules: graph + summaries per fixture file.
-    {
-        let fail = parse(dir, "hot_path_alloc_fail.rs")?;
-        let (graph, summaries) = interprocedural(&fail);
-        drift.record(
-            "hot_path_alloc_fail.rs",
-            rules::hot_path_alloc::RULE,
-            &rules::hot_path_alloc::check(
-                &graph,
-                &summaries,
-                &[("crates/storage/src/hot_path_alloc_fail.rs", "handle")],
-            ),
-            &Expect::Exactly(2),
-        );
-        let pass = parse(dir, "hot_path_alloc_pass.rs")?;
-        let (graph, summaries) = interprocedural(&pass);
-        drift.record(
-            "hot_path_alloc_pass.rs",
-            rules::hot_path_alloc::RULE,
-            &rules::hot_path_alloc::check(
-                &graph,
-                &summaries,
-                &[("crates/storage/src/hot_path_alloc_pass.rs", "handle")],
-            ),
-            &Expect::Clean,
-        );
-    }
-    {
-        let fail = parse(dir, "unbounded_recursion_fail.rs")?;
-        let (graph, _) = interprocedural(&fail);
-        drift.record(
-            "unbounded_recursion_fail.rs",
-            rules::unbounded_recursion::RULE,
-            &rules::unbounded_recursion::check(&graph, &["crates/storage/src"]),
-            &Expect::Exactly(1),
-        );
-        let pass = parse(dir, "unbounded_recursion_pass.rs")?;
-        let (graph, _) = interprocedural(&pass);
-        drift.record(
-            "unbounded_recursion_pass.rs",
-            rules::unbounded_recursion::RULE,
-            &rules::unbounded_recursion::check(&graph, &["crates/storage/src"]),
-            &Expect::Clean,
-        );
-    }
 
     if drift.problems.is_empty() {
         Ok(drift.checked)

@@ -5,17 +5,11 @@
 //! cargo run -p dlog-lint -- --json    # machine-readable report
 //! cargo run -p dlog-lint -- --timing  # append per-rule wall time
 //! cargo run -p dlog-lint -- --root /path/to/workspace
-//! cargo run -p dlog-lint -- --callgraph          # resolved call graph
-//! cargo run -p dlog-lint -- --callgraph --dot    # Graphviz rendering
-//! cargo run -p dlog-lint -- --callgraph --json   # per-fn summaries
 //! ```
 //!
-//! Exit status: 0 when clean (modulo `lint.allow`), 1 on violations,
-//! 2 on usage or I/O errors (an unknown flag included). With
-//! `--json --timing` the timing table goes to stderr so stdout stays
-//! valid JSON. `--callgraph` dumps the interprocedural engine's view of
-//! the workspace and always exits 0 on success (it reports structure,
-//! not findings).
+//! Exit status: 0 when clean, 1 on violations, 2 on usage or I/O
+//! errors (an unknown flag included). With `--json --timing` the timing
+//! table goes to stderr so stdout stays valid JSON.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -23,16 +17,12 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut json = false;
     let mut timing = false;
-    let mut callgraph = false;
-    let mut dot = false;
     let mut root_arg: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
             "--timing" => timing = true,
-            "--callgraph" => callgraph = true,
-            "--dot" => dot = true,
             "--root" => match args.next() {
                 Some(p) => root_arg = Some(PathBuf::from(p)),
                 None => {
@@ -41,9 +31,7 @@ fn main() -> ExitCode {
                 }
             },
             "--help" | "-h" => {
-                println!(
-                    "usage: dlog-lint [--json] [--timing] [--root PATH] [--callgraph [--dot]]"
-                );
+                println!("usage: dlog-lint [--json] [--timing] [--root PATH]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -51,10 +39,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-    if dot && !callgraph {
-        eprintln!("error: --dot requires --callgraph");
-        return ExitCode::from(2);
     }
 
     let root = match root_arg {
@@ -76,31 +60,6 @@ fn main() -> ExitCode {
             }
         }
     };
-
-    if callgraph {
-        return match dlog_lint::workspace::build_callgraph(&root) {
-            Ok((graph, summaries)) => {
-                if dot {
-                    print!("{}", dlog_lint::summary::render_callgraph_dot(&graph));
-                } else if json {
-                    print!(
-                        "{}",
-                        dlog_lint::summary::render_callgraph_json(&graph, &summaries)
-                    );
-                } else {
-                    print!(
-                        "{}",
-                        dlog_lint::summary::render_callgraph_text(&graph, &summaries)
-                    );
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
 
     match dlog_lint::lint_workspace(&root) {
         Ok(report) => {

@@ -1,6 +1,4 @@
-//! Findings, allowlist application, and the human/JSON renderings.
-
-use crate::allow::Allowlist;
+//! Findings and their human/JSON renderings.
 
 /// One rule finding at a source location.
 #[derive(Clone, Debug)]
@@ -41,12 +39,8 @@ impl RuleTiming {
 /// Outcome of a workspace lint run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Findings not covered by `lint.allow` — these fail the gate.
+    /// Every finding, sorted by file, line and rule — each fails the gate.
     pub violations: Vec<Violation>,
-    /// Findings covered by an allowlist entry (audited exceptions).
-    pub allowed: Vec<Violation>,
-    /// `lint.allow` entries that matched nothing (stale — warn).
-    pub unused_allows: Vec<String>,
     /// Number of files scanned.
     pub files_scanned: usize,
     /// Per-rule wall time, in catalog order. Not part of the JSON
@@ -55,41 +49,20 @@ pub struct Report {
 }
 
 impl Report {
-    /// Partition raw findings against the allowlist.
+    /// Sort raw findings into a report.
     #[must_use]
-    pub fn build(mut raw: Vec<Violation>, allows: &Allowlist, files_scanned: usize) -> Report {
-        raw.sort_by(|a, b| {
+    pub fn build(mut violations: Vec<Violation>, files_scanned: usize) -> Report {
+        violations.sort_by(|a, b| {
             (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
         });
-        let mut used = vec![false; allows.len()];
-        let mut violations = Vec::new();
-        let mut allowed = Vec::new();
-        for v in raw {
-            match allows.matches(v.rule, &v.file, &v.scope) {
-                Some(idx) => {
-                    used[idx] = true;
-                    allowed.push(v);
-                }
-                None => violations.push(v),
-            }
-        }
-        let unused_allows = allows
-            .entries()
-            .iter()
-            .zip(&used)
-            .filter(|(_, u)| !**u)
-            .map(|(e, _)| e.display())
-            .collect();
         Report {
             violations,
-            allowed,
-            unused_allows,
             files_scanned,
             timings: Vec::new(),
         }
     }
 
-    /// True when the workspace is clean modulo the allowlist.
+    /// True when the workspace has no findings.
     #[must_use]
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
@@ -101,7 +74,6 @@ impl Report {
         let mut s = String::from("{\n");
         s.push_str(&format!("  \"ok\": {},\n", self.ok()));
         s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        s.push_str(&format!("  \"allowed\": {},\n", self.allowed.len()));
         s.push_str("  \"violations\": [");
         for (i, v) in self.violations.iter().enumerate() {
             if i > 0 {
@@ -119,13 +91,6 @@ impl Report {
         if !self.violations.is_empty() {
             s.push_str("\n  ");
         }
-        s.push_str("],\n  \"unused_allow_entries\": [");
-        for (i, e) in self.unused_allows.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&json_str(e));
-        }
         s.push_str("]\n}\n");
         s
     }
@@ -140,14 +105,10 @@ impl Report {
                 v.file, v.line, v.rule, v.scope, v.message
             ));
         }
-        for e in &self.unused_allows {
-            s.push_str(&format!("warning: unused lint.allow entry: {e}\n"));
-        }
         s.push_str(&format!(
-            "{} file(s) scanned, {} violation(s), {} allowlisted\n",
+            "{} file(s) scanned, {} violation(s)\n",
             self.files_scanned,
-            self.violations.len(),
-            self.allowed.len()
+            self.violations.len()
         ));
         s
     }
@@ -176,7 +137,7 @@ impl Report {
 }
 
 /// Escape a string for JSON output.
-pub(crate) fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -197,34 +158,6 @@ pub(crate) fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allow::Allowlist;
-
-    fn v(rule: &'static str, file: &str, scope: &str) -> Violation {
-        Violation {
-            rule,
-            file: file.to_string(),
-            line: 1,
-            scope: scope.to_string(),
-            message: "m".to_string(),
-        }
-    }
-
-    #[test]
-    fn allowlist_partitions_and_tracks_usage() {
-        let allows = Allowlist::parse(
-            "hot-path-alloc crates/a.rs f # fine\nlock-order crates/b.rs * # stale\n",
-        )
-        .unwrap();
-        let raw = vec![
-            v("hot-path-alloc", "crates/a.rs", "f"),
-            v("hot-path-alloc", "crates/a.rs", "g"),
-        ];
-        let r = Report::build(raw, &allows, 2);
-        assert_eq!(r.violations.len(), 1);
-        assert_eq!(r.allowed.len(), 1);
-        assert_eq!(r.unused_allows.len(), 1);
-        assert!(!r.ok());
-    }
 
     #[test]
     fn json_is_escaped() {
@@ -235,7 +168,7 @@ mod tests {
             scope: "s".into(),
             message: "line1\nline2".into(),
         }];
-        let r = Report::build(raw, &Allowlist::default(), 1);
+        let r = Report::build(raw, 1);
         let j = r.to_json();
         assert!(j.contains("a\\\"b.rs"));
         assert!(j.contains("line1\\nline2"));

@@ -20,9 +20,8 @@ use crate::report::Violation;
 /// Rule identifier.
 pub const RULE: &str = "blocking-under-lock";
 
-/// Method names that block on a device or peer. Shared with the
-/// interprocedural summary seeds ([`crate::summary`]).
-pub const BLOCKING_CALLS: &[&str] = &[
+/// Method names that block on a device or peer.
+const BLOCKING_CALLS: &[&str] = &[
     "force",
     "sync_all",
     "sync_data",
@@ -48,8 +47,44 @@ impl DataflowRule for BlockingUnderLock {
         &["crates/server/src", "crates/storage/src", "crates/net/src"]
     }
 
+    /// Guard liveness: `let g = _.lock()` gens a `guard:g` fact, killed
+    /// by `drop(g)`, shadowing, or scope exit (the engine handles the
+    /// latter via `decl`).
     fn transfer(&self, cx: &StmtCx<'_>, facts: &mut FactSet) {
-        guard_transfer(cx, facts);
+        let toks = cx.tokens();
+        let binds = let_bindings(cx);
+        // Shadowing: a fresh `let g = …` ends the old guard's life.
+        for (_, name) in &binds {
+            kill_key_prefix(facts, &format!("guard:{name}"));
+        }
+        // `drop(g)` / `mem::drop(g)` kills the guard explicitly.
+        for i in 0..toks.len() {
+            if toks[i].is("drop")
+                && toks.get(i + 1).is_some_and(|t| t.is("("))
+                && toks.get(i + 3).is_some_and(|t| t.is(")"))
+            {
+                if let Some(g) = toks.get(i + 2) {
+                    kill_key_prefix(facts, &format!("guard:{}", g.text));
+                }
+            }
+        }
+        // `let g = expr.lock();` gens a live-guard fact. A `.lock()` in
+        // a non-`let` statement is a temporary: dropped at the `;`.
+        let locks: Vec<usize> = method_calls(cx)
+            .into_iter()
+            .filter(|&i| toks[i].is("lock"))
+            .collect();
+        if locks.is_empty() || binds.is_empty() {
+            return;
+        }
+        let origin = cx.stmt.lo + locks[0];
+        for (decl, name) in binds {
+            facts.insert(Fact {
+                key: format!("guard:{name}"),
+                decl: Some(decl),
+                origin,
+            });
+        }
     }
 
     fn check(&self, cx: &StmtCx<'_>, facts: &FactSet, out: &mut Vec<Violation>) {
@@ -112,133 +147,6 @@ impl DataflowRule for BlockingUnderLock {
                         ),
                     ));
                 }
-            }
-        }
-    }
-}
-
-/// Guard-liveness transfer function, shared by the intraprocedural
-/// rule above and the interprocedural variant below: `let g = _.lock()`
-/// gens a `guard:g` fact, killed by `drop(g)`, shadowing, or scope
-/// exit (the engine handles the latter via `decl`).
-pub fn guard_transfer(cx: &StmtCx<'_>, facts: &mut FactSet) {
-    let toks = cx.tokens();
-    let binds = let_bindings(cx);
-    // Shadowing: a fresh `let g = …` ends the old guard's life.
-    for (_, name) in &binds {
-        kill_key_prefix(facts, &format!("guard:{name}"));
-    }
-    // `drop(g)` / `mem::drop(g)` kills the guard explicitly.
-    for i in 0..toks.len() {
-        if toks[i].is("drop")
-            && toks.get(i + 1).is_some_and(|t| t.is("("))
-            && toks.get(i + 3).is_some_and(|t| t.is(")"))
-        {
-            if let Some(g) = toks.get(i + 2) {
-                kill_key_prefix(facts, &format!("guard:{}", g.text));
-            }
-        }
-    }
-    // `let g = expr.lock();` gens a live-guard fact. A `.lock()` in
-    // a non-`let` statement is a temporary: dropped at the `;`.
-    let locks: Vec<usize> = method_calls(cx)
-        .into_iter()
-        .filter(|&i| toks[i].is("lock"))
-        .collect();
-    if locks.is_empty() || binds.is_empty() {
-        return;
-    }
-    let origin = cx.stmt.lo + locks[0];
-    for (decl, name) in binds {
-        facts.insert(Fact {
-            key: format!("guard:{name}"),
-            decl: Some(decl),
-            origin,
-        });
-    }
-}
-
-/// Interprocedural promotion of `blocking-under-lock`: a call to a
-/// helper whose *summary* says it may block — even though its name is
-/// not itself in [`BLOCKING_CALLS`] — while a mutex guard is live. The
-/// direct-name case is covered by [`BlockingUnderLock`]; this variant
-/// only reports transitive blockers, with the call-chain witness.
-pub struct BlockingUnderLockIpa<'a> {
-    graph: &'a crate::callgraph::CallGraph,
-    summaries: &'a crate::summary::Summaries,
-    /// `(file path, absolute call token) → caller fn, site index`.
-    sites: std::collections::BTreeMap<(String, usize), (usize, usize)>,
-}
-
-impl<'a> BlockingUnderLockIpa<'a> {
-    /// Index the call graph's sites by (path, token) for O(log n)
-    /// lookup from statement context.
-    #[must_use]
-    pub fn new(
-        graph: &'a crate::callgraph::CallGraph,
-        summaries: &'a crate::summary::Summaries,
-    ) -> Self {
-        let mut sites = std::collections::BTreeMap::new();
-        for (f, calls) in graph.calls.iter().enumerate() {
-            for (si, site) in calls.iter().enumerate() {
-                sites.insert((graph.defs[f].path.clone(), site.token), (f, si));
-            }
-        }
-        Self {
-            graph,
-            summaries,
-            sites,
-        }
-    }
-}
-
-impl DataflowRule for BlockingUnderLockIpa<'_> {
-    fn rule(&self) -> &'static str {
-        RULE
-    }
-
-    fn targets(&self) -> &'static [&'static str] {
-        &["crates/server/src", "crates/storage/src", "crates/net/src"]
-    }
-
-    fn transfer(&self, cx: &StmtCx<'_>, facts: &mut FactSet) {
-        guard_transfer(cx, facts);
-    }
-
-    fn check(&self, cx: &StmtCx<'_>, facts: &FactSet, out: &mut Vec<Violation>) {
-        if facts.iter().all(|f| !f.key.starts_with("guard:")) {
-            return;
-        }
-        let toks = cx.tokens();
-        for i in 0..toks.len() {
-            let abs = cx.stmt.lo + i;
-            let Some(&(caller, si)) = self.sites.get(&(cx.file.path.clone(), abs)) else {
-                continue;
-            };
-            let site = &self.graph.calls[caller][si];
-            // Direct blocking names are the base rule's findings.
-            if BLOCKING_CALLS.contains(&site.name.as_str()) {
-                continue;
-            }
-            let Some(&c) = site
-                .callees
-                .iter()
-                .find(|&&c| self.summaries.fns[c].may_block.is_some())
-            else {
-                continue;
-            };
-            let chain = self.summaries.block_chain(self.graph, c);
-            for f in facts.iter().filter(|f| f.key.starts_with("guard:")) {
-                let guard = f.key.trim_start_matches("guard:");
-                out.push(cx.violation(
-                    RULE,
-                    i,
-                    format!(
-                        "call chain may block: {} → {chain} while mutex guard `{guard}` \
-                         (acquired line {}) is held (§4.1)",
-                        self.graph.defs[caller].name, cx.file.tokens[f.origin].line
-                    ),
-                ));
             }
         }
     }

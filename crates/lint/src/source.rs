@@ -62,7 +62,7 @@ impl SourceFile {
             .min_by_key(|f| f.close - f.open)
     }
 
-    /// Scope label for reporting/allowlisting: the enclosing function
+    /// Scope label for reporting: the enclosing function
     /// name, or `<file>` for file-level findings.
     #[must_use]
     pub fn scope_at(&self, i: usize) -> String {

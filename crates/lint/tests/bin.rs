@@ -123,6 +123,15 @@ fn exit_two_on_usage_error() {
 }
 
 #[test]
+fn retired_callgraph_flags_are_unknown() {
+    for flag in ["--callgraph", "--dot"] {
+        let out = run(&[flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
+    }
+}
+
+#[test]
 fn exit_two_on_io_error() {
     let out = run(&["--root", "/nonexistent/dlog-lint-missing"]);
     assert_eq!(out.status.code(), Some(2));
@@ -130,26 +139,11 @@ fn exit_two_on_io_error() {
 }
 
 #[test]
-fn exit_two_on_unknown_allowlist_rule() {
-    let root = mini_workspace("bad-allow");
-    write(
-        &root,
-        "lint.allow",
-        "no-such-rule crates/net/src/wire.rs * # typo'd rule id\n",
-    );
-    let out = run_at(&root, &[]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown rule"));
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
 fn json_schema_snapshot_clean() {
     let root = mini_workspace("json-clean");
     let out = run_at(&root, &["--json"]);
     assert_eq!(out.status.code(), Some(0));
-    let expected = "{\n  \"ok\": true,\n  \"files_scanned\": 5,\n  \"allowed\": 0,\n  \
-                    \"violations\": [],\n  \"unused_allow_entries\": []\n}\n";
+    let expected = "{\n  \"ok\": true,\n  \"files_scanned\": 5,\n  \"violations\": []\n}\n";
     assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
     let _ = fs::remove_dir_all(&root);
 }
@@ -164,14 +158,12 @@ fn json_schema_snapshot_violation() {
         "{\n",
         "  \"ok\": false,\n",
         "  \"files_scanned\": 6,\n",
-        "  \"allowed\": 0,\n",
         "  \"violations\": [\n",
         "    {\"rule\": \"lsn-checked-arith\", \"file\": \"crates/storage/src/bad.rs\", ",
         "\"line\": 2, \"scope\": \"sloppy\", \"message\": \"raw `+` on LSN/epoch/sequence \
          value `lsn`; use `checked_add`/`saturating_add` \u{2014} \u{a7}3.1.2 monotonicity \
          depends on no silent wraparound\"}\n",
-        "  ],\n",
-        "  \"unused_allow_entries\": []\n",
+        "  ]\n",
         "}\n",
     );
     assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
@@ -188,93 +180,6 @@ fn timing_flag_prints_all_rules() {
     for rule in dlog_lint::rules::ALL_RULES {
         assert!(text.contains(rule), "missing timing row for {rule}: {text}");
     }
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn callgraph_text_dumps_functions() {
-    let root = mini_workspace("cg-text");
-    let out = run_at(&root, &["--callgraph"]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("crates/net/src/wire.rs::encode_response"),
-        "stdout: {text}"
-    );
-    assert!(text.contains("summary pass(es)"), "stdout: {text}");
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn callgraph_dot_is_a_digraph() {
-    let root = mini_workspace("cg-dot");
-    let out = run_at(&root, &["--callgraph", "--dot"]);
-    assert_eq!(out.status.code(), Some(0));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.starts_with("digraph dlog_callgraph {"),
-        "stdout: {text}"
-    );
-    assert!(text.trim_end().ends_with('}'), "stdout: {text}");
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn callgraph_json_includes_summaries() {
-    let root = mini_workspace("cg-json");
-    let out = run_at(&root, &["--callgraph", "--json"]);
-    assert_eq!(out.status.code(), Some(0));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
-    assert!(text.contains("\"fns\": ["), "stdout: {text}");
-    assert!(text.contains("\"may_block\": "), "stdout: {text}");
-    assert!(text.contains("\"summary_passes\": "), "stdout: {text}");
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn callgraph_exit_two_on_io_error() {
-    let out = run(&["--callgraph", "--root", "/nonexistent/dlog-lint-missing"]);
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn dot_without_callgraph_is_a_usage_error() {
-    let out = run(&["--dot"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--dot requires --callgraph"));
-}
-
-#[test]
-fn unused_allow_entry_is_warned_and_reported() {
-    let root = mini_workspace("stale-allow");
-    write(
-        &root,
-        "lint.allow",
-        "lock-order crates/net/src/wire.rs no_such_fn # audited exception that went stale\n",
-    );
-    let out = run_at(&root, &[]);
-    // Stale entries warn but do not fail the gate by themselves.
-    assert_eq!(out.status.code(), Some(0));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("warning: unused lint.allow entry"),
-        "stdout: {text}"
-    );
-
-    let out = run_at(&root, &["--json"]);
-    let json = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        json.contains(
-            "\"unused_allow_entries\": [\"lint.allow:1: lock-order crates/net/src/wire.rs no_such_fn\"]"
-        ),
-        "stdout: {json}"
-    );
     let _ = fs::remove_dir_all(&root);
 }
 

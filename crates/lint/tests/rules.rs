@@ -137,12 +137,12 @@ fn fixtures_are_pinned() {
     let dir = format!("{}/tests/fixtures", env!("CARGO_MANIFEST_DIR"));
     let checked = dlog_lint::fixtures::verify_fixtures(std::path::Path::new(&dir))
         .unwrap_or_else(|e| panic!("{e}"));
-    assert!(checked >= 17, "only {checked} fixture runs checked");
+    assert!(checked >= 13, "only {checked} fixture runs checked");
 }
 
-/// The workspace itself must be clean: zero unallowlisted violations and
-/// no stale `lint.allow` entries. This is the same invariant the tier-1
-/// gate (`tests/lint_gate.rs`) enforces from the bench crate.
+/// The workspace itself must be clean: zero violations. This is the
+/// same invariant the tier-1 gate (`tests/lint_gate.rs`) enforces from
+/// the bench crate.
 #[test]
 fn workspace_self_check_is_clean() {
     let root = dlog_lint::find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))

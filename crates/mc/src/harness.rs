@@ -176,6 +176,8 @@ impl SyncWorld {
                 };
                 (replies, flushed)
             };
+            // Recursion depth ≤ 2: servers reply only to clients, and a
+            // client-bound packet is queued below, never routed onward.
             for (rto, rpkt) in replies.into_iter().chain(flushed) {
                 self.deliver(to, rto, &rpkt);
             }

@@ -1658,8 +1658,98 @@ mod tests {
         assert_eq!(s.stats().records_stored, (64 + PACKETS) * PER_PACKET);
         // 8 000 records fill 31 index nodes of INDEX_FANOUT = 256 and part
         // of a 32nd: per node, the position vector's doublings up to 256
-        // entries and the node's move into the forest (`lint.allow`:
-        // lsn_index.rs append).
+        // entries and the node's move into the forest (`LsnIndex::append`
+        // in append-forest's lsn_index.rs).
         assert_eq!(allocs, 251, "allocations over {PACKETS} packets");
+    }
+
+    /// What one `ReadLogForward`/`ReadLogBackward` of eight records
+    /// allocates on the server thread, pinned per request: the reply's
+    /// record vector plus, per record, its payload copy and the `Arc`
+    /// around it (17) while the records sit in NVRAM; after a reopen has
+    /// moved them into sealed segments, also the segment file's path,
+    /// allocated and then grown by `Path::join`, for each of the two reads
+    /// a frame takes: envelope, then whole frame (49).
+    #[test]
+    fn read_batches_allocate_a_fixed_count_per_request() {
+        const RECORDS: u64 = 256;
+        const MAX: u32 = 8;
+        let dir = tmpdir("read-alloc-budget");
+        // 90-byte payloads make 128-byte frames, 32 to a 4 KiB segment:
+        // no frame straddles two segment files.
+        let opts = StoreOptions {
+            fsync: false,
+            checkpoint_every: 0,
+            segment_bytes: 4096,
+            ..StoreOptions::default()
+        };
+        let open = |nvram: NvramDevice| {
+            let store = LogStore::open(&dir, opts.clone(), nvram).unwrap();
+            let gens = GenStore::open(dir.join("gens")).unwrap();
+            LogServer::new(ServerConfig::new(ServerId(1)), store, gens).unwrap()
+        };
+        let requests: Vec<Packet> = (1..=RECORDS - u64::from(MAX))
+            .step_by(MAX as usize)
+            .flat_map(|lsn| {
+                let forward = Request::ReadLogForward {
+                    client: CL,
+                    lsn: Lsn(lsn),
+                    max_records: MAX,
+                };
+                let backward = Request::ReadLogBackward {
+                    client: CL,
+                    lsn: Lsn(lsn + u64::from(MAX) - 1),
+                    max_records: MAX,
+                };
+                [forward, backward].map(|body| Packet::bare(Message::Request { id: lsn, body }))
+            })
+            .collect();
+        let mut out = Vec::with_capacity(4);
+        let mut allocs_per_request = |s: &mut LogServer, want: u64| {
+            // Warm-up: reply buffer and store scratch.
+            for pkt in &requests[..4] {
+                s.handle_into(FROM, pkt, &mut out);
+                out.clear();
+            }
+            for pkt in &requests {
+                let before = dlog_obs::gauge::thread_allocs();
+                s.handle_into(FROM, pkt, &mut out);
+                let allocs = dlog_obs::gauge::thread_allocs() - before;
+                let [(_, reply)] = &out[..] else {
+                    panic!("one reply expected, got {out:?}");
+                };
+                let Message::Response {
+                    body: Response::Records { records },
+                    ..
+                } = &reply.msg
+                else {
+                    panic!("unexpected reply {reply:?}");
+                };
+                assert_eq!(records.len(), MAX as usize);
+                assert_eq!(allocs, want, "allocations serving {:?}", pkt.msg);
+                out.clear();
+            }
+        };
+
+        let mut s = open(NvramDevice::new(1 << 20));
+        let records = (1..=RECORDS)
+            .map(|i| (Lsn(i), LogData::from(vec![i as u8; 90])))
+            .collect();
+        s.handle(
+            FROM,
+            &Packet::bare(Message::ForceLog {
+                client: CL,
+                epoch: Epoch(1),
+                records,
+            }),
+        );
+        assert_eq!(s.store_stats().tracks_flushed, 0, "records still in NVRAM");
+        allocs_per_request(&mut s, 17);
+
+        let nvram = s.store_mut().nvram();
+        drop(s);
+        let mut s = open(nvram);
+        assert_eq!(s.store_mut().sealed_segments(), (0..8).collect::<Vec<_>>());
+        allocs_per_request(&mut s, 49);
     }
 }

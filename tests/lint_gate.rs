@@ -1,22 +1,23 @@
 //! Tier-1 gate: the workspace must be clean under `dlog-lint`.
 //!
-//! One pass runs the full eight-rule catalog — the three lexical rules
-//! (lock-order, ack-after-force, status-parity), the three
-//! flow-sensitive rules on the dataflow engine (blocking-under-lock,
-//! lsn-checked-arith, seal-typestate) and the interprocedural rules
-//! (hot-path-alloc, unbounded-recursion) — against the repository and
-//! fails `cargo test` on any violation not covered by a justified
-//! `lint.allow` entry, on stale allowlist entries, on fixture drift (a
-//! rule whose pinned pass/fail fixtures no longer behave), and on a
-//! blown latency budget. The same report is available interactively via
-//! `cargo run -p dlog-lint` (add `--timing` for the per-rule table).
+//! One pass runs the full six-rule catalog on its two engines — the
+//! three lexical rules (lock-order, ack-after-force, status-parity) and
+//! the three flow-sensitive rules on the dataflow engine
+//! (blocking-under-lock, lsn-checked-arith, seal-typestate) — against
+//! the repository and fails `cargo test` on any violation, on fixture
+//! drift (a rule whose pinned pass/fail fixtures no longer behave), and
+//! on a blown latency budget. The same report is available
+//! interactively via `cargo run -p dlog-lint` (add `--timing` for the
+//! per-rule table).
 //!
-//! Forbid-unsafe, must-use discards, panic-freedom and thread safety
-//! are the compiler's and clippy's (`[workspace.lints]`, the hot-path
-//! crate roots' `deny(clippy::…)`, `Send`/`Sync` and `Mutex<T>`); this
-//! file keeps only the guarantees that no member can leave the
-//! workspace lint table and that no source can opt out of the
-//! compiler's thread-safety proof.
+//! Forbid-unsafe, must-use discards, unconditional recursion,
+//! panic-freedom and thread safety are the compiler's and clippy's
+//! (`[workspace.lints]`, the hot-path crate roots' `deny(clippy::…)`,
+//! `Send`/`Sync` and `Mutex<T>`); this file keeps only the guarantees
+//! that no member can leave the workspace lint table and that no source
+//! can opt out of the compiler's thread-safety proof. Hot-path
+//! allocation is counted, not linted: `dlog-server`'s and `dlog-core`'s
+//! tests pin allocations per packet, per read request and per commit.
 
 use std::fs;
 use std::path::Path;
@@ -35,15 +36,9 @@ fn workspace_passes_dlog_lint() {
     let elapsed = t0.elapsed();
     assert!(
         report.ok(),
-        "dlog-lint found unallowlisted violations — fix them or add a \
-         justified entry to lint.allow:\n{}",
+        "dlog-lint found violations — fix them in code (docs/LINT.md, \
+         \"Resolving a finding\"):\n{}",
         report.to_text()
-    );
-    assert!(
-        report.unused_allows.is_empty(),
-        "stale lint.allow entries (the code they excused is gone — remove \
-         them):\n{}",
-        report.unused_allows.join("\n")
     );
     // Sanity: the run actually scanned the workspace and every rule ran.
     assert!(report.files_scanned > 20, "suspiciously few files scanned");
@@ -54,10 +49,9 @@ fn workspace_passes_dlog_lint() {
         );
     }
     // Latency budget: the gate runs on every `cargo test`; the full
-    // catalog (CFG construction, dataflow fixpoints, and the
-    // interprocedural call-graph + summary passes) must stay
-    // interactive. Measured ~450ms debug; 4s leaves ~9x headroom
-    // for slow CI machines.
+    // catalog (lexical scans, CFG construction and dataflow fixpoints)
+    // must stay interactive. Measured ~100ms debug; 4s leaves ~40x
+    // headroom for slow CI machines.
     assert!(
         elapsed.as_secs_f64() < 4.0,
         "full-workspace lint took {elapsed:?} (budget 4s) — see \
@@ -74,7 +68,7 @@ fn workspace_passes_dlog_lint() {
 fn rule_fixtures_have_not_drifted() {
     let dir = root().join("crates/lint/tests/fixtures");
     let checked = dlog_lint::fixtures::verify_fixtures(&dir).unwrap_or_else(|e| panic!("{e}"));
-    assert!(checked >= 17, "only {checked} fixture runs checked");
+    assert!(checked >= 13, "only {checked} fixture runs checked");
 }
 
 /// The lines of one TOML table (`header` excluded), trimmed.
@@ -87,17 +81,23 @@ fn table<'a>(toml: &'a str, header: &str) -> Vec<&'a str> {
         .collect()
 }
 
-/// `unsafe_code = "forbid"` and `unused_must_use = "deny"` bind only the
-/// members that opt in to `[workspace.lints]`, so a new crate that
-/// forgets `[lints] workspace = true` would compile `unsafe` blocks and
-/// silently dropped `Result`s. `crates/alloc` is the one exception: it
-/// implements the unsafe `GlobalAlloc` trait under its own `deny` table.
+/// `unsafe_code = "forbid"`, `unused_must_use = "deny"` and
+/// `unconditional_recursion = "deny"` bind only the members that opt in
+/// to `[workspace.lints]`, so a new crate that forgets
+/// `[lints] workspace = true` would compile `unsafe` blocks, silently
+/// dropped `Result`s and functions that can only recurse. `crates/alloc`
+/// is the one exception: it implements the unsafe `GlobalAlloc` trait
+/// under its own `deny` table.
 #[test]
 fn every_member_inherits_the_workspace_lints() {
     let root = root();
     let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root Cargo.toml");
     let lints = table(&manifest, "[workspace.lints.rust]");
-    for want in ["unsafe_code = \"forbid\"", "unused_must_use = \"deny\""] {
+    for want in [
+        "unsafe_code = \"forbid\"",
+        "unused_must_use = \"deny\"",
+        "unconditional_recursion = \"deny\"",
+    ] {
         assert!(
             lints.contains(&want),
             "[workspace.lints.rust] lost `{want}`"
@@ -113,7 +113,11 @@ fn every_member_inherits_the_workspace_lints() {
             checked += 1;
             if path.ends_with("crates/alloc/Cargo.toml") {
                 let own = table(&text, "[lints.rust]");
-                for want in ["unsafe_code = \"deny\"", "unused_must_use = \"deny\""] {
+                for want in [
+                    "unsafe_code = \"deny\"",
+                    "unused_must_use = \"deny\"",
+                    "unconditional_recursion = \"deny\"",
+                ] {
                     assert!(own.contains(&want), "crates/alloc lost `{want}`");
                 }
             } else {
