@@ -1668,8 +1668,8 @@ mod tests {
     /// record vector plus, per record, its payload copy and the `Arc`
     /// around it (17) while the records sit in NVRAM; after a reopen has
     /// moved them into sealed segments, also the segment file's path,
-    /// allocated and then grown by `Path::join`, for each of the two reads
-    /// a frame takes: envelope, then whole frame (49).
+    /// allocated and then grown by `Path::join`, for the one positional
+    /// read that fetches each frame's envelope and body together (33).
     #[test]
     fn read_batches_allocate_a_fixed_count_per_request() {
         const RECORDS: u64 = 256;
@@ -1750,6 +1750,6 @@ mod tests {
         drop(s);
         let mut s = open(nvram);
         assert_eq!(s.store_mut().sealed_segments(), (0..8).collect::<Vec<_>>());
-        allocs_per_request(&mut s, 49);
+        allocs_per_request(&mut s, 33);
     }
 }

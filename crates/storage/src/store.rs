@@ -23,12 +23,17 @@ use dlog_types::{
 };
 
 use crate::crc::crc32;
-use crate::frame::Frame;
+use crate::frame::{Frame, ENVELOPE_BYTES};
 use crate::intervals::IntervalTable;
 use crate::nvram::{GuardError, NvramDevice, Tail};
 use crate::stream::SegmentedStream;
 
 const CKPT_MAGIC: u32 = 0x444C_4B50; // "DLKP"
+
+/// Most bytes a frame's first read takes. Every frame the benchmark
+/// writes (146–302 B) and a typical record fit, so a cold read is one
+/// positional read of its segment; a longer frame costs a second.
+const FRAME_READ_WINDOW: usize = 1024;
 
 /// CopyLog records awaiting InstallCopies: client -> epoch -> records with
 /// their stream positions. Install reads only a record's LSN and epoch,
@@ -832,17 +837,45 @@ impl LogStore {
         Ok(())
     }
 
+    /// Decode the frame at `pos` in one read when it fits the first read's
+    /// window (see `first_read_len`); only a longer frame, or one that
+    /// crosses a segment boundary, is read again whole.
     fn read_frame_at(&mut self, pos: u64) -> Result<Frame> {
-        self.read_bytes_into_scratch(pos, 8)?;
+        let first = self.first_read_len(pos);
+        self.read_bytes_into_scratch(pos, first)?;
         let body_len = dlog_types::bytes::u32_le_at(&self.scratch, 0)
             .ok_or_else(|| DlogError::Corrupt("short frame envelope".into()))?
             as usize;
-        let total = 8 + body_len;
-        self.read_bytes_into_scratch(pos, total)?;
+        let total = ENVELOPE_BYTES + body_len;
+        if total > first {
+            self.read_bytes_into_scratch(pos, total)?;
+        }
+        // `decode` checks the length, CRC and body of exactly the frame's
+        // `total` bytes; whatever else the window caught is ignored.
         match Frame::decode(&self.scratch)? {
             Some((frame, _)) => Ok(frame),
             None => Err(DlogError::Corrupt("unreadable frame".into())),
         }
+    }
+
+    /// How many bytes the first read of a frame at `pos` takes: the
+    /// envelope plus what follows it, up to `FRAME_READ_WINDOW`, clipped to
+    /// the end of the tier holding `pos` (disk or NVRAM) and to the end of
+    /// its segment, so the read never opens a segment the frame does not
+    /// reach. Never shorter than the envelope.
+    fn first_read_len(&self, pos: u64) -> usize {
+        let disk_end = self.stream.end();
+        let tier_end = if pos >= disk_end {
+            self.append_position()
+        } else {
+            disk_end
+        };
+        let segment = self.stream.segment_bytes();
+        let segment_end = (pos / segment + 1) * segment;
+        let end = tier_end
+            .min(segment_end)
+            .min(pos + FRAME_READ_WINDOW as u64);
+        (end.saturating_sub(pos) as usize).max(ENVELOPE_BYTES)
     }
 
     /// Fill `self.scratch` with `len` bytes at stream position `pos`,

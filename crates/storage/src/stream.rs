@@ -10,7 +10,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use crate::frame::Frame;
@@ -239,9 +240,8 @@ impl SegmentedStream {
             let off = cursor % self.segment_bytes;
             let room = (self.segment_bytes - off) as usize;
             let take = room.min(remaining.len());
-            let mut file = self.open_segment(seg, true)?;
-            file.seek(SeekFrom::Start(off))?;
-            file.write_all(remaining.get(..take).unwrap_or(&[]))?;
+            self.open_segment(seg, true)?
+                .write_all_at(remaining.get(..take).unwrap_or(&[]), off)?;
             self.dirty.insert(seg);
             cursor += take as u64;
             remaining = remaining.get(take..).unwrap_or(&[]);
@@ -277,12 +277,10 @@ impl SegmentedStream {
             let off = cursor % self.segment_bytes;
             let room = (self.segment_bytes - off) as usize;
             let take = room.min(len - filled);
-            let mut file = self.open_segment(seg, false)?;
-            file.seek(SeekFrom::Start(off))?;
             let slot = out.get_mut(filled..filled + take).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::UnexpectedEof, "read window out of range")
             })?;
-            file.read_exact(slot)?;
+            self.open_segment(seg, false)?.read_exact_at(slot, off)?;
             cursor += take as u64;
             filled += take;
         }
@@ -344,13 +342,16 @@ impl SegmentedStream {
     /// Flush all dirty segments to stable storage.
     ///
     /// # Errors
-    /// Propagates `fsync` failure.
+    /// Propagates `fsync` failure. A segment leaves the dirty set only once
+    /// its sync succeeded, so a retried `sync` after an error tries again
+    /// instead of returning `Ok` having synced nothing.
     pub fn sync(&mut self) -> io::Result<()> {
-        for seg in std::mem::take(&mut self.dirty) {
+        while let Some(&seg) = self.dirty.first() {
             let p = segment_path(&self.dir, seg);
             if p.exists() {
                 File::open(p)?.sync_data()?;
             }
+            self.dirty.remove(&seg);
         }
         Ok(())
     }
@@ -415,9 +416,9 @@ impl SegmentedStream {
 }
 
 /// The on-disk file name of segment `seg` (shared with the archive tier,
-/// which must recreate segment files byte-for-byte on restore). Built on
-/// the stack — segment files are opened on every positional read and
-/// write, so name formatting must not allocate. 32 bytes always fits
+/// which must recreate segment files byte-for-byte on restore). The name
+/// itself is formatted on the stack; joining it to the stream directory
+/// (`segment_path`) allocates, once per segment open. 32 bytes always fits
 /// `seg-` + ≤ 20 digits + `.seg`.
 #[must_use]
 pub fn segment_file_name(seg: u64) -> NameBuf<32> {
@@ -558,6 +559,26 @@ mod tests {
         assert!(read_at(&s, 0, 10).is_err());
         assert!(read_at(&s, 2048, 100).is_ok());
         assert_eq!(s.segment_count(), 1);
+    }
+
+    #[test]
+    fn sync_keeps_what_it_failed_to_sync() {
+        let dir = tmpdir("sync-retry");
+        let mut s = SegmentedStream::open(&dir, 1024).unwrap();
+        // Dirty segments 0 and 1, then put a socket at segment 0's path:
+        // `exists()` holds, `open` fails (ENXIO), so syncing it fails.
+        s.append(&vec![3u8; 1500]).unwrap();
+        let seg0 = segment_path(&dir, 0);
+        let aside = dir.join("seg-0.aside");
+        fs::rename(&seg0, &aside).unwrap();
+        let listener = std::os::unix::net::UnixListener::bind(&seg0).unwrap();
+        assert!(s.sync().is_err());
+        assert!(s.sync().is_err(), "a retried sync forgot segment 0");
+        drop(listener);
+        fs::remove_file(&seg0).unwrap();
+        fs::rename(&aside, &seg0).unwrap();
+        s.sync().unwrap();
+        assert!(s.dirty.is_empty());
     }
 
     #[test]
