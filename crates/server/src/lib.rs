@@ -1659,17 +1659,21 @@ mod tests {
         // 8 000 records fill 31 index nodes of INDEX_FANOUT = 256 and part
         // of a 32nd: per node, the position vector's doublings up to 256
         // entries and the node's move into the forest (`LsnIndex::append`
-        // in append-forest's lsn_index.rs).
-        assert_eq!(allocs, 251, "allocations over {PACKETS} packets");
+        // in append-forest's lsn_index.rs). The 11 track flushes (88-byte
+        // frames, 64 KiB tracks; the first falls after the warm-up) write
+        // through the segment's kept descriptor; the first flush opens
+        // it, which builds its path (2) and the descriptor map's node (1).
+        assert_eq!(s.store_stats().tracks_flushed, 11);
+        assert_eq!(allocs, 231, "allocations over {PACKETS} packets");
     }
 
     /// What one `ReadLogForward`/`ReadLogBackward` of eight records
     /// allocates on the server thread, pinned per request: the reply's
     /// record vector plus, per record, its payload copy and the `Arc`
-    /// around it (17) while the records sit in NVRAM; after a reopen has
-    /// moved them into sealed segments, also the segment file's path,
-    /// allocated and then grown by `Path::join`, for the one positional
-    /// read that fetches each frame's envelope and body together (33).
+    /// around it (17), whether the records sit in NVRAM or, after a
+    /// reopen, in sealed segments. A segment read is one positional read
+    /// through a descriptor the stream keeps (the reopen's recovery scan
+    /// opened all eight), so it allocates nothing.
     #[test]
     fn read_batches_allocate_a_fixed_count_per_request() {
         const RECORDS: u64 = 256;
@@ -1750,6 +1754,6 @@ mod tests {
         drop(s);
         let mut s = open(nvram);
         assert_eq!(s.store_mut().sealed_segments(), (0..8).collect::<Vec<_>>());
-        allocs_per_request(&mut s, 33);
+        allocs_per_request(&mut s, 17);
     }
 }

@@ -62,6 +62,10 @@ type Dispatcher = Box<dyn FnOnce(&AtomicBool) -> io::Result<()> + Send>;
 struct ShardInbox {
     q: VecDeque<(NodeAddr, Packet)>,
     sleepers: u32,
+    /// The receive error that ended the dispatcher (as kind and text):
+    /// nothing is queued again, and the shard loop gets it once `q` is
+    /// empty, so every packet the dispatcher queued is still answered.
+    dead: Option<(io::ErrorKind, String)>,
 }
 
 struct ShardQueue {
@@ -75,8 +79,17 @@ impl ShardQueue {
             inbox: Mutex::new(ShardInbox {
                 q: VecDeque::new(),
                 sleepers: 0,
+                dead: None,
             }),
             available: Condvar::new(),
+        }
+    }
+
+    /// End the queue with the dispatcher's receive error.
+    fn kill(&self, e: &io::Error) {
+        if let Ok(mut inbox) = self.inbox.lock() {
+            inbox.dead = Some((e.kind(), e.to_string()));
+            self.available.notify_all();
         }
     }
 
@@ -91,14 +104,20 @@ impl ShardQueue {
     }
 
     /// Pop one packet, waiting up to `timeout`. `Duration::ZERO` never
-    /// blocks, exactly like an endpoint's `recv(ZERO)`.
-    fn pop(&self, timeout: Duration) -> Option<(NodeAddr, Packet)> {
-        let mut inbox = self.inbox.lock().ok()?;
+    /// blocks, exactly like an endpoint's `recv(ZERO)`; a killed, empty
+    /// queue fails like the transport it stands for.
+    fn pop(&self, timeout: Duration) -> Polled {
+        let Ok(mut inbox) = self.inbox.lock() else {
+            return Ok(None);
+        };
         if let Some(item) = inbox.q.pop_front() {
-            return Some(item);
+            return Ok(Some(item));
+        }
+        if let Some((kind, text)) = &inbox.dead {
+            return Err(io::Error::new(*kind, text.clone()));
         }
         if timeout.is_zero() {
-            return None;
+            return Ok(None);
         }
         inbox.sleepers += 1;
         let (mut inbox, _timed_out) =
@@ -109,7 +128,7 @@ impl ShardQueue {
                     (g, t)
                 });
         inbox.sleepers = inbox.sleepers.saturating_sub(1);
-        inbox.q.pop_front()
+        Ok(inbox.q.pop_front())
     }
 }
 
@@ -181,7 +200,7 @@ impl ShardSupervisor {
                 .iter()
                 .map(|_| Arc::new(ShardQueue::new()))
                 .collect();
-            let nexts = queues.clone().into_iter().map(|q| move |t| Ok(q.pop(t)));
+            let nexts = queues.clone().into_iter().map(|q| move |t| q.pop(t));
             let feed = move |stop: &AtomicBool| dispatch(&*ep, stop, &queues);
             Self::spawn_loops(servers, endpoint, nexts, Some(Box::new(feed)))
         }
@@ -256,10 +275,6 @@ impl ShardSupervisor {
                     .spawn(move || {
                         let _panic = ReportPanic(exits.clone());
                         exits.report(run(&stop));
-                        // No queue is fed again, whatever ended the
-                        // dispatcher: the shard loops, which poll their
-                        // queues every 20 ms, must leave too.
-                        stop.store(true, Ordering::Relaxed);
                     })?;
                 Some(handle)
             }
@@ -358,14 +373,19 @@ impl Drop for ShardSupervisor {
 }
 
 /// The dispatcher's work: move each packet `endpoint` receives to the
-/// queue of the shard it routes to, until stopped.
+/// queue of the shard it routes to, until stopped. A receive error ends
+/// every queue behind the packets already in it: each shard loop answers
+/// those, then leaves with the error (setting `stop` instead would let a
+/// loop leave before popping the last packet).
 fn dispatch<E: Endpoint>(
     endpoint: &E,
     stop: &AtomicBool,
     routes: &[Arc<ShardQueue>],
 ) -> io::Result<()> {
     while !stop.load(Ordering::Relaxed) {
-        let Some((from, pkt)) = endpoint.recv(Duration::from_millis(20))? else {
+        let polled = endpoint.recv(Duration::from_millis(20));
+        let Some((from, pkt)) = polled.inspect_err(|e| routes.iter().for_each(|q| q.kill(e)))?
+        else {
             continue;
         };
         match pkt.route_key() {

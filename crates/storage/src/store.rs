@@ -717,7 +717,7 @@ impl LogStore {
     ///
     /// # Errors
     /// Fails when the range is not fully on disk.
-    pub fn read_stream(&self, pos: u64, len: usize) -> Result<Vec<u8>> {
+    pub fn read_stream(&mut self, pos: u64, len: usize) -> Result<Vec<u8>> {
         let mut out = Vec::new();
         self.stream.read_into(pos, len, &mut out)?;
         Ok(out)
@@ -728,7 +728,7 @@ impl LogStore {
     ///
     /// # Errors
     /// Propagates I/O failures and structurally corrupt frame bodies.
-    pub fn scan_stream<F>(&self, from: u64, f: F) -> Result<u64>
+    pub fn scan_stream<F>(&mut self, from: u64, f: F) -> Result<u64>
     where
         F: FnMut(u64, Frame),
     {

@@ -7,7 +7,8 @@
 //! Frames may span segment boundaries; the logical position space has no
 //! holes.
 
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io;
@@ -20,6 +21,21 @@ use dlog_types::Result as DlogResult;
 
 /// Chunk size used by sequential scans.
 const SCAN_CHUNK: usize = 256 * 1024;
+
+/// Most segment files a stream holds open at once. A store of the
+/// default 8 MiB segments reaches it only past 128 MiB of live stream.
+const MAX_OPEN_SEGMENTS: usize = 16;
+
+/// One open segment file.
+#[derive(Debug)]
+struct SegmentFile {
+    file: File,
+    /// Opened read-write; a read-only descriptor is never written.
+    writable: bool,
+    /// Written through this descriptor since its last successful
+    /// `sync_data`.
+    dirty: bool,
+}
 
 /// Lazily formatted diagnosis of a corrupt segment directory. Carried
 /// inside an [`io::Error`] so the (cold) failure path renders text only
@@ -69,6 +85,16 @@ impl fmt::Display for ReadRangeError {
 impl std::error::Error for ReadRangeError {}
 
 /// A segmented, append-oriented byte stream with positional reads.
+///
+/// The stream keeps the segment files it has opened, so a read or write
+/// that hits one is a single positional syscall. A read opens a segment
+/// read-only; a write opens it read-write, creating it if needed, and
+/// replaces a read-only descriptor. At most 16 descriptors stay open: a
+/// miss with all 16 open first closes the lowest-index one, after
+/// syncing it if it is dirty (a failed sync keeps it open and fails the
+/// miss). Dropping or truncating away a segment closes its descriptor.
+/// Dirtiness lives on the descriptor, so [`SegmentedStream::sync`] syncs
+/// each segment through the descriptor that wrote it.
 #[derive(Debug)]
 pub struct SegmentedStream {
     dir: PathBuf,
@@ -77,8 +103,10 @@ pub struct SegmentedStream {
     end: u64,
     /// Logical start: everything before this has been dropped (§5.3).
     start: u64,
-    /// Segments touched since the last `sync`.
-    dirty: BTreeSet<u64>,
+    /// Open segment files by index, at most `MAX_OPEN_SEGMENTS`.
+    files: BTreeMap<u64, SegmentFile>,
+    /// A segment file was created since the directory was last synced.
+    dir_dirty: bool,
 }
 
 impl SegmentedStream {
@@ -167,7 +195,8 @@ impl SegmentedStream {
             segment_bytes,
             end,
             start,
-            dirty: BTreeSet::new(),
+            files: BTreeMap::new(),
+            dir_dirty: false,
         })
     }
 
@@ -240,9 +269,12 @@ impl SegmentedStream {
             let off = cursor % self.segment_bytes;
             let room = (self.segment_bytes - off) as usize;
             let take = room.min(remaining.len());
-            self.open_segment(seg, true)?
+            let segment = self.segment(seg, true)?;
+            // Dirty before writing: a failed write may have written part.
+            segment.dirty = true;
+            segment
+                .file
                 .write_all_at(remaining.get(..take).unwrap_or(&[]), off)?;
-            self.dirty.insert(seg);
             cursor += take as u64;
             remaining = remaining.get(take..).unwrap_or(&[]);
         }
@@ -256,7 +288,7 @@ impl SegmentedStream {
     ///
     /// # Errors
     /// Fails if the range is not fully inside `[start, end)`.
-    pub fn read_into(&self, pos: u64, len: usize, out: &mut Vec<u8>) -> io::Result<()> {
+    pub fn read_into(&mut self, pos: u64, len: usize, out: &mut Vec<u8>) -> io::Result<()> {
         if pos < self.start || pos + len as u64 > self.end {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
@@ -280,7 +312,7 @@ impl SegmentedStream {
             let slot = out.get_mut(filled..filled + take).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::UnexpectedEof, "read window out of range")
             })?;
-            self.open_segment(seg, false)?.read_exact_at(slot, off)?;
+            self.segment(seg, false)?.file.read_exact_at(slot, off)?;
             cursor += take as u64;
             filled += take;
         }
@@ -306,15 +338,11 @@ impl SegmentedStream {
             (self.end.saturating_sub(1)) / self.segment_bytes
         };
         for seg in (keep_seg + 1)..=last_seg {
-            let p = segment_path(&self.dir, seg);
-            if p.exists() {
-                fs::remove_file(p)?;
-            }
+            self.remove_segment(seg)?;
         }
-        let p = segment_path(&self.dir, keep_seg);
-        if p.exists() {
-            let f = OpenOptions::new().write(true).open(p)?;
-            f.set_len(end % self.segment_bytes)?;
+        if end < self.end {
+            let len = end % self.segment_bytes;
+            self.segment(keep_seg, true)?.file.set_len(len)?;
         }
         self.end = end;
         Ok(())
@@ -330,28 +358,38 @@ impl SegmentedStream {
         let first_keep = pos / self.segment_bytes;
         let first_live = self.start / self.segment_bytes;
         for seg in first_live..first_keep {
-            let p = segment_path(&self.dir, seg);
-            if p.exists() {
-                fs::remove_file(p)?;
-            }
+            self.remove_segment(seg)?;
         }
         self.start = self.start.max(first_keep * self.segment_bytes);
         Ok(self.start)
     }
 
-    /// Flush all dirty segments to stable storage.
+    /// Close segment `seg`'s descriptor, if open, and delete its file.
+    fn remove_segment(&mut self, seg: u64) -> io::Result<()> {
+        self.files.remove(&seg);
+        let p = segment_path(&self.dir, seg);
+        if p.exists() {
+            fs::remove_file(p)?;
+        }
+        Ok(())
+    }
+
+    /// Flush every dirty segment to stable storage through the descriptor
+    /// that wrote it, then the directory if a segment file was created
+    /// since its last sync.
     ///
     /// # Errors
-    /// Propagates `fsync` failure. A segment leaves the dirty set only once
-    /// its sync succeeded, so a retried `sync` after an error tries again
-    /// instead of returning `Ok` having synced nothing.
+    /// Propagates `fsync` failure. A segment (or the directory) stays
+    /// marked until its sync succeeds, so a retried `sync` after an error
+    /// tries again instead of returning `Ok` having synced nothing.
     pub fn sync(&mut self) -> io::Result<()> {
-        while let Some(&seg) = self.dirty.first() {
-            let p = segment_path(&self.dir, seg);
-            if p.exists() {
-                File::open(p)?.sync_data()?;
-            }
-            self.dirty.remove(&seg);
+        for segment in self.files.values_mut().filter(|s| s.dirty) {
+            segment.file.sync_data()?;
+            segment.dirty = false;
+        }
+        if self.dir_dirty {
+            File::open(&self.dir)?.sync_data()?;
+            self.dir_dirty = false;
         }
         Ok(())
     }
@@ -362,7 +400,7 @@ impl SegmentedStream {
     ///
     /// # Errors
     /// Propagates I/O failures and structurally corrupt frame bodies.
-    pub fn scan_frames<F>(&self, from: u64, mut f: F) -> DlogResult<u64>
+    pub fn scan_frames<F>(&mut self, from: u64, mut f: F) -> DlogResult<u64>
     where
         F: FnMut(u64, Frame),
     {
@@ -399,27 +437,57 @@ impl SegmentedStream {
         }
     }
 
-    fn open_segment(&self, seg: u64, create: bool) -> io::Result<File> {
+    /// Segment `seg`'s open file, opened on a miss: read-only for a read,
+    /// read-write (created if missing) for a `write`, which also replaces
+    /// a read-only descriptor. A miss on a full cache first closes the
+    /// lowest-index descriptor.
+    fn segment(&mut self, seg: u64, write: bool) -> io::Result<&mut SegmentFile> {
+        if self.files.len() >= MAX_OPEN_SEGMENTS && !self.files.contains_key(&seg) {
+            if let Some(mut lowest) = self.files.first_entry() {
+                if lowest.get().dirty {
+                    lowest.get_mut().file.sync_data()?;
+                }
+                lowest.remove();
+            }
+        }
+        let slot = match self.files.entry(seg) {
+            Entry::Occupied(hit) if hit.get().writable || !write => return Ok(hit.into_mut()),
+            slot => slot,
+        };
         let p = segment_path(&self.dir, seg);
-        if create {
+        let file = if write {
             // No truncate: segments are extended in place, never replaced.
             #[allow(clippy::suspicious_open_options)]
             OpenOptions::new()
                 .read(true)
                 .write(true)
                 .create(true)
-                .open(p)
+                .open(p)?
         } else {
-            File::open(p)
+            File::open(p)?
+        };
+        // A segment with no bytes yet may have had no file, which this
+        // open then created.
+        if write && seg * self.segment_bytes >= self.end {
+            self.dir_dirty = true;
         }
+        // A replaced read-only descriptor is clean: only writes dirty one.
+        Ok(slot
+            .insert_entry(SegmentFile {
+                file,
+                writable: write,
+                dirty: false,
+            })
+            .into_mut())
     }
 }
 
 /// The on-disk file name of segment `seg` (shared with the archive tier,
 /// which must recreate segment files byte-for-byte on restore). The name
 /// itself is formatted on the stack; joining it to the stream directory
-/// (`segment_path`) allocates, once per segment open. 32 bytes always fits
-/// `seg-` + ≤ 20 digits + `.seg`.
+/// (`segment_path`) allocates, once per descriptor open (the stream keeps
+/// its descriptors, so once per segment while it stays open). 32 bytes
+/// always fits `seg-` + ≤ 20 digits + `.seg`.
 #[must_use]
 pub fn segment_file_name(seg: u64) -> NameBuf<32> {
     dlog_types::namebuf!(32, "seg-{seg:08}.seg")
@@ -443,7 +511,7 @@ mod tests {
         d
     }
 
-    fn read_at(s: &SegmentedStream, pos: u64, len: usize) -> io::Result<Vec<u8>> {
+    fn read_at(s: &mut SegmentedStream, pos: u64, len: usize) -> io::Result<Vec<u8>> {
         let mut out = Vec::new();
         s.read_into(pos, len, &mut out)?;
         Ok(out)
@@ -463,9 +531,9 @@ mod tests {
         let mut s = SegmentedStream::open(&dir, 4096).unwrap();
         let pos = s.append(b"hello world").unwrap();
         assert_eq!(pos, 0);
-        assert_eq!(read_at(&s, 0, 11).unwrap(), b"hello world");
+        assert_eq!(read_at(&mut s, 0, 11).unwrap(), b"hello world");
         assert_eq!(s.end(), 11);
-        assert!(read_at(&s, 5, 100).is_err());
+        assert!(read_at(&mut s, 5, 100).is_err());
     }
 
     #[test]
@@ -475,9 +543,9 @@ mod tests {
         let blob: Vec<u8> = (0..3000u32).map(|i| i as u8).collect();
         s.append(&blob).unwrap();
         assert_eq!(s.segment_count(), 3);
-        assert_eq!(read_at(&s, 0, 3000).unwrap(), blob);
+        assert_eq!(read_at(&mut s, 0, 3000).unwrap(), blob);
         // A read crossing the first boundary.
-        assert_eq!(read_at(&s, 1000, 48).unwrap(), &blob[1000..1048]);
+        assert_eq!(read_at(&mut s, 1000, 48).unwrap(), &blob[1000..1048]);
     }
 
     #[test]
@@ -488,9 +556,9 @@ mod tests {
             s.append(&vec![7u8; 2500]).unwrap();
             s.sync().unwrap();
         }
-        let s = SegmentedStream::open(&dir, 1024).unwrap();
+        let mut s = SegmentedStream::open(&dir, 1024).unwrap();
         assert_eq!(s.end(), 2500);
-        assert_eq!(read_at(&s, 2400, 100).unwrap(), vec![7u8; 100]);
+        assert_eq!(read_at(&mut s, 2400, 100).unwrap(), vec![7u8; 100]);
     }
 
     #[test]
@@ -500,7 +568,7 @@ mod tests {
         s.append(b"aaaaaaaaaa").unwrap();
         s.write_at(5, b"BBBBBBBB").unwrap();
         assert_eq!(s.end(), 13);
-        assert_eq!(read_at(&s, 0, 13).unwrap(), b"aaaaaBBBBBBBB");
+        assert_eq!(read_at(&mut s, 0, 13).unwrap(), b"aaaaaBBBBBBBB");
         // Holes are rejected.
         assert!(s.write_at(20, b"x").is_err());
     }
@@ -550,14 +618,14 @@ mod tests {
         s.append(&vec![1u8; 3000]).unwrap();
         s.truncate(2500).unwrap();
         assert_eq!(s.end(), 2500);
-        assert!(read_at(&s, 2400, 100).is_ok());
-        assert!(read_at(&s, 2450, 100).is_err());
+        assert!(read_at(&mut s, 2400, 100).is_ok());
+        assert!(read_at(&mut s, 2450, 100).is_err());
 
         // Drop the first two segments.
         let new_start = s.drop_before(2100).unwrap();
         assert_eq!(new_start, 2048);
-        assert!(read_at(&s, 0, 10).is_err());
-        assert!(read_at(&s, 2048, 100).is_ok());
+        assert!(read_at(&mut s, 0, 10).is_err());
+        assert!(read_at(&mut s, 2048, 100).is_ok());
         assert_eq!(s.segment_count(), 1);
     }
 
@@ -565,26 +633,76 @@ mod tests {
     fn sync_keeps_what_it_failed_to_sync() {
         let dir = tmpdir("sync-retry");
         let mut s = SegmentedStream::open(&dir, 1024).unwrap();
-        // Dirty segments 0 and 1, then put a socket at segment 0's path:
-        // `exists()` holds, `open` fails (ENXIO), so syncing it fails.
+        // Dirty segments 0 and 1, then swap segment 0's descriptor for a
+        // socket's: `sync_data` on a socket fails (EINVAL).
         s.append(&vec![3u8; 1500]).unwrap();
-        let seg0 = segment_path(&dir, 0);
-        let aside = dir.join("seg-0.aside");
-        fs::rename(&seg0, &aside).unwrap();
-        let listener = std::os::unix::net::UnixListener::bind(&seg0).unwrap();
+        let (socket, _peer) = std::os::unix::net::UnixStream::pair().unwrap();
+        let socket = File::from(std::os::fd::OwnedFd::from(socket));
+        let seg0 = &mut s.files.get_mut(&0).unwrap().file;
+        let real = std::mem::replace(seg0, socket);
         assert!(s.sync().is_err());
         assert!(s.sync().is_err(), "a retried sync forgot segment 0");
-        drop(listener);
-        fs::remove_file(&seg0).unwrap();
-        fs::rename(&aside, &seg0).unwrap();
+        s.files.get_mut(&0).unwrap().file = real;
         s.sync().unwrap();
-        assert!(s.dirty.is_empty());
+        assert!(s.files.values().all(|f| !f.dirty));
+    }
+
+    #[test]
+    fn eviction_syncs_a_dirty_descriptor_before_closing_it() {
+        let dir = tmpdir("evict-sync");
+        let mut s = SegmentedStream::open(&dir, 1024).unwrap();
+        // Fill the cache with dirty segments 0..16, then swap segment 0's
+        // descriptor for a socket's, whose `sync_data` fails (EINVAL).
+        s.append(&vec![5u8; 1024 * MAX_OPEN_SEGMENTS]).unwrap();
+        assert_eq!(s.files.len(), MAX_OPEN_SEGMENTS);
+        assert!(s.files.values().all(|f| f.dirty));
+        let (socket, _peer) = std::os::unix::net::UnixStream::pair().unwrap();
+        let socket = File::from(std::os::fd::OwnedFd::from(socket));
+        let real = std::mem::replace(&mut s.files.get_mut(&0).unwrap().file, socket);
+        // Segment 16 misses and must evict segment 0: its failed sync
+        // keeps it, dirty, and fails the write, again on a retry.
+        for _ in 0..2 {
+            assert!(s.append(&[6u8; 1]).is_err());
+            assert!(s.files.get(&0).is_some_and(|f| f.dirty));
+        }
+        assert!(s.sync().is_err(), "segment 0 is still unsynced");
+        s.files.get_mut(&0).unwrap().file = real;
+        s.append(&[6u8; 1]).unwrap();
+        assert!(!s.files.contains_key(&0), "segment 0 was not evicted");
+        assert_eq!(s.files.len(), MAX_OPEN_SEGMENTS);
+        assert_eq!(read_at(&mut s, 0, 1).unwrap(), [5u8]);
+    }
+
+    #[test]
+    fn a_created_segment_syncs_the_directory_once() {
+        let dir = tmpdir("dir-sync");
+        let mut s = SegmentedStream::open(&dir, 1024).unwrap();
+        s.append(&[1u8; 1000]).unwrap();
+        assert!(s.dir_dirty, "the first write creates segment 0");
+        s.sync().unwrap();
+        assert!(!s.dir_dirty);
+        s.append(&[2u8; 24]).unwrap();
+        assert!(!s.dir_dirty, "filling segment 0 creates nothing");
+        s.append(&[3u8; 1]).unwrap();
+        assert!(s.dir_dirty, "the roll creates segment 1");
+        // A directory that cannot be opened fails the sync, which keeps
+        // the mark.
+        let real = std::mem::replace(&mut s.dir, dir.join("missing"));
+        assert!(s.sync().is_err());
+        assert!(s.dir_dirty, "a failed directory sync cleared the mark");
+        s.dir = real;
+        s.sync().unwrap();
+        assert!(!s.dir_dirty);
+        // A fresh stream reopens segment 1 for writing without creating it.
+        let mut s = SegmentedStream::open(&dir, 1024).unwrap();
+        s.append(&[4u8; 10]).unwrap();
+        assert!(!s.dir_dirty, "a write into an existing segment file");
     }
 
     #[test]
     fn empty_stream() {
         let dir = tmpdir("empty");
-        let s = SegmentedStream::open(&dir, 1024).unwrap();
+        let mut s = SegmentedStream::open(&dir, 1024).unwrap();
         assert_eq!(s.end(), 0);
         assert_eq!(s.segment_count(), 0);
         let end = s.scan_frames(0, |_, _| panic!("no frames")).unwrap();

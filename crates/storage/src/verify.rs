@@ -60,7 +60,7 @@ impl VerifyReport {
 /// Propagates I/O failures (an unreadable directory); content problems
 /// are reported in the [`VerifyReport`] instead.
 pub fn verify_dir(dir: impl AsRef<Path>, opts: &StoreOptions) -> Result<VerifyReport> {
-    let stream = SegmentedStream::open(&dir, opts.segment_bytes)?;
+    let mut stream = SegmentedStream::open(&dir, opts.segment_bytes)?;
     let mut report = VerifyReport::default();
     let mut table = IntervalTable::new();
     let mut staged: HashMap<ClientId, HashMap<Epoch, Vec<(dlog_types::LogRecord, u64)>>> =

@@ -57,7 +57,7 @@ proptest! {
             prop_assert_eq!(end, s.end());
         }
         // Reopen: same result.
-        let s = SegmentedStream::open(&dir, seg_bytes).unwrap();
+        let mut s = SegmentedStream::open(&dir, seg_bytes).unwrap();
         let mut seen = Vec::new();
         let end = s.scan_frames(0, |pos, f| seen.push((pos, f))).unwrap();
         prop_assert_eq!(&seen, &expected);
