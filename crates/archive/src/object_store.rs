@@ -11,7 +11,9 @@ use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
+
+use dlog_types::unpoisoned;
 
 /// A flat key → blob store. Keys are short path-safe names (the archiver
 /// uses `seg-NNNNNNNN.seg` and `manifest-NNNNNNNN`). `put` must be
@@ -150,13 +152,6 @@ pub struct MemStore {
 }
 
 impl MemStore {
-    /// Lock the inner state, recovering from poisoning: every operation
-    /// leaves `MemInner` consistent before returning, so a panicked
-    /// holder cannot leave a half-applied update worth dying over.
-    fn locked(&self) -> MutexGuard<'_, MemInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// An empty store with no faults armed.
     #[must_use]
     pub fn new() -> MemStore {
@@ -167,14 +162,14 @@ impl MemStore {
     /// fails (leaving a torn object when `tear` is set) until
     /// [`MemStore::clear_faults`].
     pub fn fail_after_puts(&self, n: u64, tear: bool) {
-        let mut inner = self.locked();
+        let mut inner = unpoisoned(self.inner.lock());
         inner.puts_until_fault = Some(n);
         inner.tear_on_fault = tear;
     }
 
     /// Disarm any injected fault.
     pub fn clear_faults(&self) {
-        let mut inner = self.locked();
+        let mut inner = unpoisoned(self.inner.lock());
         inner.puts_until_fault = None;
         inner.tear_on_fault = false;
     }
@@ -182,25 +177,29 @@ impl MemStore {
     /// Successful puts observed so far.
     #[must_use]
     pub fn put_count(&self) -> u64 {
-        self.locked().puts
+        unpoisoned(self.inner.lock()).puts
     }
 
     /// Snapshot of the object under `key` (test assertions).
     #[must_use]
     pub fn object(&self, key: &str) -> Option<Vec<u8>> {
-        self.locked().objects.get(key).cloned()
+        unpoisoned(self.inner.lock()).objects.get(key).cloned()
     }
 
     /// All keys currently stored, sorted.
     #[must_use]
     pub fn keys(&self) -> Vec<String> {
-        self.locked().objects.keys().cloned().collect()
+        unpoisoned(self.inner.lock())
+            .objects
+            .keys()
+            .cloned()
+            .collect()
     }
 }
 
 impl ObjectStore for MemStore {
     fn put(&self, key: &str, bytes: &[u8]) -> io::Result<()> {
-        let mut inner = self.locked();
+        let mut inner = unpoisoned(self.inner.lock());
         let faulting = match inner.puts_until_fault.as_mut() {
             Some(0) => true,
             Some(n) => {
@@ -225,12 +224,11 @@ impl ObjectStore for MemStore {
     }
 
     fn get(&self, key: &str) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.locked().objects.get(key).cloned())
+        Ok(unpoisoned(self.inner.lock()).objects.get(key).cloned())
     }
 
     fn list(&self, prefix: &str) -> io::Result<Vec<String>> {
-        Ok(self
-            .locked()
+        Ok(unpoisoned(self.inner.lock())
             .objects
             .keys()
             .filter(|k| k.starts_with(prefix))
@@ -239,7 +237,7 @@ impl ObjectStore for MemStore {
     }
 
     fn delete(&self, key: &str) -> io::Result<()> {
-        self.locked().objects.remove(key);
+        unpoisoned(self.inner.lock()).objects.remove(key);
         Ok(())
     }
 }

@@ -191,4 +191,18 @@ mod tests {
         let vs = run("let st = self.state.lock(); if c { self.net.send(to, m); } done();");
         assert_eq!(vs.len(), 1, "{vs:?}");
     }
+
+    #[test]
+    fn unpoisoned_guards_are_still_guards() {
+        // The workspace spells every acquisition `unpoisoned(x.lock())`.
+        let vs = run("let st = unpoisoned(self.state.lock()); self.dev.force(c);");
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert!(vs[0].message.contains("`st`"));
+        assert!(
+            run("let st = unpoisoned(self.state.lock()); drop(st); self.dev.force(c);").is_empty()
+        );
+        let vs = run("unpoisoned(self.state.lock()).file.sync_all();");
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert!(vs[0].message.contains("temporary"));
+    }
 }

@@ -7,8 +7,8 @@
 //! enclosing block while an unbound (temporary) guard lives only to the
 //! end of its statement. Every (held → acquired) pair becomes a directed
 //! edge; a cycle in the resulting acquisition graph — including a
-//! self-edge, which parking_lot punishes with an instant deadlock — is
-//! reported at one witnessing site per edge.
+//! self-edge: a `std` `Mutex` re-locked on its holder's thread deadlocks
+//! or panics — is reported at one witnessing site per edge.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -171,14 +171,17 @@ fn enclosing_block_end(file: &SourceFile, i: usize, open: usize, close: usize) -
     best
 }
 
-/// First `;` after token `i` at the same brace depth (statement end).
+/// First `;` after token `i` outside groups opened after it (statement
+/// end; a temporary in `unpoisoned(m.lock())` outlives the `)`).
 fn statement_end(file: &SourceFile, i: usize, close: usize) -> usize {
     let mut depth = 0i32;
     for j in i..close {
         let t = &file.tokens[j];
         if t.is("{") || t.is("(") || t.is("[") {
             depth += 1;
-        } else if t.is("}") || t.is(")") || t.is("]") {
+        } else if t.is(")") || t.is("]") {
+            depth = (depth - 1).max(0);
+        } else if t.is("}") {
             depth -= 1;
             if depth < 0 {
                 return j;
@@ -276,5 +279,27 @@ mod tests {
         let vs = check(&[&a]);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert!(vs[0].message.contains("self-deadlock"));
+    }
+
+    #[test]
+    fn unpoisoned_acquisitions_are_still_acquisitions() {
+        let one = |body: &str| {
+            let src = format!("fn f(&self) {{ {body} }}");
+            check(&[&SourceFile::parse("crates/x/src/one.rs", &src)])
+        };
+        // Sequential temporaries each end with their statement.
+        assert!(one(
+            "unpoisoned(self.alpha.lock()).push(1); unpoisoned(self.alpha.lock()).push(2);"
+        )
+        .is_empty());
+        // A `let`-bound guard is live to the end of its block.
+        let vs = one("let g = unpoisoned(self.alpha.lock()); unpoisoned(self.alpha.lock()).push(1); drop(g);");
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert!(vs[0].message.contains("self-deadlock"));
+        // A temporary lives past the wrapper's `)` to the statement's end.
+        let vs = one("unpoisoned(self.alpha.lock()).push(unpoisoned(self.beta.lock()).len()); \
+                      let b = unpoisoned(self.beta.lock()); unpoisoned(self.alpha.lock()).clear(); drop(b);");
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert!(vs[0].message.contains("cycle"));
     }
 }

@@ -26,7 +26,7 @@ use dlog_obs::{Obs, ObsOptions, Stage};
 use dlog_server::gen::GenStore;
 use dlog_server::{LogServer, ServerConfig};
 use dlog_storage::{LogStore, NvramDevice, StoreOptions};
-use dlog_types::{Lsn, Result, ServerId};
+use dlog_types::{unpoisoned, Lsn, Result, ServerId};
 
 /// How the servers of a [`SyncWorld`] attach observability.
 pub enum ObsMode {
@@ -234,17 +234,12 @@ impl Endpoint for SyncEndpoint {
     }
 
     fn send(&self, to: NodeAddr, packet: &Packet) -> io::Result<()> {
-        let Ok(mut w) = self.world.lock() else {
-            return Err(io::Error::other("sync world lock poisoned"));
-        };
-        w.deliver(self.addr, to, packet);
+        unpoisoned(self.world.lock()).deliver(self.addr, to, packet);
         Ok(())
     }
 
     fn recv(&self, _timeout: Duration) -> io::Result<Option<(NodeAddr, Packet)>> {
-        let Ok(mut w) = self.world.lock() else {
-            return Err(io::Error::other("sync world lock poisoned"));
-        };
+        let mut w = unpoisoned(self.world.lock());
         if w.inbox.is_empty() {
             w.idle_flush();
         }

@@ -16,10 +16,10 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use dlog_types::unpoisoned;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -117,7 +117,7 @@ impl EndpointQueue {
     /// Push one frame and wake a sleeping receiver (skipping the notify
     /// syscall entirely when the receiver is running or spin-polling).
     fn push(&self, from: NodeAddr, bytes: Arc<Vec<u8>>) {
-        let mut b = self.inbox.lock();
+        let mut b = unpoisoned(self.inbox.lock());
         b.q.push_back((from, bytes));
         let wake = b.sleepers > 0;
         drop(b);
@@ -128,7 +128,7 @@ impl EndpointQueue {
 
     /// Drop everything in flight (node marked down).
     fn clear(&self) {
-        self.inbox.lock().q.clear();
+        unpoisoned(self.inbox.lock()).q.clear();
     }
 }
 
@@ -246,9 +246,7 @@ impl MemNetwork {
     /// Register an endpoint at `addr` (replacing any previous queue).
     #[must_use]
     pub fn endpoint(&self, addr: NodeAddr) -> MemEndpoint {
-        self.inner
-            .topo
-            .write()
+        unpoisoned(self.inner.topo.write())
             .queues
             .insert(addr, Route::Single(EndpointQueue::new()));
         MemEndpoint {
@@ -261,21 +259,21 @@ impl MemNetwork {
 
     /// Sever both directions between `a` and `b`.
     pub fn partition(&self, a: NodeAddr, b: NodeAddr) {
-        let mut t = self.inner.topo.write();
+        let mut t = unpoisoned(self.inner.topo.write());
         t.partitions.insert((a, b));
         t.partitions.insert((b, a));
     }
 
     /// Restore connectivity between `a` and `b`.
     pub fn heal(&self, a: NodeAddr, b: NodeAddr) {
-        let mut t = self.inner.topo.write();
+        let mut t = unpoisoned(self.inner.topo.write());
         t.partitions.remove(&(a, b));
         t.partitions.remove(&(b, a));
     }
 
     /// Mark a node down (all its traffic is dropped) or back up.
     pub fn set_down(&self, addr: NodeAddr, down: bool) {
-        let mut t = self.inner.topo.write();
+        let mut t = unpoisoned(self.inner.topo.write());
         if down {
             t.down.insert(addr);
             // A downed node loses anything in flight to it — every shard
@@ -297,7 +295,7 @@ impl MemNetwork {
     /// True if the node is currently marked down.
     #[must_use]
     pub fn is_down(&self, addr: NodeAddr) -> bool {
-        self.inner.topo.read().down.contains(&addr)
+        unpoisoned(self.inner.topo.read()).down.contains(&addr)
     }
 
     /// Delivery counters.
@@ -356,7 +354,7 @@ impl MemNetwork {
         let stats = &self.inner.stats;
         let plan = self.inner.plan;
         let faulty = plan.loss > 0.0 || plan.duplicate > 0.0 || plan.reorder > 0.0;
-        let topo = self.inner.topo.read();
+        let topo = unpoisoned(self.inner.topo.read());
         for &to in tos {
             stats.sent.fetch_add(1, Ordering::Relaxed);
             stats.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
@@ -404,7 +402,7 @@ impl MemNetwork {
             // The fault-state lock serializes fate decisions AND delivery
             // into the destination queue, so the delivery order of a
             // seeded schedule stays exactly the fate order.
-            let mut f = self.inner.faults.lock();
+            let mut f = unpoisoned(self.inner.faults.lock());
             if f.rng.gen_bool(plan.loss) {
                 stats.dropped.fetch_add(1, Ordering::Relaxed);
                 break 'fate;
@@ -477,7 +475,7 @@ impl MemNetwork {
         // Resolve our queue under the topology read lock, then wait on the
         // queue's own lock/condvar — senders to *other* endpoints never
         // touch it.
-        let ep = match self.inner.topo.read().queues.get(&addr) {
+        let ep = match unpoisoned(self.inner.topo.read()).queues.get(&addr) {
             Some(Route::Single(ep)) => Arc::clone(ep),
             Some(Route::Sharded(_)) => {
                 return Err(io::Error::new(
@@ -506,7 +504,7 @@ fn recv_from(ep: &EndpointQueue, timeout: Duration) -> Option<(NodeAddr, Packet)
     let deadline = now + timeout;
     loop {
         {
-            let mut b = ep.inbox.lock();
+            let mut b = unpoisoned(ep.inbox.lock());
             loop {
                 if let Some((from, bytes)) = b.q.pop_front() {
                     b.last_rx = Some(now);
@@ -528,7 +526,7 @@ fn recv_from(ep: &EndpointQueue, timeout: Duration) -> Option<(NodeAddr, Packet)
                     break;
                 }
                 b.sleepers += 1;
-                ep.cv.wait_until(&mut b, deadline);
+                b = unpoisoned(ep.cv.wait_timeout(b, deadline - now)).0;
                 b.sleepers -= 1;
                 now = Instant::now();
             }
@@ -612,10 +610,7 @@ impl crate::RoutedEndpoint for MemEndpoint {
                 queue: Arc::clone(q),
             })
             .collect();
-        self.net
-            .inner
-            .topo
-            .write()
+        unpoisoned(self.net.inner.topo.write())
             .queues
             .insert(self.addr, Route::Sharded(queues.into()));
         rxs
@@ -744,7 +739,7 @@ mod tests {
         let net = MemNetwork::new(FaultPlan::reliable());
         let rx = net.endpoint(NodeAddr(1));
         let tx = net.endpoint(NodeAddr(2));
-        let q = match net.inner.topo.read().queues.get(&NodeAddr(1)) {
+        let q = match net.inner.topo.read().unwrap().queues.get(&NodeAddr(1)) {
             Some(Route::Single(q)) => Arc::clone(q),
             _ => panic!("endpoint 1 has one queue"),
         };
@@ -753,16 +748,19 @@ mod tests {
             // Nobody has written to it: it must be asleep on the condvar,
             // not polling out its timeout.
             let deadline = Instant::now() + Duration::from_secs(10);
-            while q.inbox.lock().sleepers == 0 {
+            while q.inbox.lock().unwrap().sleepers == 0 {
                 assert!(Instant::now() < deadline, "receiver never parked");
                 std::thread::yield_now();
             }
-            assert_eq!(q.inbox.lock().last_rx, None);
+            assert_eq!(q.inbox.lock().unwrap().last_rx, None);
             tx.send(NodeAddr(1), &ping(7)).unwrap();
             assert_eq!(got.join().unwrap().unwrap().1, ping(7));
         });
         // The frame it took is what the next wait's polling is timed from.
-        assert!(q.inbox.lock().last_rx.is_some(), "stamped by the pop");
+        assert!(
+            q.inbox.lock().unwrap().last_rx.is_some(),
+            "stamped by the pop"
+        );
         // A wait that outlasts the polling span still ends at its timeout.
         let t = Instant::now();
         assert!(rx.recv(POLL_AFTER_RX * 20).unwrap().is_none());

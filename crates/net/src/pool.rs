@@ -18,9 +18,9 @@
 //! tests pin down.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use dlog_types::unpoisoned;
 
 /// Default number of parked buffers per pool: enough for a full ingest
 /// batch plus in-flight replies.
@@ -59,7 +59,7 @@ impl BufPool {
     #[must_use]
     pub fn checkout(&self) -> Arc<Vec<u8>> {
         {
-            let mut slots = self.slots.lock();
+            let mut slots = unpoisoned(self.slots.lock());
             let parked = slots.len();
             for _ in 0..parked {
                 match slots.pop_front() {
@@ -81,7 +81,7 @@ impl BufPool {
     /// the buffer are still alive — it will not be reissued until they
     /// drop. Buffers beyond the pool bound are simply freed.
     pub fn give_back(&self, buf: Arc<Vec<u8>>) {
-        let mut slots = self.slots.lock();
+        let mut slots = unpoisoned(self.slots.lock());
         if slots.len() < self.max_slots {
             slots.push_back(buf);
         }
@@ -90,7 +90,7 @@ impl BufPool {
     /// Number of currently parked buffers (free or awaiting view drop).
     #[must_use]
     pub fn parked(&self) -> usize {
-        self.slots.lock().len()
+        unpoisoned(self.slots.lock()).len()
     }
 }
 

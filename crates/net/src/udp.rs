@@ -11,10 +11,10 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
-use parking_lot::RwLock;
+use dlog_types::unpoisoned;
 
 use crate::pool::BufPool;
 use crate::wire::{NodeAddr, Packet, MAX_PACKET_BYTES};
@@ -82,8 +82,8 @@ impl UdpEndpoint {
 
     /// Register a peer's socket address under its logical address.
     pub fn add_peer(&self, peer: NodeAddr, at: SocketAddr) {
-        self.directory.write().insert(peer, at);
-        self.reverse.write().insert(at, peer);
+        unpoisoned(self.directory.write()).insert(peer, at);
+        unpoisoned(self.reverse.write()).insert(at, peer);
     }
 }
 
@@ -93,7 +93,7 @@ impl Endpoint for UdpEndpoint {
     }
 
     fn send(&self, to: NodeAddr, packet: &Packet) -> io::Result<()> {
-        let Some(dest) = self.directory.read().get(&to).copied() else {
+        let Some(dest) = unpoisoned(self.directory.read()).get(&to).copied() else {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!("unknown peer {to}"),
@@ -133,7 +133,7 @@ impl Endpoint for UdpEndpoint {
         let span = self.obs.start();
         let mut result = Ok(());
         for &to in tos {
-            let Some(dest) = self.directory.read().get(&to).copied() else {
+            let Some(dest) = unpoisoned(self.directory.read()).get(&to).copied() else {
                 result = Err(io::Error::new(
                     io::ErrorKind::NotFound,
                     format!("unknown peer {to}"),
@@ -167,7 +167,7 @@ impl Endpoint for UdpEndpoint {
         match self.socket.recv_from(buf) {
             Ok((n, from)) => {
                 buf.truncate(n.min(buf.len()));
-                let known = self.reverse.read().get(&from).copied();
+                let known = unpoisoned(self.reverse.read()).get(&from).copied();
                 let peer = match known {
                     Some(p) => p,
                     None if self.promiscuous.load(std::sync::atomic::Ordering::Relaxed) => {
@@ -177,8 +177,8 @@ impl Endpoint for UdpEndpoint {
                         use std::hash::{Hash, Hasher};
                         from.hash(&mut h);
                         let peer = NodeAddr(0x8000_0000_0000_0000 | (h.finish() >> 1));
-                        self.directory.write().insert(peer, from);
-                        self.reverse.write().insert(from, peer);
+                        unpoisoned(self.directory.write()).insert(peer, from);
+                        unpoisoned(self.reverse.write()).insert(from, peer);
                         peer
                     }
                     None => {

@@ -3,26 +3,43 @@
 //!
 //! The reference below re-implements the *legacy* two-buffer scheme the
 //! crate used before the zero-copy rewrite — build the body in one
-//! `BytesMut`, then prepend a header around it — sharing **no code** with
+//! `Vec<u8>`, then prepend a header around it — sharing **no code** with
 //! `dlog_net::wire` (its own CRC, its own writers). Any divergence in
 //! framing, field order, endianness, truncation caps, or CRC between the
 //! two paths shows up as a byte mismatch on some generated message.
 //!
-//! Three properties, over arbitrary `Message`s:
+//! Four properties, over arbitrary packets from the shared generators
+//! (`common/mod.rs`, whose coverage `wire_props.rs` pins):
 //!   1. reference encoding == `encode_into` output, byte for byte;
 //!   2. `decode(encode(m)) == m` (and `decode_shared` agrees);
-//!   3. `encoded_len()` predicts the exact length, before encoding.
+//!   3. `encoded_len()` predicts the exact length, before encoding;
+//!   4. batches from `pack_batches` re-encode identically too.
 
-use bytes::{BufMut, BytesMut};
 use proptest::prelude::*;
 
-use dlog_net::wire::{pack_batches, Message, Packet, Request, Response, StageStats};
-use dlog_types::{ClientId, Epoch, Interval, IntervalList, LogData, LogRecord, Lsn};
+use dlog_net::wire::{pack_batches, Message, Packet, Request, Response};
+use dlog_types::{ClientId, Epoch, IntervalList, LogData, LogRecord, Lsn};
+
+mod common;
+use common::{arb_data, arb_packet};
 
 // ---------------------------------------------------------------------------
 // Reference encoder (legacy two-buffer layout; independent of dlog_net).
 
 const MAGIC: u16 = 0xD10C;
+
+// The reference's own little-endian writers, one per width.
+fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
 
 fn ref_crc32(data: &[u8]) -> u32 {
     let mut state = 0xFFFF_FFFFu32;
@@ -40,82 +57,82 @@ fn ref_crc32(data: &[u8]) -> u32 {
 }
 
 fn ref_encode(p: &Packet) -> Vec<u8> {
-    let mut body = BytesMut::with_capacity(256);
-    body.put_u64_le(p.conn);
-    body.put_u64_le(p.seq);
-    body.put_u64_le(p.alloc);
-    body.put_u64_le(p.log);
+    let mut body = Vec::with_capacity(256);
+    put_u64(&mut body, p.conn);
+    put_u64(&mut body, p.seq);
+    put_u64(&mut body, p.alloc);
+    put_u64(&mut body, p.log);
     ref_message(&p.msg, &mut body);
 
-    let mut out = BytesMut::with_capacity(body.len() + 8);
-    out.put_u16_le(MAGIC);
-    out.put_u16_le(0); // reserved
-    out.put_u32_le(ref_crc32(&body));
+    let mut out = Vec::with_capacity(body.len() + 8);
+    put_u16(&mut out, MAGIC);
+    put_u16(&mut out, 0); // reserved
+    put_u32(&mut out, ref_crc32(&body));
     out.extend_from_slice(&body);
-    out.to_vec()
+    out
 }
 
-fn ref_data(out: &mut BytesMut, d: &LogData) {
-    out.put_u32_le(d.len() as u32);
-    out.put_slice(d.as_bytes());
+fn ref_data(out: &mut Vec<u8>, d: &LogData) {
+    put_u32(out, d.len() as u32);
+    out.extend_from_slice(d.as_bytes());
 }
 
-fn ref_lsn_batch(out: &mut BytesMut, records: &[(Lsn, LogData)]) {
-    out.put_u32_le(records.len() as u32);
+fn ref_lsn_batch(out: &mut Vec<u8>, records: &[(Lsn, LogData)]) {
+    put_u32(out, records.len() as u32);
     for (lsn, data) in records {
-        out.put_u64_le(lsn.0);
+        put_u64(out, lsn.0);
         ref_data(out, data);
     }
 }
 
-fn ref_records(out: &mut BytesMut, records: &[LogRecord]) {
-    out.put_u32_le(records.len() as u32);
+fn ref_records(out: &mut Vec<u8>, records: &[LogRecord]) {
+    put_u32(out, records.len() as u32);
     for rec in records {
-        out.put_u64_le(rec.lsn.0);
-        out.put_u64_le(rec.epoch.0);
-        out.put_u8(u8::from(rec.present));
+        put_u64(out, rec.lsn.0);
+        put_u64(out, rec.epoch.0);
+        out.push(u8::from(rec.present));
         ref_data(out, &rec.data);
     }
 }
 
-fn ref_intervals(out: &mut BytesMut, list: &IntervalList) {
-    out.put_u32_le(list.len() as u32);
+fn ref_intervals(out: &mut Vec<u8>, list: &IntervalList) {
+    put_u32(out, list.len() as u32);
     for iv in list {
-        out.put_u64_le(iv.epoch.0);
-        out.put_u64_le(iv.lo.0);
-        out.put_u64_le(iv.hi.0);
+        put_u64(out, iv.epoch.0);
+        put_u64(out, iv.lo.0);
+        put_u64(out, iv.hi.0);
     }
 }
 
-fn ref_message(msg: &Message, out: &mut BytesMut) {
+fn ref_message(msg: &Message, out: &mut Vec<u8>) {
     match msg {
         Message::Syn { incarnation, isn } => {
-            out.put_u8(1);
-            out.put_u64_le(*incarnation);
-            out.put_u64_le(*isn);
+            out.push(1);
+            put_u64(out, *incarnation);
+            put_u64(out, *isn);
         }
         Message::SynAck {
             incarnation,
             isn,
             ack,
         } => {
-            out.put_u8(2);
-            out.put_u64_le(*incarnation);
-            out.put_u64_le(*isn);
-            out.put_u64_le(*ack);
+            out.push(2);
+            put_u64(out, *incarnation);
+            put_u64(out, *isn);
+            put_u64(out, *ack);
         }
         Message::HandshakeAck { ack } => {
-            out.put_u8(3);
-            out.put_u64_le(*ack);
+            out.push(3);
+            put_u64(out, *ack);
         }
         Message::WriteLog {
             client,
             epoch,
             records,
         } => {
-            out.put_u8(4);
-            out.put_u64_le(client.0);
-            out.put_u64_le(epoch.0);
+            out.push(4);
+            put_u64(out, client.0);
+            put_u64(out, epoch.0);
             ref_lsn_batch(out, records);
         }
         Message::ForceLog {
@@ -123,9 +140,9 @@ fn ref_message(msg: &Message, out: &mut BytesMut) {
             epoch,
             records,
         } => {
-            out.put_u8(5);
-            out.put_u64_le(client.0);
-            out.put_u64_le(epoch.0);
+            out.push(5);
+            put_u64(out, client.0);
+            put_u64(out, epoch.0);
             ref_lsn_batch(out, records);
         }
         Message::NewInterval {
@@ -133,110 +150,110 @@ fn ref_message(msg: &Message, out: &mut BytesMut) {
             epoch,
             starting_lsn,
         } => {
-            out.put_u8(6);
-            out.put_u64_le(client.0);
-            out.put_u64_le(epoch.0);
-            out.put_u64_le(starting_lsn.0);
+            out.push(6);
+            put_u64(out, client.0);
+            put_u64(out, epoch.0);
+            put_u64(out, starting_lsn.0);
         }
         Message::NewHighLsn { client, lsn } => {
-            out.put_u8(7);
-            out.put_u64_le(client.0);
-            out.put_u64_le(lsn.0);
+            out.push(7);
+            put_u64(out, client.0);
+            put_u64(out, lsn.0);
         }
         Message::MissingInterval { client, lo, hi } => {
-            out.put_u8(8);
-            out.put_u64_le(client.0);
-            out.put_u64_le(lo.0);
-            out.put_u64_le(hi.0);
+            out.push(8);
+            put_u64(out, client.0);
+            put_u64(out, lo.0);
+            put_u64(out, hi.0);
         }
         Message::Request { id, body } => {
-            out.put_u8(9);
-            out.put_u64_le(*id);
+            out.push(9);
+            put_u64(out, *id);
             ref_request(body, out);
         }
         Message::Response { id, body } => {
-            out.put_u8(10);
-            out.put_u64_le(*id);
+            out.push(10);
+            put_u64(out, *id);
             ref_response(body, out);
         }
     }
 }
 
-fn ref_request(body: &Request, out: &mut BytesMut) {
+fn ref_request(body: &Request, out: &mut Vec<u8>) {
     match body {
         Request::IntervalList { client } => {
-            out.put_u8(1);
-            out.put_u64_le(client.0);
+            out.push(1);
+            put_u64(out, client.0);
         }
         Request::ReadLogForward {
             client,
             lsn,
             max_records,
         } => {
-            out.put_u8(2);
-            out.put_u64_le(client.0);
-            out.put_u64_le(lsn.0);
-            out.put_u32_le(*max_records);
+            out.push(2);
+            put_u64(out, client.0);
+            put_u64(out, lsn.0);
+            put_u32(out, *max_records);
         }
         Request::ReadLogBackward {
             client,
             lsn,
             max_records,
         } => {
-            out.put_u8(3);
-            out.put_u64_le(client.0);
-            out.put_u64_le(lsn.0);
-            out.put_u32_le(*max_records);
+            out.push(3);
+            put_u64(out, client.0);
+            put_u64(out, lsn.0);
+            put_u32(out, *max_records);
         }
         Request::CopyLog {
             client,
             epoch,
             records,
         } => {
-            out.put_u8(4);
-            out.put_u64_le(client.0);
-            out.put_u64_le(epoch.0);
+            out.push(4);
+            put_u64(out, client.0);
+            put_u64(out, epoch.0);
             ref_records(out, records);
         }
         Request::InstallCopies { client, epoch } => {
-            out.put_u8(5);
-            out.put_u64_le(client.0);
-            out.put_u64_le(epoch.0);
+            out.push(5);
+            put_u64(out, client.0);
+            put_u64(out, epoch.0);
         }
         Request::GenRead { generator } => {
-            out.put_u8(6);
-            out.put_u64_le(*generator);
+            out.push(6);
+            put_u64(out, *generator);
         }
         Request::GenWrite { generator, value } => {
-            out.put_u8(7);
-            out.put_u64_le(*generator);
-            out.put_u64_le(*value);
+            out.push(7);
+            put_u64(out, *generator);
+            put_u64(out, *value);
         }
-        Request::Status => out.put_u8(8),
-        Request::Stats => out.put_u8(9),
+        Request::Status => out.push(8),
+        Request::Stats => out.push(9),
     }
 }
 
-fn ref_response(body: &Response, out: &mut BytesMut) {
+fn ref_response(body: &Response, out: &mut Vec<u8>) {
     match body {
         Response::Intervals { intervals } => {
-            out.put_u8(1);
+            out.push(1);
             ref_intervals(out, intervals);
         }
         Response::Records { records } => {
-            out.put_u8(2);
+            out.push(2);
             ref_records(out, records);
         }
-        Response::Ok => out.put_u8(3),
+        Response::Ok => out.push(3),
         Response::Err { code, detail } => {
-            out.put_u8(4);
-            out.put_u16_le(*code);
-            out.put_u32_le(detail.len() as u32);
-            out.put_slice(detail.as_bytes());
+            out.push(4);
+            put_u16(out, *code);
+            put_u32(out, detail.len() as u32);
+            out.extend_from_slice(detail.as_bytes());
         }
         Response::GenValue { value } => {
-            out.put_u8(5);
-            out.put_u64_le(*value);
+            out.push(5);
+            put_u64(out, *value);
         }
         Response::Status {
             records_stored,
@@ -257,7 +274,7 @@ fn ref_response(body: &Response, out: &mut BytesMut) {
             shard,
             shards,
         } => {
-            out.put_u8(6);
+            out.push(6);
             for v in [
                 records_stored,
                 duplicates_ignored,
@@ -277,7 +294,7 @@ fn ref_response(body: &Response, out: &mut BytesMut) {
                 shard,
                 shards,
             ] {
-                out.put_u64_le(*v);
+                put_u64(out, *v);
             }
         }
         Response::Stats {
@@ -289,252 +306,26 @@ fn ref_response(body: &Response, out: &mut BytesMut) {
             shard,
             shards,
         } => {
-            out.put_u8(7);
-            out.put_u64_le(*trace_events);
-            out.put_u64_le(*trace_dropped);
-            out.put_u64_le(*ingest_allocs);
-            out.put_u64_le(*ingest_records);
-            out.put_u64_le(*shard);
-            out.put_u64_le(*shards);
-            out.put_u8(stages.len().min(u8::MAX as usize) as u8);
+            out.push(7);
+            put_u64(out, *trace_events);
+            put_u64(out, *trace_dropped);
+            put_u64(out, *ingest_allocs);
+            put_u64(out, *ingest_records);
+            put_u64(out, *shard);
+            put_u64(out, *shards);
+            out.push(stages.len().min(u8::MAX as usize) as u8);
             for s in stages.iter().take(u8::MAX as usize) {
-                out.put_u8(s.stage);
-                out.put_u64_le(s.count);
-                out.put_u64_le(s.max_ns);
-                out.put_u16_le(s.buckets.len().min(u16::MAX as usize) as u16);
+                out.push(s.stage);
+                put_u64(out, s.count);
+                put_u64(out, s.max_ns);
+                put_u16(out, s.buckets.len().min(u16::MAX as usize) as u16);
                 for (bucket, count) in s.buckets.iter().take(u16::MAX as usize) {
-                    out.put_u8(*bucket);
-                    out.put_u64_le(*count);
+                    out.push(*bucket);
+                    put_u64(out, *count);
                 }
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Message generators (mirroring wire_props.rs, kept local so this test
-// stays self-contained).
-
-fn arb_data() -> impl Strategy<Value = LogData> {
-    proptest::collection::vec(any::<u8>(), 0..300).prop_map(LogData::from)
-}
-
-fn arb_record() -> impl Strategy<Value = LogRecord> {
-    (1u64..1000, 1u64..20, any::<bool>(), arb_data()).prop_map(|(lsn, epoch, present, data)| {
-        if present {
-            LogRecord::present(Lsn(lsn), Epoch(epoch), data)
-        } else {
-            LogRecord::not_present(Lsn(lsn), Epoch(epoch))
-        }
-    })
-}
-
-fn arb_batch() -> impl Strategy<Value = Vec<(Lsn, LogData)>> {
-    proptest::collection::vec((1u64..10_000, arb_data()), 0..8)
-        .prop_map(|v| v.into_iter().map(|(l, d)| (Lsn(l), d)).collect())
-}
-
-fn arb_interval_list() -> impl Strategy<Value = IntervalList> {
-    proptest::collection::vec((1u64..5, 1u64..500, 0u64..40), 0..6).prop_map(|triples| {
-        let mut list = IntervalList::new();
-        let mut lo = 1u64;
-        let mut epoch = 1u64;
-        for (de, dlo, span) in triples {
-            epoch += de;
-            lo += dlo;
-            let hi = lo + span;
-            let _ = list.push(Interval::new(Epoch(epoch), Lsn(lo), Lsn(hi)));
-            lo = hi;
-        }
-        list
-    })
-}
-
-fn arb_request() -> impl Strategy<Value = Request> {
-    let client = (1u64..50).prop_map(ClientId);
-    prop_oneof![
-        client
-            .clone()
-            .prop_map(|client| Request::IntervalList { client }),
-        (client.clone(), 1u64..10_000, 1u32..200).prop_map(|(client, l, m)| {
-            Request::ReadLogForward {
-                client,
-                lsn: Lsn(l),
-                max_records: m,
-            }
-        }),
-        (client.clone(), 1u64..10_000, 1u32..200).prop_map(|(client, l, m)| {
-            Request::ReadLogBackward {
-                client,
-                lsn: Lsn(l),
-                max_records: m,
-            }
-        }),
-        (
-            client.clone(),
-            1u64..20,
-            proptest::collection::vec(arb_record(), 0..5)
-        )
-            .prop_map(|(client, e, records)| Request::CopyLog {
-                client,
-                epoch: Epoch(e),
-                records
-            }),
-        (client, 1u64..20).prop_map(|(client, e)| Request::InstallCopies {
-            client,
-            epoch: Epoch(e)
-        }),
-        (1u64..50).prop_map(|g| Request::GenRead { generator: g }),
-        (1u64..50, 1u64..10_000).prop_map(|(g, v)| Request::GenWrite {
-            generator: g,
-            value: v
-        }),
-        Just(Request::Status),
-        Just(Request::Stats),
-    ]
-}
-
-fn arb_stage_stats() -> impl Strategy<Value = StageStats> {
-    (
-        0u8..9,
-        any::<u64>(),
-        any::<u64>(),
-        proptest::collection::vec((0u8..64, any::<u64>()), 0..6),
-    )
-        .prop_map(|(stage, count, max_ns, buckets)| StageStats {
-            stage,
-            count,
-            max_ns,
-            buckets,
-        })
-}
-
-fn arb_response() -> impl Strategy<Value = Response> {
-    prop_oneof![
-        arb_interval_list().prop_map(|intervals| Response::Intervals { intervals }),
-        proptest::collection::vec(arb_record(), 0..5)
-            .prop_map(|records| Response::Records { records }),
-        Just(Response::Ok),
-        (1u16..10, "[a-zA-Z0-9 :_-]{0,40}")
-            .prop_map(|(code, detail)| Response::Err { code, detail }),
-        any::<u64>().prop_map(|value| Response::GenValue { value }),
-        proptest::collection::vec(any::<u64>(), 17).prop_map(|v| Response::Status {
-            records_stored: v[0],
-            duplicates_ignored: v[1],
-            naks_sent: v[2],
-            writes_shed: v[3],
-            rpcs: v[4],
-            forces_acked: v[5],
-            clients: v[6],
-            on_disk_bytes: v[7],
-            tracks_flushed: v[8],
-            archived_bytes: v[9],
-            pending_upload_bytes: v[10],
-            last_manifest_lsn: v[11],
-            upload_retries: v[12],
-            coalesced_forces: v[13],
-            group_commits: v[14],
-            shard: v[15],
-            shards: v[16],
-        }),
-        (
-            proptest::collection::vec(arb_stage_stats(), 0..7),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-        )
-            .prop_map(
-                |(
-                    stages,
-                    trace_events,
-                    trace_dropped,
-                    ingest_allocs,
-                    ingest_records,
-                    shard,
-                    shards,
-                )| {
-                    Response::Stats {
-                        stages,
-                        trace_events,
-                        trace_dropped,
-                        ingest_allocs,
-                        ingest_records,
-                        shard,
-                        shards,
-                    }
-                },
-            ),
-    ]
-}
-
-fn arb_message() -> impl Strategy<Value = Message> {
-    let client = (1u64..50).prop_map(ClientId);
-    prop_oneof![
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(incarnation, isn)| Message::Syn { incarnation, isn }),
-        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(incarnation, isn, ack)| {
-            Message::SynAck {
-                incarnation,
-                isn,
-                ack,
-            }
-        }),
-        any::<u64>().prop_map(|ack| Message::HandshakeAck { ack }),
-        (client.clone(), 1u64..20, arb_batch()).prop_map(|(client, e, records)| {
-            Message::WriteLog {
-                client,
-                epoch: Epoch(e),
-                records,
-            }
-        }),
-        (client.clone(), 1u64..20, arb_batch()).prop_map(|(client, e, records)| {
-            Message::ForceLog {
-                client,
-                epoch: Epoch(e),
-                records,
-            }
-        }),
-        (client.clone(), 1u64..20, 1u64..10_000).prop_map(|(client, e, l)| {
-            Message::NewInterval {
-                client,
-                epoch: Epoch(e),
-                starting_lsn: Lsn(l),
-            }
-        }),
-        (client.clone(), 1u64..10_000).prop_map(|(client, l)| Message::NewHighLsn {
-            client,
-            lsn: Lsn(l)
-        }),
-        (client, 1u64..10_000, 0u64..500).prop_map(|(client, lo, span)| {
-            Message::MissingInterval {
-                client,
-                lo: Lsn(lo),
-                hi: Lsn(lo + span),
-            }
-        }),
-        (any::<u64>(), arb_request()).prop_map(|(id, body)| Message::Request { id, body }),
-        (any::<u64>(), arb_response()).prop_map(|(id, body)| Message::Response { id, body }),
-    ]
-}
-
-fn arb_packet() -> impl Strategy<Value = Packet> {
-    (
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        arb_message(),
-    )
-        .prop_map(|(conn, seq, alloc, log, msg)| Packet {
-            conn,
-            seq,
-            alloc,
-            log,
-            msg,
-        })
 }
 
 // ---------------------------------------------------------------------------

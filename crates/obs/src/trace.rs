@@ -10,7 +10,7 @@
 //! asserts, and which makes trace diffs a usable debugging tool.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// A pipeline stage that can emit trace events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -176,11 +176,11 @@ impl TraceLog {
         }
     }
 
-    /// Append an event, evicting the oldest when full. A poisoned lock
-    /// (a panicking peer thread) silently drops the event — tracing must
-    /// never take the process down.
+    /// Append an event, evicting the oldest when full. A poisoned ring is
+    /// used anyway (`dlog_types::unpoisoned`'s policy, inline to keep
+    /// this crate's one dependency): a post-mortem needs its events.
     pub fn push(&self, ev: TraceEvent) {
-        let Ok(mut g) = self.ring.lock() else { return };
+        let mut g = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         if g.buf.len() == self.cap {
             g.buf.pop_front();
             g.dropped += 1;
@@ -193,9 +193,7 @@ impl TraceLog {
     /// `(events, dropped)`.
     #[must_use]
     pub fn snapshot(&self) -> (Vec<TraceEvent>, u64, u64) {
-        let Ok(g) = self.ring.lock() else {
-            return (Vec::new(), 0, 0);
-        };
+        let g = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         let mut events: Vec<TraceEvent> = g.buf.iter().copied().collect();
         events.sort_by_key(|e| e.seq);
         (events, g.pushed, g.dropped)
@@ -254,6 +252,26 @@ mod tests {
         assert_eq!(pushed, 5);
         assert_eq!(dropped, 3);
         assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), [3, 4]);
+    }
+
+    #[test]
+    fn a_poisoned_ring_still_records_and_reports() {
+        let t = TraceLog::new(4);
+        t.push(ev(0, Stage::AckHighLsn, 10, (3 << 1) | 1));
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _g = t.ring.lock().unwrap();
+                panic!("dies holding the ring");
+            })
+            .join()
+        });
+        assert!(died.is_err() && t.ring.is_poisoned());
+        t.push(ev(1, Stage::Force, 10, 3));
+        let (events, pushed, _) = t.snapshot();
+        assert_eq!(pushed, 2);
+        // An unforced ack is still there to be caught, not hidden by an
+        // empty snapshot.
+        assert!(check_force_before_ack(&events).is_err());
     }
 
     #[test]

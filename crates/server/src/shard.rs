@@ -41,6 +41,7 @@ use std::time::Duration;
 
 use dlog_net::wire::{NodeAddr, Packet};
 use dlog_net::{Endpoint, RoutedEndpoint, ShardRx};
+use dlog_types::unpoisoned;
 
 use crate::LogServer;
 
@@ -87,16 +88,12 @@ impl ShardQueue {
 
     /// End the queue with the dispatcher's receive error.
     fn kill(&self, e: &io::Error) {
-        if let Ok(mut inbox) = self.inbox.lock() {
-            inbox.dead = Some((e.kind(), e.to_string()));
-            self.available.notify_all();
-        }
+        unpoisoned(self.inbox.lock()).dead = Some((e.kind(), e.to_string()));
+        self.available.notify_all();
     }
 
     fn push(&self, from: NodeAddr, pkt: Packet) {
-        let Ok(mut inbox) = self.inbox.lock() else {
-            return; // a poisoned queue means the shard loop died; drop
-        };
+        let mut inbox = unpoisoned(self.inbox.lock());
         inbox.q.push_back((from, pkt));
         if inbox.sleepers > 0 {
             self.available.notify_one();
@@ -107,9 +104,7 @@ impl ShardQueue {
     /// blocks, exactly like an endpoint's `recv(ZERO)`; a killed, empty
     /// queue fails like the transport it stands for.
     fn pop(&self, timeout: Duration) -> Polled {
-        let Ok(mut inbox) = self.inbox.lock() else {
-            return Ok(None);
-        };
+        let mut inbox = unpoisoned(self.inbox.lock());
         if let Some(item) = inbox.q.pop_front() {
             return Ok(Some(item));
         }
@@ -120,13 +115,7 @@ impl ShardQueue {
             return Ok(None);
         }
         inbox.sleepers += 1;
-        let (mut inbox, _timed_out) =
-            self.available
-                .wait_timeout(inbox, timeout)
-                .unwrap_or_else(|e| {
-                    let (g, t) = e.into_inner();
-                    (g, t)
-                });
+        let (mut inbox, _timed_out) = unpoisoned(self.available.wait_timeout(inbox, timeout));
         inbox.sleepers = inbox.sleepers.saturating_sub(1);
         Ok(inbox.q.pop_front())
     }
@@ -142,10 +131,8 @@ struct Exits {
 
 impl Exits {
     fn report(&self, why: io::Result<()>) {
-        if let Ok(mut first) = self.first.lock() {
-            first.get_or_insert(why.map_err(|e| (e.kind(), e.to_string())));
-            self.left.notify_all();
-        }
+        unpoisoned(self.first.lock()).get_or_insert(why.map_err(|e| (e.kind(), e.to_string())));
+        self.left.notify_all();
     }
 }
 
@@ -303,13 +290,8 @@ impl ShardSupervisor {
     /// The receive error of the first loop a dead transport ended, or a
     /// note that a server thread panicked.
     pub fn wait(&self) -> io::Result<()> {
-        let poisoned = |_| io::Error::other("server exit state poisoned");
-        let first = self.exits.first.lock().map_err(poisoned)?;
-        let first = self
-            .exits
-            .left
-            .wait_while(first, |first| first.is_none())
-            .map_err(poisoned)?;
+        let first = unpoisoned(self.exits.first.lock());
+        let first = unpoisoned(self.exits.left.wait_while(first, |first| first.is_none()));
         match &*first {
             Some(Err((kind, text))) => Err(io::Error::new(*kind, text.clone())),
             _ => Ok(()),

@@ -25,9 +25,9 @@
 //! only code that read the previous state can know — a wild store from a
 //! stray pointer fails the check and leaves the memory untouched.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use dlog_types::unpoisoned;
 
 /// Error returned when an insert does not fit the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,7 +191,7 @@ impl NvramDevice {
     /// Bytes currently pending (inserted but not yet retired).
     #[must_use]
     pub fn pending_len(&self) -> usize {
-        self.state.lock().track.len()
+        unpoisoned(self.state.lock()).track.len()
     }
 
     /// Free space.
@@ -203,7 +203,7 @@ impl NvramDevice {
     /// Stream position at which the pending bytes begin.
     #[must_use]
     pub fn base_pos(&self) -> u64 {
-        self.state.lock().base_pos
+        unpoisoned(self.state.lock()).base_pos
     }
 
     /// Durably insert `bytes` at the tail of the pending track.
@@ -215,14 +215,16 @@ impl NvramDevice {
     /// [`NvramFull`] when the bytes do not fit; the caller must retire a
     /// track to disk first.
     pub fn insert(&self, bytes: &[u8]) -> Result<(), NvramFull> {
-        self.state.lock().admit(self.capacity, bytes).map(drop)
+        unpoisoned(self.state.lock())
+            .admit(self.capacity, bytes)
+            .map(drop)
     }
 
     /// The device's current guard seal (§5.1). A caller intending a
     /// guarded insert reads this first; a stray writer cannot know it.
     #[must_use]
     pub fn seal(&self) -> u64 {
-        self.state.lock().seal
+        unpoisoned(self.state.lock()).seal
     }
 
     /// Guarded insert (§5.1, after Needham et al.): succeeds only when the
@@ -246,7 +248,7 @@ impl NvramDevice {
     /// As [`NvramDevice::insert_guarded`]; without a guard only
     /// [`GuardError::Full`]. The memory is untouched on error.
     pub fn insert_at_tail(&self, guard: Option<u64>, bytes: &[u8]) -> Result<Tail, GuardError> {
-        let mut st = self.state.lock();
+        let mut st = unpoisoned(self.state.lock());
         if let Some(presented) = guard.filter(|seal| *seal != st.seal) {
             return Err(GuardError::Mismatch(SealMismatch {
                 presented,
@@ -272,7 +274,7 @@ impl NvramDevice {
     /// reused scratch buffer so retiring a track allocates nothing after
     /// warm-up.
     pub fn pending_into(&self, out: &mut Vec<u8>) -> u64 {
-        let st = self.state.lock();
+        let st = unpoisoned(self.state.lock());
         out.clear();
         out.extend_from_slice(&st.track);
         st.base_pos
@@ -293,7 +295,7 @@ impl NvramDevice {
     /// frame reads.
     #[must_use]
     pub fn read_at_into(&self, pos: u64, len: usize, out: &mut Vec<u8>) -> Option<()> {
-        let st = self.state.lock();
+        let st = unpoisoned(self.state.lock());
         let start = pos.checked_sub(st.base_pos)? as usize;
         let end = start.checked_add(len)?;
         let slice = st.track.get(start..end)?;
@@ -308,7 +310,7 @@ impl NvramDevice {
     /// # Panics
     /// Panics if `n` exceeds the pending length (a store logic error).
     pub fn retire(&self, n: usize) {
-        let mut st = self.state.lock();
+        let mut st = unpoisoned(self.state.lock());
         assert!(n <= st.track.len(), "retiring more than pending");
         st.track.drain(..n);
         st.base_pos += n as u64;
@@ -319,7 +321,7 @@ impl NvramDevice {
     /// Reset the device for a freshly formatted store beginning at
     /// stream position `pos`.
     pub fn format(&self, pos: u64) {
-        let mut st = self.state.lock();
+        let mut st = unpoisoned(self.state.lock());
         st.track.clear();
         st.base_pos = pos;
         st.intervals = None;
@@ -329,13 +331,13 @@ impl NvramDevice {
 
     /// Store the active-interval snapshot.
     pub fn store_intervals(&self, bytes: Vec<u8>) {
-        self.state.lock().intervals = Some(bytes);
+        unpoisoned(self.state.lock()).intervals = Some(bytes);
     }
 
     /// Fetch the active-interval snapshot, if any.
     #[must_use]
     pub fn load_intervals(&self) -> Option<Vec<u8>> {
-        self.state.lock().intervals.clone()
+        unpoisoned(self.state.lock()).intervals.clone()
     }
 }
 

@@ -37,6 +37,7 @@ pub mod crc;
 pub mod error;
 pub mod ids;
 pub mod interval;
+pub mod lock;
 pub mod namebuf;
 pub mod record;
 
@@ -44,4 +45,5 @@ pub use config::ReplicationConfig;
 pub use error::{DlogError, Result};
 pub use ids::{ClientId, LogId, ServerId};
 pub use interval::{Interval, IntervalList};
+pub use lock::unpoisoned;
 pub use record::{Epoch, LogData, LogRecord, Lsn, RecordId};
