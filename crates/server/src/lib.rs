@@ -48,7 +48,8 @@ use std::time::{Duration, Instant};
 
 use dlog_archive::{merge_interval_lists, ArchiveReader, Archiver, ObjectStore};
 use dlog_net::wire::{codes, Message, NodeAddr, Packet, Request, Response, MAX_PACKET_BYTES};
-use dlog_storage::LogStore;
+use dlog_storage::frame::{Frame, ENVELOPE_BYTES};
+use dlog_storage::{LogStore, RunRead};
 use dlog_types::{ClientId, DlogError, Epoch, LogData, Lsn, Result, ServerId};
 
 use crate::gen::GenStore;
@@ -837,6 +838,15 @@ impl LogServer {
         // never pushes past `max.min(read_batch)` entries.
         let cap = max.min(self.config.read_batch) as usize;
         let mut records = Vec::with_capacity(cap);
+        // The reply carries at most `budget` bytes, counting `per_record`
+        // on top of each payload. A record's frame is longer than that
+        // estimate by a fixed amount, so the stream bytes a full reply
+        // spans, plus the envelope of the frame that would overflow it,
+        // come to `span`: one window of the stream serves the request.
+        let budget = MAX_PACKET_BYTES - 128;
+        let per_record = 32;
+        let span = budget + cap * (Frame::record_len(0) - per_record) + ENVELOPE_BYTES;
+        let mut run = self.store.read_run(client, forward, span);
         let mut bytes = 0usize;
         let mut cursor = lsn;
         // "A log server does not respond to ServerReadLog requests for
@@ -847,22 +857,36 @@ impl LogServer {
             if records.len() >= cap {
                 break;
             }
+            // The first record goes out whatever its size; a later one
+            // only if its payload fits what is left of the budget.
+            let room = if records.is_empty() {
+                usize::MAX
+            } else {
+                match budget.checked_sub(bytes + per_record) {
+                    Some(room) => room,
+                    None => break,
+                }
+            };
             // Live store first; a position retention has pruned falls back
             // to the archive tier, making the log bottomless for readers.
-            let fetched = match self.store.read(client, cursor) {
-                Ok(Some(rec)) => Some(rec),
-                Ok(None) => match self.archive.as_mut().and_then(|t| t.reader.as_mut()) {
-                    Some(reader) => match reader.read(client, cursor) {
-                        Ok(rec) => rec,
-                        Err(_) => {
-                            return Response::Err {
-                                code: codes::STORAGE,
-                                detail: "archive read failure".into(),
+            let rec = match run.next(cursor, room) {
+                Ok(RunRead::Record(rec)) => rec,
+                Ok(RunRead::TooLong) => break,
+                Ok(RunRead::NotStored) => {
+                    match self.archive.as_mut().and_then(|t| t.reader.as_mut()) {
+                        Some(reader) => match reader.read(client, cursor) {
+                            Ok(Some(rec)) if rec.data.len() <= room => rec,
+                            Ok(_) => break,
+                            Err(_) => {
+                                return Response::Err {
+                                    code: codes::STORAGE,
+                                    detail: "archive read failure".into(),
+                                }
                             }
-                        }
-                    },
-                    None => None,
-                },
+                        },
+                        None => break,
+                    }
+                }
                 Err(_) => {
                     return Response::Err {
                         code: codes::STORAGE,
@@ -870,16 +894,8 @@ impl LogServer {
                     }
                 }
             };
-            match fetched {
-                Some(rec) => {
-                    bytes += rec.data.len() + 32;
-                    if bytes > MAX_PACKET_BYTES - 128 && !records.is_empty() {
-                        break;
-                    }
-                    records.push(rec);
-                }
-                None => break,
-            }
+            bytes += rec.data.len() + per_record;
+            records.push(rec);
             cursor = if forward {
                 cursor.next()
             } else {
@@ -1669,11 +1685,12 @@ mod tests {
 
     /// What one `ReadLogForward`/`ReadLogBackward` of eight records
     /// allocates on the server thread, pinned per request: the reply's
-    /// record vector plus, per record, its payload copy and the `Arc`
-    /// around it (17), whether the records sit in NVRAM or, after a
-    /// reopen, in sealed segments. A segment read is one positional read
-    /// through a descriptor the stream keeps (the reopen's recovery scan
-    /// opened all eight), so it allocates nothing.
+    /// record vector, and the one window of the stream the eight records
+    /// are read from and its `Arc` (3), whether the records sit in NVRAM
+    /// or, after a reopen, in sealed segments. Every payload is a view of
+    /// the window. A segment window is one positional read through a
+    /// descriptor the stream keeps (the reopen's recovery scan opened all
+    /// eight), so it allocates nothing more.
     #[test]
     fn read_batches_allocate_a_fixed_count_per_request() {
         const RECORDS: u64 = 256;
@@ -1748,12 +1765,113 @@ mod tests {
             }),
         );
         assert_eq!(s.store_stats().tracks_flushed, 0, "records still in NVRAM");
-        allocs_per_request(&mut s, 17);
+        allocs_per_request(&mut s, 3);
 
         let nvram = s.store_mut().nvram();
         drop(s);
         let mut s = open(nvram);
         assert_eq!(s.store_mut().sealed_segments(), (0..8).collect::<Vec<_>>());
-        allocs_per_request(&mut s, 17);
+        allocs_per_request(&mut s, 3);
+    }
+
+    /// What a full read reply costs from sealed segments, pinned by
+    /// count: one read syscall when its frames sit in one segment,
+    /// forward or backward, and one store read per record it returns (the
+    /// frame that would overflow the reply is sized from its envelope and
+    /// never decoded). A single `LogStore::read` of a cold frame is one
+    /// read syscall too.
+    #[test]
+    fn a_full_reply_from_one_segment_is_one_read_syscall() {
+        // 256-byte payloads make `restart_read`'s 294-byte frames: a full
+        // reply is 28 records and 8 232 bytes, and a 64 KiB segment holds
+        // 222 whole frames.
+        const FULL: usize = 28;
+        let dir = tmpdir("read-syscalls");
+        let opts = StoreOptions {
+            fsync: false,
+            checkpoint_every: 0,
+            segment_bytes: 64 << 10,
+            ..StoreOptions::default()
+        };
+        let open = |nvram: NvramDevice| {
+            let store = LogStore::open(&dir, opts.clone(), nvram).unwrap();
+            let gens = GenStore::open(dir.join("gens")).unwrap();
+            LogServer::new(ServerConfig::new(ServerId(1)), store, gens).unwrap()
+        };
+        let nvram = NvramDevice::new(1 << 20);
+        let mut s = open(nvram.clone());
+        let records = (1..=500u64)
+            .map(|i| (Lsn(i), LogData::from(vec![i as u8; 256])))
+            .collect();
+        s.handle(
+            FROM,
+            &Packet::bare(Message::ForceLog {
+                client: CL,
+                epoch: Epoch(1),
+                records,
+            }),
+        );
+        drop(s);
+        // The reopen replays the NVRAM to disk and its recovery scan opens
+        // every segment's descriptor.
+        let mut s = open(nvram);
+        assert_eq!(s.store_mut().sealed_segments(), vec![0, 1]);
+        let Some(_) = dlog_obs::gauge::thread_io() else {
+            return; // no /proc/thread-self/io to count with
+        };
+        let read_syscalls = |f: &mut dyn FnMut()| {
+            let before = dlog_obs::gauge::thread_io().unwrap();
+            f();
+            dlog_obs::gauge::thread_io().unwrap().syscr - before.syscr
+        };
+        let empty = read_syscalls(&mut || {});
+
+        let mut out = Vec::with_capacity(4);
+        // Forward from the head of segments 0 and 1; backward from the
+        // middle of segment 0, so its window reaches below the reply.
+        for (lsn, forward) in [(1, true), (250, true), (200, false)] {
+            let body = if forward {
+                Request::ReadLogForward {
+                    client: CL,
+                    lsn: Lsn(lsn),
+                    max_records: 64,
+                }
+            } else {
+                Request::ReadLogBackward {
+                    client: CL,
+                    lsn: Lsn(lsn),
+                    max_records: 64,
+                }
+            };
+            let request = Packet::bare(Message::Request { id: lsn, body });
+            let reads = s.store_stats().reads;
+            let syscalls = read_syscalls(&mut || s.handle_into(FROM, &request, &mut out));
+            let [(_, reply)] = &out[..] else {
+                panic!("one reply expected, got {out:?}");
+            };
+            let Message::Response {
+                body: Response::Records { records },
+                ..
+            } = &reply.msg
+            else {
+                panic!("unexpected reply {reply:?}");
+            };
+            let lsns: Vec<u64> = records.iter().map(|r| r.lsn.0).collect();
+            let want: Vec<u64> = if forward {
+                (lsn..lsn + FULL as u64).collect()
+            } else {
+                (lsn + 1 - FULL as u64..=lsn).rev().collect()
+            };
+            assert_eq!(lsns, want, "a full reply from {lsn}");
+            assert_eq!(syscalls - empty, 1, "read syscalls serving {request:?}");
+            assert_eq!(s.store_stats().reads - reads, FULL as u64, "store reads");
+            out.clear();
+        }
+
+        let store = s.store_mut();
+        let syscalls = read_syscalls(&mut || {
+            assert!(store.read(CL, Lsn(100)).unwrap().is_some());
+        });
+        assert_eq!(syscalls - empty, 1, "read syscalls of one cold frame");
     }
 }

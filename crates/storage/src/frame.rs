@@ -6,6 +6,8 @@
 //! at the first frame whose length or CRC is invalid — everything after a
 //! torn track write is discarded.
 
+use std::sync::Arc;
+
 use dlog_types::bytes::{slice_at, u32_le_at, u64_le_at, u8_at};
 use dlog_types::{ClientId, DlogError, Epoch, LogData, LogRecord, Lsn, Result};
 
@@ -24,6 +26,10 @@ const KIND_CHECKPOINT: u8 = 3;
 
 const FLAG_PRESENT: u8 = 0b01;
 const FLAG_STAGED: u8 = 0b10;
+
+/// Where a record frame's payload starts in its body: after the kind,
+/// client, LSN, epoch, flags and payload length.
+const RECORD_DATA_AT: usize = 1 + 8 + 8 + 8 + 1 + 4;
 
 /// A frame in the log stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,7 +123,7 @@ impl Frame {
     /// bytes, envelope included.
     #[must_use]
     pub const fn record_len(data_len: usize) -> usize {
-        ENVELOPE_BYTES + 1 + 8 + 8 + 8 + 1 + 4 + data_len
+        ENVELOPE_BYTES + RECORD_DATA_AT + data_len
     }
 
     /// Serialized size of the frame, envelope included.
@@ -140,22 +146,37 @@ impl Frame {
     /// content within a CRC-valid frame (which indicates a software bug or
     /// deliberate tampering rather than a torn write).
     pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>> {
-        let (Some(body_len), Some(expected_crc)) = (u32_le_at(buf, 0), u32_le_at(buf, 4)) else {
+        let Some(body) = checked_body(buf) else {
             return Ok(None);
         };
-        let body_len = body_len as usize;
-        if body_len == 0 || body_len > MAX_FRAME_BYTES {
-            return Ok(None);
-        }
-        let total = ENVELOPE_BYTES + body_len;
-        let Some(body) = slice_at(buf, ENVELOPE_BYTES, body_len) else {
-            return Ok(None);
-        };
-        if crc32(body) != expected_crc {
-            return Ok(None);
-        }
         let frame = Self::decode_body(body)?;
-        Ok(Some((frame, total)))
+        Ok(Some((frame, ENVELOPE_BYTES + body.len())))
+    }
+
+    /// Decode the record frame that starts `at` bytes into `buf`, under
+    /// every check [`Frame::decode`] makes, with its payload a view of
+    /// `buf` ([`LogData::slice_of`]) rather than a copy: the store's read
+    /// path. Returns the owning client and the record.
+    ///
+    /// # Errors
+    /// [`DlogError::Corrupt`] when no valid frame starts at `at`, or the
+    /// frame there is not a record.
+    pub(crate) fn decode_record_view(
+        buf: &Arc<Vec<u8>>,
+        at: usize,
+    ) -> Result<(ClientId, LogRecord)> {
+        let corrupt = |msg: &str| DlogError::Corrupt(msg.into());
+        let body = buf
+            .get(at..)
+            .and_then(checked_body)
+            .ok_or_else(|| corrupt("unreadable frame"))?;
+        if u8_at(body, 0) != Some(KIND_RECORD) {
+            return Err(corrupt("not a record frame"));
+        }
+        let body_at = at + ENVELOPE_BYTES;
+        let (client, record, _) =
+            decode_record(body, |off, len| LogData::slice_of(buf, body_at + off, len))?;
+        Ok((client, record))
     }
 
     fn decode_body(body: &[u8]) -> Result<Frame> {
@@ -164,26 +185,12 @@ impl Frame {
         let rest = body.get(1..).unwrap_or(&[]);
         match kind {
             KIND_RECORD => {
-                let short = || corrupt("short record frame");
-                let client = ClientId(u64_le_at(rest, 0).ok_or_else(short)?);
-                let lsn = Lsn(u64_le_at(rest, 8).ok_or_else(short)?);
-                let epoch = Epoch(u64_le_at(rest, 16).ok_or_else(short)?);
-                let flags = u8_at(rest, 24).ok_or_else(short)?;
-                let data_len = u32_le_at(rest, 25).ok_or_else(short)? as usize;
-                if rest.len() != 29 + data_len {
-                    return Err(corrupt("record frame length mismatch"));
-                }
-                let data = LogData::from(slice_at(rest, 29, data_len).ok_or_else(short)?);
-                let record = LogRecord {
-                    lsn,
-                    epoch,
-                    present: flags & FLAG_PRESENT != 0,
-                    data,
-                };
+                let (client, record, staged) =
+                    decode_record(body, |off, len| slice_at(body, off, len).map(LogData::from))?;
                 Ok(Frame::Record {
                     client,
                     record,
-                    staged: flags & FLAG_STAGED != 0,
+                    staged,
                 })
             }
             KIND_INSTALL => {
@@ -206,6 +213,42 @@ impl Frame {
             _ => Err(corrupt("unknown frame kind")),
         }
     }
+}
+
+/// The body of the frame at the front of `buf`, when `buf` begins with
+/// a whole frame whose length is sane and whose CRC matches.
+fn checked_body(buf: &[u8]) -> Option<&[u8]> {
+    let body_len = u32_le_at(buf, 0)? as usize;
+    if body_len == 0 || body_len > MAX_FRAME_BYTES {
+        return None;
+    }
+    let body = slice_at(buf, ENVELOPE_BYTES, body_len)?;
+    (crc32(body) == u32_le_at(buf, 4)?).then_some(body)
+}
+
+/// Decode a record frame's body (kind byte included) into its client,
+/// record and staged flag. `payload(offset, len)` makes the payload from
+/// where it sits in `body`, as a copy or as a view.
+fn decode_record(
+    body: &[u8],
+    payload: impl FnOnce(usize, usize) -> Option<LogData>,
+) -> Result<(ClientId, LogRecord, bool)> {
+    let short = || DlogError::Corrupt("short record frame".into());
+    let client = ClientId(u64_le_at(body, 1).ok_or_else(short)?);
+    let lsn = Lsn(u64_le_at(body, 9).ok_or_else(short)?);
+    let epoch = Epoch(u64_le_at(body, 17).ok_or_else(short)?);
+    let flags = u8_at(body, 25).ok_or_else(short)?;
+    let data_len = u32_le_at(body, 26).ok_or_else(short)? as usize;
+    if body.len() != RECORD_DATA_AT + data_len {
+        return Err(DlogError::Corrupt("record frame length mismatch".into()));
+    }
+    let record = LogRecord {
+        lsn,
+        epoch,
+        present: flags & FLAG_PRESENT != 0,
+        data: payload(RECORD_DATA_AT, data_len).ok_or_else(short)?,
+    };
+    Ok((client, record, flags & FLAG_STAGED != 0))
 }
 
 /// Reserve the envelope (`len` + `crc`) of a frame starting at the end of
@@ -325,6 +368,35 @@ mod tests {
             buf[i] ^= 0x01;
             assert!(Frame::decode(&buf).unwrap().is_none(), "flip at {i}");
             buf[i] ^= 0x01;
+        }
+    }
+
+    #[test]
+    fn a_record_view_is_the_decoded_record_without_a_copy() {
+        let frames = [
+            record_frame(1, false),
+            record_frame(2, true),
+            Frame::Install {
+                client: ClientId(7),
+                epoch: Epoch(3),
+            },
+        ];
+        let mut buf = Vec::new();
+        let starts: Vec<usize> = frames.iter().map(|f| f.encode_into(&mut buf)).collect();
+        let buf = Arc::new(buf);
+        let mut views = Vec::new();
+        for at in [0, starts[0]] {
+            let (client, record) = Frame::decode_record_view(&buf, at).unwrap();
+            let (owned, _) = Frame::decode(&buf[at..]).unwrap().unwrap();
+            assert!(matches!(owned, Frame::Record { client: c, record: r, .. }
+                if c == client && r == record));
+            views.push(record);
+        }
+        assert_eq!(Arc::strong_count(&buf), 3, "each payload shares the buffer");
+        // An install frame, a position inside a frame and a torn tail are
+        // refused, not decoded.
+        for at in [starts[0] + starts[1], 1, buf.len() - 1] {
+            assert!(Frame::decode_record_view(&buf, at).is_err(), "at {at}");
         }
     }
 

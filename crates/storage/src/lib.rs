@@ -48,4 +48,6 @@ pub mod stream;
 pub mod verify;
 
 pub use nvram::NvramDevice;
-pub use store::{LogStore, ReplayState, RetentionReport, StoreOptions, StoreStats};
+pub use store::{
+    LogStore, ReadRun, ReplayState, RetentionReport, RunRead, StoreOptions, StoreStats,
+};

@@ -291,8 +291,7 @@ impl NvramDevice {
     }
 
     /// [`NvramDevice::read_at`] into a caller-supplied buffer (cleared
-    /// first); the store's read path reuses one scratch vector across
-    /// frame reads.
+    /// first): the store reads a run's window of the track this way.
     #[must_use]
     pub fn read_at_into(&self, pos: u64, len: usize, out: &mut Vec<u8>) -> Option<()> {
         let st = unpoisoned(self.state.lock());

@@ -17,7 +17,9 @@ use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
+use dlog_types::bytes::u32_le_at;
 use dlog_types::{
     ClientId, DlogError, Epoch, Interval, IntervalList, LogData, LogRecord, Lsn, Result,
 };
@@ -30,9 +32,11 @@ use crate::stream::SegmentedStream;
 
 const CKPT_MAGIC: u32 = 0x444C_4B50; // "DLKP"
 
-/// Most bytes a frame's first read takes. Every frame the benchmark
-/// writes (146–302 B) and a typical record fit, so a cold read is one
-/// positional read of its segment; a longer frame costs a second.
+/// The window a read of one record takes: all of [`LogStore::read`]'s,
+/// and the part of a backward run's window at and past the run's first
+/// frame. Every frame the benchmark writes (146–302 B) and a typical
+/// record fit, so such a read is one positional read of its segment; a
+/// longer frame costs a second.
 const FRAME_READ_WINDOW: usize = 1024;
 
 /// CopyLog records awaiting InstallCopies: client -> epoch -> records with
@@ -160,9 +164,9 @@ pub struct LogStore {
     /// through here, so after warm-up the write hot path performs no
     /// per-record allocation for framing.
     frame_buf: Vec<u8>,
-    /// Reused I/O scratch: frame reads, track flushes, and checkpoint
-    /// images are all staged through here, so the steady-state read,
-    /// force, and checkpoint paths allocate nothing after warm-up.
+    /// Reused I/O scratch: track flushes and checkpoint images are
+    /// staged through here, so the steady-state force and checkpoint
+    /// paths allocate nothing after warm-up.
     scratch: Vec<u8>,
 }
 
@@ -443,21 +447,34 @@ impl LogStore {
     /// (the `ServerReadLog` operation). `Ok(None)` when the server does
     /// not store the LSN.
     ///
+    /// A run of one record ([`LogStore::read_run`]) through a 1 KiB
+    /// window: the payload is a view of that window, or of the frame
+    /// itself when the frame is longer.
+    ///
     /// # Errors
     /// Propagates I/O failures and frame corruption.
     pub fn read(&mut self, client: ClientId, lsn: Lsn) -> Result<Option<LogRecord>> {
-        self.stats.reads += 1;
-        let Some((_, pos)) = self.table.lookup(client, lsn) else {
-            return Ok(None);
-        };
-        let frame = self.read_frame_at(pos)?;
-        match frame {
-            Frame::Record {
-                client: c, record, ..
-            } if c == client && record.lsn == lsn => Ok(Some(record)),
-            _ => Err(DlogError::Corrupt(
-                "LSN index points at a foreign frame".into(),
-            )),
+        match self
+            .read_run(client, true, FRAME_READ_WINDOW)
+            .next(lsn, usize::MAX)?
+        {
+            RunRead::Record(record) => Ok(Some(record)),
+            RunRead::NotStored | RunRead::TooLong => Ok(None),
+        }
+    }
+
+    /// Start a run of `client`'s records, one read request's worth
+    /// (§4.2: records are packed per server round trip), read through
+    /// windows of the stream of about `span` bytes: forward from the
+    /// first record asked for when `forward`, backward otherwise. See
+    /// [`ReadRun`].
+    pub fn read_run(&mut self, client: ClientId, forward: bool, span: usize) -> ReadRun<'_> {
+        ReadRun {
+            store: self,
+            client,
+            forward,
+            span: span as u64,
+            window: None,
         }
     }
 
@@ -837,60 +854,55 @@ impl LogStore {
         Ok(())
     }
 
-    /// Decode the frame at `pos` in one read when it fits the first read's
-    /// window (see `first_read_len`); only a longer frame, or one that
-    /// crosses a segment boundary, is read again whole.
-    fn read_frame_at(&mut self, pos: u64) -> Result<Frame> {
-        let first = self.first_read_len(pos);
-        self.read_bytes_into_scratch(pos, first)?;
-        let body_len = dlog_types::bytes::u32_le_at(&self.scratch, 0)
-            .ok_or_else(|| DlogError::Corrupt("short frame envelope".into()))?
-            as usize;
-        let total = ENVELOPE_BYTES + body_len;
-        if total > first {
-            self.read_bytes_into_scratch(pos, total)?;
-        }
-        // `decode` checks the length, CRC and body of exactly the frame's
-        // `total` bytes; whatever else the window caught is ignored.
-        match Frame::decode(&self.scratch)? {
-            Some((frame, _)) => Ok(frame),
-            None => Err(DlogError::Corrupt("unreadable frame".into())),
-        }
-    }
-
-    /// How many bytes the first read of a frame at `pos` takes: the
-    /// envelope plus what follows it, up to `FRAME_READ_WINDOW`, clipped to
-    /// the end of the tier holding `pos` (disk or NVRAM) and to the end of
-    /// its segment, so the read never opens a segment the frame does not
-    /// reach. Never shorter than the envelope.
-    fn first_read_len(&self, pos: u64) -> usize {
+    /// Read the window a run takes to hold the `len` bytes at `pos`, in
+    /// one positional read: `span` bytes from `pos` for a forward run;
+    /// for a backward run, `span` bytes below `pos` and
+    /// `FRAME_READ_WINDOW` bytes from it, since `pos` is the top of what
+    /// the run reads next. The window is clipped to the tier holding
+    /// `pos` (NVRAM, or the disk below its end) and, on disk, to `pos`'s
+    /// segment, so the read never opens a segment it has no need of; but
+    /// it always holds `[pos, pos + len)`, which for a frame longer than
+    /// the window, or one crossing a segment boundary, takes a read of
+    /// its own. Returns the window and where `pos` sits in it.
+    fn read_window(
+        &mut self,
+        pos: u64,
+        len: usize,
+        forward: bool,
+        span: u64,
+    ) -> Result<(usize, Window)> {
         let disk_end = self.stream.end();
-        let tier_end = if pos >= disk_end {
-            self.append_position()
+        let in_nvram = pos >= disk_end;
+        let (floor, ceiling) = if in_nvram {
+            (disk_end, self.append_position())
         } else {
-            disk_end
+            let segment = self.stream.segment_bytes();
+            let segment_start = pos / segment * segment;
+            (segment_start, (segment_start + segment).min(disk_end))
         };
-        let segment = self.stream.segment_bytes();
-        let segment_end = (pos / segment + 1) * segment;
-        let end = tier_end
-            .min(segment_end)
-            .min(pos + FRAME_READ_WINDOW as u64);
-        (end.saturating_sub(pos) as usize).max(ENVELOPE_BYTES)
-    }
-
-    /// Fill `self.scratch` with `len` bytes at stream position `pos`,
-    /// serving from NVRAM for positions past the disk tail. Reusing one
-    /// buffer keeps the steady-state read path allocation-free.
-    fn read_bytes_into_scratch(&mut self, pos: u64, len: usize) -> Result<()> {
-        let disk_end = self.stream.end();
-        if pos >= disk_end {
-            // Entirely in NVRAM.
-            self.nvram
-                .read_at_into(pos, len, &mut self.scratch)
-                .ok_or_else(|| DlogError::Corrupt("read position not buffered".into()))
+        let (start, end) = if forward {
+            (pos, pos.saturating_add(span).min(ceiling))
         } else {
-            Ok(self.stream.read_into(pos, len, &mut self.scratch)?)
+            (
+                pos.saturating_sub(span).max(floor),
+                (pos + FRAME_READ_WINDOW as u64).min(ceiling),
+            )
+        };
+        let end = end.max(pos + len as u64);
+        let len = (end - start) as usize;
+        let mut bytes = Vec::new();
+        if in_nvram {
+            self.nvram
+                .read_at_into(start, len, &mut bytes)
+                .ok_or_else(|| DlogError::Corrupt("read position not buffered".into()))?;
+        } else {
+            self.stream.read_into(start, len, &mut bytes)?;
         }
+        let window = Window {
+            base: start,
+            bytes: Arc::new(bytes),
+        };
+        Ok(((pos - start) as usize, window))
     }
 
     fn maybe_checkpoint(&mut self) -> Result<()> {
@@ -965,6 +977,105 @@ impl LogStore {
         self.bytes_since_ckpt = 0;
         self.stats.checkpoints += 1;
         Ok(())
+    }
+}
+
+/// What [`ReadRun::next`] found at an LSN.
+#[derive(Debug, PartialEq, Eq)]
+pub enum RunRead {
+    /// The record, its payload a view of the run's window.
+    Record(LogRecord),
+    /// The store holds no record at the LSN.
+    NotStored,
+    /// The record is stored, but its payload is longer than the room the
+    /// caller left; it was not decoded.
+    TooLong,
+}
+
+/// One read request's cursor over a client's records.
+///
+/// The stream is written sequentially (§4.3), so a run of one client's
+/// records sits in one contiguous byte range, give or take other
+/// clients' frames. A run reads a window of that range with one
+/// positional read and decodes every record it can from there; each
+/// payload is a view of the window, not a copy. It reads a new window
+/// only when the next frame lies outside the current one: past other
+/// clients' frames, across a tier or segment boundary, or longer than the
+/// window. Every frame is checked as it is decoded: envelope, length,
+/// CRC, record kind, and that it is the client's record at the LSN the
+/// index named.
+///
+/// The run borrows the store, so nothing can write, flush, truncate or
+/// drop segments while it holds a window, and the window is never stale.
+pub struct ReadRun<'a> {
+    store: &'a mut LogStore,
+    client: ClientId,
+    forward: bool,
+    span: u64,
+    window: Option<Window>,
+}
+
+/// Bytes of the stream from `base` on, shared by every payload decoded
+/// out of them.
+struct Window {
+    base: u64,
+    bytes: Arc<Vec<u8>>,
+}
+
+impl Window {
+    /// Where `[pos, pos + len)` starts in the window, if it holds it all.
+    fn offset(&self, pos: u64, len: usize) -> Option<usize> {
+        let at = usize::try_from(pos.checked_sub(self.base)?).ok()?;
+        (at.checked_add(len)? <= self.bytes.len()).then_some(at)
+    }
+}
+
+impl ReadRun<'_> {
+    /// The record at `lsn`, provided its payload is at most `room` bytes.
+    /// The length is read from the frame's envelope, so a record that
+    /// does not fit is neither CRC-checked nor decoded, nor counted in
+    /// [`StoreStats::reads`].
+    ///
+    /// # Errors
+    /// Propagates I/O failures and frame corruption, including an index
+    /// entry that points at a frame other than the client's record at
+    /// `lsn`.
+    pub fn next(&mut self, lsn: Lsn, room: usize) -> Result<RunRead> {
+        let Some((_, pos)) = self.store.table.lookup(self.client, lsn) else {
+            self.store.stats.reads += 1;
+            return Ok(RunRead::NotStored);
+        };
+        let (bytes, at) = self.cover(pos, ENVELOPE_BYTES)?;
+        let body_len = u32_le_at(bytes, at)
+            .ok_or_else(|| DlogError::Corrupt("short frame envelope".into()))?;
+        let total = ENVELOPE_BYTES + body_len as usize;
+        if total.saturating_sub(Frame::record_len(0)) > room {
+            return Ok(RunRead::TooLong);
+        }
+        self.store.stats.reads += 1;
+        let (bytes, at) = self.cover(pos, total)?;
+        match Frame::decode_record_view(bytes, at)? {
+            (client, record) if client == self.client && record.lsn == lsn => {
+                Ok(RunRead::Record(record))
+            }
+            _ => Err(DlogError::Corrupt(
+                "LSN index points at a foreign frame".into(),
+            )),
+        }
+    }
+
+    /// A window holding the `len` bytes at `pos`, and where they start in
+    /// it: the current one if it does, else a fresh read.
+    fn cover(&mut self, pos: u64, len: usize) -> Result<(&Arc<Vec<u8>>, usize)> {
+        let held = self
+            .window
+            .take()
+            .and_then(|w| Some((w.offset(pos, len)?, w)));
+        let (at, window) = match held {
+            Some(hit) => hit,
+            None => self.store.read_window(pos, len, self.forward, self.span)?,
+        };
+        Ok((&self.window.insert(window).bytes, at))
     }
 }
 
