@@ -1,7 +1,7 @@
 //! Forward may-analysis over the statement-level CFG, to a fixpoint.
 //!
 //! A [`DataflowRule`] tracks per-binding facts (strings like `guard:g`
-//! or `sealed:self.active`) through every path of a function body. The
+//! or `lsn:next`) through every path of a function body. The
 //! engine computes, for each basic block, the union of facts flowing in
 //! over all predecessors (a *may* analysis: a fact holds at a point if
 //! it holds on **some** path there), iterating until nothing changes.
@@ -211,37 +211,6 @@ pub fn let_bindings(cx: &StmtCx<'_>) -> Vec<(usize, String)> {
     out
 }
 
-/// The dotted receiver path whose last segment ends at token `end`
-/// (inclusive), walking back over `ident (. ident|literal)*`:
-/// for `self.state.lock()` with `end` at `state`, returns `self.state`.
-/// Returns `None` when the receiver is not a simple path (e.g. `foo()`).
-#[must_use]
-pub fn receiver_path(file: &SourceFile, end: usize) -> Option<String> {
-    let toks = &file.tokens;
-    let last = toks.get(end)?;
-    if last.kind != TokenKind::Ident && last.kind != TokenKind::Literal {
-        return None;
-    }
-    let mut parts = vec![last.text.clone()];
-    let mut i = end;
-    while i >= 2 && toks[i - 1].is(".") {
-        let prev = &toks[i - 2];
-        if prev.kind == TokenKind::Ident || prev.kind == TokenKind::Literal {
-            parts.push(prev.text.clone());
-            i -= 2;
-        } else {
-            break;
-        }
-    }
-    // A `.` immediately before the path head means the head itself hangs
-    // off a non-path expression (`foo().bar`): reject.
-    if i >= 1 && toks[i - 1].is(".") {
-        return None;
-    }
-    parts.reverse();
-    Some(parts.join("."))
-}
-
 /// Statement-relative indices of method-call names: for every
 /// `. name (` in the statement, yields the index of `name`.
 #[must_use]
@@ -253,7 +222,7 @@ pub fn method_calls(cx: &StmtCx<'_>) -> Vec<usize> {
 }
 
 /// Kill every fact whose key is exactly `key` or a dotted extension of
-/// it (`sealed:seg` also kills `sealed:seg.inner`).
+/// it (`guard:g` also kills `guard:g.inner`).
 pub fn kill_key_prefix(facts: &mut FactSet, key: &str) {
     facts.retain(|f| f.key != key && !f.key.starts_with(&format!("{key}.")));
 }
@@ -368,28 +337,5 @@ mod tests {
         };
         let names: Vec<String> = let_bindings(&cx).into_iter().map(|(_, n)| n).collect();
         assert_eq!(names, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn helper_receiver_path() {
-        let file = SourceFile::parse("x.rs", "fn f() { self.state.lock(); foo().lock(); }");
-        let lock1 = file.tokens.iter().position(|t| t.is("lock")).unwrap();
-        assert_eq!(
-            receiver_path(&file, lock1 - 2),
-            Some("self.state".to_string())
-        );
-        let lock2 = file
-            .tokens
-            .iter()
-            .enumerate()
-            .skip(lock1 + 1)
-            .find(|(_, t)| t.is("lock"))
-            .map(|(i, _)| i)
-            .unwrap();
-        assert_eq!(
-            receiver_path(&file, lock2 - 2),
-            None,
-            "call-result receiver"
-        );
     }
 }

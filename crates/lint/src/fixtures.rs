@@ -55,16 +55,14 @@ impl Drift {
     }
 }
 
-fn read(dir: &Path, name: &str) -> Result<String, String> {
-    fs::read_to_string(dir.join(name)).map_err(|e| format!("cannot read fixture {name}: {e}"))
-}
-
 /// Parse a fixture under a synthetic hot-path label so path-gated rules
 /// treat it as in-scope.
 fn parse(dir: &Path, name: &str) -> Result<SourceFile, String> {
+    let text = fs::read_to_string(dir.join(name))
+        .map_err(|e| format!("cannot read fixture {name}: {e}"))?;
     Ok(SourceFile::parse(
         &format!("crates/storage/src/{name}"),
-        &read(dir, name)?,
+        &text,
     ))
 }
 
@@ -130,36 +128,6 @@ pub fn verify_fixtures(dir: &Path) -> Result<usize, String> {
         &rules::ack_after_force::check(&parse(dir, "ack_after_force_pass.rs")?),
         &Expect::Clean,
     );
-    drift.record(
-        "status_doc_fail.md",
-        rules::status_parity::RULE,
-        &rules::status_parity::check(
-            &parse(dir, "status_wire.rs")?,
-            "fixtures/status_doc_fail.md",
-            &read(dir, "status_doc_fail.md")?,
-        ),
-        &Expect::Exactly(2),
-    );
-    drift.record(
-        "stats_doc_fail.md",
-        rules::status_parity::RULE,
-        &rules::status_parity::check(
-            &parse(dir, "status_wire.rs")?,
-            "fixtures/stats_doc_fail.md",
-            &read(dir, "stats_doc_fail.md")?,
-        ),
-        &Expect::Exactly(2),
-    );
-    drift.record(
-        "status_doc_pass.md",
-        rules::status_parity::RULE,
-        &rules::status_parity::check(
-            &parse(dir, "status_wire.rs")?,
-            "fixtures/status_doc_pass.md",
-            &read(dir, "status_doc_pass.md")?,
-        ),
-        &Expect::Clean,
-    );
 
     // Flow-sensitive rules.
     run_dataflow(
@@ -174,7 +142,6 @@ pub fn verify_fixtures(dir: &Path) -> Result<usize, String> {
         &rules::lsn_checked_arith::LsnCheckedArith,
         3,
     )?;
-    run_dataflow(&mut drift, dir, &rules::seal_typestate::SealTypestate, 2)?;
 
     if drift.problems.is_empty() {
         Ok(drift.checked)

@@ -2,11 +2,10 @@
 //!
 //! The paper's correctness story rests on ordering invariants the Rust
 //! compiler cannot see: acks must never be sent before the records they
-//! cover are forced to stable storage (§4.2), and the status gauges must
-//! stay in lock-step with their documentation. This
-//! crate walks the workspace sources with a hand-rolled lexer (no
-//! external parser — it must build offline against the vendored stubs)
-//! and enforces six repo-specific rules, gated in tier-1 via
+//! cover are forced to stable storage (§4.2). This crate walks the
+//! workspace sources with a hand-rolled lexer (no external parser — it
+//! must build offline against the vendored stubs) and enforces four
+//! repo-specific rules, gated in tier-1 via
 //! `tests/lint_gate.rs`. What the compiler *can* see lives in
 //! `[workspace.lints]` and clippy instead: `unsafe_code` is forbidden,
 //! `unused_must_use` and `unconditional_recursion` denied, and the
@@ -18,17 +17,20 @@
 //! `Send`/`Sync` decide what crosses threads and `Mutex<T>` makes the
 //! lock the only way to reach `T`, so an unsynchronised shared write
 //! does not compile. Hot-path allocation is a measured count, not a
-//! rule: tier-1 tests pin the server's allocations per packet.
+//! rule: tier-1 tests pin the server's allocations per packet. Two
+//! invariants moved next to their data: a unit test in `wire.rs` checks
+//! `docs/PROTOCOL.md`'s tag, Status and Stats tables against the codec
+//! table, and `SegmentedStream::write_at` refuses a write below the
+//! archived watermark.
 //!
-//! Three rules are *lexical* — token-stream scans:
+//! Two rules are *lexical* — token-stream scans:
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | `lock-order` | the `.lock()` acquisition graph is acyclic |
 //! | `ack-after-force` | `NewHighLsn` construction lexically follows `.force()` (§4.2) |
-//! | `status-parity` | `Response::Status` fields match the `docs/PROTOCOL.md` gauge table |
 //!
-//! Three rules are *flow-sensitive*: [`mod@cfg`] builds a statement-level
+//! Two rules are *flow-sensitive*: [`mod@cfg`] builds a statement-level
 //! control-flow graph per function body, and [`dataflow`] runs a
 //! forward may-analysis over it to a fixpoint, so these rules see
 //! *paths*, not just token order:
@@ -37,7 +39,6 @@
 //! |------|-----------|
 //! | `blocking-under-lock` | no blocking I/O / channel op while a `MutexGuard` is live (§4.1 latency) |
 //! | `lsn-checked-arith` | LSN/epoch/sequence arithmetic uses `checked_*`/`saturating_*` (§3.1.2 monotonicity) |
-//! | `seal-typestate` | no `append`/`write_at` on a segment after `.seal()` (archive CRC immutability) |
 //!
 //! There is no allowlist: every finding is fixed in code. See
 //! `docs/LINT.md` for the full catalog, how to resolve a finding, and

@@ -8,16 +8,12 @@ pub mod ack_after_force;
 pub mod blocking_under_lock;
 pub mod lock_order;
 pub mod lsn_checked_arith;
-pub mod seal_typestate;
-pub mod status_parity;
 
 /// Every rule identifier the catalog can emit; the tier-1 gate checks
 /// that each one gets a timed pass.
 pub const ALL_RULES: &[&str] = &[
     lock_order::RULE,
     ack_after_force::RULE,
-    status_parity::RULE,
     blocking_under_lock::RULE,
     lsn_checked_arith::RULE,
-    seal_typestate::RULE,
 ];

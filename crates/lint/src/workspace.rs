@@ -132,11 +132,10 @@ pub fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// The flow-sensitive rules, run on the CFG/dataflow engine.
-fn dataflow_rules() -> [&'static dyn DataflowRule; 3] {
+fn dataflow_rules() -> [&'static dyn DataflowRule; 2] {
     [
         &rules::blocking_under_lock::BlockingUnderLock,
         &rules::lsn_checked_arith::LsnCheckedArith,
-        &rules::seal_typestate::SealTypestate,
     ]
 }
 
@@ -165,18 +164,6 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     }
     timings.push(RuleTiming::since(rules::ack_after_force::RULE, t0));
 
-    // Rule 3: Status / PROTOCOL.md parity.
-    let t0 = Instant::now();
-    let doc_rel = "docs/PROTOCOL.md";
-    let doc_text = fs::read_to_string(root.join(doc_rel))
-        .map_err(|e| format!("cannot read {doc_rel}: {e}"))?;
-    raw.extend(rules::status_parity::check(
-        loader.load("crates/net/src/wire.rs")?,
-        doc_rel,
-        &doc_text,
-    ));
-    timings.push(RuleTiming::since(rules::status_parity::RULE, t0));
-
     // Flow-sensitive rules on the dataflow engine, one timed pass each.
     for rule in dataflow_rules() {
         let t0 = Instant::now();
@@ -186,8 +173,7 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
         timings.push(RuleTiming::since(rule.rule(), t0));
     }
 
-    let files_scanned = loader.files.len() + 1; // + PROTOCOL.md
-    let mut report = Report::build(raw, files_scanned);
+    let mut report = Report::build(raw, loader.files.len());
     report.timings = timings;
     Ok(report)
 }

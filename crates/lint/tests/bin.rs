@@ -8,41 +8,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// A minimal workspace containing every file `lint_workspace` requires,
-/// crafted so the whole catalog passes.
-const WIRE_RS: &str = r#"
-pub enum Response {
-    Ok,
-    Status { records_stored: u64, naks_sent: u64 },
-    Stats { stages: u64, trace_events: u64, trace_dropped: u64 },
-}
-fn encode_response(r: &Response) -> u8 {
-    match r {
-        Response::Ok => 1,
-        Response::Status { .. } => 6,
-        Response::Stats { .. } => 7,
-    }
-}
-"#;
-
-const PROTOCOL_MD: &str = r#"# Protocol
-
-### Status gauges
-
-| gauge | meaning |
-|-------|---------|
-| `records_stored` | records stored |
-| `naks_sent` | NAKs sent |
-
-### Stats fields
-
-| field | meaning |
-|-------|---------|
-| `stages` | per-stage latency histograms |
-| `trace_events` | trace events recorded |
-| `trace_dropped` | trace events evicted |
-"#;
-
 /// An lsn-checked-arith violation at a pinned line for the snapshot test.
 const BAD_RS: &str = "fn sloppy(&mut self) {\n    let next = self.lsn + 1;\n}\n";
 
@@ -52,12 +17,13 @@ fn write(root: &Path, rel: &str, text: &str) {
     fs::write(path, text).unwrap();
 }
 
-/// Build the mini workspace under a fresh temp directory.
+/// Build, under a fresh temp directory, a minimal workspace containing
+/// every file `lint_workspace` requires, crafted so the whole catalog
+/// passes.
 fn mini_workspace(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("dlog-lint-bin-{}-{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
     write(&root, "Cargo.toml", "[workspace]\nmembers = []\n");
-    write(&root, "crates/net/src/wire.rs", WIRE_RS);
     write(&root, "crates/net/src/mem.rs", "// no locks here\n");
     write(&root, "crates/storage/src/nvram.rs", "// no locks here\n");
     write(
@@ -65,7 +31,6 @@ fn mini_workspace(tag: &str) -> PathBuf {
         "crates/archive/src/object_store.rs",
         "// no locks here\n",
     );
-    write(&root, "docs/PROTOCOL.md", PROTOCOL_MD);
     for dir in [
         "crates/server/src",
         "crates/append-forest/src",
@@ -143,7 +108,7 @@ fn json_schema_snapshot_clean() {
     let root = mini_workspace("json-clean");
     let out = run_at(&root, &["--json"]);
     assert_eq!(out.status.code(), Some(0));
-    let expected = "{\n  \"ok\": true,\n  \"files_scanned\": 5,\n  \"violations\": []\n}\n";
+    let expected = "{\n  \"ok\": true,\n  \"files_scanned\": 3,\n  \"violations\": []\n}\n";
     assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
     let _ = fs::remove_dir_all(&root);
 }
@@ -157,7 +122,7 @@ fn json_schema_snapshot_violation() {
     let expected = concat!(
         "{\n",
         "  \"ok\": false,\n",
-        "  \"files_scanned\": 6,\n",
+        "  \"files_scanned\": 4,\n",
         "  \"violations\": [\n",
         "    {\"rule\": \"lsn-checked-arith\", \"file\": \"crates/storage/src/bad.rs\", ",
         "\"line\": 2, \"scope\": \"sloppy\", \"message\": \"raw `+` on LSN/epoch/sequence \

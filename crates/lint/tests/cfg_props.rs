@@ -21,8 +21,8 @@ use dlog_lint::dataflow::run_rule;
 use dlog_lint::rules;
 use dlog_lint::SourceFile;
 
-/// Straight-line statements; a few mention lock/LSN/seal names so
-/// the dataflow rules have facts to push around.
+/// Straight-line statements; a few mention lock/LSN names so the
+/// dataflow rules have facts to push around.
 fn simple_stmt() -> BoxedStrategy<String> {
     prop_oneof![
         Just("work(a, b);".to_string()),
@@ -32,8 +32,6 @@ fn simple_stmt() -> BoxedStrategy<String> {
         Just("let lsn2 = cursor_lsn;".to_string()),
         Just("let r = self.dev.force(c);".to_string()),
         Just("check(r);".to_string()),
-        Just("seg.seal();".to_string()),
-        Just("let seg = fresh();".to_string()),
     ]
     .boxed()
 }
@@ -95,6 +93,5 @@ proptest! {
         //    timeout rather than this assertion).
         let _ = run_rule(&rules::blocking_under_lock::BlockingUnderLock, &file);
         let _ = run_rule(&rules::lsn_checked_arith::LsnCheckedArith, &file);
-        let _ = run_rule(&rules::seal_typestate::SealTypestate, &file);
     }
 }

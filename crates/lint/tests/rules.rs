@@ -13,11 +13,6 @@ fn fixture(name: &str) -> SourceFile {
     SourceFile::parse(&format!("fixtures/{name}"), &text)
 }
 
-fn fixture_text(name: &str) -> String {
-    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
-}
-
 #[test]
 fn lock_order_fixture_fails() {
     let f = fixture("lock_order_fail.rs");
@@ -45,37 +40,6 @@ fn ack_after_force_fixture_fails() {
 #[test]
 fn ack_after_force_fixture_passes() {
     let vs = rules::ack_after_force::check(&fixture("ack_after_force_pass.rs"));
-    assert!(vs.is_empty(), "{vs:?}");
-}
-
-#[test]
-fn status_parity_fixture_fails() {
-    let wire = fixture("status_wire.rs");
-    let doc = fixture_text("status_doc_fail.md");
-    let vs = rules::status_parity::check(&wire, "fixtures/status_doc_fail.md", &doc);
-    // naks_sent missing from the doc, ghost_gauge phantom in the doc.
-    assert_eq!(vs.len(), 2, "{vs:?}");
-    assert!(vs.iter().any(|v| v.message.contains("naks_sent")));
-    assert!(vs.iter().any(|v| v.message.contains("ghost_gauge")));
-}
-
-#[test]
-fn stats_parity_fixture_fails() {
-    let wire = fixture("status_wire.rs");
-    let doc = fixture_text("stats_doc_fail.md");
-    let vs = rules::status_parity::check(&wire, "fixtures/stats_doc_fail.md", &doc);
-    // Status table is correct; the Stats table misses trace_events and
-    // documents phantom_stat.
-    assert_eq!(vs.len(), 2, "{vs:?}");
-    assert!(vs.iter().any(|v| v.message.contains("trace_events")));
-    assert!(vs.iter().any(|v| v.message.contains("phantom_stat")));
-}
-
-#[test]
-fn status_parity_fixture_passes() {
-    let wire = fixture("status_wire.rs");
-    let doc = fixture_text("status_doc_pass.md");
-    let vs = rules::status_parity::check(&wire, "fixtures/status_doc_pass.md", &doc);
     assert!(vs.is_empty(), "{vs:?}");
 }
 
@@ -114,22 +78,6 @@ fn lsn_checked_arith_fixtures() {
     assert!(vs.is_empty(), "{vs:?}");
 }
 
-#[test]
-fn seal_typestate_fixtures() {
-    let vs = dataflow_fixture(
-        &rules::seal_typestate::SealTypestate,
-        "seal_typestate_fail.rs",
-    );
-    assert_eq!(vs.len(), 2, "{vs:?}");
-    assert!(vs.iter().any(|v| v.scope == "straight_line"));
-    assert!(vs.iter().any(|v| v.scope == "sealed_on_one_branch"));
-    let vs = dataflow_fixture(
-        &rules::seal_typestate::SealTypestate,
-        "seal_typestate_pass.rs",
-    );
-    assert!(vs.is_empty(), "{vs:?}");
-}
-
 /// The pinned fixture expectations (shared with the tier-1 gate) must
 /// hold — a rule edit that changes what the catalog catches is drift.
 #[test]
@@ -137,7 +85,7 @@ fn fixtures_are_pinned() {
     let dir = format!("{}/tests/fixtures", env!("CARGO_MANIFEST_DIR"));
     let checked = dlog_lint::fixtures::verify_fixtures(std::path::Path::new(&dir))
         .unwrap_or_else(|e| panic!("{e}"));
-    assert!(checked >= 13, "only {checked} fixture runs checked");
+    assert!(checked >= 8, "only {checked} fixture runs checked");
 }
 
 /// The workspace itself must be clean: zero violations. This is the

@@ -882,9 +882,17 @@ impl<T: Listed> Wire for Vec<T> {
 /// order }` (a unit variant is `Variant {}`), and the enum's write and
 /// read are generated from it. A missing row leaves the write `match`
 /// non-exhaustive and a duplicated tag is an unreachable read arm: both
-/// fail the build.
+/// fail the build. Tests see the rows themselves as `WIRE_ROWS`, which
+/// is what keeps `docs/PROTOCOL.md` in step.
 macro_rules! wire_enum {
     ($enum:ident { $($tag:literal => $variant:ident { $($field:ident),* }),* $(,)? }) => {
+        #[cfg(test)]
+        impl $enum {
+            /// `(tag, variant, fields in wire order)`, one per table row.
+            const WIRE_ROWS: &'static [(u8, &'static str, &'static [&'static str])] =
+                &[$(($tag, stringify!($variant), &[$(stringify!($field)),*])),*];
+        }
+
         #[deny(unreachable_patterns)]
         impl Wire for $enum {
             const MIN_BYTES: usize = u8::MIN_BYTES;
@@ -1346,5 +1354,92 @@ mod tests {
         let batches = pack_batches(&records);
         assert_eq!(batches.len(), 2);
         assert_eq!(batches[0].len(), 1);
+    }
+
+    const PROTOCOL_MD: &str = include_str!("../../../docs/PROTOCOL.md");
+
+    /// One markdown table of `docs/PROTOCOL.md`: the heading it sits
+    /// under, its header cells, and its body rows' cells, backticks
+    /// trimmed.
+    struct DocTable {
+        heading: &'static str,
+        header: Vec<&'static str>,
+        rows: Vec<Vec<&'static str>>,
+    }
+
+    fn doc_tables() -> Vec<DocTable> {
+        let mut tables: Vec<DocTable> = Vec::new();
+        let mut heading = "";
+        let mut in_table = false;
+        for line in PROTOCOL_MD.lines() {
+            let Some(row) = line.strip_prefix('|') else {
+                if line.starts_with('#') {
+                    heading = line.trim_start_matches('#').trim();
+                }
+                in_table = false;
+                continue;
+            };
+            let cells: Vec<&str> = row
+                .trim_end()
+                .trim_end_matches('|')
+                .split('|')
+                .map(|c| c.trim().trim_matches('`'))
+                .collect();
+            if !in_table {
+                tables.push(DocTable {
+                    heading,
+                    header: cells,
+                    rows: Vec::new(),
+                });
+                in_table = true;
+            } else if !cells[0].starts_with('-') {
+                tables.last_mut().unwrap().rows.push(cells);
+            }
+        }
+        tables
+    }
+
+    /// `docs/PROTOCOL.md` describes the codec tables exactly: each tag
+    /// table lists its enum's variants with their tags, in tag order, and
+    /// the Status and Stats tables list those variants' fields in wire
+    /// order.
+    #[test]
+    fn protocol_doc_matches_the_codec_tables() {
+        let tables = doc_tables();
+        // Every body row of the tables whose second column is `kind`.
+        let documented = |kind: &str| -> Vec<(u8, &'static str)> {
+            let rows = tables.iter().filter(|t| t.header.get(1) == Some(&kind));
+            rows.flat_map(|t| &t.rows)
+                .map(|r| (r[0].parse().expect("numeric tag"), r[1]))
+                .collect()
+        };
+        let tags = |rows: &[(u8, &'static str, &[&str])]| -> Vec<(u8, &'static str)> {
+            rows.iter().map(|&(tag, name, _)| (tag, name)).collect()
+        };
+
+        // The two RPC envelopes are described in prose, not in a table.
+        let (envelopes, logging): (Vec<_>, Vec<_>) = tags(Message::WIRE_ROWS)
+            .into_iter()
+            .partition(|(_, name)| matches!(*name, "Request" | "Response"));
+        assert_eq!(documented("message"), logging, "Message tag tables");
+        for (tag, name) in envelopes {
+            let prose = format!("`{name}` (tag {tag}:");
+            assert!(
+                PROTOCOL_MD.contains(&prose),
+                "no \"{prose}\" in PROTOCOL.md"
+            );
+        }
+        assert_eq!(documented("request"), tags(Request::WIRE_ROWS));
+        assert_eq!(documented("response"), tags(Response::WIRE_ROWS));
+
+        for (variant, heading) in [("Status", "Status gauges"), ("Stats", "Stats fields")] {
+            let (_, _, fields) = Response::WIRE_ROWS
+                .iter()
+                .find(|(_, name, _)| *name == variant)
+                .unwrap();
+            let table = tables.iter().find(|t| t.heading == heading).unwrap();
+            let names: Vec<&str> = table.rows.iter().map(|r| r[0]).collect();
+            assert_eq!(names, *fields, "the `{heading}` table, in wire order");
+        }
     }
 }

@@ -154,10 +154,6 @@ pub struct LogStore {
     /// are only reachable through the interval table, positions at or
     /// above it decode as a contiguous frame sequence.
     anchor: u64,
-    /// `Some(watermark)` once an archiver is attached: bytes below the
-    /// watermark are confirmed archived. Retention must never drop a
-    /// sealed segment above it.
-    archived_to: Option<u64>,
     stats: StoreStats,
     obs: dlog_obs::Obs,
     /// Reused frame-encode scratch: `put_frame` serializes every record
@@ -260,7 +256,6 @@ impl LogStore {
             bytes_since_ckpt: 0,
             seal,
             anchor: scan_from,
-            archived_to: None,
             stats,
             obs: dlog_obs::Obs::off(),
             frame_buf: Vec::new(),
@@ -391,26 +386,15 @@ impl LogStore {
         Ok(taken)
     }
 
-    /// Satisfy a force for `client`: under [`Durability::Nvram`] the data
-    /// is already durable; under [`Durability::FsyncPerForce`] the track is
-    /// flushed and fsynced before returning.
+    /// Satisfy a force for `client`: [`LogStore::force_batch`] of one
+    /// client. Under [`Durability::Nvram`] the data is already durable;
+    /// under [`Durability::FsyncPerForce`] the track is flushed and
+    /// fsynced before returning.
     ///
     /// # Errors
     /// Propagates I/O failures.
     pub fn force(&mut self, client: ClientId) -> Result<()> {
-        let span = self.obs.start();
-        self.stats.forces += 1;
-        if self.opts.durability == Durability::FsyncPerForce {
-            self.flush_track()?;
-            self.stream.sync()?;
-            self.stats.fsyncs += 1;
-        }
-        // Trace the durability point, keyed by the client's stored high
-        // LSN — the LSN the server will acknowledge with `NewHighLsn`.
-        let hi = self.table.last(client).map_or(0, |iv| iv.hi.0);
-        self.obs.event(dlog_obs::Stage::Force, hi, client.0);
-        self.obs.sample_since(dlog_obs::Stage::Force, span);
-        Ok(())
+        self.force_batch(&[client])
     }
 
     /// Satisfy forces for several clients with **one** physical
@@ -436,6 +420,8 @@ impl LogStore {
             self.stats.fsyncs += 1;
         }
         for client in clients {
+            // Keyed by the client's stored high LSN: the LSN the server
+            // will acknowledge with `NewHighLsn`.
             let hi = self.table.last(*client).map_or(0, |iv| iv.hi.0);
             self.obs.event(dlog_obs::Stage::Force, hi, client.0);
         }
@@ -660,7 +646,7 @@ impl LogStore {
             return Ok(RetentionReport::default());
         }
         let desired = self.stream.end().saturating_sub(max_bytes);
-        let cut = match self.archived_to {
+        let cut = match self.stream.archived_to() {
             // Never outrun the archiver: unarchived bytes are the only
             // durable copy this server holds.
             Some(watermark) => desired.min(watermark),
@@ -754,22 +740,22 @@ impl LogStore {
 
     /// Switch retention into archive-aware mode: from now on
     /// [`LogStore::enforce_retention`] refuses to drop segments above the
-    /// archived watermark.
+    /// archived watermark ([`SegmentedStream::enable_archival`]).
     pub fn enable_archival(&mut self) {
-        self.archived_to.get_or_insert(self.stream.start());
+        self.stream.enable_archival();
     }
 
     /// Raise the archived watermark: every stream byte below `pos` is
-    /// confirmed durable in the archive. Implies archive-aware retention.
+    /// confirmed durable in the archive and is never written again.
+    /// Implies archive-aware retention.
     pub fn note_archived(&mut self, pos: u64) {
-        let w = self.archived_to.get_or_insert(0);
-        *w = (*w).max(pos);
+        self.stream.note_archived(pos);
     }
 
     /// The archived watermark, when archival is configured.
     #[must_use]
     pub fn archived_to(&self) -> Option<u64> {
-        self.archived_to
+        self.stream.archived_to()
     }
 
     /// Append one frame to the log stream; returns its stream position.
@@ -1499,6 +1485,48 @@ mod tests {
             );
         }
         assert!(store.stats().nvram_replayed_bytes > 0);
+    }
+
+    #[test]
+    fn archival_store_replays_nvram_over_a_torn_tail() {
+        let dir = tmpdir("torn-archived");
+        let nvram = NvramDevice::new(1 << 16);
+        let mut opts = small_opts();
+        opts.track_bytes = 1 << 16;
+        let watermark;
+        {
+            let mut store = LogStore::open(&dir, opts.clone(), nvram.clone()).unwrap();
+            for i in 1..=10u64 {
+                store.write(ClientId(1), &rec(i, 1, i as u8)).unwrap();
+            }
+            store.flush_track().unwrap();
+            store.enable_archival();
+            store.note_archived(store.stream_end());
+            watermark = store.stream_end();
+            for i in 11..=20u64 {
+                store.write(ClientId(1), &rec(i, 1, i as u8)).unwrap();
+            }
+            // A torn track write past the watermark, then a crash.
+            let (base, pending) = nvram.pending();
+            assert_eq!(base, watermark);
+            let mut s = SegmentedStream::open(&dir, opts.segment_bytes).unwrap();
+            s.write_at(base, &pending[..pending.len() / 2]).unwrap();
+        }
+        let mut store = LogStore::open(&dir, opts, nvram).unwrap();
+        let replayed = store.stats().nvram_replayed_bytes;
+        assert!(replayed > 0);
+        // Replay wrote at or past the watermark, so the write floor a
+        // reattached archiver restores never refuses it.
+        assert!(store.stream_end() - replayed >= watermark);
+        store.enable_archival();
+        store.note_archived(watermark.min(store.stream_end()));
+        assert_eq!(store.archived_to(), Some(watermark));
+        store.write(ClientId(1), &rec(21, 1, 21)).unwrap();
+        store.flush_track().unwrap();
+        for i in 1..=21u64 {
+            let r = store.read(ClientId(1), Lsn(i)).unwrap().unwrap();
+            assert_eq!(r.data.as_bytes(), &[i as u8; 64], "lsn {i}");
+        }
     }
 
     #[test]

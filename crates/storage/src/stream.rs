@@ -84,6 +84,27 @@ impl fmt::Display for ReadRangeError {
 
 impl std::error::Error for ReadRangeError {}
 
+/// Lazily formatted out-of-range write diagnosis. `floor` is the live
+/// start or the archived watermark, whichever is higher.
+#[derive(Debug)]
+struct WriteRangeError {
+    pos: u64,
+    floor: u64,
+    end: u64,
+}
+
+impl fmt::Display for WriteRangeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "write at {} outside [{}, {}]",
+            self.pos, self.floor, self.end
+        )
+    }
+}
+
+impl std::error::Error for WriteRangeError {}
+
 /// A segmented, append-oriented byte stream with positional reads.
 ///
 /// The stream keeps the segment files it has opened, so a read or write
@@ -103,6 +124,10 @@ pub struct SegmentedStream {
     end: u64,
     /// Logical start: everything before this has been dropped (§5.3).
     start: u64,
+    /// `Some(watermark)` once an archiver is attached: bytes below it
+    /// are confirmed archived, so they are never written again and
+    /// retention never drops a segment above it.
+    archived_to: Option<u64>,
     /// Open segment files by index, at most `MAX_OPEN_SEGMENTS`.
     files: BTreeMap<u64, SegmentFile>,
     /// A segment file was created since the directory was last synced.
@@ -195,6 +220,7 @@ impl SegmentedStream {
             segment_bytes,
             end,
             start,
+            archived_to: None,
             files: BTreeMap::new(),
             dir_dirty: false,
         })
@@ -237,6 +263,26 @@ impl SegmentedStream {
         (first_live..append_seg).collect()
     }
 
+    /// Attach an archiver: the archived watermark starts at the live
+    /// start, unless one is already set.
+    pub fn enable_archival(&mut self) {
+        self.archived_to.get_or_insert(self.start);
+    }
+
+    /// Raise the archived watermark to `pos`: every byte below it is
+    /// confirmed archived and is never written again. Implies
+    /// [`SegmentedStream::enable_archival`].
+    pub fn note_archived(&mut self, pos: u64) {
+        let w = self.archived_to.get_or_insert(0);
+        *w = (*w).max(pos);
+    }
+
+    /// The archived watermark, once an archiver is attached.
+    #[must_use]
+    pub fn archived_to(&self) -> Option<u64> {
+        self.archived_to
+    }
+
     /// Append `bytes` at the end, returning the position they were written
     /// at.
     ///
@@ -250,16 +296,22 @@ impl SegmentedStream {
 
     /// Write `bytes` at logical position `pos` (used by NVRAM replay to
     /// overwrite a torn tail). Extends the stream if the write passes the
-    /// current end; writing strictly before `start` or beyond `end` is an
-    /// error.
+    /// current end; writing beyond `end`, or strictly before `start` or
+    /// the archived watermark (§5.3: the archive's CRCs cover those bytes),
+    /// is an error.
     ///
     /// # Errors
     /// Propagates I/O failures and rejects out-of-range positions.
     pub fn write_at(&mut self, pos: u64, bytes: &[u8]) -> io::Result<()> {
-        if pos < self.start || pos > self.end {
+        let floor = self.archived_to.map_or(self.start, |w| w.max(self.start));
+        if pos < floor || pos > self.end {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "write position outside the stream's live range",
+                WriteRangeError {
+                    pos,
+                    floor,
+                    end: self.end,
+                },
             ));
         }
         let mut cursor = pos;
@@ -571,6 +623,48 @@ mod tests {
         assert_eq!(read_at(&mut s, 0, 13).unwrap(), b"aaaaaBBBBBBBB");
         // Holes are rejected.
         assert!(s.write_at(20, b"x").is_err());
+    }
+
+    fn write_range_error(e: &io::Error) -> Option<(u64, u64, u64)> {
+        let e = e.get_ref()?.downcast_ref::<WriteRangeError>()?;
+        Some((e.pos, e.floor, e.end))
+    }
+
+    #[test]
+    fn a_write_below_the_archived_watermark_is_refused() {
+        let dir = tmpdir("write-floor");
+        let mut s = SegmentedStream::open(&dir, 1024).unwrap();
+        let blob: Vec<u8> = (0..1500u32).map(|i| i as u8).collect();
+        s.append(&blob).unwrap();
+        s.note_archived(1024);
+        for pos in [0, 1000, 1023] {
+            let e = s.write_at(pos, &[0xEE; 8]).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+            assert_eq!(write_range_error(&e), Some((pos, 1024, 1500)));
+        }
+        assert_eq!(read_at(&mut s, 0, 1500).unwrap(), blob);
+        // The watermark itself is writable: NVRAM replay may resume there.
+        s.write_at(1024, &[0xEE; 8]).unwrap();
+        assert_eq!(read_at(&mut s, 1016, 16).unwrap()[8..], [0xEE; 8]);
+    }
+
+    #[test]
+    fn appends_past_the_archived_watermark_succeed() {
+        let dir = tmpdir("append-floor");
+        let mut s = SegmentedStream::open(&dir, 1024).unwrap();
+        s.enable_archival();
+        assert_eq!(s.archived_to(), Some(0));
+        s.append(&[1u8; 700]).unwrap();
+        s.note_archived(s.end());
+        assert_eq!(s.append(&[2u8; 700]).unwrap(), 700);
+        s.note_archived(s.end());
+        assert_eq!(s.append(&[3u8; 10]).unwrap(), 1400);
+        assert_eq!(s.archived_to(), Some(1400));
+        assert_eq!(
+            write_range_error(&s.write_at(1399, b"x").unwrap_err()),
+            Some((1399, 1400, 1410))
+        );
+        assert_eq!(read_at(&mut s, 1398, 3).unwrap(), [2, 2, 3]);
     }
 
     #[test]

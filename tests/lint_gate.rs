@@ -1,14 +1,13 @@
 //! Tier-1 gate: the workspace must be clean under `dlog-lint`.
 //!
-//! One pass runs the full six-rule catalog on its two engines — the
-//! three lexical rules (lock-order, ack-after-force, status-parity) and
-//! the three flow-sensitive rules on the dataflow engine
-//! (blocking-under-lock, lsn-checked-arith, seal-typestate) — against
-//! the repository and fails `cargo test` on any violation, on fixture
-//! drift (a rule whose pinned pass/fail fixtures no longer behave), and
-//! on a blown latency budget. The same report is available
-//! interactively via `cargo run -p dlog-lint` (add `--timing` for the
-//! per-rule table).
+//! One pass runs the full four-rule catalog on its two engines — the
+//! two lexical rules (lock-order, ack-after-force) and the two
+//! flow-sensitive rules on the dataflow engine (blocking-under-lock,
+//! lsn-checked-arith) — against the repository and fails `cargo test`
+//! on any violation, on fixture drift (a rule whose pinned pass/fail
+//! fixtures no longer behave), and on a blown latency budget. The same
+//! report is available interactively via `cargo run -p dlog-lint` (add
+//! `--timing` for the per-rule table).
 //!
 //! Forbid-unsafe, must-use discards, unconditional recursion,
 //! panic-freedom and thread safety are the compiler's and clippy's
@@ -18,6 +17,10 @@
 //! can opt out of the compiler's thread-safety proof. Hot-path
 //! allocation is counted, not linted: `dlog-server`'s and `dlog-core`'s
 //! tests pin allocations per packet, per read request and per commit.
+//! `docs/PROTOCOL.md`'s tag, Status and Stats tables are kept in step
+//! with the codec table by a unit test in `crates/net/src/wire.rs`, and
+//! `SegmentedStream::write_at` refuses a write below the archived
+//! watermark.
 
 use std::fs;
 use std::path::Path;
@@ -68,7 +71,7 @@ fn workspace_passes_dlog_lint() {
 fn rule_fixtures_have_not_drifted() {
     let dir = root().join("crates/lint/tests/fixtures");
     let checked = dlog_lint::fixtures::verify_fixtures(&dir).unwrap_or_else(|e| panic!("{e}"));
-    assert!(checked >= 13, "only {checked} fixture runs checked");
+    assert!(checked >= 8, "only {checked} fixture runs checked");
 }
 
 /// The lines of one TOML table (`header` excluded), trimmed.
