@@ -195,7 +195,10 @@ impl DiskForest {
         if positions.is_empty() {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "empty node"));
         }
-        let key = lo.0 + positions.len() as u64 - 1;
+        let key = lo
+            .offset(positions.len() as u64 - 1)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "node passes Lsn::MAX"))?
+            .0;
         if let Some(last) = self.last_key {
             if lo.0 <= last {
                 return Err(io::Error::new(
@@ -283,8 +286,7 @@ impl DiskForest {
         // Phase 2: binary descent.
         loop {
             let h = self.read_header(off)?;
-            if lsn.0 >= h.lo && lsn.0 <= h.key {
-                let idx = lsn.0.saturating_sub(h.lo);
+            if let Some(idx) = Lsn(h.lo).distance(lsn).filter(|_| lsn.0 <= h.key) {
                 return Ok(Some(self.read_position(off, idx)?));
             }
             let next = if h.right != NIL {

@@ -91,7 +91,8 @@ impl LsnIndex {
         self.next_lsn = Some(lsn.next());
         if node.positions.len() >= self.fanout {
             let sealed = self.open.take().expect("open node exists");
-            let hi = sealed.lo.0 + sealed.positions.len() as u64 - 1;
+            // Appends are consecutive, so `lsn` is the sealed node's last key.
+            let hi = lsn.0;
             self.forest
                 .append(hi, sealed)
                 .expect("high LSNs are strictly increasing");
@@ -103,9 +104,8 @@ impl LsnIndex {
     #[must_use]
     pub fn lookup(&self, lsn: Lsn) -> Option<u64> {
         if let Some(open) = &self.open {
-            if lsn >= open.lo {
-                let idx = lsn.0.saturating_sub(open.lo.0) as usize;
-                return open.positions.get(idx).copied();
+            if let Some(idx) = open.lo.distance(lsn) {
+                return open.positions.get(idx as usize).copied();
             }
         }
         // The sealed node covering `lsn` is the one with the smallest high
@@ -113,12 +113,11 @@ impl LsnIndex {
         // predecessor-or-self of `lsn + fanout`, but a direct walk is
         // simpler: find the first node whose high key ≥ lsn.
         let (hi, node) = self.forest_node_covering(lsn)?;
-        if lsn.0 > *hi || lsn < node.lo {
+        if lsn.0 > *hi {
             return None;
         }
-        node.positions
-            .get(lsn.0.saturating_sub(node.lo.0) as usize)
-            .copied()
+        let idx = node.lo.distance(lsn)?;
+        node.positions.get(idx as usize).copied()
     }
 
     /// First and last LSN currently indexed.
@@ -154,17 +153,17 @@ impl LsnIndex {
     /// consecutive record (checkpoint decoding).
     ///
     /// # Panics
-    /// Panics if `fanout` is zero.
+    /// Panics if `fanout` is zero or the range passes [`Lsn::MAX`].
     #[must_use]
     #[expect(
         clippy::expect_used,
-        reason = "LSNs are generated consecutively in the loop, so append cannot reject them"
+        reason = "LSNs are generated consecutively in the loop, so append cannot reject them; decoders bound the range below Lsn::MAX"
     )]
     pub fn from_parts(fanout: usize, lo: Lsn, positions: &[u64]) -> Self {
         let mut idx = LsnIndex::new(fanout);
         for (i, &p) in positions.iter().enumerate() {
-            idx.append(Lsn(lo.0.saturating_add(i as u64)), p)
-                .expect("consecutive LSNs");
+            let lsn = lo.offset(i as u64).expect("LSN overflow");
+            idx.append(lsn, p).expect("consecutive LSNs");
         }
         idx
     }
@@ -173,7 +172,7 @@ impl LsnIndex {
         // All sealed nodes have hi = lo + fanout - 1 and tile the space, so
         // the covering node has hi in [lsn, lsn + fanout - 1]: use floor on
         // lsn + fanout - 1 (capped to avoid overflow).
-        let probe = lsn.0.saturating_add(self.fanout as u64 - 1);
+        let probe = lsn.offset(self.fanout as u64 - 1).unwrap_or(Lsn::MAX).0;
         let (hi, node) = self.forest.floor(&probe)?;
         (*hi >= lsn.0).then_some((hi, node))
     }

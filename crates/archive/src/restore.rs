@@ -250,7 +250,7 @@ pub fn merge_interval_lists(archived: &IntervalList, live: &IntervalList) -> Int
     let mut run: Option<Interval> = None;
     for iv in all {
         match &mut run {
-            Some(r) if r.epoch == iv.epoch && iv.lo.0 <= r.hi.0.saturating_add(1) => {
+            Some(r) if r.epoch == iv.epoch && (iv.lo <= r.hi || r.hi.precedes(iv.lo)) => {
                 r.hi = r.hi.max(iv.hi);
             }
             Some(r) => {

@@ -28,7 +28,7 @@ fn main() {
     for delta in [1u64, 2, 4, 8, 16, 32] {
         let cluster = Cluster::start(&format!("e11-{delta}"), ClusterOptions::new(3));
         // Write and force a stream of records in groups of 20.
-        let write_elapsed;
+        let (write_elapsed, written);
         {
             let mut log = cluster.client(1, 2, delta);
             log.initialize().unwrap();
@@ -39,7 +39,7 @@ fn main() {
                     log.force().unwrap();
                 }
             }
-            log.force().unwrap();
+            written = log.force().unwrap();
             write_elapsed = start.elapsed();
             // Crash.
         }
@@ -55,7 +55,7 @@ fn main() {
             fmt2(write_elapsed.as_secs_f64() * 1e3),
             fmt1(records as f64 / write_elapsed.as_secs_f64()),
             stats.recovery_copies.to_string(),
-            (end.0 - records).to_string(),
+            written.distance(end).unwrap().to_string(),
             fmt2(recovery_elapsed.as_secs_f64() * 1e3),
         ]);
     }

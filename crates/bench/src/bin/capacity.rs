@@ -89,7 +89,7 @@ fn measured() {
         let log = mgr.log_mut();
         let end = dlog_workload::recovery::LogAccess::end_of_log(log).unwrap();
         assert_eq!(end, Lsn(txns_per_client * profile::RECORDS_PER_TXN as u64));
-        total_records += end.0;
+        total_records += Lsn::FIRST.span_to(end);
         total_payload += log.stats().bytes_written;
         total_packets_out += log.net_stats().packets_out;
     }

@@ -319,8 +319,9 @@ fn run() -> Result<(), String> {
                 .map_or(Ok(10), |s| s.parse())
                 .unwrap_or(10);
             let end = log.end_of_log().map_err(|e| e.to_string())?;
-            let lo = end.0.saturating_sub(k).saturating_add(1).max(1);
-            for l in lo..=end.0 {
+            // The last `k` LSNs of the log, never below the first.
+            let lo = end.back(k).map_or(Lsn::FIRST, Lsn::next);
+            for l in lo.0..=end.0 {
                 match log.read(Lsn(l)) {
                     Ok(d) => println!("{l}: {}", String::from_utf8_lossy(d.as_bytes())),
                     Err(DlogError::NotPresent { .. }) => println!("{l}: (not present)"),

@@ -302,7 +302,16 @@ impl<E: Endpoint> ReplicatedLog<E> {
         let end = self.view.end_of_log();
         let delta = self.opts.config.delta;
         if end > Lsn::ZERO {
-            let copy_lo = Lsn(end.0.saturating_sub(delta - 1).max(1));
+            // δ masks fill `end + 1 ..= end + δ`; fresh writes follow them.
+            let next_lsn = end
+                .offset(delta)
+                .and_then(|last_mask| last_mask.offset(1))
+                .ok_or_else(|| {
+                    DlogError::Protocol(format!("end of log {end} leaves no room for δ masks"))
+                })?;
+            let copy_lo = end
+                .back(delta - 1)
+                .map_or(Lsn::FIRST, |lo| lo.max(Lsn::FIRST));
             let mut copies: Vec<LogRecord> = Vec::new();
             for lsn in copy_lo.0..=end.0 {
                 let original = self.fetch_remote(Lsn(lsn))?;
@@ -313,13 +322,12 @@ impl<E: Endpoint> ReplicatedLog<E> {
                     data: original.data,
                 });
             }
-            for i in 1..=delta {
-                copies.push(LogRecord::not_present(Lsn(end.0 + i), self.epoch));
-            }
+            let masks = (1..=delta).filter_map(|i| end.offset(i));
+            copies.extend(masks.map(|lsn| LogRecord::not_present(lsn, self.epoch)));
             self.stats.recovery_copies += copies.len() as u64;
             self.install_on_targets(&copies, &mut lists)?;
             self.view = MergedView::merge(&lists);
-            self.next_lsn = Lsn(end.0 + delta + 1);
+            self.next_lsn = next_lsn;
             for &t in &self.targets.clone() {
                 self.covers_from.insert(t, copy_lo);
             }
@@ -504,7 +512,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
         let span = self.obs.start();
         self.pump(true)?;
         self.obs.sample_since(dlog_obs::Stage::Force, span);
-        Ok(Lsn(self.next_lsn.0 - 1))
+        Ok(self.next_lsn.prev().unwrap_or(Lsn::ZERO))
     }
 
     /// `EndOfLog` (§3.1): the LSN of the most recently written record.
@@ -515,7 +523,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
         if !self.initialized {
             return Err(DlogError::NotInitialized);
         }
-        Ok(Lsn(self.next_lsn.0 - 1))
+        Ok(self.next_lsn.prev().unwrap_or(Lsn::ZERO))
     }
 
     /// `ReadLog` (§3.1): fetch the record at `lsn` using a single server

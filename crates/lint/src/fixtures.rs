@@ -8,7 +8,6 @@
 use std::fs;
 use std::path::Path;
 
-use crate::dataflow::{run_rule, DataflowRule};
 use crate::report::Violation;
 use crate::rules;
 use crate::source::SourceFile;
@@ -66,30 +65,6 @@ fn parse(dir: &Path, name: &str) -> Result<SourceFile, String> {
     ))
 }
 
-fn run_dataflow(
-    drift: &mut Drift,
-    dir: &Path,
-    rule: &dyn DataflowRule,
-    fail_expect: usize,
-) -> Result<(), String> {
-    let base = rule.rule().replace('-', "_");
-    let fail = parse(dir, &format!("{base}_fail.rs"))?;
-    drift.record(
-        &format!("{base}_fail.rs"),
-        rule.rule(),
-        &run_rule(rule, &fail),
-        &Expect::Exactly(fail_expect),
-    );
-    let pass = parse(dir, &format!("{base}_pass.rs"))?;
-    drift.record(
-        &format!("{base}_pass.rs"),
-        rule.rule(),
-        &run_rule(rule, &pass),
-        &Expect::Clean,
-    );
-    Ok(())
-}
-
 /// Verify every rule's fixtures under `dir`
 /// (`crates/lint/tests/fixtures`). Returns the number of fixture runs
 /// checked.
@@ -103,7 +78,6 @@ pub fn verify_fixtures(dir: &Path) -> Result<usize, String> {
         problems: Vec::new(),
     };
 
-    // Lexical rules.
     drift.record(
         "lock_order_fail.rs",
         rules::lock_order::RULE,
@@ -129,19 +103,18 @@ pub fn verify_fixtures(dir: &Path) -> Result<usize, String> {
         &Expect::Clean,
     );
 
-    // Flow-sensitive rules.
-    run_dataflow(
-        &mut drift,
-        dir,
-        &rules::blocking_under_lock::BlockingUnderLock,
-        2,
-    )?;
-    run_dataflow(
-        &mut drift,
-        dir,
-        &rules::lsn_checked_arith::LsnCheckedArith,
-        3,
-    )?;
+    drift.record(
+        "blocking_under_lock_fail.rs",
+        rules::blocking_under_lock::RULE,
+        &rules::blocking_under_lock::check(&parse(dir, "blocking_under_lock_fail.rs")?),
+        &Expect::Exactly(2),
+    );
+    drift.record(
+        "blocking_under_lock_pass.rs",
+        rules::blocking_under_lock::RULE,
+        &rules::blocking_under_lock::check(&parse(dir, "blocking_under_lock_pass.rs")?),
+        &Expect::Clean,
+    );
 
     if drift.problems.is_empty() {
         Ok(drift.checked)

@@ -4,7 +4,7 @@
 //! compiler cannot see: acks must never be sent before the records they
 //! cover are forced to stable storage (§4.2). This crate walks the
 //! workspace sources with a hand-rolled lexer (no external parser — it
-//! must build offline against the vendored stubs) and enforces four
+//! must build offline against the vendored stubs) and enforces three
 //! repo-specific rules, gated in tier-1 via
 //! `tests/lint_gate.rs`. What the compiler *can* see lives in
 //! `[workspace.lints]` and clippy instead: `unsafe_code` is forbidden,
@@ -21,24 +21,19 @@
 //! invariants moved next to their data: a unit test in `wire.rs` checks
 //! `docs/PROTOCOL.md`'s tag, Status and Stats tables against the codec
 //! table, and `SegmentedStream::write_at` refuses a write below the
-//! archived watermark.
+//! archived watermark. LSN and epoch wraparound is the compiler's as
+//! well: `overflow-checks = true` in every profile makes any integer
+//! overflow fail stop, and LSN arithmetic goes through `Lsn`'s checked
+//! `offset`, `back` and `distance`.
 //!
-//! Two rules are *lexical* — token-stream scans:
+//! Each rule is one walk over token streams; there is no control-flow
+//! graph:
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | `lock-order` | the `.lock()` acquisition graph is acyclic |
 //! | `ack-after-force` | `NewHighLsn` construction lexically follows `.force()` (§4.2) |
-//!
-//! Two rules are *flow-sensitive*: [`mod@cfg`] builds a statement-level
-//! control-flow graph per function body, and [`dataflow`] runs a
-//! forward may-analysis over it to a fixpoint, so these rules see
-//! *paths*, not just token order:
-//!
-//! | rule | invariant |
-//! |------|-----------|
-//! | `blocking-under-lock` | no blocking I/O / channel op while a `MutexGuard` is live (§4.1 latency) |
-//! | `lsn-checked-arith` | LSN/epoch/sequence arithmetic uses `checked_*`/`saturating_*` (§3.1.2 monotonicity) |
+//! | `blocking-under-lock` | no blocking I/O / channel op while a `MutexGuard` is live (§4.1 latency); a guard lives until its block closes or it is dropped, so brace depth tracks it |
 //!
 //! There is no allowlist: every finding is fixed in code. See
 //! `docs/LINT.md` for the full catalog, how to resolve a finding, and
@@ -46,8 +41,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cfg;
-pub mod dataflow;
 pub mod fixtures;
 pub mod lexer;
 pub mod report;

@@ -1,14 +1,13 @@
 //! Workspace driver: locates the repo root, loads the target files for
-//! each rule, and runs the catalog — lexical and dataflow rules in one
-//! pass. Every rule is timed individually (`dlog-lint --timing`) so the
-//! tier-1 gate's latency budget is observable per rule.
+//! each rule, and runs the catalog in one pass. Every rule is timed
+//! individually (`dlog-lint --timing`) so the tier-1 gate's latency
+//! budget is observable per rule.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::dataflow::{self, DataflowRule};
 use crate::report::{Report, RuleTiming, Violation};
 use crate::rules;
 use crate::source::SourceFile;
@@ -24,6 +23,10 @@ pub const LOCK_ORDER_TARGETS: &[&str] = &[
 
 /// Directories scanned for the §4.2 write-before-ack heuristic.
 pub const ACK_AFTER_FORCE_TARGETS: &[&str] = &["crates/server/src", "crates/storage/src"];
+
+/// Directories scanned for blocking calls under a live mutex guard.
+pub const BLOCKING_UNDER_LOCK_TARGETS: &[&str] =
+    &["crates/server/src", "crates/storage/src", "crates/net/src"];
 
 /// Walk up from `start` to the workspace root (the directory whose
 /// `Cargo.toml` declares `[workspace]`).
@@ -131,16 +134,7 @@ pub fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// The flow-sensitive rules, run on the CFG/dataflow engine.
-fn dataflow_rules() -> [&'static dyn DataflowRule; 2] {
-    [
-        &rules::blocking_under_lock::BlockingUnderLock,
-        &rules::lsn_checked_arith::LsnCheckedArith,
-    ]
-}
-
-/// Run the full rule catalog — lexical and dataflow — on the workspace
-/// at `root`, in one pass.
+/// Run the full rule catalog on the workspace at `root`, in one pass.
 ///
 /// # Errors
 /// Returns a message when a target file cannot be read; rule findings
@@ -164,14 +158,14 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     }
     timings.push(RuleTiming::since(rules::ack_after_force::RULE, t0));
 
-    // Flow-sensitive rules on the dataflow engine, one timed pass each.
-    for rule in dataflow_rules() {
-        let t0 = Instant::now();
-        for rel in loader.load_targets(rule.targets())? {
-            raw.extend(dataflow::run_rule(rule, &loader.files[rel.as_str()]));
-        }
-        timings.push(RuleTiming::since(rule.rule(), t0));
+    // Rule 3: §4.1 no blocking while a guard is live, per file.
+    let t0 = Instant::now();
+    for rel in loader.load_targets(BLOCKING_UNDER_LOCK_TARGETS)? {
+        raw.extend(rules::blocking_under_lock::check(
+            &loader.files[rel.as_str()],
+        ));
     }
+    timings.push(RuleTiming::since(rules::blocking_under_lock::RULE, t0));
 
     let mut report = Report::build(raw, loader.files.len());
     report.timings = timings;

@@ -8,8 +8,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// An lsn-checked-arith violation at a pinned line for the snapshot test.
-const BAD_RS: &str = "fn sloppy(&mut self) {\n    let next = self.lsn + 1;\n}\n";
+/// A blocking-under-lock violation at a pinned line for the snapshot test.
+const BAD_RS: &str =
+    "fn sloppy(&mut self) {\n    let g = self.state.lock();\n    self.dev.force(g.high);\n}\n";
 
 fn write(root: &Path, rel: &str, text: &str) {
     let path = root.join(rel);
@@ -31,15 +32,7 @@ fn mini_workspace(tag: &str) -> PathBuf {
         "crates/archive/src/object_store.rs",
         "// no locks here\n",
     );
-    for dir in [
-        "crates/server/src",
-        "crates/append-forest/src",
-        "crates/obs/src",
-        "crates/types/src",
-        "crates/mc/src",
-    ] {
-        fs::create_dir_all(root.join(dir)).unwrap();
-    }
+    fs::create_dir_all(root.join("crates/server/src")).unwrap();
     root
 }
 
@@ -77,7 +70,7 @@ fn exit_one_on_violations() {
     let out = run_at(&root, &[]);
     assert_eq!(out.status.code(), Some(1));
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("lsn-checked-arith"), "stdout: {text}");
+    assert!(text.contains("blocking-under-lock"), "stdout: {text}");
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -124,10 +117,10 @@ fn json_schema_snapshot_violation() {
         "  \"ok\": false,\n",
         "  \"files_scanned\": 4,\n",
         "  \"violations\": [\n",
-        "    {\"rule\": \"lsn-checked-arith\", \"file\": \"crates/storage/src/bad.rs\", ",
-        "\"line\": 2, \"scope\": \"sloppy\", \"message\": \"raw `+` on LSN/epoch/sequence \
-         value `lsn`; use `checked_add`/`saturating_add` \u{2014} \u{a7}3.1.2 monotonicity \
-         depends on no silent wraparound\"}\n",
+        "    {\"rule\": \"blocking-under-lock\", \"file\": \"crates/storage/src/bad.rs\", ",
+        "\"line\": 3, \"scope\": \"sloppy\", \"message\": \"blocking call `.force()` while \
+         mutex guard `g` (acquired line 2) is held; finish the critical section or drop the \
+         guard first (\u{a7}4.1)\"}\n",
         "  ]\n",
         "}\n",
     );

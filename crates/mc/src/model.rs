@@ -335,13 +335,13 @@ impl ModelClient {
         }
     }
 
-    /// Highest LSN this client has assigned (0 when none).
-    fn written_hi(&self) -> u64 {
-        self.next_lsn.0.saturating_sub(1)
+    /// Highest LSN this client has assigned (`Lsn::ZERO` when none).
+    fn written_hi(&self) -> Lsn {
+        self.next_lsn.prev().unwrap_or(Lsn::ZERO)
     }
 
     fn outstanding(&self) -> u64 {
-        self.written_hi().saturating_sub(self.completed.0)
+        self.completed.distance(self.written_hi()).unwrap_or(0)
     }
 
     fn step_enabled(&self, cfg: &McConfig) -> bool {
@@ -357,7 +357,7 @@ impl ModelClient {
         let from = self.acked.get(&sid).copied().unwrap_or(Lsn::ZERO).next();
         let mut records = Vec::new();
         let mut at = from;
-        while at.0 <= self.written_hi() {
+        while at <= self.written_hi() {
             records.push((at, mc_payload(self.id.0, at.0, payload_len).into()));
             at = at.next();
         }
@@ -533,8 +533,8 @@ impl McWorld {
         }
         for (i, c) in self.clients.iter().enumerate() {
             let lagging = (1..=self.cfg.servers)
-                .any(|sid| c.acked.get(&sid).copied().unwrap_or(Lsn::ZERO).0 < c.written_hi());
-            if c.rexmits_left > 0 && c.written_hi() > 0 && lagging {
+                .any(|sid| c.acked.get(&sid).copied().unwrap_or(Lsn::ZERO) < c.written_hi());
+            if c.rexmits_left > 0 && c.written_hi() > Lsn::ZERO && lagging {
                 out.push(Action::Retransmit { client: i });
             }
         }
@@ -674,7 +674,7 @@ impl McWorld {
                     } else {
                         let mut records = Vec::new();
                         let mut at = *lo;
-                        while at.0 <= c.written_hi() {
+                        while at <= c.written_hi() {
                             records
                                 .push((at, mc_payload(c.id.0, at.0, self.cfg.payload_len).into()));
                             at = at.next();
@@ -860,7 +860,7 @@ impl McWorld {
             }
             c.rexmits_left -= 1;
             let suffixes: Vec<(u64, Vec<(Lsn, dlog_types::LogData)>)> = (1..=self.cfg.servers)
-                .filter(|sid| c.acked.get(sid).copied().unwrap_or(Lsn::ZERO).0 < c.written_hi())
+                .filter(|sid| c.acked.get(sid).copied().unwrap_or(Lsn::ZERO) < c.written_hi())
                 .map(|sid| (sid, c.suffix_for(sid, self.cfg.payload_len)))
                 .collect();
             (c.id, c.addr, c.epoch, suffixes)
@@ -1238,7 +1238,7 @@ impl McWorld {
                 ),
             });
         }
-        if completed.0 > written_hi {
+        if completed > written_hi {
             return Some(Violation {
                 invariant: "durable-prefix",
                 detail: format!(

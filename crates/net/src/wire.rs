@@ -754,7 +754,8 @@ impl Wire for Interval {
         let epoch = Epoch::wire_read(r)?;
         let lo = Lsn::wire_read(r)?;
         let hi = Lsn::wire_read(r)?;
-        if lo > hi || lo == Lsn::ZERO {
+        // `hi == Lsn::MAX` has no exclusive end for `MergedView::merge`.
+        if lo > hi || lo == Lsn::ZERO || hi == Lsn::MAX {
             return Err(DecodeError("invalid interval bounds".into()));
         }
         Ok(Interval::new(epoch, lo, hi))
@@ -1225,8 +1226,8 @@ mod tests {
 
     #[test]
     fn invalid_interval_list_rejected() {
-        // Hand-craft a Response::Intervals with a reversed interval: the
-        // CRC is valid but the interval bounds are not.
+        // Hand-craft a Response::Intervals with bad bounds: the CRC is
+        // valid but the interval is not.
         let good = Packet::bare(Message::Response {
             id: 1,
             body: Response::Intervals {
@@ -1238,18 +1239,21 @@ mod tests {
                 .unwrap(),
             },
         });
-        let mut out = good.encode();
-        assert!(Packet::decode(&out).is_ok());
-        // The frame ends with the interval's lo (1) and hi (2): raise lo
-        // above hi, then re-seal the CRC.
-        let n = out.len();
-        out[n - 16..n - 8].copy_from_slice(&5u64.to_le_bytes());
-        let crc = crc32(&out[HEADER_BYTES..]);
-        out[4..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(
-            Packet::decode(&out),
-            Err(DecodeError("invalid interval bounds".into()))
-        );
+        assert!(Packet::decode(&good.encode()).is_ok());
+        // The frame ends with the interval's lo (1) and hi (2). Raise lo
+        // above hi; or raise hi to `Lsn::MAX`, which leaves
+        // `MergedView::merge` no exclusive end. Then re-seal the CRC.
+        for (at, word) in [(16, 5u64), (8, Lsn::MAX.0)] {
+            let mut out = good.encode();
+            let n = out.len();
+            out[n - at..n - at + 8].copy_from_slice(&word.to_le_bytes());
+            let crc = crc32(&out[HEADER_BYTES..]);
+            out[4..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                Packet::decode(&out),
+                Err(DecodeError("invalid interval bounds".into()))
+            );
+        }
     }
 
     #[test]

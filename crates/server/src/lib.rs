@@ -64,6 +64,9 @@ struct Session {
     last_addr: Option<NodeAddr>,
 }
 
+/// Cap on records packed into one read response.
+const READ_BATCH: u32 = 512;
+
 /// Server behaviour knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -73,8 +76,6 @@ pub struct ServerConfig {
     /// records from a client ("asynchronously requested positive
     /// acknowledgments", §4.2). 0 disables.
     pub ack_every: u64,
-    /// Cap on records packed into a read response.
-    pub read_batch: u32,
     /// Group-commit coalescing window: a `ForceLog` ack may be deferred
     /// up to this long so forces from concurrently-waiting clients share
     /// one physical durability round. The window is the *maximum* extra
@@ -102,7 +103,6 @@ impl ServerConfig {
         ServerConfig {
             id,
             ack_every: 64,
-            read_batch: 512,
             coalesce_window: Duration::ZERO,
             coalesce_max_batch: 64,
             shard: 0,
@@ -835,8 +835,8 @@ impl LogServer {
 
     fn read_batch(&mut self, client: ClientId, lsn: Lsn, max: u32, forward: bool) -> Response {
         // One pre-sized allocation for the whole batch: the loop below
-        // never pushes past `max.min(read_batch)` entries.
-        let cap = max.min(self.config.read_batch) as usize;
+        // never pushes past `max.min(READ_BATCH)` entries.
+        let cap = max.min(READ_BATCH) as usize;
         let mut records = Vec::with_capacity(cap);
         // The reply carries at most `budget` bytes, counting `per_record`
         // on top of each payload. A record's frame is longer than that

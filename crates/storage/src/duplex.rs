@@ -160,9 +160,9 @@ impl DuplexLog {
     /// # Errors
     /// [`DlogError::NoSuchRecord`] for unknown LSNs; I/O errors otherwise.
     pub fn read(&mut self, lsn: Lsn) -> Result<LogRecord> {
-        let (off, len) = *self
-            .index
-            .get((lsn.0.saturating_sub(1)) as usize)
+        let (off, len) = *Lsn::FIRST
+            .distance(lsn)
+            .and_then(|i| self.index.get(i as usize))
             .ok_or(DlogError::NoSuchRecord { lsn })?;
         let buffered_from = self.tail;
         // Destructure so the scratch can borrow mutably next to the
@@ -197,7 +197,7 @@ impl DuplexLog {
     /// LSN of the most recently appended record.
     #[must_use]
     pub fn end_of_log(&self) -> Lsn {
-        Lsn(self.next_lsn.0.saturating_sub(1))
+        self.next_lsn.prev().unwrap_or(Lsn::ZERO)
     }
 
     /// Operation counters.

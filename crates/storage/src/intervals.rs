@@ -190,7 +190,11 @@ impl IntervalTable {
                 if first_kept >= positions.len() {
                     continue; // wholly below the cut
                 }
-                let new_lo = Lsn(e.interval.lo.0 + first_kept as u64);
+                // `first_kept` is below the entry's record count, so the
+                // offset stays within the interval.
+                let Some(new_lo) = e.interval.lo.offset(first_kept as u64) else {
+                    continue;
+                };
                 let kept_positions = positions.get(first_kept..).unwrap_or(&[]);
                 kept.push(TableEntry {
                     interval: Interval::new(e.interval.epoch, new_lo, e.interval.hi),
@@ -248,13 +252,10 @@ impl IntervalTable {
                 let epoch = Epoch(r.u64()?);
                 let lo = Lsn(r.u64()?);
                 let hi = Lsn(r.u64()?);
-                if lo > hi || lo == Lsn::ZERO {
+                if lo > hi || lo == Lsn::ZERO || hi == Lsn::MAX {
                     return Err("corrupt interval bounds".into());
                 }
-                let count =
-                    hi.0.checked_sub(lo.0)
-                        .and_then(|d| d.checked_add(1))
-                        .ok_or("corrupt interval count")?;
+                let count = lo.span_to(hi);
                 let mut positions = Vec::with_capacity(count as usize);
                 for _ in 0..count {
                     positions.push(r.u64()?);
@@ -402,6 +403,22 @@ mod tests {
         extra.push(0);
         assert!(IntervalTable::decode(&extra).is_err());
         assert!(IntervalTable::decode(&[]).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_an_interval_ending_at_lsn_max() {
+        // One client, one entry: epoch 1, `MAX..=MAX`, one position.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        for word in [1, u64::MAX, u64::MAX, 0] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(
+            IntervalTable::decode(&bytes).err().as_deref(),
+            Some("corrupt interval bounds")
+        );
     }
 
     #[test]

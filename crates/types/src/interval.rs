@@ -49,7 +49,7 @@ impl Interval {
     /// Number of records in the interval.
     #[must_use]
     pub fn len(&self) -> u64 {
-        self.hi.0 - self.lo.0 + 1
+        self.lo.span_to(self.hi)
     }
 
     /// Intervals are never empty; provided for API symmetry.
@@ -266,18 +266,20 @@ impl MergedView {
             return MergedView::new();
         }
 
-        let mut bounds: Vec<u64> = Vec::with_capacity(entries.len() * 2);
+        let mut bounds: Vec<Lsn> = Vec::with_capacity(entries.len() * 2);
         for (_, iv) in &entries {
-            bounds.push(iv.lo.0);
-            bounds.push(iv.hi.0 + 1); // exclusive end
+            bounds.push(iv.lo);
+            // Exclusive end. Both decoders of an interval refuse
+            // `hi == Lsn::MAX`, so only a logic error can overflow here.
+            bounds.push(iv.hi.next());
         }
         bounds.sort_unstable();
         bounds.dedup();
 
         let mut segments: Vec<MergedSegment> = Vec::new();
         for w in bounds.windows(2) {
-            let &[lo, hi] = w else { continue };
-            let (lo, hi) = (Lsn(lo), Lsn(hi.saturating_sub(1)));
+            let &[lo, end] = w else { continue };
+            let Some(hi) = end.prev() else { continue };
             // Winning epoch on this elementary range.
             let mut best: Option<Epoch> = None;
             for (_, iv) in &entries {

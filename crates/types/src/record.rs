@@ -30,29 +30,45 @@ impl Lsn {
         reason = "documented LSN-overflow fail-stop: an append-only log of 2^64 records is unreachable, overflow means a logic error"
     )]
     pub fn next(self) -> Lsn {
-        Lsn(self.0.checked_add(1).expect("LSN overflow"))
+        self.offset(1).expect("LSN overflow")
     }
 
     /// The previous LSN, or `None` at [`Lsn::ZERO`].
     #[must_use]
     pub fn prev(self) -> Option<Lsn> {
-        self.0.checked_sub(1).map(Lsn)
+        self.back(1)
+    }
+
+    /// The LSN `k` places after `self`, or `None` past [`Lsn::MAX`].
+    #[must_use]
+    pub fn offset(self, k: u64) -> Option<Lsn> {
+        self.0.checked_add(k).map(Lsn)
+    }
+
+    /// The LSN `k` places before `self`, or `None` below [`Lsn::ZERO`].
+    #[must_use]
+    pub fn back(self, k: u64) -> Option<Lsn> {
+        self.0.checked_sub(k).map(Lsn)
+    }
+
+    /// How many places `to` lies after `self`, or `None` when `to`
+    /// precedes `self`.
+    #[must_use]
+    pub fn distance(self, to: Lsn) -> Option<u64> {
+        to.0.checked_sub(self.0)
     }
 
     /// True if `self` immediately precedes `other`.
     #[must_use]
     pub fn precedes(self, other: Lsn) -> bool {
-        self.0 + 1 == other.0
+        self.offset(1) == Some(other)
     }
 
     /// Number of LSNs in the closed range `self..=other`, or 0 if
     /// `other < self`.
     #[must_use]
     pub fn span_to(self, other: Lsn) -> u64 {
-        other
-            .0
-            .saturating_sub(self.0)
-            .saturating_add(u64::from(other.0 >= self.0))
+        self.distance(other).map_or(0, |d| d.saturating_add(1))
     }
 }
 
@@ -416,10 +432,56 @@ mod tests {
     }
 
     #[test]
+    fn nothing_follows_lsn_max() {
+        // A wrapping `+ 1` made `MAX` precede `ZERO`.
+        assert!(!Lsn::MAX.precedes(Lsn::ZERO));
+        assert!(!Lsn::MAX.precedes(Lsn::MAX));
+        assert!(Lsn(u64::MAX - 1).precedes(Lsn::MAX));
+        assert!(Lsn::ZERO.precedes(Lsn::FIRST));
+    }
+
+    #[test]
+    fn lsn_offset() {
+        assert_eq!(Lsn::ZERO.offset(0), Some(Lsn::ZERO));
+        assert_eq!(Lsn::ZERO.offset(1), Some(Lsn::FIRST));
+        assert_eq!(Lsn::FIRST.offset(41), Some(Lsn(42)));
+        assert_eq!(Lsn::ZERO.offset(u64::MAX), Some(Lsn::MAX));
+        assert_eq!(Lsn::FIRST.offset(u64::MAX), None);
+        assert_eq!(Lsn::MAX.offset(0), Some(Lsn::MAX));
+        assert_eq!(Lsn::MAX.offset(1), None);
+    }
+
+    #[test]
+    fn lsn_back() {
+        assert_eq!(Lsn::ZERO.back(0), Some(Lsn::ZERO));
+        assert_eq!(Lsn::ZERO.back(1), None);
+        assert_eq!(Lsn::FIRST.back(1), Some(Lsn::ZERO));
+        assert_eq!(Lsn::FIRST.back(2), None);
+        assert_eq!(Lsn::MAX.back(u64::MAX), Some(Lsn::ZERO));
+        assert_eq!(Lsn::MAX.back(1), Some(Lsn(u64::MAX - 1)));
+        assert_eq!(Lsn::MAX.prev(), Some(Lsn(u64::MAX - 1)));
+    }
+
+    #[test]
+    fn lsn_distance() {
+        assert_eq!(Lsn::ZERO.distance(Lsn::ZERO), Some(0));
+        assert_eq!(Lsn::ZERO.distance(Lsn::FIRST), Some(1));
+        assert_eq!(Lsn::FIRST.distance(Lsn::ZERO), None);
+        assert_eq!(Lsn::ZERO.distance(Lsn::MAX), Some(u64::MAX));
+        assert_eq!(Lsn::FIRST.distance(Lsn::MAX), Some(u64::MAX - 1));
+        assert_eq!(Lsn::MAX.distance(Lsn::FIRST), None);
+        assert_eq!(Lsn::MAX.distance(Lsn::MAX), Some(0));
+    }
+
+    #[test]
     fn lsn_span() {
         assert_eq!(Lsn(3).span_to(Lsn(5)), 3);
         assert_eq!(Lsn(5).span_to(Lsn(5)), 1);
         assert_eq!(Lsn(6).span_to(Lsn(5)), 0);
+        assert_eq!(Lsn::ZERO.span_to(Lsn::ZERO), 1);
+        assert_eq!(Lsn::FIRST.span_to(Lsn::MAX), u64::MAX);
+        assert_eq!(Lsn::ZERO.span_to(Lsn::MAX), u64::MAX);
+        assert_eq!(Lsn::MAX.span_to(Lsn::ZERO), 0);
     }
 
     #[test]

@@ -87,8 +87,9 @@ impl LogSink for MemLog {
 
 impl LogAccess for MemLog {
     fn read(&mut self, lsn: Lsn) -> Result<LogData> {
-        self.records
-            .get((lsn.0.saturating_sub(1)) as usize)
+        Lsn::FIRST
+            .distance(lsn)
+            .and_then(|i| self.records.get(i as usize))
             .cloned()
             .ok_or(DlogError::NoSuchRecord { lsn })
     }

@@ -1,20 +1,20 @@
 //! Tier-1 gate: the workspace must be clean under `dlog-lint`.
 //!
-//! One pass runs the full four-rule catalog on its two engines — the
-//! two lexical rules (lock-order, ack-after-force) and the two
-//! flow-sensitive rules on the dataflow engine (blocking-under-lock,
-//! lsn-checked-arith) — against the repository and fails `cargo test`
-//! on any violation, on fixture drift (a rule whose pinned pass/fail
-//! fixtures no longer behave), and on a blown latency budget. The same
-//! report is available interactively via `cargo run -p dlog-lint` (add
-//! `--timing` for the per-rule table).
+//! One pass runs the full three-rule catalog, each rule a token walk —
+//! lock-order, ack-after-force and blocking-under-lock — against the
+//! repository and fails `cargo test` on any violation, on fixture drift
+//! (a rule whose pinned pass/fail fixtures no longer behave), and on a
+//! blown latency budget. The same report is available interactively via
+//! `cargo run -p dlog-lint` (add `--timing` for the per-rule table).
 //!
 //! Forbid-unsafe, must-use discards, unconditional recursion,
-//! panic-freedom and thread safety are the compiler's and clippy's
-//! (`[workspace.lints]`, the hot-path crate roots' `deny(clippy::…)`,
-//! `Send`/`Sync` and `Mutex<T>`); this file keeps only the guarantees
-//! that no member can leave the workspace lint table and that no source
-//! can opt out of the compiler's thread-safety proof. Hot-path
+//! panic-freedom, thread safety and integer wraparound are the
+//! compiler's and clippy's (`[workspace.lints]`, the hot-path crate
+//! roots' `deny(clippy::…)`, `Send`/`Sync` and `Mutex<T>`, and
+//! `overflow-checks` in every profile); this file keeps only the
+//! guarantees that no member can leave the workspace lint table, that
+//! release builds keep their overflow checks, and that no source can opt
+//! out of the compiler's thread-safety proof. Hot-path
 //! allocation is counted, not linted: `dlog-server`'s and `dlog-core`'s
 //! tests pin allocations per packet, per read request and per commit.
 //! `docs/PROTOCOL.md`'s tag, Status and Stats tables are kept in step
@@ -44,7 +44,7 @@ fn workspace_passes_dlog_lint() {
         report.to_text()
     );
     // Sanity: the run actually scanned the workspace and every rule ran.
-    assert!(report.files_scanned > 20, "suspiciously few files scanned");
+    assert!(report.files_scanned >= 20, "suspiciously few files scanned");
     for rule in dlog_lint::rules::ALL_RULES {
         assert!(
             report.timings.iter().any(|t| t.rule == *rule),
@@ -52,9 +52,8 @@ fn workspace_passes_dlog_lint() {
         );
     }
     // Latency budget: the gate runs on every `cargo test`; the full
-    // catalog (lexical scans, CFG construction and dataflow fixpoints)
-    // must stay interactive. Measured ~100ms debug; 4s leaves ~40x
-    // headroom for slow CI machines.
+    // catalog (three token walks over 20 files) must stay interactive.
+    // Measured ~50ms debug; 4s leaves ~80x headroom for slow CI machines.
     assert!(
         elapsed.as_secs_f64() < 4.0,
         "full-workspace lint took {elapsed:?} (budget 4s) — see \
@@ -71,7 +70,7 @@ fn workspace_passes_dlog_lint() {
 fn rule_fixtures_have_not_drifted() {
     let dir = root().join("crates/lint/tests/fixtures");
     let checked = dlog_lint::fixtures::verify_fixtures(&dir).unwrap_or_else(|e| panic!("{e}"));
-    assert!(checked >= 8, "only {checked} fixture runs checked");
+    assert!(checked >= 6, "only {checked} fixture runs checked");
 }
 
 /// The lines of one TOML table (`header` excluded), trimmed.
@@ -82,6 +81,20 @@ fn table<'a>(toml: &'a str, header: &str) -> Vec<&'a str> {
         .skip(1)
         .take_while(|l| !l.starts_with('['))
         .collect()
+}
+
+/// §3.1.2's highest-epoch-wins merge and §4.2's δ rewrite hold only while
+/// LSNs and epochs never wrap. Debug builds already trap integer
+/// overflow; `overflow-checks = true` makes every release binary of the
+/// workspace fail stop instead of wrapping too, for every integer, not
+/// only the LSN-shaped ones a lint could name.
+#[test]
+fn release_builds_keep_overflow_checks() {
+    let manifest = fs::read_to_string(root().join("Cargo.toml")).expect("root Cargo.toml");
+    assert!(
+        table(&manifest, "[profile.release]").contains(&"overflow-checks = true"),
+        "[profile.release] lost `overflow-checks = true`"
+    );
 }
 
 /// `unsafe_code = "forbid"`, `unused_must_use = "deny"` and
