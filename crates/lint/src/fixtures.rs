@@ -94,7 +94,7 @@ pub fn verify_fixtures(dir: &Path) -> Result<usize, String> {
         "ack_after_force_fail.rs",
         rules::ack_after_force::RULE,
         &rules::ack_after_force::check(&parse(dir, "ack_after_force_fail.rs")?),
-        &Expect::Exactly(1),
+        &Expect::Exactly(2),
     );
     drift.record(
         "ack_after_force_pass.rs",

@@ -32,7 +32,7 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `lock-order` | the `.lock()` acquisition graph is acyclic |
-//! | `ack-after-force` | `NewHighLsn` construction lexically follows `.force()` (§4.2) |
+//! | `ack-after-force` | `NewHighLsn` construction lexically follows `.force()` or `.force_batch()` (§4.2) |
 //! | `blocking-under-lock` | no blocking I/O / channel op while a `MutexGuard` is live (§4.1 latency); a guard lives until its block closes or it is dropped, so brace depth tracks it |
 //!
 //! There is no allowlist: every finding is fixed in code. See

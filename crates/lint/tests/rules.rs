@@ -31,9 +31,10 @@ fn lock_order_fixture_passes() {
 #[test]
 fn ack_after_force_fixture_fails() {
     let vs = rules::ack_after_force::check(&fixture("ack_after_force_fail.rs"));
-    assert_eq!(vs.len(), 1, "{vs:?}");
-    assert_eq!(vs[0].rule, rules::ack_after_force::RULE);
-    assert_eq!(vs[0].scope, "handle_force");
+    assert_eq!(vs.len(), 2, "{vs:?}");
+    assert!(vs.iter().all(|v| v.rule == rules::ack_after_force::RULE));
+    let scopes: Vec<&str> = vs.iter().map(|v| v.scope.as_str()).collect();
+    assert_eq!(scopes, ["handle_force", "flush_forces"]);
 }
 
 #[test]

@@ -13,10 +13,6 @@
 //!
 //! * [`wire`] — the packet format: every Figure 4-1 message, CRC-framed,
 //!   packed to a configurable packet size;
-//! * [`conn`] — the Watson-style connection machinery the paper describes
-//!   (three-way handshake, permanently unique sequence numbers,
-//!   moving-window flow control with allocations, the pause-then-exceed
-//!   deadlock escape), as a sans-I/O state machine;
 //! * [`mem`] — an in-process datagram network with deterministic,
 //!   seed-driven fault injection (loss, duplication, reordering, delay,
 //!   partitions) used by tests and simulations;
@@ -28,12 +24,12 @@
 //!   with payload views borrowed from the receive buffer
 //!   ([`Packet::decode_shared`](wire::Packet::decode_shared)).
 //!
-//! The paper also notes (§4.2, final paragraphs) that when records are
-//! smaller than a packet, "the log sequence numbers themselves can be used
-//! efficiently for duplicate detection and flow control", eliminating
-//! connection establishment. The client/server crates use that LSN-based
-//! mode for the logging stream, while [`conn`] realizes the general
-//! mechanism and is exercised by its own tests and the UDP example.
+//! There is no connection setup. The paper notes (§4.2, final
+//! paragraphs) that when records are smaller than a packet, "the log
+//! sequence numbers themselves can be used efficiently for duplicate
+//! detection and flow control", so the server detects duplicates and
+//! gaps from each client's LSNs, and the client's δ window is the flow
+//! control.
 
 #![cfg_attr(
     not(test),
@@ -48,7 +44,6 @@
 )]
 #![warn(missing_docs)]
 
-pub mod conn;
 pub mod mem;
 pub mod pool;
 pub mod udp;

@@ -1,7 +1,12 @@
-//! Packet wire format: the message set of Figure 4-1 plus handshake and
-//! RPC envelopes, CRC-protected, hand-encoded (no external serializer — a
+//! Packet wire format: the message set of Figure 4-1 plus the RPC
+//! envelopes, CRC-protected, hand-encoded (no external serializer — a
 //! 1987 log server could afford a thousand instructions per packet, and so
 //! can we).
+//!
+//! A packet's envelope is 16 bytes: magic, a reserved word, the CRC and
+//! the logical-log routing hint. It carries no connection state: duplicate
+//! detection and flow control ride on the LSNs themselves (§4.2, final
+//! paragraphs).
 //!
 //! Each message's byte layout is written once, as a row of its enum's
 //! codec table (`wire_enum!` below); encode, exact length and decode are
@@ -43,19 +48,9 @@ impl std::fmt::Display for NodeAddr {
     }
 }
 
-/// A packet: connection header plus message. In LSN-based mode (the
-/// logging stream) `conn`, `seq`, and `alloc` are zero and duplicate
-/// detection rides on the LSNs themselves; in connection mode they carry
-/// the Watson-protocol state (§4.2).
+/// A packet: a routing hint plus one message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Packet {
-    /// Connection identifier (0 = connectionless).
-    pub conn: u64,
-    /// Sequence number within the connection.
-    pub seq: u64,
-    /// Flow-control allocation: the highest sequence number the *other*
-    /// party may send without waiting.
-    pub alloc: u64,
     /// Logical-log routing hint: the [`LogId`] this packet is about, or 0
     /// when the sender has none. The sharded server hashes this id to a
     /// shard at ingest *before* looking at the body; packets without a
@@ -66,28 +61,16 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// A connectionless packet (LSN-based mode) with no routing hint.
+    /// A packet with no routing hint.
     #[must_use]
     pub fn bare(msg: Message) -> Self {
-        Packet {
-            conn: 0,
-            seq: 0,
-            alloc: 0,
-            log: 0,
-            msg,
-        }
+        Packet { log: 0, msg }
     }
 
-    /// A connectionless packet stamped with a logical-log routing hint.
+    /// A packet stamped with a logical-log routing hint.
     #[must_use]
     pub fn routed(log: LogId, msg: Message) -> Self {
-        Packet {
-            conn: 0,
-            seq: 0,
-            alloc: 0,
-            log: log.0,
-            msg,
-        }
+        Packet { log: log.0, msg }
     }
 
     /// Like [`Packet::bare`], but with the routing hint self-stamped
@@ -104,8 +87,8 @@ impl Packet {
     /// The logical log this packet routes by: the header hint when the
     /// sender stamped one, otherwise a key derived from the body (the
     /// owning client for log traffic, the generator id for Appendix-I
-    /// RPCs). `None` means the packet is shard-agnostic control traffic
-    /// (handshake, `Status`, `Stats`) and may be served by any shard.
+    /// RPCs). `None` means the packet is shard-agnostic traffic
+    /// (`Status`, `Stats`, RPC responses) and may be served by any shard.
     #[must_use]
     pub fn route_key(&self) -> Option<LogId> {
         if self.log != 0 {
@@ -128,14 +111,14 @@ impl Packet {
                 }
                 Request::Status | Request::Stats => return None,
             },
-            _ => return None,
+            Message::Response { .. } => return None,
         };
         Some(LogId::for_client(client))
     }
 
     /// The LSN this packet is "about", for trace keying (`dlog-obs`
     /// `PacketSend` events): the highest LSN of a write/force batch, the
-    /// acked or missing LSN, or 0 for handshake/RPC traffic.
+    /// acked or missing LSN, or 0 for RPC traffic.
     #[must_use]
     pub fn lsn_hint(&self) -> u64 {
         match &self.msg {
@@ -150,33 +133,10 @@ impl Packet {
     }
 }
 
-/// Every message of the client/log-server interface (Figure 4-1), the
-/// three-way handshake, and the RPC envelope.
+/// Every message of the client/log-server interface (Figure 4-1) and the
+/// RPC envelope.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Message {
-    /// Connection request (handshake step 1).
-    Syn {
-        /// Sender's incarnation (restart counter), making sequence numbers
-        /// permanently unique across crashes.
-        incarnation: u64,
-        /// Initial sequence number.
-        isn: u64,
-    },
-    /// Connection accept (handshake step 2).
-    SynAck {
-        /// Responder incarnation.
-        incarnation: u64,
-        /// Responder initial sequence number.
-        isn: u64,
-        /// Acknowledges the `Syn` isn.
-        ack: u64,
-    },
-    /// Handshake completion (step 3).
-    HandshakeAck {
-        /// Acknowledges the `SynAck` isn.
-        ack: u64,
-    },
-
     /// Asynchronous buffered write of a batch of log records.
     WriteLog {
         /// Writing client.
@@ -438,6 +398,9 @@ impl std::error::Error for DecodeError {}
 /// Encoded frame header: magic (2) + reserved (2) + crc32 (4).
 const HEADER_BYTES: usize = 8;
 
+/// The envelope's `log` routing hint: the 8 bytes right behind the header.
+const ROUTE_HINT: std::ops::Range<usize> = HEADER_BYTES..HEADER_BYTES + 8;
+
 impl Packet {
     /// Encode to a fresh byte vector (with magic and CRC). Convenience
     /// wrapper over [`Packet::encode_into`] for cold paths and tests; the
@@ -479,9 +442,6 @@ impl Packet {
 
     /// Everything the CRC covers: the envelope, then the message.
     fn write_body<S: Sink>(&self, out: &mut S) {
-        self.conn.wire_write(out);
-        self.seq.wire_write(out);
-        self.alloc.wire_write(out);
         self.log.wire_write(out);
         self.msg.wire_write(out);
     }
@@ -522,9 +482,6 @@ impl Packet {
             return Err(DecodeError("crc mismatch".into()));
         }
         let packet = Packet {
-            conn: Wire::wire_read(&mut r)?,
-            seq: Wire::wire_read(&mut r)?,
-            alloc: Wire::wire_read(&mut r)?,
             log: Wire::wire_read(&mut r)?,
             msg: Wire::wire_read(&mut r)?,
         };
@@ -538,11 +495,10 @@ impl Packet {
     /// header's `log` field, with no body decode and no CRC pass.
     /// Transports with native shard routing use this to pick a receive
     /// queue at delivery time; `None` (a zero hint, or a frame too short
-    /// to carry one) means shard-agnostic. Offset: magic (2) + reserved
-    /// (2) + crc (4) + conn (8) + seq (8) + alloc (8) = 32.
+    /// to carry one) means shard-agnostic.
     #[must_use]
     pub fn peek_route_hint(bytes: &[u8]) -> Option<LogId> {
-        let raw: [u8; 8] = bytes.get(32..40)?.try_into().ok()?;
+        let raw: [u8; 8] = bytes.get(ROUTE_HINT)?.try_into().ok()?;
         let log = u64::from_le_bytes(raw);
         (log != 0).then_some(LogId(log))
     }
@@ -920,10 +876,9 @@ macro_rules! wire_enum {
     };
 }
 
+// Tags 1–3 are retired (a connection handshake no node used); the other
+// tags kept their numbers, so `docs/PROTOCOL.md`'s tables did not move.
 wire_enum!(Message {
-    1 => Syn { incarnation, isn },
-    2 => SynAck { incarnation, isn, ack },
-    3 => HandshakeAck { ack },
     4 => WriteLog { client, epoch, records },
     5 => ForceLog { client, epoch, records },
     6 => NewInterval { client, epoch, starting_lsn },
@@ -1020,13 +975,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(msg: Message) {
-        let p = Packet {
-            conn: 7,
-            seq: 42,
-            alloc: 100,
-            log: 13,
-            msg,
-        };
+        let p = Packet { log: 13, msg };
         let bytes = p.encode();
         assert_eq!(
             bytes.len(),
@@ -1038,20 +987,6 @@ mod tests {
         let shared = Arc::new(bytes);
         let s = Packet::decode_shared(&shared).unwrap();
         assert_eq!(p, s);
-    }
-
-    #[test]
-    fn roundtrip_handshake() {
-        roundtrip(Message::Syn {
-            incarnation: 3,
-            isn: 1000,
-        });
-        roundtrip(Message::SynAck {
-            incarnation: 5,
-            isn: 2000,
-            ack: 1000,
-        });
-        roundtrip(Message::HandshakeAck { ack: 2000 });
     }
 
     #[test]
@@ -1331,22 +1266,23 @@ mod tests {
             Some(LogId(9))
         );
         // Control traffic is shard-agnostic.
-        assert_eq!(
-            Packet::bare(Message::Request {
-                id: 1,
-                body: Request::Status,
-            })
-            .route_key(),
-            None
-        );
-        assert_eq!(
-            Packet::bare(Message::Syn {
-                incarnation: 1,
-                isn: 2,
-            })
-            .route_key(),
-            None
-        );
+        for body in [Request::Status, Request::Stats] {
+            assert_eq!(
+                Packet::bare(Message::Request { id: 1, body }).route_key(),
+                None
+            );
+        }
+    }
+
+    #[test]
+    fn an_ack_is_a_16_byte_envelope_and_17_bytes_of_message() {
+        let ack = Packet::bare(Message::NewHighLsn {
+            client: ClientId(1),
+            lsn: Lsn(5),
+        });
+        // Header 8 + `log` 8, then kind 1 + client 8 + lsn 8.
+        assert_eq!(ack.encode().len(), 33);
+        assert_eq!(ack.encoded_len(), 33);
     }
 
     #[test]

@@ -167,16 +167,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
 pub fn arb_message() -> impl Strategy<Value = Message> {
     let client = (1u64..50).prop_map(ClientId);
     prop_oneof![
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(incarnation, isn)| Message::Syn { incarnation, isn }),
-        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(incarnation, isn, ack)| {
-            Message::SynAck {
-                incarnation,
-                isn,
-                ack,
-            }
-        }),
-        any::<u64>().prop_map(|ack| Message::HandshakeAck { ack }),
         (client.clone(), 1u64..100, arb_batch()).prop_map(|(client, e, records)| {
             Message::WriteLog {
                 client,
@@ -214,19 +204,8 @@ pub fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// Half the packets carry no routing hint (`log` 0), as a bare packet does.
 pub fn arb_packet() -> impl Strategy<Value = Packet> {
-    (
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        arb_message(),
-    )
-        .prop_map(|(conn, seq, alloc, log, msg)| Packet {
-            conn,
-            seq,
-            alloc,
-            log,
-            msg,
-        })
+    (prop_oneof![Just(0u64), any::<u64>()], arb_message())
+        .prop_map(|(log, msg)| Packet { log, msg })
 }

@@ -2,7 +2,7 @@
 //! bytes could hold must be rejected before the decoder allocates room
 //! for them. A count of 8192 passes a "no more than a packet's worth of
 //! bytes" sanity check, yet reserving 8192 records is a quarter of a
-//! megabyte for a 61-byte frame.
+//! megabyte for a 37-byte frame.
 //!
 //! This test binary holds one test on purpose: it reads the process-wide
 //! allocated-bytes gauge, which no other test may move meanwhile.
@@ -13,10 +13,10 @@ use dlog_net::wire::Packet;
 use dlog_obs::gauge::process_alloc_bytes;
 use dlog_types::crc::crc32;
 
-/// Frame a message body behind a zeroed envelope and a valid header, so
-/// decoding reaches the count under test.
+/// Frame a message body behind a valid header and a zero `log` routing
+/// hint, so decoding reaches the count under test.
 fn frame(msg: &[u8]) -> Arc<Vec<u8>> {
-    let mut body = vec![0u8; 32];
+    let mut body = vec![0u8; 8];
     body.extend_from_slice(msg);
     let mut out = Vec::new();
     out.extend_from_slice(&0xD10Cu16.to_le_bytes());
@@ -46,10 +46,12 @@ fn list_counts_beyond_the_bytes_left_allocate_nothing() {
         let before = process_alloc_bytes();
         let decoded = Packet::decode_shared(&bytes);
         let allocated = process_alloc_bytes() - before;
-        assert!(
-            decoded.is_err(),
-            "{name}: decoded a frame of {} bytes",
-            bytes.len()
+        // The count check itself must reject the frame: any other error
+        // means the frame never reached it.
+        let err = decoded.expect_err(&format!("{name}: decoded a frame of {} bytes", bytes.len()));
+        assert_eq!(
+            err.0, "list count exceeds the bytes left",
+            "{name}: failed before its count was read"
         );
         assert!(
             allocated < 1024,

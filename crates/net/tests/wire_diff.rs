@@ -58,9 +58,6 @@ fn ref_crc32(data: &[u8]) -> u32 {
 
 fn ref_encode(p: &Packet) -> Vec<u8> {
     let mut body = Vec::with_capacity(256);
-    put_u64(&mut body, p.conn);
-    put_u64(&mut body, p.seq);
-    put_u64(&mut body, p.alloc);
     put_u64(&mut body, p.log);
     ref_message(&p.msg, &mut body);
 
@@ -106,25 +103,6 @@ fn ref_intervals(out: &mut Vec<u8>, list: &IntervalList) {
 
 fn ref_message(msg: &Message, out: &mut Vec<u8>) {
     match msg {
-        Message::Syn { incarnation, isn } => {
-            out.push(1);
-            put_u64(out, *incarnation);
-            put_u64(out, *isn);
-        }
-        Message::SynAck {
-            incarnation,
-            isn,
-            ack,
-        } => {
-            out.push(2);
-            put_u64(out, *incarnation);
-            put_u64(out, *isn);
-            put_u64(out, *ack);
-        }
-        Message::HandshakeAck { ack } => {
-            out.push(3);
-            put_u64(out, *ack);
-        }
         Message::WriteLog {
             client,
             epoch,

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use dlog_net::wire::{pack_batches, Message, Packet, Request, Response, MAX_PACKET_BYTES};
-use dlog_types::{ClientId, Epoch, LogData, Lsn};
+use dlog_types::{ClientId, Epoch, LogData, LogId, Lsn};
 
 mod common;
 use common::{arb_data, arb_message, arb_packet};
@@ -16,9 +16,6 @@ use common::{arb_data, arb_message, arb_packet};
 /// then fails until `arb_message` generates it.
 fn kind(msg: &Message) -> (&'static str, Option<&'static str>) {
     match msg {
-        Message::Syn { .. } => ("Syn", None),
-        Message::SynAck { .. } => ("SynAck", None),
-        Message::HandshakeAck { .. } => ("HandshakeAck", None),
         Message::WriteLog { .. } => ("WriteLog", None),
         Message::ForceLog { .. } => ("ForceLog", None),
         Message::NewInterval { .. } => ("NewInterval", None),
@@ -55,15 +52,21 @@ fn kind(msg: &Message) -> (&'static str, Option<&'static str>) {
 
 /// The properties here and in `wire_diff.rs` cover every kind: 512 cases
 /// of `arb_message`, and of `arb_packet` (the same deterministic seeds
-/// the properties draw), each produce all 10 message kinds, 9 request
-/// kinds and 7 response kinds.
+/// the properties draw), each produce all 7 message kinds, 9 request
+/// kinds and 7 response kinds; and the packets carry both zero and
+/// nonzero routing hints.
 #[test]
 fn arb_message_generates_every_kind() {
     let config = ProptestConfig::with_cases(512);
     let mut messages = Vec::new();
     proptest::run_cases(&config, &arb_message(), |msg| messages.push(msg));
     let mut packets = Vec::new();
-    proptest::run_cases(&config, &arb_packet(), |p| packets.push(p.msg));
+    let mut hints = std::collections::BTreeSet::new();
+    proptest::run_cases(&config, &arb_packet(), |p| {
+        hints.insert(p.log != 0);
+        packets.push(p.msg);
+    });
+    assert_eq!(hints.len(), 2, "routing hints drawn: only {hints:?}");
     for drawn in [messages, packets] {
         let mut seen = std::collections::BTreeSet::new();
         for msg in &drawn {
@@ -73,7 +76,7 @@ fn arb_message_generates_every_kind() {
                 seen.insert(format!("{kind}::{body}"));
             }
         }
-        assert_eq!(seen.len(), 10 + 9 + 7, "kinds generated: {seen:?}");
+        assert_eq!(seen.len(), 7 + 9 + 7, "kinds generated: {seen:?}");
     }
 }
 
@@ -85,6 +88,14 @@ proptest! {
         let bytes = p.encode();
         let q = Packet::decode(&bytes).expect("decode own encoding");
         prop_assert_eq!(p, q);
+    }
+
+    /// The fixed-offset hint read a routed transport does before decode
+    /// agrees with the decoded header.
+    #[test]
+    fn peek_route_hint_reads_the_log_field(p in arb_packet()) {
+        let want = (p.log != 0).then_some(LogId(p.log));
+        prop_assert_eq!(Packet::peek_route_hint(&p.encode()), want);
     }
 
     /// Any single-byte corruption is either detected (decode error) —

@@ -399,8 +399,8 @@ impl LogServer {
                 let body = self.serve(body);
                 out.push((from, Packet::bare(Message::Response { id: *id, body })));
             }
-            // Handshake traffic and client-bound messages are not for the
-            // data-plane server; ignore.
+            // Client-bound messages (acks, NAKs, responses) are not for
+            // the server; ignore.
             _ => {}
         }
         self.stats.packets_out += (out.len() - out_before) as u64;

@@ -25,7 +25,7 @@
 //! * a nonzero `log` header field routes by that id;
 //! * log traffic without a hint routes by the owning client's log;
 //! * generator RPCs route by generator id;
-//! * shard-agnostic control traffic (handshake, `Status`, `Stats`) is
+//! * shard-agnostic control traffic (`Status`, `Stats`) is
 //!   **broadcast** to every shard — each answers with its own `shard` /
 //!   `shards` gauges so a collector can merge the rows.
 //!
