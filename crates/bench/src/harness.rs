@@ -54,8 +54,8 @@ pub struct ClusterOptions {
     /// Observability: when enabled, every server (and every client built
     /// by [`Cluster::client`]) gets a tracing/histogram handle.
     pub obs: dlog_obs::ObsOptions,
-    /// Group-commit coalescing window for every server (`ZERO`: the
-    /// synchronous force-per-message path).
+    /// Group-commit coalescing window for every server (`ZERO`: each
+    /// force commits in a round of its own before the handler returns).
     pub coalesce_window: std::time::Duration,
     /// Shard event loops per server.
     /// Defaults to `DLOG_TEST_SHARDS` from the environment so the whole

@@ -16,7 +16,9 @@
 //! ([`ShardSupervisor`]): one thread receiving from the socket itself for
 //! `--shards 1`, a dispatcher thread feeding N shard loops otherwise. The
 //! process exits non-zero when the socket dies or a loop fail-stops (a
-//! panic, printed before the exit message); failed archive rounds are
+//! panic, printed before the exit message; a group-commit round that
+//! cannot reach the disk is one at any `--force-coalesce-us`); failed
+//! archive rounds are
 //! retried and show in the `upload_retries` / `pending` gauges of
 //! `dlog status`.
 
@@ -93,7 +95,8 @@ fn run() -> Result<(), String> {
     let shards: u64 = args.get_or("shards", 1)?;
     let shards = shards.max(1);
     // Group commit: forces arriving within the window share one physical
-    // durability round. 0 (the default) keeps forces synchronous.
+    // durability round. 0 (the default) commits each force in a round
+    // of its own before the server replies.
     let coalesce_us: u64 = args.get_or("force-coalesce-us", 0)?;
     let coalesce_max: usize = args.get_or("force-coalesce-max", 64)?;
     if coalesce_us > 0 {

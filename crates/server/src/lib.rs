@@ -80,8 +80,9 @@ pub struct ServerConfig {
     /// up to this long so forces from concurrently-waiting clients share
     /// one physical durability round. The window is the *maximum* extra
     /// latency under sustained load — the event loop flushes the pending
-    /// batch as soon as its inbox drains. Zero (the default) keeps the
-    /// fully synchronous force-per-message path.
+    /// batch as soon as its inbox drains. Zero (the default) commits
+    /// each force before the handler returns: the same group commit,
+    /// with nothing deferred.
     pub coalesce_window: Duration,
     /// Flush the pending group-commit batch early once this many clients
     /// are waiting, regardless of the window.
@@ -138,11 +139,12 @@ pub struct ServerStats {
     pub rpcs: u64,
     /// Forces acknowledged.
     pub forces_acked: u64,
-    /// `ForceLog` requests whose ack was deferred into a group-commit
-    /// batch (always 0 when `coalesce_window` is zero).
+    /// `ForceLog` requests taken into a group-commit obligation: every
+    /// one not shed, at any window.
     pub coalesced_forces: u64,
     /// Physical group-commit rounds flushed. Amortization shows as
-    /// `coalesced_forces / group_commits` > 1.
+    /// `coalesced_forces / group_commits` > 1; at a zero window every
+    /// force is a round of its own and the ratio is 1.0.
     pub group_commits: u64,
 }
 
@@ -173,9 +175,12 @@ pub struct LogServer {
     /// commit, with the address each ack must go to. A `Vec` (not a map)
     /// keeps the fan-out order deterministic: first-force order.
     pending_forces: Vec<(ClientId, NodeAddr)>,
-    /// When the oldest pending force arrived; the coalescing window is
-    /// measured from here.
+    /// When the oldest deferred force arrived; the coalescing window is
+    /// measured from here. A zero window defers nothing and never sets it.
     coalesce_since: Option<Instant>,
+    /// The clients of the round being flushed, as `force_batch` takes
+    /// them; kept so that a round allocates nothing after warm-up.
+    force_clients: Vec<ClientId>,
     /// Allocations observed on the handling thread during write/force
     /// ingest (`dlog-alloc` thread gauge deltas): the numerator of the
     /// `allocs_per_write` gauge served by `Request::Stats`.
@@ -203,6 +208,7 @@ impl LogServer {
             obs: dlog_obs::Obs::off(),
             pending_forces: Vec::default(),
             coalesce_since: None,
+            force_clients: Vec::default(),
             ingest_allocs: 0,
             ingest_records: 0,
         })
@@ -514,42 +520,21 @@ impl LogServer {
         let stored_hi = last.map(|(_, hi)| hi);
 
         if force {
-            if self.config.coalesce_window.is_zero() {
-                #[expect(
-                    clippy::panic,
-                    reason = "deliberate fail-stop (§3.1): acking a force the store lost would violate durability promises — crashing is safer than lying"
-                )]
-                if let Err(e) = self.store.force(client) {
-                    // A force that cannot reach stable storage is fatal for a
-                    // log server.
-                    panic!("force failed: {e}");
-                }
-                self.stats.forces_acked += 1;
-                self.unacked.insert(client, 0);
-                if let Some(hi) = stored_hi {
-                    // Forced acks set bit 0 of the detail word: the trace
-                    // invariant checker requires a preceding Force event for
-                    // exactly these.
-                    self.obs
-                        .event(dlog_obs::Stage::AckHighLsn, hi.0, (client.0 << 1) | 1);
-                    out.push((from, Packet::bare(Message::NewHighLsn { client, lsn: hi })));
-                }
-            } else {
-                // Defer: the group-commit scheduler owns this ack. A
-                // repeat force from the same client just refreshes its
-                // reply address; the durability obligation is already
-                // queued.
-                self.stats.coalesced_forces += 1;
-                match self.pending_forces.iter_mut().find(|(c, _)| *c == client) {
-                    Some(slot) => slot.1 = from,
-                    None => self.pending_forces.push((client, from)),
-                }
-                if self.coalesce_since.is_none() {
-                    self.coalesce_since = Some(Instant::now());
-                }
-                if self.pending_forces.len() >= self.config.coalesce_max_batch {
-                    self.flush_forces(out);
-                }
+            // The group commit owns every force ack. A repeat force from
+            // the same client just refreshes its reply address; the
+            // durability obligation is already queued. A zero window
+            // commits before the handler returns.
+            self.stats.coalesced_forces += 1;
+            match self.pending_forces.iter_mut().find(|(c, _)| *c == client) {
+                Some(slot) => slot.1 = from,
+                None => self.pending_forces.push((client, from)),
+            }
+            if self.config.coalesce_window.is_zero()
+                || self.pending_forces.len() >= self.config.coalesce_max_batch
+            {
+                self.flush_forces(out);
+            } else if self.coalesce_since.is_none() {
+                self.coalesce_since = Some(Instant::now());
             }
         } else if self.config.ack_every > 0 {
             let n = self.unacked.entry(client).or_insert(0);
@@ -608,20 +593,16 @@ impl LogServer {
         grants
     }
 
-    /// Flush the pending group-commit batch if it is due — its coalescing
-    /// window has expired or it reached the size cap — returning the
-    /// `NewHighLSN` fan-out to transmit.
+    /// Flush the pending group-commit batch if its coalescing window has
+    /// expired, returning the `NewHighLSN` fan-out to transmit. (A batch
+    /// that reaches the size cap never waits here: `ingest` flushes it.)
     #[must_use]
     pub fn force_tick(&mut self) -> Vec<(NodeAddr, Packet)> {
-        let due = match self.coalesce_since {
-            Some(t) => {
-                t.elapsed() >= self.config.coalesce_window
-                    || self.pending_forces.len() >= self.config.coalesce_max_batch
-            }
-            None => false,
-        };
         let mut out = Vec::new();
-        if due {
+        if self
+            .coalesce_since
+            .is_some_and(|t| t.elapsed() >= self.config.coalesce_window)
+        {
             self.flush_forces(&mut out);
         }
         self.stats.packets_out += out.len() as u64;
@@ -640,28 +621,28 @@ impl LogServer {
         out
     }
 
-    /// One group commit: a single physical durability round covering
-    /// every waiting client, then per-client `NewHighLSN` fan-out.
+    /// One group commit, the only place the server forces and builds a
+    /// forced ack: a single physical durability round covering every
+    /// waiting client, then per-client `NewHighLSN` fan-out.
     fn flush_forces(&mut self, out: &mut Vec<(NodeAddr, Packet)>) {
         if self.pending_forces.is_empty() {
             return;
         }
         self.coalesce_since = None;
-        let batch = std::mem::take(&mut self.pending_forces);
-        let clients: Vec<ClientId> = batch.iter().map(|(c, _)| *c).collect();
-        if self.store.force_batch(&clients).is_err() {
-            // A failed physical force must not ack ANY client in the
-            // batch: acking without durability is exactly the bug the
-            // ack-after-force invariant exists to prevent. Dropping the
-            // obligations un-acked lets each client's retry path
-            // re-issue its ForceLog against a store that may have
-            // recovered in the meantime.
-            return;
+        self.force_clients.clear();
+        self.force_clients
+            .extend(self.pending_forces.iter().map(|(c, _)| *c));
+        #[expect(
+            clippy::panic,
+            reason = "deliberate fail-stop (§3.1): acking a force the store lost would violate durability promises, and a retried force can succeed on pages the kernel already dropped — crashing is safer than lying"
+        )]
+        if let Err(e) = self.store.force_batch(&self.force_clients) {
+            panic!("group commit failed: {e}");
         }
         self.stats.group_commits += 1;
-        let batch_size = batch.len() as u64;
+        let batch_size = self.pending_forces.len() as u64;
         let mut round_hi = 0u64;
-        for (client, addr) in batch {
+        for (client, addr) in self.pending_forces.drain(..) {
             self.stats.forces_acked += 1;
             self.unacked.insert(client, 0);
             if let Some(iv) = self.store.last_interval(client) {
@@ -1388,6 +1369,51 @@ mod tests {
         );
     }
 
+    /// A failed group-commit round fail-stops at every window, and no
+    /// `NewHighLsn` leaves for it: neither the round a zero window runs
+    /// inside the handler nor a deferred one drops its obligations for
+    /// the clients to retry. A directory where segment 1's file belongs
+    /// makes the round's track flush fail to open it.
+    #[test]
+    fn a_failed_round_fail_stops_at_every_window() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for window in [Duration::ZERO, Duration::from_secs(3600)] {
+            let dir = tmpdir(&format!("fail-stop-{}", window.as_secs()));
+            let opts = StoreOptions {
+                fsync: false,
+                checkpoint_every: 0,
+                segment_bytes: 1024,
+                durability: dlog_storage::store::Durability::FsyncPerForce,
+                ..StoreOptions::default()
+            };
+            let store = LogStore::open(&dir, opts, NvramDevice::new(1 << 20)).unwrap();
+            let gens = GenStore::open(dir.join("gens")).unwrap();
+            let mut config = ServerConfig::new(ServerId(1));
+            config.coalesce_window = window;
+            let mut s = LogServer::new(config, store, gens).unwrap();
+
+            // Six 88-byte frames fit segment 0; the next six reach into
+            // segment 1.
+            let mut acks = force(&mut s, 1, 1, 6);
+            acks.extend(s.flush_pending_forces());
+            assert_eq!(acks.len(), 1, "{window:?}: the good round is acked");
+            std::fs::create_dir(dir.join(dlog_storage::stream::segment_file_name(1))).unwrap();
+
+            let failed = if window.is_zero() {
+                catch_unwind(AssertUnwindSafe(|| force(&mut s, 1, 7, 12)))
+            } else {
+                assert!(force(&mut s, 1, 7, 12).is_empty(), "{window:?}: deferred");
+                catch_unwind(AssertUnwindSafe(|| s.flush_pending_forces()))
+            };
+            assert!(
+                failed.is_err(),
+                "{window:?}: a failed round returned {:?}",
+                failed.ok()
+            );
+            assert_eq!(s.stats().forces_acked, 1, "{window:?}");
+        }
+    }
+
     #[test]
     fn generator_rpcs() {
         let mut s = server("gen");
@@ -1621,7 +1647,23 @@ mod tests {
                     out.iter().map(|(to, p)| (*to, p.msg.clone())).collect()
                 };
                 proptest::prop_assert_eq!(msgs(&got), msgs(&want), "replies to {:?}", step);
-                proptest::prop_assert_eq!(batched.stats(), reference.stats(), "after {:?}", step);
+                // `reference_ingest` never modelled group commit: at a
+                // zero window every force is a round of its own.
+                let ungrouped = |st: ServerStats| ServerStats {
+                    coalesced_forces: 0,
+                    group_commits: 0,
+                    ..st
+                };
+                proptest::prop_assert_eq!(
+                    ungrouped(batched.stats()),
+                    ungrouped(reference.stats()),
+                    "after {:?}", step
+                );
+                proptest::prop_assert_eq!(
+                    batched.stats().coalesced_forces,
+                    batched.stats().group_commits,
+                    "rounds after {:?}", step
+                );
                 proptest::prop_assert_eq!(
                     batched.interval_grants(),
                     reference.interval_grants(),

@@ -136,9 +136,11 @@ impl Exits {
     }
 }
 
-/// Held by every server thread: a panic (the §3.1 fail-stops in
-/// `LogServer::ingest` are panics) is reported like any other exit, so
-/// [`ShardSupervisor::wait`] never outlives the loop it waits for.
+/// Held by every server thread: a panic (the §3.1 fail-stops are panics:
+/// a store that rejects a validated record in `LogServer::ingest`, and a
+/// failed group-commit round at any window) is reported like any other
+/// exit, so [`ShardSupervisor::wait`] never outlives the loop it waits
+/// for.
 struct ReportPanic(Arc<Exits>);
 
 impl Drop for ReportPanic {
@@ -436,31 +438,13 @@ fn shard_loop<E: Endpoint + ?Sized>(
                         _ => break,
                     }
                 }
-                for (to, reply) in replies.drain(..) {
-                    #[expect(
-                        clippy::let_underscore_must_use,
-                        reason = "send failures are network loss; the protocol recovers end to end"
-                    )]
-                    let _ = ep.send(to, &reply);
-                }
-                for (to, reply) in server.force_tick() {
-                    #[expect(
-                        clippy::let_underscore_must_use,
-                        reason = "send failures are network loss; the protocol recovers end to end"
-                    )]
-                    let _ = ep.send(to, &reply);
-                }
+                send_all(ep, replies.drain(..));
+                send_all(ep, server.force_tick());
             }
             Ok(None) => {
                 if server.has_pending_forces() {
                     // Inbox drained: commit the group now.
-                    for (to, reply) in server.flush_pending_forces() {
-                        #[expect(
-                            clippy::let_underscore_must_use,
-                            reason = "send failures are network loss; the protocol recovers end to end"
-                        )]
-                        let _ = ep.send(to, &reply);
-                    }
+                    send_all(ep, server.flush_pending_forces());
                 } else {
                     // Idle: let the archive tier make progress.
                     #[expect(
@@ -476,19 +460,25 @@ fn shard_loop<E: Endpoint + ?Sized>(
     // Never strand queued force obligations: whatever ended the loop, it
     // finishes the round and tries to get the acks out before the
     // endpoint goes away, then leaves storage clean.
-    for (to, reply) in server.flush_pending_forces() {
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "send failures are network loss; the protocol recovers end to end"
-        )]
-        let _ = ep.send(to, &reply);
-    }
+    send_all(ep, server.flush_pending_forces());
     #[expect(
         clippy::let_underscore_must_use,
         reason = "graceful-shutdown courtesy sync after the final force flush; every acked record was already forced through the store's force path, whose Result is consumed"
     )]
     let _ = server.store_mut().sync();
     (server, why)
+}
+
+/// Send every reply, in order. A send error is network loss, which the
+/// protocol recovers from end to end, so it stops nothing here.
+fn send_all<E: Endpoint + ?Sized>(ep: &E, replies: impl IntoIterator<Item = (NodeAddr, Packet)>) {
+    for (to, reply) in replies {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "send failures are network loss; the protocol recovers end to end"
+        )]
+        let _ = ep.send(to, &reply);
+    }
 }
 
 #[cfg(test)]
