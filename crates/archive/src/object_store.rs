@@ -88,9 +88,7 @@ impl ObjectStore for LocalDirStore {
         // A failed directory sync means the rename itself may not be
         // durable — propagate rather than ack an object that could
         // vanish on crash (§4.2 ack-after-force).
-        if let Ok(d) = File::open(&self.dir) {
-            d.sync_data()?;
-        }
+        File::open(&self.dir)?.sync_data()?;
         Ok(())
     }
 

@@ -80,9 +80,7 @@ pub fn restore_from(
     // Restored files must survive a crash before we report success;
     // a failed directory sync would leave the restore only probably
     // durable (§4.2 ack-after-force).
-    if let Ok(d) = File::open(dir) {
-        d.sync_data()?;
-    }
+    File::open(dir)?.sync_data()?;
     Ok(())
 }
 

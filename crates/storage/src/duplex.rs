@@ -16,7 +16,6 @@ use std::path::{Path, PathBuf};
 use dlog_types::{ClientId, DlogError, Epoch, LogData, LogRecord, Lsn, Result};
 
 use crate::frame::Frame;
-use crate::stream::SegmentedStream;
 
 /// Counters for the E4 comparison.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -238,12 +237,6 @@ fn scan_replica(dir: &Path, path: &Path) -> Result<(u64, Vec<(u64, u32)>)> {
     }
     Ok((off as u64, index))
 }
-
-// Silence the unused-import lint for SegmentedStream: the duplex baseline
-// deliberately does NOT use the segmented stream — a 1987 processing node
-// mirrors one flat file per disk.
-#[allow(unused)]
-fn _unused(_: Option<SegmentedStream>) {}
 
 #[cfg(test)]
 mod tests {

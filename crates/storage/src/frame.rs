@@ -22,7 +22,7 @@ pub const ENVELOPE_BYTES: usize = 8;
 
 const KIND_RECORD: u8 = 1;
 const KIND_INSTALL: u8 = 2;
-const KIND_CHECKPOINT: u8 = 3;
+// Kind 3 is retired (older streams may hold it): it decodes as unknown.
 
 const FLAG_PRESENT: u8 = 0b01;
 const FLAG_STAGED: u8 = 0b10;
@@ -52,10 +52,6 @@ pub enum Frame {
         /// Epoch whose staged records become visible.
         epoch: Epoch,
     },
-    /// An interval-table checkpoint embedded in the stream (the write-once
-    /// medium option of §4.3); the payload is produced by
-    /// [`crate::intervals::IntervalTable::encode`].
-    Checkpoint(Vec<u8>),
 }
 
 impl Frame {
@@ -80,13 +76,6 @@ impl Frame {
                 out.push(KIND_INSTALL);
                 out.extend_from_slice(&client.0.to_le_bytes());
                 out.extend_from_slice(&epoch.0.to_le_bytes());
-                close_envelope(out, start)
-            }
-            Frame::Checkpoint(payload) => {
-                let start = open_envelope(out);
-                out.push(KIND_CHECKPOINT);
-                out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                out.extend_from_slice(payload);
                 close_envelope(out, start)
             }
         }
@@ -132,7 +121,6 @@ impl Frame {
         match self {
             Frame::Record { record, .. } => Self::record_len(record.data.len()),
             Frame::Install { .. } => ENVELOPE_BYTES + 1 + 8 + 8,
-            Frame::Checkpoint(p) => ENVELOPE_BYTES + 1 + 4 + p.len(),
         }
     }
 
@@ -201,14 +189,6 @@ impl Frame {
                 let client = ClientId(u64_le_at(rest, 0).ok_or_else(bad)?);
                 let epoch = Epoch(u64_le_at(rest, 8).ok_or_else(bad)?);
                 Ok(Frame::Install { client, epoch })
-            }
-            KIND_CHECKPOINT => {
-                let len =
-                    u32_le_at(rest, 0).ok_or_else(|| corrupt("short checkpoint frame"))? as usize;
-                if rest.len() != 4 + len {
-                    return Err(corrupt("checkpoint frame length mismatch"));
-                }
-                Ok(Frame::Checkpoint(rest.get(4..).unwrap_or(&[]).to_vec()))
             }
             _ => Err(corrupt("unknown frame kind")),
         }
@@ -314,20 +294,15 @@ mod tests {
 
     #[test]
     fn roundtrip_install_and_checkpoint() {
-        for f in [
-            Frame::Install {
-                client: ClientId(9),
-                epoch: Epoch(12),
-            },
-            Frame::Checkpoint(vec![1, 2, 3, 4, 5]),
-            Frame::Checkpoint(vec![]),
-        ] {
-            let mut buf = Vec::new();
-            f.encode_into(&mut buf);
-            let (decoded, consumed) = Frame::decode(&buf).unwrap().unwrap();
-            assert_eq!(decoded, f);
-            assert_eq!(consumed, buf.len());
-        }
+        let f = Frame::Install {
+            client: ClientId(9),
+            epoch: Epoch(12),
+        };
+        let mut buf = Vec::new();
+        f.encode_into(&mut buf);
+        let (decoded, consumed) = Frame::decode(&buf).unwrap().unwrap();
+        assert_eq!(decoded, f);
+        assert_eq!(consumed, buf.len());
     }
 
     #[test]

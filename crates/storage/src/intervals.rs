@@ -175,6 +175,18 @@ impl IntervalTable {
             .sum()
     }
 
+    /// The lowest stream position the table indexes, if it indexes any.
+    #[must_use]
+    pub fn lowest_position(&self) -> Option<u64> {
+        // Positions ascend within an entry, so its first record is its
+        // lowest.
+        self.clients
+            .values()
+            .flatten()
+            .filter_map(|e| e.position(e.interval.lo))
+            .min()
+    }
+
     /// Drop every record whose stream position is below `pos` (log space
     /// management, §5.3: old segments spooled off or deleted). Entries
     /// straddling the cut are shrunk; emptied entries are removed.

@@ -20,7 +20,7 @@
 //! prone to corruption by software error. Needham et al. have suggested
 //! that a solution ... is to provide hardware to help check that each new
 //! value for the non volatile memory was computed from a previous value."
-//! [`NvramDevice::insert_guarded`] models that hardware: every insert must
+//! [`NvramDevice::insert_at_tail`] models that hardware: every insert must
 //! present the device's current *seal* (a digest of its contents), which
 //! only code that read the previous state can know — a wild store from a
 //! stray pointer fails the check and leaves the memory untouched.
@@ -206,10 +206,9 @@ impl NvramDevice {
         unpoisoned(self.state.lock()).base_pos
     }
 
-    /// Durably insert `bytes` at the tail of the pending track.
-    ///
-    /// This is the log server's force point: once `insert` returns, the
-    /// bytes survive a crash.
+    /// Durably insert `bytes` at the tail of the pending track without
+    /// presenting the seal: what a stray writer does. The store inserts
+    /// through [`NvramDevice::insert_at_tail`].
     ///
     /// # Errors
     /// [`NvramFull`] when the bytes do not fit; the caller must retire a
@@ -227,29 +226,19 @@ impl NvramDevice {
         unpoisoned(self.state.lock()).seal
     }
 
-    /// Guarded insert (§5.1, after Needham et al.): succeeds only when the
-    /// caller presents the device's current seal, proving the new value
-    /// "was computed from a previous value". Returns the new seal.
+    /// Guarded insert (§5.1, after Needham et al.) of `bytes` at the tail
+    /// of the pending track: succeeds only when the caller presents the
+    /// device's current seal, proving the new value "was computed from a
+    /// previous value", and reports where the bytes landed and the new
+    /// seal. Whatever one call inserts is one `extend` under the device
+    /// lock: a crash finds all of it or none of it.
     ///
     /// # Errors
-    /// [`GuardError::Mismatch`] (memory untouched) for a wrong seal;
-    /// [`GuardError::Full`] when the bytes do not fit.
-    pub fn insert_guarded(&self, presented_seal: u64, bytes: &[u8]) -> Result<u64, GuardError> {
-        self.insert_at_tail(Some(presented_seal), bytes)
-            .map(|tail| tail.seal)
-    }
-
-    /// Insert `bytes` at the tail of the pending track — guarded (§5.1)
-    /// when `guard` carries a seal, plain otherwise — and report where
-    /// they landed. Whatever one call inserts is one `extend` under the
-    /// device lock: a crash finds all of it or none of it.
-    ///
-    /// # Errors
-    /// As [`NvramDevice::insert_guarded`]; without a guard only
-    /// [`GuardError::Full`]. The memory is untouched on error.
-    pub fn insert_at_tail(&self, guard: Option<u64>, bytes: &[u8]) -> Result<Tail, GuardError> {
+    /// [`GuardError::Mismatch`] for a wrong seal; [`GuardError::Full`]
+    /// when the bytes do not fit. The memory is untouched on error.
+    pub fn insert_at_tail(&self, presented: u64, bytes: &[u8]) -> Result<Tail, GuardError> {
         let mut st = unpoisoned(self.state.lock());
-        if let Some(presented) = guard.filter(|seal| *seal != st.seal) {
+        if presented != st.seal {
             return Err(GuardError::Mismatch(SealMismatch {
                 presented,
                 current: st.seal,
@@ -417,11 +406,11 @@ mod tests {
     fn guarded_insert_requires_current_seal() {
         let dev = NvramDevice::new(64);
         let seal0 = dev.seal();
-        let seal1 = dev.insert_guarded(seal0, b"first").unwrap();
+        let seal1 = dev.insert_at_tail(seal0, b"first").unwrap().seal;
         assert_ne!(seal0, seal1);
         // A wild writer replaying the old seal is rejected, untouched.
         let before = dev.pending();
-        match dev.insert_guarded(seal0, b"stray") {
+        match dev.insert_at_tail(seal0, b"stray") {
             Err(GuardError::Mismatch(m)) => {
                 assert_eq!(m.presented, seal0);
                 assert_eq!(m.current, seal1);
@@ -430,7 +419,7 @@ mod tests {
         }
         assert_eq!(dev.pending(), before);
         // The legitimate writer continues from the fresh seal.
-        let seal2 = dev.insert_guarded(seal1, b"second").unwrap();
+        let seal2 = dev.insert_at_tail(seal1, b"second").unwrap().seal;
         assert_ne!(seal1, seal2);
         assert_eq!(dev.pending().1, b"firstsecond");
     }
@@ -439,7 +428,7 @@ mod tests {
     fn guarded_insert_reports_full() {
         let dev = NvramDevice::new(4);
         let seal = dev.seal();
-        match dev.insert_guarded(seal, b"too large") {
+        match dev.insert_at_tail(seal, b"too large") {
             Err(GuardError::Full(f)) => assert_eq!(f.requested, 9),
             other => panic!("expected full, got {other:?}"),
         }

@@ -39,23 +39,12 @@ const CKPT_MAGIC: u32 = 0x444C_4B50; // "DLKP"
 /// longer frame costs a second.
 const FRAME_READ_WINDOW: usize = 1024;
 
-/// CopyLog records awaiting InstallCopies: client -> epoch -> records with
-/// their stream positions. Install reads only a record's LSN and epoch,
-/// so [`LogStore::stage_copy`] stores them without the payload.
-type StagedMap = HashMap<ClientId, HashMap<Epoch, Vec<(LogRecord, u64)>>>;
-
-/// Where interval-table checkpoints are written (§4.3: "they may be
-/// checkpointed to a known location on a reusable disk or to a write once
-/// disk along with the log data stream").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckpointPlacement {
-    /// A known, atomically replaced file (reusable-disk mode).
-    File,
-    /// A [`Frame::Checkpoint`] embedded in the log stream itself
-    /// (write-once-media mode): recovery scans the stream and the latest
-    /// embedded checkpoint snapshot replaces the running table.
-    InStream,
-}
+/// CopyLog records awaiting InstallCopies: client -> epoch -> each
+/// record's LSN and stream position. Install needs nothing else, so a
+/// staged record never pins its payload (for a zero-copy-decoded
+/// `CopyLog`, the whole receive buffer) until its install, or for good
+/// if the client crashes first; the payload is durable at its position.
+type StagedMap = HashMap<ClientId, HashMap<Epoch, Vec<(Lsn, u64)>>>;
 
 /// When a force must reach stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,15 +68,9 @@ pub struct StoreOptions {
     pub fsync: bool,
     /// Durability policy for forces.
     pub durability: Durability,
-    /// Checkpoint the interval table after this many stream bytes
-    /// (0 disables checkpointing).
+    /// Checkpoint the interval table to `intervals.ckpt` after this many
+    /// stream bytes (0 disables checkpointing).
     pub checkpoint_every: u64,
-    /// Where checkpoints live.
-    pub checkpoint_placement: CheckpointPlacement,
-    /// Use the §5.1 guarded-write protocol against the NVRAM device: every
-    /// insert must present the device's current seal, so a stray write by
-    /// foreign code is detected instead of silently corrupting log data.
-    pub guarded_nvram: bool,
 }
 
 impl Default for StoreOptions {
@@ -98,8 +81,6 @@ impl Default for StoreOptions {
             fsync: true,
             durability: Durability::Nvram,
             checkpoint_every: 4 << 20,
-            checkpoint_placement: CheckpointPlacement::File,
-            guarded_nvram: false,
         }
     }
 }
@@ -144,11 +125,10 @@ pub struct LogStore {
     opts: StoreOptions,
     nvram: NvramDevice,
     stream: SegmentedStream,
-    table: IntervalTable,
-    /// CopyLog records awaiting InstallCopies.
-    staged: StagedMap,
+    /// The interval table and the CopyLog records awaiting InstallCopies.
+    replay: ReplayState,
     bytes_since_ckpt: u64,
-    /// Guard-seal chain for guarded NVRAM mode (§5.1).
+    /// The device seal every NVRAM insert presents (§5.1).
     seal: u64,
     /// Frame-aligned position recovery scanned from; positions below it
     /// are only reachable through the interval table, positions at or
@@ -178,28 +158,11 @@ impl LogStore {
         let mut stream = SegmentedStream::open(&dir, opts.segment_bytes)?;
 
         // 1. Checkpoint.
-        let (mut table, scan_from) = match load_checkpoint(&dir) {
-            Some((t, pos)) if pos <= stream.end() => (t, pos),
-            _ => (IntervalTable::new(), stream.start()),
-        };
-
-        let mut staged = StagedMap::new();
+        let (mut replay, scan_from) = ReplayState::checkpointed(&dir, &stream);
         let mut stats = StoreStats::default();
 
         // 2. Scan the tail.
-        let mut apply_err: Option<String> = None;
-        let valid_end = stream.scan_frames(scan_from, |pos, frame| {
-            if apply_err.is_some() {
-                return;
-            }
-            if let Err(e) = apply_frame(&mut table, &mut staged, &mut stats, pos, frame) {
-                apply_err = Some(e);
-            }
-        })?;
-        if let Some(e) = apply_err {
-            // apply_err already carries the context; no re-wrapping.
-            return Err(DlogError::Corrupt(e));
-        }
+        let valid_end = replay.recover(&mut stream, scan_from, &mut stats)?;
         stream.truncate(valid_end)?;
 
         // 3. NVRAM replay.
@@ -216,18 +179,7 @@ impl LogStore {
                 stream.write_at(valid_end, suffix)?;
                 stream.sync()?;
                 stats.nvram_replayed_bytes = suffix.len() as u64;
-                let mut apply_err: Option<String> = None;
-                let replay_end = stream.scan_frames(valid_end, |pos, frame| {
-                    if apply_err.is_some() {
-                        return;
-                    }
-                    if let Err(e) = apply_frame(&mut table, &mut staged, &mut stats, pos, frame) {
-                        apply_err = Some(e);
-                    }
-                })?;
-                if let Some(e) = apply_err {
-                    return Err(DlogError::Corrupt(e));
-                }
+                let replay_end = replay.recover(&mut stream, valid_end, &mut stats)?;
                 // NVRAM holds whole frames, so the replay must consume the
                 // entire suffix.
                 if replay_end != valid_end + suffix.len() as u64 {
@@ -251,8 +203,7 @@ impl LogStore {
             opts,
             nvram,
             stream,
-            table,
-            staged,
+            replay,
             bytes_since_ckpt: 0,
             seal,
             anchor: scan_from,
@@ -331,7 +282,8 @@ impl LogStore {
         present: bool,
         records: &[(Lsn, LogData)],
     ) -> Result<()> {
-        self.table
+        self.replay
+            .table
             .check_run(client, epoch, records.iter().map(|(lsn, _)| *lsn))
             .map_err(DlogError::Protocol)?;
         let mut rest = records;
@@ -377,7 +329,8 @@ impl LogStore {
             next += Frame::record_len(data.len()) as u64;
             (*lsn, at)
         });
-        self.table
+        self.replay
+            .table
             .append_run(client, epoch, placed)
             .map_err(DlogError::Protocol)?;
         self.stats.records_written += taken as u64;
@@ -422,7 +375,7 @@ impl LogStore {
         for client in clients {
             // Keyed by the client's stored high LSN: the LSN the server
             // will acknowledge with `NewHighLsn`.
-            let hi = self.table.last(*client).map_or(0, |iv| iv.hi.0);
+            let hi = self.replay.table.last(*client).map_or(0, |iv| iv.hi.0);
             self.obs.event(dlog_obs::Stage::Force, hi, client.0);
         }
         self.obs.sample_since(dlog_obs::Stage::Force, span);
@@ -471,7 +424,7 @@ impl LogStore {
     /// Propagates I/O failures; rejects epochs at or below the client's
     /// newest installed epoch.
     pub fn stage_copy(&mut self, client: ClientId, record: &LogRecord) -> Result<()> {
-        if let Some(last) = self.table.last(client) {
+        if let Some(last) = self.replay.table.last(client) {
             if record.epoch <= last.epoch {
                 return Err(DlogError::StaleEpoch {
                     given: record.epoch,
@@ -479,29 +432,13 @@ impl LogStore {
                 });
             }
         }
-        let pos = self.put_frame(&Frame::Record {
+        let frame = Frame::Record {
             client,
             record: record.share(),
             staged: true,
-        })?;
-        let slot = self
-            .staged
-            .entry(client)
-            .or_default()
-            .entry(record.epoch)
-            .or_default();
-        // A retried CopyLog may stage the same LSN twice; the newest copy
-        // wins so InstallCopies stays well-formed.
-        slot.retain(|(r, _)| r.lsn != record.lsn);
-        // Install needs the LSN, epoch and position, not the payload
-        // (durable at `pos`). Keeping `record.data` would pin a
-        // zero-copy-decoded `CopyLog`'s whole receive buffer until
-        // `InstallCopies` — for good if the client crashes first.
-        let header = LogRecord {
-            data: LogData::empty(),
-            ..*record
         };
-        slot.push((header, pos));
+        let pos = self.put_frame(&frame)?;
+        self.replay.apply(pos, frame).map_err(DlogError::Protocol)?;
         self.stats.records_written += 1;
         self.stats.bytes_written += record.data.len() as u64;
         Ok(())
@@ -513,44 +450,37 @@ impl LogStore {
     /// # Errors
     /// Fails when nothing is staged for the epoch, or on I/O failure.
     pub fn install_copies(&mut self, client: ClientId, epoch: Epoch) -> Result<()> {
-        let Some(per_epoch) = self.staged.get_mut(&client) else {
-            return Err(DlogError::Protocol("no staged records for client".into()));
-        };
-        let Some(mut records) = per_epoch.remove(&epoch) else {
+        let per_epoch = self.replay.staged.get(&client);
+        if !per_epoch.is_some_and(|staged| staged.contains_key(&epoch)) {
             return Err(DlogError::Protocol(
                 "no staged records for client at this epoch".into(),
             ));
-        };
+        }
         // The commit point: a durable install frame. Recovery replays the
         // installation when it sees this frame after the staged records.
-        self.put_frame(&Frame::Install { client, epoch })?;
-        records.sort_by_key(|(r, _)| r.lsn);
-        for (record, pos) in records {
-            self.table
-                .append(client, record.lsn, record.epoch, pos)
-                .map_err(DlogError::Protocol)?;
-        }
-        self.maybe_checkpoint()?;
-        Ok(())
+        let frame = Frame::Install { client, epoch };
+        let pos = self.put_frame(&frame)?;
+        self.replay.apply(pos, frame).map_err(DlogError::Protocol)?;
+        self.maybe_checkpoint()
     }
 
     /// The `IntervalList` operation (§3.1.1): every installed interval
     /// stored for `client`.
     #[must_use]
     pub fn interval_list(&self, client: ClientId) -> IntervalList {
-        self.table.interval_list(client)
+        self.replay.table.interval_list(client)
     }
 
     /// Highest installed `<LSN, epoch>` for `client`.
     #[must_use]
     pub fn last_interval(&self, client: ClientId) -> Option<Interval> {
-        self.table.last(client)
+        self.replay.table.last(client)
     }
 
     /// All clients with installed records.
     #[must_use]
     pub fn clients(&self) -> Vec<ClientId> {
-        let mut v: Vec<_> = self.table.clients().collect();
+        let mut v: Vec<_> = self.replay.table.clients().collect();
         v.sort_unstable();
         v
     }
@@ -618,7 +548,7 @@ impl LogStore {
     /// Propagates I/O failures.
     pub fn drop_log_before(&mut self, pos: u64) -> Result<u64> {
         let new_start = self.stream.drop_before(pos)?;
-        self.table.prune_below(new_start);
+        self.replay.table.prune_below(new_start);
         Ok(new_start)
     }
 
@@ -635,7 +565,7 @@ impl LogStore {
     /// # Errors
     /// Propagates I/O failures.
     pub fn enforce_retention(&mut self, max_bytes: u64) -> Result<RetentionReport> {
-        if self.staged.values().any(|m| !m.is_empty()) {
+        if self.replay.has_staged() {
             return Err(DlogError::Protocol(
                 "cannot enforce retention with staged CopyLog records; retry after install".into(),
             ));
@@ -656,15 +586,14 @@ impl LogStore {
         let mut freed = 0;
         if cut > before {
             let new_start = self.stream.drop_before(cut)?;
-            self.table.prune_below(new_start);
+            self.replay.table.prune_below(new_start);
             // The first surviving segment may begin mid-frame (frames span
             // segment boundaries), so a raw scan from the new start would
-            // misread the stream as torn. A file checkpoint records both the
-            // pruned table and the next frame-aligned scan position; recovery
-            // must start from it, so it is written unconditionally — even in
-            // write-once checkpoint mode, where deleting segments has already
-            // left pure write-once behind.
-            self.checkpoint_to_file()?;
+            // misread the stream as torn. A checkpoint records both the
+            // pruned table and the next frame-aligned scan position;
+            // recovery must start from it, so it is written whatever
+            // `checkpoint_every` says.
+            self.checkpoint()?;
             freed = new_start - before;
         }
         let pending = self.on_disk_bytes().saturating_sub(max_bytes);
@@ -785,8 +714,7 @@ impl LogStore {
             // §5.1 guarded write: prove this insert was computed from the
             // device's previous state. A mismatch means foreign code wrote
             // the NVRAM behind our back — treat the buffer as corrupt.
-            let guard = self.opts.guarded_nvram.then_some(self.seal);
-            match self.nvram.insert_at_tail(guard, buf) {
+            match self.nvram.insert_at_tail(self.seal, buf) {
                 Ok(tail) => {
                     self.seal = tail.seal;
                     return Ok(tail);
@@ -894,49 +822,29 @@ impl LogStore {
     fn maybe_checkpoint(&mut self) -> Result<()> {
         if self.opts.checkpoint_every == 0
             || self.bytes_since_ckpt < self.opts.checkpoint_every
-            || self.staged.values().any(|m| !m.is_empty())
+            || self.replay.has_staged()
         {
             return Ok(());
         }
         self.checkpoint()
     }
 
-    /// Write an interval-table checkpoint now. Requires no staged records.
+    /// Write an interval-table checkpoint to `intervals.ckpt` now (§4.3:
+    /// "a known location on a reusable disk"). Requires no staged records.
     ///
     /// # Errors
     /// Propagates I/O failures; refuses while CopyLog records are staged.
     pub fn checkpoint(&mut self) -> Result<()> {
-        if self.staged.values().any(|m| !m.is_empty()) {
+        if self.replay.has_staged() {
             return Err(DlogError::Protocol(
                 "cannot checkpoint with staged records".into(),
             ));
         }
-        if self.opts.checkpoint_placement == CheckpointPlacement::InStream {
-            // Write-once mode: the snapshot rides the stream. Recovery's
-            // scan replaces its running table when it passes this frame.
-            // The frame owns its body, so this one Vec cannot be staged
-            // through the reused scratch; checkpoints are rate-limited by
-            // `checkpoint_every`, not per-record.
-            let mut body = Vec::new();
-            self.table.encode_into(&mut body);
-            self.put_frame(&Frame::Checkpoint(body))?;
-            self.flush_track()?;
-            self.stream.sync()?;
-            self.bytes_since_ckpt = 0;
-            self.stats.checkpoints += 1;
-            return Ok(());
-        }
-        self.checkpoint_to_file()
-    }
-
-    /// Write the file-placed checkpoint (also used by retention
-    /// enforcement regardless of the configured placement).
-    fn checkpoint_to_file(&mut self) -> Result<()> {
         // The checkpoint covers exactly what is on disk; flush first.
         self.flush_track()?;
         self.stream.sync()?;
         let mut out = std::mem::take(&mut self.scratch);
-        encode_checkpoint_image_into(&self.table, self.stream.end(), &mut out);
+        encode_checkpoint_image_into(&self.replay.table, self.stream.end(), &mut out);
         let result = self.write_checkpoint_file(&out);
         self.scratch = out;
         result
@@ -957,9 +865,7 @@ impl LogStore {
         fs::rename(&tmp, &fin)?;
         // Make the rename durable; a failed sync means the checkpoint
         // may not survive a crash, so it must not be reported written.
-        if let Ok(d) = File::open(&self.dir) {
-            d.sync_data()?;
-        }
+        File::open(&self.dir)?.sync_data()?;
         self.bytes_since_ckpt = 0;
         self.stats.checkpoints += 1;
         Ok(())
@@ -1027,7 +933,7 @@ impl ReadRun<'_> {
     /// entry that points at a frame other than the client's record at
     /// `lsn`.
     pub fn next(&mut self, lsn: Lsn, room: usize) -> Result<RunRead> {
-        let Some((_, pos)) = self.store.table.lookup(self.client, lsn) else {
+        let Some((_, pos)) = self.store.replay.table.lookup(self.client, lsn) else {
             self.store.stats.reads += 1;
             return Ok(RunRead::NotStored);
         };
@@ -1065,58 +971,6 @@ impl ReadRun<'_> {
     }
 }
 
-fn apply_frame(
-    table: &mut IntervalTable,
-    staged: &mut StagedMap,
-    stats: &mut StoreStats,
-    pos: u64,
-    frame: Frame,
-) -> std::result::Result<(), String> {
-    match frame {
-        Frame::Record {
-            client,
-            record,
-            staged: false,
-        } => {
-            table.append(client, record.lsn, record.epoch, pos)?;
-            stats.recovered_records += 1;
-            Ok(())
-        }
-        Frame::Record {
-            client,
-            record,
-            staged: true,
-        } => {
-            let slot = staged
-                .entry(client)
-                .or_default()
-                .entry(record.epoch)
-                .or_default();
-            slot.retain(|(r, _)| r.lsn != record.lsn);
-            slot.push((record, pos));
-            stats.recovered_records += 1;
-            Ok(())
-        }
-        Frame::Install { client, epoch } => {
-            let mut records = staged
-                .get_mut(&client)
-                .and_then(|m| m.remove(&epoch))
-                .ok_or("install frame without staged records")?;
-            records.sort_by_key(|(r, _)| r.lsn);
-            for (record, pos) in records {
-                table.append(client, record.lsn, record.epoch, pos)?;
-            }
-            Ok(())
-        }
-        Frame::Checkpoint(body) => {
-            // Write-once mode: the embedded snapshot supersedes whatever
-            // the scan has accumulated so far (it covers the same prefix).
-            *table = IntervalTable::decode(&body)?;
-            Ok(())
-        }
-    }
-}
-
 /// Encode an `intervals.ckpt` image into `out` (cleared first): a table
 /// snapshot plus the frame-aligned position recovery should scan from.
 /// Written by the store itself (through its reused scratch, so periodic
@@ -1141,16 +995,18 @@ pub fn encode_checkpoint_image_into(table: &IntervalTable, scan_from: u64, out: 
     }
 }
 
-/// Recovery-equivalent frame replay, exposed for the archive tier: an
-/// interval table plus staged `CopyLog` state advanced by applying stream
-/// frames in order, under exactly the rules crash recovery uses. The
-/// archiver persists this state in each manifest so the archived prefix
+/// The fold of stream frames into the interval table and the staged
+/// `CopyLog` records (§4.2, §4.3): the one place a frame changes either.
+/// The store applies every staged record and install it writes through
+/// it; recovery, `verify_dir` and the archiver apply the frames they scan.
+/// (A run of records from `write_batch` goes straight to
+/// [`IntervalTable::append_run`], the run form of the record arm.) The
+/// archiver persists this state in each manifest, so the archived prefix
 /// table is always the table a crash at the manifest's cut would recover.
 #[derive(Clone, Default)]
 pub struct ReplayState {
     table: IntervalTable,
     staged: StagedMap,
-    stats: StoreStats,
 }
 
 impl ReplayState {
@@ -1160,10 +1016,38 @@ impl ReplayState {
         ReplayState::default()
     }
 
+    /// Recovery's step 1: the state `dir`'s checkpoint holds and the
+    /// frame-aligned position the scan resumes from, or an empty state
+    /// and the stream's start when there is no usable checkpoint.
+    pub(crate) fn checkpointed(dir: &Path, stream: &SegmentedStream) -> (ReplayState, u64) {
+        match load_checkpoint(dir) {
+            Some((table, pos)) if pos <= stream.end() => (
+                ReplayState {
+                    table,
+                    staged: StagedMap::new(),
+                },
+                pos,
+            ),
+            _ => (ReplayState::new(), stream.start()),
+        }
+    }
+
     /// The installed-interval table accumulated so far.
     #[must_use]
     pub fn table(&self) -> &IntervalTable {
         &self.table
+    }
+
+    /// Staged records awaiting their install, per client that has any.
+    pub(crate) fn staged_per_client(&self) -> impl Iterator<Item = (ClientId, u64)> + '_ {
+        self.staged
+            .iter()
+            .map(|(client, per_epoch)| (*client, per_epoch.values().map(|v| v.len() as u64).sum()))
+            .filter(|(_, n)| *n > 0)
+    }
+
+    fn has_staged(&self) -> bool {
+        self.staged_per_client().next().is_some()
     }
 
     /// Apply one frame read at stream position `pos`.
@@ -1171,13 +1055,84 @@ impl ReplayState {
     /// # Errors
     /// Returns a description of any storage-order or protocol violation.
     pub fn apply(&mut self, pos: u64, frame: Frame) -> std::result::Result<(), String> {
-        apply_frame(
-            &mut self.table,
-            &mut self.staged,
-            &mut self.stats,
-            pos,
-            frame,
-        )
+        match frame {
+            Frame::Record {
+                client,
+                record,
+                staged: false,
+            } => self.table.append(client, record.lsn, record.epoch, pos),
+            Frame::Record {
+                client,
+                record,
+                staged: true,
+            } => {
+                let slot = self
+                    .staged
+                    .entry(client)
+                    .or_default()
+                    .entry(record.epoch)
+                    .or_default();
+                // A retried CopyLog may stage the same LSN twice; the
+                // newest copy wins so InstallCopies stays well-formed.
+                slot.retain(|(lsn, _)| *lsn != record.lsn);
+                slot.push((record.lsn, pos));
+                Ok(())
+            }
+            Frame::Install { client, epoch } => {
+                let mut records = self
+                    .staged
+                    .get_mut(&client)
+                    .and_then(|m| m.remove(&epoch))
+                    .ok_or("install frame without staged records")?;
+                records.sort_unstable_by_key(|(lsn, _)| *lsn);
+                self.table.append_run(client, epoch, records.into_iter())
+            }
+        }
+    }
+
+    /// Recovery's step 2 over `stream`: decode frames from the
+    /// frame-aligned `from` up to the first torn one, show each to `seen`
+    /// and apply each one at or past `apply_from`. Stops at the first
+    /// violation. Returns one past the last valid frame, and the
+    /// violation if there was one.
+    ///
+    /// # Errors
+    /// Propagates I/O failures and structurally corrupt frame bodies.
+    pub(crate) fn scan(
+        &mut self,
+        stream: &mut SegmentedStream,
+        from: u64,
+        apply_from: u64,
+        mut seen: impl FnMut(&Frame),
+    ) -> Result<(u64, Option<String>)> {
+        let mut violation = None;
+        let end = stream.scan_frames(from, |pos, frame| {
+            if violation.is_some() {
+                return;
+            }
+            seen(&frame);
+            if pos >= apply_from {
+                violation = self.apply(pos, frame).err();
+            }
+        })?;
+        Ok((end, violation))
+    }
+
+    /// [`ReplayState::scan`] for [`LogStore::open`]: a violation is
+    /// corruption, and every record frame counts as recovered.
+    fn recover(
+        &mut self,
+        stream: &mut SegmentedStream,
+        from: u64,
+        stats: &mut StoreStats,
+    ) -> Result<u64> {
+        let count = |frame: &Frame| {
+            stats.recovered_records += u64::from(matches!(frame, Frame::Record { .. }));
+        };
+        match self.scan(stream, from, from, count)? {
+            (end, None) => Ok(end),
+            (_, Some(violation)) => Err(DlogError::Corrupt(violation)),
+        }
     }
 
     /// Deterministic serialization (table, then staged records sorted by
@@ -1190,8 +1145,7 @@ impl ReplayState {
     }
 
     /// [`ReplayState::encode`] into a caller-supplied buffer (cleared
-    /// first). Staged records are sorted through borrowed slices — the
-    /// record payloads themselves are never copied.
+    /// first).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
         // Table length prefix is patched in after the table serializes
@@ -1220,15 +1174,17 @@ impl ReplayState {
             out.extend_from_slice(&(epochs.len() as u32).to_le_bytes());
             for (epoch, records) in epochs {
                 out.extend_from_slice(&epoch.0.to_le_bytes());
-                let mut records: Vec<&(LogRecord, u64)> = records.iter().collect();
-                records.sort_by_key(|(r, _)| r.lsn);
+                let mut records = records.clone();
+                records.sort_unstable_by_key(|(lsn, _)| *lsn);
                 out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-                for (r, pos) in records {
-                    out.extend_from_slice(&r.lsn.0.to_le_bytes());
-                    out.extend_from_slice(&r.epoch.0.to_le_bytes());
-                    out.push(u8::from(r.present));
-                    out.extend_from_slice(&(r.data.len() as u32).to_le_bytes());
-                    out.extend_from_slice(r.data.as_bytes());
+                for (lsn, pos) in records {
+                    // LSN, epoch, a present flag and an empty payload:
+                    // manifests keep room for a payload the state no
+                    // longer holds, so their decoder is unchanged.
+                    out.extend_from_slice(&lsn.0.to_le_bytes());
+                    out.extend_from_slice(&epoch.0.to_le_bytes());
+                    out.push(1);
+                    out.extend_from_slice(&0u32.to_le_bytes());
                     out.extend_from_slice(&pos.to_le_bytes());
                 }
             }
@@ -1255,25 +1211,15 @@ impl ReplayState {
                 let slot = per_epoch.entry(epoch).or_default();
                 for _ in 0..nrecords {
                     let lsn = Lsn(r.u64()?);
-                    let repoch = Epoch(r.u64()?);
-                    let present = r.u8()? != 0;
+                    // The record's epoch, present flag and payload.
+                    r.take(8 + 1)?;
                     let dlen = r.u32()? as usize;
-                    let data = r.take(dlen)?.to_vec();
-                    let pos = r.u64()?;
-                    let record = if present {
-                        LogRecord::present(lsn, repoch, data)
-                    } else {
-                        LogRecord::not_present(lsn, repoch)
-                    };
-                    slot.push((record, pos));
+                    r.take(dlen)?;
+                    slot.push((lsn, r.u64()?));
                 }
             }
         }
-        Ok(ReplayState {
-            table,
-            staged,
-            stats: StoreStats::default(),
-        })
+        Ok(ReplayState { table, staged })
     }
 }
 
@@ -1288,10 +1234,6 @@ impl<'a> Reader<'a> {
         let (head, tail) = self.0.split_at(n);
         self.0 = tail;
         Ok(head)
-    }
-
-    fn u8(&mut self) -> std::result::Result<u8, String> {
-        dlog_types::bytes::u8_at(self.take(1)?, 0).ok_or_else(|| "replay state truncated".into())
     }
 
     fn u32(&mut self) -> std::result::Result<u32, String> {
@@ -1351,7 +1293,6 @@ mod tests {
             fsync: false, // tests run on tmpfs-style dirs; E4 measures fsync
             durability: Durability::Nvram,
             checkpoint_every: 0,
-            ..StoreOptions::default()
         }
     }
 
@@ -1797,10 +1738,8 @@ mod tests {
     #[test]
     fn refused_insert_leaves_the_index_where_the_bytes_are() {
         let dir = tmpdir("atomic-guard");
-        let mut opts = small_opts();
-        opts.guarded_nvram = true;
         let nvram = NvramDevice::new(4096);
-        let mut store = LogStore::open(&dir, opts, nvram.clone()).unwrap();
+        let mut store = LogStore::open(&dir, small_opts(), nvram.clone()).unwrap();
         let c = ClientId(1);
         store.write_batch(c, Epoch(1), &run(1, 3)).unwrap();
         nvram.insert(b"stray").unwrap(); // foreign write: the seal moves on

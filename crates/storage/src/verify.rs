@@ -1,26 +1,31 @@
 //! Offline verification of a log server's on-disk state.
 //!
 //! Operators (and the `dlog-server --verify` mode) can audit a server
-//! directory without starting the server: scan the whole stream, check
-//! every CRC, rebuild the interval tables, and compare them with the
-//! checkpoint. §5.3 lists "the repair of a log when one redundant copy is
-//! lost" among the recovery operations of interest; verification is the
-//! read side of that story.
+//! directory without starting the server. The audit runs recovery's first
+//! two steps read-only: it loads the checkpoint [`LogStore::open`] would
+//! load, CRC-checks every frame from the lowest position the
+//! checkpoint's table indexes, and folds the frames from the checkpoint's
+//! scan position through the same [`ReplayState`] recovery uses, so the
+//! interval lists it reports are the ones a restart would recover. §5.3
+//! lists "the repair of a log when one redundant copy is lost" among the
+//! recovery operations of interest; verification is the read side of that
+//! story.
+//!
+//! [`LogStore::open`]: crate::LogStore::open
 
 use std::collections::HashMap;
 use std::path::Path;
 
-use dlog_types::{ClientId, Epoch, IntervalList, Result};
+use dlog_types::{ClientId, IntervalList, Result};
 
 use crate::frame::Frame;
-use crate::intervals::IntervalTable;
-use crate::store::StoreOptions;
+use crate::store::{ReplayState, StoreOptions};
 use crate::stream::SegmentedStream;
 
 /// The outcome of verifying one server directory.
 #[derive(Clone, Debug, Default)]
 pub struct VerifyReport {
-    /// Valid frames scanned.
+    /// Valid frames checked.
     pub frames: u64,
     /// Total payload bytes in valid record frames.
     pub payload_bytes: u64,
@@ -28,12 +33,13 @@ pub struct VerifyReport {
     pub valid_bytes: u64,
     /// Bytes past the last valid frame (torn tail, zero when clean).
     pub torn_tail_bytes: u64,
-    /// Per-client interval lists rebuilt from the stream.
+    /// Per-client interval lists, as recovery rebuilds them.
     pub clients: HashMap<ClientId, IntervalList>,
     /// Staged CopyLog records that were never installed, per client.
     pub orphan_staged: HashMap<ClientId, u64>,
     /// First structural error encountered (CRC failures simply end the
-    /// scan; this reports ordering violations inside valid frames).
+    /// scan; this reports ordering violations inside valid frames, which
+    /// make [`crate::LogStore::open`] fail).
     pub structural_error: Option<String>,
 }
 
@@ -61,79 +67,30 @@ impl VerifyReport {
 /// are reported in the [`VerifyReport`] instead.
 pub fn verify_dir(dir: impl AsRef<Path>, opts: &StoreOptions) -> Result<VerifyReport> {
     let mut stream = SegmentedStream::open(&dir, opts.segment_bytes)?;
+    let (mut state, scan_from) = ReplayState::checkpointed(dir.as_ref(), &stream);
+    // Frames below the scan position are checked, not applied: the
+    // checkpoint already holds what they did to the table.
+    let check_from = state
+        .table()
+        .lowest_position()
+        .filter(|&pos| pos >= stream.start())
+        .map_or(scan_from, |pos| pos.min(scan_from));
     let mut report = VerifyReport::default();
-    let mut table = IntervalTable::new();
-    let mut staged: HashMap<ClientId, HashMap<Epoch, Vec<(dlog_types::LogRecord, u64)>>> =
-        HashMap::new();
-
-    let end = stream.scan_frames(stream.start(), |pos, frame| {
-        if report.structural_error.is_some() {
-            return;
-        }
+    let (end, violation) = state.scan(&mut stream, check_from, scan_from, |frame| {
         report.frames += 1;
-        match frame {
-            Frame::Record {
-                client,
-                record,
-                staged: false,
-            } => {
-                report.payload_bytes += record.data.len() as u64;
-                if let Err(e) = table.append(client, record.lsn, record.epoch, pos) {
-                    report.structural_error = Some(e);
-                }
-            }
-            Frame::Record {
-                client,
-                record,
-                staged: true,
-            } => {
-                report.payload_bytes += record.data.len() as u64;
-                staged
-                    .entry(client)
-                    .or_default()
-                    .entry(record.epoch)
-                    .or_default()
-                    .push((record, pos));
-            }
-            Frame::Install { client, epoch } => {
-                let records = staged.get_mut(&client).and_then(|m| m.remove(&epoch));
-                match records {
-                    Some(mut records) => {
-                        records.sort_by_key(|(r, _)| r.lsn);
-                        for (r, pos) in records {
-                            if let Err(e) = table.append(client, r.lsn, r.epoch, pos) {
-                                report.structural_error = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    None => {
-                        report.structural_error =
-                            Some(format!("install without staged records for {client}"));
-                    }
-                }
-            }
-            Frame::Checkpoint(body) => match IntervalTable::decode(&body) {
-                // Write-once mode: the embedded snapshot supersedes the
-                // running rebuild (same semantics as recovery).
-                Ok(t) => table = t,
-                Err(e) => {
-                    report.structural_error = Some(format!("bad in-stream checkpoint: {e}"));
-                }
-            },
+        if let Frame::Record { record, .. } = frame {
+            report.payload_bytes += record.data.len() as u64;
         }
     })?;
-    report.valid_bytes = end.saturating_sub(stream.start());
+    report.structural_error = violation;
+    report.valid_bytes = end.saturating_sub(check_from);
     report.torn_tail_bytes = stream.end().saturating_sub(end);
-    for c in table.clients().collect::<Vec<_>>() {
-        report.clients.insert(c, table.interval_list(c));
-    }
-    for (c, m) in &staged {
-        let orphans: u64 = m.values().map(|v| v.len() as u64).sum();
-        if orphans > 0 {
-            report.orphan_staged.insert(*c, orphans);
-        }
-    }
+    let table = state.table();
+    report.clients = table
+        .clients()
+        .map(|c| (c, table.interval_list(c)))
+        .collect();
+    report.orphan_staged = state.staged_per_client().collect();
     Ok(report)
 }
 
@@ -142,7 +99,7 @@ mod tests {
     use super::*;
     use crate::store::LogStore;
     use crate::NvramDevice;
-    use dlog_types::{LogRecord, Lsn};
+    use dlog_types::{Epoch, LogRecord, Lsn};
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -244,6 +201,66 @@ mod tests {
         let report = verify_dir(&dir, &opts()).unwrap();
         assert!(!report.healthy());
         assert_eq!(report.orphan_staged.get(&ClientId(1)), Some(&1));
+    }
+
+    /// `dir`'s report is healthy and lists what recovery recovers.
+    fn assert_verifies_as_recovered(dir: &Path, opts: &StoreOptions) {
+        let report = verify_dir(dir, opts).unwrap();
+        assert!(report.healthy(), "{report:?}");
+        let store = LogStore::open(dir, opts.clone(), NvramDevice::new(1 << 20)).unwrap();
+        let recovered: HashMap<_, _> = store
+            .clients()
+            .into_iter()
+            .map(|c| (c, store.interval_list(c)))
+            .collect();
+        assert!(!recovered.is_empty());
+        assert_eq!(report.clients, recovered);
+    }
+
+    #[test]
+    fn retried_copy_log_verifies_as_recovered() {
+        let dir = tmpdir("retried-copy");
+        {
+            let mut store = LogStore::open(&dir, opts(), NvramDevice::new(1 << 20)).unwrap();
+            let c = ClientId(1);
+            store
+                .write(c, &LogRecord::present(Lsn(1), Epoch(1), vec![1u8; 10]))
+                .unwrap();
+            // The client's CopyLog is retried: LSN 1 is staged twice.
+            for _ in 0..2 {
+                store
+                    .stage_copy(c, &LogRecord::present(Lsn(1), Epoch(2), vec![2u8; 10]))
+                    .unwrap();
+            }
+            store.install_copies(c, Epoch(2)).unwrap();
+            store.sync().unwrap();
+        }
+        assert_verifies_as_recovered(&dir, &opts());
+    }
+
+    #[test]
+    fn retention_pruned_directory_verifies_as_recovered() {
+        let dir = tmpdir("retention");
+        let opts = StoreOptions {
+            segment_bytes: 4096,
+            track_bytes: 512,
+            ..opts()
+        };
+        {
+            let mut store = LogStore::open(&dir, opts.clone(), NvramDevice::new(1 << 20)).unwrap();
+            for i in 1..=200u64 {
+                store
+                    .write(
+                        ClientId(1),
+                        &LogRecord::present(Lsn(i), Epoch(1), vec![i as u8; 100]),
+                    )
+                    .unwrap();
+            }
+            // The first surviving segment begins mid-frame.
+            assert!(store.enforce_retention(8192).unwrap().freed > 0);
+            store.sync().unwrap();
+        }
+        assert_verifies_as_recovered(&dir, &opts);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! store: one append per message must leave the same log as one append
 //! per record — the same stream bytes, the same interval table, the same
 //! counters — whatever the run straddles (a track flush, a segment roll,
-//! a full device, a frame larger than the device), guarded or not. Only
+//! a full device, a frame larger than the device). Only
 //! `tracks_flushed` may differ: a batch checks the track once, not once
 //! per record.
 
@@ -54,15 +54,13 @@ fn tmpdir(side: &str, tag: u64) -> PathBuf {
     d
 }
 
-fn opts(guarded: bool) -> StoreOptions {
+fn opts() -> StoreOptions {
     StoreOptions {
         track_bytes: 700,
         segment_bytes: 4096,
         fsync: false,
         durability: Durability::Nvram,
         checkpoint_every: 0,
-        guarded_nvram: guarded,
-        ..StoreOptions::default()
     }
 }
 
@@ -96,14 +94,13 @@ proptest! {
     #[test]
     fn write_batch_is_write_per_record(
         runs in arb_runs(),
-        guarded in any::<bool>(),
         tag in 0u64..1_000_000,
     ) {
         let (dir_b, dir_r) = (tmpdir("batch", tag), tmpdir("record", tag));
         let mut batched =
-            LogStore::open(&dir_b, opts(guarded), NvramDevice::new(DEVICE_BYTES)).unwrap();
+            LogStore::open(&dir_b, opts(), NvramDevice::new(DEVICE_BYTES)).unwrap();
         let mut per_record =
-            LogStore::open(&dir_r, opts(guarded), NvramDevice::new(DEVICE_BYTES)).unwrap();
+            LogStore::open(&dir_r, opts(), NvramDevice::new(DEVICE_BYTES)).unwrap();
 
         let mut next = [1u64; 3];
         let mut epoch = [1u64; 3];

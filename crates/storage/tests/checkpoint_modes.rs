@@ -1,6 +1,5 @@
-//! The two checkpoint placements of §4.3 — "a known location on a
-//! reusable disk or ... a write once disk along with the log data stream"
-//! — must both survive crashes, and arbitrary disk corruption must never
+//! Interval-table checkpoints in "a known location on a reusable disk"
+//! (§4.3) must survive crashes, and arbitrary disk corruption must never
 //! panic recovery (it yields a clean prefix or a clean error).
 
 use std::path::PathBuf;
@@ -8,7 +7,7 @@ use std::path::PathBuf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dlog_storage::store::{CheckpointPlacement, LogStore, StoreOptions};
+use dlog_storage::store::{LogStore, StoreOptions};
 use dlog_storage::NvramDevice;
 use dlog_types::{ClientId, Epoch, LogRecord, Lsn};
 
@@ -20,11 +19,10 @@ fn tmpdir(name: &str) -> PathBuf {
     d
 }
 
-fn opts(placement: CheckpointPlacement) -> StoreOptions {
+fn opts() -> StoreOptions {
     StoreOptions {
         fsync: false,
         checkpoint_every: 1, // checkpoint at every opportunity
-        checkpoint_placement: placement,
         track_bytes: 512,
         ..StoreOptions::default()
     }
@@ -42,86 +40,20 @@ fn fill(store: &mut LogStore, records: u64) {
 }
 
 #[test]
-fn in_stream_checkpoints_recover() {
-    let dir = tmpdir("instream");
-    let nvram = NvramDevice::new(1 << 20);
-    {
-        let mut store =
-            LogStore::open(&dir, opts(CheckpointPlacement::InStream), nvram.clone()).unwrap();
-        fill(&mut store, 60);
-        assert!(
-            store.stats().checkpoints > 0,
-            "in-stream checkpoints must fire"
-        );
-        store.sync().unwrap();
-        // No intervals.ckpt file in write-once mode.
-        assert!(!dir.join("intervals.ckpt").exists());
-    }
-    let mut store = LogStore::open(&dir, opts(CheckpointPlacement::InStream), nvram).unwrap();
-    for i in 1..=60u64 {
-        let r = store.read(ClientId(1), Lsn(i)).unwrap().unwrap();
-        assert_eq!(r.data.as_bytes(), vec![i as u8; 80].as_slice(), "lsn {i}");
-    }
-    let list = store.interval_list(ClientId(1));
-    assert_eq!(list.last().unwrap().hi, Lsn(60));
-}
-
-#[test]
-fn in_stream_checkpoints_interleave_with_copylog() {
-    let dir = tmpdir("instream-copy");
-    let nvram = NvramDevice::new(1 << 20);
-    {
-        let mut store =
-            LogStore::open(&dir, opts(CheckpointPlacement::InStream), nvram.clone()).unwrap();
-        fill(&mut store, 10);
-        store
-            .stage_copy(
-                ClientId(1),
-                &LogRecord::present(Lsn(10), Epoch(3), vec![9u8; 10]),
-            )
-            .unwrap();
-        store
-            .stage_copy(ClientId(1), &LogRecord::not_present(Lsn(11), Epoch(3)))
-            .unwrap();
-        store.install_copies(ClientId(1), Epoch(3)).unwrap();
-        fill_more(&mut store, 12, 20, Epoch(3));
-        store.sync().unwrap();
-    }
-    let mut store = LogStore::open(&dir, opts(CheckpointPlacement::InStream), nvram).unwrap();
-    let r = store.read(ClientId(1), Lsn(10)).unwrap().unwrap();
-    assert_eq!(r.epoch, Epoch(3));
-    assert!(!store.read(ClientId(1), Lsn(11)).unwrap().unwrap().present);
-    assert!(store.read(ClientId(1), Lsn(20)).unwrap().is_some());
-}
-
-fn fill_more(store: &mut LogStore, lo: u64, hi: u64, epoch: Epoch) {
-    for i in lo..=hi {
-        store
-            .write(
-                ClientId(1),
-                &LogRecord::present(Lsn(i), epoch, vec![i as u8; 40]),
-            )
-            .unwrap();
-    }
-}
-
-#[test]
 fn both_placements_agree_after_recovery() {
-    for placement in [CheckpointPlacement::File, CheckpointPlacement::InStream] {
-        let dir = tmpdir(&format!("agree-{placement:?}"));
-        let nvram = NvramDevice::new(1 << 20);
-        {
-            let mut store = LogStore::open(&dir, opts(placement), nvram.clone()).unwrap();
-            fill(&mut store, 40);
-            store.sync().unwrap();
-        }
-        let mut store = LogStore::open(&dir, opts(placement), nvram).unwrap();
-        for i in 1..=40u64 {
-            assert!(
-                store.read(ClientId(1), Lsn(i)).unwrap().is_some(),
-                "{placement:?} lsn {i}"
-            );
-        }
+    let dir = tmpdir("agree-File");
+    let nvram = NvramDevice::new(1 << 20);
+    {
+        let mut store = LogStore::open(&dir, opts(), nvram.clone()).unwrap();
+        fill(&mut store, 40);
+        store.sync().unwrap();
+    }
+    let mut store = LogStore::open(&dir, opts(), nvram).unwrap();
+    for i in 1..=40u64 {
+        assert!(
+            store.read(ClientId(1), Lsn(i)).unwrap().is_some(),
+            "lsn {i}"
+        );
     }
 }
 
@@ -133,12 +65,7 @@ fn random_disk_corruption_never_panics() {
     for seed in 0..20u64 {
         let dir = tmpdir(&format!("fuzz-{seed}"));
         {
-            let mut store = LogStore::open(
-                &dir,
-                opts(CheckpointPlacement::File),
-                NvramDevice::new(1 << 20),
-            )
-            .unwrap();
+            let mut store = LogStore::open(&dir, opts(), NvramDevice::new(1 << 20)).unwrap();
             fill(&mut store, 30);
             store.sync().unwrap();
         }
@@ -162,11 +89,7 @@ fn random_disk_corruption_never_panics() {
             std::fs::write(f, bytes).unwrap();
         }
         // Fresh NVRAM (power loss lost it along with the corruption event).
-        match LogStore::open(
-            &dir,
-            opts(CheckpointPlacement::File),
-            NvramDevice::new(1 << 20),
-        ) {
+        match LogStore::open(&dir, opts(), NvramDevice::new(1 << 20)) {
             Ok(mut store) => {
                 // The guarantee is *no silent wrong data*: every read of
                 // an indexed record returns the correct payload, nothing,

@@ -12,6 +12,7 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use dlog_storage::store::{Durability, LogStore, StoreOptions};
+use dlog_storage::verify::verify_dir;
 use dlog_storage::NvramDevice;
 use dlog_types::{ClientId, Epoch, LogData, LogRecord, Lsn};
 
@@ -67,7 +68,6 @@ fn opts() -> StoreOptions {
         fsync: false,
         durability: Durability::Nvram,
         checkpoint_every: 0,
-        ..StoreOptions::default()
     }
 }
 
@@ -143,6 +143,13 @@ proptest! {
             // Nothing beyond the model exists.
             let beyond = records.keys().next_back().map_or(1, |m| m + 1);
             prop_assert!(store.read(cid, Lsn(beyond)).unwrap().is_none());
+        }
+        // The offline audit agrees with recovery, client for client.
+        let report = verify_dir(&dir, &opts()).unwrap();
+        prop_assert!(report.healthy(), "{:?}", report);
+        prop_assert_eq!(report.clients.len(), store.clients().len());
+        for cid in store.clients() {
+            prop_assert_eq!(report.clients.get(&cid), Some(&store.interval_list(cid)));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,7 +1,7 @@
-//! The §5.1 guarded-write protocol end to end: a store running in guarded
-//! mode operates normally, while a foreign write to the NVRAM device is
-//! detected on the store's next insert instead of silently corrupting the
-//! log.
+//! The §5.1 guarded-write protocol end to end: every store insert presents
+//! the device seal, so a store operates normally across crashes, while a
+//! foreign write to the NVRAM device is detected on the store's next
+//! insert instead of silently corrupting the log.
 
 use std::path::PathBuf;
 
@@ -21,7 +21,6 @@ fn opts() -> StoreOptions {
     StoreOptions {
         fsync: false,
         checkpoint_every: 0,
-        guarded_nvram: true,
         track_bytes: 512,
         ..StoreOptions::default()
     }

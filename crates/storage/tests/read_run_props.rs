@@ -94,7 +94,6 @@ fn open(dir: &Path, segment: u64) -> LogStore {
         fsync: false,
         durability: Durability::Nvram,
         checkpoint_every: 0,
-        ..StoreOptions::default()
     };
     LogStore::open(dir, opts, NvramDevice::new(DEVICE_BYTES)).unwrap()
 }

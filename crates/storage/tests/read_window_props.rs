@@ -84,7 +84,6 @@ proptest! {
             fsync: false,
             durability: Durability::Nvram,
             checkpoint_every: 0,
-            ..StoreOptions::default()
         };
         let mut store = LogStore::open(&dir, opts, NvramDevice::new(DEVICE_BYTES)).unwrap();
 
