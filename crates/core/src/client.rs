@@ -44,7 +44,10 @@ pub struct ClientOptions {
     /// ("it retries a number of times before moving to a different
     /// server", §4.2).
     pub force_retries: u32,
-    /// Records requested per read RPC (read-ahead for recovery scans).
+    /// Records requested per read RPC on a forward run: a `read` miss at
+    /// the LSN right after the previous `read` asks for this many, and
+    /// `read_backward` packs up to this many per round trip. Any other
+    /// `read` miss asks for the one record it returns.
     pub read_ahead: u32,
 }
 
@@ -140,8 +143,14 @@ pub struct ReplicatedLog<E: Endpoint> {
     buffer: VecDeque<(Lsn, LogData)>,
     /// Sent, not yet on N servers. Never exceeds δ records.
     in_flight: VecDeque<(Lsn, LogData)>,
-    /// Read-ahead cache.
+    /// Read-ahead cache: the records past the one a forward-run miss
+    /// asked for, and those `read_backward` returned. A record enters it
+    /// only from a server the merged view names for it, at the epoch the
+    /// view names; the record a `read` miss asked for is not kept.
     read_cache: BTreeMap<Lsn, LogRecord>,
+    /// The LSN of the previous `read`: a miss at the LSN after it
+    /// continues a forward run.
+    last_read: Lsn,
     stats: ClientStats,
     obs: dlog_obs::Obs,
     /// xorshift64 state for retry jitter; seeded from the client id so
@@ -170,6 +179,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
             buffer: VecDeque::new(),
             in_flight: VecDeque::new(),
             read_cache: BTreeMap::new(),
+            last_read: Lsn::ZERO,
             stats: ClientStats::default(),
             obs: dlog_obs::Obs::off(),
             jitter: id.0 ^ 0x9E37_79B9_7F4A_7C15,
@@ -266,6 +276,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
             });
         }
         self.view = MergedView::merge(&lists);
+        self.read_cache.clear();
 
         // 2. Fresh epoch from the Appendix I generator. The identifier is
         // unique and increasing across this client's restarts; still, be
@@ -314,9 +325,19 @@ impl<E: Endpoint> ReplicatedLog<E> {
                 .map_or(Lsn::FIRST, |lo| lo.max(Lsn::FIRST));
             let mut copies: Vec<LogRecord> = Vec::new();
             for lsn in copy_lo.0..=end.0 {
-                let original = self.fetch_remote(Lsn(lsn))?;
+                let lsn = Lsn(lsn);
+                // A miss asks for the rest of the window, which then
+                // comes from the cache.
+                let original = match self.read_cache.remove(&lsn) {
+                    Some(rec) => rec,
+                    None => {
+                        let want = u32::try_from(lsn.span_to(end)).unwrap_or(u32::MAX);
+                        let holders = self.holders_of(lsn)?;
+                        self.fetch(lsn, want, &holders)?
+                    }
+                };
                 copies.push(LogRecord {
-                    lsn: Lsn(lsn),
+                    lsn,
                     epoch: self.epoch,
                     present: original.present,
                     data: original.data,
@@ -527,7 +548,9 @@ impl<E: Endpoint> ReplicatedLog<E> {
     }
 
     /// `ReadLog` (§3.1): fetch the record at `lsn` using a single server
-    /// (plus failover), the read cache, or the local write buffer.
+    /// (plus failover), the read cache, or the local write buffer. A miss
+    /// at the LSN after the previous read's asks for
+    /// [`ClientOptions::read_ahead`] records; any other miss asks for one.
     ///
     /// # Errors
     /// [`DlogError::NoSuchRecord`] for never-written LSNs,
@@ -541,6 +564,8 @@ impl<E: Endpoint> ReplicatedLog<E> {
         if lsn == Lsn::ZERO || lsn >= self.next_lsn {
             return Err(DlogError::NoSuchRecord { lsn });
         }
+        let continues_run = self.last_read.precedes(lsn);
+        self.last_read = lsn;
         // Local sources first: write buffer, in-flight window, cache.
         if let Some((_, d)) = self.buffer.iter().find(|(l, _)| *l == lsn) {
             self.stats.read_cache_hits += 1;
@@ -558,7 +583,16 @@ impl<E: Endpoint> ReplicatedLog<E> {
                 Err(DlogError::NotPresent { lsn })
             };
         }
-        let rec = self.fetch_remote(lsn)?;
+        // A miss that continues a forward run reads ahead; any other asks
+        // for the one record it returns. That record is not cached: a
+        // payload may be a view of the whole reply buffer.
+        let want = if continues_run {
+            self.opts.read_ahead
+        } else {
+            1
+        };
+        let holders = self.holders_of(lsn)?;
+        let rec = self.fetch(lsn, want, &holders)?;
         if rec.present {
             Ok(rec.data)
         } else {
@@ -570,7 +604,8 @@ impl<E: Endpoint> ReplicatedLog<E> {
     /// `lsn`, in descending LSN order, packed per server round trip — the
     /// access pattern of a recovery manager scanning from `EndOfLog`.
     /// Records masked *not present* are included (the caller skips them);
-    /// the scan stops at LSN 1 or at a never-written LSN.
+    /// the scan stops at LSN 1 or at a never-written LSN. Every record is
+    /// the copy the merged view names.
     ///
     /// # Errors
     /// Propagates server unavailability; an out-of-range starting `lsn`
@@ -599,10 +634,9 @@ impl<E: Endpoint> ReplicatedLog<E> {
                 cursor = cur.prev();
                 continue;
             }
-            let Some((servers, _)) = self.view.locate(cur) else {
+            let Ok(candidates) = self.holders_of(cur) else {
                 break;
             };
-            let candidates: Vec<ServerId> = servers.to_vec();
             let mut got_any = false;
             for s in candidates {
                 let want = (max - out.len() as u32).min(self.opts.read_ahead);
@@ -616,11 +650,14 @@ impl<E: Endpoint> ReplicatedLog<E> {
                 ) {
                     Ok(Response::Records { records }) if !records.is_empty() => {
                         // The server packs descending records but only
-                        // holds its own intervals; accept the contiguous
-                        // descending prefix starting at the cursor.
+                        // holds its own intervals, and may hold copies
+                        // the view masked; accept the contiguous
+                        // descending prefix starting at the cursor that
+                        // the view names on `s`. The next round asks the
+                        // holder the view names for the record after it.
                         let mut expected = cur;
                         for rec in records {
-                            if rec.lsn != expected {
+                            if rec.lsn != expected || !self.view_names(s, &rec) {
                                 break;
                             }
                             self.cache_read(rec.clone());
@@ -655,36 +692,56 @@ impl<E: Endpoint> ReplicatedLog<E> {
         }
     }
 
-    /// Fetch a record from one of the servers the view names for it,
-    /// populating the read-ahead cache.
-    fn fetch_remote(&mut self, lsn: Lsn) -> Result<LogRecord> {
-        let Some((servers, _epoch)) = self.view.locate(lsn) else {
-            return Err(DlogError::NoSuchRecord { lsn });
-        };
-        let candidates: Vec<ServerId> = servers.to_vec();
+    /// The servers the merged view names for `lsn`.
+    fn holders_of(&self, lsn: Lsn) -> Result<Vec<ServerId>> {
+        self.view
+            .locate(lsn)
+            .map(|(servers, _)| servers.to_vec())
+            .ok_or(DlogError::NoSuchRecord { lsn })
+    }
+
+    /// True when the merged view names `server` as a holder of `rec`'s
+    /// LSN at `rec`'s epoch. All read-side voting happened in the merge
+    /// (§3.1.2), so any other copy a server returns is one recovery
+    /// superseded, such as a straggler from before a crash.
+    fn view_names(&self, server: ServerId, rec: &LogRecord) -> bool {
+        self.view
+            .locate(rec.lsn)
+            .is_some_and(|(servers, epoch)| epoch == rec.epoch && servers.contains(&server))
+    }
+
+    /// Ask `holders`, in turn, for up to `want` records from `lsn`, and
+    /// return the record at `lsn` from the first whose copy the view
+    /// names. The other records of a reply that the view names go to the
+    /// read-ahead cache.
+    pub(crate) fn fetch(&mut self, lsn: Lsn, want: u32, holders: &[ServerId]) -> Result<LogRecord> {
         let mut last_err: Option<DlogError> = None;
-        for s in candidates {
+        for &s in holders {
             match self.net.rpc(
                 s,
                 Request::ReadLogForward {
                     client: self.id,
                     lsn,
-                    max_records: self.opts.read_ahead,
+                    max_records: want,
                 },
             ) {
                 Ok(Response::Records { records }) => {
                     let mut hit: Option<LogRecord> = None;
                     for rec in records {
-                        if rec.lsn == lsn {
-                            hit = Some(rec.clone());
+                        if !self.view_names(s, &rec) {
+                            continue;
                         }
-                        self.cache_read(rec);
+                        if rec.lsn == lsn {
+                            hit = Some(rec);
+                        } else {
+                            self.cache_read(rec);
+                        }
                     }
                     if let Some(rec) = hit {
                         return Ok(rec);
                     }
-                    // Server no longer stores it (shed/garbage-collected):
-                    // try the next candidate.
+                    // Not stored there (shed or garbage-collected), or
+                    // not the copy the view names: try the next holder.
                 }
                 Ok(other) => {
                     last_err = Some(DlogError::Protocol(format!("read: unexpected {other:?}")));
@@ -1025,25 +1082,11 @@ impl<E: Endpoint> ReplicatedLog<E> {
         &mut self.net
     }
 
-    /// Fetch one record from any of `holders` (for re-replication).
-    pub(crate) fn fetch_for_repair(&mut self, lsn: Lsn, holders: &[ServerId]) -> Result<LogRecord> {
-        for &s in holders {
-            if let Ok(Response::Records { records }) = self.net.rpc(
-                s,
-                Request::ReadLogForward {
-                    client: self.id,
-                    lsn,
-                    max_records: 1,
-                },
-            ) {
-                if let Some(rec) = records.into_iter().find(|r| r.lsn == lsn) {
-                    return Ok(rec);
-                }
-            }
-        }
-        Err(DlogError::Corrupt(format!(
-            "record {lsn} has lost every copy; media recovery from dumps required"
-        )))
+    /// Make `view`, a merge of the live servers' interval lists, the
+    /// client's view, so that reads accept the copies it names.
+    pub(crate) fn adopt_view(&mut self, view: MergedView) {
+        self.view = view;
+        self.read_cache.clear();
     }
 
     /// After a repair pass: adopt the repair epoch, refresh the view, and
@@ -1059,8 +1102,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
                 lists.push((s, intervals));
             }
         }
-        self.view = MergedView::merge(&lists);
-        self.read_cache.clear();
+        self.adopt_view(MergedView::merge(&lists));
         // Future records start a declared fresh interval on each target.
         for &t in &self.targets.clone() {
             self.net.send(

@@ -72,7 +72,9 @@ impl<E: Endpoint> ReplicatedLog<E> {
             });
         }
         let live: Vec<ServerId> = lists.iter().map(|(s, _)| *s).collect();
-        let view = MergedView::merge(&lists);
+        // Reads accept only the copies the client's view names, so the
+        // records repair fetches must be named by the view it works from.
+        self.adopt_view(MergedView::merge(&lists));
 
         let mut report = RepairReport {
             live_servers: live.len(),
@@ -81,7 +83,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
 
         // 2. Find under-replicated ranges.
         let mut to_copy: Vec<(Lsn, Vec<ServerId>)> = Vec::new();
-        for seg in view.segments() {
+        for seg in self.view().segments() {
             for lsn in seg.lo.0..=seg.hi.0 {
                 report.records_examined += 1;
                 // seg.servers are holders among the *live* respondents.
@@ -112,7 +114,11 @@ impl<E: Endpoint> ReplicatedLog<E> {
         // other live servers).
         let mut staged_on: Vec<ServerId> = Vec::new();
         for (lsn, holders) in &to_copy {
-            let record = self.fetch_for_repair(*lsn, holders)?;
+            let record = self.fetch(*lsn, 1, holders).map_err(|_| {
+                DlogError::Corrupt(format!(
+                    "record {lsn} has lost every copy; media recovery from dumps required"
+                ))
+            })?;
             let mut targets: Vec<ServerId> = holders.clone();
             for &s in &live {
                 if targets.len() >= n {

@@ -5,8 +5,9 @@
 mod common;
 
 use common::{payload, Cluster};
-use dlog_net::FaultPlan;
-use dlog_types::{DlogError, Lsn, ServerId};
+use dlog_core::client::ReplicatedLog;
+use dlog_net::{FaultPlan, MemEndpoint};
+use dlog_types::{ClientId, DlogError, Epoch, Lsn, ServerId};
 
 #[test]
 fn write_force_read_roundtrip() {
@@ -408,4 +409,134 @@ fn a_commit_allocates_nothing_per_record_on_the_client() {
         seven, fourteen,
         "a 14-record commit allocates more than a 7-record one"
     );
+}
+
+/// Leaves LSN 6 (and 7 when `two`) on server 1 alone at epoch 1, present,
+/// while two later incarnations, run with server 1 down, mask them at
+/// epoch 3 on servers 2 and 3. Server 1 then comes back, and the returned
+/// client, a fourth incarnation, sees all three servers (N = 2, δ = 2).
+fn straggler_cluster(tag: &str, two: bool) -> (Cluster, ReplicatedLog<MemEndpoint>) {
+    let mut cluster = Cluster::start(tag, 3, FaultPlan::reliable());
+    let (t1, t2) = {
+        let mut log = cluster.client(1, 2, 2);
+        log.initialize().unwrap();
+        for i in 1..=5u64 {
+            log.write(payload(i, 60)).unwrap();
+        }
+        log.force().unwrap();
+        let (t1, t2) = (log.targets()[0], log.targets()[1]);
+        cluster.net.partition(
+            common::client_addr(log.client_id()),
+            common::server_addr(t2),
+        );
+        let last = if two { 7 } else { 6 };
+        for i in 6..=last {
+            log.write(payload(i, 60)).unwrap();
+        }
+        log.flush().unwrap(); // reaches t1 only
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        (t1, t2)
+    };
+    cluster
+        .net
+        .heal(common::client_addr(ClientId(1)), common::server_addr(t2));
+    cluster.kill_server(t1);
+    for _ in 0..2 {
+        let mut log = cluster.client(1, 2, 2);
+        log.initialize().unwrap();
+    }
+    cluster.boot_server(t1);
+    let mut log = cluster.client(1, 2, 2);
+    log.initialize().unwrap();
+    let (holders, epoch) = log.view().locate(Lsn(6)).unwrap();
+    assert!(
+        !holders.contains(&t1),
+        "the view names {holders:?} for LSN 6"
+    );
+    assert!(epoch > Epoch(1));
+    (cluster, log)
+}
+
+/// §3.1: all read-side voting happens once, in the merge at restart. A
+/// read-ahead reply from server 1 carries its straggler copy of LSN 6;
+/// the cache must not admit it.
+#[test]
+fn a_read_never_returns_a_copy_the_view_does_not_name() {
+    let (_cluster, mut log) = straggler_cluster("straggler-read", false);
+    for i in 1..=5u64 {
+        assert_eq!(
+            log.read(Lsn(i)).unwrap().as_bytes(),
+            payload(i, 60).as_slice()
+        );
+    }
+    assert!(
+        matches!(log.read(Lsn(6)), Err(DlogError::NotPresent { .. })),
+        "LSN 6 is masked"
+    );
+}
+
+/// The backward twin: a run from server 1 stops at its straggler copy,
+/// and the next round asks the holder the view names.
+#[test]
+fn a_backward_scan_never_returns_a_copy_the_view_does_not_name() {
+    let (_cluster, mut log) = straggler_cluster("straggler-back", true);
+    let end = log.end_of_log().unwrap();
+    let records = log.read_backward(end, 64).unwrap();
+    assert_eq!(records.len() as u64, end.0, "the scan reaches LSN 1");
+    for rec in &records {
+        if rec.lsn == Lsn(6) || rec.lsn == Lsn(7) {
+            assert!(!rec.present, "{:?} at {:?} is masked", rec.lsn, rec.epoch);
+        }
+    }
+}
+
+/// Initialization's δ copies come from one fetch: the first copy's miss
+/// asks for the whole window, so a wider window costs no more packets.
+#[test]
+fn initialization_fetches_the_copy_window_in_one_request() {
+    let packets = |delta: u64| {
+        let cluster = Cluster::start("copy-window", 3, FaultPlan::reliable());
+        {
+            let mut log = cluster.client(1, 2, delta);
+            log.initialize().unwrap();
+            for i in 1..=20u64 {
+                log.write(payload(i, 100)).unwrap();
+            }
+            log.force().unwrap();
+        }
+        let mut log = cluster.client(1, 2, delta);
+        log.initialize().unwrap();
+        assert_eq!(log.stats().recovery_copies, 2 * delta);
+        log.net_stats().packets_out
+    };
+    assert_eq!(packets(2), packets(8));
+}
+
+/// A miss that does not continue the previous read asks for one record
+/// and caches nothing; the next LSN's miss continues the run and reads
+/// ahead, so the LSN after it is a hit.
+#[test]
+fn only_a_forward_run_reads_ahead() {
+    let cluster = Cluster::start("read-ahead", 3, FaultPlan::reliable());
+    let mut log = cluster.client(1, 2, 4);
+    log.initialize().unwrap();
+    for i in 1..=100u64 {
+        log.write(payload(i, 50)).unwrap();
+    }
+    log.force().unwrap();
+    let mut hit = |lsn: u64| {
+        let before = log.stats().read_cache_hits;
+        assert_eq!(
+            log.read(Lsn(lsn)).unwrap().as_bytes(),
+            payload(lsn, 50).as_slice()
+        );
+        log.stats().read_cache_hits > before
+    };
+    assert!(!hit(57), "a random read misses");
+    assert!(
+        !hit(58),
+        "the record a random read asked for is all it fetched"
+    );
+    assert!(hit(59), "the continuing miss read ahead");
+    assert!(hit(60));
 }

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use dlog_archive::{merge_interval_lists, ArchiveReader, Archiver, ObjectStore};
 use dlog_net::wire::{codes, Message, NodeAddr, Packet, Request, Response, MAX_PACKET_BYTES};
 use dlog_storage::frame::{Frame, ENVELOPE_BYTES};
-use dlog_storage::{LogStore, RunRead};
+use dlog_storage::{LogStore, RunRead, FRAME_READ_WINDOW};
 use dlog_types::{ClientId, DlogError, Epoch, LogData, Lsn, Result, ServerId};
 
 use crate::gen::GenStore;
@@ -824,9 +824,12 @@ impl LogServer {
         // estimate by a fixed amount, so the stream bytes a full reply
         // spans, plus the envelope of the frame that would overflow it,
         // come to `span`: one window of the stream serves the request.
+        // A request for fewer records reads a store read's window per
+        // record, so a point read reads 1 KiB, not a full reply's bytes.
         let budget = MAX_PACKET_BYTES - 128;
         let per_record = 32;
-        let span = budget + cap * (Frame::record_len(0) - per_record) + ENVELOPE_BYTES;
+        let span = (budget + cap * (Frame::record_len(0) - per_record) + ENVELOPE_BYTES)
+            .min(cap * FRAME_READ_WINDOW);
         let mut run = self.store.read_run(client, forward, span);
         let mut bytes = 0usize;
         let mut cursor = lsn;
@@ -1820,14 +1823,16 @@ mod tests {
     /// count: one read syscall when its frames sit in one segment,
     /// forward or backward, and one store read per record it returns (the
     /// frame that would overflow the reply is sized from its envelope and
-    /// never decoded). A single `LogStore::read` of a cold frame is one
-    /// read syscall too.
+    /// never decoded). A request for one record reads one store read's
+    /// window, not a full reply's bytes. A single `LogStore::read` of a
+    /// cold frame is one read syscall too.
     #[test]
     fn a_full_reply_from_one_segment_is_one_read_syscall() {
         // 256-byte payloads make `restart_read`'s 294-byte frames: a full
         // reply is 28 records and 8 232 bytes, and a 64 KiB segment holds
         // 222 whole frames.
         const FULL: usize = 28;
+        const FRAME: u64 = 294;
         let dir = tmpdir("read-syscalls");
         let opts = StoreOptions {
             fsync: false,
@@ -1861,33 +1866,42 @@ mod tests {
         let Some(_) = dlog_obs::gauge::thread_io() else {
             return; // no /proc/thread-self/io to count with
         };
-        let read_syscalls = |f: &mut dyn FnMut()| {
+        // Read syscalls and bytes read, less what sampling itself reads.
+        let read_io = |f: &mut dyn FnMut()| {
             let before = dlog_obs::gauge::thread_io().unwrap();
             f();
-            dlog_obs::gauge::thread_io().unwrap().syscr - before.syscr
+            let after = dlog_obs::gauge::thread_io().unwrap();
+            (after.syscr - before.syscr, after.rchar - before.rchar)
         };
-        let empty = read_syscalls(&mut || {});
+        let (empty, empty_bytes) = read_io(&mut || {});
 
         let mut out = Vec::with_capacity(4);
         // Forward from the head of segments 0 and 1; backward from the
-        // middle of segment 0, so its window reaches below the reply.
-        for (lsn, forward) in [(1, true), (250, true), (200, false)] {
+        // middle of segment 0, so its window reaches below the reply; and
+        // one record from the middle of segment 0.
+        for (lsn, forward, max_records) in [
+            (1, true, 64),
+            (250, true, 64),
+            (200, false, 64),
+            (100, true, 1),
+        ] {
             let body = if forward {
                 Request::ReadLogForward {
                     client: CL,
                     lsn: Lsn(lsn),
-                    max_records: 64,
+                    max_records,
                 }
             } else {
                 Request::ReadLogBackward {
                     client: CL,
                     lsn: Lsn(lsn),
-                    max_records: 64,
+                    max_records,
                 }
             };
+            let full = FULL.min(max_records as usize);
             let request = Packet::bare(Message::Request { id: lsn, body });
             let reads = s.store_stats().reads;
-            let syscalls = read_syscalls(&mut || s.handle_into(FROM, &request, &mut out));
+            let (syscalls, bytes) = read_io(&mut || s.handle_into(FROM, &request, &mut out));
             let [(_, reply)] = &out[..] else {
                 panic!("one reply expected, got {out:?}");
             };
@@ -1900,18 +1914,25 @@ mod tests {
             };
             let lsns: Vec<u64> = records.iter().map(|r| r.lsn.0).collect();
             let want: Vec<u64> = if forward {
-                (lsn..lsn + FULL as u64).collect()
+                (lsn..lsn + full as u64).collect()
             } else {
-                (lsn + 1 - FULL as u64..=lsn).rev().collect()
+                (lsn + 1 - full as u64..=lsn).rev().collect()
             };
             assert_eq!(lsns, want, "a full reply from {lsn}");
             assert_eq!(syscalls - empty, 1, "read syscalls serving {request:?}");
-            assert_eq!(s.store_stats().reads - reads, FULL as u64, "store reads");
+            assert_eq!(s.store_stats().reads - reads, full as u64, "store reads");
+            if max_records == 1 {
+                assert!(
+                    bytes - empty_bytes <= FRAME_READ_WINDOW as u64 + FRAME,
+                    "{} bytes read serving {request:?}",
+                    bytes - empty_bytes
+                );
+            }
             out.clear();
         }
 
         let store = s.store_mut();
-        let syscalls = read_syscalls(&mut || {
+        let (syscalls, _) = read_io(&mut || {
             assert!(store.read(CL, Lsn(100)).unwrap().is_some());
         });
         assert_eq!(syscalls - empty, 1, "read syscalls of one cold frame");

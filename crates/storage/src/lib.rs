@@ -50,4 +50,5 @@ pub mod verify;
 pub use nvram::NvramDevice;
 pub use store::{
     LogStore, ReadRun, ReplayState, RetentionReport, RunRead, StoreOptions, StoreStats,
+    FRAME_READ_WINDOW,
 };

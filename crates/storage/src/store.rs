@@ -37,7 +37,7 @@ const CKPT_MAGIC: u32 = 0x444C_4B50; // "DLKP"
 /// frame. Every frame the benchmark writes (146–302 B) and a typical
 /// record fit, so such a read is one positional read of its segment; a
 /// longer frame costs a second.
-const FRAME_READ_WINDOW: usize = 1024;
+pub const FRAME_READ_WINDOW: usize = 1024;
 
 /// CopyLog records awaiting InstallCopies: client -> epoch -> each
 /// record's LSN and stream position. Install needs nothing else, so a

@@ -25,15 +25,13 @@ use dlog_obs::gauge::thread_io;
 use dlog_storage::frame::Frame;
 use dlog_storage::intervals::IntervalTable;
 use dlog_storage::store::{encode_checkpoint_image_into, Durability};
+use dlog_storage::FRAME_READ_WINDOW as WINDOW;
 use dlog_storage::{LogStore, NvramDevice, RunRead, StoreOptions};
 use dlog_types::{ClientId, Epoch, LogRecord, Lsn};
 
 /// The server's reply rule: a reply carries at most a budget of bytes,
 /// counting this many on top of each payload.
 const PER_RECORD: usize = 32;
-
-/// The single-record window (`FRAME_READ_WINDOW` in store.rs).
-const WINDOW: usize = 1024;
 
 /// Frame bytes around a record's payload.
 const OVERHEAD: usize = Frame::record_len(0);

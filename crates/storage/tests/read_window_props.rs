@@ -15,10 +15,8 @@ use proptest::prelude::*;
 use dlog_storage::frame::Frame;
 use dlog_storage::store::{Durability, LogStore, StoreOptions};
 use dlog_storage::NvramDevice;
+use dlog_storage::FRAME_READ_WINDOW as WINDOW;
 use dlog_types::{ClientId, Epoch, LogRecord, Lsn};
-
-/// The store's first-read window (`FRAME_READ_WINDOW` in store.rs).
-const WINDOW: usize = 1024;
 
 /// Frame bytes around a record's payload.
 const OVERHEAD: usize = Frame::record_len(0);
