@@ -282,6 +282,7 @@ impl Archiver {
     }
 
     fn put_with_retry(&mut self, key: &str, bytes: &[u8]) -> Result<()> {
+        dlog_types::lock::assert_unlocked();
         let attempts = self.policy.attempts.max(1);
         let mut delay = self.policy.base_delay;
         let mut last_err = None;

@@ -11,9 +11,9 @@ use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use dlog_types::unpoisoned;
+use dlog_types::{Rank, Ranked};
 
 /// A flat key → blob store. Keys are short path-safe names (the archiver
 /// uses `seg-NNNNNNNN.seg` and `manifest-NNNNNNNN`). `put` must be
@@ -144,9 +144,17 @@ struct MemInner {
 /// arm it to start failing after a chosen number of puts, optionally
 /// leaving a torn object behind, and verify the archiver converges once
 /// the fault clears.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct MemStore {
-    inner: Arc<Mutex<MemInner>>,
+    inner: Arc<Ranked<MemInner>>,
+}
+
+impl Default for MemStore {
+    fn default() -> Self {
+        MemStore {
+            inner: Arc::new(Ranked::new(Rank::ObjectStore, MemInner::default())),
+        }
+    }
 }
 
 impl MemStore {
@@ -160,14 +168,14 @@ impl MemStore {
     /// fails (leaving a torn object when `tear` is set) until
     /// [`MemStore::clear_faults`].
     pub fn fail_after_puts(&self, n: u64, tear: bool) {
-        let mut inner = unpoisoned(self.inner.lock());
+        let mut inner = self.inner.lock();
         inner.puts_until_fault = Some(n);
         inner.tear_on_fault = tear;
     }
 
     /// Disarm any injected fault.
     pub fn clear_faults(&self) {
-        let mut inner = unpoisoned(self.inner.lock());
+        let mut inner = self.inner.lock();
         inner.puts_until_fault = None;
         inner.tear_on_fault = false;
     }
@@ -175,29 +183,25 @@ impl MemStore {
     /// Successful puts observed so far.
     #[must_use]
     pub fn put_count(&self) -> u64 {
-        unpoisoned(self.inner.lock()).puts
+        self.inner.lock().puts
     }
 
     /// Snapshot of the object under `key` (test assertions).
     #[must_use]
     pub fn object(&self, key: &str) -> Option<Vec<u8>> {
-        unpoisoned(self.inner.lock()).objects.get(key).cloned()
+        self.inner.lock().objects.get(key).cloned()
     }
 
     /// All keys currently stored, sorted.
     #[must_use]
     pub fn keys(&self) -> Vec<String> {
-        unpoisoned(self.inner.lock())
-            .objects
-            .keys()
-            .cloned()
-            .collect()
+        self.inner.lock().objects.keys().cloned().collect()
     }
 }
 
 impl ObjectStore for MemStore {
     fn put(&self, key: &str, bytes: &[u8]) -> io::Result<()> {
-        let mut inner = unpoisoned(self.inner.lock());
+        let mut inner = self.inner.lock();
         let faulting = match inner.puts_until_fault.as_mut() {
             Some(0) => true,
             Some(n) => {
@@ -222,11 +226,13 @@ impl ObjectStore for MemStore {
     }
 
     fn get(&self, key: &str) -> io::Result<Option<Vec<u8>>> {
-        Ok(unpoisoned(self.inner.lock()).objects.get(key).cloned())
+        Ok(self.inner.lock().objects.get(key).cloned())
     }
 
     fn list(&self, prefix: &str) -> io::Result<Vec<String>> {
-        Ok(unpoisoned(self.inner.lock())
+        Ok(self
+            .inner
+            .lock()
             .objects
             .keys()
             .filter(|k| k.starts_with(prefix))
@@ -235,7 +241,7 @@ impl ObjectStore for MemStore {
     }
 
     fn delete(&self, key: &str) -> io::Result<()> {
-        unpoisoned(self.inner.lock()).objects.remove(key);
+        self.inner.lock().objects.remove(key);
         Ok(())
     }
 }

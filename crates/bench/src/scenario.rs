@@ -148,10 +148,11 @@ pub fn run_soak_scenario(seed: u64) -> u64 {
     durable.len() as u64
 }
 
-/// Every server's trace must satisfy the runtime twin of dlog-lint's
-/// `ack-after-force` rule: a forced `AckHighLsn` event is preceded by a
-/// `Force` event for the same client and LSN. The trace ring must not
-/// have overflowed, or the check would be vacuous.
+/// Every server's trace must satisfy §4.2's force-before-ack at run
+/// time (`dlog_obs::check_force_before_ack`): a forced `AckHighLsn`
+/// event is preceded by a `Force` event for the same client and LSN.
+/// The trace ring must not have overflowed, or the check would be
+/// vacuous.
 fn check_trace_invariants(cluster: &Cluster, seed: u64) {
     for &sid in &cluster.servers {
         let obs = cluster.server_obs(sid);

@@ -1125,8 +1125,9 @@ impl McWorld {
     /// The global invariants checked after every transition. Returns
     /// the first violation found.
     fn check_invariants(&mut self) -> Option<Violation> {
-        // 1. ack-after-force, per shard trace (the runtime twin of the
-        //    lint rule; forced acks carry bit 0 of the detail word).
+        // 1. ack-after-force, per shard trace (the run-time check of
+        //    the `Durable` token; forced acks carry bit 0 of the detail
+        //    word).
         for (sid, handles) in &self.obs {
             for (k, obs) in handles.iter().enumerate() {
                 let Some(snap) = obs.snapshot() else { continue };

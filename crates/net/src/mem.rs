@@ -16,10 +16,10 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, RwLock};
 use std::time::{Duration, Instant};
 
-use dlog_types::unpoisoned;
+use dlog_types::{unpoisoned, Rank, Ranked};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -102,14 +102,14 @@ pub struct NetStats {
 /// a global `notify_all` is the difference between one context switch
 /// per packet and N.
 struct EndpointQueue {
-    inbox: Mutex<Inbox>,
+    inbox: Ranked<Inbox>,
     cv: Condvar,
 }
 
 impl EndpointQueue {
     fn new() -> Arc<EndpointQueue> {
         Arc::new(EndpointQueue {
-            inbox: Mutex::new(Inbox::default()),
+            inbox: Ranked::new(Rank::MemInbox, Inbox::default()),
             cv: Condvar::new(),
         })
     }
@@ -117,7 +117,7 @@ impl EndpointQueue {
     /// Push one frame and wake a sleeping receiver (skipping the notify
     /// syscall entirely when the receiver is running or spin-polling).
     fn push(&self, from: NodeAddr, bytes: Arc<Vec<u8>>) {
-        let mut b = unpoisoned(self.inbox.lock());
+        let mut b = self.inbox.lock();
         b.q.push_back((from, bytes));
         let wake = b.sleepers > 0;
         drop(b);
@@ -128,7 +128,7 @@ impl EndpointQueue {
 
     /// Drop everything in flight (node marked down).
     fn clear(&self) {
-        unpoisoned(self.inbox.lock()).q.clear();
+        self.inbox.lock().q.clear();
     }
 }
 
@@ -211,7 +211,7 @@ struct AtomicNetStats {
 
 struct Inner {
     topo: RwLock<Topology>,
-    faults: Mutex<FaultState>,
+    faults: Ranked<FaultState>,
     stats: AtomicNetStats,
     plan: FaultPlan,
 }
@@ -233,10 +233,13 @@ impl MemNetwork {
                     partitions: HashSet::new(),
                     down: HashSet::new(),
                 }),
-                faults: Mutex::new(FaultState {
-                    rng: StdRng::seed_from_u64(plan.seed),
-                    held: HashMap::new(),
-                }),
+                faults: Ranked::new(
+                    Rank::MemFaults,
+                    FaultState {
+                        rng: StdRng::seed_from_u64(plan.seed),
+                        held: HashMap::new(),
+                    },
+                ),
                 stats: AtomicNetStats::default(),
                 plan,
             }),
@@ -334,6 +337,7 @@ impl MemNetwork {
         tos: &[NodeAddr],
         packet: &Packet,
     ) -> io::Result<()> {
+        dlog_types::lock::assert_unlocked();
         // Encode single-pass into a buffer from the *sender's own* pool:
         // per-endpoint pools keep checkout order deterministic and spare
         // the hot path a network-global lock. The queue entries below are
@@ -402,7 +406,7 @@ impl MemNetwork {
             // The fault-state lock serializes fate decisions AND delivery
             // into the destination queue, so the delivery order of a
             // seeded schedule stays exactly the fate order.
-            let mut f = unpoisoned(self.inner.faults.lock());
+            let mut f = self.inner.faults.lock();
             if f.rng.gen_bool(plan.loss) {
                 stats.dropped.fetch_add(1, Ordering::Relaxed);
                 break 'fate;
@@ -500,11 +504,12 @@ impl MemNetwork {
 /// by single-queue receive and per-shard receive handles. A corrupt
 /// datagram is dropped (`None`), as a NIC would.
 fn recv_from(ep: &EndpointQueue, timeout: Duration) -> Option<(NodeAddr, Packet)> {
+    dlog_types::lock::assert_unlocked();
     let mut now = Instant::now();
     let deadline = now + timeout;
     loop {
         {
-            let mut b = unpoisoned(ep.inbox.lock());
+            let mut b = ep.inbox.lock();
             loop {
                 if let Some((from, bytes)) = b.q.pop_front() {
                     b.last_rx = Some(now);
@@ -526,7 +531,7 @@ fn recv_from(ep: &EndpointQueue, timeout: Duration) -> Option<(NodeAddr, Packet)
                     break;
                 }
                 b.sleepers += 1;
-                b = unpoisoned(ep.cv.wait_timeout(b, deadline - now)).0;
+                b = b.wait_timeout(&ep.cv, deadline - now).0;
                 b.sleepers -= 1;
                 now = Instant::now();
             }
@@ -748,19 +753,16 @@ mod tests {
             // Nobody has written to it: it must be asleep on the condvar,
             // not polling out its timeout.
             let deadline = Instant::now() + Duration::from_secs(10);
-            while q.inbox.lock().unwrap().sleepers == 0 {
+            while q.inbox.lock().sleepers == 0 {
                 assert!(Instant::now() < deadline, "receiver never parked");
                 std::thread::yield_now();
             }
-            assert_eq!(q.inbox.lock().unwrap().last_rx, None);
+            assert_eq!(q.inbox.lock().last_rx, None);
             tx.send(NodeAddr(1), &ping(7)).unwrap();
             assert_eq!(got.join().unwrap().unwrap().1, ping(7));
         });
         // The frame it took is what the next wait's polling is timed from.
-        assert!(
-            q.inbox.lock().unwrap().last_rx.is_some(),
-            "stamped by the pop"
-        );
+        assert!(q.inbox.lock().last_rx.is_some(), "stamped by the pop");
         // A wait that outlasts the polling span still ends at its timeout.
         let t = Instant::now();
         assert!(rx.recv(POLL_AFTER_RX * 20).unwrap().is_none());

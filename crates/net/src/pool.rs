@@ -18,9 +18,9 @@
 //! tests pin down.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use dlog_types::unpoisoned;
+use dlog_types::{Rank, Ranked};
 
 /// Default number of parked buffers per pool: enough for a full ingest
 /// batch plus in-flight replies.
@@ -28,7 +28,7 @@ pub const DEFAULT_POOL_SLOTS: usize = 64;
 
 /// A bounded pool of reusable `Arc<Vec<u8>>` wire buffers.
 pub struct BufPool {
-    slots: Mutex<VecDeque<Arc<Vec<u8>>>>,
+    slots: Ranked<VecDeque<Arc<Vec<u8>>>>,
     max_slots: usize,
     buf_capacity: usize,
 }
@@ -39,7 +39,7 @@ impl BufPool {
     #[must_use]
     pub fn new(max_slots: usize, buf_capacity: usize) -> Self {
         BufPool {
-            slots: Mutex::new(VecDeque::with_capacity(max_slots)),
+            slots: Ranked::new(Rank::BufPool, VecDeque::with_capacity(max_slots)),
             max_slots,
             buf_capacity,
         }
@@ -59,7 +59,7 @@ impl BufPool {
     #[must_use]
     pub fn checkout(&self) -> Arc<Vec<u8>> {
         {
-            let mut slots = unpoisoned(self.slots.lock());
+            let mut slots = self.slots.lock();
             let parked = slots.len();
             for _ in 0..parked {
                 match slots.pop_front() {
@@ -81,7 +81,7 @@ impl BufPool {
     /// the buffer are still alive — it will not be reissued until they
     /// drop. Buffers beyond the pool bound are simply freed.
     pub fn give_back(&self, buf: Arc<Vec<u8>>) {
-        let mut slots = unpoisoned(self.slots.lock());
+        let mut slots = self.slots.lock();
         if slots.len() < self.max_slots {
             slots.push_back(buf);
         }
@@ -90,7 +90,7 @@ impl BufPool {
     /// Number of currently parked buffers (free or awaiting view drop).
     #[must_use]
     pub fn parked(&self) -> usize {
-        unpoisoned(self.slots.lock()).len()
+        self.slots.lock().len()
     }
 }
 

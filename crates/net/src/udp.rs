@@ -93,6 +93,7 @@ impl Endpoint for UdpEndpoint {
     }
 
     fn send(&self, to: NodeAddr, packet: &Packet) -> io::Result<()> {
+        dlog_types::lock::assert_unlocked();
         let Some(dest) = unpoisoned(self.directory.read()).get(&to).copied() else {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
@@ -119,6 +120,7 @@ impl Endpoint for UdpEndpoint {
     }
 
     fn send_many(&self, tos: &[NodeAddr], packet: &Packet) -> io::Result<()> {
+        dlog_types::lock::assert_unlocked();
         // Replication fan-out: one encode + CRC pass, one `send_to`
         // syscall per destination on the same pooled buffer.
         let mut bytes = self.pool.checkout();
@@ -154,6 +156,7 @@ impl Endpoint for UdpEndpoint {
     }
 
     fn recv(&self, timeout: Duration) -> io::Result<Option<(NodeAddr, Packet)>> {
+        dlog_types::lock::assert_unlocked();
         // A zero timeout means "do not block"; std maps Duration::ZERO to
         // blocking forever, so clamp to 1ms.
         self.socket

@@ -200,9 +200,10 @@ impl TraceLog {
     }
 }
 
-/// The runtime twin of `dlog-lint`'s `ack-after-force` rule: every
-/// *forced* `AckHighLsn` event (detail low bit set) must be preceded in
-/// the trace by a `Force` event for the same client and LSN.
+/// The run-time check of §4.2's force-before-ack, which the compiler
+/// also holds through `dlog_storage::Durable`: every *forced*
+/// `AckHighLsn` event (detail low bit set) must be preceded in the trace
+/// by a `Force` event for the same client and LSN.
 ///
 /// # Errors
 /// Describes the first unmatched acknowledgment.

@@ -71,6 +71,7 @@ impl GenStore {
     /// # Errors
     /// Propagates I/O failures.
     pub fn write(&mut self, id: u64, value: u64) -> io::Result<()> {
+        dlog_types::lock::assert_unlocked();
         let current = self.read(id);
         if value <= current {
             return Ok(()); // stale retry; ignore

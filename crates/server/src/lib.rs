@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use dlog_archive::{merge_interval_lists, ArchiveReader, Archiver, ObjectStore};
 use dlog_net::wire::{codes, Message, NodeAddr, Packet, Request, Response, MAX_PACKET_BYTES};
 use dlog_storage::frame::{Frame, ENVELOPE_BYTES};
-use dlog_storage::{LogStore, RunRead, FRAME_READ_WINDOW};
+use dlog_storage::{Durable, LogStore, RunRead, FRAME_READ_WINDOW};
 use dlog_types::{ClientId, DlogError, Epoch, LogData, Lsn, Result, ServerId};
 
 use crate::gen::GenStore;
@@ -636,9 +636,10 @@ impl LogServer {
             clippy::panic,
             reason = "deliberate fail-stop (§3.1): acking a force the store lost would violate durability promises, and a retried force can succeed on pages the kernel already dropped — crashing is safer than lying"
         )]
-        if let Err(e) = self.store.force_batch(&self.force_clients) {
-            panic!("group commit failed: {e}");
-        }
+        let durable = match self.store.force_batch(&self.force_clients) {
+            Ok(durable) => durable,
+            Err(e) => panic!("group commit failed: {e}"),
+        };
         self.stats.group_commits += 1;
         let batch_size = self.pending_forces.len() as u64;
         let mut round_hi = 0u64;
@@ -651,10 +652,7 @@ impl LogServer {
                 // Force event `force_batch` just emitted for this client.
                 self.obs
                     .event(dlog_obs::Stage::AckHighLsn, iv.hi.0, (client.0 << 1) | 1);
-                out.push((
-                    addr,
-                    Packet::bare(Message::NewHighLsn { client, lsn: iv.hi }),
-                ));
+                out.push((addr, forced_ack(&durable, client, iv.hi)));
             }
         }
         // The GroupCommit histogram records batch sizes, not latencies:
@@ -891,6 +889,13 @@ impl LogServer {
         }
         Response::Records { records }
     }
+}
+
+/// A forced `NewHighLSN` (§4.2): it takes the [`Durable`] proof of the
+/// round that covered `client`, so it can be built only after the force.
+/// The lazy `ack_every` ack is not forced and is built without one.
+fn forced_ack(_: &Durable, client: ClientId, lsn: Lsn) -> Packet {
+    Packet::bare(Message::NewHighLsn { client, lsn })
 }
 
 #[cfg(test)]
@@ -1518,14 +1523,11 @@ mod tests {
         }
 
         if force {
-            s.store.force(client).expect("force failed");
+            let durable = s.store.force(client).expect("force failed");
             s.stats.forces_acked += 1;
             s.unacked.insert(client, 0);
             if let Some(iv) = s.store.last_interval(client) {
-                out.push((
-                    from,
-                    Packet::bare(Message::NewHighLsn { client, lsn: iv.hi }),
-                ));
+                out.push((from, forced_ack(&durable, client, iv.hi)));
             }
         } else if s.config.ack_every > 0 {
             let n = s.unacked.entry(client).or_insert(0);

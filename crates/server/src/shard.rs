@@ -35,13 +35,13 @@
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dlog_net::wire::{NodeAddr, Packet};
 use dlog_net::{Endpoint, RoutedEndpoint, ShardRx};
-use dlog_types::unpoisoned;
+use dlog_types::{Rank, Ranked};
 
 use crate::LogServer;
 
@@ -70,30 +70,33 @@ struct ShardInbox {
 }
 
 struct ShardQueue {
-    inbox: Mutex<ShardInbox>,
+    inbox: Ranked<ShardInbox>,
     available: Condvar,
 }
 
 impl ShardQueue {
     fn new() -> Self {
         ShardQueue {
-            inbox: Mutex::new(ShardInbox {
-                q: VecDeque::new(),
-                sleepers: 0,
-                dead: None,
-            }),
+            inbox: Ranked::new(
+                Rank::ShardInbox,
+                ShardInbox {
+                    q: VecDeque::new(),
+                    sleepers: 0,
+                    dead: None,
+                },
+            ),
             available: Condvar::new(),
         }
     }
 
     /// End the queue with the dispatcher's receive error.
     fn kill(&self, e: &io::Error) {
-        unpoisoned(self.inbox.lock()).dead = Some((e.kind(), e.to_string()));
+        self.inbox.lock().dead = Some((e.kind(), e.to_string()));
         self.available.notify_all();
     }
 
     fn push(&self, from: NodeAddr, pkt: Packet) {
-        let mut inbox = unpoisoned(self.inbox.lock());
+        let mut inbox = self.inbox.lock();
         inbox.q.push_back((from, pkt));
         if inbox.sleepers > 0 {
             self.available.notify_one();
@@ -104,7 +107,7 @@ impl ShardQueue {
     /// blocks, exactly like an endpoint's `recv(ZERO)`; a killed, empty
     /// queue fails like the transport it stands for.
     fn pop(&self, timeout: Duration) -> Polled {
-        let mut inbox = unpoisoned(self.inbox.lock());
+        let mut inbox = self.inbox.lock();
         if let Some(item) = inbox.q.pop_front() {
             return Ok(Some(item));
         }
@@ -115,7 +118,7 @@ impl ShardQueue {
             return Ok(None);
         }
         inbox.sleepers += 1;
-        let (mut inbox, _timed_out) = unpoisoned(self.available.wait_timeout(inbox, timeout));
+        let (mut inbox, _timed_out) = inbox.wait_timeout(&self.available, timeout);
         inbox.sleepers = inbox.sleepers.saturating_sub(1);
         Ok(inbox.q.pop_front())
     }
@@ -125,13 +128,15 @@ impl ShardQueue {
 /// `Err` for a dead transport or a panic — kept (as kind and text, so it
 /// can be handed out more than once) for [`ShardSupervisor::wait`].
 struct Exits {
-    first: Mutex<Option<Result<(), (io::ErrorKind, String)>>>,
+    first: Ranked<Option<Result<(), (io::ErrorKind, String)>>>,
     left: Condvar,
 }
 
 impl Exits {
     fn report(&self, why: io::Result<()>) {
-        unpoisoned(self.first.lock()).get_or_insert(why.map_err(|e| (e.kind(), e.to_string())));
+        self.first
+            .lock()
+            .get_or_insert(why.map_err(|e| (e.kind(), e.to_string())));
         self.left.notify_all();
     }
 }
@@ -239,7 +244,7 @@ impl ShardSupervisor {
         let server_id = servers.first().map_or(0, |s| s.id().0);
         let stop = Arc::new(AtomicBool::new(false));
         let exits = Arc::new(Exits {
-            first: Mutex::new(None),
+            first: Ranked::new(Rank::ShardExits, None),
             left: Condvar::new(),
         });
         let mut shards = Vec::with_capacity(servers.len());
@@ -292,8 +297,8 @@ impl ShardSupervisor {
     /// The receive error of the first loop a dead transport ended, or a
     /// note that a server thread panicked.
     pub fn wait(&self) -> io::Result<()> {
-        let first = unpoisoned(self.exits.first.lock());
-        let first = unpoisoned(self.exits.left.wait_while(first, |first| first.is_none()));
+        let first = self.exits.first.lock();
+        let first = first.wait_while(&self.exits.left, |first| first.is_none());
         match &*first {
             Some(Err((kind, text))) => Err(io::Error::new(*kind, text.clone())),
             _ => Ok(()),
@@ -776,7 +781,7 @@ mod tests {
             // `wait` would block for as long as nothing is reported, so
             // bound the report itself.
             let deadline = Instant::now() + Duration::from_secs(5);
-            while sup.exits.first.lock().unwrap().is_none() {
+            while sup.exits.first.lock().is_none() {
                 assert!(
                     Instant::now() < deadline,
                     "{entry:?}: a loop panicked and nothing was reported"

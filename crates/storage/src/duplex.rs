@@ -139,6 +139,7 @@ impl DuplexLog {
     /// # Errors
     /// Propagates I/O failures.
     pub fn force(&mut self) -> Result<()> {
+        dlog_types::lock::assert_unlocked();
         self.stats.forces += 1;
         if self.buffer.is_empty() {
             return Ok(());

@@ -49,6 +49,6 @@ pub mod verify;
 
 pub use nvram::NvramDevice;
 pub use store::{
-    LogStore, ReadRun, ReplayState, RetentionReport, RunRead, StoreOptions, StoreStats,
+    Durable, LogStore, ReadRun, ReplayState, RetentionReport, RunRead, StoreOptions, StoreStats,
     FRAME_READ_WINDOW,
 };

@@ -25,9 +25,9 @@
 //! only code that read the previous state can know — a wild store from a
 //! stray pointer fails the check and leaves the memory untouched.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use dlog_types::unpoisoned;
+use dlog_types::{Rank, Ranked};
 
 /// Error returned when an insert does not fit the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +166,7 @@ impl NvramState {
 /// crash to model the survival of the physical device.
 #[derive(Clone, Debug)]
 pub struct NvramDevice {
-    state: Arc<Mutex<NvramState>>,
+    state: Arc<Ranked<NvramState>>,
     capacity: usize,
 }
 
@@ -177,7 +177,7 @@ impl NvramDevice {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "nvram capacity must be positive");
         NvramDevice {
-            state: Arc::new(Mutex::new(NvramState::default())),
+            state: Arc::new(Ranked::new(Rank::Nvram, NvramState::default())),
             capacity,
         }
     }
@@ -191,7 +191,7 @@ impl NvramDevice {
     /// Bytes currently pending (inserted but not yet retired).
     #[must_use]
     pub fn pending_len(&self) -> usize {
-        unpoisoned(self.state.lock()).track.len()
+        self.state.lock().track.len()
     }
 
     /// Free space.
@@ -203,7 +203,7 @@ impl NvramDevice {
     /// Stream position at which the pending bytes begin.
     #[must_use]
     pub fn base_pos(&self) -> u64 {
-        unpoisoned(self.state.lock()).base_pos
+        self.state.lock().base_pos
     }
 
     /// Durably insert `bytes` at the tail of the pending track without
@@ -214,16 +214,14 @@ impl NvramDevice {
     /// [`NvramFull`] when the bytes do not fit; the caller must retire a
     /// track to disk first.
     pub fn insert(&self, bytes: &[u8]) -> Result<(), NvramFull> {
-        unpoisoned(self.state.lock())
-            .admit(self.capacity, bytes)
-            .map(drop)
+        self.state.lock().admit(self.capacity, bytes).map(drop)
     }
 
     /// The device's current guard seal (§5.1). A caller intending a
     /// guarded insert reads this first; a stray writer cannot know it.
     #[must_use]
     pub fn seal(&self) -> u64 {
-        unpoisoned(self.state.lock()).seal
+        self.state.lock().seal
     }
 
     /// Guarded insert (§5.1, after Needham et al.) of `bytes` at the tail
@@ -237,7 +235,7 @@ impl NvramDevice {
     /// [`GuardError::Mismatch`] for a wrong seal; [`GuardError::Full`]
     /// when the bytes do not fit. The memory is untouched on error.
     pub fn insert_at_tail(&self, presented: u64, bytes: &[u8]) -> Result<Tail, GuardError> {
-        let mut st = unpoisoned(self.state.lock());
+        let mut st = self.state.lock();
         if presented != st.seal {
             return Err(GuardError::Mismatch(SealMismatch {
                 presented,
@@ -263,7 +261,7 @@ impl NvramDevice {
     /// reused scratch buffer so retiring a track allocates nothing after
     /// warm-up.
     pub fn pending_into(&self, out: &mut Vec<u8>) -> u64 {
-        let st = unpoisoned(self.state.lock());
+        let st = self.state.lock();
         out.clear();
         out.extend_from_slice(&st.track);
         st.base_pos
@@ -283,7 +281,7 @@ impl NvramDevice {
     /// first): the store reads a run's window of the track this way.
     #[must_use]
     pub fn read_at_into(&self, pos: u64, len: usize, out: &mut Vec<u8>) -> Option<()> {
-        let st = unpoisoned(self.state.lock());
+        let st = self.state.lock();
         let start = pos.checked_sub(st.base_pos)? as usize;
         let end = start.checked_add(len)?;
         let slice = st.track.get(start..end)?;
@@ -298,7 +296,7 @@ impl NvramDevice {
     /// # Panics
     /// Panics if `n` exceeds the pending length (a store logic error).
     pub fn retire(&self, n: usize) {
-        let mut st = unpoisoned(self.state.lock());
+        let mut st = self.state.lock();
         assert!(n <= st.track.len(), "retiring more than pending");
         st.track.drain(..n);
         st.base_pos += n as u64;
@@ -309,7 +307,7 @@ impl NvramDevice {
     /// Reset the device for a freshly formatted store beginning at
     /// stream position `pos`.
     pub fn format(&self, pos: u64) {
-        let mut st = unpoisoned(self.state.lock());
+        let mut st = self.state.lock();
         st.track.clear();
         st.base_pos = pos;
         st.intervals = None;
@@ -319,13 +317,13 @@ impl NvramDevice {
 
     /// Store the active-interval snapshot.
     pub fn store_intervals(&self, bytes: Vec<u8>) {
-        unpoisoned(self.state.lock()).intervals = Some(bytes);
+        self.state.lock().intervals = Some(bytes);
     }
 
     /// Fetch the active-interval snapshot, if any.
     #[must_use]
     pub fn load_intervals(&self) -> Option<Vec<u8>> {
-        unpoisoned(self.state.lock()).intervals.clone()
+        self.state.lock().intervals.clone()
     }
 }
 

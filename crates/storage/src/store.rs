@@ -56,6 +56,16 @@ pub enum Durability {
     FsyncPerForce,
 }
 
+/// Proof that a force round reached stable storage (§4.2: force, then
+/// acknowledge). Only [`LogStore::force_batch`] makes one, so a forced
+/// `NewHighLsn` built from it cannot precede its force:
+///
+/// ```compile_fail
+/// let forged = dlog_storage::Durable(());
+/// ```
+#[derive(Debug)]
+pub struct Durable(());
+
 /// Store tuning options.
 #[derive(Clone, Debug)]
 pub struct StoreOptions {
@@ -346,7 +356,7 @@ impl LogStore {
     ///
     /// # Errors
     /// Propagates I/O failures.
-    pub fn force(&mut self, client: ClientId) -> Result<()> {
+    pub fn force(&mut self, client: ClientId) -> Result<Durable> {
         self.force_batch(&[client])
     }
 
@@ -360,10 +370,11 @@ impl LogStore {
     ///
     /// # Errors
     /// Propagates I/O failures; on error **no** client in the batch may
-    /// be acknowledged.
-    pub fn force_batch(&mut self, clients: &[ClientId]) -> Result<()> {
+    /// be acknowledged, and no [`Durable`] exists to acknowledge it with.
+    pub fn force_batch(&mut self, clients: &[ClientId]) -> Result<Durable> {
+        dlog_types::lock::assert_unlocked();
         if clients.is_empty() {
-            return Ok(());
+            return Ok(Durable(()));
         }
         let span = self.obs.start();
         self.stats.forces += clients.len() as u64;
@@ -379,7 +390,7 @@ impl LogStore {
             self.obs.event(dlog_obs::Stage::Force, hi, client.0);
         }
         self.obs.sample_since(dlog_obs::Stage::Force, span);
-        Ok(())
+        Ok(Durable(()))
     }
 
     /// Read the record with the highest epoch at `lsn` for `client`
@@ -534,6 +545,7 @@ impl LogStore {
     /// # Errors
     /// Propagates I/O failures.
     pub fn sync(&mut self) -> Result<()> {
+        dlog_types::lock::assert_unlocked();
         self.flush_track()?;
         self.stream.sync()?;
         Ok(())
@@ -851,6 +863,7 @@ impl LogStore {
     }
 
     fn write_checkpoint_file(&mut self, out: &[u8]) -> Result<()> {
+        dlog_types::lock::assert_unlocked();
         let tmp = self.dir.join("intervals.ckpt.tmp");
         let fin = self.dir.join("intervals.ckpt");
         {

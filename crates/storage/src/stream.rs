@@ -435,6 +435,7 @@ impl SegmentedStream {
     /// marked until its sync succeeds, so a retried `sync` after an error
     /// tries again instead of returning `Ok` having synced nothing.
     pub fn sync(&mut self) -> io::Result<()> {
+        dlog_types::lock::assert_unlocked();
         for segment in self.files.values_mut().filter(|s| s.dirty) {
             segment.file.sync_data()?;
             segment.dirty = false;
@@ -494,6 +495,7 @@ impl SegmentedStream {
     /// a read-only descriptor. A miss on a full cache first closes the
     /// lowest-index descriptor.
     fn segment(&mut self, seg: u64, write: bool) -> io::Result<&mut SegmentFile> {
+        dlog_types::lock::assert_unlocked();
         if self.files.len() >= MAX_OPEN_SEGMENTS && !self.files.contains_key(&seg) {
             if let Some(mut lowest) = self.files.first_entry() {
                 if lowest.get().dirty {

@@ -45,5 +45,5 @@ pub use config::ReplicationConfig;
 pub use error::{DlogError, Result};
 pub use ids::{ClientId, LogId, ServerId};
 pub use interval::{Interval, IntervalList};
-pub use lock::unpoisoned;
+pub use lock::{unpoisoned, Rank, Ranked};
 pub use record::{Epoch, LogData, LogRecord, Lsn, RecordId};
