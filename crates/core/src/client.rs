@@ -1284,13 +1284,10 @@ fn merge_stats_rows(rows: Vec<Response>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::io;
 
-    use dlog_net::wire::{NodeAddr, Packet};
-    use dlog_server::gen::GenStore;
-    use dlog_server::{LogServer, ServerConfig};
-    use dlog_storage::{LogStore, NvramDevice, StoreOptions};
+    use dlog_mc::harness::{build_world, SyncEndpoint, SyncWorldOptions};
+    use dlog_net::wire::NodeAddr;
+    use dlog_net::FaultPlan;
 
     const BASE: Duration = Duration::from_millis(2);
     const CAP: Duration = Duration::from_millis(120);
@@ -1345,47 +1342,14 @@ mod tests {
         assert_ne!(state, 0);
     }
 
-    /// One log server answered inline on the caller's thread.
-    struct InlineServer {
-        server: RefCell<LogServer>,
-        replies: RefCell<VecDeque<(NodeAddr, Packet)>>,
-    }
-
-    impl Endpoint for InlineServer {
-        fn local_addr(&self) -> NodeAddr {
-            NodeAddr(1000)
-        }
-
-        fn send(&self, to: NodeAddr, packet: &Packet) -> io::Result<()> {
-            let out = self.server.borrow_mut().handle(self.local_addr(), packet);
-            let mut replies = self.replies.borrow_mut();
-            replies.extend(out.into_iter().map(|(_, reply)| (to, reply)));
-            Ok(())
-        }
-
-        fn recv(&self, _timeout: Duration) -> io::Result<Option<(NodeAddr, Packet)>> {
-            Ok(self.replies.borrow_mut().pop_front())
-        }
-    }
-
     /// A recovery manager scanning a long log backward must not keep every
     /// record it reads (each one pins its reply buffer).
     #[test]
     fn a_long_backward_scan_keeps_the_read_cache_bounded() {
         let dir = std::env::temp_dir().join(format!("dlog-core-read-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let opts = StoreOptions {
-            fsync: false,
-            checkpoint_every: 0,
-            ..StoreOptions::default()
-        };
-        let store = LogStore::open(&dir, opts, NvramDevice::new(1 << 20)).unwrap();
-        let gens = GenStore::open(dir.join("gens")).unwrap();
-        let server = LogServer::new(ServerConfig::new(ServerId(1)), store, gens).unwrap();
-        let ep = InlineServer {
-            server: RefCell::new(server),
-            replies: RefCell::default(),
-        };
+        let opts = SyncWorldOptions::shared(1, FaultPlan::reliable(), dlog_obs::Obs::default());
+        let ep = SyncEndpoint::new(NodeAddr(1000), build_world(&dir, opts).unwrap());
         let net = ClientNet::new(ep, HashMap::from([(ServerId(1), NodeAddr(1))]));
         let config = ReplicationConfig::new(vec![ServerId(1)], 1, 8).unwrap();
         let mut log = ReplicatedLog::new(ClientId(1), ClientOptions::new(config), net);

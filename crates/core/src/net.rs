@@ -82,14 +82,6 @@ impl<E: Endpoint> ClientNet<E> {
         self.stats
     }
 
-    /// The servers in the directory.
-    #[must_use]
-    pub fn known_servers(&self) -> Vec<ServerId> {
-        let mut v: Vec<_> = self.addrs.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Fire-and-forget an asynchronous message to `server`.
     ///
     /// # Errors

@@ -31,20 +31,6 @@ pub struct CounterExample {
     pub original_len: usize,
 }
 
-impl CounterExample {
-    /// The trace in its replayable text form (one action per line, the
-    /// same syntax `Action::from_str` parses).
-    #[must_use]
-    pub fn trace_text(&self) -> String {
-        let mut out = String::new();
-        for a in &self.trace {
-            out.push_str(&a.to_string());
-            out.push('\n');
-        }
-        out
-    }
-}
-
 /// What an exploration did and found.
 #[derive(Clone, Debug, Default)]
 pub struct Report {

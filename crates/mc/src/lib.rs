@@ -13,11 +13,14 @@
 //!
 //! Layout:
 //!
-//! * [`harness`] — the synchronous sans-I/O cluster (`SyncWorld` /
-//!   `SyncEndpoint`) shared by `tests/trace_determinism.rs` and
-//!   `tests/group_commit.rs`, which used to carry private copies.
-//! * [`model`] — the checker's world: the action alphabet, a steppable
-//!   model client, crash/recover semantics, canonical state
+//! * [`harness`] — the one thread-free server world (`ServerWorld`):
+//!   boot, shard routing, group-commit flush, crash/recover over
+//!   surviving NVRAM, and the ack-monotonicity check. The synchronous
+//!   cluster (`SyncWorld` / `SyncEndpoint`) holds it for
+//!   `tests/trace_determinism.rs`, `tests/group_commit.rs` and the
+//!   client's deterministic protocol tests (`sync_cluster`).
+//! * [`model`] — the checker's world over the same `ServerWorld`: the
+//!   action alphabet, a steppable model client, canonical state
 //!   fingerprinting, and the invariant catalog.
 //! * [`explore`] — BFS frontier exploration with visited-state dedup, a
 //!   random-walk mode for beyond-frontier depths, counterexample

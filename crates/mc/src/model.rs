@@ -1,7 +1,7 @@
-//! The checker's world: real `LogServer`s over a nondeterministic
-//! packet bag, a steppable sans-I/O model client, crash/recover
-//! semantics, the action alphabet, canonical state fingerprinting, and
-//! the invariant catalog.
+//! The checker's world: the shared [`ServerWorld`] over a
+//! nondeterministic packet bag, a steppable sans-I/O model client, the
+//! action alphabet, canonical state fingerprinting, and the invariant
+//! catalog.
 //!
 //! Nondeterminism lives **between** transitions, never inside one: an
 //! [`Action`] names one atomic choice (deliver this packet, crash that
@@ -13,20 +13,16 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::str::FromStr;
 use std::time::Duration;
 
 use dlog_net::wire::{Message, NodeAddr, Packet};
 use dlog_obs::{check_force_before_ack, Obs, ObsOptions, Stage};
-use dlog_server::LogServer;
-use dlog_storage::NvramDevice;
+use dlog_server::{LogServer, ServerConfig};
 use dlog_types::{ClientId, Epoch, Interval, LogId, Lsn, ServerId};
 
-/// NVRAM capacity per modelled server — comfortably larger than any
-/// bounded-depth workload, so durability never hinges on fsync (which
-/// the scratch stores run with off).
-const NVRAM_CAP: usize = 1 << 20;
+use crate::harness::{Output, ServerWorld};
 
 /// Client addresses start here; server `i` is `NodeAddr(i)`.
 const CLIENT_ADDR_BASE: u64 = 1000;
@@ -286,8 +282,9 @@ struct Envelope {
     pkt: Packet,
 }
 
-/// One client's durable holdings on one server: client id, interval
-/// list, and every stored record's bytes keyed by LSN.
+/// One client's durable holdings on one shard: client id, interval
+/// list, and `(lsn, bytes)` for each present record its intervals
+/// cover, in interval order.
 type ClientImage = (u64, Vec<Interval>, Vec<(u64, Vec<u8>)>);
 
 /// The durable state a server held at the moment it crashed, used both
@@ -352,16 +349,25 @@ impl ModelClient {
         }
     }
 
-    /// The unacked suffix for server `sid`, as wire records.
-    fn suffix_for(&self, sid: u64, payload_len: usize) -> Vec<(Lsn, dlog_types::LogData)> {
-        let from = self.acked.get(&sid).copied().unwrap_or(Lsn::ZERO).next();
+    /// The first LSN server `sid` has not acked.
+    fn unacked(&self, sid: u64) -> Lsn {
+        self.acked.get(&sid).copied().unwrap_or(Lsn::ZERO).next()
+    }
+
+    /// A `ForceLog` carrying every record from `from` through the highest
+    /// written.
+    fn force_from(&self, from: Lsn, payload_len: usize) -> Packet {
         let mut records = Vec::new();
         let mut at = from;
         while at <= self.written_hi() {
             records.push((at, mc_payload(self.id.0, at.0, payload_len).into()));
             at = at.next();
         }
-        records
+        Packet::bare(Message::ForceLog {
+            client: self.id,
+            epoch: self.epoch,
+            records,
+        })
     }
 
     fn recompute_completed(&mut self, need_n: usize) {
@@ -374,27 +380,45 @@ impl ModelClient {
 /// The model checker's world. See the module docs for the shape.
 pub struct McWorld {
     cfg: McConfig,
-    dir: PathBuf,
-    /// Live servers: one `LogServer` per shard, indexed by shard — the
-    /// model twin of `ShardSupervisor`'s per-shard event loops.
-    servers: BTreeMap<u64, Vec<LogServer>>,
-    /// Per-shard observability; handles survive crashes so a shard's
-    /// trace spans its whole life, crash markers included.
-    obs: BTreeMap<u64, Vec<Obs>>,
-    /// Each shard's NVRAM device handle — the durable buffer a crash
-    /// must not lose.
-    nvrams: BTreeMap<u64, Vec<NvramDevice>>,
+    /// The real servers, one `LogServer` per shard — the model twin of
+    /// `ShardSupervisor`'s per-shard event loops.
+    servers: ServerWorld,
     crashed: BTreeMap<u64, CrashImage>,
     bag: Vec<Envelope>,
     clients: Vec<ModelClient>,
-    /// Highest ack each (server, client) pair has emitted, checked at
-    /// the source for monotonicity.
-    last_ack: BTreeMap<(u64, u64), Lsn>,
     dups_left: u32,
     crashes_left: u32,
     /// `ClientWrite` / `PacketSend` / `Crash` / `Recover` for the
     /// counterexample rendering.
     world_obs: Obs,
+}
+
+/// The one walk over a shard's durable records: a row per client, in id
+/// order. Crash images, recovery and read-back checks and the state
+/// fingerprint all fold these rows.
+fn client_rows(server: &mut LogServer) -> Vec<ClientImage> {
+    let store = server.store_mut();
+    let mut clients = store.clients();
+    clients.sort_unstable();
+    clients
+        .into_iter()
+        .map(|client| {
+            let intervals: Vec<Interval> = store.interval_list(client).intervals().to_vec();
+            let mut records = Vec::new();
+            for iv in &intervals {
+                let mut at = iv.lo;
+                while at <= iv.hi {
+                    if let Ok(Some(rec)) = store.read(client, at) {
+                        if rec.present {
+                            records.push((at.0, rec.data.as_bytes().to_vec()));
+                        }
+                    }
+                    at = at.next();
+                }
+            }
+            (client.0, intervals, records)
+        })
+        .collect()
 }
 
 impl McWorld {
@@ -409,35 +433,23 @@ impl McWorld {
         )]
         let _ = std::fs::remove_dir_all(dir);
         std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        let mut servers = BTreeMap::new();
-        let mut obs = BTreeMap::new();
-        let mut nvrams = BTreeMap::new();
-        for sid in 1..=cfg.servers {
-            let mut shard_servers = Vec::new();
-            let mut shard_obs = Vec::new();
-            let mut shard_nvrams = Vec::new();
-            for k in 0..cfg.shards.max(1) {
-                let (server, handle, nvram) = Self::boot(cfg, dir, sid, k, None)?;
-                shard_servers.push(server);
-                shard_obs.push(handle);
-                shard_nvrams.push(nvram);
-            }
-            servers.insert(sid, shard_servers);
-            obs.insert(sid, shard_obs);
-            nvrams.insert(sid, shard_nvrams);
-        }
+        // Force acks must never happen behind the model's back: lazy acks
+        // off, and a coalescing window no transition can outwait —
+        // flushing happens only via FlushForces or the batch cap.
+        let mut config = ServerConfig::new(ServerId(0)).for_shard(0, cfg.shards);
+        config.ack_every = 0;
+        config.coalesce_window = Duration::from_secs(3600);
+        config.coalesce_max_batch = cfg.coalesce_max_batch;
+        let servers = ServerWorld::open(dir, cfg.servers, config, || Obs::new(&ObsOptions::on()))
+            .map_err(|e| format!("boot servers: {e}"))?;
         let clients = (0..cfg.clients)
             .map(|i| ModelClient::new(i, cfg.max_rexmits))
             .collect();
         Ok(McWorld {
-            dir: dir.to_path_buf(),
             servers,
-            obs,
-            nvrams,
             crashed: BTreeMap::new(),
             bag: Vec::new(),
             clients,
-            last_ack: BTreeMap::new(),
             dups_left: cfg.max_dups,
             crashes_left: cfg.max_crashes,
             world_obs: Obs::new(&ObsOptions::on()),
@@ -445,57 +457,10 @@ impl McWorld {
         })
     }
 
-    /// Open (or reopen) shard `shard` of server `sid`. `nvram` is
-    /// `None` on first boot and the surviving device on recovery —
-    /// except under [`Mutation::Amnesia`], which hands recovery a blank
-    /// device.
-    fn boot(
-        cfg: &McConfig,
-        dir: &Path,
-        sid: u64,
-        shard: u64,
-        nvram: Option<NvramDevice>,
-    ) -> Result<(LogServer, Obs, NvramDevice), String> {
-        let d = if cfg.shards <= 1 {
-            dir.join(format!("server-{sid}"))
-        } else {
-            dir.join(format!("server-{sid}"))
-                .join(format!("shard-{shard}"))
-        };
-        let device = nvram.unwrap_or_else(|| NvramDevice::new(NVRAM_CAP));
-        let opts = dlog_storage::StoreOptions {
-            fsync: false,
-            checkpoint_every: 0,
-            ..dlog_storage::StoreOptions::default()
-        };
-        let store = dlog_storage::LogStore::open(&d, opts, device.clone())
-            .map_err(|e| format!("open store {sid}: {e}"))?;
-        let gens = dlog_server::gen::GenStore::open(d.join("gens"))
-            .map_err(|e| format!("open gens {sid}: {e}"))?;
-        let mut config = dlog_server::ServerConfig::new(ServerId(sid)).for_shard(shard, cfg.shards);
-        // Force acks must never happen behind the model's back: lazy
-        // acks off, and a coalescing window no transition can outwait —
-        // flushing happens only via FlushForces or the batch cap.
-        config.ack_every = 0;
-        config.coalesce_window = Duration::from_secs(3600);
-        config.coalesce_max_batch = cfg.coalesce_max_batch;
-        let mut server = dlog_server::LogServer::new(config, store, gens)
-            .map_err(|e| format!("boot server {sid}: {e}"))?;
-        let handle = Obs::new(&ObsOptions::on());
-        server.set_obs(handle.clone());
-        Ok((server, handle, device))
-    }
-
     /// The model configuration this world runs.
     #[must_use]
     pub fn config(&self) -> &McConfig {
         &self.cfg
-    }
-
-    /// Number of packets currently in flight.
-    #[must_use]
-    pub fn bag_len(&self) -> usize {
-        self.bag.len()
     }
 
     /// The world-level observability handle (`ClientWrite`,
@@ -509,16 +474,10 @@ impl McWorld {
     /// shard) order; unsharded worlds yield one handle per server.
     #[must_use]
     pub fn server_obs(&self) -> Vec<(u64, Obs)> {
-        self.obs
-            .iter()
-            .flat_map(|(sid, handles)| handles.iter().map(|o| (*sid, o.clone())))
+        self.servers
+            .obs()
+            .map(|(sid, _, obs)| (sid, obs.clone()))
             .collect()
-    }
-
-    /// The shard client `client`'s logical log hashes to — the same
-    /// pure function the real dispatcher applies to the wire packet.
-    fn client_shard(&self, client: ClientId) -> usize {
-        LogId::for_client(client).shard(self.cfg.shards as usize)
     }
 
     /// Every action enabled in this state, in a fixed, deterministic
@@ -532,20 +491,19 @@ impl McWorld {
             }
         }
         for (i, c) in self.clients.iter().enumerate() {
-            let lagging = (1..=self.cfg.servers)
-                .any(|sid| c.acked.get(&sid).copied().unwrap_or(Lsn::ZERO) < c.written_hi());
+            let lagging = (1..=self.cfg.servers).any(|sid| c.unacked(sid) <= c.written_hi());
             if c.rexmits_left > 0 && c.written_hi() > Lsn::ZERO && lagging {
                 out.push(Action::Retransmit { client: i });
             }
         }
-        for (sid, shards) in &self.servers {
-            if shards.iter().any(LogServer::has_pending_forces) {
-                out.push(Action::FlushForces { server: *sid });
+        for sid in 1..=self.cfg.servers {
+            if self.servers.has_pending_forces(sid) {
+                out.push(Action::FlushForces { server: sid });
             }
         }
         if self.crashes_left > 0 {
-            for sid in self.servers.keys() {
-                out.push(Action::Crash { server: *sid });
+            for sid in (1..=self.cfg.servers).filter(|sid| !self.crashed.contains_key(sid)) {
+                out.push(Action::Crash { server: sid });
             }
         }
         for sid in self.crashed.keys() {
@@ -570,79 +528,32 @@ impl McWorld {
         self.bag.push(Envelope { from, to, pkt });
     }
 
-    /// Route server output into the bag, checking ack monotonicity at
-    /// the source.
-    fn emit_server_output(&mut self, sid: u64, out: Vec<(NodeAddr, Packet)>) -> Option<Violation> {
+    fn bag_extend(&mut self, from: NodeAddr, out: Output) {
         for (to, pkt) in out {
-            if let Message::NewHighLsn { client, lsn } = &pkt.msg {
-                let key = (sid, client.0);
-                let prev = self.last_ack.get(&key).copied().unwrap_or(Lsn::ZERO);
-                if *lsn < prev {
-                    return Some(Violation {
-                        invariant: "ack-monotonicity",
-                        detail: format!(
-                            "server {sid} acked {lsn:?} for client {} after {prev:?}",
-                            client.0
-                        ),
-                    });
-                }
-                self.last_ack.insert(key, *lsn);
-            }
-            self.bag_push(NodeAddr(sid), to, pkt);
+            self.bag_push(from, to, pkt);
         }
-        None
     }
 
     /// Deliver one envelope to its destination (used by both `Deliver`
     /// and `Duplicate`).
     fn route(&mut self, env: Envelope) -> Result<Option<Violation>, String> {
         let to = env.to.0;
-        if to >= 1 && to <= self.cfg.servers {
+        if self.servers.is_server(env.to) {
             if self.crashed.contains_key(&to) {
                 return Err(format!("deliver to crashed server {to}"));
             }
-            // The dispatcher's routing decision: hash the packet's
-            // logical log to a shard. Packets with no route key (none
-            // occur in the modelled workload, but keep the dispatcher's
-            // semantics) are broadcast to every shard.
-            let shard = env
-                .pkt
-                .route_key()
-                .map(|l| l.shard(self.cfg.shards as usize));
-            let Some(shards) = self.servers.get_mut(&to) else {
-                return Err(format!("no server {to}"));
+            let out = match self.servers.deliver(env.from, env.to, &env.pkt) {
+                Ok(out) => out,
+                Err(v) => return Ok(Some(v)),
             };
-            let out = match shard {
-                Some(k) => {
-                    let Some(server) = shards.get_mut(k) else {
-                        return Err(format!("no shard {k} on server {to}"));
-                    };
-                    server.handle(env.from, &env.pkt)
-                }
-                None => {
-                    let mut all = Vec::new();
-                    for server in shards.iter_mut() {
-                        all.extend(server.handle(env.from, &env.pkt));
-                    }
-                    all
-                }
-            };
+            self.bag_extend(env.to, out);
             // Seeded bug: fabricate the force ack the moment the
             // ForceLog arrives, before any durability round.
-            let fabricated = if self.cfg.mutation == Mutation::EarlyAck {
+            if self.cfg.mutation == Mutation::EarlyAck {
                 if let Message::ForceLog { client, .. } = &env.pkt.msg {
-                    self.fabricate_ack(to, *client, env.from)
-                } else {
-                    Vec::new()
+                    let fabricated = self.fabricate_ack(to, *client, env.from);
+                    self.bag_extend(env.to, fabricated);
                 }
-            } else {
-                Vec::new()
-            };
-            if let Some(v) = self.emit_server_output(to, out) {
-                return Ok(Some(v));
-            }
-            for (ato, apkt) in fabricated {
-                self.bag_push(NodeAddr(to), ato, apkt);
             }
             return Ok(None);
         }
@@ -665,34 +576,11 @@ impl McWorld {
                 // The model client still holds every record (bounded
                 // scripts never trim the window), so it resends the
                 // whole suffix as a force — the real client's NAK path.
-                let resend = {
-                    let Some(c) = self.clients.get(ci) else {
-                        return Err(format!("no client at {:?}", env.to));
-                    };
-                    if c.id != *client {
-                        None
-                    } else {
-                        let mut records = Vec::new();
-                        let mut at = *lo;
-                        while at <= c.written_hi() {
-                            records
-                                .push((at, mc_payload(c.id.0, at.0, self.cfg.payload_len).into()));
-                            at = at.next();
-                        }
-                        if records.is_empty() {
-                            None
-                        } else {
-                            Some((
-                                c.addr,
-                                Packet::bare(Message::ForceLog {
-                                    client: c.id,
-                                    epoch: c.epoch,
-                                    records,
-                                }),
-                            ))
-                        }
-                    }
-                };
+                let resend = self
+                    .clients
+                    .get(ci)
+                    .filter(|c| c.id == *client && *lo <= c.written_hi())
+                    .map(|c| (c.addr, c.force_from(*lo, self.cfg.payload_len)));
                 if let Some((from, pkt)) = resend {
                     self.bag_push(from, env.from, pkt);
                 }
@@ -705,24 +593,18 @@ impl McWorld {
     /// A buggy server's fabricated forced ack: the trace event carries
     /// the forced bit, so the `ack-after-force` checker sees exactly
     /// what a real premature ack would emit.
-    fn fabricate_ack(
-        &mut self,
-        sid: u64,
-        client: ClientId,
-        reply_to: NodeAddr,
-    ) -> Vec<(NodeAddr, Packet)> {
-        let k = self.client_shard(client);
+    fn fabricate_ack(&mut self, sid: u64, client: ClientId, reply_to: NodeAddr) -> Output {
+        let k = LogId::for_client(client).shard(self.cfg.shards as usize) as u64;
         let hi = self
             .servers
-            .get_mut(&sid)
-            .and_then(|v| v.get_mut(k))
+            .shard_mut(sid, k)
             .and_then(|s| s.store_mut().last_interval(client))
             .map(|iv| iv.hi);
         let Some(hi) = hi else { return Vec::new() };
-        if let Some(obs) = self.obs.get(&sid).and_then(|v| v.get(k)) {
+        if let Some((_, _, obs)) = self.servers.obs().find(|(s, j, _)| (*s, *j) == (sid, k)) {
             obs.event(Stage::AckHighLsn, hi.0, (client.0 << 1) | 1);
         }
-        self.last_ack.insert((sid, client.0), hi);
+        self.servers.note_ack(sid, client.0, hi);
         vec![(
             reply_to,
             Packet::bare(Message::NewHighLsn { client, lsn: hi }),
@@ -828,21 +710,16 @@ impl McWorld {
                 }
             }
             ClientOp::Force => {
-                let suffixes: Vec<(u64, Vec<(Lsn, dlog_types::LogData)>)> = {
+                let forces: Vec<(u64, Packet)> = {
                     let Some(c) = self.clients.get_mut(ci) else {
                         return Err(format!("no client {ci}"));
                     };
                     c.pc = c.pc.saturating_add(1);
                     (1..=self.cfg.servers)
-                        .map(|sid| (sid, c.suffix_for(sid, self.cfg.payload_len)))
+                        .map(|sid| (sid, c.force_from(c.unacked(sid), self.cfg.payload_len)))
                         .collect()
                 };
-                for (sid, records) in suffixes {
-                    let pkt = Packet::bare(Message::ForceLog {
-                        client: id,
-                        epoch,
-                        records,
-                    });
+                for (sid, pkt) in forces {
                     self.bag_push(addr, NodeAddr(sid), pkt);
                 }
             }
@@ -851,7 +728,7 @@ impl McWorld {
     }
 
     fn do_retransmit(&mut self, ci: usize) -> Result<Option<Violation>, String> {
-        let (id, addr, epoch, suffixes) = {
+        let (addr, forces) = {
             let Some(c) = self.clients.get_mut(ci) else {
                 return Err(format!("no client {ci}"));
             };
@@ -859,21 +736,13 @@ impl McWorld {
                 return Err(format!("client {ci} retransmit budget exhausted"));
             }
             c.rexmits_left -= 1;
-            let suffixes: Vec<(u64, Vec<(Lsn, dlog_types::LogData)>)> = (1..=self.cfg.servers)
-                .filter(|sid| c.acked.get(sid).copied().unwrap_or(Lsn::ZERO) < c.written_hi())
-                .map(|sid| (sid, c.suffix_for(sid, self.cfg.payload_len)))
+            let forces: Vec<(u64, Packet)> = (1..=self.cfg.servers)
+                .filter(|sid| c.unacked(*sid) <= c.written_hi())
+                .map(|sid| (sid, c.force_from(c.unacked(sid), self.cfg.payload_len)))
                 .collect();
-            (c.id, c.addr, c.epoch, suffixes)
+            (c.addr, forces)
         };
-        for (sid, records) in suffixes {
-            if records.is_empty() {
-                continue;
-            }
-            let pkt = Packet::bare(Message::ForceLog {
-                client: id,
-                epoch,
-                records,
-            });
+        for (sid, pkt) in forces {
             self.bag_push(addr, NodeAddr(sid), pkt);
         }
         Ok(None)
@@ -883,41 +752,30 @@ impl McWorld {
         // The real supervisor's window expiry drains every shard whose
         // window is due; model the expiry as one action that flushes
         // each shard with pending obligations.
-        let pending: Vec<(usize, Vec<ClientId>)> = {
-            let Some(shards) = self.servers.get(&sid) else {
-                return Err(format!("flush: server {sid} not live"));
-            };
-            let p: Vec<(usize, Vec<ClientId>)> = shards
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.has_pending_forces())
-                .map(|(k, s)| (k, s.coalescing_obligations()))
-                .collect();
-            if p.is_empty() {
-                return Err(format!("flush: server {sid} has no pending forces"));
-            }
-            p
-        };
+        let pending: Vec<(u64, Vec<ClientId>)> = self
+            .servers
+            .shards(sid)
+            .filter(|(_, s)| s.has_pending_forces())
+            .map(|(k, s)| (k, s.coalescing_obligations()))
+            .collect();
+        if pending.is_empty() {
+            return Err(format!("flush: server {sid} has no pending forces"));
+        }
         for (k, obligations) in pending {
             if self.cfg.mutation == Mutation::SkipForce {
                 // Seeded bug: ack every obligation without the physical
                 // force round (as if a failed `force_batch` were ignored).
                 // Obligations stay queued server-side; the violation is
                 // already detectable from the fabricated acks.
-                let mut fabricated = Vec::new();
                 for client in obligations {
-                    fabricated.extend(self.fabricate_ack(sid, client, NodeAddr(CLIENT_ADDR_BASE)));
-                }
-                for (to, pkt) in fabricated {
-                    self.bag_push(NodeAddr(sid), to, pkt);
+                    let fabricated = self.fabricate_ack(sid, client, NodeAddr(CLIENT_ADDR_BASE));
+                    self.bag_extend(NodeAddr(sid), fabricated);
                 }
                 continue;
             }
-            let out = {
-                let Some(server) = self.servers.get_mut(&sid).and_then(|v| v.get_mut(k)) else {
-                    return Err(format!("flush: server {sid} not live"));
-                };
-                server.flush_pending_forces()
+            let out = match self.servers.flush(sid, Some(k)) {
+                Ok(out) => out,
+                Err(v) => return Ok(Some(v)),
             };
             if self.cfg.mutation == Mutation::LostAck {
                 // Seeded bug: the durable round ran but every obligation
@@ -934,9 +792,7 @@ impl McWorld {
                     _ => None,
                 })
                 .collect();
-            if let Some(v) = self.emit_server_output(sid, out) {
-                return Ok(Some(v));
-            }
+            self.bag_extend(NodeAddr(sid), out);
             if let Some(v) = self.obligation_check(sid, k, &obligations, &acked) {
                 return Ok(Some(v));
             }
@@ -950,15 +806,14 @@ impl McWorld {
     fn obligation_check(
         &mut self,
         sid: u64,
-        shard: usize,
+        shard: u64,
         obligations: &[ClientId],
         acked: &[u64],
     ) -> Option<Violation> {
         for client in obligations {
             let stored = self
                 .servers
-                .get_mut(&sid)
-                .and_then(|v| v.get_mut(shard))
+                .shard_mut(sid, shard)
                 .and_then(|s| s.store_mut().last_interval(*client))
                 .is_some();
             if stored && !acked.contains(&client.0) {
@@ -979,64 +834,43 @@ impl McWorld {
         if self.crashes_left == 0 {
             return Err("crash budget exhausted".to_string());
         }
-        if !self.servers.contains_key(&sid) {
+        if self.crashed.contains_key(&sid) || !self.servers.is_server(NodeAddr(sid)) {
             return Err(format!("crash: server {sid} not live"));
         }
-        let image = self.durable_image(sid)?;
-        let mut last_end = 0;
-        if let Some(shards) = self.servers.get_mut(&sid) {
-            for (k, server) in shards.iter_mut().enumerate() {
-                let stream_end = server.store_mut().stream_end();
-                last_end = stream_end;
-                if let Some(obs) = self.obs.get(&sid).and_then(|v| v.get(k)) {
-                    obs.event(Stage::Crash, stream_end, sid);
-                }
-            }
-        }
-        self.world_obs.event(Stage::Crash, last_end, sid);
-        self.servers.remove(&sid);
-        self.crashed.insert(sid, image);
+        let mut h = Fnv::new();
+        let state: Vec<Vec<ClientImage>> = self
+            .servers
+            .shards_mut(sid)
+            .map(|(_, server)| {
+                let rows = client_rows(server);
+                hash_image(&mut h, &rows);
+                rows
+            })
+            .collect();
+        let end = self.servers.crash(sid).unwrap_or(0);
+        self.world_obs.event(Stage::Crash, end, sid);
+        self.crashed.insert(
+            sid,
+            CrashImage {
+                fp: h.finish(),
+                state,
+            },
+        );
         self.crashes_left -= 1;
         Ok(None)
     }
 
     fn do_recover(&mut self, sid: u64) -> Result<Option<Violation>, String> {
-        if !self.crashed.contains_key(&sid) {
-            return Err(format!("recover: server {sid} not crashed"));
-        }
-        let dir = self.dir.clone();
-        let mut shard_servers = Vec::new();
-        let mut last_end = 0;
-        for k in 0..self.cfg.shards.max(1) {
-            let device = if self.cfg.mutation == Mutation::Amnesia {
-                // Seeded bug: recovery forgets the NVRAM tail.
-                NvramDevice::new(NVRAM_CAP)
-            } else {
-                let Some(d) = self.nvrams.get(&sid).and_then(|v| v.get(k as usize)) else {
-                    return Err(format!("recover: no NVRAM handle for {sid}/{k}"));
-                };
-                d.clone()
-            };
-            let (mut server, _fresh_obs, _device) =
-                Self::boot(&self.cfg, &dir, sid, k, Some(device))?;
-            if let Some(handle) = self.obs.get(&sid).and_then(|v| v.get(k as usize)) {
-                // Same handle as before the crash: the shard's trace
-                // spans its whole life, with the Crash/Recover markers
-                // inline.
-                server.set_obs(handle.clone());
-            }
-            let stream_end = server.store_mut().stream_end();
-            last_end = stream_end;
-            if let Some(obs) = self.obs.get(&sid).and_then(|v| v.get(k as usize)) {
-                obs.event(Stage::Recover, stream_end, sid);
-            }
-            shard_servers.push(server);
-        }
-        self.world_obs.event(Stage::Recover, last_end, sid);
-        self.servers.insert(sid, shard_servers);
         let Some(image) = self.crashed.remove(&sid) else {
-            return Err(format!("recover: lost crash image for {sid}"));
+            return Err(format!("recover: server {sid} not crashed"));
         };
+        // Seeded bug: recovery forgets the NVRAM tail.
+        let amnesia = self.cfg.mutation == Mutation::Amnesia;
+        let end = self
+            .servers
+            .recover(sid, amnesia)
+            .map_err(|e| format!("recover server {sid}: {e}"))?;
+        self.world_obs.event(Stage::Recover, end, sid);
         Ok(self.recovery_check(sid, &image))
     }
 
@@ -1045,81 +879,41 @@ impl McWorld {
     /// truncates to the durable index; replay reaches a consistent
     /// prefix").
     fn recovery_check(&mut self, sid: u64, image: &CrashImage) -> Option<Violation> {
+        let recovered: Vec<Vec<ClientImage>> = self
+            .servers
+            .shards_mut(sid)
+            .map(|(_, server)| client_rows(server))
+            .collect();
         for (k, shard_state) in image.state.iter().enumerate() {
+            let now = recovered.get(k).map_or(&[][..], Vec::as_slice);
             for (client_id, intervals, records) in shard_state {
-                let client = ClientId(*client_id);
-                let Some(server) = self.servers.get_mut(&sid).and_then(|v| v.get_mut(k)) else {
-                    return Some(Violation {
-                        invariant: "recovery-consistency",
-                        detail: format!("server {sid} shard {k} vanished during recovery check"),
+                let (got_intervals, got_records) = now
+                    .iter()
+                    .find(|(c, _, _)| c == client_id)
+                    .map_or((&[][..], &[][..]), |(_, ivs, recs)| {
+                        (ivs.as_slice(), recs.as_slice())
                     });
-                };
-                let got = server.store_mut().interval_list(client);
-                if got.intervals() != intervals.as_slice() {
+                if got_intervals != intervals.as_slice() {
                     return Some(Violation {
                         invariant: "recovery-consistency",
                         detail: format!(
-                            "server {sid} shard {k} client {client_id}: intervals {:?} after \
-                             recovery, expected {:?}",
-                            got.intervals(),
-                            intervals
+                            "server {sid} shard {k} client {client_id}: intervals \
+                             {got_intervals:?} after recovery, expected {intervals:?}"
                         ),
                     });
                 }
-                for (lsn, bytes) in records {
-                    let rec = server.store_mut().read(client, Lsn(*lsn)).ok().flatten();
-                    let ok = rec
-                        .as_ref()
-                        .is_some_and(|r| r.present && r.data.as_bytes() == bytes.as_slice());
-                    if !ok {
-                        return Some(Violation {
-                            invariant: "recovery-consistency",
-                            detail: format!(
-                                "server {sid} shard {k} client {client_id} lsn {lsn}: durable \
-                                 record lost or corrupted by recovery"
-                            ),
-                        });
-                    }
+                if let Some((lsn, _)) = records.iter().find(|r| !got_records.contains(r)) {
+                    return Some(Violation {
+                        invariant: "recovery-consistency",
+                        detail: format!(
+                            "server {sid} shard {k} client {client_id} lsn {lsn}: durable \
+                             record lost or corrupted by recovery"
+                        ),
+                    });
                 }
             }
         }
         None
-    }
-
-    /// Snapshot server `sid`'s durable contents across every shard
-    /// (used at crash time).
-    fn durable_image(&mut self, sid: u64) -> Result<CrashImage, String> {
-        let Some(shards) = self.servers.get_mut(&sid) else {
-            return Err(format!("no server {sid}"));
-        };
-        let mut state = Vec::new();
-        let mut h = Fnv::new();
-        for server in shards.iter_mut() {
-            let store = server.store_mut();
-            let mut clients = store.clients();
-            clients.sort_unstable();
-            let mut shard_state = Vec::new();
-            for client in clients {
-                let intervals: Vec<Interval> = store.interval_list(client).intervals().to_vec();
-                let mut records = Vec::new();
-                for iv in &intervals {
-                    let mut at = iv.lo;
-                    while at <= iv.hi {
-                        if let Ok(Some(rec)) = store.read(client, at) {
-                            records.push((at.0, rec.data.as_bytes().to_vec()));
-                        }
-                        at = at.next();
-                    }
-                }
-                shard_state.push((client.0, intervals, records));
-            }
-            hash_image(&mut h, &shard_state);
-            state.push(shard_state);
-        }
-        Ok(CrashImage {
-            fp: h.finish(),
-            state,
-        })
     }
 
     /// The global invariants checked after every transition. Returns
@@ -1128,21 +922,18 @@ impl McWorld {
         // 1. ack-after-force, per shard trace (the run-time check of
         //    the `Durable` token; forced acks carry bit 0 of the detail
         //    word).
-        for (sid, handles) in &self.obs {
-            for (k, obs) in handles.iter().enumerate() {
-                let Some(snap) = obs.snapshot() else { continue };
-                if let Err(e) = check_force_before_ack(&snap.trace) {
-                    return Some(Violation {
-                        invariant: "ack-after-force",
-                        detail: format!("server {sid} shard {k}: {e}"),
-                    });
-                }
+        for (sid, k, obs) in self.servers.obs() {
+            let Some(snap) = obs.snapshot() else { continue };
+            if let Err(e) = check_force_before_ack(&snap.trace) {
+                return Some(Violation {
+                    invariant: "ack-after-force",
+                    detail: format!("server {sid} shard {k}: {e}"),
+                });
             }
         }
         // 2. WriteLog atomicity / byte-identical read-back: everything
         //    a live server stores must match what the client wrote.
-        let live: Vec<u64> = self.servers.keys().copied().collect();
-        for sid in live {
+        for sid in 1..=self.cfg.servers {
             if let Some(v) = self.readback_check(sid) {
                 return Some(v);
             }
@@ -1155,8 +946,8 @@ impl McWorld {
         }
         // 4. Obligation cap: no shard's batch outgrows its configured
         //    bound (the cap triggers an inline flush).
-        for (sid, shards) in &self.servers {
-            for (k, server) in shards.iter().enumerate() {
+        for sid in 1..=self.cfg.servers {
+            for (k, server) in self.servers.shards(sid) {
                 let n = server.coalescing_obligations().len();
                 if n > self.cfg.coalesce_max_batch {
                     return Some(Violation {
@@ -1175,45 +966,40 @@ impl McWorld {
 
     fn readback_check(&mut self, sid: u64) -> Option<Violation> {
         let shard_count = self.cfg.shards as usize;
-        let shards = self.servers.get_mut(&sid)?;
-        for (k, server) in shards.iter_mut().enumerate() {
-            let store = server.store_mut();
-            let mut clients = store.clients();
-            clients.sort_unstable();
-            for client in clients {
+        let payload_len = self.cfg.payload_len;
+        for (k, server) in self.servers.shards_mut(sid) {
+            for (client, intervals, records) in client_rows(server) {
                 // router-stability: every record a shard holds must be
                 // for a logical log that hashes to that shard. Routing
                 // is a pure function of the log id, so the same client
                 // can never land on two shards — which is exactly what
                 // makes "same-LogId ops never reorder across shards"
                 // hold: one log, one shard, one ordered event loop.
-                let want_shard = LogId::for_client(client).shard(shard_count);
+                let want_shard = LogId::for_client(ClientId(client)).shard(shard_count) as u64;
                 if want_shard != k {
                     return Some(Violation {
                         invariant: "router-stability",
                         detail: format!(
-                            "server {sid}: client {}'s records landed on shard {k}, but its \
-                             logical log hashes to shard {want_shard}",
-                            client.0
+                            "server {sid}: client {client}'s records landed on shard {k}, but \
+                             its logical log hashes to shard {want_shard}"
                         ),
                     });
                 }
-                let intervals: Vec<Interval> = store.interval_list(client).intervals().to_vec();
+                let mut stored = records.iter();
                 for iv in &intervals {
                     let mut at = iv.lo;
                     while at <= iv.hi {
-                        let rec = store.read(client, at).ok().flatten();
-                        let want = mc_payload(client.0, at.0, self.cfg.payload_len);
-                        let ok = rec
-                            .as_ref()
-                            .is_some_and(|r| r.present && r.data.as_bytes() == want.as_slice());
-                        if !ok {
+                        let want = mc_payload(client, at.0, payload_len);
+                        if !stored
+                            .next()
+                            .is_some_and(|(lsn, bytes)| *lsn == at.0 && *bytes == want)
+                        {
                             return Some(Violation {
                                 invariant: "readback-atomicity",
                                 detail: format!(
-                                    "server {sid} shard {k} client {} lsn {}: stored record \
-                                     missing or not byte-identical to the write",
-                                    client.0, at.0
+                                    "server {sid} shard {k} client {client} lsn {}: stored \
+                                     record missing or not byte-identical to the write",
+                                    at.0
                                 ),
                             });
                         }
@@ -1260,8 +1046,8 @@ impl McWorld {
                     image.state.iter().flatten().any(|(cid, intervals, _)| {
                         *cid == id.0 && intervals.iter().any(|iv| iv.contains(at))
                     })
-                } else if let Some(shards) = self.servers.get_mut(&sid) {
-                    shards.iter_mut().any(|server| {
+                } else {
+                    self.servers.shards_mut(sid).any(|(_, server)| {
                         server
                             .store_mut()
                             .interval_list(id)
@@ -1269,8 +1055,6 @@ impl McWorld {
                             .iter()
                             .any(|iv| iv.contains(at))
                     })
-                } else {
-                    false
                 };
                 if holds {
                     holders = holders.saturating_add(1);
@@ -1309,43 +1093,24 @@ impl McWorld {
                 continue;
             }
             h.u64(0xa11e);
-            let shard_count = self.servers.get(&sid).map_or(0, Vec::len);
-            h.u64(shard_count as u64);
-            for k in 0..shard_count {
-                let obligations = self
-                    .servers
-                    .get(&sid)
-                    .and_then(|v| v.get(k))
-                    .map(LogServer::coalescing_obligations)
-                    .unwrap_or_default();
-                let grants = self
-                    .servers
-                    .get(&sid)
-                    .and_then(|v| v.get(k))
-                    .map(LogServer::interval_grants)
-                    .unwrap_or_default();
-                if let Some(server) = self.servers.get_mut(&sid).and_then(|v| v.get_mut(k)) {
-                    let store = server.store_mut();
-                    let mut clients = store.clients();
-                    clients.sort_unstable();
-                    h.u64(clients.len() as u64);
-                    for client in clients {
-                        h.u64(client.0);
-                        let intervals: Vec<Interval> =
-                            store.interval_list(client).intervals().to_vec();
-                        h.u64(intervals.len() as u64);
-                        for iv in &intervals {
-                            h.u64(iv.epoch.0);
-                            h.u64(iv.lo.0);
-                            h.u64(iv.hi.0);
-                            let mut at = iv.lo;
-                            while at <= iv.hi {
-                                if let Ok(Some(rec)) = store.read(client, at) {
-                                    h.bytes(rec.data.as_bytes());
-                                } else {
-                                    h.u64(0xbad);
-                                }
-                                at = at.next();
+            h.u64(self.servers.shards(sid).count() as u64);
+            for (_, server) in self.servers.shards_mut(sid) {
+                let obligations = server.coalescing_obligations();
+                let grants = server.interval_grants();
+                let rows = client_rows(server);
+                h.u64(rows.len() as u64);
+                for (client, intervals, records) in &rows {
+                    h.u64(*client);
+                    h.u64(intervals.len() as u64);
+                    let mut stored = records.iter().peekable();
+                    for iv in intervals {
+                        h.u64(iv.epoch.0);
+                        h.u64(iv.lo.0);
+                        h.u64(iv.hi.0);
+                        for at in iv.lo.0..=iv.hi.0 {
+                            match stored.next_if(|(lsn, _)| *lsn == at) {
+                                Some((_, bytes)) => h.bytes(bytes),
+                                None => h.u64(0xbad),
                             }
                         }
                     }
@@ -1396,8 +1161,9 @@ impl McWorld {
         }
         h.u64(u64::from(self.dups_left));
         h.u64(u64::from(self.crashes_left));
-        h.u64(self.last_ack.len() as u64);
-        for ((sid, cid), lsn) in &self.last_ack {
+        let last_acks = self.servers.last_acks();
+        h.u64(last_acks.len() as u64);
+        for ((sid, cid), lsn) in last_acks {
             h.u64(*sid);
             h.u64(*cid);
             h.u64(lsn.0);

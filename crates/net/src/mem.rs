@@ -295,12 +295,6 @@ impl MemNetwork {
         }
     }
 
-    /// True if the node is currently marked down.
-    #[must_use]
-    pub fn is_down(&self, addr: NodeAddr) -> bool {
-        unpoisoned(self.inner.topo.read()).down.contains(&addr)
-    }
-
     /// Delivery counters.
     #[must_use]
     pub fn stats(&self) -> NetStats {

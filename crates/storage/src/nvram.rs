@@ -13,10 +13,7 @@
 //! across an OS crash. The buffer tracks the log-stream position its
 //! pending bytes begin at, so recovery can replay them idempotently.
 //!
-//! The device also offers a small separate area for the *active interval*
-//! snapshot (§4.3: "unless there is sufficient low latency non volatile
-//! memory to store active intervals"), and the **guarded write** check of
-//! §5.1: "data in directly addressable non volatile memory may be more
+//! The device also models the **guarded write** check of §5.1: "data in directly addressable non volatile memory may be more
 //! prone to corruption by software error. Needham et al. have suggested
 //! that a solution ... is to provide hardware to help check that each new
 //! value for the non volatile memory was computed from a previous value."
@@ -97,8 +94,6 @@ struct NvramState {
     track: Vec<u8>,
     /// Log-stream position at which `track` begins.
     base_pos: u64,
-    /// Snapshot area for active interval ends.
-    intervals: Option<Vec<u8>>,
     /// The §5.1 guard seal: a running digest over every state transition,
     /// which a legitimate writer learns only by reading the device.
     seal: u64,
@@ -310,20 +305,8 @@ impl NvramDevice {
         let mut st = self.state.lock();
         st.track.clear();
         st.base_pos = pos;
-        st.intervals = None;
         let p = pos.to_le_bytes();
         st.advance_seal(&p);
-    }
-
-    /// Store the active-interval snapshot.
-    pub fn store_intervals(&self, bytes: Vec<u8>) {
-        self.state.lock().intervals = Some(bytes);
-    }
-
-    /// Fetch the active-interval snapshot, if any.
-    #[must_use]
-    pub fn load_intervals(&self) -> Option<Vec<u8>> {
-        self.state.lock().intervals.clone()
     }
 }
 
@@ -380,16 +363,6 @@ mod tests {
         assert_eq!(dev.read_at(106, 4), Some(b"6789".to_vec()));
         assert_eq!(dev.read_at(106, 5), None); // runs past the tail
         assert_eq!(dev.read_at(99, 1), None); // before the base
-    }
-
-    #[test]
-    fn interval_snapshot_area() {
-        let dev = NvramDevice::new(8);
-        assert_eq!(dev.load_intervals(), None);
-        dev.store_intervals(vec![9, 9, 9]);
-        assert_eq!(dev.load_intervals(), Some(vec![9, 9, 9]));
-        dev.format(0);
-        assert_eq!(dev.load_intervals(), None);
     }
 
     #[test]

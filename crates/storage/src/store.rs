@@ -551,19 +551,6 @@ impl LogStore {
         Ok(())
     }
 
-    /// Drop stream segments wholly below `pos` (§5.3 space management).
-    /// The interval table forgets the dropped records, so later reads of
-    /// them report "not stored" (the client reads another holder, or the
-    /// record has moved offline per the dump policy).
-    ///
-    /// # Errors
-    /// Propagates I/O failures.
-    pub fn drop_log_before(&mut self, pos: u64) -> Result<u64> {
-        let new_start = self.stream.drop_before(pos)?;
-        self.replay.table.prune_below(new_start);
-        Ok(new_start)
-    }
-
     /// §5.3 retention enforcement: when the live stream exceeds
     /// `max_bytes`, drop whole old segments until it fits (as closely as
     /// segment granularity allows) and refresh the checkpoint so recovery

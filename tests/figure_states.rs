@@ -2,7 +2,9 @@
 //! client/server stack through the paper's worked example and assert the
 //! interval-table *shapes* at each stage (the concrete epoch numbers come
 //! from the live generator, so they are asserted as ordered variables
-//! e1 < e2 < e3 rather than the figures' literal 1/3/4).
+//! e1 < e2 < e3 rather than the figures' literal 1/3/4). Each stage's
+//! tables are printed under
+//! `cargo test -p dlog-bench --test figure_states -- --nocapture`.
 
 use dlog_bench::harness::{client_addr, server_addr};
 use dlog_bench::{payload, Cluster, ClusterOptions};
@@ -46,6 +48,20 @@ fn interval_list(cluster: &Cluster, s: ServerId, c: ClientId) -> IntervalList {
     }
 }
 
+/// Print every server's interval table for `c` under `caption`.
+fn dump(cluster: &Cluster, c: ClientId, caption: &str) {
+    println!("--- {caption}");
+    for &s in &cluster.servers {
+        let list = interval_list(cluster, s, c);
+        let ivs: Vec<String> = list
+            .intervals()
+            .iter()
+            .map(|iv| format!("LSN {}..{} @epoch {}", iv.lo, iv.hi, iv.epoch))
+            .collect();
+        println!("  Server {}: {}", s.0, ivs.join(", "));
+    }
+}
+
 #[test]
 fn figures_3_1_through_3_3() {
     let cluster = Cluster::start("figure-states", ClusterOptions::new(3));
@@ -64,6 +80,7 @@ fn figures_3_1_through_3_3() {
         log.force().unwrap();
         // crash
     }
+    dump(&cluster, c, "records 1-3 on servers 1 and 2 (epoch e1)");
     let l1 = interval_list(&cluster, s1, c);
     let l2 = interval_list(&cluster, s2, c);
     let l3 = interval_list(&cluster, s3, c);
@@ -93,6 +110,11 @@ fn figures_3_1_through_3_3() {
         cluster.net.heal(client_addr(c), server_addr(s2));
         // crash here (cleanly: everything on N servers)
     }
+    dump(
+        &cluster,
+        c,
+        "Figure 3-1: restart without server 2, then records 5-9 (e2)",
+    );
     // Figure 3-1 shape: server 1 has (e1: 1..3) and (e2: 3..9);
     // server 2 (the one that missed the restart) still has only (e1: 1..3);
     // server 3 has (e2: 3..9).
@@ -110,8 +132,9 @@ fn figures_3_1_through_3_3() {
     assert_eq!(l2.intervals(), &[Interval::new(e1, Lsn(1), Lsn(3))]);
     assert_eq!(l3.intervals(), &[Interval::new(e2, Lsn(3), Lsn(9))]);
 
-    // ---- Stage C (Figure 3-2): record 10 reaches only server 1.
-    {
+    // ---- Stage C (Figure 3-2): a third incarnation's first record
+    // reaches only server 1.
+    let (partial, t_other) = {
         let mut log = cluster.client_with(c.0, 2, 1, AssignStrategy::Fixed);
         // Make server 2 invisible again so targets remain {1, 3}.
         cluster.net.partition(client_addr(c), server_addr(s2));
@@ -123,14 +146,33 @@ fn figures_3_1_through_3_3() {
             .find(|&t| t != s1)
             .expect("two targets");
         cluster.net.partition(client_addr(c), server_addr(t_other));
-        log.write(payload(100, 40)).unwrap();
+        let partial = log.write(payload(100, 40)).unwrap();
         log.flush().unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(120));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while interval_list(&cluster, s1, c).last().map(|iv| iv.hi) != Some(partial) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "record never reached server 1"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
         cluster.net.heal(client_addr(c), server_addr(t_other));
         cluster.net.heal(client_addr(c), server_addr(s2));
         // crash with the record partially written
-    }
-    let partial_end = interval_list(&cluster, s1, c).last().map(|iv| iv.hi);
+        (partial, t_other)
+    };
+    dump(
+        &cluster,
+        c,
+        "Figure 3-2: the last record partially written, client crashed",
+    );
+    // Figure 3-2 shape: the partial record sits on server 1 alone.
+    assert!(
+        interval_list(&cluster, t_other, c)
+            .last()
+            .is_some_and(|iv| iv.hi < partial),
+        "the partial record reached server {t_other} too"
+    );
 
     // ---- Stage D (Figure 3-3): restart; the doubtful tail is re-copied
     // under epoch e3 and a not-present record is appended; the log is
@@ -139,6 +181,11 @@ fn figures_3_1_through_3_3() {
     init_retry(&mut log);
     let e3 = log.epoch();
     assert!(e3 > e2);
+    dump(
+        &cluster,
+        c,
+        "Figure 3-3: after the restart (copy + not-present, e3)",
+    );
     let end = log.end_of_log().unwrap();
     // Whatever the init quorum saw, the end covers at least the certain
     // records (through the stage-B recovery end plus the mask).
@@ -162,7 +209,6 @@ fn figures_3_1_through_3_3() {
         stale.epoch < e3,
         "server 3 keeps its stale copy, as in Figure 3-3"
     );
-    let _ = partial_end;
 
     // Reads are consistent and the log accepts new writes.
     for i in 1..=end.0 {

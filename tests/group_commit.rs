@@ -61,7 +61,7 @@ fn run_case(
 ) -> CaseFingerprint {
     let dir = fresh_dir();
     let rng_seed = plan.seed ^ 0xC0A1_E5CE;
-    let (world, observers) = build_world(
+    let world = build_world(
         &dir,
         SyncWorldOptions::coalescing(
             M,
@@ -111,13 +111,13 @@ fn run_case(
     // the fault schedule can drop or reorder them.)
     let w = world.lock().expect("world lock");
     let mut coalesced_total = 0;
-    let mut fingerprint: CaseFingerprint = Vec::with_capacity(observers.len());
-    for (addr, obs) in &observers {
+    let mut fingerprint: CaseFingerprint = Vec::new();
+    for (addr, _, obs) in w.servers.obs() {
         let snap = obs.snapshot().expect("obs enabled");
         prop_assert_eq!(snap.trace_dropped, 0, "trace ring overflowed on {:?}", addr);
         check_force_before_ack(&snap.trace)
             .unwrap_or_else(|e| panic!("{addr:?}: force-before-ack violated: {e}"));
-        let server = w.servers.get(addr).expect("server exists");
+        let (_, server) = w.servers.shards(addr).next().expect("server exists");
         let st = server.stats();
         coalesced_total += st.coalesced_forces;
         prop_assert!(
@@ -135,7 +135,7 @@ fn run_case(
         }
         let (ingest_allocs, ingest_records) = server.ingest_alloc_gauge();
         let trace_bytes = snap.trace.iter().flat_map(|e| e.to_bytes()).collect();
-        fingerprint.push((addr.0, ingest_allocs, ingest_records, trace_bytes));
+        fingerprint.push((addr, ingest_allocs, ingest_records, trace_bytes));
     }
     prop_assert!(coalesced_total > 0, "no force was ever deferred");
     drop(w);

@@ -30,6 +30,10 @@ const CLIENT_ADDR: NodeAddr = NodeAddr(1000);
 /// replays exactly, so this is a gate without spread: one extra
 /// allocation per write adds 120 and fails it.
 const RELIABLE_ALLOC_CEILING: u64 = 633;
+/// In a crash run, the client's first target crashes after this many
+/// writes and recovers after `RECOVER_AT`.
+const CRASH_AT: u64 = 40;
+const RECOVER_AT: u64 = 80;
 
 fn fresh_dir(label: &str) -> PathBuf {
     let d = std::env::temp_dir()
@@ -52,11 +56,12 @@ struct RunFingerprint {
 
 /// Run the fixed workload under `plan` and return the ordered trace as
 /// bytes (25 bytes per event, wall-clock-free by construction) plus the
-/// client's counters and the run's allocation fingerprint.
-fn run_once(plan: FaultPlan, dir: &Path) -> RunFingerprint {
+/// client's counters and the run's allocation fingerprint. With `crash`,
+/// one server crashes and recovers mid-workload.
+fn run_once(plan: FaultPlan, dir: &Path, crash: bool) -> RunFingerprint {
     let allocs_before = dlog_obs::gauge::thread_allocs();
     let obs = Obs::new(&ObsOptions::on());
-    let (world, _observers) =
+    let world =
         build_world(dir, SyncWorldOptions::shared(M, plan, obs.clone())).expect("build world");
     let world_handle = std::sync::Arc::clone(&world);
     let ep = SyncEndpoint::new(CLIENT_ADDR, world);
@@ -68,10 +73,21 @@ fn run_once(plan: FaultPlan, dir: &Path) -> RunFingerprint {
     log.set_obs(obs.clone());
     log.initialize().unwrap();
 
+    let mut victim = None;
     for i in 1u64..=120 {
         log.write(dlog_bench::payload(i, 48)).unwrap();
         if i % 7 == 0 {
             log.force().unwrap();
+        }
+        if crash && i == CRASH_AT {
+            let sid = log.targets()[0].0;
+            let mut w = world_handle.lock().expect("world lock");
+            assert!(w.servers.crash(sid).is_some(), "server {sid} was down");
+            victim = Some(sid);
+        }
+        if let Some(sid) = victim.filter(|_| i == RECOVER_AT) {
+            let mut w = world_handle.lock().expect("world lock");
+            w.servers.recover(sid, false).expect("recover");
         }
     }
     log.force().unwrap();
@@ -90,15 +106,14 @@ fn run_once(plan: FaultPlan, dir: &Path) -> RunFingerprint {
     // thread-local allocation count and the servers' ingest gauges are
     // part of what a deterministic replay must reproduce.
     let w = world_handle.lock().expect("world lock");
-    let mut server_gauges: Vec<(u64, u64, u64)> = w
-        .servers
-        .iter()
-        .map(|(addr, server)| {
-            let (allocs, records) = server.ingest_alloc_gauge();
-            (addr.0, allocs, records)
+    let server_gauges: Vec<(u64, u64, u64)> = (1..=M)
+        .flat_map(|sid| {
+            w.servers.shards(sid).map(move |(_, server)| {
+                let (allocs, records) = server.ingest_alloc_gauge();
+                (sid, allocs, records)
+            })
         })
         .collect();
-    server_gauges.sort_unstable();
     drop(w);
 
     RunFingerprint {
@@ -157,14 +172,15 @@ fn warm_up(label: &str) {
     let _ = run_once(
         FaultPlan::reliable(),
         &fresh_dir(&format!("{label}-warmup")),
+        false,
     );
 }
 
 #[test]
 fn same_seed_replays_byte_identical_reliable() {
     warm_up("reliable");
-    let a = run_once(FaultPlan::reliable(), &fresh_dir("reliable-a"));
-    let b = run_once(FaultPlan::reliable(), &fresh_dir("reliable-b"));
+    let a = run_once(FaultPlan::reliable(), &fresh_dir("reliable-a"), false);
+    let b = run_once(FaultPlan::reliable(), &fresh_dir("reliable-b"), false);
     assert_replays_identical("reliable", &a, &b, true);
     assert!(
         a.thread_allocs <= RELIABLE_ALLOC_CEILING,
@@ -179,8 +195,8 @@ fn same_seed_replays_byte_identical_reliable() {
 #[test]
 fn same_seed_replays_byte_identical_flaky() {
     warm_up("flaky");
-    let a = run_once(FaultPlan::flaky(0xD106), &fresh_dir("flaky-a"));
-    let b = run_once(FaultPlan::flaky(0xD106), &fresh_dir("flaky-b"));
+    let a = run_once(FaultPlan::flaky(0xD106), &fresh_dir("flaky-a"), false);
+    let b = run_once(FaultPlan::flaky(0xD106), &fresh_dir("flaky-b"), false);
     assert_replays_identical("flaky", &a, &b, false);
 }
 
@@ -192,8 +208,16 @@ fn same_seed_replays_byte_identical_flaky() {
 #[test]
 fn same_seed_replays_byte_identical_hostile() {
     warm_up("hostile");
-    let a = run_once(FaultPlan::hostile(0xBACC0FF), &fresh_dir("hostile-a"));
-    let b = run_once(FaultPlan::hostile(0xBACC0FF), &fresh_dir("hostile-b"));
+    let a = run_once(
+        FaultPlan::hostile(0xBACC0FF),
+        &fresh_dir("hostile-a"),
+        false,
+    );
+    let b = run_once(
+        FaultPlan::hostile(0xBACC0FF),
+        &fresh_dir("hostile-b"),
+        false,
+    );
     assert!(
         a.stats.resends > 0,
         "hostile plan never exercised the retry path; the test pins nothing"
@@ -205,12 +229,28 @@ fn same_seed_replays_byte_identical_hostile() {
     assert_replays_identical("hostile", &a, &b, false);
 }
 
+/// A server crash and recovery mid-workload, through the shared
+/// world's crash/recover, replays exactly too: the client's timeouts,
+/// its switch away from the dead target and the recovered store's
+/// reopen all land in the same order.
+#[test]
+fn same_seed_replays_byte_identical_across_a_crash() {
+    warm_up("crash");
+    let a = run_once(FaultPlan::reliable(), &fresh_dir("crash-a"), true);
+    let b = run_once(FaultPlan::reliable(), &fresh_dir("crash-b"), true);
+    assert!(
+        a.stats.switches > 0,
+        "the crash never moved the client; the test pins nothing"
+    );
+    assert_replays_identical("crash", &a, &b, false);
+}
+
 #[test]
 fn different_fault_schedules_diverge() {
     // Sanity check that the comparison has teeth: a lossy schedule
     // produces a different event sequence than the reliable one.
-    let a = run_once(FaultPlan::reliable(), &fresh_dir("div-a"));
-    let b = run_once(FaultPlan::flaky(7), &fresh_dir("div-b"));
+    let a = run_once(FaultPlan::reliable(), &fresh_dir("div-a"), false);
+    let b = run_once(FaultPlan::flaky(7), &fresh_dir("div-b"), false);
     assert!(
         a.trace != b.trace,
         "flaky and reliable schedules produced equal traces"

@@ -7,12 +7,12 @@ use std::path::PathBuf;
 
 use dlog_core::client::{ClientOptions, ReplicatedLog};
 use dlog_core::net::ClientNet;
+use dlog_mc::harness::open_server;
 use dlog_net::udp::UdpEndpoint;
 use dlog_net::wire::NodeAddr;
-use dlog_server::gen::GenStore;
 use dlog_server::runner::ServerRunner;
-use dlog_server::{LogServer, ServerConfig};
-use dlog_storage::{LogStore, NvramDevice, StoreOptions};
+use dlog_server::ServerConfig;
+use dlog_storage::NvramDevice;
 use dlog_types::{ClientId, Lsn, ReplicationConfig, ServerId};
 
 fn loopback() -> SocketAddr {
@@ -78,14 +78,7 @@ fn start_with_clients(
     for (i, ep) in server_eps.into_iter().enumerate() {
         let sid = server_ids[i];
         let dir = cluster.root.join(format!("server-{}", sid.0));
-        let opts = StoreOptions {
-            fsync: false,
-            checkpoint_every: 0,
-            ..StoreOptions::default()
-        };
-        let store = LogStore::open(&dir, opts, NvramDevice::new(1 << 20)).unwrap();
-        let gens = GenStore::open(dir.join("gens")).unwrap();
-        let server = LogServer::new(ServerConfig::new(sid), store, gens).unwrap();
+        let server = open_server(&dir, ServerConfig::new(sid), NvramDevice::new(1 << 20)).unwrap();
         cluster.runners.push(ServerRunner::spawn(server, ep));
     }
     (cluster, client_eps)
