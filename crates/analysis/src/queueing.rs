@@ -10,10 +10,10 @@
 //! * **M/D/1** — deterministic service, the right shape for a force
 //!   that is a fixed-cost NVRAM insert (Pollaczek–Khinchine).
 
-/// Mean response time (waiting + service) of an M/M/1 queue.
-///
-/// `lambda`: arrivals/sec; `mu`: service rate/sec. Returns `None` when
-/// the queue is unstable (λ ≥ μ).
+/// Test hook: mean response time (waiting + service) of an M/M/1 queue,
+/// the envelope [`md1_response`] and the `dlog-sim` queue are checked
+/// against. `lambda`: arrivals/sec; `mu`: service rate/sec. Returns
+/// `None` when the queue is unstable (λ ≥ μ).
 #[must_use]
 pub fn mm1_response(lambda: f64, mu: f64) -> Option<f64> {
     (lambda < mu && lambda >= 0.0).then(|| 1.0 / (mu - lambda))

@@ -97,7 +97,7 @@ impl Archiver {
         })
     }
 
-    /// Replace the retry policy (builder-style).
+    /// Test hook: replace the retry policy (fault tests drop the backoff).
     #[must_use]
     pub fn with_policy(mut self, policy: RetryPolicy) -> Archiver {
         self.policy = policy;

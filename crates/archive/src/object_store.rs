@@ -164,8 +164,8 @@ impl MemStore {
         MemStore::default()
     }
 
-    /// Arm the fault: the next `n` puts succeed, after which every put
-    /// fails (leaving a torn object when `tear` is set) until
+    /// Test hook: arm the fault. The next `n` puts succeed, after which
+    /// every put fails (leaving a torn object when `tear` is set) until
     /// [`MemStore::clear_faults`].
     pub fn fail_after_puts(&self, n: u64, tear: bool) {
         let mut inner = self.inner.lock();
@@ -173,14 +173,14 @@ impl MemStore {
         inner.tear_on_fault = tear;
     }
 
-    /// Disarm any injected fault.
+    /// Test hook: disarm any injected fault.
     pub fn clear_faults(&self) {
         let mut inner = self.inner.lock();
         inner.puts_until_fault = None;
         inner.tear_on_fault = false;
     }
 
-    /// Successful puts observed so far.
+    /// Test hook: successful puts observed so far.
     #[must_use]
     pub fn put_count(&self) -> u64 {
         self.inner.lock().puts

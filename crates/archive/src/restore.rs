@@ -11,7 +11,6 @@ use dlog_storage::crc::crc32;
 use dlog_storage::frame::Frame;
 use dlog_storage::intervals::IntervalTable;
 use dlog_storage::store::encode_checkpoint_image_into;
-use dlog_storage::stream::segment_file_name;
 use dlog_types::{ClientId, DlogError, Interval, IntervalList, LogRecord, Lsn, Result};
 
 use crate::manifest::{load_latest, Manifest};
@@ -71,7 +70,7 @@ pub fn restore_from(
                 "archive object {key} does not match its manifest entry"
             )));
         }
-        write_file(dir, segment_file_name(e.index).as_str(), view)?;
+        write_file(dir, key.as_str(), view)?;
     }
     let state = manifest.replay_state()?;
     let mut image = Vec::new();

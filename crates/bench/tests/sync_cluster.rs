@@ -38,7 +38,6 @@ fn client(world: &Arc<Mutex<SyncWorld>>, n: usize, delta: u64) -> ReplicatedLog<
     let mut opts = ClientOptions::new(ReplicationConfig::new(ids, n, delta).unwrap());
     opts.strategy = AssignStrategy::Fixed;
     opts.ack_timeout = Duration::from_millis(1);
-    opts.force_retries = 1;
     ReplicatedLog::new(ClientId(1), opts, net)
 }
 

@@ -145,7 +145,6 @@ fn run() -> Result<(), String> {
                     records_stored,
                     duplicates_ignored,
                     naks_sent,
-                    writes_shed,
                     rpcs,
                     forces_acked,
                     clients,
@@ -166,7 +165,7 @@ fn run() -> Result<(), String> {
                         sock.to_string()
                     };
                     println!(
-                        "{sock}: {records_stored} records, {clients} clients, {on_disk_bytes} bytes on disk, {tracks_flushed} tracks, {forces_acked} forces acked, {rpcs} rpcs, {naks_sent} naks, {duplicates_ignored} dups ignored, {writes_shed} shed"
+                        "{sock}: {records_stored} records, {clients} clients, {on_disk_bytes} bytes on disk, {tracks_flushed} tracks, {forces_acked} forces acked, {rpcs} rpcs, {naks_sent} naks, {duplicates_ignored} dups ignored"
                     );
                     println!(
                         "{sock}: archive: {archived_bytes} bytes archived, {pending_upload_bytes} pending upload, last manifest lsn {last_manifest_lsn}, {upload_retries} upload retries"

@@ -1,13 +1,13 @@
 //! Load-assignment strategies (§5.4): how a client picks the N target
 //! servers among the M available, and how it picks a replacement when a
-//! target fails or sheds load.
+//! target fails or falls silent.
 //!
 //! "Ideally, clients should distribute their load evenly among log servers
 //! so as to minimize response times. ... Presumably, simple decentralized
 //! strategies for assigning loads fairly can be used." The paper leaves
 //! the strategy open; we implement the obvious candidates, and experiment
 //! E10 compares their behaviour (server-switch rates, interval-list
-//! lengths) under load shedding.
+//! lengths) under simulated overload (`dlog-sim::assign`).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -28,27 +28,10 @@ pub struct ClientOptions {
     pub config: ReplicationConfig,
     /// How targets are chosen (§5.4).
     pub strategy: AssignStrategy,
-    /// Generator state representatives for epoch numbers (Appendix I);
-    /// defaults to all M servers when empty.
-    pub epoch_representatives: Vec<ServerId>,
     /// Cap on the ack-wait backoff: no single wait for acknowledgments
-    /// exceeds this, and a server is only charged a failed attempt (see
-    /// [`ClientOptions::force_retries`]) once waits have grown to it.
+    /// exceeds this, and a server is only charged a failed re-force
+    /// attempt once waits have grown to it.
     pub ack_timeout: Duration,
-    /// First ack-wait of the retry schedule; successive timeouts double
-    /// it (with deterministic jitter) up to [`ClientOptions::ack_timeout`].
-    /// Small by design: a lost ack under light loss should cost
-    /// milliseconds, not a full timeout period.
-    pub retry_base: Duration,
-    /// Capped re-force attempts per server before switching away from it
-    /// ("it retries a number of times before moving to a different
-    /// server", §4.2).
-    pub force_retries: u32,
-    /// Records requested per read RPC on a forward run: a `read` miss at
-    /// the LSN right after the previous `read` asks for this many, and
-    /// `read_backward` packs up to this many per round trip. Any other
-    /// `read` miss asks for the one record it returns.
-    pub read_ahead: u32,
 }
 
 impl ClientOptions {
@@ -58,14 +41,21 @@ impl ClientOptions {
         ClientOptions {
             config,
             strategy: AssignStrategy::Striped,
-            epoch_representatives: Vec::new(),
             ack_timeout: Duration::from_millis(120),
-            retry_base: Duration::from_millis(2),
-            force_retries: 3,
-            read_ahead: 64,
         }
     }
 }
+
+/// First ack-wait of the retry schedule; successive timeouts double it
+/// (with deterministic jitter) up to [`ClientOptions::ack_timeout`].
+/// Small by design: a lost ack under light loss should cost milliseconds,
+/// not a full timeout period.
+const RETRY_BASE: Duration = Duration::from_millis(2);
+
+/// Capped re-force attempts per server before switching away from it
+/// ("it retries a number of times before moving to a different server",
+/// §4.2).
+const FORCE_RETRIES: u32 = 3;
 
 /// One wait of the jittered exponential backoff schedule:
 /// `base << round` capped at `cap`, scaled by a factor in [0.75, 1.25)
@@ -96,6 +86,12 @@ fn backoff_at_cap(base: Duration, cap: Duration, round: u32) -> bool {
 /// Records the read-ahead cache keeps; the smallest LSNs are evicted
 /// first.
 const READ_CACHE_CAP: usize = 4096;
+
+/// Records requested per read RPC on a forward run: a `read` miss at the
+/// LSN right after the previous `read` asks for this many, and
+/// `read_backward` packs up to this many per round trip. Any other
+/// `read` miss asks for the one record it returns.
+const READ_AHEAD: u32 = 64;
 
 /// Client-side operation counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -282,12 +278,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
         // unique and increasing across this client's restarts; still, be
         // defensive against a view holding a higher epoch (e.g. restored
         // from foreign state) by drawing again.
-        let reps = if self.opts.epoch_representatives.is_empty() {
-            self.opts.config.servers.clone()
-        } else {
-            self.opts.epoch_representatives.clone()
-        };
-        let generator = EpochGenerator::new(self.id.0, reps);
+        let generator = EpochGenerator::new(self.id.0, self.opts.config.servers.clone());
         let max_seen = self
             .view
             .segments()
@@ -549,8 +540,8 @@ impl<E: Endpoint> ReplicatedLog<E> {
 
     /// `ReadLog` (§3.1): fetch the record at `lsn` using a single server
     /// (plus failover), the read cache, or the local write buffer. A miss
-    /// at the LSN after the previous read's asks for
-    /// [`ClientOptions::read_ahead`] records; any other miss asks for one.
+    /// at the LSN after the previous read's reads ahead; any other miss
+    /// asks for one.
     ///
     /// # Errors
     /// [`DlogError::NoSuchRecord`] for never-written LSNs,
@@ -586,11 +577,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
         // A miss that continues a forward run reads ahead; any other asks
         // for the one record it returns. That record is not cached: a
         // payload may be a view of the whole reply buffer.
-        let want = if continues_run {
-            self.opts.read_ahead
-        } else {
-            1
-        };
+        let want = if continues_run { READ_AHEAD } else { 1 };
         let holders = self.holders_of(lsn)?;
         let rec = self.fetch(lsn, want, &holders)?;
         if rec.present {
@@ -639,7 +626,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
             };
             let mut got_any = false;
             for s in candidates {
-                let want = (max - out.len() as u32).min(self.opts.read_ahead);
+                let want = (max - out.len() as u32).min(READ_AHEAD);
                 match self.net.rpc(
                     s,
                     Request::ReadLogBackward {
@@ -740,7 +727,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
                     if let Some(rec) = hit {
                         return Ok(rec);
                     }
-                    // Not stored there (shed or garbage-collected), or
+                    // Not stored there (garbage-collected), or
                     // not the copy the view names: try the next holder.
                 }
                 Ok(other) => {
@@ -847,7 +834,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
     /// Block until the window drains (`drain`: fully; otherwise: below δ).
     ///
     /// Waits follow a jittered exponential backoff from
-    /// [`ClientOptions::retry_base`] up to the [`ClientOptions::ack_timeout`]
+    /// [`RETRY_BASE`] up to the [`ClientOptions::ack_timeout`]
     /// cap: fixed-interval retries convoy under loss (every waiter
     /// re-fires in lockstep, and a single lost ack costs a whole
     /// period), while small first retries recover in milliseconds and
@@ -869,12 +856,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
             if done {
                 return Ok(());
             }
-            let wait = backoff_wait(
-                self.opts.retry_base,
-                self.opts.ack_timeout,
-                round,
-                &mut self.jitter,
-            );
+            let wait = backoff_wait(RETRY_BASE, self.opts.ack_timeout, round, &mut self.jitter);
             let progressed = self.net.poll(wait)?;
             self.process_naks()?;
             self.harvest_completions();
@@ -888,7 +870,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
             // the window head at all). Switching is charged only for
             // capped-length waits — early, milliseconds-long rounds must
             // not evict a merely slow server.
-            let at_cap = backoff_at_cap(self.opts.retry_base, self.opts.ack_timeout, round);
+            let at_cap = backoff_at_cap(RETRY_BASE, self.opts.ack_timeout, round);
             round = round.saturating_add(1);
             let newest_sent = self.in_flight.back().expect("in-flight nonempty").0;
             let laggards: Vec<ServerId> = self
@@ -902,7 +884,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
                 if at_cap {
                     *n += 1;
                 }
-                if *n > self.opts.force_retries {
+                if *n > FORCE_RETRIES {
                     if switch_budget == 0 {
                         return Err(DlogError::QuorumUnavailable {
                             operation: "WriteLog",
@@ -1170,7 +1152,6 @@ fn merge_status_rows(rows: Vec<Response>) -> Response {
                 records_stored,
                 duplicates_ignored,
                 naks_sent,
-                writes_shed,
                 rpcs,
                 forces_acked,
                 clients,
@@ -1189,7 +1170,6 @@ fn merge_status_rows(rows: Vec<Response>) -> Response {
                 records_stored: b_records_stored,
                 duplicates_ignored: b_duplicates_ignored,
                 naks_sent: b_naks_sent,
-                writes_shed: b_writes_shed,
                 rpcs: b_rpcs,
                 forces_acked: b_forces_acked,
                 clients: b_clients,
@@ -1209,7 +1189,6 @@ fn merge_status_rows(rows: Vec<Response>) -> Response {
             *records_stored += b_records_stored;
             *duplicates_ignored += b_duplicates_ignored;
             *naks_sent += b_naks_sent;
-            *writes_shed += b_writes_shed;
             *rpcs += b_rpcs;
             *forces_acked += b_forces_acked;
             *clients += b_clients;
@@ -1340,6 +1319,41 @@ mod tests {
         assert!(w > Duration::ZERO);
         assert!(w <= Duration::from_micros(130));
         assert_ne!(state, 0);
+    }
+
+    /// A `Status` row whose counters are `k`, `2k`, …, `13k` in wire order.
+    fn status_row(k: u64, last_manifest_lsn: u64, shard: u64, shards: u64) -> Response {
+        Response::Status {
+            records_stored: k,
+            duplicates_ignored: 2 * k,
+            naks_sent: 3 * k,
+            rpcs: 4 * k,
+            forces_acked: 5 * k,
+            clients: 6 * k,
+            on_disk_bytes: 7 * k,
+            tracks_flushed: 8 * k,
+            archived_bytes: 9 * k,
+            pending_upload_bytes: 10 * k,
+            last_manifest_lsn,
+            upload_retries: 11 * k,
+            coalesced_forces: 12 * k,
+            group_commits: 13 * k,
+            shard,
+            shards,
+        }
+    }
+
+    #[test]
+    fn status_rows_of_shards_fold_into_one_server_row() {
+        // Counters sum, the manifest LSN is the max, and the merged row
+        // speaks for the whole process: shard 0 of the largest count.
+        let merged = merge_status_rows(vec![status_row(1, 90, 0, 2), status_row(10, 40, 1, 2)]);
+        assert_eq!(merged, status_row(11, 90, 0, 2));
+        let merged = merge_status_rows(vec![status_row(3, 7, 1, 2), status_row(4, 8, 0, 4)]);
+        assert_eq!(merged, status_row(7, 8, 0, 4));
+        // One unsharded row passes through unchanged.
+        let row = status_row(5, 12, 0, 1);
+        assert_eq!(merge_status_rows(vec![row.clone()]), row);
     }
 
     /// A recovery manager scanning a long log backward must not keep every

@@ -21,7 +21,7 @@
 //! The client groups records and streams them to servers with the §4.2
 //! protocol: buffered `WriteLog` messages, `ForceLog` when durability is
 //! required, `NewHighLSN` acknowledgments, `MissingInterval` NAKs, and
-//! server switching with `NewInterval` when a server fails or sheds load.
+//! server switching with `NewInterval` when a server fails or falls silent.
 //!
 //! Additional design elements from the paper:
 //!

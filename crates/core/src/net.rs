@@ -51,9 +51,9 @@ pub struct ClientNet<E: Endpoint> {
     acks: HashMap<ServerId, Lsn>,
     /// Unprocessed NAKs, in arrival order.
     naks: VecDeque<Nak>,
-    /// Round-trip budget per RPC attempt.
+    /// Test hook: round-trip budget per RPC attempt.
     pub rpc_timeout: Duration,
-    /// Attempts per RPC before declaring the server unavailable.
+    /// Test hook: attempts per RPC before declaring the server unavailable.
     pub rpc_retries: u32,
     stats: NetClientStats,
 }

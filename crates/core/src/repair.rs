@@ -98,12 +98,8 @@ impl<E: Endpoint> ReplicatedLog<E> {
         }
 
         // 3. Fresh epoch strictly above everything in use.
-        let reps = if self.options().epoch_representatives.is_empty() {
-            self.options().config.servers.clone()
-        } else {
-            self.options().epoch_representatives.clone()
-        };
-        let generator = EpochGenerator::new(self.client_id().0, reps);
+        let generator =
+            EpochGenerator::new(self.client_id().0, self.options().config.servers.clone());
         let mut repair_epoch = generator.new_epoch(self.net_mut())?;
         while repair_epoch <= self.epoch() {
             repair_epoch = generator.new_epoch(self.net_mut())?;

@@ -230,12 +230,6 @@ impl<S: LogSink> SplitLogger<S> {
         &mut self.sink
     }
 
-    /// Bytes currently cached.
-    #[must_use]
-    pub fn cached_bytes(&self) -> usize {
-        self.cache_bytes
-    }
-
     /// Log an update: the redo component goes to the log immediately, the
     /// undo component enters the cache.
     ///
@@ -481,7 +475,7 @@ mod tests {
         assert_eq!(recs.len(), 3);
         assert!(matches!(recs[2], SplitRecord::Commit { .. }));
         assert_eq!(s.sink.forces, 1, "commit forces once");
-        assert_eq!(s.cached_bytes(), 0);
+        assert_eq!(s.cache_bytes, 0);
     }
 
     #[test]
@@ -497,7 +491,7 @@ mod tests {
         assert_eq!(undos[0].page, 2);
         assert_eq!(undos[1].page, 1);
         assert_eq!(s.stats().local_aborts, 1);
-        assert_eq!(s.cached_bytes(), 0);
+        assert_eq!(s.cache_bytes, 0);
     }
 
     #[test]
@@ -510,8 +504,9 @@ mod tests {
         assert_eq!(s.stats().page_clean_spills, 1);
         assert_eq!(s.stats().undo_bytes_logged, 30);
         assert_eq!(s.sink.forces, 1);
-        assert_eq!(s.cached_bytes(), 30); // page 8's undo still cached
-                                          // Cleaning an untouched page does nothing.
+        assert_eq!(s.cache_bytes, 30); // page 8's undo still cached
+
+        // Cleaning an untouched page does nothing.
         s.clean_page(99).unwrap();
         assert_eq!(s.sink.forces, 1);
     }
@@ -524,7 +519,7 @@ mod tests {
         s.update(t, 2, vec![0u8; 1], vec![1u8; 60]).unwrap(); // 120 > 100
         assert_eq!(s.stats().cache_spills, 1);
         assert_eq!(s.stats().undo_bytes_logged, 60);
-        assert!(s.cached_bytes() <= 100);
+        assert!(s.cache_bytes <= 100);
         // The abort is no longer fully local.
         let (_, local) = s.abort(t).unwrap();
         assert!(!local);
@@ -538,7 +533,7 @@ mod tests {
         s.update(TxnId(2), 2, vec![0u8; 5], vec![1u8; 70]).unwrap();
         s.commit(TxnId(1)).unwrap();
         assert_eq!(s.stats().undo_bytes_saved, 50);
-        assert_eq!(s.cached_bytes(), 70);
+        assert_eq!(s.cache_bytes, 70);
         let (undos, local) = s.abort(TxnId(2)).unwrap();
         assert!(local);
         assert_eq!(undos.len(), 1);

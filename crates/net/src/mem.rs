@@ -63,7 +63,7 @@ impl FaultPlan {
         }
     }
 
-    /// A severely misbehaving network for stress tests.
+    /// Test hook: a severely misbehaving network for stress tests.
     #[must_use]
     pub fn hostile(seed: u64) -> Self {
         FaultPlan {

@@ -313,8 +313,6 @@ pub enum Response {
         duplicates_ignored: u64,
         /// `MissingInterval` NAKs sent.
         naks_sent: u64,
-        /// Write/force messages dropped by load shedding.
-        writes_shed: u64,
         /// Strict RPCs served.
         rpcs: u64,
         /// Forces acknowledged.
@@ -375,8 +373,6 @@ pub mod codes {
     pub const STALE_EPOCH: u16 = 1;
     /// Malformed or out-of-order request.
     pub const PROTOCOL: u16 = 2;
-    /// Server overloaded and shedding work.
-    pub const OVERLOADED: u16 = 3;
     /// Internal storage failure.
     pub const STORAGE: u16 = 4;
 }
@@ -907,8 +903,8 @@ wire_enum!(Response {
     4 => Err { code, detail },
     5 => GenValue { value },
     6 => Status {
-        records_stored, duplicates_ignored, naks_sent, writes_shed, rpcs, forces_acked,
-        clients, on_disk_bytes, tracks_flushed, archived_bytes, pending_upload_bytes,
+        records_stored, duplicates_ignored, naks_sent, rpcs, forces_acked, clients,
+        on_disk_bytes, tracks_flushed, archived_bytes, pending_upload_bytes,
         last_manifest_lsn, upload_retries, coalesced_forces, group_commits, shard, shards
     },
     7 => Stats {
@@ -1083,8 +1079,8 @@ mod tests {
             Response::Records { records: vec![] },
             Response::Ok,
             Response::Err {
-                code: codes::OVERLOADED,
-                detail: "busy".into(),
+                code: codes::STORAGE,
+                detail: "disk full".into(),
             },
             Response::GenValue { value: 1234 },
             Response::Stats {

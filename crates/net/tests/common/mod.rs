@@ -112,24 +112,23 @@ fn arb_response() -> impl Strategy<Value = Response> {
         (0u16..10, "[a-zA-Z0-9 :_-]{0,40}")
             .prop_map(|(code, detail)| Response::Err { code, detail }),
         any::<u64>().prop_map(|value| Response::GenValue { value }),
-        proptest::collection::vec(any::<u64>(), 17).prop_map(|v| Response::Status {
+        proptest::collection::vec(any::<u64>(), 16).prop_map(|v| Response::Status {
             records_stored: v[0],
             duplicates_ignored: v[1],
             naks_sent: v[2],
-            writes_shed: v[3],
-            rpcs: v[4],
-            forces_acked: v[5],
-            clients: v[6],
-            on_disk_bytes: v[7],
-            tracks_flushed: v[8],
-            archived_bytes: v[9],
-            pending_upload_bytes: v[10],
-            last_manifest_lsn: v[11],
-            upload_retries: v[12],
-            coalesced_forces: v[13],
-            group_commits: v[14],
-            shard: v[15],
-            shards: v[16],
+            rpcs: v[3],
+            forces_acked: v[4],
+            clients: v[5],
+            on_disk_bytes: v[6],
+            tracks_flushed: v[7],
+            archived_bytes: v[8],
+            pending_upload_bytes: v[9],
+            last_manifest_lsn: v[10],
+            upload_retries: v[11],
+            coalesced_forces: v[12],
+            group_commits: v[13],
+            shard: v[14],
+            shards: v[15],
         }),
         (
             proptest::collection::vec(arb_stage_stats(), 0..7),

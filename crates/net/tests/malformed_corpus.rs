@@ -305,9 +305,9 @@ fn corpus() -> Vec<(&'static str, Vec<u8>, &'static str)> {
     m.extend_from_slice(&100u32.to_le_bytes());
     m.extend_from_slice(b"abc");
     frames.push(("29-err-detail-overrun", response(&m), TRUNCATED));
-    // Status (tag 6) with 16 of its 17 counters.
+    // Status (tag 6) with 15 of its 16 counters.
     let mut m = vec![6u8];
-    for i in 0..16u64 {
+    for i in 0..15u64 {
         m.extend_from_slice(&i.to_le_bytes());
     }
     frames.push(("30-status-truncated", response(&m), TRUNCATED));

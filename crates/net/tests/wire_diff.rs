@@ -237,7 +237,6 @@ fn ref_response(body: &Response, out: &mut Vec<u8>) {
             records_stored,
             duplicates_ignored,
             naks_sent,
-            writes_shed,
             rpcs,
             forces_acked,
             clients,
@@ -257,7 +256,6 @@ fn ref_response(body: &Response, out: &mut Vec<u8>) {
                 records_stored,
                 duplicates_ignored,
                 naks_sent,
-                writes_shed,
                 rpcs,
                 forces_acked,
                 clients,

@@ -16,11 +16,6 @@ impl Counter {
         Counter(AtomicU64::new(0))
     }
 
-    /// Add one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// Add `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -41,7 +36,7 @@ mod tests {
     fn counts() {
         let c = Counter::new();
         assert_eq!(c.get(), 0);
-        c.incr();
+        c.add(1);
         c.add(41);
         assert_eq!(c.get(), 42);
     }
@@ -54,7 +49,7 @@ mod tests {
                 let c = c.clone();
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        c.incr();
+                        c.add(1);
                     }
                 })
             })

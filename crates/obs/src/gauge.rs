@@ -31,8 +31,9 @@ pub struct ThreadIo {
     pub rchar: u64,
 }
 
-/// The calling thread's read counters, from `/proc/thread-self/io`, or
-/// `None` where that file does not exist (no procfs, or not Linux).
+/// Test hook: the calling thread's read counters, from
+/// `/proc/thread-self/io`, or `None` where that file does not exist (no
+/// procfs, or not Linux).
 ///
 /// Taking a sample is itself one read syscall of the file (and some
 /// hundred bytes of `rchar`), which the next sample counts: calibrate a

@@ -75,13 +75,6 @@ impl ObsOptions {
             trace_capacity: 1 << 16,
         }
     }
-
-    /// Adjust the trace ring capacity.
-    #[must_use]
-    pub fn with_trace_capacity(mut self, capacity: usize) -> ObsOptions {
-        self.trace_capacity = capacity;
-        self
-    }
 }
 
 impl Default for ObsOptions {
@@ -242,7 +235,10 @@ mod tests {
 
     #[test]
     fn clones_share_one_trace() {
-        let obs = Obs::new(&ObsOptions::on().with_trace_capacity(16));
+        let obs = Obs::new(&ObsOptions {
+            trace_capacity: 16,
+            ..ObsOptions::on()
+        });
         let other = obs.clone();
         obs.event(Stage::ClientWrite, 1, 0);
         other.event(Stage::Force, 1, 7);

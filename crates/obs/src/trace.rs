@@ -127,26 +127,6 @@ pub struct TraceEvent {
     pub detail: u64,
 }
 
-impl TraceEvent {
-    /// Canonical byte form (little endian), used by the determinism test
-    /// to compare whole traces byte-for-byte.
-    #[must_use]
-    pub fn to_bytes(&self) -> [u8; 25] {
-        let mut out = [0u8; 25];
-        for (slot, b) in out.iter_mut().zip(
-            self.seq
-                .to_le_bytes()
-                .into_iter()
-                .chain([self.stage.as_u8()])
-                .chain(self.lsn.to_le_bytes())
-                .chain(self.detail.to_le_bytes()),
-        ) {
-            *slot = b;
-        }
-        out
-    }
-}
-
 struct Ring {
     buf: VecDeque<TraceEvent>,
     pushed: u64,
@@ -297,15 +277,5 @@ mod tests {
         let bad = [ev(0, Stage::AckHighLsn, 10, (3 << 1) | 1)];
         let err = check_force_before_ack(&bad).unwrap_err();
         assert!(err.contains("client 3"), "{err}");
-    }
-
-    #[test]
-    fn event_bytes_are_canonical() {
-        let e = ev(1, Stage::Force, 2, 3);
-        let b = e.to_bytes();
-        assert_eq!(b[0], 1);
-        assert_eq!(b[8], Stage::Force.as_u8());
-        assert_eq!(b[9], 2);
-        assert_eq!(b[17], 3);
     }
 }

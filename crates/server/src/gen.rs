@@ -76,9 +76,8 @@ impl GenStore {
         if value <= current {
             return Ok(()); // stale retry; ignore
         }
-        // `gen-` (4) + 20 digits + `.val.tmp` (8) = 32 bytes worst case.
-        let tmp = self.dir.join(dlog_types::namebuf!(32, "gen-{id}.val.tmp"));
-        let fin = self.dir.join(dlog_types::namebuf!(32, "gen-{id}.val"));
+        let tmp = self.dir.join(format!("gen-{id}.val.tmp"));
+        let fin = self.dir.join(format!("gen-{id}.val"));
         {
             let mut f = OpenOptions::new()
                 .write(true)

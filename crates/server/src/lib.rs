@@ -14,8 +14,8 @@
 //! * strict RPCs for the rare operations: `IntervalList`,
 //!   `ReadLogForward` / `ReadLogBackward`, and the recovery pair
 //!   `CopyLog` / `InstallCopies`;
-//! * **load shedding**: an overloaded server "is free to ignore ForceLog
-//!   and WriteLog messages", but always answers reads and interval lists;
+//! * **every batch is ingested**: §4.2 permits an overloaded server to
+//!   ignore `WriteLog`/`ForceLog`, and this server never does;
 //! * hosting of **generator state representatives** (Appendix I) so the
 //!   replicated epoch generator needs no extra nodes.
 //!
@@ -133,14 +133,12 @@ pub struct ServerStats {
     pub duplicates_ignored: u64,
     /// `MissingInterval` NAKs sent.
     pub naks_sent: u64,
-    /// Write/force messages dropped by load shedding.
-    pub writes_shed: u64,
     /// RPC requests served.
     pub rpcs: u64,
     /// Forces acknowledged.
     pub forces_acked: u64,
     /// `ForceLog` requests taken into a group-commit obligation: every
-    /// one not shed, at any window.
+    /// one, at any window.
     pub coalesced_forces: u64,
     /// Physical group-commit rounds flushed. Amortization shows as
     /// `coalesced_forces / group_commits` > 1; at a zero window every
@@ -167,7 +165,6 @@ pub struct LogServer {
     sessions: HashMap<ClientId, Session>,
     /// Unforced records per client since the last ack.
     unacked: HashMap<ClientId, u64>,
-    shedding: bool,
     stats: ServerStats,
     archive: Option<ArchiveTier>,
     obs: dlog_obs::Obs,
@@ -202,7 +199,6 @@ impl LogServer {
             gens,
             sessions: HashMap::new(),
             unacked: HashMap::new(),
-            shedding: false,
             stats: ServerStats::default(),
             archive: None,
             obs: dlog_obs::Obs::off(),
@@ -323,13 +319,6 @@ impl LogServer {
         &mut self.store
     }
 
-    /// Enable or disable load shedding: while shedding, `WriteLog` and
-    /// `ForceLog` are silently ignored (§4.2); reads, interval lists, and
-    /// recovery RPCs are still served.
-    pub fn set_shedding(&mut self, on: bool) {
-        self.shedding = on;
-    }
-
     /// The ingest allocation gauge: `(allocations, records)` observed by
     /// write/force handling since startup. `allocations / records` is the
     /// `allocs_per_write` figure reported by `dlog stats` and the bench
@@ -373,24 +362,12 @@ impl LogServer {
                 client,
                 epoch,
                 records,
-            } => {
-                if self.shedding {
-                    self.stats.writes_shed += 1;
-                } else {
-                    self.ingest(from, *client, *epoch, records, false, out);
-                }
-            }
+            } => self.ingest(from, *client, *epoch, records, false, out),
             Message::ForceLog {
                 client,
                 epoch,
                 records,
-            } => {
-                if self.shedding {
-                    self.stats.writes_shed += 1;
-                } else {
-                    self.ingest(from, *client, *epoch, records, true, out);
-                }
-            }
+            } => self.ingest(from, *client, *epoch, records, true, out),
             Message::NewInterval {
                 client,
                 epoch,
@@ -748,7 +725,6 @@ impl LogServer {
                     records_stored: st.records_stored,
                     duplicates_ignored: st.duplicates_ignored,
                     naks_sent: st.naks_sent,
-                    writes_shed: st.writes_shed,
                     rpcs: st.rpcs,
                     forces_acked: st.forces_acked,
                     clients: self.store.clients().len() as u64,
@@ -1038,37 +1014,6 @@ mod tests {
         let resp = s.serve(&Request::IntervalList { client: CL });
         match resp {
             Response::Intervals { intervals } => assert_eq!(intervals.len(), 2),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn shedding_drops_writes_but_serves_reads() {
-        let mut s = server("shed");
-        force(&mut s, 1, 1, 3);
-        s.set_shedding(true);
-        let out = force(&mut s, 1, 4, 5);
-        assert!(out.is_empty(), "shed writes get no reply at all");
-        assert_eq!(s.stats().writes_shed, 1);
-        // Reads still work.
-        let out = s.handle(
-            FROM,
-            &Packet::bare(Message::Request {
-                id: 1,
-                body: Request::ReadLogForward {
-                    client: CL,
-                    lsn: Lsn(1),
-                    max_records: 10,
-                },
-            }),
-        );
-        match &out[0].1.msg {
-            Message::Response {
-                body: Response::Records { records },
-                ..
-            } => {
-                assert_eq!(records.len(), 3);
-            }
             other => panic!("unexpected {other:?}"),
         }
     }

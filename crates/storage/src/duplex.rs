@@ -11,7 +11,7 @@
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use dlog_types::{ClientId, DlogError, Epoch, LogData, LogRecord, Lsn, Result};
 
@@ -35,7 +35,6 @@ pub struct DuplexStats {
 /// synchronous write cost, which is the fair laptop-scale equivalent).
 pub struct DuplexLog {
     replicas: [File; 2],
-    paths: [PathBuf; 2],
     /// In-memory LSN → (offset, frame length) index, rebuilt on open.
     index: Vec<(u64, u32)>,
     /// Buffered (unforced) frames.
@@ -58,8 +57,7 @@ impl DuplexLog {
     pub fn open(dir: impl AsRef<Path>) -> Result<DuplexLog> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
-        let paths = [dir.join("replica-a.log"), dir.join("replica-b.log")];
-        let [path_a, path_b] = &paths;
+        let (path_a, path_b) = (&dir.join("replica-a.log"), &dir.join("replica-b.log"));
         // Recover: scan both replicas as frame streams, keep the longer
         // valid prefix (replica A on a tie), and repair the other to match.
         let (end_a, index_a) = scan_replica(dir, path_a)?;
@@ -101,7 +99,6 @@ impl DuplexLog {
         let next_lsn = Lsn(index.len() as u64 + 1);
         Ok(DuplexLog {
             replicas,
-            paths,
             index,
             buffer: Vec::new(),
             read_buf: Vec::new(),
@@ -205,12 +202,6 @@ impl DuplexLog {
     pub fn stats(&self) -> DuplexStats {
         self.stats
     }
-
-    /// Paths of the two replicas.
-    #[must_use]
-    pub fn replica_paths(&self) -> &[PathBuf; 2] {
-        &self.paths
-    }
 }
 
 /// Scan one replica file as a frame stream; returns (valid prefix length,
@@ -242,6 +233,7 @@ fn scan_replica(dir: &Path, path: &Path) -> Result<(u64, Vec<(u64, u32)>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir()
@@ -275,8 +267,8 @@ mod tests {
             log.append(vec![i; 50]);
         }
         log.force().unwrap();
-        let a = fs::read(&log.replica_paths()[0]).unwrap();
-        let b = fs::read(&log.replica_paths()[1]).unwrap();
+        let a = fs::read(dir.join("replica-a.log")).unwrap();
+        let b = fs::read(dir.join("replica-b.log")).unwrap();
         assert!(!a.is_empty());
         assert_eq!(a, b);
     }

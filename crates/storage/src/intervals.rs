@@ -83,7 +83,7 @@ impl IntervalTable {
         let gap = |_| "index gap within an interval";
         for (lsn, pos) in run {
             match entries.last_mut() {
-                Some(last) if order_after(last.interval, epoch, lsn)? => {
+                Some(last) if last.interval.extended_by(epoch, lsn)? => {
                     last.index.append(lsn, pos).map_err(gap)?;
                     last.interval.hi = lsn;
                 }
@@ -114,7 +114,7 @@ impl IntervalTable {
         let mut last = self.last(client);
         for lsn in lsns {
             last = Some(match last {
-                Some(iv) if order_after(iv, epoch, lsn)? => Interval::new(epoch, iv.lo, lsn),
+                Some(iv) if iv.extended_by(epoch, lsn)? => Interval::new(epoch, iv.lo, lsn),
                 _ => Interval::point(epoch, lsn),
             });
         }
@@ -291,19 +291,6 @@ impl IntervalTable {
     }
 }
 
-/// Server storage order (§3.1.1) for the record `<lsn, epoch>` arriving
-/// after the interval `last`: `Ok(true)` when it extends `last`,
-/// `Ok(false)` when it opens a new interval.
-fn order_after(last: Interval, epoch: Epoch, lsn: Lsn) -> Result<bool, &'static str> {
-    if epoch < last.epoch {
-        return Err("epoch regression in server storage order");
-    }
-    if epoch == last.epoch && lsn <= last.hi {
-        return Err("non-increasing LSN within an epoch");
-    }
-    Ok(epoch == last.epoch && last.hi.precedes(lsn))
-}
-
 struct Reader<'a> {
     buf: &'a [u8],
     off: usize,
@@ -342,13 +329,15 @@ mod tests {
 
     #[test]
     fn higher_epoch_shadows() {
-        // Figure 3-1, Server 1: epoch 3 rewrites LSN 3.
+        // Figure 3-1, Server 1: epoch 3 rewrites LSN 3 in a new interval,
+        // which then extends like any other.
         let mut t = IntervalTable::new();
         let c = ClientId(1);
         for l in 1..=3u64 {
             t.append(c, Lsn(l), Epoch(1), l * 10).unwrap();
         }
         t.append(c, Lsn(3), Epoch(3), 999).unwrap();
+        t.append(c, Lsn(4), Epoch(3), 1000).unwrap();
         assert_eq!(t.lookup(c, Lsn(3)), Some((Epoch(3), 999)));
         assert_eq!(t.lookup(c, Lsn(2)), Some((Epoch(1), 20)));
         assert_eq!(t.interval_list(c).len(), 2);

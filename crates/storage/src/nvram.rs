@@ -262,18 +262,10 @@ impl NvramDevice {
         st.base_pos
     }
 
-    /// Read `len` bytes at stream position `pos` out of the pending track,
-    /// if that range is (fully) buffered. Lets the store serve reads of
-    /// records that have not reached disk yet.
-    #[must_use]
-    pub fn read_at(&self, pos: u64, len: usize) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        self.read_at_into(pos, len, &mut out)?;
-        Some(out)
-    }
-
-    /// [`NvramDevice::read_at`] into a caller-supplied buffer (cleared
-    /// first): the store reads a run's window of the track this way.
+    /// Read `len` bytes at stream position `pos` out of the pending track
+    /// into `out` (cleared first), if that range is (fully) buffered. Lets
+    /// the store serve reads of records that have not reached disk yet; it
+    /// reads a run's window of the track this way.
     #[must_use]
     pub fn read_at_into(&self, pos: u64, len: usize, out: &mut Vec<u8>) -> Option<()> {
         let st = self.state.lock();
@@ -359,10 +351,13 @@ mod tests {
         let dev = NvramDevice::new(64);
         dev.format(100);
         dev.insert(b"0123456789").unwrap();
-        assert_eq!(dev.read_at(100, 4), Some(b"0123".to_vec()));
-        assert_eq!(dev.read_at(106, 4), Some(b"6789".to_vec()));
-        assert_eq!(dev.read_at(106, 5), None); // runs past the tail
-        assert_eq!(dev.read_at(99, 1), None); // before the base
+        let mut out = Vec::new();
+        assert_eq!(dev.read_at_into(100, 4, &mut out), Some(()));
+        assert_eq!(out, b"0123");
+        assert_eq!(dev.read_at_into(106, 4, &mut out), Some(()));
+        assert_eq!(out, b"6789");
+        assert_eq!(dev.read_at_into(106, 5, &mut out), None); // runs past the tail
+        assert_eq!(dev.read_at_into(99, 1, &mut out), None); // before the base
     }
 
     #[test]

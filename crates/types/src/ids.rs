@@ -68,9 +68,6 @@ impl fmt::Display for ServerId {
 pub struct LogId(pub u64);
 
 impl LogId {
-    /// The reserved "no routing hint" id.
-    pub const NONE: LogId = LogId(0);
-
     /// Construct a logical-log id.
     #[must_use]
     pub fn new(v: u64) -> Self {

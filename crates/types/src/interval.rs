@@ -63,6 +63,26 @@ impl Interval {
     pub fn contains(&self, lsn: Lsn) -> bool {
         self.lo <= lsn && lsn <= self.hi
     }
+
+    /// Server storage order (§3.1.1) for the record `<lsn, epoch>` stored
+    /// right after this interval: `Ok(true)` when it extends the interval,
+    /// `Ok(false)` when it starts a new one (§3.1.2: "if a server has
+    /// received a log record in the same epoch with an LSN immediately
+    /// preceding the sequence number of the new log record, it extends its
+    /// current sequence ... otherwise it creates a new sequence").
+    ///
+    /// # Errors
+    /// Rejects a record with a lower epoch, or with a non-increasing LSN
+    /// within the interval's epoch.
+    pub fn extended_by(self, epoch: Epoch, lsn: Lsn) -> Result<bool, &'static str> {
+        if epoch < self.epoch {
+            return Err("epoch regression in server storage order");
+        }
+        if epoch == self.epoch && lsn <= self.hi {
+            return Err("non-increasing LSN within an epoch");
+        }
+        Ok(epoch == self.epoch && self.hi.precedes(lsn))
+    }
 }
 
 impl fmt::Debug for Interval {
@@ -78,9 +98,9 @@ impl fmt::Debug for Interval {
 /// The ordered list of intervals a log server stores for one client, in
 /// storage (write) order.
 ///
-/// Invariants maintained by [`IntervalList::push`] / [`IntervalList::append_record`]
-/// (from §3.1.1, "successive records on a log server are written with
-/// non-decreasing LSNs and non-decreasing epoch numbers"):
+/// Invariants maintained by [`IntervalList::push`] (from §3.1.1,
+/// "successive records on a log server are written with non-decreasing
+/// LSNs and non-decreasing epoch numbers"):
 ///
 /// * epochs are non-decreasing along the list;
 /// * two intervals with the same epoch do not overlap and appear in
@@ -119,8 +139,7 @@ impl IntervalList {
     /// Returns a description of the violated invariant, leaving the list
     /// unchanged.
     pub fn push(&mut self, iv: Interval) -> Result<(), String> {
-        // Static violation descriptions: push is on the per-record ingest
-        // path (via append_record), and the caller knows the interval.
+        // Static violation descriptions: the caller knows the interval.
         if let Some(last) = self.intervals.last() {
             if iv.epoch < last.epoch {
                 return Err("epoch regression between intervals".into());
@@ -131,25 +150,6 @@ impl IntervalList {
         }
         self.intervals.push(iv);
         Ok(())
-    }
-
-    /// Record a single stored record `<lsn, epoch>`: extends the last
-    /// interval when the record is contiguous with it in the same epoch,
-    /// otherwise starts a new interval (§3.1.2: "if a server has received a
-    /// log record in the same epoch with an LSN immediately preceding the
-    /// sequence number of the new log record, it extends its current
-    /// sequence ... otherwise it creates a new sequence").
-    ///
-    /// # Errors
-    /// Returns an error when the record violates server storage order.
-    pub fn append_record(&mut self, lsn: Lsn, epoch: Epoch) -> Result<(), String> {
-        if let Some(last) = self.intervals.last_mut() {
-            if epoch == last.epoch && last.hi.precedes(lsn) {
-                last.hi = lsn;
-                return Ok(());
-            }
-        }
-        self.push(Interval::point(epoch, lsn))
     }
 
     /// The intervals in storage order.
@@ -450,20 +450,16 @@ mod tests {
 
     #[test]
     fn append_record_extends_and_breaks() {
-        let mut l = IntervalList::new();
-        l.append_record(Lsn(1), Epoch(1)).unwrap();
-        l.append_record(Lsn(2), Epoch(1)).unwrap();
-        l.append_record(Lsn(3), Epoch(1)).unwrap();
-        assert_eq!(l.len(), 1);
+        let iv = Interval::new(Epoch(1), Lsn(1), Lsn(3));
+        assert_eq!(iv.extended_by(Epoch(1), Lsn(4)), Ok(true));
         // Same LSN, new epoch: new interval (Figure 3-1, Server 1).
-        l.append_record(Lsn(3), Epoch(3)).unwrap();
-        assert_eq!(l.len(), 2);
-        l.append_record(Lsn(4), Epoch(3)).unwrap();
-        assert_eq!(l.len(), 2);
+        assert_eq!(iv.extended_by(Epoch(3), Lsn(3)), Ok(false));
         // Gap within an epoch: new interval.
-        l.append_record(Lsn(9), Epoch(3)).unwrap();
-        assert_eq!(l.len(), 3);
-        assert_eq!(l.record_count(), 3 + 2 + 1);
+        assert_eq!(iv.extended_by(Epoch(1), Lsn(9)), Ok(false));
+        // Out of server storage order.
+        assert!(iv.extended_by(Epoch(0), Lsn(4)).is_err());
+        assert!(iv.extended_by(Epoch(1), Lsn(3)).is_err());
+        assert!(iv.extended_by(Epoch(1), Lsn(2)).is_err());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Fixed-capacity, stack-allocated string formatting.
 //!
-//! The hot paths format small on-disk file names (`seg-00000042.seg`,
-//! `gen-7.val`) on every segment open and generator write. Routing those
-//! through `format!` costs a heap allocation per call; a [`NameBuf`]
-//! holds the formatted text in an inline byte array instead, so name
-//! construction is allocation-free. Overflow is reported through the
+//! The ingest path formats segment file names (`seg-00000042.seg`) when
+//! a track flush opens a new segment. Routing those through `format!`
+//! costs a heap allocation per call; a [`NameBuf`] holds the formatted
+//! text in an inline byte array instead, so name construction is
+//! allocation-free. Overflow is reported through the
 //! `fmt::Write` error path rather than by truncating silently — pick `N`
 //! large enough for the worst case (a `u64` needs at most 20 digits).
 

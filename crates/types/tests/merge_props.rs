@@ -159,9 +159,14 @@ proptest! {
         let mut lists2 = lists.clone();
         for (sid, list) in &mut lists2 {
             if targets.contains(sid) {
-                for lsn in lo.0..=hi.0 {
-                    list.append_record(Lsn(lsn), epoch).unwrap();
+                // A server's §3.1.2 rule: extend the last interval when the
+                // range continues it in the same epoch, else start one.
+                let mut ivs = list.intervals().to_vec();
+                match ivs.last_mut() {
+                    Some(last) if last.epoch == epoch && last.hi.precedes(lo) => last.hi = hi,
+                    _ => ivs.push(Interval::new(epoch, lo, hi)),
                 }
+                *list = IntervalList::from_intervals(ivs).unwrap();
             }
         }
         let remerged = MergedView::merge(&lists2);

@@ -88,14 +88,12 @@ impl Et1Generator {
     }
 }
 
-/// The ET1 log profile of §4.1.
+/// The ET1 log profile of §4.1; the commit record is its one forced write.
 pub mod profile {
     /// Log records per transaction.
     pub const RECORDS_PER_TXN: usize = 7;
     /// Total log bytes per transaction (encoded records).
     pub const BYTES_PER_TXN: usize = 700;
-    /// Forced writes per transaction (the commit record).
-    pub const FORCES_PER_TXN: usize = 1;
 
     /// Encoded-size overhead of a `SplitRecord::Redo` (kind + txn + page).
     pub const REDO_OVERHEAD: usize = 17;

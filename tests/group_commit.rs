@@ -28,7 +28,7 @@ use dlog_core::net::ClientNet;
 use dlog_mc::harness::{build_world, SyncEndpoint, SyncWorldOptions};
 use dlog_net::wire::NodeAddr;
 use dlog_net::FaultPlan;
-use dlog_obs::check_force_before_ack;
+use dlog_obs::{check_force_before_ack, TraceEvent};
 use dlog_types::{ClientId, Lsn, ReplicationConfig, ServerId};
 
 const M: u64 = 3;
@@ -48,8 +48,8 @@ fn fresh_dir() -> PathBuf {
 }
 
 /// Per-server replay fingerprint: `(addr, ingest_allocs, ingest_records,
-/// trace_bytes)`, sorted by address. Two same-seed runs must match.
-type CaseFingerprint = Vec<(u64, u64, u64, Vec<u8>)>;
+/// trace)`, sorted by address. Two same-seed runs must match.
+type CaseFingerprint = Vec<(u64, u64, u64, Vec<TraceEvent>)>;
 
 #[allow(clippy::needless_pass_by_value)]
 fn run_case(
@@ -134,13 +134,12 @@ fn run_case(
             );
         }
         let (ingest_allocs, ingest_records) = server.ingest_alloc_gauge();
-        let trace_bytes = snap.trace.iter().flat_map(|e| e.to_bytes()).collect();
-        fingerprint.push((addr, ingest_allocs, ingest_records, trace_bytes));
+        fingerprint.push((addr, ingest_allocs, ingest_records, snap.trace));
     }
     prop_assert!(coalesced_total > 0, "no force was ever deferred");
     drop(w);
     let _ = std::fs::remove_dir_all(&dir);
-    fingerprint.sort_unstable();
+    fingerprint.sort_unstable_by_key(|f| f.0);
     fingerprint
 }
 

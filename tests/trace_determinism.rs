@@ -1,5 +1,5 @@
-//! Deterministic replay: the same `FaultPlan` seed must produce a
-//! byte-identical ordered trace-event sequence across two runs.
+//! Deterministic replay: the same `FaultPlan` seed must produce an
+//! identical ordered trace-event sequence across two runs.
 //!
 //! Threads are the only source of nondeterminism in the full harness,
 //! so this test drives real `LogServer`s *synchronously* on the
@@ -21,7 +21,7 @@ use dlog_core::net::ClientNet;
 use dlog_mc::harness::{build_world, SyncEndpoint, SyncWorldOptions};
 use dlog_net::wire::NodeAddr;
 use dlog_net::FaultPlan;
-use dlog_obs::{Obs, ObsOptions};
+use dlog_obs::{Obs, ObsOptions, TraceEvent};
 use dlog_types::{ClientId, ReplicationConfig, ServerId};
 
 const M: u64 = 3;
@@ -44,20 +44,20 @@ fn fresh_dir(label: &str) -> PathBuf {
     d
 }
 
-/// Everything a replay must reproduce exactly: the ordered trace bytes,
+/// Everything a replay must reproduce exactly: the ordered trace,
 /// the client's counters, the test thread's allocation count over the
 /// workload, and each server's ingest-gauge (allocs, records) pair.
 struct RunFingerprint {
-    trace: Vec<u8>,
+    trace: Vec<TraceEvent>,
     stats: dlog_core::client::ClientStats,
     thread_allocs: u64,
     server_gauges: Vec<(u64, u64, u64)>,
 }
 
-/// Run the fixed workload under `plan` and return the ordered trace as
-/// bytes (25 bytes per event, wall-clock-free by construction) plus the
-/// client's counters and the run's allocation fingerprint. With `crash`,
-/// one server crashes and recovers mid-workload.
+/// Run the fixed workload under `plan` and return the ordered trace
+/// (wall-clock-free by construction) plus the client's counters and the
+/// run's allocation fingerprint. With `crash`, one server crashes and
+/// recovers mid-workload.
 fn run_once(plan: FaultPlan, dir: &Path, crash: bool) -> RunFingerprint {
     let allocs_before = dlog_obs::gauge::thread_allocs();
     let obs = Obs::new(&ObsOptions::on());
@@ -100,7 +100,7 @@ fn run_once(plan: FaultPlan, dir: &Path, crash: bool) -> RunFingerprint {
         snap.trace.len()
     );
     dlog_obs::check_force_before_ack(&snap.trace).expect("force-before-ack invariant");
-    let trace = snap.trace.iter().flat_map(|e| e.to_bytes()).collect();
+    let trace = snap.trace;
 
     // The sync world runs every server on this thread, so both the
     // thread-local allocation count and the servers' ingest gauges are
@@ -124,7 +124,7 @@ fn run_once(plan: FaultPlan, dir: &Path, crash: bool) -> RunFingerprint {
     }
 }
 
-/// Compare two same-seed runs: identical trace bytes and identical
+/// Compare two same-seed runs: identical traces and identical
 /// per-server ingest alloc gauges always; identical whole-thread
 /// allocation counts only when `strict_thread_allocs` — the client's
 /// poll loop spins on wall-clock deadlines, so under a lossy plan the
@@ -142,10 +142,7 @@ fn assert_replays_identical(
         b.trace.len(),
         "{label}: event counts differ across replays"
     );
-    assert!(
-        a.trace == b.trace,
-        "{label}: trace bytes differ across replays"
-    );
+    assert!(a.trace == b.trace, "{label}: traces differ across replays");
     if strict_thread_allocs {
         assert_eq!(
             a.thread_allocs, b.thread_allocs,
