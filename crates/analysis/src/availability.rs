@@ -10,7 +10,12 @@
 //!   down: `Σ_{i=0}^{N−1} C(M,i) pⁱ (1−p)^{M−i}`;
 //! * **ReadLog** of a record needs one of its N holders: `1 − pᴺ`;
 //! * the **identifier generator** with R representatives needs a majority:
-//!   `Σ_{i=0}^{⌊(R−1)/2⌋} C(R,i) pⁱ (1−p)^{R−i}`.
+//!   `Σ_{i=0}^{⌊(R−1)/2⌋} C(R,i) pⁱ (1−p)^{R−i}`;
+//! * a **polling initialization** (§3.2, closing paragraph) waits until
+//!   M−N+1 distinct servers have each been up: with memoryless repairs of
+//!   mean MTTR, a server down at the start is still down at `t` with
+//!   probability `p·e^(−t/MTTR)`, so P(wait ≤ t) is the initialization
+//!   availability at that probability.
 
 /// Binomial coefficient C(n, k) as f64 (exact for the small n used here).
 #[must_use]
@@ -67,6 +72,59 @@ pub fn read_availability(n: u64, p: f64) -> f64 {
 pub fn generator_availability(r: u64, p: f64) -> f64 {
     assert!(r >= 1);
     prob_at_most_down(r, (r - 1) / 2, p)
+}
+
+/// P(a polling client initialization has heard from M−N+1 distinct
+/// servers within `t` of starting), for repairs of mean `mttr`.
+#[must_use]
+pub fn init_wait_cdf(m: u64, n: u64, p: f64, mttr: f64, t: f64) -> f64 {
+    init_availability(m, n, p * (-t / mttr).exp())
+}
+
+/// Mean wait of a polling initialization, `∫₀^∞ (1 − cdf(t)) dt`.
+/// Substituting `q = p·e^(−t/MTTR)` turns it into
+/// `MTTR · ∫₀^p P(N or more of M down at q) / q dq`, whose integrand is a
+/// polynomial in `q`: `Σ_{k≥N} C(M,k) Σ_j C(M−k,j) (−1)ʲ q^{k+j−1}`.
+#[must_use]
+pub fn init_wait_mean(m: u64, n: u64, p: f64, mttr: f64) -> f64 {
+    assert!(n >= 1 && n <= m, "need 1 <= N <= M");
+    let mut integral = 0.0;
+    for k in n..=m {
+        for j in 0..=m - k {
+            let sign = if j % 2 == 0 { 1.0 } else { -1.0 };
+            let e = k + j;
+            integral += sign * binomial(m, k) * binomial(m - k, j) * p.powi(e as i32) / e as f64;
+        }
+    }
+    mttr * integral
+}
+
+/// The `quantile` wait of a polling initialization: zero when the
+/// instantaneous availability already meets it, else the `t` where the
+/// [`init_wait_cdf`] reaches it, by bisection.
+#[must_use]
+pub fn init_wait_quantile(m: u64, n: u64, p: f64, mttr: f64, quantile: f64) -> f64 {
+    assert!(
+        mttr > 0.0 && quantile < 1.0,
+        "need MTTR > 0 and a quantile below 1"
+    );
+    let cdf = |t: f64| init_wait_cdf(m, n, p, mttr, t);
+    let (mut lo, mut hi) = (0.0, mttr);
+    if cdf(lo) >= quantile {
+        return 0.0;
+    }
+    while cdf(hi) < quantile {
+        hi *= 2.0;
+    }
+    for _ in 0..64 {
+        let mid = 0.5 * (lo + hi);
+        if cdf(mid) >= quantile {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
 }
 
 /// Smallest M (≥ N) whose `WriteLog` availability meets `target`, or
@@ -271,5 +329,89 @@ mod tests {
             assert!(r.write >= 0.0 && r.write <= 1.0);
             assert!(r.init >= 0.0 && r.init <= 1.0);
         }
+    }
+
+    /// MTTR of E2b's table (the repair time of a 100-unit failure cycle
+    /// at p = 0.05).
+    const MTTR: f64 = 5.0;
+
+    /// A client that starts polling at t = 0 has not waited at all with
+    /// exactly the instantaneous probability, and eventually always
+    /// completes.
+    #[test]
+    fn init_wait_cdf_starts_at_instant_availability() {
+        for (m, n) in [(1u64, 1u64), (3, 2), (5, 2), (5, 3), (8, 3)] {
+            assert_eq!(
+                init_wait_cdf(m, n, P, MTTR, 0.0),
+                init_availability(m, n, P)
+            );
+            assert!(init_wait_cdf(m, n, P, MTTR, 100.0 * MTTR) > 1.0 - 1e-12);
+        }
+    }
+
+    /// One server: the wait is its residual repair time when down, so
+    /// the mean is exactly p·MTTR.
+    #[test]
+    fn init_wait_mean_of_one_server_is_p_mttr() {
+        assert!(close(init_wait_mean(1, 1, P, MTTR), P * MTTR, 1e-15));
+    }
+
+    /// The polynomial closed form equals a numerical integral of the
+    /// CDF's complement.
+    #[test]
+    fn init_wait_mean_is_the_integral_of_the_cdf() {
+        for (m, n) in [(3u64, 2u64), (5, 2), (7, 2), (5, 3), (8, 3)] {
+            let dt = 1e-3;
+            let integral: f64 = (0..200_000)
+                .map(|i| {
+                    let t = (f64::from(i) + 0.5) * dt;
+                    (1.0 - init_wait_cdf(m, n, P, MTTR, t)) * dt
+                })
+                .sum();
+            let mean = init_wait_mean(m, n, P, MTTR);
+            assert!(
+                close(integral, mean, 1e-6 * mean),
+                "M={m} N={n}: {integral} vs {mean}"
+            );
+        }
+    }
+
+    /// A larger initialization quorum (N = 2 needs 4 of 5) waits longer
+    /// than a smaller one (N = 3 needs 3 of 5).
+    #[test]
+    fn larger_quorum_waits_longer() {
+        assert!(init_wait_mean(5, 2, P, MTTR) > init_wait_mean(5, 3, P, MTTR));
+    }
+
+    /// E2b: polling turns an initialization-quorum outage into a short
+    /// wait. Pins the table's five rows and prints it under
+    /// `cargo test -p dlog-analysis e2b -- --nocapture`.
+    #[test]
+    fn e2b_polling_initialization_rows() {
+        use crate::table::{fmt2, fmt_prob, Table};
+        // (M, N, mean wait, p99 wait), waits in the units of MTTR = 5.
+        let rows = [
+            (3u64, 2u64, 0.018_333_333, 0.0),
+            (5, 2, 0.058_449_271, 2.125_975_5),
+            (7, 2, 0.117_461_182, 3.955_990_8),
+            (5, 3, 0.001_968_021, 0.0),
+            (8, 3, 0.010_127_462, 0.0),
+        ];
+        let mut t = Table::new(vec!["M", "N", "instant", "mean wait", "p99 wait"]);
+        for (m, n, mean, p99) in rows {
+            let got_mean = init_wait_mean(m, n, P, MTTR);
+            let got_p99 = init_wait_quantile(m, n, P, MTTR, 0.99);
+            assert!(close(got_mean, mean, 1e-9), "M={m} N={n}: mean {got_mean}");
+            assert!(close(got_p99, p99, 1e-6), "M={m} N={n}: p99 {got_p99}");
+            t.row(vec![
+                m.to_string(),
+                n.to_string(),
+                fmt_prob(init_availability(m, n, P)),
+                format!("{got_mean:.3}"),
+                fmt2(got_p99),
+            ]);
+        }
+        println!("E2b: polling client initialization (p = {P}, MTTR = {MTTR})\n");
+        println!("{}", t.render());
     }
 }

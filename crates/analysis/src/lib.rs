@@ -3,8 +3,8 @@
 //! space management accounting of §5.3.
 //!
 //! These are the analytic halves of experiments E1–E3, E5, and E12; the
-//! Monte-Carlo cross-checks live in `dlog-sim` and the measured
-//! counterparts in `dlog-bench`.
+//! measured counterparts live in `dlog-bench`, whose `availability` test
+//! checks E1, E2 and E5 exactly on the shipped client.
 
 #![warn(missing_docs)]
 

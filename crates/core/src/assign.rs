@@ -53,11 +53,16 @@ impl AssignStrategy {
     pub fn initial_for_log(&self, log: LogId, servers: &[ServerId], n: usize) -> Vec<ServerId> {
         assert!(n <= servers.len(), "N exceeds M");
         match self {
-            AssignStrategy::Fixed => servers[..n].to_vec(),
+            AssignStrategy::Fixed => servers.iter().take(n).copied().collect(),
             AssignStrategy::Striped => {
-                let m = servers.len();
-                let start = (log.0 as usize) % m;
-                (0..n).map(|i| servers[(start + i) % m]).collect()
+                let start = (log.0 as usize).checked_rem(servers.len()).unwrap_or(0);
+                servers
+                    .iter()
+                    .cycle()
+                    .skip(start)
+                    .take(n)
+                    .copied()
+                    .collect()
             }
             AssignStrategy::Random { seed } => {
                 let mut rng = StdRng::seed_from_u64(seed ^ log.0.wrapping_mul(0x9E37_79B9));
@@ -100,13 +105,13 @@ impl AssignStrategy {
             AssignStrategy::Striped => 1,
             AssignStrategy::Random { seed } => 1 + ((seed ^ log.0) as usize % m.max(1)),
         };
-        for i in 0..m {
-            let cand = servers[(start + offset + i) % m];
-            if cand != failed && !current.contains(&cand) {
-                return Some(cand);
-            }
-        }
-        None
+        servers
+            .iter()
+            .cycle()
+            .skip(start + offset)
+            .take(m)
+            .copied()
+            .find(|&cand| cand != failed && !current.contains(&cand))
     }
 }
 

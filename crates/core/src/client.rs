@@ -361,26 +361,29 @@ impl<E: Endpoint> ReplicatedLog<E> {
     }
 
     /// Stage the recovery copies on every target and install them,
-    /// switching targets on failure. Updates `lists` with the installed
-    /// interval so the view can be re-merged.
+    /// switching targets on failure. No server is tried twice, so this
+    /// gives up once every server has been tried. Updates
+    /// `lists` with the installed interval so the view can be re-merged.
     fn install_on_targets(
         &mut self,
         copies: &[LogRecord],
         lists: &mut Vec<(ServerId, IntervalList)>,
     ) -> Result<()> {
-        let lo = copies.first().expect("copies nonempty").lsn;
-        let hi = copies.last().expect("copies nonempty").lsn;
+        let (Some(first), Some(last)) = (copies.first(), copies.last()) else {
+            return Ok(());
+        };
+        let (lo, hi) = (first.lsn, last.lsn);
         let mut installed = 0usize;
         let mut idx = 0usize;
+        let mut tried = self.targets.clone();
         while installed < self.targets.len() {
-            if idx >= self.targets.len() {
+            let Some(&t) = self.targets.get(idx) else {
                 return Err(DlogError::QuorumUnavailable {
                     operation: "recovery InstallCopies",
                     needed: self.opts.config.n,
                     available: installed,
                 });
-            }
-            let t = self.targets[idx];
+            };
             match self.stage_and_install(t, copies) {
                 Ok(()) => {
                     installed += 1;
@@ -403,7 +406,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
                     let Some(replacement) = self.opts.strategy.replacement(
                         self.id,
                         &self.opts.config.servers,
-                        &self.targets,
+                        &tried,
                         t,
                     ) else {
                         return Err(DlogError::QuorumUnavailable {
@@ -413,7 +416,10 @@ impl<E: Endpoint> ReplicatedLog<E> {
                         });
                     };
                     self.stats.switches += 1;
-                    self.targets[idx] = replacement;
+                    tried.push(replacement);
+                    if let Some(slot) = self.targets.get_mut(idx) {
+                        *slot = replacement;
+                    }
                 }
             }
         }
@@ -700,7 +706,8 @@ impl<E: Endpoint> ReplicatedLog<E> {
     /// Ask `holders`, in turn, for up to `want` records from `lsn`, and
     /// return the record at `lsn` from the first whose copy the view
     /// names. The other records of a reply that the view names go to the
-    /// read-ahead cache.
+    /// read-ahead cache. When no holder answers with it, the read's
+    /// quorum of one is unavailable.
     pub(crate) fn fetch(&mut self, lsn: Lsn, want: u32, holders: &[ServerId]) -> Result<LogRecord> {
         let mut last_err: Option<DlogError> = None;
         for &s in holders {
@@ -733,6 +740,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
                 Ok(other) => {
                     last_err = Some(DlogError::Protocol(format!("read: unexpected {other:?}")));
                 }
+                Err(DlogError::ServerUnavailable { .. }) => {}
                 Err(e) => last_err = Some(e),
             }
         }
@@ -870,9 +878,11 @@ impl<E: Endpoint> ReplicatedLog<E> {
             // the window head at all). Switching is charged only for
             // capped-length waits — early, milliseconds-long rounds must
             // not evict a merely slow server.
+            let Some(&(newest_sent, _)) = self.in_flight.back() else {
+                continue;
+            };
             let at_cap = backoff_at_cap(RETRY_BASE, self.opts.ack_timeout, round);
             round = round.saturating_add(1);
-            let newest_sent = self.in_flight.back().expect("in-flight nonempty").0;
             let laggards: Vec<ServerId> = self
                 .targets
                 .iter()
@@ -886,15 +896,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
                 }
                 if *n > FORCE_RETRIES {
                     if switch_budget == 0 {
-                        return Err(DlogError::QuorumUnavailable {
-                            operation: "WriteLog",
-                            needed: self.opts.config.n,
-                            available: self
-                                .targets
-                                .iter()
-                                .filter(|&&t| self.net.acked(t) >= newest_sent)
-                                .count(),
-                        });
+                        return Err(self.write_quorum_lost());
                     }
                     switch_budget -= 1;
                     self.switch_target(t)?;
@@ -979,11 +981,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
             &self.targets,
             failed,
         ) else {
-            return Err(DlogError::QuorumUnavailable {
-                operation: "WriteLog",
-                needed: self.opts.config.n,
-                available: self.targets.len() - 1,
-            });
+            return Err(self.write_quorum_lost());
         };
         self.stats.switches += 1;
         if let Some(slot) = self.targets.iter_mut().find(|t| **t == failed) {
@@ -1002,6 +1000,21 @@ impl<E: Endpoint> ReplicatedLog<E> {
         // A replacement starts cold: it needs the whole window.
         self.resend_from(replacement, start, true)?;
         Ok(())
+    }
+
+    /// The error of a write that cannot reach N servers: `available`
+    /// counts the targets that acknowledged the newest sent record.
+    fn write_quorum_lost(&self) -> DlogError {
+        let newest_sent = self.in_flight.back().map_or(Lsn::ZERO, |(lsn, _)| *lsn);
+        DlogError::QuorumUnavailable {
+            operation: "WriteLog",
+            needed: self.opts.config.n,
+            available: self
+                .targets
+                .iter()
+                .filter(|&&t| self.net.acked(t) >= newest_sent)
+                .count(),
+        }
     }
 
     /// Query a server's operational status snapshot (the `Status` RPC);

@@ -31,6 +31,17 @@
 //! * [`assign`] — §5.4 load assignment strategies for picking the N
 //!   target servers among the M available.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod assign;

@@ -102,20 +102,18 @@ impl<E: Endpoint> ClientNet<E> {
     /// Only local send failures; network loss is silent.
     pub fn send_many(&mut self, servers: &[ServerId], msg: Message) -> Result<()> {
         let mut addrs = [NodeAddr(0); 16];
-        let mut chunk = servers;
         let packet = Packet::stamped(msg);
         // Fixed-size scratch keeps this allocation-free for any realistic
         // replica set; larger sets just fan out in chunks.
-        while !chunk.is_empty() {
-            let n = chunk.len().min(addrs.len());
-            for (slot, server) in addrs.iter_mut().zip(&chunk[..n]) {
+        for chunk in servers.chunks(addrs.len()) {
+            let dest = addrs.get_mut(..chunk.len()).unwrap_or_default();
+            for (slot, server) in dest.iter_mut().zip(chunk) {
                 *slot = self.addr_of(*server)?;
             }
-            self.stats.packets_out += n as u64;
+            self.stats.packets_out += dest.len() as u64;
             self.endpoint
-                .send_many(&addrs[..n], &packet)
+                .send_many(dest, &packet)
                 .map_err(DlogError::Io)?;
-            chunk = &chunk[n..];
         }
         Ok(())
     }

@@ -260,7 +260,9 @@ impl<S: LogSink> SplitLogger<S> {
             data: undo,
         });
         while self.cache_bytes > self.budget {
-            let entry = self.cache.pop_front().expect("cache nonempty over budget");
+            let Some(entry) = self.cache.pop_front() else {
+                break;
+            };
             self.spill(&entry)?;
             self.stats.cache_spills += 1;
         }
@@ -350,10 +352,11 @@ impl<S: LogSink> SplitLogger<S> {
         let mut idx = self.cache.len();
         while idx > 0 && taken.len() < n {
             idx -= 1;
-            if self.cache[idx].txn == txn {
-                let entry = self.cache.remove(idx).expect("index in range");
-                self.cache_bytes -= entry.data.len();
-                taken.push(entry);
+            if self.cache.get(idx).is_some_and(|e| e.txn == txn) {
+                if let Some(entry) = self.cache.remove(idx) {
+                    self.cache_bytes -= entry.data.len();
+                    taken.push(entry);
+                }
             }
         }
         taken

@@ -3,7 +3,6 @@
 //! The paper sizes the log service analytically (§4.1 capacity, §4.2
 //! flow control); this crate is how the reproduction *measures* itself:
 //!
-//! * [`Counter`] — lock-free monotonic counters;
 //! * [`LatencyHistogram`] — log₂-bucketed, mergeable latency histograms
 //!   with p50/p95/p99/max extraction;
 //! * [`TraceLog`] — a bounded ring of typed, wall-clock-free
@@ -35,12 +34,10 @@
 )]
 #![warn(missing_docs)]
 
-pub mod counter;
 pub mod gauge;
 pub mod hist;
 pub mod trace;
 
-pub use counter::Counter;
 pub use hist::{bucket_ceiling, bucket_index, HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use trace::{check_force_before_ack, Stage, TraceEvent, TraceLog};
 
