@@ -11,8 +11,8 @@
 //!   that is a fixed-cost NVRAM insert (Pollaczek–Khinchine).
 
 /// Test hook: mean response time (waiting + service) of an M/M/1 queue,
-/// the envelope [`md1_response`] and the `dlog-sim` queue are checked
-/// against. `lambda`: arrivals/sec; `mu`: service rate/sec. Returns
+/// the envelope [`md1_response`] is checked against. The discrete-event
+/// queue in this module's tests is the reference for both. `lambda`: arrivals/sec; `mu`: service rate/sec. Returns
 /// `None` when the queue is unstable (λ ≥ μ).
 #[must_use]
 pub fn mm1_response(lambda: f64, mu: f64) -> Option<f64> {
@@ -145,5 +145,145 @@ mod tests {
         assert!(m.response_with_down(0).is_some());
         // 2 down: 250/s each > 200 capacity — unstable.
         assert_eq!(m.response_with_down(2), None);
+    }
+
+    /// The reference `md1_response` and `mm1_response` are checked
+    /// against: a discrete-event single-server FIFO queue with Poisson
+    /// arrivals (exponential inter-arrival times) and deterministic or
+    /// exponential service.
+    mod queue {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// Service-time distribution.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Service {
+            /// Fixed service time (M/D/1) — a force that is a bounded memory copy.
+            Deterministic,
+            /// Exponential service time (M/M/1).
+            Exponential,
+        }
+
+        /// Queue simulation parameters.
+        #[derive(Clone, Debug)]
+        pub struct QueueSimParams {
+            /// Arrival rate λ (jobs/sec).
+            pub lambda: f64,
+            /// Service rate μ (jobs/sec); mean service time is 1/μ.
+            pub mu: f64,
+            /// Distribution of service times.
+            pub service: Service,
+            /// Jobs to simulate.
+            pub jobs: usize,
+            /// RNG seed.
+            pub seed: u64,
+        }
+
+        /// Simulation outcome.
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        pub struct QueueSimReport {
+            /// Mean response time (wait + service), seconds.
+            pub mean_response: f64,
+            /// 99th-percentile response time.
+            pub p99_response: f64,
+            /// Mean server utilization (busy fraction).
+            pub utilization: f64,
+        }
+
+        /// Run the single-server FIFO queue.
+        #[must_use]
+        pub fn run(params: &QueueSimParams) -> QueueSimReport {
+            assert!(params.lambda > 0.0 && params.mu > 0.0);
+            let mut rng = StdRng::seed_from_u64(params.seed);
+            let mut exp = |mean: f64| -> f64 {
+                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                -mean * u.ln()
+            };
+            let mut arrival = 0.0f64;
+            let mut server_free_at = 0.0f64;
+            let mut busy_time = 0.0f64;
+            let mut responses: Vec<f64> = Vec::with_capacity(params.jobs);
+            for _ in 0..params.jobs {
+                arrival += exp(1.0 / params.lambda);
+                let service = match params.service {
+                    Service::Deterministic => 1.0 / params.mu,
+                    Service::Exponential => exp(1.0 / params.mu),
+                };
+                let start = arrival.max(server_free_at);
+                server_free_at = start + service;
+                busy_time += service;
+                responses.push(server_free_at - arrival);
+            }
+            responses.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            let mean = responses.iter().sum::<f64>() / responses.len() as f64;
+            let p99 = responses[(responses.len() as f64 * 0.99) as usize - 1];
+            QueueSimReport {
+                mean_response: mean,
+                p99_response: p99,
+                utilization: busy_time / server_free_at,
+            }
+        }
+    }
+
+    use queue::{run, QueueSimParams, QueueSimReport, Service};
+
+    fn sim(lambda: f64, mu: f64, service: Service) -> QueueSimReport {
+        run(&QueueSimParams {
+            lambda,
+            mu,
+            service,
+            jobs: 400_000,
+            seed: 99,
+        })
+    }
+
+    #[test]
+    fn md1_matches_pollaczek_khinchine() {
+        for lambda in [20.0, 50.0, 80.0] {
+            let s = sim(lambda, 100.0, Service::Deterministic);
+            let analytic = md1_response(lambda, 100.0).unwrap();
+            let rel = (s.mean_response - analytic).abs() / analytic;
+            assert!(
+                rel < 0.03,
+                "λ={lambda}: sim {} vs analytic {analytic} ({rel:.3})",
+                s.mean_response
+            );
+            let rho = lambda / 100.0;
+            assert!((s.utilization - rho).abs() < 0.02);
+        }
+    }
+
+    #[test]
+    fn mm1_matches_closed_form() {
+        for lambda in [20.0, 50.0, 80.0] {
+            let s = sim(lambda, 100.0, Service::Exponential);
+            let analytic = mm1_response(lambda, 100.0).unwrap();
+            let rel = (s.mean_response - analytic).abs() / analytic;
+            assert!(
+                rel < 0.05,
+                "λ={lambda}: sim {} vs analytic {analytic} ({rel:.3})",
+                s.mean_response
+            );
+        }
+    }
+
+    #[test]
+    fn deterministic_service_beats_exponential() {
+        let d = sim(70.0, 100.0, Service::Deterministic);
+        let m = sim(70.0, 100.0, Service::Exponential);
+        assert!(d.mean_response < m.mean_response);
+        assert!(d.p99_response < m.p99_response);
+    }
+
+    #[test]
+    fn deterministic_per_seed() {
+        let p = QueueSimParams {
+            lambda: 50.0,
+            mu: 100.0,
+            service: Service::Deterministic,
+            jobs: 10_000,
+            seed: 7,
+        };
+        assert_eq!(run(&p), run(&p));
     }
 }

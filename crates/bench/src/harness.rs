@@ -4,7 +4,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dlog_core::assign::AssignStrategy;
 use dlog_core::client::{ClientOptions, ReplicatedLog};
 use dlog_core::net::ClientNet;
 use dlog_net::wire::NodeAddr;
@@ -336,21 +335,11 @@ impl Cluster {
         out
     }
 
-    /// Build a replicated-log client over this cluster.
+    /// Build a replicated-log client over this cluster, with the shipped
+    /// striped placement: a client whose id is a multiple of M writes to
+    /// servers 1..=N.
     #[must_use]
     pub fn client(&self, id: u64, n: usize, delta: u64) -> ReplicatedLog<MemEndpoint> {
-        self.client_with(id, n, delta, AssignStrategy::Striped)
-    }
-
-    /// Build a client with an explicit assignment strategy.
-    #[must_use]
-    pub fn client_with(
-        &self,
-        id: u64,
-        n: usize,
-        delta: u64,
-        strategy: AssignStrategy,
-    ) -> ReplicatedLog<MemEndpoint> {
         let cid = ClientId(id);
         let mut ep = self.net.endpoint(client_addr(cid));
         ep.set_obs(self.client_obs.clone());
@@ -358,9 +347,7 @@ impl Cluster {
             self.servers.iter().map(|&s| (s, server_addr(s))).collect();
         let net = ClientNet::new(ep, addrs);
         let config = ReplicationConfig::new(self.servers.clone(), n, delta).expect("config");
-        let mut copts = ClientOptions::new(config);
-        copts.strategy = strategy;
-        let mut log = ReplicatedLog::new(cid, copts, net);
+        let mut log = ReplicatedLog::new(cid, ClientOptions::new(config), net);
         log.set_obs(self.client_obs.clone());
         log
     }

@@ -4,7 +4,6 @@
 
 use dlog_bench::harness::{client_addr, server_addr};
 use dlog_bench::{payload, Cluster, ClusterOptions};
-use dlog_core::assign::AssignStrategy;
 use dlog_core::client::ReplicatedLog;
 use dlog_net::{FaultPlan, MemEndpoint};
 use dlog_types::{ClientId, DlogError, Epoch, Lsn, ServerId};
@@ -20,9 +19,10 @@ fn start(tag: &str, servers: u64, plan: FaultPlan) -> Cluster {
     )
 }
 
-/// A client with fixed targets, so tests can name the servers it writes.
+/// Client `id · M`, so tests can name the servers it writes: striped
+/// placement sends a client whose id is a multiple of M to servers 1..=N.
 fn client(cluster: &Cluster, id: u64, n: usize, delta: u64) -> ReplicatedLog<MemEndpoint> {
-    cluster.client_with(id, n, delta, AssignStrategy::Fixed)
+    cluster.client(id * cluster.servers.len() as u64, n, delta)
 }
 
 #[test]
@@ -451,7 +451,7 @@ fn straggler_cluster(tag: &str, two: bool) -> (Cluster, ReplicatedLog<MemEndpoin
         std::thread::sleep(std::time::Duration::from_millis(100));
         (t1, t2)
     };
-    cluster.net.heal(client_addr(ClientId(1)), server_addr(t2));
+    cluster.net.heal(client_addr(ClientId(3)), server_addr(t2));
     cluster.kill_server(t1);
     for _ in 0..2 {
         let mut log = client(&cluster, 1, 2, 2);
@@ -551,4 +551,35 @@ fn only_a_forward_run_reads_ahead() {
     );
     assert!(hit(59), "the continuing miss read ahead");
     assert!(hit(60));
+}
+
+/// §5.4's "very long interval lists": each incarnation installs its δ
+/// rewrite as a fresh interval on both holders, so after about 340
+/// restarts a holder's interval list no longer fits one packet. The
+/// list travels in pages, and the 1 000th incarnation still initializes
+/// and reads the records the first one forced.
+#[test]
+fn a_thousand_incarnations_still_initialize() {
+    let cluster = start("incarnations", 3, FaultPlan::reliable());
+    {
+        let mut log = cluster.client(3, 2, 2);
+        log.initialize().unwrap();
+        for i in 1..=10u64 {
+            log.write(payload(i, 40)).unwrap();
+        }
+        log.force().unwrap();
+    }
+    let mut log = cluster.client(3, 2, 2);
+    for incarnation in 1..=1_000 {
+        log = cluster.client(3, 2, 2);
+        if let Err(e) = log.initialize() {
+            panic!("incarnation {incarnation} failed to initialize: {e}");
+        }
+    }
+    for i in 1..=8u64 {
+        assert_eq!(
+            log.read(Lsn(i)).unwrap().as_bytes(),
+            payload(i, 40).as_slice()
+        );
+    }
 }

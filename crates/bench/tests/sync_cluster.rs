@@ -8,7 +8,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use dlog_core::assign::AssignStrategy;
 use dlog_core::client::{ClientOptions, ReplicatedLog};
 use dlog_core::net::ClientNet;
 use dlog_mc::harness::{build_world, SyncEndpoint, SyncWorld, SyncWorldOptions};
@@ -27,8 +26,9 @@ fn start(tag: &str) -> Arc<Mutex<SyncWorld>> {
     build_world(&dir, opts).expect("build world")
 }
 
-/// Client 1 with fixed targets (servers 1 and 2) and every wait cut to
-/// a millisecond: nothing ever arrives late in a synchronous world.
+/// Client 3, whose striped targets are servers 1 and 2 (3 ≡ 0 mod M),
+/// with every wait cut to a millisecond: nothing ever arrives late in a
+/// synchronous world.
 fn client(world: &Arc<Mutex<SyncWorld>>, n: usize, delta: u64) -> ReplicatedLog<SyncEndpoint> {
     let ids: Vec<ServerId> = (1..=3).map(ServerId).collect();
     let addrs: HashMap<ServerId, NodeAddr> = ids.iter().map(|&s| (s, NodeAddr(s.0))).collect();
@@ -36,9 +36,8 @@ fn client(world: &Arc<Mutex<SyncWorld>>, n: usize, delta: u64) -> ReplicatedLog<
     net.rpc_timeout = Duration::from_millis(1);
     net.rpc_retries = 1;
     let mut opts = ClientOptions::new(ReplicationConfig::new(ids, n, delta).unwrap());
-    opts.strategy = AssignStrategy::Fixed;
     opts.ack_timeout = Duration::from_millis(1);
-    ReplicatedLog::new(ClientId(1), opts, net)
+    ReplicatedLog::new(ClientId(3), opts, net)
 }
 
 fn crash(world: &Arc<Mutex<SyncWorld>>, s: ServerId) {
@@ -168,4 +167,31 @@ fn below_write_quorum_errors_cleanly() {
         log.read(Lsn(2)).unwrap().as_bytes(),
         vec![2u8; 20].as_slice()
     );
+}
+
+/// The sync world carries only what fits a packet, as both real
+/// transports do. Each incarnation adds an interval on both holders, so
+/// after about 340 the interval list outgrows one reply; it travels in
+/// pages, and the 1 000th incarnation still initializes.
+#[test]
+fn a_thousand_incarnations_still_initialize() {
+    let world = start("incarnations");
+    let mut log = client(&world, 2, 2);
+    log.initialize().unwrap();
+    for i in 1..=10u64 {
+        log.write(vec![i as u8; 40]).unwrap();
+    }
+    log.force().unwrap();
+    for incarnation in 1..=1_000 {
+        log = client(&world, 2, 2);
+        if let Err(e) = log.initialize() {
+            panic!("incarnation {incarnation} failed to initialize: {e}");
+        }
+    }
+    for i in 1..=8u64 {
+        assert_eq!(
+            log.read(Lsn(i)).unwrap().as_bytes(),
+            vec![i as u8; 40].as_slice()
+        );
+    }
 }

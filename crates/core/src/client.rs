@@ -17,7 +17,7 @@ use dlog_types::{
     ServerId,
 };
 
-use crate::assign::AssignStrategy;
+use crate::assign;
 use crate::epoch::EpochGenerator;
 use crate::net::ClientNet;
 
@@ -26,8 +26,6 @@ use crate::net::ClientNet;
 pub struct ClientOptions {
     /// The M servers, the replication degree N, and the in-flight bound δ.
     pub config: ReplicationConfig,
-    /// How targets are chosen (§5.4).
-    pub strategy: AssignStrategy,
     /// Cap on the ack-wait backoff: no single wait for acknowledgments
     /// exceeds this, and a server is only charged a failed re-force
     /// attempt once waits have grown to it.
@@ -40,7 +38,6 @@ impl ClientOptions {
     pub fn new(config: ReplicationConfig) -> Self {
         ClientOptions {
             config,
-            strategy: AssignStrategy::Striped,
             ack_timeout: Duration::from_millis(120),
         }
     }
@@ -241,29 +238,9 @@ impl<E: Endpoint> ReplicatedLog<E> {
         self.stats.initializations += 1;
         let need = self.opts.config.init_quorum();
 
-        // 1. Gather interval lists. §3.2: "the client process can poll
-        // until it receives responses from enough servers" — servers need
-        // not all answer in one round, so stragglers get retried before
-        // the quorum is declared unavailable.
-        let mut lists: Vec<(ServerId, IntervalList)> = Vec::new();
-        for round in 0..3 {
-            for &s in &self.opts.config.servers.clone() {
-                if lists.iter().any(|(got, _)| *got == s) {
-                    continue;
-                }
-                if let Ok(Response::Intervals { intervals }) =
-                    self.net.rpc(s, Request::IntervalList { client: self.id })
-                {
-                    lists.push((s, intervals));
-                }
-            }
-            if lists.len() >= need {
-                break;
-            }
-            if round < 2 {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
+        // 1. Gather interval lists from at least `need` servers.
+        let servers = self.opts.config.servers.clone();
+        let mut lists = self.net.interval_lists(self.id, &servers, need);
         if lists.len() < need {
             return Err(DlogError::QuorumUnavailable {
                 operation: "client initialization",
@@ -278,7 +255,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
         // unique and increasing across this client's restarts; still, be
         // defensive against a view holding a higher epoch (e.g. restored
         // from foreign state) by drawing again.
-        let generator = EpochGenerator::new(self.id.0, self.opts.config.servers.clone());
+        let generator = EpochGenerator::new(self.id.0, servers.clone());
         let max_seen = self
             .view
             .segments()
@@ -293,10 +270,7 @@ impl<E: Endpoint> ReplicatedLog<E> {
         self.epoch = epoch;
 
         // 3. Choose targets.
-        self.targets =
-            self.opts
-                .strategy
-                .initial(self.id, &self.opts.config.servers, self.opts.config.n);
+        self.targets = assign::initial(self.id, &servers, self.opts.config.n);
         self.covers_from.clear();
 
         // 4. Atomicity rewrite: copy the last δ records with the new
@@ -403,12 +377,9 @@ impl<E: Endpoint> ReplicatedLog<E> {
                 }
                 Err(_) => {
                     // Switch to a replacement target and try it instead.
-                    let Some(replacement) = self.opts.strategy.replacement(
-                        self.id,
-                        &self.opts.config.servers,
-                        &tried,
-                        t,
-                    ) else {
+                    let Some(replacement) =
+                        assign::replacement(&self.opts.config.servers, &tried, t)
+                    else {
                         return Err(DlogError::QuorumUnavailable {
                             operation: "recovery InstallCopies",
                             needed: self.opts.config.n,
@@ -975,12 +946,9 @@ impl<E: Endpoint> ReplicatedLog<E> {
     /// Replace a failed target ("clients will simply assume that the
     /// server has failed and will take their logging elsewhere", §4.2).
     fn switch_target(&mut self, failed: ServerId) -> Result<()> {
-        let Some(replacement) = self.opts.strategy.replacement(
-            self.id,
-            &self.opts.config.servers,
-            &self.targets,
-            failed,
-        ) else {
+        let Some(replacement) =
+            assign::replacement(&self.opts.config.servers, &self.targets, failed)
+        else {
             return Err(self.write_quorum_lost());
         };
         self.stats.switches += 1;
@@ -1089,14 +1057,8 @@ impl<E: Endpoint> ReplicatedLog<E> {
     pub(crate) fn adopt_epoch_after_repair(&mut self, epoch: Epoch) -> Result<()> {
         self.epoch = epoch;
         // Refresh the merged view from live servers.
-        let mut lists: Vec<(ServerId, IntervalList)> = Vec::new();
-        for &s in &self.opts.config.servers.clone() {
-            if let Ok(Response::Intervals { intervals }) =
-                self.net.rpc(s, Request::IntervalList { client: self.id })
-            {
-                lists.push((s, intervals));
-            }
-        }
+        let servers = self.opts.config.servers.clone();
+        let lists = self.net.interval_lists(self.id, &servers, 0);
         self.adopt_view(MergedView::merge(&lists));
         // Future records start a declared fresh interval on each target.
         for &t in &self.targets.clone() {

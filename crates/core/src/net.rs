@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use dlog_net::wire::{Message, NodeAddr, Packet, Request, Response};
 use dlog_net::Endpoint;
-use dlog_types::{DlogError, Lsn, Result, ServerId};
+use dlog_types::{ClientId, DlogError, IntervalList, Lsn, Result, ServerId};
 
 /// Client-side network counters (used by the E3 capacity experiment).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -200,6 +200,68 @@ impl<E: Endpoint> ClientNet<E> {
         }
         self.stats.rpc_failures += 1;
         Err(DlogError::ServerUnavailable { server })
+    }
+
+    /// `client`'s interval lists (§3.1.1) from those of `servers` that
+    /// answer. "The client process can poll until it receives responses
+    /// from enough servers" (§3.2): while fewer than `need` have answered,
+    /// the silent ones are asked again, for three rounds in all. Each
+    /// round already waits out a silent server's RPC retries.
+    pub fn interval_lists(
+        &mut self,
+        client: ClientId,
+        servers: &[ServerId],
+        need: usize,
+    ) -> Vec<(ServerId, IntervalList)> {
+        let mut lists: Vec<(ServerId, IntervalList)> = Vec::new();
+        for _ in 0..3 {
+            for &s in servers {
+                if lists.iter().any(|(got, _)| *got == s) {
+                    continue;
+                }
+                if let Ok(list) = self.interval_list(s, client) {
+                    lists.push((s, list));
+                }
+            }
+            if lists.len() >= need {
+                break;
+            }
+        }
+        lists
+    }
+
+    /// `server`'s whole interval list for `client`: a list longer than
+    /// one reply arrives in pages, each asked for from the index after
+    /// the last interval received.
+    fn interval_list(&mut self, server: ServerId, client: ClientId) -> Result<IntervalList> {
+        let mut list = IntervalList::new();
+        loop {
+            let first = u32::try_from(list.len()).unwrap_or(u32::MAX);
+            let Response::Intervals {
+                intervals: page,
+                more,
+            } = self.rpc(server, Request::IntervalList { client, first })?
+            else {
+                return Err(DlogError::Protocol(format!(
+                    "IntervalList to {server}: unexpected response"
+                )));
+            };
+            if page.is_empty() && more {
+                return Err(DlogError::Protocol(format!(
+                    "IntervalList to {server}: an empty page with more to follow"
+                )));
+            }
+            if list.is_empty() {
+                list = page;
+            } else {
+                for &iv in page.intervals() {
+                    list.push(iv).map_err(DlogError::Protocol)?;
+                }
+            }
+            if !more {
+                return Ok(list);
+            }
+        }
     }
 
     /// Perform a shard-agnostic RPC (`Status` / `Stats`) against every

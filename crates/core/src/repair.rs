@@ -14,7 +14,7 @@
 use dlog_net::wire::{Request, Response};
 use dlog_net::Endpoint;
 use dlog_types::interval::MergedView;
-use dlog_types::{DlogError, IntervalList, LogRecord, Lsn, Result, ServerId};
+use dlog_types::{DlogError, LogRecord, Lsn, Result, ServerId};
 
 use crate::client::ReplicatedLog;
 use crate::epoch::EpochGenerator;
@@ -55,15 +55,8 @@ impl<E: Endpoint> ReplicatedLog<E> {
         let need = self.options().config.init_quorum();
 
         // 1. Probe: which servers are alive, and what do they hold?
-        let me = self.client_id();
-        let mut lists: Vec<(ServerId, IntervalList)> = Vec::new();
-        for &s in &self.options().config.servers.clone() {
-            if let Ok(Response::Intervals { intervals }) =
-                self.net_mut().rpc(s, Request::IntervalList { client: me })
-            {
-                lists.push((s, intervals));
-            }
-        }
+        let (me, servers) = (self.client_id(), self.options().config.servers.clone());
+        let lists = self.net_mut().interval_lists(me, &servers, need);
         if lists.len() < need {
             return Err(DlogError::QuorumUnavailable {
                 operation: "repair",

@@ -24,7 +24,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dlog_net::wire::{Message, NodeAddr, Packet};
+use dlog_net::wire::{Message, NodeAddr, Packet, MAX_PACKET_BYTES};
 use dlog_net::{Endpoint, FaultPlan};
 use dlog_obs::{Obs, ObsOptions, Stage};
 use dlog_server::gen::GenStore;
@@ -387,14 +387,26 @@ impl SyncWorld {
     /// every surviving copy. Server replies are routed recursively
     /// (servers only ever reply toward the client, so depth is bounded).
     ///
+    /// # Errors
+    /// `InvalidInput` for a packet that encodes to more than
+    /// [`MAX_PACKET_BYTES`], which no real transport can carry: the
+    /// packet goes nowhere, as on `MemNetwork`.
+    ///
     /// # Panics
     /// A server's ack regressed.
-    pub fn deliver(&mut self, from: NodeAddr, to: NodeAddr, pkt: &Packet) {
+    pub fn deliver(&mut self, from: NodeAddr, to: NodeAddr, pkt: &Packet) -> io::Result<()> {
+        let len = pkt.encoded_len();
+        if len > MAX_PACKET_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("packet of {len} bytes exceeds MTU {MAX_PACKET_BYTES}"),
+            ));
+        }
         if let Some(obs) = &self.world_obs {
             obs.event(Stage::PacketSend, pkt.lsn_hint(), to.0);
         }
         if self.plan.loss > 0.0 && self.rng.gen_bool(self.plan.loss) {
-            return;
+            return Ok(());
         }
         let copies = if self.plan.duplicate > 0.0 && self.rng.gen_bool(self.plan.duplicate) {
             2
@@ -403,6 +415,19 @@ impl SyncWorld {
         };
         for _ in 0..copies {
             self.route(from, to, pkt.clone());
+        }
+        Ok(())
+    }
+
+    /// Send a server's replies. One that fails to send is lost, as the
+    /// server loop's `send_all` loses it on a real transport.
+    fn deliver_replies(&mut self, from: NodeAddr, replies: Output) {
+        for (to, pkt) in replies {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "an over-size reply is network loss, which the protocol recovers from end to end"
+            )]
+            let _ = self.deliver(from, to, &pkt);
         }
     }
 
@@ -421,9 +446,8 @@ impl SyncWorld {
             };
             // Recursion depth ≤ 2: servers reply only to clients, and a
             // client-bound packet is queued below, never routed onward.
-            for (rto, rpkt) in replies.into_iter().chain(flushed) {
-                self.deliver(to, rto, &rpkt);
-            }
+            self.deliver_replies(to, replies);
+            self.deliver_replies(to, flushed);
         } else if self.plan.reorder > 0.0
             && !self.inbox.is_empty()
             && self.rng.gen_bool(self.plan.reorder)
@@ -448,9 +472,8 @@ impl SyncWorld {
     pub fn idle_flush(&mut self) {
         let mut sid = 1;
         while self.servers.is_server(NodeAddr(sid)) {
-            for (to, pkt) in self.flush(sid) {
-                self.deliver(NodeAddr(sid), to, &pkt);
-            }
+            let replies = self.flush(sid);
+            self.deliver_replies(NodeAddr(sid), replies);
             sid += 1;
         }
     }
@@ -490,8 +513,7 @@ impl Endpoint for SyncEndpoint {
     }
 
     fn send(&self, to: NodeAddr, packet: &Packet) -> io::Result<()> {
-        unpoisoned(self.world.lock()).deliver(self.addr, to, packet);
-        Ok(())
+        unpoisoned(self.world.lock()).deliver(self.addr, to, packet)
     }
 
     fn recv(&self, _timeout: Duration) -> io::Result<Option<(NodeAddr, Packet)>> {

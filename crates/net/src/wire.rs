@@ -101,7 +101,7 @@ impl Packet {
             | Message::NewHighLsn { client, .. }
             | Message::MissingInterval { client, .. } => *client,
             Message::Request { body, .. } => match body {
-                Request::IntervalList { client }
+                Request::IntervalList { client, .. }
                 | Request::ReadLogForward { client, .. }
                 | Request::ReadLogBackward { client, .. }
                 | Request::CopyLog { client, .. }
@@ -207,6 +207,9 @@ pub enum Request {
     IntervalList {
         /// The restarting client.
         client: ClientId,
+        /// Index of the first interval wanted: a list too long for one
+        /// packet travels a page at a time.
+        first: u32,
     },
     /// Records with LSN ≥ `lsn`, packed up to a packet.
     ReadLogForward {
@@ -282,8 +285,10 @@ pub struct StageStats {
 pub enum Response {
     /// Interval list for the requested client.
     Intervals {
-        /// Stored intervals in storage order.
+        /// Stored intervals in storage order, from the requested index.
         intervals: IntervalList,
+        /// More intervals follow this page.
+        more: bool,
     },
     /// Records for a read call; empty when the server stores none in the
     /// requested direction.
@@ -885,7 +890,7 @@ wire_enum!(Message {
 });
 
 wire_enum!(Request {
-    1 => IntervalList { client },
+    1 => IntervalList { client, first },
     2 => ReadLogForward { client, lsn, max_records },
     3 => ReadLogBackward { client, lsn, max_records },
     4 => CopyLog { client, epoch, records },
@@ -897,7 +902,7 @@ wire_enum!(Request {
 });
 
 wire_enum!(Response {
-    1 => Intervals { intervals },
+    1 => Intervals { intervals, more },
     2 => Records { records },
     3 => Ok {},
     4 => Err { code, detail },
@@ -1035,6 +1040,11 @@ mod tests {
         for body in [
             Request::IntervalList {
                 client: ClientId(3),
+                first: 0,
+            },
+            Request::IntervalList {
+                client: ClientId(3),
+                first: 336,
             },
             Request::ReadLogForward {
                 client: ClientId(3),
@@ -1069,9 +1079,13 @@ mod tests {
         ])
         .unwrap();
         for body in [
-            Response::Intervals { intervals: list },
+            Response::Intervals {
+                intervals: list,
+                more: true,
+            },
             Response::Intervals {
                 intervals: IntervalList::new(),
+                more: false,
             },
             Response::Records {
                 records: vec![LogRecord::present(Lsn(1), Epoch(1), vec![1])],
@@ -1168,13 +1182,15 @@ mod tests {
                     Lsn(2),
                 )])
                 .unwrap(),
+                more: false,
             },
         });
         assert!(Packet::decode(&good.encode()).is_ok());
-        // The frame ends with the interval's lo (1) and hi (2). Raise lo
+        // The frame ends with the interval's lo (1) and hi (2), then the
+        // one-byte `more` flag. Raise lo
         // above hi; or raise hi to `Lsn::MAX`, which leaves
         // `MergedView::merge` no exclusive end. Then re-seal the CRC.
-        for (at, word) in [(16, 5u64), (8, Lsn::MAX.0)] {
+        for (at, word) in [(17, 5u64), (9, Lsn::MAX.0)] {
             let mut out = good.encode();
             let n = out.len();
             out[n - at..n - at + 8].copy_from_slice(&word.to_le_bytes());

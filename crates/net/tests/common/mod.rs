@@ -47,9 +47,8 @@ fn arb_interval_list() -> impl Strategy<Value = IntervalList> {
 fn arb_request() -> impl Strategy<Value = Request> {
     let client = (1u64..50).prop_map(ClientId);
     prop_oneof![
-        client
-            .clone()
-            .prop_map(|client| Request::IntervalList { client }),
+        (client.clone(), any::<u32>())
+            .prop_map(|(client, first)| Request::IntervalList { client, first }),
         (client.clone(), 1u64..10_000, 1u32..512).prop_map(|(client, l, m)| {
             Request::ReadLogForward {
                 client,
@@ -105,7 +104,8 @@ fn arb_stage_stats() -> impl Strategy<Value = StageStats> {
 
 fn arb_response() -> impl Strategy<Value = Response> {
     prop_oneof![
-        arb_interval_list().prop_map(|intervals| Response::Intervals { intervals }),
+        (arb_interval_list(), any::<bool>())
+            .prop_map(|(intervals, more)| Response::Intervals { intervals, more }),
         proptest::collection::vec(arb_record(), 0..6)
             .prop_map(|records| Response::Records { records }),
         Just(Response::Ok),

@@ -347,6 +347,16 @@ fn corpus() -> Vec<(&'static str, Vec<u8>, &'static str)> {
     let mut m = vec![1u8];
     m.extend_from_slice(&u32::MAX.to_le_bytes());
     frames.push(("35-interval-count-absurd", response(&m), COUNT));
+    // A valid one-interval page without its `more` flag.
+    frames.push((
+        "36-intervals-no-more",
+        response(&interval(1, 1, 10)),
+        TRUNCATED,
+    ));
+    // IntervalList (tag 1) missing the index of its first interval.
+    let mut m = vec![1u8];
+    m.extend_from_slice(&7u64.to_le_bytes());
+    frames.push(("37-intervallist-no-first", request(&m), TRUNCATED));
 
     frames
 }

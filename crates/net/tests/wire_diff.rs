@@ -159,9 +159,10 @@ fn ref_message(msg: &Message, out: &mut Vec<u8>) {
 
 fn ref_request(body: &Request, out: &mut Vec<u8>) {
     match body {
-        Request::IntervalList { client } => {
+        Request::IntervalList { client, first } => {
             out.push(1);
             put_u64(out, client.0);
+            put_u32(out, *first);
         }
         Request::ReadLogForward {
             client,
@@ -214,9 +215,10 @@ fn ref_request(body: &Request, out: &mut Vec<u8>) {
 
 fn ref_response(body: &Response, out: &mut Vec<u8>) {
     match body {
-        Response::Intervals { intervals } => {
+        Response::Intervals { intervals, more } => {
             out.push(1);
             ref_intervals(out, intervals);
+            out.push(u8::from(*more));
         }
         Response::Records { records } => {
             out.push(2);

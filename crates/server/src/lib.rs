@@ -50,7 +50,7 @@ use dlog_archive::{merge_interval_lists, ArchiveReader, Archiver, ObjectStore};
 use dlog_net::wire::{codes, Message, NodeAddr, Packet, Request, Response, MAX_PACKET_BYTES};
 use dlog_storage::frame::{Frame, ENVELOPE_BYTES};
 use dlog_storage::{Durable, LogStore, RunRead, FRAME_READ_WINDOW};
-use dlog_types::{ClientId, DlogError, Epoch, LogData, Lsn, Result, ServerId};
+use dlog_types::{ClientId, DlogError, Epoch, IntervalList, LogData, Lsn, Result, ServerId};
 
 use crate::gen::GenStore;
 
@@ -66,6 +66,13 @@ struct Session {
 
 /// Cap on records packed into one read response.
 const READ_BATCH: u32 = 512;
+
+/// Bytes a `Records` or `Intervals` reply carries, leaving room for the
+/// packet and response headers under [`MAX_PACKET_BYTES`].
+const REPLY_BUDGET: usize = MAX_PACKET_BYTES - 128;
+
+/// Intervals in one `Intervals` page: each is three u64s on the wire.
+const INTERVALS_PER_PAGE: usize = REPLY_BUDGET / 24;
 
 /// Server behaviour knobs.
 #[derive(Clone, Debug)]
@@ -642,15 +649,15 @@ impl LogServer {
     /// Serve a strict RPC.
     fn serve(&mut self, req: &Request) -> Response {
         match req {
-            Request::IntervalList { client } => {
+            Request::IntervalList { client, first } => {
                 let live = self.store.interval_list(*client);
-                let intervals = match self.archive.as_ref().and_then(|t| t.reader.as_ref()) {
+                let list = match self.archive.as_ref().and_then(|t| t.reader.as_ref()) {
                     // The archive holds the head retention may have pruned
                     // locally; clients see the union.
                     Some(reader) => merge_interval_lists(&reader.interval_list(*client), &live),
                     None => live,
                 };
-                Response::Intervals { intervals }
+                interval_page(list, *first as usize)
             }
             Request::ReadLogForward {
                 client,
@@ -800,7 +807,7 @@ impl LogServer {
         // come to `span`: one window of the stream serves the request.
         // A request for fewer records reads a store read's window per
         // record, so a point read reads 1 KiB, not a full reply's bytes.
-        let budget = MAX_PACKET_BYTES - 128;
+        let budget = REPLY_BUDGET;
         let per_record = 32;
         let span = (budget + cap * (Frame::record_len(0) - per_record) + ENVELOPE_BYTES)
             .min(cap * FRAME_READ_WINDOW);
@@ -867,6 +874,24 @@ impl LogServer {
     }
 }
 
+/// The page of `list` that starts at index `first`: as many intervals as
+/// fit one reply, and whether more follow.
+fn interval_page(list: IntervalList, first: usize) -> Response {
+    let all = list.intervals();
+    let end = all.len().min(first.saturating_add(INTERVALS_PER_PAGE));
+    // A run of a valid list keeps the list's ordering invariants.
+    match IntervalList::from_intervals(all.get(first..end).unwrap_or_default().to_vec()) {
+        Ok(intervals) => Response::Intervals {
+            intervals,
+            more: end < all.len(),
+        },
+        Err(_) => Response::Err {
+            code: codes::STORAGE,
+            detail: "stored interval list violates its ordering".into(),
+        },
+    }
+}
+
 /// A forced `NewHighLSN` (§4.2): it takes the [`Durable`] proof of the
 /// round that covered `client`, so it can be built only after the force.
 /// The lazy `ack_every` ack is not forced and is built without one.
@@ -878,7 +903,7 @@ fn forced_ack(_: &Durable, client: ClientId, lsn: Lsn) -> Packet {
 mod tests {
     use super::*;
     use dlog_storage::{NvramDevice, StoreOptions};
-    use dlog_types::LogRecord;
+    use dlog_types::{Interval, LogRecord};
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -1011,11 +1036,48 @@ mod tests {
         );
         assert_eq!(s.stats().naks_sent, 0);
         // Two intervals now.
-        let resp = s.serve(&Request::IntervalList { client: CL });
+        let resp = s.serve(&Request::IntervalList {
+            client: CL,
+            first: 0,
+        });
         match resp {
-            Response::Intervals { intervals } => assert_eq!(intervals.len(), 2),
+            Response::Intervals {
+                intervals,
+                more: false,
+            } => assert_eq!(intervals.len(), 2),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// A full page fits a packet, and the pages, asked for from the index
+    /// after the last interval received, add up to the whole list.
+    #[test]
+    fn interval_pages_fit_a_packet_and_add_up_to_the_list() {
+        let list = IntervalList::from_intervals(
+            (1..=1_000u64)
+                .map(|e| Interval::new(Epoch(e), Lsn(e), Lsn(e + 8)))
+                .collect(),
+        )
+        .unwrap();
+        let mut got: Vec<Interval> = Vec::new();
+        loop {
+            let reply = interval_page(list.clone(), got.len());
+            let pkt = Packet::bare(Message::Response { id: 1, body: reply });
+            assert!(pkt.encoded_len() <= MAX_PACKET_BYTES);
+            let Message::Response {
+                body: Response::Intervals { intervals, more },
+                ..
+            } = pkt.msg
+            else {
+                panic!("unexpected {pkt:?}");
+            };
+            assert_eq!(intervals.len(), INTERVALS_PER_PAGE.min(1_000 - got.len()));
+            got.extend_from_slice(intervals.intervals());
+            if !more {
+                break;
+            }
+        }
+        assert_eq!(got, list.intervals());
     }
 
     #[test]

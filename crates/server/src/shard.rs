@@ -620,6 +620,7 @@ mod tests {
                         id: 77,
                         body: Request::IntervalList {
                             client: ClientId(c0),
+                            first: 0,
                         },
                     },
                 ),
@@ -629,7 +630,7 @@ mod tests {
             match pkt.msg {
                 Message::Response {
                     id: 77,
-                    body: Response::Intervals { intervals },
+                    body: Response::Intervals { intervals, .. },
                 } => assert_eq!(intervals.len(), 1, "{entry:?}"),
                 other => panic!("{entry:?}: unexpected {other:?}"),
             }

@@ -9,6 +9,7 @@
 //! merge result ([`MergedView`]) is the client's read cache: it tells the
 //! client the end of the log and which server to ask for any record.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::{Epoch, Lsn, ServerId};
@@ -251,50 +252,51 @@ impl MergedView {
     /// retained as read candidates.
     #[must_use]
     pub fn merge(lists: &[(ServerId, IntervalList)]) -> Self {
-        // Collect every (server, interval) entry and the set of range
-        // boundaries, then decide the winner on each elementary range.
-        // Interval lists are short by design (§4.3: "an essential
-        // assumption of the replicated logging algorithm is that interval
-        // lists are short"), so the O(E²) sweep is cheap.
-        let mut entries: Vec<(ServerId, Interval)> = Vec::new();
+        // Sweep the LSN line. Each interval opens at its `lo` and closes
+        // at its exclusive end; `open` counts the open intervals per
+        // (epoch, server). On each elementary range between two event
+        // points, the highest open epoch wins, with every server open at
+        // it. O(E log E) for E intervals: a long-lived client's lists
+        // grow by an interval per incarnation (§5.4).
+        let mut events: Vec<(Lsn, bool, Epoch, ServerId)> = Vec::new();
         for (sid, list) in lists {
             for iv in list {
-                entries.push((*sid, *iv));
+                // Exclusive end. Both decoders of an interval refuse
+                // `hi == Lsn::MAX`, so only a logic error can overflow here.
+                events.push((iv.lo, true, iv.epoch, *sid));
+                events.push((iv.hi.next(), false, iv.epoch, *sid));
             }
         }
-        if entries.is_empty() {
-            return MergedView::new();
-        }
+        events.sort_unstable_by_key(|e| e.0);
 
-        let mut bounds: Vec<Lsn> = Vec::with_capacity(entries.len() * 2);
-        for (_, iv) in &entries {
-            bounds.push(iv.lo);
-            // Exclusive end. Both decoders of an interval refuse
-            // `hi == Lsn::MAX`, so only a logic error can overflow here.
-            bounds.push(iv.hi.next());
-        }
-        bounds.sort_unstable();
-        bounds.dedup();
-
+        let mut open: BTreeMap<(Epoch, ServerId), u32> = BTreeMap::new();
         let mut segments: Vec<MergedSegment> = Vec::new();
-        for w in bounds.windows(2) {
-            let &[lo, end] = w else { continue };
-            let Some(hi) = end.prev() else { continue };
-            // Winning epoch on this elementary range.
-            let mut best: Option<Epoch> = None;
-            for (_, iv) in &entries {
-                if iv.lo <= lo && hi <= iv.hi {
-                    best = Some(best.map_or(iv.epoch, |b| b.max(iv.epoch)));
+        let mut events = events.into_iter().peekable();
+        while let Some((lo, opens, epoch, sid)) = events.next() {
+            let count = open.entry((epoch, sid)).or_insert(0);
+            if opens {
+                *count += 1;
+            } else {
+                *count -= 1;
+                if *count == 0 {
+                    open.remove(&(epoch, sid));
                 }
             }
-            let Some(epoch) = best else { continue };
-            let mut servers: Vec<ServerId> = entries
-                .iter()
-                .filter(|(_, iv)| iv.epoch == epoch && iv.lo <= lo && hi <= iv.hi)
-                .map(|(sid, _)| *sid)
+            // Apply every event at this point before deciding the range.
+            let Some(&(end, ..)) = events.peek() else {
+                break;
+            };
+            if end == lo {
+                continue;
+            }
+            let Some(hi) = end.prev() else { continue };
+            let Some((&(epoch, _), _)) = open.last_key_value() else {
+                continue;
+            };
+            let servers: Vec<ServerId> = open
+                .range((epoch, ServerId(0))..)
+                .map(|(&(_, sid), _)| sid)
                 .collect();
-            servers.sort_unstable();
-            servers.dedup();
 
             // Coalesce with the previous segment when contiguous and equal.
             if let Some(prev) = segments.last_mut() {

@@ -8,7 +8,6 @@
 
 use dlog_bench::harness::{client_addr, server_addr};
 use dlog_bench::{payload, Cluster, ClusterOptions};
-use dlog_core::assign::AssignStrategy;
 use dlog_net::wire::{Message, Packet, Request, Response};
 use dlog_net::Endpoint;
 use dlog_types::{ClientId, Interval, IntervalList, Lsn, ServerId};
@@ -32,14 +31,21 @@ fn interval_list(cluster: &Cluster, s: ServerId, c: ClientId) -> IntervalList {
         server_addr(s),
         &Packet::bare(Message::Request {
             id: 1,
-            body: Request::IntervalList { client: c },
+            body: Request::IntervalList {
+                client: c,
+                first: 0,
+            },
         }),
     )
     .unwrap();
     match ep.recv(std::time::Duration::from_secs(1)).unwrap() {
         Some((_, pkt)) => match pkt.msg {
             Message::Response {
-                body: Response::Intervals { intervals },
+                body:
+                    Response::Intervals {
+                        intervals,
+                        more: false,
+                    },
                 ..
             } => intervals,
             other => panic!("unexpected response {other:?}"),
@@ -65,13 +71,14 @@ fn dump(cluster: &Cluster, c: ClientId, caption: &str) {
 #[test]
 fn figures_3_1_through_3_3() {
     let cluster = Cluster::start("figure-states", ClusterOptions::new(3));
-    let c = ClientId(7);
+    // 6 ≡ 0 (mod 3): striped placement writes to servers 1 and 2.
+    let c = ClientId(6);
     let (s1, s2, s3) = (ServerId(1), ServerId(2), ServerId(3));
 
     // ---- Stage A (first epoch): records 1..=3 on servers 1+2.
     let e1;
     {
-        let mut log = cluster.client_with(c.0, 2, 1, AssignStrategy::Fixed);
+        let mut log = cluster.client(c.0, 2, 1);
         init_retry(&mut log);
         e1 = log.epoch();
         for i in 1..=3u64 {
@@ -94,7 +101,7 @@ fn figures_3_1_through_3_3() {
     cluster.net.partition(client_addr(c), server_addr(s2));
     let e2;
     {
-        let mut log = cluster.client_with(c.0, 2, 1, AssignStrategy::Fixed);
+        let mut log = cluster.client(c.0, 2, 1);
         init_retry(&mut log);
         e2 = log.epoch();
         assert!(e2 > e1, "epochs must increase across restarts");
@@ -135,7 +142,7 @@ fn figures_3_1_through_3_3() {
     // ---- Stage C (Figure 3-2): a third incarnation's first record
     // reaches only server 1.
     let (partial, t_other) = {
-        let mut log = cluster.client_with(c.0, 2, 1, AssignStrategy::Fixed);
+        let mut log = cluster.client(c.0, 2, 1);
         // Make server 2 invisible again so targets remain {1, 3}.
         cluster.net.partition(client_addr(c), server_addr(s2));
         init_retry(&mut log);
@@ -177,7 +184,7 @@ fn figures_3_1_through_3_3() {
     // ---- Stage D (Figure 3-3): restart; the doubtful tail is re-copied
     // under epoch e3 and a not-present record is appended; the log is
     // consistent and writable.
-    let mut log = cluster.client_with(c.0, 2, 1, AssignStrategy::Fixed);
+    let mut log = cluster.client(c.0, 2, 1);
     init_retry(&mut log);
     let e3 = log.epoch();
     assert!(e3 > e2);
