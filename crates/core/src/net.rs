@@ -130,7 +130,8 @@ impl<E: Endpoint> ClientNet<E> {
     }
 
     /// Receive and dispatch packets for up to `timeout`. Returns `true` if
-    /// at least one packet was absorbed.
+    /// at least one packet was absorbed. `Duration::ZERO` only absorbs
+    /// what has already arrived, without waiting.
     ///
     /// # Errors
     /// Propagates endpoint failures.
@@ -138,10 +139,7 @@ impl<E: Endpoint> ClientNet<E> {
         let deadline = Instant::now() + timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            match self
-                .endpoint
-                .recv(remaining.max(Duration::from_millis(1)))?
-            {
+            match self.endpoint.recv(remaining)? {
                 Some((from, pkt)) => {
                     self.dispatch(from, pkt.msg, None);
                     // Drain whatever else is immediately available.
@@ -375,5 +373,62 @@ impl<E: Endpoint> ClientNet<E> {
             .get(&server)
             .copied()
             .ok_or(DlogError::ServerUnavailable { server })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{Arc, Mutex};
+
+    /// An endpoint that hands out queued packets and records every
+    /// receive timeout it is given.
+    struct Recording {
+        inbox: Mutex<VecDeque<(NodeAddr, Packet)>>,
+        timeouts: Arc<Mutex<Vec<Duration>>>,
+    }
+
+    impl Endpoint for Recording {
+        fn local_addr(&self) -> NodeAddr {
+            NodeAddr(1000)
+        }
+
+        fn send(&self, _to: NodeAddr, _packet: &Packet) -> std::io::Result<()> {
+            Ok(())
+        }
+
+        fn recv(&self, timeout: Duration) -> std::io::Result<Option<(NodeAddr, Packet)>> {
+            self.timeouts.lock().unwrap().push(timeout);
+            Ok(self.inbox.lock().unwrap().pop_front())
+        }
+    }
+
+    #[test]
+    fn a_zero_poll_never_waits() {
+        for queued in 0..3u64 {
+            let timeouts = Arc::new(Mutex::new(Vec::new()));
+            let inbox = (1..=queued)
+                .map(|lsn| {
+                    let ack = Message::NewHighLsn {
+                        client: ClientId(1),
+                        lsn: Lsn(lsn),
+                    };
+                    (NodeAddr(1), Packet::bare(ack))
+                })
+                .collect();
+            let endpoint = Recording {
+                inbox: Mutex::new(inbox),
+                timeouts: Arc::clone(&timeouts),
+            };
+            let mut net = ClientNet::new(endpoint, HashMap::from([(ServerId(1), NodeAddr(1))]));
+            assert_eq!(net.poll(Duration::ZERO).unwrap(), queued > 0);
+            assert_eq!(net.acked(ServerId(1)), Lsn(queued));
+            let timeouts = timeouts.lock().unwrap();
+            assert!(!timeouts.is_empty());
+            assert!(
+                timeouts.iter().all(Duration::is_zero),
+                "{queued} queued: {timeouts:?}"
+            );
+        }
     }
 }

@@ -73,6 +73,13 @@ pub trait Endpoint: Send {
     fn send(&self, to: NodeAddr, packet: &Packet) -> io::Result<()>;
 
     /// Receive the next datagram, waiting up to `timeout`.
+    /// `Duration::ZERO` polls: it returns what has already arrived and
+    /// never blocks, on every transport.
+    ///
+    /// One thread receives on an endpoint at a time (the server's shard
+    /// loop or dispatcher, the client's single logging process, §3.1);
+    /// [`udp::UdpEndpoint`] caches its socket's receive mode on that
+    /// assumption. Any thread may send.
     ///
     /// # Errors
     /// Propagates socket errors; a timeout yields `Ok(None)`.

@@ -7,10 +7,38 @@
 //! loopback) are exactly that substrate: unordered, unacknowledged,
 //! occasionally lost — and the logging protocol above supplies the
 //! end-to-end recovery.
+//!
+//! # Receive modes
+//!
+//! [`Endpoint::recv`] with `Duration::ZERO` must poll: the server's ingest
+//! drain and group-commit check and the client's ack drain all call it on
+//! every packet. `SO_RCVTIMEO` cannot express that. The kernel rounds a
+//! receive timeout up to whole scheduler ticks (4 ms at `CONFIG_HZ=250`),
+//! and std maps a zero timeout to "block forever". So a zero timeout puts
+//! the socket in non-blocking mode, and any other timeout puts it back in
+//! blocking mode under `SO_RCVTIMEO`.
+//!
+//! The endpoint caches the mode it last set, so a steady state makes no
+//! extra syscall, and the server's alternation between a poll and its
+//! 20 ms idle wait costs one `FIONBIO` ioctl per flip. The cache is
+//! sound because one thread receives on an endpoint: the server's single
+//! shard loop or its dispatcher, and the client's single logging process
+//! (§3.1). Other threads may send concurrently; sending never touches the
+//! mode.
+//!
+//! A send on a socket that a poll left non-blocking can fail with
+//! `WouldBlock` when the socket's send buffer is full. That happens only
+//! on a real NIC (loopback frees the buffer at transmit). Callers treat a
+//! failed send as loss, and the protocol recovers from it end to end.
+//!
+//! One `try_clone`d socket per mode does not work instead: `try_clone` is
+//! `dup`, and the copy shares the open file's status flags (`O_NONBLOCK`)
+//! and its socket options (`SO_RCVTIMEO`) with the original.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
@@ -21,8 +49,15 @@ use crate::wire::{NodeAddr, Packet, MAX_PACKET_BYTES};
 use crate::Endpoint;
 
 /// A UDP endpoint with a logical-address directory.
+///
+/// Any thread may send, but only one thread may receive: the receive
+/// mode is cached without a lock (see the [module docs](self)).
 pub struct UdpEndpoint {
     socket: UdpSocket,
+    /// Whether the socket is in non-blocking mode (`recv(ZERO)` left it).
+    nonblocking: AtomicBool,
+    /// The `SO_RCVTIMEO` last set, in nanoseconds; 0 while none is set.
+    read_timeout_ns: AtomicU64,
     addr: NodeAddr,
     /// Reusable send/receive buffers: sends encode single-pass into a
     /// pooled buffer, receives decode zero-copy payload views out of one.
@@ -34,7 +69,7 @@ pub struct UdpEndpoint {
     /// Accept datagrams from unknown sources by auto-registering them
     /// under a synthetic logical address (server deployments, where
     /// client ports are ephemeral).
-    promiscuous: std::sync::atomic::AtomicBool,
+    promiscuous: AtomicBool,
     obs: dlog_obs::Obs,
 }
 
@@ -49,11 +84,13 @@ impl UdpEndpoint {
         let socket = UdpSocket::bind(bind_to)?;
         Ok(UdpEndpoint {
             socket,
+            nonblocking: AtomicBool::new(false),
+            read_timeout_ns: AtomicU64::new(0),
             addr,
             pool: BufPool::for_packets(),
             directory: RwLock::new(HashMap::new()),
             reverse: RwLock::new(HashMap::new()),
-            promiscuous: std::sync::atomic::AtomicBool::new(false),
+            promiscuous: AtomicBool::new(false),
             obs: dlog_obs::Obs::off(),
         })
     }
@@ -68,8 +105,7 @@ impl UdpEndpoint {
     /// under a synthetic logical address so replies route back. Servers
     /// turn this on; clients keep the explicit directory.
     pub fn set_promiscuous(&self, on: bool) {
-        self.promiscuous
-            .store(on, std::sync::atomic::Ordering::Relaxed);
+        self.promiscuous.store(on, Ordering::Relaxed);
     }
 
     /// The socket address actually bound.
@@ -84,6 +120,26 @@ impl UdpEndpoint {
     pub fn add_peer(&self, peer: NodeAddr, at: SocketAddr) {
         unpoisoned(self.directory.write()).insert(peer, at);
         unpoisoned(self.reverse.write()).insert(at, peer);
+    }
+
+    /// Put the socket in the mode a receive with `timeout` needs: ZERO
+    /// polls without blocking, anything else blocks up to `timeout`. The
+    /// atomics only make the endpoint `Sync`; the cache stays right
+    /// because one thread receives (see the module docs).
+    fn set_receive_mode(&self, timeout: Duration) -> io::Result<()> {
+        let nonblocking = timeout.is_zero();
+        if self.nonblocking.load(Ordering::Relaxed) != nonblocking {
+            self.socket.set_nonblocking(nonblocking)?;
+            self.nonblocking.store(nonblocking, Ordering::Relaxed);
+        }
+        if !nonblocking {
+            let nanos = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
+            if self.read_timeout_ns.load(Ordering::Relaxed) != nanos {
+                self.socket.set_read_timeout(Some(timeout))?;
+                self.read_timeout_ns.store(nanos, Ordering::Relaxed);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -157,10 +213,7 @@ impl Endpoint for UdpEndpoint {
 
     fn recv(&self, timeout: Duration) -> io::Result<Option<(NodeAddr, Packet)>> {
         dlog_types::lock::assert_unlocked();
-        // A zero timeout means "do not block"; std maps Duration::ZERO to
-        // blocking forever, so clamp to 1ms.
-        self.socket
-            .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
+        self.set_receive_mode(timeout)?;
         // Pooled receive buffer: after the first few packets the resize
         // is a no-op (capacity is retained) and the datagram is read into
         // reused memory.
@@ -173,7 +226,7 @@ impl Endpoint for UdpEndpoint {
                 let known = unpoisoned(self.reverse.read()).get(&from).copied();
                 let peer = match known {
                     Some(p) => p,
-                    None if self.promiscuous.load(std::sync::atomic::Ordering::Relaxed) => {
+                    None if self.promiscuous.load(Ordering::Relaxed) => {
                         // Synthesize a stable logical address from the
                         // socket address and register both directions.
                         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -217,6 +270,7 @@ mod tests {
     use super::*;
     use crate::wire::Message;
     use dlog_types::{ClientId, Epoch, LogData, Lsn};
+    use std::time::Instant;
 
     fn loopback() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()
@@ -244,6 +298,50 @@ mod tests {
     fn recv_times_out() {
         let a = UdpEndpoint::bind(NodeAddr(1), loopback()).unwrap();
         assert!(a.recv(Duration::from_millis(20)).unwrap().is_none());
+    }
+
+    #[test]
+    fn zero_timeout_polls_without_sleeping_a_tick() {
+        // SO_RCVTIMEO rounds up to a scheduler tick (1–4 ms), so 100
+        // timed-out receives take at least 100 ms; 100 polls take far less.
+        let a = UdpEndpoint::bind(NodeAddr(1), loopback()).unwrap();
+        let started = Instant::now();
+        for _ in 0..100 {
+            assert!(a.recv(Duration::ZERO).unwrap().is_none());
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(50), "100 polls took {took:?}");
+    }
+
+    #[test]
+    fn a_timed_receive_after_a_poll_still_waits() {
+        let a = UdpEndpoint::bind(NodeAddr(1), loopback()).unwrap();
+        assert!(a.recv(Duration::ZERO).unwrap().is_none());
+        let started = Instant::now();
+        assert!(a.recv(Duration::from_millis(20)).unwrap().is_none());
+        let took = started.elapsed();
+        assert!(took >= Duration::from_millis(20), "returned after {took:?}");
+    }
+
+    #[test]
+    fn a_timed_receive_after_a_poll_gets_a_late_datagram() {
+        let a = UdpEndpoint::bind(NodeAddr(1), loopback()).unwrap();
+        let b = UdpEndpoint::bind(NodeAddr(2), loopback()).unwrap();
+        a.add_peer(NodeAddr(2), b.socket_addr().unwrap());
+        b.add_peer(NodeAddr(1), a.socket_addr().unwrap());
+        assert!(b.recv(Duration::ZERO).unwrap().is_none());
+        let msg = Message::NewHighLsn {
+            client: ClientId(1),
+            lsn: Lsn(7),
+        };
+        let sent = msg.clone();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            a.send(NodeAddr(2), &Packet::bare(sent)).unwrap();
+        });
+        let (from, p) = b.recv(Duration::from_secs(2)).unwrap().unwrap();
+        sender.join().unwrap();
+        assert_eq!((from, p.msg), (NodeAddr(1), msg));
     }
 
     #[test]

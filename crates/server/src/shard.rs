@@ -39,7 +39,7 @@ use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dlog_net::wire::{NodeAddr, Packet};
+use dlog_net::wire::{codes, Message, NodeAddr, Packet, Response};
 use dlog_net::{Endpoint, RoutedEndpoint, ShardRx};
 use dlog_types::{Rank, Ranked};
 
@@ -475,14 +475,31 @@ fn shard_loop<E: Endpoint + ?Sized>(
 }
 
 /// Send every reply, in order. A send error is network loss, which the
-/// protocol recovers from end to end, so it stops nothing here.
+/// protocol recovers from end to end, so it stops nothing here. That
+/// includes `WouldBlock` from a UDP socket whose send buffer is full
+/// while a poll has left it non-blocking.
+///
+/// One error is not loss: an RPC reply the transport refuses as
+/// `InvalidInput` (over `MAX_PACKET_BYTES`) would be refused on every
+/// retry. Its client gets a `PROTOCOL` error for that RPC instead, at
+/// once, rather than retrying until it declares the server unavailable.
 fn send_all<E: Endpoint + ?Sized>(ep: &E, replies: impl IntoIterator<Item = (NodeAddr, Packet)>) {
     for (to, reply) in replies {
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "send failures are network loss; the protocol recovers end to end"
-        )]
-        let _ = ep.send(to, &reply);
+        let sent = ep.send(to, &reply);
+        let Message::Response { id, .. } = reply.msg else {
+            continue;
+        };
+        if sent.is_err_and(|e| e.kind() == io::ErrorKind::InvalidInput) {
+            let body = Response::Err {
+                code: codes::PROTOCOL,
+                detail: "reply exceeds MTU".into(),
+            };
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "send failures are network loss; the protocol recovers end to end"
+            )]
+            let _ = ep.send(to, &Packet::bare(Message::Response { id, body }));
+        }
     }
 }
 
@@ -491,7 +508,7 @@ mod tests {
     use super::*;
     use crate::gen::GenStore;
     use crate::ServerConfig;
-    use dlog_net::wire::{Message, Request, Response};
+    use dlog_net::wire::Request;
     use dlog_net::{FaultPlan, MemEndpoint, MemNetwork, MemShardRx};
     use dlog_storage::{LogStore, NvramDevice, StoreOptions};
     use dlog_types::{ClientId, Epoch, LogData, LogId, Lsn, ServerId};
@@ -723,6 +740,64 @@ mod tests {
             };
             self.inner.shard_rx(shards).into_iter().map(wrap).collect()
         }
+    }
+
+    /// A transport that refuses the first RPC reply it is asked to send,
+    /// as it refuses a packet over `MAX_PACKET_BYTES`.
+    struct RefusesOneReply {
+        inner: MemEndpoint,
+        refused: AtomicBool,
+    }
+
+    impl Endpoint for RefusesOneReply {
+        fn local_addr(&self) -> NodeAddr {
+            self.inner.local_addr()
+        }
+        fn send(&self, to: NodeAddr, packet: &Packet) -> io::Result<()> {
+            if matches!(packet.msg, Message::Response { .. })
+                && !self.refused.swap(true, Ordering::SeqCst)
+            {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "packet exceeds MTU",
+                ));
+            }
+            self.inner.send(to, packet)
+        }
+        fn recv(&self, timeout: Duration) -> Polled {
+            self.inner.recv(timeout)
+        }
+    }
+
+    #[test]
+    fn an_unsendable_reply_is_a_typed_error_not_loss() {
+        let net = MemNetwork::new(FaultPlan::reliable());
+        let root = tmproot("unsendable");
+        let refusing = RefusesOneReply {
+            inner: net.endpoint(NodeAddr(1)),
+            refused: AtomicBool::new(false),
+        };
+        let sup = ShardSupervisor::spawn(vec![shard_server(&root, 0, 1)], refusing);
+
+        let addrs = std::collections::HashMap::from([(ServerId(1), NodeAddr(1))]);
+        let mut client = dlog_core::net::ClientNet::new(net.endpoint(NodeAddr(100)), addrs);
+        let request = Request::IntervalList {
+            client: ClientId(1),
+            first: 0,
+        };
+        let reply = client.rpc(ServerId(1), request.clone()).unwrap();
+        assert_eq!(
+            reply,
+            Response::Err {
+                code: codes::PROTOCOL,
+                detail: "reply exceeds MTU".into()
+            }
+        );
+        assert_eq!(client.stats().rpc_retries, 0);
+        // Only that reply was refused: the next one goes through.
+        let reply = client.rpc(ServerId(1), request).unwrap();
+        assert!(matches!(reply, Response::Intervals { .. }), "{reply:?}");
+        drop(sup.stop());
     }
 
     #[test]

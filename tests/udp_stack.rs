@@ -146,3 +146,29 @@ fn udp_restart_recovers() {
         );
     }
 }
+
+#[test]
+fn udp_commits_without_resending() {
+    // An ET1 commit is 7 records of 100 B and a force. Over loopback the
+    // ack comes back long before the client's first retry timer, so a
+    // commit costs no resend and no RPC retry.
+    const COMMITS: u64 = 1_000;
+    let (cluster, mut eps) = start_with_clients("noresend", 3, &[4]);
+    let ep = eps.pop().unwrap();
+    let mut log = make_client(&cluster, ep, 4, 2, 8);
+    log.initialize().unwrap();
+    for _ in 0..COMMITS {
+        for _ in 0..7 {
+            log.write(vec![0x5A; 100]).unwrap();
+        }
+        log.force().unwrap();
+    }
+    let resends = log.stats().resends;
+    let rpc_retries = log.net_stats().rpc_retries;
+    eprintln!("{COMMITS} commits: {resends} resends, {rpc_retries} RPC retries");
+    assert!(
+        resends * 20 < COMMITS,
+        "{resends} resends in {COMMITS} commits"
+    );
+    assert_eq!(rpc_retries, 0);
+}
