@@ -1242,6 +1242,8 @@ mod tests {
     use dlog_mc::harness::{build_world, SyncEndpoint, SyncWorldOptions};
     use dlog_net::wire::NodeAddr;
     use dlog_net::FaultPlan;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
     const BASE: Duration = Duration::from_millis(2);
     const CAP: Duration = Duration::from_millis(120);
@@ -1329,6 +1331,72 @@ mod tests {
         // One unsharded row passes through unchanged.
         let row = status_row(5, 12, 0, 1);
         assert_eq!(merge_status_rows(vec![row.clone()]), row);
+    }
+
+    /// A transport whose send buffer is full for the next `full` sends:
+    /// each fails with `WouldBlock`, as a UDP socket that a poll left
+    /// non-blocking does.
+    struct FullSendBuffer {
+        inner: SyncEndpoint,
+        full: Arc<AtomicU32>,
+    }
+
+    impl Endpoint for FullSendBuffer {
+        fn local_addr(&self) -> NodeAddr {
+            self.inner.local_addr()
+        }
+
+        fn send(&self, to: NodeAddr, packet: &dlog_net::Packet) -> std::io::Result<()> {
+            let refused = self
+                .full
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+            if refused.is_ok() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            self.inner.send(to, packet)
+        }
+
+        fn recv(&self, timeout: Duration) -> std::io::Result<Option<(NodeAddr, dlog_net::Packet)>> {
+            self.inner.recv(timeout)
+        }
+    }
+
+    #[test]
+    fn a_full_send_buffer_is_loss_not_a_failed_write() {
+        let dir =
+            std::env::temp_dir().join(format!("dlog-core-full-sndbuf-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = SyncWorldOptions::shared(2, FaultPlan::reliable(), dlog_obs::Obs::default());
+        let full = Arc::new(AtomicU32::new(0));
+        let ep = FullSendBuffer {
+            inner: SyncEndpoint::new(NodeAddr(1000), build_world(&dir, opts).unwrap()),
+            full: Arc::clone(&full),
+        };
+        let addrs = HashMap::from([(ServerId(1), NodeAddr(1)), (ServerId(2), NodeAddr(2))]);
+        let config = ReplicationConfig::new(vec![ServerId(1), ServerId(2)], 2, 8).unwrap();
+        let mut log = ReplicatedLog::new(
+            ClientId(1),
+            ClientOptions::new(config),
+            ClientNet::new(ep, addrs),
+        );
+        log.initialize().unwrap();
+
+        // The first three record datagrams find no room; the force still
+        // commits every record, by resending what was lost.
+        full.store(3, Ordering::SeqCst);
+        let lsns: Vec<Lsn> = (0..5u8).map(|i| log.write(vec![i; 100]).unwrap()).collect();
+        log.force().unwrap();
+        assert_eq!(full.load(Ordering::SeqCst), 0);
+        assert!(log.stats().resends > 0);
+
+        // A read request that finds no room is retried, not failed.
+        full.store(1, Ordering::SeqCst);
+        let retries = log.net_stats().rpc_retries;
+        for (i, &lsn) in (0..5u8).zip(&lsns) {
+            assert_eq!(log.read(lsn).unwrap().as_ref(), &[i; 100][..]);
+        }
+        assert_eq!(log.net_stats().rpc_retries, retries + 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A recovery manager scanning a long log backward must not keep every

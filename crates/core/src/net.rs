@@ -7,6 +7,7 @@
 //! absorbed into client state rather than dropped.
 
 use std::collections::{HashMap, VecDeque};
+use std::io;
 use std::time::{Duration, Instant};
 
 use dlog_net::wire::{Message, NodeAddr, Packet, Request, Response};
@@ -89,9 +90,7 @@ impl<E: Endpoint> ClientNet<E> {
     pub fn send(&mut self, server: ServerId, msg: Message) -> Result<()> {
         let addr = self.addr_of(server)?;
         self.stats.packets_out += 1;
-        self.endpoint
-            .send(addr, &Packet::stamped(msg))
-            .map_err(DlogError::Io)
+        lossy(self.endpoint.send(addr, &Packet::stamped(msg)))
     }
 
     /// Fire-and-forget the same message to several servers with one
@@ -111,9 +110,7 @@ impl<E: Endpoint> ClientNet<E> {
                 *slot = self.addr_of(*server)?;
             }
             self.stats.packets_out += dest.len() as u64;
-            self.endpoint
-                .send_many(dest, &packet)
-                .map_err(DlogError::Io)?;
+            lossy(self.endpoint.send_many(dest, &packet))?;
         }
         Ok(())
     }
@@ -171,15 +168,13 @@ impl<E: Endpoint> ClientNet<E> {
                 self.stats.rpc_retries += 1;
             }
             self.stats.packets_out += 1;
-            self.endpoint
-                .send(
-                    addr,
-                    &Packet::stamped(Message::Request {
-                        id,
-                        body: req.clone(),
-                    }),
-                )
-                .map_err(DlogError::Io)?;
+            lossy(self.endpoint.send(
+                addr,
+                &Packet::stamped(Message::Request {
+                    id,
+                    body: req.clone(),
+                }),
+            ))?;
             let deadline = Instant::now() + self.rpc_timeout;
             loop {
                 let remaining = deadline.saturating_duration_since(Instant::now());
@@ -285,15 +280,13 @@ impl<E: Endpoint> ClientNet<E> {
                 self.stats.rpc_retries += 1;
             }
             self.stats.packets_out += 1;
-            self.endpoint
-                .send(
-                    addr,
-                    &Packet::stamped(Message::Request {
-                        id,
-                        body: req.clone(),
-                    }),
-                )
-                .map_err(DlogError::Io)?;
+            lossy(self.endpoint.send(
+                addr,
+                &Packet::stamped(Message::Request {
+                    id,
+                    body: req.clone(),
+                }),
+            ))?;
             let mut rows: Vec<Response> = Vec::new();
             let mut seen_shards: Vec<u64> = Vec::new();
             let mut want = 1usize;
@@ -373,6 +366,17 @@ impl<E: Endpoint> ClientNet<E> {
             .get(&server)
             .copied()
             .ok_or(DlogError::ServerUnavailable { server })
+    }
+}
+
+/// A send the socket had no room for is network loss, which the
+/// protocol recovers from end to end (retransmission timers, RPC
+/// retries): `WouldBlock` from a UDP socket that a poll left non-blocking
+/// while its send buffer is full. Any other send error is the caller's.
+fn lossy(sent: io::Result<()>) -> Result<()> {
+    match sent {
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(()),
+        other => other.map_err(DlogError::Io),
     }
 }
 

@@ -419,15 +419,13 @@ impl SyncWorld {
         Ok(())
     }
 
-    /// Send a server's replies. One that fails to send is lost, as the
-    /// server loop's `send_all` loses it on a real transport.
+    /// Send a server's replies as the server loop sends them, through
+    /// [`dlog_server::shard::send_reply`]: one that fails to send is
+    /// lost, except an over-size RPC reply, which becomes a `PROTOCOL`
+    /// error for that RPC.
     fn deliver_replies(&mut self, from: NodeAddr, replies: Output) {
         for (to, pkt) in replies {
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "an over-size reply is network loss, which the protocol recovers from end to end"
-            )]
-            let _ = self.deliver(from, to, &pkt);
+            dlog_server::shard::send_reply(to, &pkt, |to, p| self.deliver(from, to, p));
         }
     }
 
@@ -547,4 +545,39 @@ pub fn build_world(dir: &Path, opts: SyncWorldOptions) -> Result<Arc<Mutex<SyncW
         flush_p: opts.flush_p,
         world_obs: opts.obs,
     })))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlog_net::wire::{codes, Response};
+
+    #[test]
+    fn an_over_size_reply_reaches_the_client_as_a_protocol_error() {
+        let dir = std::env::temp_dir().join(format!("dlog-mc-refused-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = SyncWorldOptions::shared(1, FaultPlan::reliable(), Obs::default());
+        let world = build_world(&dir, opts).unwrap();
+        let mut w = unpoisoned(world.lock());
+        let too_big = Response::Err {
+            code: codes::STORAGE,
+            detail: "x".repeat(MAX_PACKET_BYTES),
+        };
+        let reply = Packet::bare(Message::Response {
+            id: 7,
+            body: too_big,
+        });
+        w.deliver_replies(NodeAddr(1), vec![(NodeAddr(1000), reply)]);
+        let refused = Message::Response {
+            id: 7,
+            body: Response::Err {
+                code: codes::PROTOCOL,
+                detail: "reply exceeds MTU".into(),
+            },
+        };
+        let delivered: Vec<_> = w.inbox.drain(..).map(|(from, p)| (from, p.msg)).collect();
+        assert_eq!(delivered, vec![(NodeAddr(1), refused)]);
+        drop(w);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -18,18 +18,23 @@
 //! the socket in non-blocking mode, and any other timeout puts it back in
 //! blocking mode under `SO_RCVTIMEO`.
 //!
-//! The endpoint caches the mode it last set, so a steady state makes no
-//! extra syscall, and the server's alternation between a poll and its
-//! 20 ms idle wait costs one `FIONBIO` ioctl per flip. The cache is
+//! The endpoint caches the non-blocking flag it last set, so a run of
+//! polls makes no extra syscall, and the server's alternation between a
+//! poll and its 20 ms idle wait costs one `FIONBIO` ioctl per flip
+//! besides the `SO_RCVTIMEO` every blocking receive sets. The cache is
 //! sound because one thread receives on an endpoint: the server's single
 //! shard loop or its dispatcher, and the client's single logging process
 //! (§3.1). Other threads may send concurrently; sending never touches the
 //! mode.
 //!
-//! A send on a socket that a poll left non-blocking can fail with
-//! `WouldBlock` when the socket's send buffer is full. That happens only
-//! on a real NIC (loopback frees the buffer at transmit). Callers treat a
-//! failed send as loss, and the protocol recovers from it end to end.
+//! A send on a socket that a poll left non-blocking fails with
+//! `WouldBlock` when the socket's send buffer is full, where a blocking
+//! socket would have waited. That happens only on a real NIC (loopback
+//! frees the buffer at transmit). Both ends take it as loss, which the
+//! protocol recovers from end to end: the client's `ClientNet` drops the
+//! datagram and its retransmission timers resend what mattered, and the
+//! server's reply loop drops the reply, so a full send buffer sheds
+//! replies rather than stalling the server.
 //!
 //! One `try_clone`d socket per mode does not work instead: `try_clone` is
 //! `dup`, and the copy shares the open file's status flags (`O_NONBLOCK`)
@@ -38,7 +43,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
@@ -56,8 +61,6 @@ pub struct UdpEndpoint {
     socket: UdpSocket,
     /// Whether the socket is in non-blocking mode (`recv(ZERO)` left it).
     nonblocking: AtomicBool,
-    /// The `SO_RCVTIMEO` last set, in nanoseconds; 0 while none is set.
-    read_timeout_ns: AtomicU64,
     addr: NodeAddr,
     /// Reusable send/receive buffers: sends encode single-pass into a
     /// pooled buffer, receives decode zero-copy payload views out of one.
@@ -85,7 +88,6 @@ impl UdpEndpoint {
         Ok(UdpEndpoint {
             socket,
             nonblocking: AtomicBool::new(false),
-            read_timeout_ns: AtomicU64::new(0),
             addr,
             pool: BufPool::for_packets(),
             directory: RwLock::new(HashMap::new()),
@@ -124,7 +126,7 @@ impl UdpEndpoint {
 
     /// Put the socket in the mode a receive with `timeout` needs: ZERO
     /// polls without blocking, anything else blocks up to `timeout`. The
-    /// atomics only make the endpoint `Sync`; the cache stays right
+    /// atomic only makes the endpoint `Sync`; the cache stays right
     /// because one thread receives (see the module docs).
     fn set_receive_mode(&self, timeout: Duration) -> io::Result<()> {
         let nonblocking = timeout.is_zero();
@@ -133,11 +135,7 @@ impl UdpEndpoint {
             self.nonblocking.store(nonblocking, Ordering::Relaxed);
         }
         if !nonblocking {
-            let nanos = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
-            if self.read_timeout_ns.load(Ordering::Relaxed) != nanos {
-                self.socket.set_read_timeout(Some(timeout))?;
-                self.read_timeout_ns.store(nanos, Ordering::Relaxed);
-            }
+            self.socket.set_read_timeout(Some(timeout))?;
         }
         Ok(())
     }

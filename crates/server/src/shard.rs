@@ -474,32 +474,45 @@ fn shard_loop<E: Endpoint + ?Sized>(
     (server, why)
 }
 
-/// Send every reply, in order. A send error is network loss, which the
-/// protocol recovers from end to end, so it stops nothing here. That
-/// includes `WouldBlock` from a UDP socket whose send buffer is full
-/// while a poll has left it non-blocking.
+/// Send every reply, in order, each by [`send_reply`].
+fn send_all<E: Endpoint + ?Sized>(ep: &E, replies: impl IntoIterator<Item = (NodeAddr, Packet)>) {
+    for (to, reply) in replies {
+        send_reply(to, &reply, |to, packet| ep.send(to, packet));
+    }
+}
+
+/// Send one server reply with `send`. A send error is network loss,
+/// which the protocol recovers from end to end, so it stops nothing
+/// here. That includes `WouldBlock` from a UDP socket whose send buffer
+/// is full while a poll has left it non-blocking.
 ///
 /// One error is not loss: an RPC reply the transport refuses as
 /// `InvalidInput` (over `MAX_PACKET_BYTES`) would be refused on every
 /// retry. Its client gets a `PROTOCOL` error for that RPC instead, at
 /// once, rather than retrying until it declares the server unavailable.
-fn send_all<E: Endpoint + ?Sized>(ep: &E, replies: impl IntoIterator<Item = (NodeAddr, Packet)>) {
-    for (to, reply) in replies {
-        let sent = ep.send(to, &reply);
-        let Message::Response { id, .. } = reply.msg else {
-            continue;
+/// The server loop and the synchronous test world both send through
+/// this, so they answer a refused reply alike.
+pub fn send_reply(
+    to: NodeAddr,
+    reply: &Packet,
+    mut send: impl FnMut(NodeAddr, &Packet) -> io::Result<()>,
+) {
+    let Err(refused) = send(to, reply) else {
+        return;
+    };
+    let Message::Response { id, .. } = reply.msg else {
+        return;
+    };
+    if refused.kind() == io::ErrorKind::InvalidInput {
+        let body = Response::Err {
+            code: codes::PROTOCOL,
+            detail: "reply exceeds MTU".into(),
         };
-        if sent.is_err_and(|e| e.kind() == io::ErrorKind::InvalidInput) {
-            let body = Response::Err {
-                code: codes::PROTOCOL,
-                detail: "reply exceeds MTU".into(),
-            };
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "send failures are network loss; the protocol recovers end to end"
-            )]
-            let _ = ep.send(to, &Packet::bare(Message::Response { id, body }));
-        }
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "send failures are network loss; the protocol recovers end to end"
+        )]
+        let _ = send(to, &Packet::bare(Message::Response { id, body }));
     }
 }
 
