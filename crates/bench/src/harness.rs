@@ -254,13 +254,9 @@ impl Cluster {
         self.net.set_down(server_addr(sid), false);
         // One shard receives from the endpoint itself. For more, the
         // in-memory transport routes frames to shard queues (sender-side,
-        // from the wire header), so no dispatcher thread runs either way.
-        let backend = if shards == 1 {
-            ShardSupervisor::spawn(servers, ep)
-        } else {
-            ShardSupervisor::spawn_routed(servers, ep)
-        };
-        self.backends.insert(sid, backend);
+        // from the wire header).
+        self.backends
+            .insert(sid, ShardSupervisor::spawn(servers, ep));
     }
 
     /// The server's observability handle — shard 0's on a sharded

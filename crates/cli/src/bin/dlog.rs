@@ -156,11 +156,12 @@ fn run() -> Result<(), String> {
                     upload_retries,
                     coalesced_forces,
                     group_commits,
-                    shard,
+                    shard: _,
                     shards,
                 }) => {
+                    // A sharded server's row sums every shard's counters.
                     let sock = if shards > 1 {
-                        format!("{sock}/s{shard}")
+                        format!("{sock} ({shards} shards)")
                     } else {
                         sock.to_string()
                     };
@@ -200,12 +201,12 @@ fn run() -> Result<(), String> {
                     trace_dropped,
                     ingest_allocs,
                     ingest_records,
-                    shard,
+                    shard: _,
                     shards,
                 }) => {
                     reached += 1;
                     if !json && shards > 1 {
-                        println!("{sock}: shard {shard} of {shards} (merged rows follow)");
+                        println!("{sock}: {shards} shards (merged rows follow)");
                     }
                     total_events += trace_events;
                     total_dropped += trace_dropped;

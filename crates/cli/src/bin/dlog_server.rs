@@ -14,8 +14,9 @@
 //!
 //! Every `--shards` value runs the library's one event loop
 //! ([`ShardSupervisor`]): one thread receiving from the socket itself for
-//! `--shards 1`, a dispatcher thread feeding N shard loops otherwise. The
-//! process exits non-zero when the socket dies or a loop fail-stops (a
+//! `--shards 1`; otherwise N shard loops, each fed by the socket's reader
+//! thread, which steers every datagram by its wire header's log hint.
+//! The process exits non-zero when the socket dies or a loop fail-stops (a
 //! panic, printed before the exit message; a group-commit round that
 //! cannot reach the disk is one at any `--force-coalesce-us`); failed
 //! archive rounds are

@@ -210,8 +210,8 @@ impl ServerWorld {
     }
 
     /// Hand `pkt` from `from` to server `to`: to the shard its route key
-    /// hashes to (the dispatcher's pure `LogId::shard`), or to every
-    /// shard when it has none. A down server drops it.
+    /// hashes to (the pure `LogId::shard` the transports steer by), or to
+    /// every shard when it has none. A down server drops it.
     ///
     /// # Errors
     /// An ack in the output regressed.

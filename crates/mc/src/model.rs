@@ -182,7 +182,7 @@ pub struct McConfig {
     pub servers: u64,
     /// Shard event loops per server. With more than one, every packet a
     /// server receives is routed to the shard its logical log hashes to
-    /// (the same pure `LogId::shard` the real dispatcher uses), each
+    /// (the same pure `LogId::shard` the transports steer by), each
     /// shard owns a private store and obligation table, and the
     /// `router-stability` invariant checks that a client's records only
     /// ever land on that client's shard.

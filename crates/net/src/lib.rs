@@ -46,6 +46,7 @@
 
 pub mod mem;
 pub mod pool;
+mod queue;
 pub mod udp;
 pub mod wire;
 
@@ -76,8 +77,8 @@ pub trait Endpoint: Send {
     /// `Duration::ZERO` polls: it returns what has already arrived and
     /// never blocks, on every transport.
     ///
-    /// One thread receives on an endpoint at a time (the server's shard
-    /// loop or dispatcher, the client's single logging process, §3.1);
+    /// One thread receives on an endpoint at a time (a one-shard server's
+    /// loop, the client's single logging process, §3.1);
     /// [`udp::UdpEndpoint`] caches its socket's receive mode on that
     /// assumption. Any thread may send.
     ///
@@ -111,19 +112,17 @@ pub trait ShardRx: Send + 'static {
 
 /// An endpoint whose transport routes inbound frames to per-shard
 /// receive queues *before* decode, from the wire header's log hint
-/// ([`Packet::peek_route_hint`](wire::Packet::peek_route_hint)).
-///
-/// The shard supervisor skips its dispatcher thread on such endpoints:
-/// the sending thread picks the destination queue, so a packet crosses
-/// exactly one thread boundary on its way into a shard loop. Transports
-/// without native routing (UDP) simply don't implement this and get the
-/// dispatcher instead.
+/// ([`Packet::peek_route_hint`](wire::Packet::peek_route_hint)); a zero
+/// hint goes to every queue. Both transports steer into the same queue
+/// type: in-process the sending thread steers, and over UDP one socket
+/// reader thread does, since the kernel delivers to the one socket every
+/// client knows. Each shard loop decodes its own frames.
 pub trait RoutedEndpoint: Endpoint {
     /// The per-shard receive handle type.
     type Rx: ShardRx;
 
     /// Split the receive side into `shards` routed queues (clamped to at
-    /// least one). The endpoint's own [`Endpoint::recv`] yields nothing
-    /// afterwards; replies still go out through it from any thread.
+    /// least one). Call it once. The endpoint's own [`Endpoint::recv`]
+    /// fails afterwards; replies still go out through it from any thread.
     fn shard_rx(&self, shards: usize) -> Vec<Self::Rx>;
 }

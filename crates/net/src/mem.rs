@@ -13,17 +13,18 @@
 //! refcount bumps, not copies), and receivers decode payload views
 //! straight out of the shared buffer.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, RwLock};
+use std::time::Duration;
 
 use dlog_types::{unpoisoned, Rank, Ranked};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::pool::BufPool;
+use crate::queue::{recv_from, steer, EndpointQueue};
 use crate::wire::{NodeAddr, Packet, MAX_PACKET_BYTES};
 use crate::Endpoint;
 
@@ -90,94 +91,17 @@ pub struct NetStats {
     pub reordered: u64,
     /// Total encoded bytes offered.
     pub bytes: u64,
-    /// Packets steered to one shard queue by the wire header's log hint
-    /// (only shard-routed endpoints count here; zero-hint control frames
-    /// are broadcast to every shard and counted under `delivered` only).
-    pub routed: u64,
-}
-
-/// One endpoint's delivery queue, with its own lock and condvar so a
-/// send wakes exactly the destination thread — never the whole cluster.
-/// On a loaded box the difference between `notify_one` on the target and
-/// a global `notify_all` is the difference between one context switch
-/// per packet and N.
-struct EndpointQueue {
-    inbox: Ranked<Inbox>,
-    cv: Condvar,
-}
-
-impl EndpointQueue {
-    fn new() -> Arc<EndpointQueue> {
-        Arc::new(EndpointQueue {
-            inbox: Ranked::new(Rank::MemInbox, Inbox::default()),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Push one frame and wake a sleeping receiver (skipping the notify
-    /// syscall entirely when the receiver is running or spin-polling).
-    fn push(&self, from: NodeAddr, bytes: Arc<Vec<u8>>) {
-        let mut b = self.inbox.lock();
-        b.q.push_back((from, bytes));
-        let wake = b.sleepers > 0;
-        drop(b);
-        if wake {
-            self.cv.notify_one();
-        }
-    }
-
-    /// Drop everything in flight (node marked down).
-    fn clear(&self) {
-        self.inbox.lock().q.clear();
-    }
 }
 
 /// Where an endpoint's inbound frames land: one queue, or one queue per
-/// shard with the pick made from the encoded header's log hint at
-/// delivery time. Routed delivery is the transport-level twin of the
-/// shard supervisor's dispatcher — in-process the *sending* thread is
-/// the dispatcher, so a routed frame reaches its shard loop with no
-/// extra thread hop and no second queue transfer.
+/// shard with the pick made by [`steer`] at delivery time. In-process
+/// the *sending* thread steers, so a routed frame reaches its shard loop
+/// with no extra thread hop; a routed UDP endpoint's socket reader
+/// steers into the same queues by the same rule.
 enum Route {
     Single(Arc<EndpointQueue>),
     Sharded(Arc<[Arc<EndpointQueue>]>),
 }
-
-/// The queue plus a count of receivers blocked on the condvar, guarded
-/// by the same mutex: a sender that sees `sleepers == 0` skips the
-/// notify syscall entirely (the receiver is running, or spin-polling,
-/// and will find the packet itself), and the shared lock makes the
-/// check race-free — a receiver increments before releasing the lock to
-/// sleep, so a sender can never observe stale zero.
-#[derive(Default)]
-struct Inbox {
-    q: VecDeque<(NodeAddr, Arc<Vec<u8>>)>,
-    sleepers: u32,
-    /// When a receiver last took a frame off `q`.
-    last_rx: Option<Instant>,
-}
-
-/// How long after its last frame a receiver keeps polling an empty queue
-/// (ceding the CPU between polls) before it pays the futex sleep. On an
-/// oversubscribed box the sender is usually runnable: `yield_now` lets it
-/// push and the next poll finds the packet, saving the sleep/wake syscall
-/// pair on both sides of every round trip.
-///
-/// A span of time, not a number of polls: a poll takes 0.2 µs when the
-/// receiver has its core to itself and a scheduler rotation when it
-/// shares one, so a count is a budget of anything from 10 µs to 1 ms that
-/// shrinks as the peers get faster. Too short, and a lone receiver falls
-/// asleep inside a single round trip, where a wake-up costs ten to a
-/// thousand polls on a virtual CPU. Too long, and nobody in a busy
-/// exchange ever sleeps — and a thread that never sleeps is never placed
-/// again: waking a sleeper is the scheduler's one chance to put it on an
-/// idle core or beside its sender, and threads across cores from their
-/// peers run a third slower. 100 µs is several round trips plus a track
-/// flush, so an exchange in step never sleeps, and short of every real
-/// pause: a receiver whose peer has stopped, or whose every wait is long
-/// because of where it runs, sleeps and is placed afresh by the next
-/// packet.
-const POLL_AFTER_RX: Duration = Duration::from_micros(100);
 
 /// Read-mostly cluster topology: which endpoints exist, which links are
 /// severed, which nodes are down. Senders and receivers take the read
@@ -206,7 +130,6 @@ struct AtomicNetStats {
     duplicated: AtomicU64,
     reordered: AtomicU64,
     bytes: AtomicU64,
-    routed: AtomicU64,
 }
 
 struct Inner {
@@ -306,18 +229,7 @@ impl MemNetwork {
             duplicated: s.duplicated.load(Ordering::Relaxed),
             reordered: s.reordered.load(Ordering::Relaxed),
             bytes: s.bytes.load(Ordering::Relaxed),
-            routed: s.routed.load(Ordering::Relaxed),
         }
-    }
-
-    fn send_impl(
-        &self,
-        pool: &BufPool,
-        from: NodeAddr,
-        to: NodeAddr,
-        packet: &Packet,
-    ) -> io::Result<()> {
-        self.send_many_impl(pool, from, std::slice::from_ref(&to), packet)
     }
 
     /// Fan one packet out to several destinations with a single encode:
@@ -434,34 +346,17 @@ impl MemNetwork {
     }
 
     /// Enqueue one frame at its resolved destination: straight into a
-    /// single queue, or — for a shard-routed endpoint — into the queue
-    /// the header's log hint hashes to, with zero-hint control frames
-    /// fanned to every shard (the same broadcast rule the supervisor's
-    /// dispatcher applies to `route_key() == None` traffic).
+    /// single queue, or — for a shard-routed endpoint — by [`steer`].
     fn enqueue_routed(&self, route: &Route, from: NodeAddr, bytes: &Arc<Vec<u8>>) {
-        let stats = &self.inner.stats;
+        let delivered = &self.inner.stats.delivered;
         match route {
             Route::Single(ep) => {
-                stats.delivered.fetch_add(1, Ordering::Relaxed);
+                delivered.fetch_add(1, Ordering::Relaxed);
                 ep.push(from, Arc::clone(bytes));
             }
-            Route::Sharded(eps) => match Packet::peek_route_hint(bytes) {
-                Some(id) => {
-                    if let Some(ep) = eps.get(id.shard(eps.len())) {
-                        stats.delivered.fetch_add(1, Ordering::Relaxed);
-                        stats.routed.fetch_add(1, Ordering::Relaxed);
-                        ep.push(from, Arc::clone(bytes));
-                    }
-                }
-                None => {
-                    stats
-                        .delivered
-                        .fetch_add(eps.len() as u64, Ordering::Relaxed);
-                    for ep in eps.iter() {
-                        ep.push(from, Arc::clone(bytes));
-                    }
-                }
-            },
+            Route::Sharded(eps) => {
+                delivered.fetch_add(steer(eps, from, bytes), Ordering::Relaxed);
+            }
         }
     }
 
@@ -492,48 +387,6 @@ impl MemNetwork {
     }
 }
 
-/// Pop one frame from `ep` within `timeout` and decode it zero-copy:
-/// payloads are views into the pooled buffer; dropping the handle leaves
-/// the buffer parked in the pool until those views are released. Shared
-/// by single-queue receive and per-shard receive handles. A corrupt
-/// datagram is dropped (`None`), as a NIC would.
-fn recv_from(ep: &EndpointQueue, timeout: Duration) -> Option<(NodeAddr, Packet)> {
-    dlog_types::lock::assert_unlocked();
-    let mut now = Instant::now();
-    let deadline = now + timeout;
-    loop {
-        {
-            let mut b = ep.inbox.lock();
-            loop {
-                if let Some((from, bytes)) = b.q.pop_front() {
-                    b.last_rx = Some(now);
-                    drop(b);
-                    return match Packet::decode_shared(&bytes) {
-                        Ok(p) => Some((from, p)),
-                        Err(_) => None,
-                    };
-                }
-                now = Instant::now();
-                if now >= deadline {
-                    return None;
-                }
-                if b.last_rx.is_some_and(|rx| now < rx + POLL_AFTER_RX) {
-                    // Cooperative poll: release the lock and cede the
-                    // CPU below so the sender can run, then re-check —
-                    // cheaper than a futex sleep when the packet is
-                    // about to arrive anyway.
-                    break;
-                }
-                b.sleepers += 1;
-                b = b.wait_timeout(&ep.cv, deadline - now).0;
-                b.sleepers -= 1;
-                now = Instant::now();
-            }
-        }
-        std::thread::yield_now();
-    }
-}
-
 /// An endpoint on a [`MemNetwork`].
 pub struct MemEndpoint {
     net: MemNetwork,
@@ -558,12 +411,7 @@ impl Endpoint for MemEndpoint {
     }
 
     fn send(&self, to: NodeAddr, packet: &Packet) -> io::Result<()> {
-        let span = self.obs.start();
-        self.net.send_impl(&self.pool, self.addr, to, packet)?;
-        self.obs
-            .event(dlog_obs::Stage::PacketSend, packet.lsn_hint(), to.0);
-        self.obs.sample_since(dlog_obs::Stage::PacketSend, span);
-        Ok(())
+        self.send_many(std::slice::from_ref(&to), packet)
     }
 
     fn recv(&self, timeout: Duration) -> io::Result<Option<(NodeAddr, Packet)>> {
@@ -621,6 +469,7 @@ mod tests {
     use super::*;
     use crate::wire::Message;
     use dlog_types::{ClientId, Lsn};
+    use std::time::Instant;
 
     fn ping(lsn: u64) -> Packet {
         Packet::bare(Message::NewHighLsn {
@@ -738,6 +587,7 @@ mod tests {
         let net = MemNetwork::new(FaultPlan::reliable());
         let rx = net.endpoint(NodeAddr(1));
         let tx = net.endpoint(NodeAddr(2));
+        use crate::queue::POLL_AFTER_RX;
         let q = match net.inner.topo.read().unwrap().queues.get(&NodeAddr(1)) {
             Some(Route::Single(q)) => Arc::clone(q),
             _ => panic!("endpoint 1 has one queue"),

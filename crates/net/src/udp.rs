@@ -22,10 +22,9 @@
 //! polls makes no extra syscall, and the server's alternation between a
 //! poll and its 20 ms idle wait costs one `FIONBIO` ioctl per flip
 //! besides the `SO_RCVTIMEO` every blocking receive sets. The cache is
-//! sound because one thread receives on an endpoint: the server's single
-//! shard loop or its dispatcher, and the client's single logging process
-//! (§3.1). Other threads may send concurrently; sending never touches the
-//! mode.
+//! sound because one thread receives on an endpoint: a one-shard server's
+//! loop, or the client's single logging process (§3.1). Other threads may
+//! send concurrently; sending never touches the mode.
 //!
 //! A send on a socket that a poll left non-blocking fails with
 //! `WouldBlock` when the socket's send buffer is full, where a blocking
@@ -39,29 +38,56 @@
 //! One `try_clone`d socket per mode does not work instead: `try_clone` is
 //! `dup`, and the copy shares the open file's status flags (`O_NONBLOCK`)
 //! and its socket options (`SO_RCVTIMEO`) with the original.
+//!
+//! # Shard routing
+//!
+//! Clients know one socket per server, so a sharded server steers behind
+//! it: [`RoutedEndpoint::shard_rx`] hands the receive side to one reader
+//! thread, which steers each still-encoded frame into the per-shard
+//! queues the in-memory transport uses, by the same rule. The last shard
+//! handle to drop stops the reader and waits until it lets go of the
+//! socket.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dlog_types::unpoisoned;
 
 use crate::pool::BufPool;
+use crate::queue::{recv_from, steer, EndpointQueue};
 use crate::wire::{NodeAddr, Packet, MAX_PACKET_BYTES};
-use crate::Endpoint;
+use crate::{Endpoint, RoutedEndpoint, ShardRx};
+
+/// How long a routed endpoint's socket reader blocks on one read before
+/// it checks whether its shard handles are still there.
+const READER_WAIT: Duration = Duration::from_millis(20);
+
+/// The body of a routed endpoint's reader thread.
+type Serve = fn(&Reader) -> io::Result<()>;
 
 /// A UDP endpoint with a logical-address directory.
 ///
 /// Any thread may send, but only one thread may receive: the receive
 /// mode is cached without a lock (see the [module docs](self)).
 pub struct UdpEndpoint {
-    socket: UdpSocket,
+    inner: Arc<Inner>,
     /// Whether the socket is in non-blocking mode (`recv(ZERO)` left it).
     nonblocking: AtomicBool,
+    /// Whether a socket reader owns the receive side (`shard_rx`).
+    routed: AtomicBool,
     addr: NodeAddr,
+    obs: dlog_obs::Obs,
+}
+
+/// What sends, receives and a routed endpoint's socket reader share.
+struct Inner {
+    socket: UdpSocket,
     /// Reusable send/receive buffers: sends encode single-pass into a
     /// pooled buffer, receives decode zero-copy payload views out of one.
     pool: BufPool,
@@ -73,7 +99,53 @@ pub struct UdpEndpoint {
     /// under a synthetic logical address (server deployments, where
     /// client ports are ephemeral).
     promiscuous: AtomicBool,
-    obs: dlog_obs::Obs,
+}
+
+impl Inner {
+    /// Read one datagram into a pooled buffer, in whatever mode the
+    /// socket is in, and attribute it to its sender. `None` when nothing
+    /// arrived in time or the sender is an unknown party (dropped).
+    fn read_frame(&self) -> io::Result<Option<(NodeAddr, Arc<Vec<u8>>)>> {
+        // Pooled receive buffer: after the first few packets the resize
+        // is a no-op (capacity is retained) and the datagram is read into
+        // reused memory.
+        let mut arc = self.pool.checkout();
+        let buf = Arc::make_mut(&mut arc);
+        buf.resize(MAX_PACKET_BYTES + 64, 0);
+        let got = self.socket.recv_from(buf).map(|(n, from)| {
+            buf.truncate(n);
+            self.resolve(from)
+        });
+        let Ok(Some(peer)) = got else {
+            self.pool.give_back(arc);
+            return match got {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
+                Err(e) if e.kind() == io::ErrorKind::TimedOut => Ok(None),
+                Err(e) => Err(e),
+                Ok(_) => Ok(None),
+            };
+        };
+        Ok(Some((peer, arc)))
+    }
+
+    /// The logical address of a datagram's sender: the registered one,
+    /// or (promiscuous) one synthesized stably from the socket address
+    /// and registered both ways; `None` for an unknown party.
+    fn resolve(&self, from: SocketAddr) -> Option<NodeAddr> {
+        if let Some(peer) = unpoisoned(self.reverse.read()).get(&from).copied() {
+            return Some(peer);
+        }
+        if !self.promiscuous.load(Ordering::Relaxed) {
+            return None;
+        }
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        use std::hash::{Hash, Hasher};
+        from.hash(&mut h);
+        let peer = NodeAddr(0x8000_0000_0000_0000 | (h.finish() >> 1));
+        unpoisoned(self.directory.write()).insert(peer, from);
+        unpoisoned(self.reverse.write()).insert(from, peer);
+        Some(peer)
+    }
 }
 
 impl UdpEndpoint {
@@ -86,13 +158,16 @@ impl UdpEndpoint {
     pub fn bind(addr: NodeAddr, bind_to: SocketAddr) -> io::Result<UdpEndpoint> {
         let socket = UdpSocket::bind(bind_to)?;
         Ok(UdpEndpoint {
-            socket,
+            inner: Arc::new(Inner {
+                socket,
+                pool: BufPool::for_packets(),
+                directory: RwLock::new(HashMap::new()),
+                reverse: RwLock::new(HashMap::new()),
+                promiscuous: AtomicBool::new(false),
+            }),
             nonblocking: AtomicBool::new(false),
+            routed: AtomicBool::new(false),
             addr,
-            pool: BufPool::for_packets(),
-            directory: RwLock::new(HashMap::new()),
-            reverse: RwLock::new(HashMap::new()),
-            promiscuous: AtomicBool::new(false),
             obs: dlog_obs::Obs::off(),
         })
     }
@@ -107,7 +182,7 @@ impl UdpEndpoint {
     /// under a synthetic logical address so replies route back. Servers
     /// turn this on; clients keep the explicit directory.
     pub fn set_promiscuous(&self, on: bool) {
-        self.promiscuous.store(on, Ordering::Relaxed);
+        self.inner.promiscuous.store(on, Ordering::Relaxed);
     }
 
     /// The socket address actually bound.
@@ -115,13 +190,13 @@ impl UdpEndpoint {
     /// # Errors
     /// Propagates socket errors.
     pub fn socket_addr(&self) -> io::Result<SocketAddr> {
-        self.socket.local_addr()
+        self.inner.socket.local_addr()
     }
 
     /// Register a peer's socket address under its logical address.
     pub fn add_peer(&self, peer: NodeAddr, at: SocketAddr) {
-        unpoisoned(self.directory.write()).insert(peer, at);
-        unpoisoned(self.reverse.write()).insert(at, peer);
+        unpoisoned(self.inner.directory.write()).insert(peer, at);
+        unpoisoned(self.inner.reverse.write()).insert(at, peer);
     }
 
     /// Put the socket in the mode a receive with `timeout` needs: ZERO
@@ -131,13 +206,55 @@ impl UdpEndpoint {
     fn set_receive_mode(&self, timeout: Duration) -> io::Result<()> {
         let nonblocking = timeout.is_zero();
         if self.nonblocking.load(Ordering::Relaxed) != nonblocking {
-            self.socket.set_nonblocking(nonblocking)?;
+            self.inner.socket.set_nonblocking(nonblocking)?;
             self.nonblocking.store(nonblocking, Ordering::Relaxed);
         }
         if !nonblocking {
-            self.socket.set_read_timeout(Some(timeout))?;
+            self.inner.socket.set_read_timeout(Some(timeout))?;
         }
         Ok(())
+    }
+
+    /// Hand the receive side to a reader thread running `serve`, behind
+    /// `shards` queues. `serve` is [`Reader::serve`] except in tests,
+    /// which make the reader fail. A second call, like a thread that
+    /// cannot start, yields handles whose reader has already ended.
+    fn start_reader(&self, shards: usize, serve: Serve) -> Vec<UdpShardRx> {
+        let reader = Arc::new(Reader {
+            inner: Arc::clone(&self.inner),
+            queues: (0..shards.max(1)).map(|_| EndpointQueue::new()).collect(),
+            stop: AtomicBool::new(false),
+            ended: OnceLock::new(),
+        });
+        let run = Arc::clone(&reader);
+        let thread = if self.routed.swap(true, Ordering::Relaxed) {
+            Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "receive side already split",
+            ))
+        } else {
+            std::thread::Builder::new()
+                .name(format!("udp-reader-{}", self.addr.0))
+                .spawn(move || {
+                    let why = catch_unwind(AssertUnwindSafe(|| serve(&run)));
+                    run.end(
+                        why.unwrap_or_else(|_| Err(io::Error::other("socket reader panicked"))),
+                    );
+                })
+        };
+        let thread = thread.map_err(|e| reader.end(Err(e))).ok();
+        let owner = Arc::new(ReaderThread {
+            reader: Arc::clone(&reader),
+            thread,
+        });
+        reader
+            .queues
+            .iter()
+            .map(|q| UdpShardRx {
+                queue: Arc::clone(q),
+                reader: Arc::clone(&owner),
+            })
+            .collect()
     }
 }
 
@@ -147,40 +264,18 @@ impl Endpoint for UdpEndpoint {
     }
 
     fn send(&self, to: NodeAddr, packet: &Packet) -> io::Result<()> {
-        dlog_types::lock::assert_unlocked();
-        let Some(dest) = unpoisoned(self.directory.read()).get(&to).copied() else {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("unknown peer {to}"),
-            ));
-        };
-        let mut bytes = self.pool.checkout();
-        packet.encode_into(Arc::make_mut(&mut bytes));
-        if bytes.len() > MAX_PACKET_BYTES {
-            self.pool.give_back(bytes);
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "packet exceeds MTU",
-            ));
-        }
-        let span = self.obs.start();
-        let sent = self.socket.send_to(&bytes, dest);
-        self.pool.give_back(bytes);
-        sent?;
-        self.obs
-            .event(dlog_obs::Stage::PacketSend, packet.lsn_hint(), to.0);
-        self.obs.sample_since(dlog_obs::Stage::PacketSend, span);
-        Ok(())
+        self.send_many(std::slice::from_ref(&to), packet)
     }
 
     fn send_many(&self, tos: &[NodeAddr], packet: &Packet) -> io::Result<()> {
         dlog_types::lock::assert_unlocked();
         // Replication fan-out: one encode + CRC pass, one `send_to`
         // syscall per destination on the same pooled buffer.
-        let mut bytes = self.pool.checkout();
+        let pool = &self.inner.pool;
+        let mut bytes = pool.checkout();
         packet.encode_into(Arc::make_mut(&mut bytes));
         if bytes.len() > MAX_PACKET_BYTES {
-            self.pool.give_back(bytes);
+            pool.give_back(bytes);
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "packet exceeds MTU",
@@ -189,21 +284,21 @@ impl Endpoint for UdpEndpoint {
         let span = self.obs.start();
         let mut result = Ok(());
         for &to in tos {
-            let Some(dest) = unpoisoned(self.directory.read()).get(&to).copied() else {
+            let Some(dest) = unpoisoned(self.inner.directory.read()).get(&to).copied() else {
                 result = Err(io::Error::new(
                     io::ErrorKind::NotFound,
                     format!("unknown peer {to}"),
                 ));
                 break;
             };
-            if let Err(e) = self.socket.send_to(&bytes, dest) {
+            if let Err(e) = self.inner.socket.send_to(&bytes, dest) {
                 result = Err(e);
                 break;
             }
             self.obs
                 .event(dlog_obs::Stage::PacketSend, packet.lsn_hint(), to.0);
         }
-        self.pool.give_back(bytes);
+        pool.give_back(bytes);
         result?;
         self.obs.sample_since(dlog_obs::Stage::PacketSend, span);
         Ok(())
@@ -211,54 +306,109 @@ impl Endpoint for UdpEndpoint {
 
     fn recv(&self, timeout: Duration) -> io::Result<Option<(NodeAddr, Packet)>> {
         dlog_types::lock::assert_unlocked();
+        if self.routed.load(Ordering::Relaxed) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "endpoint is shard-routed; receive on its shard handles",
+            ));
+        }
         self.set_receive_mode(timeout)?;
-        // Pooled receive buffer: after the first few packets the resize
-        // is a no-op (capacity is retained) and the datagram is read into
-        // reused memory.
-        let mut arc = self.pool.checkout();
-        let buf = Arc::make_mut(&mut arc);
-        buf.resize(MAX_PACKET_BYTES + 64, 0);
-        match self.socket.recv_from(buf) {
-            Ok((n, from)) => {
-                buf.truncate(n.min(buf.len()));
-                let known = unpoisoned(self.reverse.read()).get(&from).copied();
-                let peer = match known {
-                    Some(p) => p,
-                    None if self.promiscuous.load(Ordering::Relaxed) => {
-                        // Synthesize a stable logical address from the
-                        // socket address and register both directions.
-                        let mut h = std::collections::hash_map::DefaultHasher::new();
-                        use std::hash::{Hash, Hasher};
-                        from.hash(&mut h);
-                        let peer = NodeAddr(0x8000_0000_0000_0000 | (h.finish() >> 1));
-                        unpoisoned(self.directory.write()).insert(peer, from);
-                        unpoisoned(self.reverse.write()).insert(from, peer);
-                        peer
-                    }
-                    None => {
-                        self.pool.give_back(arc);
-                        return Ok(None); // unknown party: drop
-                    }
-                };
-                // Zero-copy decode: payloads are views into the pooled
-                // buffer; it is reissued once they drop.
-                let decoded = Packet::decode_shared(&arc);
-                self.pool.give_back(arc);
-                match decoded {
-                    Ok(p) => Ok(Some((peer, p))),
-                    Err(_) => Ok(None), // corrupt datagram: drop
-                }
+        let Some((peer, frame)) = self.inner.read_frame()? else {
+            return Ok(None);
+        };
+        // Zero-copy decode: payloads are views into the pooled buffer;
+        // it is reissued once they drop. A corrupt datagram is dropped.
+        let decoded = Packet::decode_shared(&frame);
+        self.inner.pool.give_back(frame);
+        Ok(decoded.ok().map(|p| (peer, p)))
+    }
+}
+
+impl RoutedEndpoint for UdpEndpoint {
+    type Rx = UdpShardRx;
+
+    fn shard_rx(&self, shards: usize) -> Vec<UdpShardRx> {
+        self.start_reader(shards, Reader::serve)
+    }
+}
+
+/// A routed endpoint's socket reader, shared by its thread and its
+/// shard handles.
+struct Reader {
+    inner: Arc<Inner>,
+    queues: Vec<Arc<EndpointQueue>>,
+    /// Raised when the last shard handle drops: the thread leaves.
+    stop: AtomicBool,
+    /// Why the reader ended, once it has. Set after its last push, so a
+    /// handle that sees it and an empty queue has been handed everything.
+    ended: OnceLock<(io::ErrorKind, String)>,
+}
+
+impl Reader {
+    /// Steer datagrams into the shard queues until stopped.
+    fn serve(&self) -> io::Result<()> {
+        self.inner.socket.set_nonblocking(false)?;
+        self.inner.socket.set_read_timeout(Some(READER_WAIT))?;
+        while !self.stop.load(Ordering::Relaxed) {
+            self.steer_one()?;
+        }
+        Ok(())
+    }
+
+    /// Read one datagram, if one comes in time, and steer it.
+    fn steer_one(&self) -> io::Result<()> {
+        if let Some((from, frame)) = self.inner.read_frame()? {
+            steer(&self.queues, from, &frame);
+            self.inner.pool.give_back(frame);
+        }
+        Ok(())
+    }
+
+    /// Record why the reader ended; the first reason stays.
+    fn end(&self, why: io::Result<()>) {
+        let why = why
+            .err()
+            .unwrap_or_else(|| io::Error::other("socket reader stopped"));
+        self.ended.get_or_init(|| (why.kind(), why.to_string()));
+    }
+}
+
+/// The reader's thread, owned by the shard handles together: the last
+/// to drop stops it and waits until it has let go of the socket.
+struct ReaderThread {
+    reader: Arc<Reader>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Drop for ReaderThread {
+    fn drop(&mut self) {
+        self.reader.stop.store(true, Ordering::Relaxed);
+        if let Some(thread) = self.thread.take() {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the reader catches its own panic, so its thread always ends normally"
+            )]
+            let _ = thread.join();
+        }
+    }
+}
+
+/// One shard's receive handle on a routed [`UdpEndpoint`]. Once the
+/// reader has ended, it fails at the first receive that finds its queue
+/// empty.
+pub struct UdpShardRx {
+    queue: Arc<EndpointQueue>,
+    reader: Arc<ReaderThread>,
+}
+
+impl ShardRx for UdpShardRx {
+    fn recv(&mut self, timeout: Duration) -> io::Result<Option<(NodeAddr, Packet)>> {
+        let got = recv_from(&self.queue, timeout);
+        match self.reader.reader.ended.get() {
+            Some((kind, text)) if got.is_none() && self.queue.inbox.lock().q.is_empty() => {
+                Err(io::Error::new(*kind, text.clone()))
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                self.pool.give_back(arc);
-                Ok(None)
-            }
-            Err(e) => {
-                self.pool.give_back(arc);
-                Err(e)
-            }
+            _ => Ok(got),
         }
     }
 }
@@ -267,11 +417,157 @@ impl Endpoint for UdpEndpoint {
 mod tests {
     use super::*;
     use crate::wire::Message;
-    use dlog_types::{ClientId, Epoch, LogData, Lsn};
+    use dlog_types::{ClientId, Epoch, LogData, LogId, Lsn};
     use std::time::Instant;
 
     fn loopback() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()
+    }
+
+    /// A server endpoint at `NodeAddr(1)` and a client at `NodeAddr(2)`
+    /// that know each other.
+    fn pair() -> (UdpEndpoint, UdpEndpoint) {
+        let server = UdpEndpoint::bind(NodeAddr(1), loopback()).unwrap();
+        let client = UdpEndpoint::bind(NodeAddr(2), loopback()).unwrap();
+        server.add_peer(NodeAddr(2), client.socket_addr().unwrap());
+        client.add_peer(NodeAddr(1), server.socket_addr().unwrap());
+        (server, client)
+    }
+
+    fn ack(lsn: u64) -> Message {
+        Message::NewHighLsn {
+            client: ClientId(1),
+            lsn: Lsn(lsn),
+        }
+    }
+
+    /// Everything `rx` is handed within 200 ms of the last packet.
+    fn drain(rx: &mut UdpShardRx) -> Vec<Packet> {
+        let mut got = Vec::new();
+        while let Some((_, p)) = rx.recv(Duration::from_millis(200)).unwrap() {
+            got.push(p);
+        }
+        got
+    }
+
+    /// What `rx` is handed until it fails (for at most five seconds),
+    /// and its error.
+    fn until_error(rx: &mut UdpShardRx) -> (Vec<Packet>, Option<String>) {
+        let mut got = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < deadline {
+            match rx.recv(Duration::from_millis(10)) {
+                Ok(Some((_, p))) => got.push(p),
+                Ok(None) => {}
+                Err(e) => return (got, Some(e.to_string())),
+            }
+        }
+        (got, None)
+    }
+
+    #[test]
+    fn a_hinted_frame_reaches_only_its_shard_and_a_zero_hint_every_shard() {
+        let (server, client) = pair();
+        let mut rxs = server.shard_rx(2);
+        let log = (1..64).map(LogId).find(|l| l.shard(2) == 1).unwrap();
+        let (hinted, bare) = (Packet::routed(log, ack(1)), Packet::bare(ack(2)));
+        client.send(NodeAddr(1), &hinted).unwrap();
+        client.send(NodeAddr(1), &bare).unwrap();
+        let got: Vec<Vec<Packet>> = rxs.iter_mut().map(drain).collect();
+        assert_eq!(got, [vec![bare.clone()], vec![hinted, bare]]);
+    }
+
+    #[test]
+    fn a_poll_on_an_empty_shard_handle_returns_at_once() {
+        let (server, _client) = pair();
+        let mut rxs = server.shard_rx(2);
+        let started = Instant::now();
+        let polled: Vec<_> = (0..100)
+            .map(|_| rxs[0].recv(Duration::ZERO).unwrap())
+            .collect();
+        let took = started.elapsed();
+        assert!(
+            polled.iter().all(Option::is_none) && took < Duration::from_millis(50),
+            "100 polls took {took:?}"
+        );
+    }
+
+    #[test]
+    fn a_routed_endpoint_refuses_its_own_receive() {
+        let (server, _client) = pair();
+        let _rxs = server.shard_rx(2);
+        let refused = server.recv(Duration::ZERO).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// A reader that steers the two datagrams waiting on the socket,
+    /// then fails.
+    fn steer_two_then_fail(reader: &Reader) -> io::Result<()> {
+        reader
+            .inner
+            .socket
+            .set_read_timeout(Some(Duration::from_secs(5)))?;
+        reader.steer_one()?;
+        reader.steer_one()?;
+        Err(io::Error::other("socket gone"))
+    }
+
+    /// A reader that steers the two datagrams waiting on the socket,
+    /// then panics.
+    fn steer_two_then_panic(reader: &Reader) -> io::Result<()> {
+        reader
+            .inner
+            .socket
+            .set_read_timeout(Some(Duration::from_secs(5)))?;
+        reader.steer_one()?;
+        reader.steer_one()?;
+        panic!("reader bug (this test's own)");
+    }
+
+    #[test]
+    fn a_reader_that_ends_fails_every_handle_after_its_queue_drains() {
+        let cases: [(Serve, &str); 2] = [
+            (steer_two_then_fail, "socket gone"),
+            (steer_two_then_panic, "socket reader panicked"),
+        ];
+        for (serve, why) in cases {
+            let (server, client) = pair();
+            // Both too short to carry a hint, so every shard queues both.
+            // The corrupt one decodes to nothing: a handle that takes an
+            // empty receive for a drained queue loses the good one.
+            let at = server.socket_addr().unwrap();
+            client.inner.socket.send_to(&[1, 2, 3, 4], at).unwrap();
+            client.send(NodeAddr(1), &Packet::bare(ack(3))).unwrap();
+            let mut rxs = server.start_reader(2, serve);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while rxs[0].reader.reader.ended.get().is_none() && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let got: Vec<_> = rxs.iter_mut().map(until_error).collect();
+            let want = (vec![Packet::bare(ack(3))], Some(why.to_string()));
+            assert_eq!(got, [want.clone(), want]);
+        }
+        // A reader that never starts (here: a second split of the same
+        // socket) takes the path of a failed thread spawn: every handle
+        // fails at its first receive.
+        let (server, _client) = pair();
+        let _first = server.shard_rx(2);
+        let failed: Vec<_> = server
+            .shard_rx(2)
+            .iter_mut()
+            .map(|rx| rx.recv(Duration::ZERO).map_err(|e| e.kind()).err())
+            .collect();
+        assert_eq!(failed, [Some(io::ErrorKind::InvalidInput); 2]);
+    }
+
+    #[test]
+    fn the_port_is_free_once_every_handle_has_dropped() {
+        let (server, _client) = pair();
+        let at = server.socket_addr().unwrap();
+        let rxs = server.shard_rx(2);
+        drop(server);
+        drop(rxs);
+        assert!(UdpSocket::bind(at).is_ok(), "{at} still bound");
     }
 
     #[test]

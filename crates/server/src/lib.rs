@@ -350,12 +350,11 @@ impl LogServer {
     pub fn handle_into(&mut self, from: NodeAddr, pkt: &Packet, out: &mut Vec<(NodeAddr, Packet)>) {
         self.stats.packets_in += 1;
         // Ownership guard: a shard drops (never answers) traffic for
-        // another shard's logical log. The dispatcher routes such packets
-        // away before they get here; a routing transport, which steers by
-        // the wire header alone, must *broadcast* body-derived RPCs (zero
-        // hint on the wire) — without this guard a non-owning shard would
-        // answer e.g. `IntervalList` with an empty table and race the
-        // owning shard's real reply.
+        // another shard's logical log. Both transports steer by the wire
+        // header alone and *broadcast* a zero hint, so an unstamped
+        // body-routed packet reaches every shard — without this guard a
+        // non-owning shard would answer e.g. `IntervalList` with an empty
+        // table and race the owning shard's real reply.
         if self.config.shards > 1
             && pkt.route_key().is_some_and(|id| {
                 id.shard(self.config.shards as usize) != self.config.shard as usize

@@ -1,5 +1,7 @@
 //! Single-server runner: a one-shard [`ShardSupervisor`].
 
+use std::sync::Arc;
+
 use dlog_net::Endpoint;
 
 use crate::shard::ShardSupervisor;
@@ -14,7 +16,10 @@ impl ServerRunner {
     /// `server`, and transmits its replies, until stopped.
     #[must_use]
     pub fn spawn<E: Endpoint + Sync + 'static>(server: LogServer, endpoint: E) -> ServerRunner {
-        ServerRunner(ShardSupervisor::spawn(vec![server], endpoint))
+        ServerRunner(ShardSupervisor::spawn_direct(
+            vec![server],
+            Arc::new(endpoint),
+        ))
     }
 
     /// Stop the thread and recover the server (with its store).

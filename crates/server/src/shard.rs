@@ -6,33 +6,29 @@
 //! private `LogStore`, obligation table, and group-commit window); the
 //! entry points differ only in where a loop's next packet comes from:
 //!
-//! * **one shard** ([`ShardSupervisor::spawn`] with one server, which is
-//!   all [`crate::runner::ServerRunner`] is): the loop calls
+//! * **one shard** ([`ShardSupervisor::spawn`] with one server, and
+//!   [`crate::runner::ServerRunner`] on any [`Endpoint`]): the loop calls
 //!   [`Endpoint::recv`] itself — one thread, no queue hop;
-//! * **N shards on a [`RoutedEndpoint`]** ([`ShardSupervisor::spawn_routed`]):
-//!   the transport steers frames to per-shard receive handles from the
-//!   wire header, so a packet crosses one thread boundary;
-//! * **N > 1 shards on any other transport** (UDP): a thin **dispatcher**
-//!   thread owns the endpoint's receive side and moves each decoded
-//!   packet to the queue of the shard `LogId → shard` hashes to. It
-//!   decodes nothing itself, and the zero-copy payload views survive the
-//!   handoff: `LogData` is `Arc`-backed, so the pool's buffer stays
-//!   parked until the owning shard drops the last view.
+//! * **N > 1 shards** ([`ShardSupervisor::spawn`] on a
+//!   [`RoutedEndpoint`]): the transport steers each encoded frame to a
+//!   per-shard receive handle by the wire header's log hint, and the
+//!   shard's loop decodes it. In-process the sending thread steers; over
+//!   UDP the socket's one reader thread does.
 //!
-//! Routing rule (must match [`Packet::route_key`] and
+//! Routing rule (must match [`Packet::peek_route_hint`] and
 //! [`LogId::shard`](dlog_types::LogId::shard)):
 //!
-//! * a nonzero `log` header field routes by that id;
-//! * log traffic without a hint routes by the owning client's log;
-//! * generator RPCs route by generator id;
-//! * shard-agnostic control traffic (`Status`, `Stats`) is
-//!   **broadcast** to every shard — each answers with its own `shard` /
-//!   `shards` gauges so a collector can merge the rows.
+//! * a nonzero `log` header field routes by that id (clients stamp it
+//!   from the body, [`Packet::stamped`]);
+//! * a zero hint is **broadcast** to every shard: shard-agnostic control
+//!   traffic (`Status`, `Stats`), where each shard answers with its own
+//!   `shard` / `shards` gauges so a collector can merge the rows, and
+//!   unstamped log traffic, which only the owning shard answers (the
+//!   ownership guard in [`LogServer::handle_into`]).
 //!
 //! Replies go out through the same shared endpoint from every shard
 //! (`Endpoint` sends are `&self`); the transports are `Sync`.
 
-use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
@@ -53,76 +49,6 @@ const INGEST_BATCH: usize = 32;
 /// One poll of a loop's packet source: a packet, nothing within the
 /// timeout, or the transport's failure.
 type Polled = io::Result<Option<(NodeAddr, Packet)>>;
-
-/// The dispatcher's run: feed the shard queues until the stop flag is up.
-type Dispatcher = Box<dyn FnOnce(&AtomicBool) -> io::Result<()> + Send>;
-
-/// One shard's packet queue. The `sleepers` counter lets the dispatcher
-/// skip the condvar syscall entirely while the shard loop is awake — the
-/// common case under load, where the queue never runs dry.
-struct ShardInbox {
-    q: VecDeque<(NodeAddr, Packet)>,
-    sleepers: u32,
-    /// The receive error that ended the dispatcher (as kind and text):
-    /// nothing is queued again, and the shard loop gets it once `q` is
-    /// empty, so every packet the dispatcher queued is still answered.
-    dead: Option<(io::ErrorKind, String)>,
-}
-
-struct ShardQueue {
-    inbox: Ranked<ShardInbox>,
-    available: Condvar,
-}
-
-impl ShardQueue {
-    fn new() -> Self {
-        ShardQueue {
-            inbox: Ranked::new(
-                Rank::ShardInbox,
-                ShardInbox {
-                    q: VecDeque::new(),
-                    sleepers: 0,
-                    dead: None,
-                },
-            ),
-            available: Condvar::new(),
-        }
-    }
-
-    /// End the queue with the dispatcher's receive error.
-    fn kill(&self, e: &io::Error) {
-        self.inbox.lock().dead = Some((e.kind(), e.to_string()));
-        self.available.notify_all();
-    }
-
-    fn push(&self, from: NodeAddr, pkt: Packet) {
-        let mut inbox = self.inbox.lock();
-        inbox.q.push_back((from, pkt));
-        if inbox.sleepers > 0 {
-            self.available.notify_one();
-        }
-    }
-
-    /// Pop one packet, waiting up to `timeout`. `Duration::ZERO` never
-    /// blocks, exactly like an endpoint's `recv(ZERO)`; a killed, empty
-    /// queue fails like the transport it stands for.
-    fn pop(&self, timeout: Duration) -> Polled {
-        let mut inbox = self.inbox.lock();
-        if let Some(item) = inbox.q.pop_front() {
-            return Ok(Some(item));
-        }
-        if let Some((kind, text)) = &inbox.dead {
-            return Err(io::Error::new(*kind, text.clone()));
-        }
-        if timeout.is_zero() {
-            return Ok(None);
-        }
-        inbox.sleepers += 1;
-        let (mut inbox, _timed_out) = inbox.wait_timeout(&self.available, timeout);
-        inbox.sleepers = inbox.sleepers.saturating_sub(1);
-        Ok(inbox.q.pop_front())
-    }
-}
 
 /// Why the first server thread to leave left — `Ok` for a stop request,
 /// `Err` for a dead transport or a panic — kept (as kind and text, so it
@@ -157,12 +83,10 @@ impl Drop for ReportPanic {
     }
 }
 
-/// Handle to a running server: one event loop per shard, plus a
-/// dispatcher thread only where the transport cannot route for N > 1.
+/// Handle to a running server: one event loop per shard.
 pub struct ShardSupervisor {
     stop: Arc<AtomicBool>,
     exits: Arc<Exits>,
-    dispatcher: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<LogServer>>,
 }
 
@@ -171,71 +95,57 @@ impl ShardSupervisor {
     /// `servers[k]`; the caller stamps each config with
     /// [`crate::ServerConfig::for_shard`] and opens per-shard storage
     /// roots). Every shard replies through the shared endpoint. A single
-    /// shard receives from it directly; with more, a dispatcher thread
-    /// owns the receive side and feeds per-shard queues.
+    /// shard receives from it directly; more receive from the routed
+    /// queues of [`RoutedEndpoint::shard_rx`].
     ///
     /// # Panics
     /// Panics when `servers` is empty or a thread fails to spawn.
     #[must_use]
-    #[expect(
-        clippy::expect_used,
-        reason = "thread-lifecycle expect at server startup, not on the request path"
-    )]
-    pub fn spawn<E: Endpoint + Sync + 'static>(
-        servers: Vec<LogServer>,
-        endpoint: E,
-    ) -> ShardSupervisor {
-        let endpoint = Arc::new(endpoint);
-        let ep = endpoint.clone();
-        if servers.len() <= 1 {
-            Self::spawn_loops(servers, endpoint, [move |t| ep.recv(t)], None)
-        } else {
-            let queues: Vec<Arc<ShardQueue>> = servers
-                .iter()
-                .map(|_| Arc::new(ShardQueue::new()))
-                .collect();
-            let nexts = queues.clone().into_iter().map(|q| move |t| q.pop(t));
-            let feed = move |stop: &AtomicBool| dispatch(&*ep, stop, &queues);
-            Self::spawn_loops(servers, endpoint, nexts, Some(Box::new(feed)))
-        }
-        .expect("spawn server thread")
-    }
-
-    /// Spawn one event loop per shard on a transport that routes frames
-    /// itself ([`RoutedEndpoint`]): each shard loop receives straight
-    /// from its own routed queue, so there is no dispatcher thread and a
-    /// packet crosses exactly one thread boundary between sender and
-    /// shard. Semantically identical to [`ShardSupervisor::spawn`] — the
-    /// transport applies the same routing rule from the wire header's
-    /// log hint before decode.
-    ///
-    /// # Panics
-    /// Panics when `servers` is empty or a thread fails to spawn.
-    #[must_use]
-    #[expect(
-        clippy::expect_used,
-        reason = "thread-lifecycle expect at server startup, not on the request path"
-    )]
-    pub fn spawn_routed<E>(servers: Vec<LogServer>, endpoint: E) -> ShardSupervisor
+    pub fn spawn<E>(servers: Vec<LogServer>, endpoint: E) -> ShardSupervisor
     where
         E: RoutedEndpoint + Sync + 'static,
     {
+        let endpoint = Arc::new(endpoint);
+        if servers.len() <= 1 {
+            return Self::spawn_direct(servers, endpoint);
+        }
         let nexts = endpoint
             .shard_rx(servers.len())
             .into_iter()
             .map(|mut rx| move |t| rx.recv(t));
-        Self::spawn_loops(servers, Arc::new(endpoint), nexts, None).expect("spawn server thread")
+        Self::spawn_loops(servers, endpoint, nexts)
+    }
+
+    /// [`ShardSupervisor::spawn`], under the name `benchmark/` calls.
+    #[must_use]
+    pub fn spawn_routed<E>(servers: Vec<LogServer>, endpoint: E) -> ShardSupervisor
+    where
+        E: RoutedEndpoint + Sync + 'static,
+    {
+        Self::spawn(servers, endpoint)
+    }
+
+    /// Spawn loops that receive from `endpoint` itself: one shard, on
+    /// any transport.
+    pub(crate) fn spawn_direct<E: Endpoint + Sync + 'static>(
+        servers: Vec<LogServer>,
+        endpoint: Arc<E>,
+    ) -> ShardSupervisor {
+        let ep = endpoint.clone();
+        Self::spawn_loops(servers, endpoint, [move |t| ep.recv(t)])
     }
 
     /// The one place server threads start: a [`shard_loop`] per server,
-    /// shard k polling the k-th element of `nexts`, and a thread for the
-    /// dispatcher that feeds those `nexts`, where there is one.
+    /// shard k polling the k-th element of `nexts`.
+    #[expect(
+        clippy::expect_used,
+        reason = "thread-lifecycle expect at server startup, not on the request path"
+    )]
     fn spawn_loops<E, N>(
         servers: Vec<LogServer>,
         endpoint: Arc<E>,
         nexts: impl IntoIterator<Item = N>,
-        dispatcher: Option<Dispatcher>,
-    ) -> io::Result<ShardSupervisor>
+    ) -> ShardSupervisor
     where
         E: Endpoint + Sync + 'static,
         N: FnMut(Duration) -> Polled + Send + 'static,
@@ -257,28 +167,15 @@ impl ShardSupervisor {
                     let (server, why) = shard_loop(server, &stop, &*ep, next);
                     exits.report(why);
                     server
-                })?;
+                })
+                .expect("spawn server thread");
             shards.push(handle);
         }
-        let dispatcher = match dispatcher {
-            None => None,
-            Some(run) => {
-                let (stop, exits) = (stop.clone(), exits.clone());
-                let handle = std::thread::Builder::new()
-                    .name(format!("log-shard-router-{server_id}"))
-                    .spawn(move || {
-                        let _panic = ReportPanic(exits.clone());
-                        exits.report(run(&stop));
-                    })?;
-                Some(handle)
-            }
-        };
-        Ok(ShardSupervisor {
+        ShardSupervisor {
             stop,
             exits,
-            dispatcher,
             shards,
-        })
+        }
     }
 
     /// Number of shards.
@@ -314,7 +211,7 @@ impl ShardSupervisor {
         reason = "joining our own shard threads during shutdown; a poisoned join means a shard already panicked"
     )]
     pub fn stop(mut self) -> Vec<LogServer> {
-        self.shutdown();
+        self.stop.store(true, Ordering::Relaxed);
         std::mem::take(&mut self.shards)
             .into_iter()
             .map(|h| h.join().expect("shard thread panicked"))
@@ -335,22 +232,11 @@ impl ShardSupervisor {
             .map(|mut server| server.store_mut().stream_end())
             .collect()
     }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.dispatcher.take() {
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "a panicked thread already reported itself through `ReportPanic`, which `wait` returns"
-            )]
-            let _ = h.join();
-        }
-    }
 }
 
 impl Drop for ShardSupervisor {
     fn drop(&mut self) {
-        self.shutdown();
+        self.stop.store(true, Ordering::Relaxed);
         for h in self.shards.drain(..) {
             #[expect(
                 clippy::let_underscore_must_use,
@@ -361,43 +247,8 @@ impl Drop for ShardSupervisor {
     }
 }
 
-/// The dispatcher's work: move each packet `endpoint` receives to the
-/// queue of the shard it routes to, until stopped. A receive error ends
-/// every queue behind the packets already in it: each shard loop answers
-/// those, then leaves with the error (setting `stop` instead would let a
-/// loop leave before popping the last packet).
-fn dispatch<E: Endpoint>(
-    endpoint: &E,
-    stop: &AtomicBool,
-    routes: &[Arc<ShardQueue>],
-) -> io::Result<()> {
-    while !stop.load(Ordering::Relaxed) {
-        let polled = endpoint.recv(Duration::from_millis(20));
-        let Some((from, pkt)) = polled.inspect_err(|e| routes.iter().for_each(|q| q.kill(e)))?
-        else {
-            continue;
-        };
-        match pkt.route_key() {
-            Some(id) => {
-                if let Some(q) = routes.get(id.shard(routes.len())) {
-                    q.push(from, pkt);
-                }
-            }
-            None => {
-                // Shard-agnostic control traffic: every shard sees it.
-                // Cloning the packet is a refcount bump per payload
-                // view, and control messages carry no records.
-                for q in routes {
-                    q.push(from, pkt.clone());
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The server event loop — the only one. `next` yields the loop's next
-/// packet (endpoint receive, routed receive, or dispatcher-queue pop);
+/// packet (endpoint receive or routed receive);
 /// ingest batching, reply flushing, group-commit ticks, idle archive
 /// work, and the final flush-and-sync are the same for all of them.
 /// Returns the server and why the loop left: `Ok` for a stop request,
@@ -521,6 +372,7 @@ mod tests {
     use super::*;
     use crate::gen::GenStore;
     use crate::ServerConfig;
+    use dlog_net::udp::UdpEndpoint;
     use dlog_net::wire::Request;
     use dlog_net::{FaultPlan, MemEndpoint, MemNetwork, MemShardRx};
     use dlog_storage::{LogStore, NvramDevice, StoreOptions};
@@ -573,24 +425,28 @@ mod tests {
         )
     }
 
-    /// The three ways a loop gets its packets.
+    /// The ways a loop gets its packets.
     #[derive(Clone, Copy, Debug)]
     enum Entry {
         /// One shard receiving from the endpoint itself (`ServerRunner`).
         Direct,
-        /// Two shards fed by the dispatcher thread.
-        Dispatcher,
-        /// Two shards on the transport's routed receive handles.
+        /// Two shards on the in-memory transport's routed queues.
         Routed,
+        /// Two shards on the routed queues a UDP socket's reader fills.
+        RoutedUdp,
     }
 
-    const ENTRIES: [Entry; 3] = [Entry::Direct, Entry::Dispatcher, Entry::Routed];
+    const ENTRIES: [Entry; 3] = [Entry::Direct, Entry::Routed, Entry::RoutedUdp];
+
+    /// The entries a [`MemNetwork`] can carry (the fault-injecting
+    /// transports below wrap a mem endpoint).
+    const MEM_ENTRIES: [Entry; 2] = [Entry::Direct, Entry::Routed];
 
     impl Entry {
         fn shards(self) -> u64 {
             match self {
                 Entry::Direct => 1,
-                Entry::Dispatcher | Entry::Routed => 2,
+                Entry::Routed | Entry::RoutedUdp => 2,
             }
         }
 
@@ -601,13 +457,19 @@ mod tests {
             let root = tmproot(&format!("{tag}-{self:?}"));
             let n = self.shards();
             let servers = (0..n).map(|k| shard_server(&root, k, n)).collect();
-            let sup = match self {
-                Entry::Direct | Entry::Dispatcher => ShardSupervisor::spawn(servers, endpoint),
-                Entry::Routed => ShardSupervisor::spawn_routed(servers, endpoint),
-            };
-            assert_eq!(sup.dispatcher.is_some(), matches!(self, Entry::Dispatcher));
-            sup
+            ShardSupervisor::spawn(servers, endpoint)
         }
+    }
+
+    /// A promiscuous UDP server endpoint at `NodeAddr(1)` on loopback,
+    /// and a client endpoint at `NodeAddr(100)` that knows where it is.
+    fn udp_pair() -> (UdpEndpoint, UdpEndpoint) {
+        let loopback = "127.0.0.1:0".parse().unwrap();
+        let server = UdpEndpoint::bind(NodeAddr(1), loopback).unwrap();
+        server.set_promiscuous(true);
+        let client = UdpEndpoint::bind(NodeAddr(100), loopback).unwrap();
+        client.add_peer(NodeAddr(1), server.socket_addr().unwrap());
+        (server, client)
     }
 
     /// Two clients that hash to different shards of two.
@@ -622,85 +484,93 @@ mod tests {
     #[test]
     fn every_entry_point_serves_forces_rpcs_and_status() {
         for entry in ENTRIES {
-            let net = MemNetwork::new(FaultPlan::reliable());
-            let sup = entry.spawn("serve", net.endpoint(NodeAddr(1)));
-            let n = entry.shards();
-            assert_eq!(sup.shards() as u64, n);
-
-            let (c0, c1) = two_clients();
-            let ep = net.endpoint(NodeAddr(100));
-            ep.send(NodeAddr(1), &force_pkt(c0, 1, 3)).unwrap();
-            ep.send(NodeAddr(1), &force_pkt(c1, 1, 5)).unwrap();
-            let mut acks = std::collections::HashMap::new();
-            for _ in 0..2 {
-                let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("ack");
-                if let Message::NewHighLsn { client, lsn } = pkt.msg {
-                    acks.insert(client.0, lsn.0);
-                }
+            if let Entry::RoutedUdp = entry {
+                let (server, client) = udp_pair();
+                serves_forces_rpcs_and_status(entry, entry.spawn("serve", server), &client);
+            } else {
+                let net = MemNetwork::new(FaultPlan::reliable());
+                let sup = entry.spawn("serve", net.endpoint(NodeAddr(1)));
+                serves_forces_rpcs_and_status(entry, sup, &net.endpoint(NodeAddr(100)));
             }
-            assert_eq!(acks.get(&c0), Some(&3), "{entry:?}");
-            assert_eq!(acks.get(&c1), Some(&5), "{entry:?}");
+        }
+    }
 
-            // RPC round trip, routed to the client's shard.
-            ep.send(
-                NodeAddr(1),
-                &Packet::routed(
-                    LogId::for_client(ClientId(c0)),
-                    Message::Request {
-                        id: 77,
-                        body: Request::IntervalList {
-                            client: ClientId(c0),
-                            first: 0,
-                        },
+    fn serves_forces_rpcs_and_status(entry: Entry, sup: ShardSupervisor, ep: &impl Endpoint) {
+        let n = entry.shards();
+        assert_eq!(sup.shards() as u64, n);
+
+        let (c0, c1) = two_clients();
+        ep.send(NodeAddr(1), &force_pkt(c0, 1, 3)).unwrap();
+        ep.send(NodeAddr(1), &force_pkt(c1, 1, 5)).unwrap();
+        let mut acks = std::collections::HashMap::new();
+        for _ in 0..2 {
+            let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("ack");
+            if let Message::NewHighLsn { client, lsn } = pkt.msg {
+                acks.insert(client.0, lsn.0);
+            }
+        }
+        assert_eq!(acks.get(&c0), Some(&3), "{entry:?}");
+        assert_eq!(acks.get(&c1), Some(&5), "{entry:?}");
+
+        // RPC round trip, routed to the client's shard.
+        ep.send(
+            NodeAddr(1),
+            &Packet::routed(
+                LogId::for_client(ClientId(c0)),
+                Message::Request {
+                    id: 77,
+                    body: Request::IntervalList {
+                        client: ClientId(c0),
+                        first: 0,
                     },
-                ),
-            )
-            .unwrap();
-            let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("resp");
+                },
+            ),
+        )
+        .unwrap();
+        let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("resp");
+        match pkt.msg {
+            Message::Response {
+                id: 77,
+                body: Response::Intervals { intervals, .. },
+            } => assert_eq!(intervals.len(), 1, "{entry:?}"),
+            other => panic!("{entry:?}: unexpected {other:?}"),
+        }
+
+        // A shard-agnostic Status request fans out to every shard.
+        ep.send(
+            NodeAddr(1),
+            &Packet::bare(Message::Request {
+                id: 11,
+                body: Request::Status,
+            }),
+        )
+        .unwrap();
+        let mut rows = std::collections::BTreeSet::new();
+        for _ in 0..n {
+            let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("row");
             match pkt.msg {
                 Message::Response {
-                    id: 77,
-                    body: Response::Intervals { intervals, .. },
-                } => assert_eq!(intervals.len(), 1, "{entry:?}"),
+                    id: 11,
+                    body: Response::Status { shard, shards, .. },
+                } => {
+                    assert_eq!(shards, n, "{entry:?}");
+                    rows.insert(shard);
+                }
                 other => panic!("{entry:?}: unexpected {other:?}"),
             }
-
-            // A shard-agnostic Status request fans out to every shard.
-            ep.send(
-                NodeAddr(1),
-                &Packet::bare(Message::Request {
-                    id: 11,
-                    body: Request::Status,
-                }),
-            )
-            .unwrap();
-            let mut rows = std::collections::BTreeSet::new();
-            for _ in 0..n {
-                let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("row");
-                match pkt.msg {
-                    Message::Response {
-                        id: 11,
-                        body: Response::Status { shard, shards, .. },
-                    } => {
-                        assert_eq!(shards, n, "{entry:?}");
-                        rows.insert(shard);
-                    }
-                    other => panic!("{entry:?}: unexpected {other:?}"),
-                }
-            }
-            assert_eq!(rows, (0..n).collect(), "{entry:?}");
-
-            // Graceful stop: each shard holds exactly its own client's
-            // log, under its own storage root.
-            let recovered = sup.stop();
-            let per_shard: Vec<u64> = recovered.iter().map(|s| s.stats().records_stored).collect();
-            assert_eq!(per_shard.len() as u64, n, "{entry:?}");
-            assert_eq!(per_shard.iter().sum::<u64>(), 8, "{entry:?}");
-            assert!(
-                per_shard.iter().all(|&n| n > 0),
-                "{entry:?}: every shard must have ingested: {per_shard:?}"
-            );
         }
+        assert_eq!(rows, (0..n).collect(), "{entry:?}");
+
+        // Graceful stop: each shard holds exactly its own client's
+        // log, under its own storage root.
+        let recovered = sup.stop();
+        let per_shard: Vec<u64> = recovered.iter().map(|s| s.stats().records_stored).collect();
+        assert_eq!(per_shard.len() as u64, n, "{entry:?}");
+        assert_eq!(per_shard.iter().sum::<u64>(), 8, "{entry:?}");
+        assert!(
+            per_shard.iter().all(|&n| n > 0),
+            "{entry:?}: every shard must have ingested: {per_shard:?}"
+        );
     }
 
     /// A transport whose receive side fails for good once `left` packets
@@ -790,7 +660,8 @@ mod tests {
             inner: net.endpoint(NodeAddr(1)),
             refused: AtomicBool::new(false),
         };
-        let sup = ShardSupervisor::spawn(vec![shard_server(&root, 0, 1)], refusing);
+        let sup =
+            ShardSupervisor::spawn_direct(vec![shard_server(&root, 0, 1)], Arc::new(refusing));
 
         let addrs = std::collections::HashMap::from([(ServerId(1), NodeAddr(1))]);
         let mut client = dlog_core::net::ClientNet::new(net.endpoint(NodeAddr(100)), addrs);
@@ -815,7 +686,7 @@ mod tests {
 
     #[test]
     fn dead_transport_ends_every_loop_through_the_graceful_exit() {
-        for entry in ENTRIES {
+        for entry in MEM_ENTRIES {
             let net = MemNetwork::new(FaultPlan::reliable());
             let dying = Dying {
                 inner: net.endpoint(NodeAddr(1)),
@@ -854,7 +725,7 @@ mod tests {
 
     #[test]
     fn a_panicking_loop_is_an_exit_that_wait_reports() {
-        for entry in ENTRIES {
+        for entry in MEM_ENTRIES {
             let net = MemNetwork::new(FaultPlan::reliable());
             let panicking = Dying {
                 inner: net.endpoint(NodeAddr(1)),

@@ -31,10 +31,9 @@ pub enum Rank {
     /// `MemNetwork`'s fault draws, held while `deliver` pushes into the
     /// destination's inbox: fate and delivery are serialized.
     MemFaults,
-    /// A mem endpoint's packet queue.
+    /// A frame queue: a mem endpoint's, or one shard's on a routed mem or
+    /// UDP endpoint.
     MemInbox,
-    /// A shard loop's packet queue, pushed after the dispatcher's receive.
-    ShardInbox,
     /// The supervisor's first-exit report.
     ShardExits,
     /// The simulated NVRAM track (§5.1).
@@ -277,7 +276,7 @@ mod rank_tests {
 
     #[test]
     fn a_blocking_call_under_a_live_guard_panics() {
-        let m = Ranked::new(Rank::ShardInbox, vec![1]);
+        let m = Ranked::new(Rank::MemInbox, vec![1]);
         panics(|| {
             let _g = m.lock();
             assert_unlocked();
@@ -324,13 +323,13 @@ mod rank_tests {
 
     #[test]
     fn guards_dropped_out_of_order_leave_the_stack_consistent() {
-        let locks = [Rank::MemFaults, Rank::ShardInbox, Rank::Nvram].map(|r| Ranked::new(r, ()));
+        let locks = [Rank::MemFaults, Rank::MemInbox, Rank::Nvram].map(|r| Ranked::new(r, ()));
         let [a, b, c] = locks.each_ref().map(Ranked::lock);
         drop(b);
         assert_eq!(held(), [Rank::MemFaults, Rank::Nvram]);
         drop(a);
         assert_eq!(held(), [Rank::Nvram]);
-        // Below the top is still below: ShardInbox may not come back yet.
+        // Below the top is still below: MemInbox may not come back yet.
         panics(|| drop((c, locks[1].lock())));
         let b = locks[1].lock();
         let c = locks[2].lock();

@@ -1,16 +1,18 @@
 //! The full stack over real UDP loopback sockets: initialization, writes,
-//! forces, reads, and crash recovery across actual datagrams.
+//! forces, reads, and crash recovery across actual datagrams. Each server
+//! runs `DLOG_TEST_SHARDS` shard loops behind its one socket.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 
+use dlog_bench::harness::test_shards;
 use dlog_core::client::{ClientOptions, ReplicatedLog};
 use dlog_core::net::ClientNet;
 use dlog_mc::harness::open_server;
 use dlog_net::udp::UdpEndpoint;
 use dlog_net::wire::NodeAddr;
-use dlog_server::runner::ServerRunner;
+use dlog_server::shard::ShardSupervisor;
 use dlog_server::ServerConfig;
 use dlog_storage::NvramDevice;
 use dlog_types::{ClientId, Lsn, ReplicationConfig, ServerId};
@@ -21,14 +23,14 @@ fn loopback() -> SocketAddr {
 
 struct UdpCluster {
     root: PathBuf,
-    runners: Vec<ServerRunner>,
+    servers: Vec<ShardSupervisor>,
     server_ids: Vec<ServerId>,
 }
 
 impl Drop for UdpCluster {
     fn drop(&mut self) {
-        for r in self.runners.drain(..) {
-            drop(r);
+        for s in self.servers.drain(..) {
+            drop(s);
         }
         let _ = std::fs::remove_dir_all(&self.root);
     }
@@ -72,14 +74,22 @@ fn start_with_clients(
     }
     let mut cluster = UdpCluster {
         root,
-        runners: Vec::new(),
+        servers: Vec::new(),
         server_ids: server_ids.clone(),
     };
+    let shards = test_shards();
     for (i, ep) in server_eps.into_iter().enumerate() {
         let sid = server_ids[i];
-        let dir = cluster.root.join(format!("server-{}", sid.0));
-        let server = open_server(&dir, ServerConfig::new(sid), NvramDevice::new(1 << 20)).unwrap();
-        cluster.runners.push(ServerRunner::spawn(server, ep));
+        let shard_servers = (0..shards)
+            .map(|k| {
+                let dir = cluster.root.join(format!("server-{}/shard-{k}", sid.0));
+                let config = ServerConfig::new(sid).for_shard(k, shards);
+                open_server(&dir, config, NvramDevice::new(1 << 20)).unwrap()
+            })
+            .collect();
+        cluster
+            .servers
+            .push(ShardSupervisor::spawn(shard_servers, ep));
     }
     (cluster, client_eps)
 }
