@@ -82,9 +82,9 @@ fn lost_batch_is_naked_and_resent() {
     // Lose the next batch to BOTH targets, then the following force
     // triggers the gap NAK path on the servers.
     log.write(vec![2u8; 20]).unwrap();
-    world.lock().unwrap().plan.loss = 1.0;
+    world.lock().unwrap().faults.plan.loss = 1.0;
     log.flush().unwrap(); // silently lost
-    world.lock().unwrap().plan.loss = 0.0;
+    world.lock().unwrap().faults.plan.loss = 0.0;
     log.write(vec![3u8; 20]).unwrap();
     log.force().unwrap(); // servers see a gap, NAK, client resends
 

@@ -24,12 +24,27 @@
 //! before touching the log — which is exactly what the paper's client
 //! node does every time it boots.
 
+use std::io::{self, Write};
 use std::process::exit;
 
 use dlog_cli::{parse_server_list, udp_client, Args};
 use dlog_types::{DlogError, Lsn};
 use dlog_workload::recovery::LogMode;
 use dlog_workload::{BankDb, Et1Config, Et1Generator, RecoveryManager};
+
+/// `println!` for everything `dlog` prints: a reader that went away (a
+/// closed pipe, as `dlog tail 100 | head -3` makes) ends the run quietly.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        if let Err(e) = writeln!(io::stdout(), $($arg)*) {
+            if e.kind() != io::ErrorKind::BrokenPipe {
+                eprintln!("dlog: stdout: {e}");
+                exit(1);
+            }
+            exit(0);
+        }
+    };
+}
 
 fn usage() -> &'static str {
     "usage: dlog --servers H:P,H:P,... [--client N] [--n 2] [--delta 8] COMMAND\n\
@@ -58,7 +73,7 @@ fn run_archive(args: &Args) -> Result<(), String> {
     match sub {
         "status" => match load_latest(&objects).map_err(|e| e.to_string())? {
             Some(m) => {
-                println!(
+                out!(
                     "{archive_dir}: generation {}, {} segments, {} archived bytes, \
                      stream [{}, {}), cut {}, last manifest lsn {}",
                     m.generation,
@@ -70,13 +85,13 @@ fn run_archive(args: &Args) -> Result<(), String> {
                     m.last_lsn().map_err(|e| e.to_string())?,
                 );
             }
-            None => println!("{archive_dir}: no valid manifest (empty archive)"),
+            None => out!("{archive_dir}: no valid manifest (empty archive)"),
         },
         "push" | "restore" => {
             let dir: String = args.require("dir")?;
             if sub == "restore" {
                 let m = restore(&objects, &dir).map_err(|e| e.to_string())?;
-                println!(
+                out!(
                     "restored {dir} from generation {}: {} segments, {} bytes",
                     m.generation,
                     m.segments.len(),
@@ -97,7 +112,7 @@ fn run_archive(args: &Args) -> Result<(), String> {
             let m = archiver
                 .archive_now(&mut store)
                 .map_err(|e| e.to_string())?;
-            println!(
+            out!(
                 "pushed {} new bytes: generation {}, archive covers [{}, {})",
                 m.restore_end - before,
                 m.generation,
@@ -116,7 +131,7 @@ fn run() -> Result<(), String> {
         .iter()
         .any(|a| a == "help" || a == "--help" || a == "-h")
     {
-        println!("{}", usage());
+        out!("{}", usage());
         return Ok(());
     }
     // `--json` is a bare flag; the Args parser only understands
@@ -165,18 +180,18 @@ fn run() -> Result<(), String> {
                     } else {
                         sock.to_string()
                     };
-                    println!(
+                    out!(
                         "{sock}: {records_stored} records, {clients} clients, {on_disk_bytes} bytes on disk, {tracks_flushed} tracks, {forces_acked} forces acked, {rpcs} rpcs, {naks_sent} naks, {duplicates_ignored} dups ignored"
                     );
-                    println!(
+                    out!(
                         "{sock}: archive: {archived_bytes} bytes archived, {pending_upload_bytes} pending upload, last manifest lsn {last_manifest_lsn}, {upload_retries} upload retries"
                     );
-                    println!(
+                    out!(
                         "{sock}: group commit: {coalesced_forces} forces coalesced into {group_commits} commits"
                     );
                 }
-                Ok(other) => println!("{sock}: unexpected reply {other:?}"),
-                Err(e) => println!("{sock}: unreachable ({e})"),
+                Ok(other) => out!("{sock}: unexpected reply {other:?}"),
+                Err(e) => out!("{sock}: unreachable ({e})"),
             }
         }
         return Ok(());
@@ -206,14 +221,14 @@ fn run() -> Result<(), String> {
                 }) => {
                     reached += 1;
                     if !json && shards > 1 {
-                        println!("{sock}: {shards} shards (merged rows follow)");
+                        out!("{sock}: {shards} shards (merged rows follow)");
                     }
                     total_events += trace_events;
                     total_dropped += trace_dropped;
                     total_allocs += ingest_allocs;
                     total_records += ingest_records;
                     if !json {
-                        println!(
+                        out!(
                             "{sock}: {trace_events} trace events ({trace_dropped} dropped), \
                              {} instrumented stages, {ingest_records} records ingested \
                              ({ingest_allocs} ingest allocs)",
@@ -236,36 +251,34 @@ fn run() -> Result<(), String> {
         let stage_name =
             |s: u8| Stage::from_u8(s).map_or("unknown".to_string(), |st| st.name().to_string());
         if json {
-            let mut out = String::new();
-            out.push_str("{\n");
-            out.push_str(&format!("  \"servers_reached\": {reached},\n"));
-            out.push_str(&format!("  \"trace_events\": {total_events},\n"));
-            out.push_str(&format!("  \"trace_dropped\": {total_dropped},\n"));
-            out.push_str(&format!("  \"ingest_allocs\": {total_allocs},\n"));
-            out.push_str(&format!("  \"ingest_records\": {total_records},\n"));
-            out.push_str(&format!(
-                "  \"allocs_per_write\": {:.3},\n",
+            out!("{{");
+            out!("  \"servers_reached\": {reached},");
+            out!("  \"trace_events\": {total_events},");
+            out!("  \"trace_dropped\": {total_dropped},");
+            out!("  \"ingest_allocs\": {total_allocs},");
+            out!("  \"ingest_records\": {total_records},");
+            out!(
+                "  \"allocs_per_write\": {:.3},",
                 total_allocs as f64 / total_records.max(1) as f64
-            ));
-            out.push_str("  \"stages\": {\n");
+            );
+            out!("  \"stages\": {{");
             for (k, (s, h)) in merged.iter().enumerate() {
                 let comma = if k + 1 < merged.len() { "," } else { "" };
-                out.push_str(&format!(
+                out!(
                     "    \"{}\": {{\"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \
-                     \"p99_ns\": {}, \"max_ns\": {}}}{comma}\n",
+                     \"p99_ns\": {}, \"max_ns\": {}}}{comma}",
                     stage_name(*s),
                     h.count(),
                     h.percentile(0.50),
                     h.percentile(0.95),
                     h.percentile(0.99),
                     h.max
-                ));
+                );
             }
-            out.push_str("  }\n}");
-            println!("{out}");
+            out!("  }}\n}}");
         } else {
             for (s, h) in &merged {
-                println!(
+                out!(
                     "{:>14}: n={} p50={}ns p95={}ns p99={}ns max={}ns",
                     stage_name(*s),
                     h.count(),
@@ -276,10 +289,10 @@ fn run() -> Result<(), String> {
                 );
             }
             if merged.is_empty() {
-                println!("no instrumented stages reported (servers run with obs off?)");
+                out!("no instrumented stages reported (servers run with obs off?)");
             }
             if total_records > 0 {
-                println!(
+                out!(
                     "allocs_per_write: {:.3} ({total_allocs} allocs / {total_records} records)",
                     total_allocs as f64 / total_records as f64
                 );
@@ -295,7 +308,7 @@ fn run() -> Result<(), String> {
             }
             for text in &args.positional[1..] {
                 let lsn = log.write(text.as_bytes()).map_err(|e| e.to_string())?;
-                println!("{lsn}");
+                out!("{lsn}");
             }
             log.force().map_err(|e| format!("force: {e}"))?;
         }
@@ -307,8 +320,8 @@ fn run() -> Result<(), String> {
                 .parse()
                 .map_err(|e| format!("bad LSN: {e}"))?;
             match log.read(Lsn(lsn)) {
-                Ok(d) => println!("{}", String::from_utf8_lossy(d.as_bytes())),
-                Err(DlogError::NotPresent { .. }) => println!("(not present)"),
+                Ok(d) => out!("{}", String::from_utf8_lossy(d.as_bytes())),
+                Err(DlogError::NotPresent { .. }) => out!("(not present)"),
                 Err(e) => return Err(e.to_string()),
             }
         }
@@ -323,18 +336,18 @@ fn run() -> Result<(), String> {
             let lo = end.back(k).map_or(Lsn::FIRST, Lsn::next);
             for l in lo.0..=end.0 {
                 match log.read(Lsn(l)) {
-                    Ok(d) => println!("{l}: {}", String::from_utf8_lossy(d.as_bytes())),
-                    Err(DlogError::NotPresent { .. }) => println!("{l}: (not present)"),
-                    Err(e) => println!("{l}: <error: {e}>"),
+                    Ok(d) => out!("{l}: {}", String::from_utf8_lossy(d.as_bytes())),
+                    Err(DlogError::NotPresent { .. }) => out!("{l}: (not present)"),
+                    Err(e) => out!("{l}: <error: {e}>"),
                 }
             }
         }
         "end" => {
-            println!("{}", log.end_of_log().map_err(|e| e.to_string())?);
+            out!("{}", log.end_of_log().map_err(|e| e.to_string())?);
         }
         "repair" => {
             let report = log.repair().map_err(|e| e.to_string())?;
-            println!(
+            out!(
                 "live servers: {}, examined: {}, under-replicated: {}, copied: {}",
                 report.live_servers,
                 report.records_examined,
@@ -356,7 +369,7 @@ fn run() -> Result<(), String> {
                 mgr.run_et1(&gen.next_txn()).map_err(|e| e.to_string())?;
             }
             let dt = start.elapsed();
-            println!(
+            out!(
                 "{txns} ET1 transactions in {:.1} ms = {:.0} TPS",
                 dt.as_secs_f64() * 1e3,
                 txns as f64 / dt.as_secs_f64()

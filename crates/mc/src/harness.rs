@@ -7,11 +7,10 @@
 //! surviving NVRAM, and checks that no server acks a client below an ack
 //! it already sent that client. Two worlds hold it:
 //!
-//! * [`SyncWorld`] delivers every send at once, with `FaultPlan`-style
-//!   loss, duplication and reordering drawn from a seeded RNG consumed
-//!   only per send. The shipped `ReplicatedLog` runs on it through
-//!   [`SyncEndpoint`] in the determinism, group-commit and client
-//!   protocol suites.
+//! * [`SyncWorld`] delivers every send at once, with the fates that
+//!   `MemNetwork` draws from the same seed ([`dlog_net::fault`]). The
+//!   shipped `ReplicatedLog` runs on it through [`SyncEndpoint`] in the
+//!   determinism, group-commit and client protocol suites.
 //! * [`crate::model::McWorld`] keeps packets in a bag and lets the
 //!   explorer choose every delivery, drop, crash and recovery.
 
@@ -21,11 +20,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use dlog_net::wire::{Message, NodeAddr, Packet, MAX_PACKET_BYTES};
-use dlog_net::{Endpoint, FaultPlan};
+use dlog_net::{Endpoint, FaultPlan, Faults};
 use dlog_obs::{Obs, ObsOptions, Stage};
 use dlog_server::gen::GenStore;
 use dlog_server::{LogServer, ServerConfig};
@@ -304,11 +300,9 @@ pub struct SyncWorldOptions {
     /// Number of servers; server `i` listens on `NodeAddr(i)` for
     /// `i in 1..=servers`.
     pub servers: u64,
-    /// The fault schedule (loss / duplication / reordering).
+    /// The fault schedule (loss / duplication / reordering). Its seed
+    /// also drives the flush rolls.
     pub plan: FaultPlan,
-    /// RNG seed for the fault schedule. Callers that need schedule
-    /// diversity beyond the plan seed can mix in their own salt.
-    pub rng_seed: u64,
     /// Probability of flushing a server's pending group-commit
     /// obligations right after it handles a packet — exercises
     /// partial-batch group commits. Zero disables the roll entirely.
@@ -328,12 +322,11 @@ pub struct SyncWorldOptions {
 
 impl SyncWorldOptions {
     /// The determinism suite's shape: shared observability, no
-    /// coalescing, faults drawn from `plan.seed`.
+    /// coalescing.
     #[must_use]
     pub fn shared(servers: u64, plan: FaultPlan, obs: Obs) -> SyncWorldOptions {
         SyncWorldOptions {
             servers,
-            rng_seed: plan.seed,
             plan,
             flush_p: 0.0,
             coalesce_window: Duration::ZERO,
@@ -348,7 +341,6 @@ impl SyncWorldOptions {
     pub fn coalescing(
         servers: u64,
         plan: FaultPlan,
-        rng_seed: u64,
         window: Duration,
         max_batch: usize,
         flush_p: f64,
@@ -356,7 +348,6 @@ impl SyncWorldOptions {
         SyncWorldOptions {
             servers,
             plan,
-            rng_seed,
             flush_p,
             coalesce_window: window,
             coalesce_max_batch: max_batch,
@@ -371,10 +362,8 @@ pub struct SyncWorld {
     pub servers: ServerWorld,
     /// Packets awaiting the client's next `recv`.
     pub inbox: VecDeque<(NodeAddr, Packet)>,
-    /// The fault schedule.
-    pub plan: FaultPlan,
-    /// Seeded fault-roll RNG, consumed only per send.
-    pub rng: StdRng,
+    /// Every packet's fate, and the flush rolls' stream.
+    pub faults: Faults<Packet>,
     /// Probability of a post-handle flush roll (see
     /// [`SyncWorldOptions::flush_p`]).
     pub flush_p: f64,
@@ -383,8 +372,8 @@ pub struct SyncWorld {
 }
 
 impl SyncWorld {
-    /// One send attempt: trace it, roll the fault schedule, and route
-    /// every surviving copy. Server replies are routed recursively
+    /// One send attempt: trace it, draw its fate, and route every frame
+    /// the fate delivers. Server replies are routed recursively
     /// (servers only ever reply toward the client, so depth is bounded).
     ///
     /// # Errors
@@ -405,16 +394,9 @@ impl SyncWorld {
         if let Some(obs) = &self.world_obs {
             obs.event(Stage::PacketSend, pkt.lsn_hint(), to.0);
         }
-        if self.plan.loss > 0.0 && self.rng.gen_bool(self.plan.loss) {
-            return Ok(());
-        }
-        let copies = if self.plan.duplicate > 0.0 && self.rng.gen_bool(self.plan.duplicate) {
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
-            self.route(from, to, pkt.clone());
+        let fate = self.faults.fate(from, to, pkt.clone());
+        for (from, pkt) in fate.into_iter().flatten().flatten() {
+            self.route(from, to, pkt);
         }
         Ok(())
     }
@@ -436,7 +418,7 @@ impl SyncWorld {
             // drawn only when obligations are actually pending.
             let flushed = if self.flush_p > 0.0
                 && self.servers.has_pending_forces(to.0)
-                && self.rng.gen_bool(self.flush_p)
+                && self.faults.roll(self.flush_p)
             {
                 self.flush(to.0)
             } else {
@@ -446,14 +428,6 @@ impl SyncWorld {
             // client-bound packet is queued below, never routed onward.
             self.deliver_replies(to, replies);
             self.deliver_replies(to, flushed);
-        } else if self.plan.reorder > 0.0
-            && !self.inbox.is_empty()
-            && self.rng.gen_bool(self.plan.reorder)
-        {
-            // Client-bound: occasionally deliver behind the packet that
-            // is already queued (reordering).
-            let idx = self.inbox.len() - 1;
-            self.inbox.insert(idx, (from, pkt));
         } else {
             self.inbox.push_back((from, pkt));
         }
@@ -540,8 +514,7 @@ pub fn build_world(dir: &Path, opts: SyncWorldOptions) -> Result<Arc<Mutex<SyncW
     Ok(Arc::new(Mutex::new(SyncWorld {
         servers,
         inbox: VecDeque::new(),
-        plan: opts.plan,
-        rng: StdRng::seed_from_u64(opts.rng_seed),
+        faults: Faults::new(opts.plan),
         flush_p: opts.flush_p,
         world_obs: opts.obs,
     })))
@@ -551,6 +524,50 @@ pub fn build_world(dir: &Path, opts: SyncWorldOptions) -> Result<Arc<Mutex<SyncW
 mod tests {
     use super::*;
     use dlog_net::wire::{codes, Response};
+    use dlog_net::MemNetwork;
+    use dlog_types::ClientId;
+
+    /// One seeded plan is one schedule in both worlds: server → client
+    /// sends reach the client in the same order, losses, duplicates and
+    /// released holds included.
+    #[test]
+    fn sync_world_and_mem_network_deliver_one_schedule() {
+        const SERVER: NodeAddr = NodeAddr(1);
+        const CLIENT: NodeAddr = NodeAddr(1000);
+        let plan = FaultPlan::hostile(7);
+        let pings: Vec<Packet> = (0..500)
+            .map(|i| {
+                Packet::bare(Message::NewHighLsn {
+                    client: ClientId(1),
+                    lsn: Lsn(i),
+                })
+            })
+            .collect();
+
+        let net = MemNetwork::new(plan);
+        let (server, client) = (net.endpoint(SERVER), net.endpoint(CLIENT));
+        for p in &pings {
+            server.send(CLIENT, p).unwrap();
+        }
+        let mut mem = Vec::new();
+        while let Some(got) = client.recv(Duration::ZERO).unwrap() {
+            mem.push(got);
+        }
+        let stats = net.stats();
+        assert!(stats.dropped > 0 && stats.duplicated > 0 && stats.reordered > 0);
+
+        let dir = std::env::temp_dir().join(format!("dlog-mc-one-fate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let world = build_world(&dir, SyncWorldOptions::shared(1, plan, Obs::default())).unwrap();
+        let mut w = unpoisoned(world.lock());
+        for p in &pings {
+            w.deliver(SERVER, CLIENT, p).unwrap();
+        }
+        let sync: Vec<_> = w.inbox.drain(..).collect();
+        drop(w);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(sync, mem);
+    }
 
     #[test]
     fn an_over_size_reply_reaches_the_client_as_a_protocol_error() {

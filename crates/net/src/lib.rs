@@ -14,8 +14,8 @@
 //! * [`wire`] — the packet format: every Figure 4-1 message, CRC-framed,
 //!   packed to a configurable packet size;
 //! * [`mem`] — an in-process datagram network with deterministic,
-//!   seed-driven fault injection (loss, duplication, reordering, delay,
-//!   partitions) used by tests and simulations;
+//!   seed-driven fault injection (the one [`fault`] interpreter's loss,
+//!   duplication and reordering, plus partitions) for tests and simulations;
 //! * [`udp`] — the same endpoint interface over real `std::net` UDP
 //!   sockets, demonstrating the protocol on an actual network;
 //! * [`pool`] — the fixed-size buffer pool behind the zero-copy wire
@@ -44,13 +44,15 @@
 )]
 #![warn(missing_docs)]
 
+pub mod fault;
 pub mod mem;
 pub mod pool;
 mod queue;
 pub mod udp;
 pub mod wire;
 
-pub use mem::{FaultPlan, MemEndpoint, MemNetwork, MemShardRx};
+pub use fault::{FaultPlan, Faults};
+pub use mem::{MemEndpoint, MemNetwork, MemShardRx};
 pub use pool::BufPool;
 pub use wire::{Message, NodeAddr, Packet, Request, Response, MAX_PACKET_BYTES};
 

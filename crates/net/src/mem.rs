@@ -1,9 +1,9 @@
 //! Deterministic in-process datagram network with fault injection.
 //!
 //! Tests and simulations run whole client/server clusters inside one
-//! process; the network delivers encoded packets between endpoints and
-//! injects faults — loss, duplication, reordering, partitions, downed
-//! nodes — from a seeded RNG, so every failure schedule is reproducible.
+//! process; the network delivers encoded packets between endpoints, cuts
+//! off partitioned and downed nodes, and draws every other fault from the
+//! seeded [`crate::fault`] interpreter, so failure schedules reproduce.
 //!
 //! Every packet is round-tripped through the real wire encoding
 //! ([`Packet::encode_into`] / [`Packet::decode_shared`]), so the
@@ -20,61 +20,12 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use dlog_types::{unpoisoned, Rank, Ranked};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
+use crate::fault::{FaultPlan, Faults};
 use crate::pool::BufPool;
 use crate::queue::{recv_from, steer, EndpointQueue};
 use crate::wire::{NodeAddr, Packet, MAX_PACKET_BYTES};
 use crate::Endpoint;
-
-/// Fault-injection parameters. All probabilities are per-packet.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultPlan {
-    /// Probability a packet is silently dropped.
-    pub loss: f64,
-    /// Probability a packet is delivered twice.
-    pub duplicate: f64,
-    /// Probability a packet is held and delivered after its successor.
-    pub reorder: f64,
-    /// RNG seed; identical seeds give identical fault schedules.
-    pub seed: u64,
-}
-
-impl FaultPlan {
-    /// A perfectly reliable network.
-    #[must_use]
-    pub fn reliable() -> Self {
-        FaultPlan {
-            loss: 0.0,
-            duplicate: 0.0,
-            reorder: 0.0,
-            seed: 0,
-        }
-    }
-
-    /// A mildly misbehaving LAN (1% loss, 0.5% duplication, 2% reorder).
-    #[must_use]
-    pub fn flaky(seed: u64) -> Self {
-        FaultPlan {
-            loss: 0.01,
-            duplicate: 0.005,
-            reorder: 0.02,
-            seed,
-        }
-    }
-
-    /// Test hook: a severely misbehaving network for stress tests.
-    #[must_use]
-    pub fn hostile(seed: u64) -> Self {
-        FaultPlan {
-            loss: 0.15,
-            duplicate: 0.05,
-            reorder: 0.10,
-            seed,
-        }
-    }
-}
 
 /// Network-wide delivery counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -114,14 +65,6 @@ struct Topology {
     down: HashSet<NodeAddr>,
 }
 
-/// Seeded fault schedule state. Only locked when the plan can actually
-/// inject faults — a reliable plan's send path never touches it.
-struct FaultState {
-    rng: StdRng,
-    /// Held packet per destination, released after the next send to it.
-    held: HashMap<NodeAddr, (NodeAddr, Arc<Vec<u8>>)>,
-}
-
 #[derive(Default)]
 struct AtomicNetStats {
     sent: AtomicU64,
@@ -134,9 +77,9 @@ struct AtomicNetStats {
 
 struct Inner {
     topo: RwLock<Topology>,
-    faults: Ranked<FaultState>,
+    /// `None` under a reliable plan: its sends take no lock and no draw.
+    faults: Option<Ranked<Faults<Arc<Vec<u8>>>>>,
     stats: AtomicNetStats,
-    plan: FaultPlan,
 }
 
 /// A shared in-process network. Clone handles freely.
@@ -156,15 +99,10 @@ impl MemNetwork {
                     partitions: HashSet::new(),
                     down: HashSet::new(),
                 }),
-                faults: Ranked::new(
-                    Rank::MemFaults,
-                    FaultState {
-                        rng: StdRng::seed_from_u64(plan.seed),
-                        held: HashMap::new(),
-                    },
-                ),
+                faults: plan
+                    .faulty()
+                    .then(|| Ranked::new(Rank::MemFaults, Faults::new(plan))),
                 stats: AtomicNetStats::default(),
-                plan,
             }),
         }
     }
@@ -262,13 +200,11 @@ impl MemNetwork {
             ));
         }
         let stats = &self.inner.stats;
-        let plan = self.inner.plan;
-        let faulty = plan.loss > 0.0 || plan.duplicate > 0.0 || plan.reorder > 0.0;
         let topo = unpoisoned(self.inner.topo.read());
         for &to in tos {
             stats.sent.fetch_add(1, Ordering::Relaxed);
             stats.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-            self.deliver(&topo, from, to, &bytes, faulty, plan);
+            self.deliver(&topo, from, to, &bytes);
         }
         drop(topo);
         pool.give_back(bytes);
@@ -278,70 +214,37 @@ impl MemNetwork {
     /// Decide one destination's fate and enqueue accordingly. Stats are
     /// atomics; `topo` is the caller's read guard (held across a whole
     /// fan-out so a concurrent `set_down` can't split it).
-    fn deliver(
-        &self,
-        topo: &Topology,
-        from: NodeAddr,
-        to: NodeAddr,
-        bytes: &Arc<Vec<u8>>,
-        faulty: bool,
-        plan: FaultPlan,
-    ) {
+    fn deliver(&self, topo: &Topology, from: NodeAddr, to: NodeAddr, bytes: &Arc<Vec<u8>>) {
         let stats = &self.inner.stats;
-        'fate: {
-            if topo.down.contains(&from)
-                || topo.down.contains(&to)
-                || topo.partitions.contains(&(from, to))
-            {
-                stats.dropped.fetch_add(1, Ordering::Relaxed);
-                break 'fate;
-            }
-            let Some(route) = topo.queues.get(&to) else {
-                stats.dropped.fetch_add(1, Ordering::Relaxed); // a LAN just loses it
-                break 'fate;
-            };
-
-            if !faulty {
-                // Reliable fast path: no RNG draw, no fault-state lock —
-                // concurrent senders only share this read guard and the
-                // destination's own queue lock(s).
-                self.enqueue_routed(route, from, bytes);
-                break 'fate;
-            }
-
-            // The fault-state lock serializes fate decisions AND delivery
-            // into the destination queue, so the delivery order of a
-            // seeded schedule stays exactly the fate order.
-            let mut f = self.inner.faults.lock();
-            if f.rng.gen_bool(plan.loss) {
-                stats.dropped.fetch_add(1, Ordering::Relaxed);
-                break 'fate;
-            }
-            let duplicate = plan.duplicate > 0.0 && f.rng.gen_bool(plan.duplicate);
-            let hold = plan.reorder > 0.0 && f.rng.gen_bool(plan.reorder);
-
-            // Release a previously held packet *after* this one (reordering).
-            let mut deliveries: Vec<(NodeAddr, Arc<Vec<u8>>)> = Vec::with_capacity(3);
-            if hold && !f.held.contains_key(&to) {
-                f.held.insert(to, (from, Arc::clone(bytes)));
-            } else {
-                deliveries.push((from, Arc::clone(bytes)));
-            }
-            if let Some((hf, hb)) = f.held.remove(&to) {
-                if !deliveries.is_empty() || !hold {
-                    stats.reordered.fetch_add(1, Ordering::Relaxed);
-                    deliveries.push((hf, hb));
-                } else {
-                    f.held.insert(to, (hf, hb));
-                }
-            }
-            if duplicate {
-                stats.duplicated.fetch_add(1, Ordering::Relaxed);
-                deliveries.push((from, Arc::clone(bytes)));
-            }
-            for (f, b) in deliveries {
-                self.enqueue_routed(route, f, &b);
-            }
+        let cut = topo.down.contains(&from)
+            || topo.down.contains(&to)
+            || topo.partitions.contains(&(from, to));
+        // An unknown destination loses it, as a LAN would.
+        let Some(route) = topo.queues.get(&to).filter(|_| !cut) else {
+            stats.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let Some(faults) = &self.inner.faults else {
+            // Reliable fast path: concurrent senders only share this read
+            // guard and the destination's own queue lock(s).
+            return self.enqueue_routed(route, from, bytes);
+        };
+        // The fault-state lock serializes fate decisions AND delivery into
+        // the destination queue, so the delivery order of a seeded
+        // schedule stays exactly the fate order.
+        let mut f = faults.lock();
+        let Some([now, released, copy]) = f.fate(from, to, Arc::clone(bytes)) else {
+            stats.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        if released.is_some() {
+            stats.reordered.fetch_add(1, Ordering::Relaxed);
+        }
+        if copy.is_some() {
+            stats.duplicated.fetch_add(1, Ordering::Relaxed);
+        }
+        for (from, b) in [now, released, copy].into_iter().flatten() {
+            self.enqueue_routed(route, from, &b);
         }
     }
 

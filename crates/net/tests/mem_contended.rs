@@ -15,9 +15,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use dlog_net::mem::{FaultPlan, MemNetwork};
 use dlog_net::wire::Message;
 use dlog_net::{Endpoint, NodeAddr, Packet};
+use dlog_net::{FaultPlan, MemNetwork};
 use dlog_types::{ClientId, Lsn};
 
 fn ping(lsn: u64) -> Packet {

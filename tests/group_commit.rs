@@ -60,13 +60,11 @@ fn run_case(
     flush_p: f64,
 ) -> CaseFingerprint {
     let dir = fresh_dir();
-    let rng_seed = plan.seed ^ 0xC0A1_E5CE;
     let world = build_world(
         &dir,
         SyncWorldOptions::coalescing(
             M,
             plan,
-            rng_seed,
             Duration::from_micros(window_us),
             max_batch,
             flush_p,
@@ -156,7 +154,7 @@ proptest! {
         flush_p in 0.0f64..0.4,
     ) {
         let plan = match plan_kind {
-            0 => FaultPlan::reliable(),
+            0 => FaultPlan { seed, ..FaultPlan::reliable() },
             1 => FaultPlan::flaky(seed),
             _ => FaultPlan::hostile(seed),
         };

@@ -5,13 +5,14 @@
 //! so this test drives real `LogServer`s *synchronously* on the
 //! `dlog_mc::harness` sync world: a `SyncEndpoint` delivers each packet
 //! by calling the sans-I/O `LogServer::handle` inline (under one lock,
-//! on the test thread) and queues replies for the client, applying
-//! `FaultPlan`-style loss, duplication, and reordering from a seeded
-//! RNG consumed only per send. Client, servers, and the network share
-//! ONE `dlog_obs::Obs` handle, so the interleaved `ClientWrite` /
-//! `PacketSend` / `ServerIngest` / `Force` / `AckHighLsn` stream is
-//! totally ordered by the shared sequence counter — and must replay
-//! exactly.
+//! on the test thread) and queues replies for the client. Every send's
+//! loss, duplication and reordering is drawn from the plan's seed by
+//! `dlog_net::fault`, the interpreter `MemNetwork` uses: one frame held
+//! per destination, in both directions, until the next send to it.
+//! Client, servers, and the network share ONE `dlog_obs::Obs` handle,
+//! so the interleaved `ClientWrite` / `PacketSend` / `ServerIngest` /
+//! `Force` / `AckHighLsn` stream is totally ordered by the shared
+//! sequence counter — and must replay exactly.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
