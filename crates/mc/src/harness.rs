@@ -402,12 +402,15 @@ impl SyncWorld {
     }
 
     /// Send a server's replies as the server loop sends them, through
-    /// [`dlog_server::shard::send_reply`]: one that fails to send is
-    /// lost, except an over-size RPC reply, which becomes a `PROTOCOL`
-    /// error for that RPC.
+    /// [`dlog_server::shard::send_reply`], and count their fates in the
+    /// server's stats: one that fails to send is lost, except an
+    /// over-size RPC reply, which becomes a `PROTOCOL` error for that RPC.
     fn deliver_replies(&mut self, from: NodeAddr, replies: Output) {
         for (to, pkt) in replies {
-            dlog_server::shard::send_reply(to, &pkt, |to, p| self.deliver(from, to, p));
+            let fate = dlog_server::shard::send_reply(to, &pkt, |to, p| self.deliver(from, to, p));
+            if let Some(server) = self.servers.shard_mut(from.0, 0) {
+                server.count_reply(fate);
+            }
         }
     }
 
@@ -594,6 +597,9 @@ mod tests {
         };
         let delivered: Vec<_> = w.inbox.drain(..).map(|(from, p)| (from, p.msg)).collect();
         assert_eq!(delivered, vec![(NodeAddr(1), refused)]);
+        let stats = w.servers.shards(1).map(|(_, s)| s.stats());
+        let fates: Vec<_> = stats.map(|s| (s.replies_shed, s.replies_refused)).collect();
+        assert_eq!(fates, [(0, 1)]);
         drop(w);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -10,30 +10,39 @@
 //!
 //! # Receive modes
 //!
-//! [`Endpoint::recv`] with `Duration::ZERO` must poll: the server's ingest
-//! drain and group-commit check and the client's ack drain all call it on
-//! every packet. `SO_RCVTIMEO` cannot express that. The kernel rounds a
-//! receive timeout up to whole scheduler ticks (4 ms at `CONFIG_HZ=250`),
-//! and std maps a zero timeout to "block forever". So a zero timeout puts
-//! the socket in non-blocking mode, and any other timeout puts it back in
-//! blocking mode under `SO_RCVTIMEO`.
+//! Every receive waits by the rule of the in-memory queues
+//! (`queue::recv_from`), with the same constant, `POLL_AFTER_RX`
+//! (100 µs). Within that span of the last datagram it polls the
+//! non-blocking socket, one `recvfrom` and then a `yield_now`, until a
+//! datagram comes, the span ends or the caller's timeout does. Only then
+//! does it put the socket in blocking mode under `SO_RCVTIMEO` and sleep
+//! for the rest of the wait. A busy exchange so never sleeps, and a
+//! peer's `sendto` has no sleeping thread to wake; an idle receiver
+//! spends at most `POLL_AFTER_RX` of yielding polls after each datagram.
 //!
-//! The endpoint caches the non-blocking flag it last set, so a run of
-//! polls makes no extra syscall, and the server's alternation between a
-//! poll and its 20 ms idle wait costs one `FIONBIO` ioctl per flip
-//! besides the `SO_RCVTIMEO` every blocking receive sets. The cache is
-//! sound because one thread receives on an endpoint: a one-shard server's
-//! loop, or the client's single logging process (§3.1). Other threads may
-//! send concurrently; sending never touches the mode.
+//! [`Endpoint::recv`] with `Duration::ZERO` is a single poll: the
+//! server's ingest drain and group-commit check and the client's ack
+//! drain all call it on every packet. `SO_RCVTIMEO` cannot express that.
+//! The kernel rounds a receive timeout up to whole scheduler ticks (4 ms
+//! at `CONFIG_HZ=250`), and std maps a zero timeout to "block forever".
 //!
-//! A send on a socket that a poll left non-blocking fails with
-//! `WouldBlock` when the socket's send buffer is full, where a blocking
-//! socket would have waited. That happens only on a real NIC (loopback
-//! frees the buffer at transmit). Both ends take it as loss, which the
-//! protocol recovers from end to end: the client's `ClientNet` drops the
-//! datagram and its retransmission timers resend what mattered, and the
-//! server's reply loop drops the reply, so a full send buffer sheds
-//! replies rather than stalling the server.
+//! The socket caches the non-blocking flag it last set, so a busy
+//! exchange makes no mode syscall at all. Falling asleep costs one
+//! `FIONBIO` ioctl and one `SO_RCVTIMEO`, and the first poll after a
+//! sleep one `FIONBIO` more. The cache is sound because one thread
+//! receives on a socket: a one-shard server's loop, the client's single
+//! logging process (§3.1), or a routed endpoint's socket reader. Other
+//! threads may send concurrently; sending never touches the mode.
+//!
+//! A send on a socket that polling has left non-blocking, as it is for
+//! the whole of a busy stretch, fails with `WouldBlock` when the
+//! socket's send buffer is full, where a blocking socket would have
+//! waited. That happens only on a real NIC (loopback frees the buffer at
+//! transmit). Both ends take it as loss, which the protocol recovers from
+//! end to end: the client's `ClientNet` drops the datagram and its
+//! retransmission timers resend what mattered, and the server's reply
+//! loop drops the reply and counts it (`ServerStats::replies_shed`), so
+//! a full send buffer sheds replies rather than stalling the server.
 //!
 //! One `try_clone`d socket per mode does not work instead: `try_clone` is
 //! `dup`, and the copy shares the open file's status flags (`O_NONBLOCK`)
@@ -52,20 +61,21 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dlog_types::unpoisoned;
 
 use crate::pool::BufPool;
-use crate::queue::{recv_from, steer, EndpointQueue};
+use crate::queue::{recv_from, steer, EndpointQueue, POLL_AFTER_RX};
 use crate::wire::{NodeAddr, Packet, MAX_PACKET_BYTES};
 use crate::{Endpoint, RoutedEndpoint, ShardRx};
 
-/// How long a routed endpoint's socket reader blocks on one read before
-/// it checks whether its shard handles are still there.
+/// How long a routed endpoint's socket reader waits for one datagram
+/// (polling first, as every receive does) before it checks whether its
+/// shard handles are still there.
 const READER_WAIT: Duration = Duration::from_millis(20);
 
 /// The body of a routed endpoint's reader thread.
@@ -77,8 +87,6 @@ type Serve = fn(&Reader) -> io::Result<()>;
 /// mode is cached without a lock (see the [module docs](self)).
 pub struct UdpEndpoint {
     inner: Arc<Inner>,
-    /// Whether the socket is in non-blocking mode (`recv(ZERO)` left it).
-    nonblocking: AtomicBool,
     /// Whether a socket reader owns the receive side (`shard_rx`).
     routed: AtomicBool,
     addr: NodeAddr,
@@ -99,9 +107,64 @@ struct Inner {
     /// under a synthetic logical address (server deployments, where
     /// client ports are ephemeral).
     promiscuous: AtomicBool,
+    /// Whether the socket is in non-blocking mode (a poll left it so).
+    /// The atomics only make `Inner` `Sync`: one thread receives.
+    nonblocking: AtomicBool,
+    /// Until when receives poll: `POLL_AFTER_RX` past the last datagram,
+    /// in nanoseconds since `born` (0 before the first).
+    poll_until: AtomicU64,
+    born: Instant,
 }
 
 impl Inner {
+    /// Read one datagram within `timeout` by the [module's](self) wait
+    /// rule: poll while within `POLL_AFTER_RX` of the last datagram, then
+    /// sleep under `SO_RCVTIMEO` for the rest of the wait. ZERO is a
+    /// single poll.
+    fn recv_frame(&self, timeout: Duration) -> io::Result<Option<(NodeAddr, Arc<Vec<u8>>)>> {
+        let mut now = Instant::now();
+        let deadline = now + timeout;
+        loop {
+            let poll =
+                timeout.is_zero() || self.nanos(now) < self.poll_until.load(Ordering::Relaxed);
+            self.set_nonblocking(poll)?;
+            if !poll {
+                // Positive, as `SO_RCVTIMEO` needs: the loop leaves once
+                // `now` reaches the deadline.
+                self.socket.set_read_timeout(Some(deadline - now))?;
+            }
+            if let Some(frame) = self.read_frame()? {
+                let until = self.nanos(Instant::now() + POLL_AFTER_RX);
+                self.poll_until.store(until, Ordering::Relaxed);
+                return Ok(Some(frame));
+            }
+            now = Instant::now();
+            if now >= deadline {
+                return Ok(None);
+            }
+            if poll {
+                // Cede the CPU so a sender sharing it can run, as
+                // `queue::recv_from` does.
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// `at` in nanoseconds since the socket was bound.
+    fn nanos(&self, at: Instant) -> u64 {
+        u64::try_from(at.duration_since(self.born).as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// Put the socket in non-blocking mode or take it out, unless the
+    /// cache says it already is.
+    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+        if self.nonblocking.load(Ordering::Relaxed) != on {
+            self.socket.set_nonblocking(on)?;
+            self.nonblocking.store(on, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
     /// Read one datagram into a pooled buffer, in whatever mode the
     /// socket is in, and attribute it to its sender. `None` when nothing
     /// arrived in time or the sender is an unknown party (dropped).
@@ -164,8 +227,10 @@ impl UdpEndpoint {
                 directory: RwLock::new(HashMap::new()),
                 reverse: RwLock::new(HashMap::new()),
                 promiscuous: AtomicBool::new(false),
+                nonblocking: AtomicBool::new(false),
+                poll_until: AtomicU64::new(0),
+                born: Instant::now(),
             }),
-            nonblocking: AtomicBool::new(false),
             routed: AtomicBool::new(false),
             addr,
             obs: dlog_obs::Obs::off(),
@@ -197,22 +262,6 @@ impl UdpEndpoint {
     pub fn add_peer(&self, peer: NodeAddr, at: SocketAddr) {
         unpoisoned(self.inner.directory.write()).insert(peer, at);
         unpoisoned(self.inner.reverse.write()).insert(at, peer);
-    }
-
-    /// Put the socket in the mode a receive with `timeout` needs: ZERO
-    /// polls without blocking, anything else blocks up to `timeout`. The
-    /// atomic only makes the endpoint `Sync`; the cache stays right
-    /// because one thread receives (see the module docs).
-    fn set_receive_mode(&self, timeout: Duration) -> io::Result<()> {
-        let nonblocking = timeout.is_zero();
-        if self.nonblocking.load(Ordering::Relaxed) != nonblocking {
-            self.inner.socket.set_nonblocking(nonblocking)?;
-            self.nonblocking.store(nonblocking, Ordering::Relaxed);
-        }
-        if !nonblocking {
-            self.inner.socket.set_read_timeout(Some(timeout))?;
-        }
-        Ok(())
     }
 
     /// Hand the receive side to a reader thread running `serve`, behind
@@ -312,8 +361,7 @@ impl Endpoint for UdpEndpoint {
                 "endpoint is shard-routed; receive on its shard handles",
             ));
         }
-        self.set_receive_mode(timeout)?;
-        let Some((peer, frame)) = self.inner.read_frame()? else {
+        let Some((peer, frame)) = self.inner.recv_frame(timeout)? else {
             return Ok(None);
         };
         // Zero-copy decode: payloads are views into the pooled buffer;
@@ -347,17 +395,15 @@ struct Reader {
 impl Reader {
     /// Steer datagrams into the shard queues until stopped.
     fn serve(&self) -> io::Result<()> {
-        self.inner.socket.set_nonblocking(false)?;
-        self.inner.socket.set_read_timeout(Some(READER_WAIT))?;
         while !self.stop.load(Ordering::Relaxed) {
-            self.steer_one()?;
+            self.steer_one(READER_WAIT)?;
         }
         Ok(())
     }
 
-    /// Read one datagram, if one comes in time, and steer it.
-    fn steer_one(&self) -> io::Result<()> {
-        if let Some((from, frame)) = self.inner.read_frame()? {
+    /// Read one datagram, if one comes within `timeout`, and steer it.
+    fn steer_one(&self, timeout: Duration) -> io::Result<()> {
+        if let Some((from, frame)) = self.inner.recv_frame(timeout)? {
             steer(&self.queues, from, &frame);
             self.inner.pool.give_back(frame);
         }
@@ -417,6 +463,7 @@ impl ShardRx for UdpShardRx {
 mod tests {
     use super::*;
     use crate::wire::Message;
+    use dlog_obs::gauge::{thread_sched, ThreadSched};
     use dlog_types::{ClientId, Epoch, LogData, LogId, Lsn};
     use std::time::Instant;
 
@@ -503,24 +550,16 @@ mod tests {
     /// A reader that steers the two datagrams waiting on the socket,
     /// then fails.
     fn steer_two_then_fail(reader: &Reader) -> io::Result<()> {
-        reader
-            .inner
-            .socket
-            .set_read_timeout(Some(Duration::from_secs(5)))?;
-        reader.steer_one()?;
-        reader.steer_one()?;
+        reader.steer_one(Duration::from_secs(5))?;
+        reader.steer_one(Duration::from_secs(5))?;
         Err(io::Error::other("socket gone"))
     }
 
     /// A reader that steers the two datagrams waiting on the socket,
     /// then panics.
     fn steer_two_then_panic(reader: &Reader) -> io::Result<()> {
-        reader
-            .inner
-            .socket
-            .set_read_timeout(Some(Duration::from_secs(5)))?;
-        reader.steer_one()?;
-        reader.steer_one()?;
+        reader.steer_one(Duration::from_secs(5))?;
+        reader.steer_one(Duration::from_secs(5))?;
         panic!("reader bug (this test's own)");
     }
 
@@ -636,6 +675,71 @@ mod tests {
         let (from, p) = b.recv(Duration::from_secs(2)).unwrap().unwrap();
         sender.join().unwrap();
         assert_eq!((from, p.msg), (NodeAddr(1), msg));
+    }
+
+    /// `f`'s result, and how far the calling thread's scheduling
+    /// counters moved while it ran (`None` without procfs).
+    fn sched_during<T>(f: impl FnOnce() -> T) -> (T, Option<ThreadSched>) {
+        let before = thread_sched();
+        let out = f();
+        let moved = before.zip(thread_sched()).map(|(a, b)| ThreadSched {
+            on_cpu_ns: b.on_cpu_ns - a.on_cpu_ns,
+            wait_ns: b.wait_ns - a.wait_ns,
+            voluntary_switches: b.voluntary_switches - a.voluntary_switches,
+        });
+        (out, moved)
+    }
+
+    #[test]
+    fn a_busy_ping_pong_polls_rather_than_sleeps() {
+        const TRIPS: u32 = 200;
+        let (server, client) = pair();
+        let echo = std::thread::spawn(move || {
+            let ((), moved) = sched_during(|| {
+                for _ in 0..TRIPS {
+                    let (from, p) = server.recv(Duration::from_secs(5)).unwrap().unwrap();
+                    server.send(from, &p).unwrap();
+                }
+            });
+            moved
+        });
+        let started = Instant::now();
+        let ((), pinger) = sched_during(|| {
+            for i in 0..u64::from(TRIPS) {
+                client.send(NodeAddr(1), &Packet::bare(ack(i))).unwrap();
+                let (_, p) = client.recv(Duration::from_secs(5)).unwrap().unwrap();
+                assert_eq!(p.msg, ack(i));
+            }
+        });
+        let took = started.elapsed();
+        let (Some(pinger), Some(echo)) = (pinger, echo.join().unwrap()) else {
+            return; // no procfs: nothing to count with
+        };
+        let receives = 2 * TRIPS;
+        let sleeps = pinger.voluntary_switches + echo.voluntary_switches;
+        eprintln!(
+            "per hop: {:?}, {} ns on a CPU, {} ns waiting for one; {sleeps} sleeps in {receives} receives",
+            took / receives,
+            (pinger.on_cpu_ns + echo.on_cpu_ns) / u64::from(receives),
+            (pinger.wait_ns + echo.wait_ns) / u64::from(receives),
+        );
+        assert!(sleeps < u64::from(receives / 2), "{pinger:?} {echo:?}");
+    }
+
+    #[test]
+    fn an_idle_receive_sleeps_once_the_poll_window_has_lapsed() {
+        let (server, client) = pair();
+        client.send(NodeAddr(1), &Packet::bare(ack(1))).unwrap();
+        assert!(server.recv(Duration::from_secs(5)).unwrap().is_some());
+        std::thread::sleep(2 * POLL_AFTER_RX);
+        let started = Instant::now();
+        let (got, spent) = sched_during(|| server.recv(Duration::from_millis(50)).unwrap());
+        let took = started.elapsed();
+        assert!(got.is_none(), "{got:?}");
+        assert!(took >= Duration::from_millis(50), "returned after {took:?}");
+        if let Some(spent) = spent {
+            assert!(spent.on_cpu_ns <= 5_000_000, "an idle wait spun: {spent:?}");
+        }
     }
 
     #[test]

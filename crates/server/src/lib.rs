@@ -151,6 +151,12 @@ pub struct ServerStats {
     /// `coalesced_forces / group_commits` > 1; at a zero window every
     /// force is a round of its own and the ratio is 1.0.
     pub group_commits: u64,
+    /// Replies the transport failed to send, as network loss: on UDP, a
+    /// full send buffer (`WouldBlock`).
+    pub replies_shed: u64,
+    /// Replies the transport refused as over-size; an RPC's client got
+    /// a `PROTOCOL` error instead.
+    pub replies_refused: u64,
 }
 
 /// The archive tier attached to a server: the background archiver, a
@@ -313,6 +319,16 @@ impl LogServer {
     #[must_use]
     pub fn stats(&self) -> ServerStats {
         self.stats
+    }
+
+    /// Count what became of a reply of this server's that the caller
+    /// sent by [`shard::send_reply`].
+    pub fn count_reply(&mut self, fate: shard::ReplyFate) {
+        match fate {
+            shard::ReplyFate::Sent => {}
+            shard::ReplyFate::Shed => self.stats.replies_shed += 1,
+            shard::ReplyFate::Refused => self.stats.replies_refused += 1,
+        }
     }
 
     /// Storage counters.

@@ -294,13 +294,15 @@ fn shard_loop<E: Endpoint + ?Sized>(
                         _ => break,
                     }
                 }
-                send_all(ep, replies.drain(..));
-                send_all(ep, server.force_tick());
+                send_all(ep, &mut server, replies.drain(..));
+                let acks = server.force_tick();
+                send_all(ep, &mut server, acks);
             }
             Ok(None) => {
                 if server.has_pending_forces() {
                     // Inbox drained: commit the group now.
-                    send_all(ep, server.flush_pending_forces());
+                    let acks = server.flush_pending_forces();
+                    send_all(ep, &mut server, acks);
                 } else {
                     // Idle: let the archive tier make progress.
                     #[expect(
@@ -316,7 +318,8 @@ fn shard_loop<E: Endpoint + ?Sized>(
     // Never strand queued force obligations: whatever ended the loop, it
     // finishes the round and tries to get the acks out before the
     // endpoint goes away, then leaves storage clean.
-    send_all(ep, server.flush_pending_forces());
+    let acks = server.flush_pending_forces();
+    send_all(ep, &mut server, acks);
     #[expect(
         clippy::let_underscore_must_use,
         reason = "graceful-shutdown courtesy sync after the final force flush; every acked record was already forced through the store's force path, whose Result is consumed"
@@ -325,36 +328,55 @@ fn shard_loop<E: Endpoint + ?Sized>(
     (server, why)
 }
 
-/// Send every reply, in order, each by [`send_reply`].
-fn send_all<E: Endpoint + ?Sized>(ep: &E, replies: impl IntoIterator<Item = (NodeAddr, Packet)>) {
+/// Send every reply of `server`'s, in order, each by [`send_reply`],
+/// and count what became of it.
+fn send_all<E: Endpoint + ?Sized>(
+    ep: &E,
+    server: &mut LogServer,
+    replies: impl IntoIterator<Item = (NodeAddr, Packet)>,
+) {
     for (to, reply) in replies {
-        send_reply(to, &reply, |to, packet| ep.send(to, packet));
+        server.count_reply(send_reply(to, &reply, |to, packet| ep.send(to, packet)));
     }
 }
 
-/// Send one server reply with `send`. A send error is network loss,
-/// which the protocol recovers from end to end, so it stops nothing
-/// here. That includes `WouldBlock` from a UDP socket whose send buffer
-/// is full while a poll has left it non-blocking.
+/// What became of a reply [`send_reply`] was handed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReplyFate {
+    /// The transport took it.
+    Sent,
+    /// The transport failed to send it, which is network loss
+    /// (`ServerStats::replies_shed`).
+    Shed,
+    /// The transport refused it as over-size
+    /// (`ServerStats::replies_refused`).
+    Refused,
+}
+
+/// Send one server reply with `send`, and say what became of it. A send
+/// error is network loss, which the protocol recovers from end to end,
+/// so it stops nothing here. That includes `WouldBlock` from a UDP
+/// socket whose send buffer is full while polling has left it
+/// non-blocking.
 ///
-/// One error is not loss: an RPC reply the transport refuses as
+/// One error is not loss: a reply the transport refuses as
 /// `InvalidInput` (over `MAX_PACKET_BYTES`) would be refused on every
-/// retry. Its client gets a `PROTOCOL` error for that RPC instead, at
-/// once, rather than retrying until it declares the server unavailable.
-/// The server loop and the synchronous test world both send through
-/// this, so they answer a refused reply alike.
+/// retry. An RPC's client gets a `PROTOCOL` error for that RPC instead,
+/// at once, rather than retrying until it declares the server
+/// unavailable. The server loop and the synchronous test world both
+/// send through this, so they answer and count a refused reply alike.
 pub fn send_reply(
     to: NodeAddr,
     reply: &Packet,
     mut send: impl FnMut(NodeAddr, &Packet) -> io::Result<()>,
-) {
-    let Err(refused) = send(to, reply) else {
-        return;
+) -> ReplyFate {
+    let Err(failed) = send(to, reply) else {
+        return ReplyFate::Sent;
     };
-    let Message::Response { id, .. } = reply.msg else {
-        return;
-    };
-    if refused.kind() == io::ErrorKind::InvalidInput {
+    if failed.kind() != io::ErrorKind::InvalidInput {
+        return ReplyFate::Shed;
+    }
+    if let Message::Response { id, .. } = reply.msg {
         let body = Response::Err {
             code: codes::PROTOCOL,
             detail: "reply exceeds MTU".into(),
@@ -365,6 +387,7 @@ pub fn send_reply(
         )]
         let _ = send(to, &Packet::bare(Message::Response { id, body }));
     }
+    ReplyFate::Refused
 }
 
 #[cfg(test)]
@@ -625,24 +648,27 @@ mod tests {
         }
     }
 
-    /// A transport that refuses the first RPC reply it is asked to send,
-    /// as it refuses a packet over `MAX_PACKET_BYTES`.
-    struct RefusesOneReply {
+    /// A transport that fails to send the first RPC reply it is asked to
+    /// send, with `kind`: `InvalidInput` refuses it as over
+    /// `MAX_PACKET_BYTES`, `WouldBlock` sheds it as a full UDP send
+    /// buffer would.
+    struct FailsOneReply {
         inner: MemEndpoint,
-        refused: AtomicBool,
+        kind: io::ErrorKind,
+        failed: AtomicBool,
     }
 
-    impl Endpoint for RefusesOneReply {
+    impl Endpoint for FailsOneReply {
         fn local_addr(&self) -> NodeAddr {
             self.inner.local_addr()
         }
         fn send(&self, to: NodeAddr, packet: &Packet) -> io::Result<()> {
             if matches!(packet.msg, Message::Response { .. })
-                && !self.refused.swap(true, Ordering::SeqCst)
+                && !self.failed.swap(true, Ordering::SeqCst)
             {
                 return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "packet exceeds MTU",
+                    self.kind,
+                    "reply not sent (this test's own)",
                 ));
             }
             self.inner.send(to, packet)
@@ -652,36 +678,66 @@ mod tests {
         }
     }
 
-    #[test]
-    fn an_unsendable_reply_is_a_typed_error_not_loss() {
+    /// A server loop behind a transport that fails its first RPC reply
+    /// with `kind`, and a client of it: what the client's first two
+    /// `IntervalList` RPCs get, how often it retried, and the server's
+    /// `(replies_shed, replies_refused)`.
+    fn first_reply_fails(kind: io::ErrorKind) -> (Vec<Response>, u64, (u64, u64)) {
         let net = MemNetwork::new(FaultPlan::reliable());
-        let root = tmproot("unsendable");
-        let refusing = RefusesOneReply {
+        let root = tmproot(&format!("fails-{kind:?}"));
+        let failing = FailsOneReply {
             inner: net.endpoint(NodeAddr(1)),
-            refused: AtomicBool::new(false),
+            kind,
+            failed: AtomicBool::new(false),
         };
-        let sup =
-            ShardSupervisor::spawn_direct(vec![shard_server(&root, 0, 1)], Arc::new(refusing));
-
+        let sup = ShardSupervisor::spawn_direct(vec![shard_server(&root, 0, 1)], Arc::new(failing));
         let addrs = std::collections::HashMap::from([(ServerId(1), NodeAddr(1))]);
         let mut client = dlog_core::net::ClientNet::new(net.endpoint(NodeAddr(100)), addrs);
+        client.rpc_timeout = Duration::from_millis(20);
         let request = Request::IntervalList {
             client: ClientId(1),
             first: 0,
         };
-        let reply = client.rpc(ServerId(1), request.clone()).unwrap();
-        assert_eq!(
-            reply,
-            Response::Err {
-                code: codes::PROTOCOL,
-                detail: "reply exceeds MTU".into()
-            }
-        );
-        assert_eq!(client.stats().rpc_retries, 0);
+        let replies = (0..2)
+            .map(|_| client.rpc(ServerId(1), request.clone()).unwrap())
+            .collect();
+        let stats = sup.stop().iter().map(LogServer::stats).next().unwrap();
+        let retries = client.stats().rpc_retries;
+        (
+            replies,
+            retries,
+            (stats.replies_shed, stats.replies_refused),
+        )
+    }
+
+    #[test]
+    fn an_unsendable_reply_is_a_typed_error_not_loss() {
+        let (replies, retries, fates) = first_reply_fails(io::ErrorKind::InvalidInput);
+        let refused = Response::Err {
+            code: codes::PROTOCOL,
+            detail: "reply exceeds MTU".into(),
+        };
+        assert_eq!(replies[0], refused);
+        assert_eq!(retries, 0);
         // Only that reply was refused: the next one goes through.
-        let reply = client.rpc(ServerId(1), request).unwrap();
-        assert!(matches!(reply, Response::Intervals { .. }), "{reply:?}");
-        drop(sup.stop());
+        assert!(
+            matches!(replies[1], Response::Intervals { .. }),
+            "{replies:?}"
+        );
+        assert_eq!(fates, (0, 1));
+    }
+
+    #[test]
+    fn a_reply_the_transport_fails_to_send_is_shed_as_loss() {
+        let (replies, retries, fates) = first_reply_fails(io::ErrorKind::WouldBlock);
+        assert!(
+            replies
+                .iter()
+                .all(|r| matches!(r, Response::Intervals { .. })),
+            "{replies:?}"
+        );
+        assert_eq!(retries, 1, "the shed reply is recovered by a retry");
+        assert_eq!(fates, (1, 0));
     }
 
     #[test]
