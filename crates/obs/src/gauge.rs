@@ -110,7 +110,8 @@ mod tests {
     #[test]
     fn thread_gauge_counts_an_allocation() {
         let before = super::thread_allocs();
-        let v = vec![0u8; 4096];
+        // `black_box` keeps a release build from eliding the unused vector.
+        let v = std::hint::black_box(vec![0u8; 4096]);
         let after = super::thread_allocs();
         assert!(after.wrapping_sub(before) >= 1, "vec alloc not counted");
         drop(v);

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use dlog_types::bytes::{slice_at, u32_le_at, u64_le_at, u8_at};
 use dlog_types::{ClientId, DlogError, Epoch, LogData, LogRecord, Lsn, Result};
 
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_each};
 
 /// Upper bound on a single frame body; protects recovery scans from
 /// reading absurd lengths out of corrupt headers.
@@ -87,9 +87,25 @@ impl Frame {
     }
 
     /// Serialize a [`Frame::Record`] from its parts onto `out`, returning
-    /// the encoded length: how the store frames a run of records without
-    /// building a `Frame` (and bumping a payload refcount) per record.
-    pub(crate) fn encode_record_into(
+    /// the encoded length.
+    fn encode_record_into(
+        out: &mut Vec<u8>,
+        client: ClientId,
+        lsn: Lsn,
+        epoch: Epoch,
+        flags: u8,
+        data: &[u8],
+    ) -> usize {
+        let start = Self::open_record_into(out, client, lsn, epoch, flags, data);
+        close_envelope(out, start)
+    }
+
+    /// Serialize a [`Frame::Record`] from its parts onto `out` with its
+    /// envelope still open, returning where the frame starts: how the
+    /// store frames a message's records without building a `Frame` (and
+    /// bumping a payload refcount) per record, before [`close_envelopes`]
+    /// seals them together.
+    pub(crate) fn open_record_into(
         out: &mut Vec<u8>,
         client: ClientId,
         lsn: Lsn,
@@ -105,7 +121,7 @@ impl Frame {
         out.push(flags);
         out.extend_from_slice(&(data.len() as u32).to_le_bytes());
         out.extend_from_slice(data);
-        close_envelope(out, start)
+        start
     }
 
     /// Serialized size of a record frame carrying `data_len` payload
@@ -244,13 +260,40 @@ fn open_envelope(out: &mut Vec<u8>) -> usize {
 fn close_envelope(out: &mut [u8], start: usize) -> usize {
     let body_len = out.len() - start - ENVELOPE_BYTES;
     let crc = crc32(out.get(start + ENVELOPE_BYTES..).unwrap_or(&[]));
+    patch_envelope(out, start, body_len, crc);
+    out.len() - start
+}
+
+/// Close the envelopes of the open frames that start at `starts` in
+/// `out`, back to back with the last running to the end of `out`: the
+/// same bytes as a [`close_envelope`] per frame, but the CRCs of a
+/// message's frames are taken four at a time ([`crc32_each`]), so their
+/// dependency chains overlap instead of running end to end.
+pub(crate) fn close_envelopes(out: &mut [u8], starts: &[usize]) {
+    let mut ends = starts.iter().skip(1).copied().chain([out.len()]);
+    for group in starts.chunks(4) {
+        let mut bodies: [&[u8]; 4] = [&[]; 4];
+        for (body, &start) in bodies.iter_mut().zip(group) {
+            let end = ends.next().unwrap_or(start);
+            *body = out.get(start + ENVELOPE_BYTES..end).unwrap_or(&[]);
+        }
+        let mut crcs = [0u32; 4];
+        crc32_each(bodies.get(..group.len()).unwrap_or(&[]), &mut crcs);
+        let lens = bodies.map(<[u8]>::len);
+        for ((&start, len), crc) in group.iter().zip(lens).zip(crcs) {
+            patch_envelope(out, start, len, crc);
+        }
+    }
+}
+
+/// Write a frame's `len` and `crc` into its envelope at `start`.
+fn patch_envelope(out: &mut [u8], start: usize, body_len: usize, crc: u32) {
     if let Some(slot) = out.get_mut(start..start + 4) {
         slot.copy_from_slice(&(body_len as u32).to_le_bytes());
     }
     if let Some(slot) = out.get_mut(start + 4..start + 8) {
         slot.copy_from_slice(&crc.to_le_bytes());
     }
-    out.len() - start
 }
 
 #[cfg(test)]

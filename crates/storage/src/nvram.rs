@@ -18,9 +18,18 @@
 //! that a solution ... is to provide hardware to help check that each new
 //! value for the non volatile memory was computed from a previous value."
 //! [`NvramDevice::insert_at_tail`] models that hardware: every insert must
-//! present the device's current *seal* (a digest of its contents), which
-//! only code that read the previous state can know — a wild store from a
-//! stray pointer fails the check and leaves the memory untouched.
+//! present the device's current *seal*, which only code that read the
+//! previous state can know — a wild store from a stray pointer fails the
+//! check and leaves the memory untouched.
+//!
+//! The seal is a chain over the device's *transitions*, not a digest of
+//! its contents: each insert folds in where it landed and how long it
+//! was, each retire its count, each format its position — a fixed-size
+//! step, however many bytes moved. That keeps the guard. Every
+//! transition moves the seal, so a writer holding an older one is refused;
+//! and nothing ever recomputed the seal from the bytes held, so folding
+//! them in detected no fault the chain misses. The contents have their
+//! own check: every frame carries a CRC, which recovery verifies.
 
 use std::sync::Arc;
 
@@ -94,8 +103,8 @@ struct NvramState {
     track: Vec<u8>,
     /// Log-stream position at which `track` begins.
     base_pos: u64,
-    /// The §5.1 guard seal: a running digest over every state transition,
-    /// which a legitimate writer learns only by reading the device.
+    /// The §5.1 guard seal: a chain over every state transition, which
+    /// a legitimate writer learns only by reading the device.
     seal: u64,
 }
 
@@ -112,27 +121,21 @@ pub struct Tail {
     pub seal: u64,
 }
 
+/// The transitions [`NvramState::advance_seal`] tells apart.
+const SEAL_INSERT: u64 = 1;
+const SEAL_RETIRE: u64 = 2;
+const SEAL_FORMAT: u64 = 3;
+
 impl NvramState {
-    fn advance_seal(&mut self, bytes: &[u8]) {
-        // FNV-1a-style fold over (old seal, operation bytes), one
-        // little-endian u64 word per step: cheap and stateful. The last
-        // step folds the zero-padded remainder together with the length,
-        // so operations differing only in trailing zeros still differ.
+    /// Fold one transition — its kind and up to two words describing it —
+    /// into the seal: an FNV-1a-style step per word, each a bijection of
+    /// the running value, so different prior seals always give different
+    /// next seals.
+    fn advance_seal(&mut self, kind: u64, a: u64, b: u64) {
         const PRIME: u64 = 0x1000_0000_01b3;
         let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(PRIME).rotate_left(23);
-        let mut h = self.seal ^ 0xcbf2_9ce4_8422_2325;
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(w);
-            h = fold(h, u64::from_le_bytes(word));
-        }
-        let mut word = [0u8; 8];
-        for (slot, b) in word.iter_mut().zip(words.remainder()) {
-            *slot = *b;
-        }
-        h = fold(h, u64::from_le_bytes(word));
-        self.seal = fold(h, bytes.len() as u64);
+        let h = fold(self.seal ^ 0xcbf2_9ce4_8422_2325, kind);
+        self.seal = fold(fold(h, a), b);
     }
 
     /// Append `bytes` to the pending track if they fit `capacity`.
@@ -146,7 +149,7 @@ impl NvramState {
         }
         let pos = self.base_pos + self.track.len() as u64;
         self.track.extend_from_slice(bytes);
-        self.advance_seal(bytes);
+        self.advance_seal(SEAL_INSERT, pos, bytes.len() as u64);
         Ok(Tail {
             pos,
             pending: self.track.len(),
@@ -287,8 +290,7 @@ impl NvramDevice {
         assert!(n <= st.track.len(), "retiring more than pending");
         st.track.drain(..n);
         st.base_pos += n as u64;
-        let n64 = (n as u64).to_le_bytes();
-        st.advance_seal(&n64);
+        st.advance_seal(SEAL_RETIRE, n as u64, 0);
     }
 
     /// Reset the device for a freshly formatted store beginning at
@@ -297,8 +299,7 @@ impl NvramDevice {
         let mut st = self.state.lock();
         st.track.clear();
         st.base_pos = pos;
-        let p = pos.to_le_bytes();
-        st.advance_seal(&p);
+        st.advance_seal(SEAL_FORMAT, pos, 0);
     }
 }
 
@@ -398,6 +399,21 @@ mod tests {
             Err(GuardError::Full(f)) => assert_eq!(f.requested, 9),
             other => panic!("expected full, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_seal_chains_from_the_prior_seal() {
+        // Two equal-length inserts at the same position, one on a device
+        // whose history differs: the seal after each differs too.
+        let (a, b) = (NvramDevice::new(64), NvramDevice::new(64));
+        a.format(0);
+        b.format(0);
+        b.retire(0);
+        assert_ne!(a.seal(), b.seal());
+        let sa = a.insert_at_tail(a.seal(), b"same").unwrap();
+        let sb = b.insert_at_tail(b.seal(), b"same").unwrap();
+        assert_eq!((sa.pos, sa.pending), (sb.pos, sb.pending));
+        assert_ne!(sa.seal, sb.seal);
     }
 
     #[test]

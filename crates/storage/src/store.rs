@@ -25,7 +25,7 @@ use dlog_types::{
 };
 
 use crate::crc::crc32;
-use crate::frame::{Frame, ENVELOPE_BYTES};
+use crate::frame::{close_envelopes, Frame, ENVELOPE_BYTES};
 use crate::intervals::IntervalTable;
 use crate::nvram::{GuardError, NvramDevice, Tail};
 use crate::stream::SegmentedStream;
@@ -150,6 +150,9 @@ pub struct LogStore {
     /// through here, so after warm-up the write hot path performs no
     /// per-record allocation for framing.
     frame_buf: Vec<u8>,
+    /// Reused scratch for where each of a message's frames starts in
+    /// `frame_buf`, so `write_piece` seals them together.
+    frame_starts: Vec<usize>,
     /// Reused I/O scratch: track flushes and checkpoint images are
     /// staged through here, so the steady-state force and checkpoint
     /// paths allocate nothing after warm-up.
@@ -220,6 +223,7 @@ impl LogStore {
             stats,
             obs: dlog_obs::Obs::off(),
             frame_buf: Vec::new(),
+            frame_starts: Vec::new(),
             scratch: Vec::new(),
         })
     }
@@ -316,29 +320,30 @@ impl LogStore {
     ) -> Result<usize> {
         let flags = Frame::record_flags(present, false);
         let mut buf = std::mem::take(&mut self.frame_buf);
+        let starts = &mut self.frame_starts;
         buf.clear();
-        let mut taken = 0usize;
+        starts.clear();
         let mut payload = 0u64;
         for (lsn, data) in records {
             let framed = buf.len() + Frame::record_len(data.len());
-            if taken > 0 && framed > self.nvram.capacity() {
+            if !starts.is_empty() && framed > self.nvram.capacity() {
                 break;
             }
-            Frame::encode_record_into(&mut buf, client, *lsn, epoch, flags, data.as_bytes());
-            taken += 1;
+            let start =
+                Frame::open_record_into(&mut buf, client, *lsn, epoch, flags, data.as_bytes());
+            starts.push(start);
             payload += data.len() as u64;
         }
+        close_envelopes(&mut buf, starts);
         let inserted = self.put_frames(&buf);
         self.frame_buf = buf;
         let tail = inserted?;
-        // Frames sit back to back from `tail.pos`, so each record's
-        // position follows from the lengths of the ones before it.
-        let mut next = tail.pos;
-        let placed = records.iter().take(taken).map(|(lsn, data)| {
-            let at = next;
-            next += Frame::record_len(data.len()) as u64;
-            (*lsn, at)
-        });
+        // Frames sit back to back from `tail.pos`.
+        let taken = self.frame_starts.len();
+        let placed = records
+            .iter()
+            .zip(&self.frame_starts)
+            .map(|((lsn, _), start)| (*lsn, tail.pos + *start as u64));
         self.replay
             .table
             .append_run(client, epoch, placed)

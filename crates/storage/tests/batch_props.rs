@@ -4,7 +4,8 @@
 //! counters — whatever the run straddles (a track flush, a segment roll,
 //! a full device, a frame larger than the device). Only
 //! `tracks_flushed` may differ: a batch checks the track once, not once
-//! per record.
+//! per record. And the bytes one message inserts into the NVRAM are its
+//! frames, each exactly as `Frame::encode_into` writes it alone.
 
 use std::path::PathBuf;
 
@@ -149,5 +150,56 @@ proptest! {
         );
         let _ = std::fs::remove_dir_all(&dir_b);
         let _ = std::fs::remove_dir_all(&dir_r);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A message's frames are sealed together, four CRCs at a time; each
+    /// must still be the frame `Frame::encode_into` makes of its record,
+    /// with its own CRC, and a reopened store must read every one back.
+    #[test]
+    fn a_message_inserts_its_records_frames_byte_for_byte(
+        messages in proptest::collection::vec(
+            proptest::collection::vec(0usize..600, 1..=9),
+            1..8,
+        ),
+        tag in 0u64..1_000_000,
+    ) {
+        let dir = tmpdir("identity", tag);
+        let nvram = NvramDevice::new(1 << 20);
+        let opts = StoreOptions { track_bytes: 1 << 20, ..opts() };
+        let mut store = LogStore::open(&dir, opts.clone(), nvram.clone()).unwrap();
+        let (client, epoch) = (ClientId(5), Epoch(2));
+        let mut written = Vec::new();
+        for lens in &messages {
+            let records: Vec<(Lsn, LogData)> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, len)| {
+                    let lsn = (written.len() + i) as u64 + 1;
+                    let data: Vec<u8> = (0..*len).map(|j| (lsn * 31 + j as u64) as u8).collect();
+                    (Lsn(lsn), LogData::from(data))
+                })
+                .collect();
+            written.extend(records.iter().map(|(lsn, data)| (*lsn, data.share())));
+            let mut expected = Vec::new();
+            for (lsn, data) in &records {
+                let record = LogRecord::present(*lsn, epoch, data.share());
+                Frame::Record { client, record, staged: false }.encode_into(&mut expected);
+            }
+            let before = nvram.pending_len();
+            store.write_batch(client, epoch, &records).unwrap();
+            prop_assert_eq!(&nvram.pending().1[before..], &expected[..]);
+        }
+
+        drop(store);
+        let mut store = LogStore::open(&dir, opts, nvram).unwrap();
+        for (lsn, data) in &written {
+            let got = store.read(client, *lsn).unwrap().expect("reopened store holds it");
+            prop_assert_eq!(&got.data, data);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -76,26 +76,26 @@ fn foreign_write_is_detected() {
 }
 
 #[test]
-fn unguarded_store_ignores_seals() {
-    // The default mode must be unaffected by seal bookkeeping.
-    let dir = tmpdir("unguarded");
+fn the_guard_holds_across_track_flushes() {
+    // The seal chains inserts, retires and formats, not the bytes: after
+    // hundreds of writes through 512-byte tracks, each flush a retire,
+    // the store still holds the one seal the device will take, and a
+    // foreign insert still breaks the chain.
+    let dir = tmpdir("many-flushes");
     let nvram = NvramDevice::new(1 << 16);
-    let mut store = LogStore::open(
-        &dir,
-        StoreOptions {
-            fsync: false,
-            checkpoint_every: 0,
-            ..StoreOptions::default()
-        },
-        nvram.clone(),
-    )
-    .unwrap();
-    store.write(ClientId(1), &rec(1)).unwrap();
-    // Direct device traffic does not bother an unguarded store... though
-    // it would corrupt a real one — which is exactly §5.1's argument for
-    // the guard.
-    let seal_before = nvram.seal();
-    let _ = seal_before;
-    store.write(ClientId(1), &rec(2)).unwrap();
-    assert!(store.read(ClientId(1), Lsn(2)).unwrap().is_some());
+    let mut store = LogStore::open(&dir, opts(), nvram.clone()).unwrap();
+    for i in 1..=300u64 {
+        store.write(ClientId(1), &rec(i)).unwrap();
+    }
+    assert!(store.stats().tracks_flushed >= 30, "{:?}", store.stats());
+    assert!(store.read(ClientId(1), Lsn(300)).unwrap().is_some());
+
+    nvram.insert(b"wild pointer garbage").unwrap();
+    assert!(
+        matches!(
+            store.write(ClientId(1), &rec(301)),
+            Err(DlogError::GuardViolation { .. })
+        ),
+        "a foreign insert after many flushes must be caught"
+    );
 }
