@@ -256,7 +256,8 @@ impl<K: Ord + Copy, V> AppendForest<K, V> {
         out
     }
 
-    /// Validate all structural invariants; used by property tests.
+    /// Test hook: validate all structural invariants, the oracle
+    /// `tests/forest_props.rs` asserts after every append.
     ///
     /// # Errors
     /// Returns a human-readable description of the first violation.

@@ -87,7 +87,7 @@ impl ObjectStore for LocalDirStore {
         fs::rename(&tmp, &fin)?;
         // A failed directory sync means the rename itself may not be
         // durable — propagate rather than ack an object that could
-        // vanish on crash (§4.2 ack-after-force).
+        // vanish on crash (§4.2 force-before-ack).
         File::open(&self.dir)?.sync_data()?;
         Ok(())
     }

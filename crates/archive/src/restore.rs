@@ -78,7 +78,7 @@ pub fn restore_from(
     write_file(dir, "intervals.ckpt", &image)?;
     // Restored files must survive a crash before we report success;
     // a failed directory sync would leave the restore only probably
-    // durable (§4.2 ack-after-force).
+    // durable (§4.2 force-before-ack).
     File::open(dir)?.sync_data()?;
     Ok(())
 }

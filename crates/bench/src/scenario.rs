@@ -149,8 +149,8 @@ pub fn run_soak_scenario(seed: u64) -> u64 {
 }
 
 /// Every server's trace must satisfy §4.2's force-before-ack at run
-/// time (`dlog_obs::check_force_before_ack`): a forced `AckHighLsn`
-/// event is preceded by a `Force` event for the same client and LSN.
+/// time (`dlog_mc::spec::check_trace`): a forced `AckHighLsn` event is
+/// preceded by a `Force` event for the same client and LSN.
 /// The trace ring must not have overflowed, or the check would be
 /// vacuous.
 fn check_trace_invariants(cluster: &Cluster, seed: u64) {
@@ -167,8 +167,8 @@ fn check_trace_invariants(cluster: &Cluster, seed: u64) {
             snap.trace_events > 0,
             "seed {seed}: server {sid} recorded no trace events"
         );
-        if let Err(violation) = dlog_obs::check_force_before_ack(&snap.trace) {
-            panic!("seed {seed}: server {sid}: {violation}");
+        if let Err(v) = dlog_mc::spec::check_trace(sid.0, &snap.trace) {
+            panic!("seed {seed}: {}: {}", v.invariant, v.detail);
         }
     }
 }

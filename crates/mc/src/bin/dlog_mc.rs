@@ -98,8 +98,9 @@ fn parse_args() -> Result<Cli, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if cli.cfg.servers == 0 || cli.cfg.clients == 0 {
-        return Err("need at least one server and one client".to_string());
+    // δ = 0 never lets a client write: the run would check nothing.
+    if cli.cfg.servers == 0 || cli.cfg.clients == 0 || cli.cfg.delta == 0 {
+        return Err("need at least one server and one client, and --delta of 1 or more".into());
     }
     if cli.cfg.need_n == 0 || cli.cfg.need_n > cli.cfg.servers as usize {
         return Err(format!(

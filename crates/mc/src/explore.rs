@@ -17,7 +17,8 @@ use std::time::Instant;
 
 use dlog_obs::ObsSnapshot;
 
-use crate::model::{Action, McConfig, McWorld, Violation};
+use crate::model::{Action, McConfig, McWorld};
+use crate::spec::Violation;
 
 /// A violating action trace, minimized and replayable.
 #[derive(Clone, Debug)]
@@ -52,11 +53,6 @@ pub struct Report {
     pub violation: Option<CounterExample>,
 }
 
-struct Counters {
-    replays: u64,
-    actions: u64,
-}
-
 enum Outcome {
     Clean(Box<McWorld>),
     Violated {
@@ -74,17 +70,18 @@ enum Outcome {
 /// with the fast path ([`McWorld::apply_unchecked`]) — BFS uses this
 /// for prefixes already verified clean when first explored; pass 0 to
 /// fully check every action (pinned replays, minimization candidates).
+/// Counts the replay and its actions in `report`.
 fn run_trace(
     cfg: &McConfig,
     dir: &Path,
     trace: &[Action],
     checked_from: usize,
-    counters: &mut Counters,
+    report: &mut Report,
 ) -> Result<Outcome, String> {
     let mut world = McWorld::new(cfg, dir)?;
-    counters.replays = counters.replays.saturating_add(1);
+    report.replays = report.replays.saturating_add(1);
     for (at, action) in trace.iter().enumerate() {
-        counters.actions = counters.actions.saturating_add(1);
+        report.actions_applied = report.actions_applied.saturating_add(1);
         let stepped = if at < checked_from {
             world.apply_unchecked(*action)
         } else {
@@ -110,11 +107,7 @@ pub fn replay_trace(
     trace: &[Action],
     dir: &Path,
 ) -> Result<Option<Violation>, String> {
-    let mut counters = Counters {
-        replays: 0,
-        actions: 0,
-    };
-    match run_trace(cfg, dir, trace, 0, &mut counters)? {
+    match run_trace(cfg, dir, trace, 0, &mut Report::default())? {
         Outcome::Clean(_) => Ok(None),
         Outcome::Violated { violation, .. } => Ok(Some(violation)),
         Outcome::Invalid(e) => Err(format!("trace not applicable: {e}")),
@@ -165,14 +158,10 @@ impl Explorer {
     /// action failing to apply on replay).
     pub fn run_bfs(&self, max_depth: usize) -> Result<Report, String> {
         let started = Instant::now();
-        let mut counters = Counters {
-            replays: 0,
-            actions: 0,
-        };
         let mut report = Report::default();
         let mut visited: HashSet<u64> = HashSet::new();
 
-        let mut root = match run_trace(&self.cfg, &self.scratch, &[], 0, &mut counters)? {
+        let mut root = match run_trace(&self.cfg, &self.scratch, &[], 0, &mut report)? {
             Outcome::Clean(w) => w,
             Outcome::Violated { violation, .. } => {
                 // The initial state itself is broken — nothing to
@@ -182,7 +171,7 @@ impl Explorer {
                     violation,
                     original_len: 0,
                 });
-                return Ok(self.finish(report, counters, started));
+                return Ok(self.finish(report, started));
             }
             Outcome::Invalid(e) => return Err(e),
         };
@@ -197,19 +186,14 @@ impl Explorer {
                 let mut trace = prefix.clone();
                 trace.push(action);
                 report.max_depth = report.max_depth.max(trace.len());
-                let outcome = run_trace(
-                    &self.cfg,
-                    &self.scratch,
-                    &trace,
-                    prefix.len(),
-                    &mut counters,
-                )?;
+                let outcome =
+                    run_trace(&self.cfg, &self.scratch, &trace, prefix.len(), &mut report)?;
                 let mut world = match outcome {
                     Outcome::Clean(w) => w,
                     Outcome::Violated { at, violation } => {
                         trace.truncate(at.saturating_add(1));
-                        report.violation = Some(self.minimize(&trace, violation, &mut counters)?);
-                        return Ok(self.finish(report, counters, started));
+                        report.violation = Some(self.minimize(&trace, violation, &mut report)?);
+                        return Ok(self.finish(report, started));
                     }
                     Outcome::Invalid(e) => {
                         return Err(format!(
@@ -233,7 +217,7 @@ impl Explorer {
                 }
             }
         }
-        Ok(self.finish(report, counters, started))
+        Ok(self.finish(report, started))
     }
 
     /// Seeded random walks: `walks` independent runs of up to `depth`
@@ -245,10 +229,6 @@ impl Explorer {
     /// Scratch-dir failures.
     pub fn run_walk(&self, walks: u64, depth: usize, seed: u64) -> Result<Report, String> {
         let started = Instant::now();
-        let mut counters = Counters {
-            replays: 0,
-            actions: 0,
-        };
         let mut report = Report::default();
         let mut visited: HashSet<u64> = HashSet::new();
         // Xorshift needs a nonzero state; fold seed 0 onto the golden
@@ -261,7 +241,7 @@ impl Explorer {
 
         for _ in 0..walks {
             let mut world = McWorld::new(&self.cfg, &self.scratch)?;
-            counters.replays = counters.replays.saturating_add(1);
+            report.replays = report.replays.saturating_add(1);
             let mut trace: Vec<Action> = Vec::new();
             for _ in 0..depth {
                 let enabled = world.enabled_actions();
@@ -277,12 +257,12 @@ impl Explorer {
                 };
                 trace.push(action);
                 report.max_depth = report.max_depth.max(trace.len());
-                counters.actions = counters.actions.saturating_add(1);
+                report.actions_applied = report.actions_applied.saturating_add(1);
                 match world.apply(action) {
                     Ok(None) => {}
                     Ok(Some(violation)) => {
-                        report.violation = Some(self.minimize(&trace, violation, &mut counters)?);
-                        return Ok(self.finish(report, counters, started));
+                        report.violation = Some(self.minimize(&trace, violation, &mut report)?);
+                        return Ok(self.finish(report, started));
                     }
                     Err(e) => return Err(format!("enabled action {action} failed mid-walk: {e}")),
                 }
@@ -294,7 +274,7 @@ impl Explorer {
                 }
             }
         }
-        Ok(self.finish(report, counters, started))
+        Ok(self.finish(report, started))
     }
 
     /// Shrink a violating trace: repeatedly try removing one action at
@@ -307,7 +287,7 @@ impl Explorer {
         &self,
         trace: &[Action],
         violation: Violation,
-        counters: &mut Counters,
+        report: &mut Report,
     ) -> Result<CounterExample, String> {
         let original_len = trace.len();
         let invariant = violation.invariant;
@@ -321,7 +301,7 @@ impl Explorer {
                 i = i.saturating_sub(1);
                 let mut candidate = current.clone();
                 candidate.remove(i);
-                match run_trace(&self.cfg, &self.scratch, &candidate, 0, counters)? {
+                match run_trace(&self.cfg, &self.scratch, &candidate, 0, report)? {
                     Outcome::Violated { at, violation: v } if v.invariant == invariant => {
                         candidate.truncate(at.saturating_add(1));
                         current = candidate;
@@ -342,9 +322,7 @@ impl Explorer {
         })
     }
 
-    fn finish(&self, mut report: Report, counters: Counters, started: Instant) -> Report {
-        report.replays = counters.replays;
-        report.actions_applied = counters.actions;
+    fn finish(&self, mut report: Report, started: Instant) -> Report {
         report.elapsed_ms = started.elapsed().as_millis() as u64;
         #[expect(
             clippy::let_underscore_must_use,
@@ -380,10 +358,7 @@ pub fn render_counterexample(
     dir: &Path,
 ) -> Result<String, String> {
     let mut world = McWorld::new(cfg, dir)?;
-    let mut replayed = Violation {
-        invariant: ce.violation.invariant,
-        detail: ce.violation.detail.clone(),
-    };
+    let mut replayed = ce.violation.clone();
     for action in &ce.trace {
         if let Some(v) = world.apply(*action)? {
             replayed = v;

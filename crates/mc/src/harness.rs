@@ -4,15 +4,16 @@
 //! [`ServerWorld`] boots and reboots the servers through one store
 //! configuration, routes a packet to the shard its logical log hashes
 //! to, flushes group commits, crashes and recovers servers over their
-//! surviving NVRAM, and checks that no server acks a client below an ack
-//! it already sent that client. Two worlds hold it:
+//! surviving NVRAM, and steps the `Spec` it owns through every ack a
+//! server sends (its ack half). Two worlds hold it:
 //!
 //! * [`SyncWorld`] delivers every send at once, with the fates that
 //!   `MemNetwork` draws from the same seed ([`dlog_net::fault`]). The
 //!   shipped `ReplicatedLog` runs on it through [`SyncEndpoint`] in the
 //!   determinism, group-commit and client protocol suites.
-//! * [`crate::model::McWorld`] keeps packets in a bag and lets the
-//!   explorer choose every delivery, drop, crash and recovery.
+//! * [`crate::model::McWorld`] keeps packets in a bag, lets the
+//!   explorer choose every delivery, drop, crash and recovery, and
+//!   steps the rest of the spec.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -20,15 +21,15 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use dlog_net::wire::{Message, NodeAddr, Packet, MAX_PACKET_BYTES};
+use dlog_net::wire::{NodeAddr, Packet, MAX_PACKET_BYTES};
 use dlog_net::{Endpoint, FaultPlan, Faults};
 use dlog_obs::{Obs, ObsOptions, Stage};
 use dlog_server::gen::GenStore;
 use dlog_server::{LogServer, ServerConfig};
 use dlog_storage::{LogStore, NvramDevice, StoreOptions};
-use dlog_types::{unpoisoned, DlogError, Lsn, Result, ServerId};
+use dlog_types::{unpoisoned, DlogError, Result, ServerId};
 
-use crate::model::Violation;
+use crate::spec::{Spec, Violation};
 
 /// NVRAM capacity per shard — larger than any test or bounded-depth
 /// workload, so durability never hinges on fsync (which is off).
@@ -52,8 +53,8 @@ pub struct ServerWorld {
     /// Every server's configuration; `id` and `shard` are set per slot.
     config: ServerConfig,
     slots: BTreeMap<(u64, u64), Shard>,
-    /// Highest ack each (server, client) pair has sent.
-    last_ack: BTreeMap<(u64, u64), Lsn>,
+    /// The spec this world refines.
+    pub(crate) spec: Spec,
 }
 
 /// Open one test server's store (fsync off: durability is the NVRAM
@@ -76,8 +77,9 @@ pub fn open_server(dir: &Path, config: ServerConfig, nvram: NvramDevice) -> Resu
 impl ServerWorld {
     /// Boot `servers` servers of `config.shards` shards each under
     /// `dir`: server `i` stores under `dir/server-i`, and shard `k` of
-    /// a sharded server under `dir/server-i/shard-k`. `obs` is called
-    /// once per shard, in order, for the handle it reports to.
+    /// a sharded server under `dir/server-i/shard-k`, refining `spec`.
+    /// `obs` is called once per shard, in order, for the handle it
+    /// reports to.
     ///
     /// # Errors
     /// Propagates store/generator open failures.
@@ -85,12 +87,13 @@ impl ServerWorld {
         dir: &Path,
         servers: u64,
         config: ServerConfig,
+        spec: Spec,
         mut obs: impl FnMut() -> Obs,
     ) -> Result<ServerWorld> {
         let mut world = ServerWorld {
             config,
             slots: BTreeMap::new(),
-            last_ack: BTreeMap::new(),
+            spec,
         };
         for sid in 1..=servers {
             for k in 0..world.config.shards {
@@ -173,44 +176,12 @@ impl ServerWorld {
         self.slots.iter().map(|((sid, k), s)| (*sid, *k, &s.obs))
     }
 
-    /// The highest ack each (server, client) pair has sent.
-    #[must_use]
-    pub(crate) fn last_acks(&self) -> &BTreeMap<(u64, u64), Lsn> {
-        &self.last_ack
-    }
-
-    /// Record an ack that left server `sid` without passing through it.
-    pub(crate) fn note_ack(&mut self, sid: u64, client: u64, lsn: Lsn) {
-        self.last_ack.insert((sid, client), lsn);
-    }
-
-    /// Acks are cumulative: check each one `sid` sends against the last
-    /// it sent that client (the `ack-monotonicity` invariant).
-    fn sent(&mut self, sid: u64, out: Output) -> std::result::Result<Output, Violation> {
-        for (_, pkt) in &out {
-            if let Message::NewHighLsn { client, lsn } = &pkt.msg {
-                let prev = self.last_ack.entry((sid, client.0)).or_insert(Lsn::ZERO);
-                if *lsn < *prev {
-                    return Err(Violation {
-                        invariant: "ack-monotonicity",
-                        detail: format!(
-                            "server {sid} acked {lsn:?} for client {} after {prev:?}",
-                            client.0
-                        ),
-                    });
-                }
-                *prev = *lsn;
-            }
-        }
-        Ok(out)
-    }
-
     /// Hand `pkt` from `from` to server `to`: to the shard its route key
     /// hashes to (the pure `LogId::shard` the transports steer by), or to
     /// every shard when it has none. A down server drops it.
     ///
     /// # Errors
-    /// An ack in the output regressed.
+    /// The spec refused an ack in the output.
     pub(crate) fn deliver(
         &mut self,
         from: NodeAddr,
@@ -226,7 +197,8 @@ impl ServerWorld {
                 server.handle_into(from, pkt, &mut out);
             }
         }
-        self.sent(to.0, out)
+        self.spec.wire(to.0, &out)?;
+        Ok(out)
     }
 
     /// True if any shard of server `sid` holds deferred force
@@ -240,7 +212,7 @@ impl ServerWorld {
     /// of every shard when `None`, and return the acks it releases.
     ///
     /// # Errors
-    /// An ack in the output regressed.
+    /// The spec refused an ack in the output.
     pub(crate) fn flush(
         &mut self,
         sid: u64,
@@ -252,7 +224,8 @@ impl ServerWorld {
                 out.extend(server.flush_pending_forces());
             }
         }
-        self.sent(sid, out)
+        self.spec.wire(sid, &out)?;
+        Ok(out)
     }
 
     /// Crash server `sid`: every shard loses its volatile state, and its
@@ -382,7 +355,7 @@ impl SyncWorld {
     /// packet goes nowhere, as on `MemNetwork`.
     ///
     /// # Panics
-    /// A server's ack regressed.
+    /// The spec refused a server's ack.
     pub fn deliver(&mut self, from: NodeAddr, to: NodeAddr, pkt: &Packet) -> io::Result<()> {
         let len = pkt.encoded_len();
         if len > MAX_PACKET_BYTES {
@@ -454,7 +427,7 @@ impl SyncWorld {
     }
 }
 
-/// A [`SyncWorld`] fails the run that drove a server's ack backwards.
+/// A [`SyncWorld`] fails the run whose server acks the spec refused.
 #[expect(
     clippy::panic,
     reason = "the sync world's ack check is an assertion of the test driving it"
@@ -509,7 +482,7 @@ pub fn build_world(dir: &Path, opts: SyncWorldOptions) -> Result<Arc<Mutex<SyncW
     let mut config = ServerConfig::new(ServerId(0));
     config.coalesce_window = opts.coalesce_window;
     config.coalesce_max_batch = opts.coalesce_max_batch;
-    let servers = ServerWorld::open(dir, opts.servers, config, || {
+    let servers = ServerWorld::open(dir, opts.servers, config, Spec::default(), || {
         opts.obs
             .clone()
             .unwrap_or_else(|| Obs::new(&ObsOptions::on()))
@@ -526,9 +499,9 @@ pub fn build_world(dir: &Path, opts: SyncWorldOptions) -> Result<Arc<Mutex<SyncW
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlog_net::wire::{codes, Response};
+    use dlog_net::wire::{codes, Message, Response};
     use dlog_net::MemNetwork;
-    use dlog_types::ClientId;
+    use dlog_types::{ClientId, Lsn};
 
     /// One seeded plan is one schedule in both worlds: server → client
     /// sends reach the client in the same order, losses, duplicates and

@@ -2,7 +2,7 @@
 //!
 //! The paper's correctness story rests on a handful of invariants —
 //! WriteLog atomicity via epoch + present flags (§3.1.2), δ-bounded
-//! recovery and ack-after-force (§4.2), and the group-commit obligation
+//! recovery and force-before-ack (§4.2), and the group-commit obligation
 //! rule (no `ForceLog` ack without a completed durable round). The
 //! property-test suites check them on the interleavings proptest
 //! happens to sample; this crate checks them on **all** interleavings
@@ -13,15 +13,17 @@
 //!
 //! Layout:
 //!
+//! * [`spec`] — the safety spec: one abstract state whose guarded steps
+//!   are every check, and [`spec::check_trace`] for real servers' traces.
 //! * [`harness`] — the one thread-free server world (`ServerWorld`):
 //!   boot, shard routing, group-commit flush, crash/recover over
-//!   surviving NVRAM, and the ack-monotonicity check. The synchronous
+//!   surviving NVRAM, and the spec's ack half. The synchronous
 //!   cluster (`SyncWorld` / `SyncEndpoint`) holds it for
 //!   `tests/trace_determinism.rs`, `tests/group_commit.rs` and the
 //!   client's deterministic protocol tests (`sync_cluster`).
 //! * [`model`] — the checker's world over the same `ServerWorld`: the
 //!   action alphabet, a steppable model client, canonical state
-//!   fingerprinting, and the invariant catalog.
+//!   fingerprinting, and the map from each action onto spec steps.
 //! * [`explore`] — BFS frontier exploration with visited-state dedup, a
 //!   random-walk mode for beyond-frontier depths, counterexample
 //!   minimization, and trace replay for pinned regressions.
@@ -49,6 +51,8 @@
 pub mod explore;
 pub mod harness;
 pub mod model;
+pub mod spec;
 
 pub use explore::{render_counterexample, replay_trace, CounterExample, Explorer, Report};
-pub use model::{mc_payload, Action, ClientOp, McConfig, McWorld, Mutation, Violation};
+pub use model::{mc_payload, Action, ClientOp, McConfig, McWorld, Mutation};
+pub use spec::Violation;

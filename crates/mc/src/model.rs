@@ -1,7 +1,8 @@
 //! The checker's world: the shared [`ServerWorld`] over a
 //! nondeterministic packet bag, a steppable sans-I/O model client, the
-//! action alphabet, canonical state fingerprinting, and the invariant
-//! catalog.
+//! action alphabet, canonical state fingerprinting, and the refinement
+//! map onto [`crate::spec`]: each action becomes the spec steps it
+//! implies, and a refused step is the run's violation.
 //!
 //! Nondeterminism lives **between** transitions, never inside one: an
 //! [`Action`] names one atomic choice (deliver this packet, crash that
@@ -18,11 +19,12 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use dlog_net::wire::{Message, NodeAddr, Packet};
-use dlog_obs::{check_force_before_ack, Obs, ObsOptions, Stage};
+use dlog_obs::{Obs, ObsOptions, Stage};
 use dlog_server::{LogServer, ServerConfig};
 use dlog_types::{ClientId, Epoch, Interval, LogId, Lsn, ServerId};
 
 use crate::harness::{Output, ServerWorld};
+use crate::spec::{ClientImage, Spec, Step, Violation};
 
 /// Client addresses start here; server `i` is `NodeAddr(i)`.
 const CLIENT_ADDR_BASE: u64 = 1000;
@@ -46,20 +48,20 @@ pub enum Mutation {
     None,
     /// A server acknowledges a `ForceLog` the moment it arrives,
     /// before any durability round — the classic ack-before-force bug.
-    /// Caught by the `ack-after-force` trace invariant.
+    /// The spec refuses the traced forced ack.
     EarlyAck,
     /// A group-commit flush acknowledges its obligations without
     /// running the physical `force_batch` — the "ack despite a failed
-    /// force" bug PR 5's obligation rule exists to prevent. Caught by
-    /// `ack-after-force` (the acks have no covering `Force` events).
+    /// force" bug the group-commit obligation rule exists to prevent. The spec
+    /// refuses the traced forced acks: no `Force` event covers them.
     SkipForce,
     /// A group-commit flush runs the durable round but the obligation
     /// acks never leave the server — obligations silently leak and the
-    /// clients' forces hang forever. Caught by `obligation-safety`.
+    /// clients' forces hang forever. The spec refuses the flush.
     LostAck,
     /// Recovery reopens the store with a blank NVRAM device, losing the
-    /// durable tail that had not reached the on-disk stream. Caught by
-    /// `recovery-consistency`.
+    /// durable tail that had not reached the on-disk stream. The spec
+    /// refuses the recovery.
     Amnesia,
 }
 
@@ -183,9 +185,9 @@ pub struct McConfig {
     /// Shard event loops per server. With more than one, every packet a
     /// server receives is routed to the shard its logical log hashes to
     /// (the same pure `LogId::shard` the transports steer by), each
-    /// shard owns a private store and obligation table, and the
-    /// `router-stability` invariant checks that a client's records only
-    /// ever land on that client's shard.
+    /// shard owns a private store and obligation table, and the spec
+    /// checks that a client's records only ever land on that client's
+    /// shard.
     pub shards: u64,
     /// Number of model clients.
     pub clients: u64,
@@ -249,18 +251,6 @@ impl McConfig {
     }
 }
 
-/// A violated invariant, with enough detail to act on.
-#[derive(Clone, Debug)]
-pub struct Violation {
-    /// Stable invariant identifier (`ack-after-force`,
-    /// `ack-monotonicity`, `readback-atomicity`, `durable-prefix`,
-    /// `delta-window`, `obligation-safety`, `obligation-cap`,
-    /// `recovery-consistency`, `router-stability`).
-    pub invariant: &'static str,
-    /// Human-readable specifics.
-    pub detail: String,
-}
-
 /// The deterministic record payload: ground truth for every byte-level
 /// read-back check. Collision-free enough across the tiny (client, lsn)
 /// spaces a bounded exploration reaches.
@@ -280,20 +270,6 @@ struct Envelope {
     from: NodeAddr,
     to: NodeAddr,
     pkt: Packet,
-}
-
-/// One client's durable holdings on one shard: client id, interval
-/// list, and `(lsn, bytes)` for each present record its intervals
-/// cover, in interval order.
-type ClientImage = (u64, Vec<Interval>, Vec<(u64, Vec<u8>)>);
-
-/// The durable state a server held at the moment it crashed, used both
-/// as that server's fingerprint while down and as the expectation
-/// recovery is checked against. A process crash takes every shard down
-/// at once, so the image is indexed by shard.
-struct CrashImage {
-    fp: u64,
-    state: Vec<Vec<ClientImage>>,
 }
 
 /// A steppable sans-I/O client speaking the wire protocol directly.
@@ -337,14 +313,11 @@ impl ModelClient {
         self.next_lsn.prev().unwrap_or(Lsn::ZERO)
     }
 
-    fn outstanding(&self) -> u64 {
-        self.completed.distance(self.written_hi()).unwrap_or(0)
-    }
-
     fn step_enabled(&self, cfg: &McConfig) -> bool {
+        let outstanding = self.completed.distance(self.written_hi()).unwrap_or(0);
         match cfg.script.get(self.pc) {
             None => false,
-            Some(ClientOp::Write) => self.outstanding() < cfg.delta,
+            Some(ClientOp::Write) => outstanding < cfg.delta,
             Some(ClientOp::Force) => true,
         }
     }
@@ -381,9 +354,15 @@ impl ModelClient {
 pub struct McWorld {
     cfg: McConfig,
     /// The real servers, one `LogServer` per shard — the model twin of
-    /// `ShardSupervisor`'s per-shard event loops.
+    /// `ShardSupervisor`'s per-shard event loops — and the spec they
+    /// refine.
     servers: ServerWorld,
-    crashed: BTreeMap<u64, CrashImage>,
+    /// Each down server's fingerprint: the hash of the durable image it
+    /// crashed with (the spec keeps the image itself).
+    crashed: BTreeMap<u64, u64>,
+    /// Per (server, shard): how many of its trace events the spec has
+    /// stepped.
+    traced: BTreeMap<(u64, u64), u64>,
     bag: Vec<Envelope>,
     clients: Vec<ModelClient>,
     dups_left: u32,
@@ -394,7 +373,7 @@ pub struct McWorld {
 }
 
 /// The one walk over a shard's durable records: a row per client, in id
-/// order. Crash images, recovery and read-back checks and the state
+/// order. The spec's `Hold`, `Crash` and `Recover` steps and the state
 /// fingerprint all fold these rows.
 fn client_rows(server: &mut LogServer) -> Vec<ClientImage> {
     let store = server.store_mut();
@@ -440,14 +419,17 @@ impl McWorld {
         config.ack_every = 0;
         config.coalesce_window = Duration::from_secs(3600);
         config.coalesce_max_batch = cfg.coalesce_max_batch;
-        let servers = ServerWorld::open(dir, cfg.servers, config, || Obs::new(&ObsOptions::on()))
-            .map_err(|e| format!("boot servers: {e}"))?;
+        let servers = ServerWorld::open(dir, cfg.servers, config, Spec::new(cfg), || {
+            Obs::new(&ObsOptions::on())
+        })
+        .map_err(|e| format!("boot servers: {e}"))?;
         let clients = (0..cfg.clients)
             .map(|i| ModelClient::new(i, cfg.max_rexmits))
             .collect();
         Ok(McWorld {
             servers,
             crashed: BTreeMap::new(),
+            traced: BTreeMap::new(),
             bag: Vec::new(),
             clients,
             dups_left: cfg.max_dups,
@@ -551,11 +533,12 @@ impl McWorld {
             // ForceLog arrives, before any durability round.
             if self.cfg.mutation == Mutation::EarlyAck {
                 if let Message::ForceLog { client, .. } = &env.pkt.msg {
-                    let fabricated = self.fabricate_ack(to, *client, env.from);
-                    self.bag_extend(env.to, fabricated);
+                    if let Some(v) = self.fabricate_ack(to, *client, env.from) {
+                        return Ok(Some(v));
+                    }
                 }
             }
-            return Ok(None);
+            return Ok(self.step_traces(to));
         }
         // Client-bound: the sender's server id is the envelope source.
         let sid = env.from.0;
@@ -590,30 +573,53 @@ impl McWorld {
         Ok(None)
     }
 
-    /// A buggy server's fabricated forced ack: the trace event carries
-    /// the forced bit, so the `ack-after-force` checker sees exactly
-    /// what a real premature ack would emit.
-    fn fabricate_ack(&mut self, sid: u64, client: ClientId, reply_to: NodeAddr) -> Output {
+    /// A buggy server's fabricated forced ack, put in the bag: the trace
+    /// event carries the forced bit, so the spec sees exactly what a
+    /// real premature ack would emit.
+    fn fabricate_ack(
+        &mut self,
+        sid: u64,
+        client: ClientId,
+        reply_to: NodeAddr,
+    ) -> Option<Violation> {
         let k = LogId::for_client(client).shard(self.cfg.shards as usize) as u64;
         let hi = self
             .servers
             .shard_mut(sid, k)
-            .and_then(|s| s.store_mut().last_interval(client))
-            .map(|iv| iv.hi);
-        let Some(hi) = hi else { return Vec::new() };
+            .and_then(|s| s.store_mut().last_interval(client))?
+            .hi;
         if let Some((_, _, obs)) = self.servers.obs().find(|(s, j, _)| (*s, *j) == (sid, k)) {
             obs.event(Stage::AckHighLsn, hi.0, (client.0 << 1) | 1);
         }
-        self.servers.note_ack(sid, client.0, hi);
-        vec![(
+        let out = vec![(
             reply_to,
             Packet::bare(Message::NewHighLsn { client, lsn: hi }),
-        )]
+        )];
+        let refused = self.servers.spec.wire(sid, &out).err();
+        self.bag_extend(NodeAddr(sid), out);
+        refused
     }
 
-    /// Apply one action. `Ok(None)` = clean transition; `Ok(Some(v))` =
-    /// an invariant broke; `Err` = the action is not applicable in this
-    /// state (malformed or stale trace).
+    /// Step the spec through the events server `sid`'s shards traced
+    /// since the last call: their `Force`s and forced acks.
+    fn step_traces(&mut self, sid: u64) -> Option<Violation> {
+        let mut fresh = Vec::new();
+        for (s, k, obs) in self.servers.obs().filter(|(s, _, _)| *s == sid) {
+            let Some(snap) = obs.snapshot() else { continue };
+            let seen = self.traced.insert((s, k), snap.trace_events).unwrap_or(0);
+            fresh.extend(snap.trace.into_iter().filter(|e| e.seq >= seen));
+        }
+        fresh
+            .iter()
+            .find_map(|e| self.servers.spec.traced(sid, e).err())
+    }
+
+    /// Apply one action and step the spec through it, then through the
+    /// new state's projections: each live shard's rows as one `Hold`,
+    /// each client's completion point as one `Complete`. `Ok(None)` =
+    /// clean transition; `Ok(Some(v))` = the spec refused a step; `Err`
+    /// = the action is not applicable in this state (malformed or stale
+    /// trace).
     ///
     /// # Errors
     /// Invalid actions and I/O failures, as strings.
@@ -621,16 +627,16 @@ impl McWorld {
         if let Some(v) = self.apply_inner(action)? {
             return Ok(Some(v));
         }
-        Ok(self.check_invariants())
+        Ok(self.project())
     }
 
-    /// Apply one action skipping the global invariant scan. The inline,
-    /// path-dependent checks (ack monotonicity at emission, obligation
-    /// safety at flush, recovery consistency at recover) still run.
+    /// Apply one action skipping the per-state projections (`Hold` and
+    /// `Complete`). Every other spec step still runs, so the spec ends
+    /// in the state a checked run leaves.
     ///
     /// Replay restoration uses this for prefixes that were already
     /// verified clean when first explored — transitions are
-    /// deterministic, so re-scanning them would find nothing new and
+    /// deterministic, so re-projecting them would find nothing new and
     /// costs the bulk of a replay.
     ///
     /// # Errors
@@ -700,6 +706,9 @@ impl McWorld {
                 let data = mc_payload(id.0, lsn.0, self.cfg.payload_len);
                 self.world_obs
                     .event(Stage::ClientWrite, lsn.0, data.len() as u64);
+                if let Err(v) = self.servers.spec.step(Step::Write(id.0, lsn)) {
+                    return Ok(Some(v));
+                }
                 for sid in 1..=self.cfg.servers {
                     let pkt = Packet::bare(Message::WriteLog {
                         client: id,
@@ -768,8 +777,9 @@ impl McWorld {
                 // Obligations stay queued server-side; the violation is
                 // already detectable from the fabricated acks.
                 for client in obligations {
-                    let fabricated = self.fabricate_ack(sid, client, NodeAddr(CLIENT_ADDR_BASE));
-                    self.bag_extend(NodeAddr(sid), fabricated);
+                    if let Some(v) = self.fabricate_ack(sid, client, NodeAddr(CLIENT_ADDR_BASE)) {
+                        return Ok(Some(v));
+                    }
                 }
                 continue;
             }
@@ -777,57 +787,33 @@ impl McWorld {
                 Ok(out) => out,
                 Err(v) => return Ok(Some(v)),
             };
-            if self.cfg.mutation == Mutation::LostAck {
-                // Seeded bug: the durable round ran but every obligation
-                // ack is dropped on the floor — the obligations leak.
-                if let Some(v) = self.obligation_check(sid, k, &obligations, &[]) {
-                    return Ok(Some(v));
-                }
-                continue;
-            }
-            let acked: Vec<u64> = out
+            // Every discharged obligation whose client has stored
+            // records is owed an ack.
+            let owed: Vec<u64> = obligations
                 .iter()
-                .filter_map(|(_, p)| match &p.msg {
+                .filter(|c| {
+                    self.servers
+                        .shard_mut(sid, k)
+                        .and_then(|s| s.store_mut().last_interval(**c))
+                        .is_some()
+                })
+                .map(|c| c.0)
+                .collect();
+            let mut acked = Vec::new();
+            // Seeded bug: the durable round ran but every obligation
+            // ack is dropped on the floor — the obligations leak.
+            if self.cfg.mutation != Mutation::LostAck {
+                acked.extend(out.iter().filter_map(|(_, p)| match &p.msg {
                     Message::NewHighLsn { client, .. } => Some(client.0),
                     _ => None,
-                })
-                .collect();
-            self.bag_extend(NodeAddr(sid), out);
-            if let Some(v) = self.obligation_check(sid, k, &obligations, &acked) {
+                }));
+                self.bag_extend(NodeAddr(sid), out);
+            }
+            if let Err(v) = self.servers.spec.step(Step::Flush(sid, k, owed, acked)) {
                 return Ok(Some(v));
             }
         }
-        Ok(None)
-    }
-
-    /// Every flushed obligation whose client has stored records must
-    /// have produced an ack — a flush that silently discharges an
-    /// obligation leaves that client's force hanging forever.
-    fn obligation_check(
-        &mut self,
-        sid: u64,
-        shard: u64,
-        obligations: &[ClientId],
-        acked: &[u64],
-    ) -> Option<Violation> {
-        for client in obligations {
-            let stored = self
-                .servers
-                .shard_mut(sid, shard)
-                .and_then(|s| s.store_mut().last_interval(*client))
-                .is_some();
-            if stored && !acked.contains(&client.0) {
-                return Some(Violation {
-                    invariant: "obligation-safety",
-                    detail: format!(
-                        "server {sid}: group-commit obligation for client {} \
-                         discharged without an ack",
-                        client.0
-                    ),
-                });
-            }
-        }
-        None
+        Ok(self.step_traces(sid))
     }
 
     fn do_crash(&mut self, sid: u64) -> Result<Option<Violation>, String> {
@@ -838,7 +824,7 @@ impl McWorld {
             return Err(format!("crash: server {sid} not live"));
         }
         let mut h = Fnv::new();
-        let state: Vec<Vec<ClientImage>> = self
+        let image: Vec<Vec<ClientImage>> = self
             .servers
             .shards_mut(sid)
             .map(|(_, server)| {
@@ -849,21 +835,15 @@ impl McWorld {
             .collect();
         let end = self.servers.crash(sid).unwrap_or(0);
         self.world_obs.event(Stage::Crash, end, sid);
-        self.crashed.insert(
-            sid,
-            CrashImage {
-                fp: h.finish(),
-                state,
-            },
-        );
+        self.crashed.insert(sid, h.finish());
         self.crashes_left -= 1;
-        Ok(None)
+        Ok(self.servers.spec.step(Step::Crash(sid, image)).err())
     }
 
     fn do_recover(&mut self, sid: u64) -> Result<Option<Violation>, String> {
-        let Some(image) = self.crashed.remove(&sid) else {
+        if self.crashed.remove(&sid).is_none() {
             return Err(format!("recover: server {sid} not crashed"));
-        };
+        }
         // Seeded bug: recovery forgets the NVRAM tail.
         let amnesia = self.cfg.mutation == Mutation::Amnesia;
         let end = self
@@ -871,208 +851,33 @@ impl McWorld {
             .recover(sid, amnesia)
             .map_err(|e| format!("recover server {sid}: {e}"))?;
         self.world_obs.event(Stage::Recover, end, sid);
-        Ok(self.recovery_check(sid, &image))
-    }
-
-    /// Recovery must reproduce exactly the durable state the crash
-    /// preserved: same interval lists, byte-identical records ("crash
-    /// truncates to the durable index; replay reaches a consistent
-    /// prefix").
-    fn recovery_check(&mut self, sid: u64, image: &CrashImage) -> Option<Violation> {
-        let recovered: Vec<Vec<ClientImage>> = self
+        let rows = self
             .servers
             .shards_mut(sid)
             .map(|(_, server)| client_rows(server))
             .collect();
-        for (k, shard_state) in image.state.iter().enumerate() {
-            let now = recovered.get(k).map_or(&[][..], Vec::as_slice);
-            for (client_id, intervals, records) in shard_state {
-                let (got_intervals, got_records) = now
-                    .iter()
-                    .find(|(c, _, _)| c == client_id)
-                    .map_or((&[][..], &[][..]), |(_, ivs, recs)| {
-                        (ivs.as_slice(), recs.as_slice())
-                    });
-                if got_intervals != intervals.as_slice() {
-                    return Some(Violation {
-                        invariant: "recovery-consistency",
-                        detail: format!(
-                            "server {sid} shard {k} client {client_id}: intervals \
-                             {got_intervals:?} after recovery, expected {intervals:?}"
-                        ),
-                    });
-                }
-                if let Some((lsn, _)) = records.iter().find(|r| !got_records.contains(r)) {
-                    return Some(Violation {
-                        invariant: "recovery-consistency",
-                        detail: format!(
-                            "server {sid} shard {k} client {client_id} lsn {lsn}: durable \
-                             record lost or corrupted by recovery"
-                        ),
-                    });
-                }
-            }
-        }
-        None
+        Ok(self.servers.spec.step(Step::Recover(sid, rows)).err())
     }
 
-    /// The global invariants checked after every transition. Returns
-    /// the first violation found.
-    fn check_invariants(&mut self) -> Option<Violation> {
-        // 1. ack-after-force, per shard trace (the run-time check of
-        //    the `Durable` token; forced acks carry bit 0 of the detail
-        //    word).
-        for (sid, k, obs) in self.servers.obs() {
-            let Some(snap) = obs.snapshot() else { continue };
-            if let Err(e) = check_force_before_ack(&snap.trace) {
-                return Some(Violation {
-                    invariant: "ack-after-force",
-                    detail: format!("server {sid} shard {k}: {e}"),
-                });
-            }
-        }
-        // 2. WriteLog atomicity / byte-identical read-back: everything
-        //    a live server stores must match what the client wrote.
+    /// The per-state projections a checked action ends with: every live
+    /// shard's rows and pending obligations as one `Hold` step, then
+    /// every client's completion point as one `Complete` step.
+    fn project(&mut self) -> Option<Violation> {
+        let mut steps = Vec::new();
         for sid in 1..=self.cfg.servers {
-            if let Some(v) = self.readback_check(sid) {
-                return Some(v);
+            for (k, server) in self.servers.shards_mut(sid) {
+                let pending = server.coalescing_obligations().len();
+                steps.push(Step::Hold(sid, k, client_rows(server), pending));
             }
         }
-        // 3. δ-window and durable-prefix, per client.
-        for ci in 0..self.clients.len() {
-            if let Some(v) = self.client_checks(ci) {
-                return Some(v);
-            }
-        }
-        // 4. Obligation cap: no shard's batch outgrows its configured
-        //    bound (the cap triggers an inline flush).
-        for sid in 1..=self.cfg.servers {
-            for (k, server) in self.servers.shards(sid) {
-                let n = server.coalescing_obligations().len();
-                if n > self.cfg.coalesce_max_batch {
-                    return Some(Violation {
-                        invariant: "obligation-cap",
-                        detail: format!(
-                            "server {sid} shard {k}: {n} pending obligations exceed the \
-                             batch cap {}",
-                            self.cfg.coalesce_max_batch
-                        ),
-                    });
-                }
-            }
-        }
-        None
-    }
-
-    fn readback_check(&mut self, sid: u64) -> Option<Violation> {
-        let shard_count = self.cfg.shards as usize;
-        let payload_len = self.cfg.payload_len;
-        for (k, server) in self.servers.shards_mut(sid) {
-            for (client, intervals, records) in client_rows(server) {
-                // router-stability: every record a shard holds must be
-                // for a logical log that hashes to that shard. Routing
-                // is a pure function of the log id, so the same client
-                // can never land on two shards — which is exactly what
-                // makes "same-LogId ops never reorder across shards"
-                // hold: one log, one shard, one ordered event loop.
-                let want_shard = LogId::for_client(ClientId(client)).shard(shard_count) as u64;
-                if want_shard != k {
-                    return Some(Violation {
-                        invariant: "router-stability",
-                        detail: format!(
-                            "server {sid}: client {client}'s records landed on shard {k}, but \
-                             its logical log hashes to shard {want_shard}"
-                        ),
-                    });
-                }
-                let mut stored = records.iter();
-                for iv in &intervals {
-                    let mut at = iv.lo;
-                    while at <= iv.hi {
-                        let want = mc_payload(client, at.0, payload_len);
-                        if !stored
-                            .next()
-                            .is_some_and(|(lsn, bytes)| *lsn == at.0 && *bytes == want)
-                        {
-                            return Some(Violation {
-                                invariant: "readback-atomicity",
-                                detail: format!(
-                                    "server {sid} shard {k} client {client} lsn {}: stored \
-                                     record missing or not byte-identical to the write",
-                                    at.0
-                                ),
-                            });
-                        }
-                        at = at.next();
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    fn client_checks(&mut self, ci: usize) -> Option<Violation> {
-        let (id, completed, outstanding, written_hi) = {
-            let c = self.clients.get(ci)?;
-            (c.id, c.completed, c.outstanding(), c.written_hi())
-        };
-        if outstanding > self.cfg.delta {
-            return Some(Violation {
-                invariant: "delta-window",
-                detail: format!(
-                    "client {}: {outstanding} records outstanding exceeds δ = {}",
-                    id.0, self.cfg.delta
-                ),
-            });
-        }
-        if completed > written_hi {
-            return Some(Violation {
-                invariant: "durable-prefix",
-                detail: format!(
-                    "client {}: completion {completed:?} beyond highest write {written_hi} \
-                     (a server overstated its cumulative ack)",
-                    id.0
-                ),
-            });
-        }
-        // Every record the client deems replicated must be durably held
-        // by at least need_n servers — counting crashed servers'
-        // preserved durable state (they will recover with it).
-        let mut at = Lsn::FIRST;
-        while at <= completed {
-            let mut holders = 0usize;
-            for sid in 1..=self.cfg.servers {
-                let holds = if let Some(image) = self.crashed.get(&sid) {
-                    image.state.iter().flatten().any(|(cid, intervals, _)| {
-                        *cid == id.0 && intervals.iter().any(|iv| iv.contains(at))
-                    })
-                } else {
-                    self.servers.shards_mut(sid).any(|(_, server)| {
-                        server
-                            .store_mut()
-                            .interval_list(id)
-                            .intervals()
-                            .iter()
-                            .any(|iv| iv.contains(at))
-                    })
-                };
-                if holds {
-                    holders = holders.saturating_add(1);
-                }
-            }
-            if holders < self.cfg.need_n {
-                return Some(Violation {
-                    invariant: "durable-prefix",
-                    detail: format!(
-                        "client {}: lsn {} is inside the completed prefix ({:?}) but only \
-                         {holders} of the required {} servers hold it durably",
-                        id.0, at.0, completed, self.cfg.need_n
-                    ),
-                });
-            }
-            at = at.next();
-        }
-        None
+        steps.extend(
+            self.clients
+                .iter()
+                .map(|c| Step::Complete(c.id.0, c.completed)),
+        );
+        steps
+            .into_iter()
+            .find_map(|step| self.servers.spec.step(step).err())
     }
 
     /// The canonical state fingerprint: a 64-bit FNV-1a hash over every
@@ -1087,9 +892,9 @@ impl McWorld {
     pub fn fingerprint(&mut self) -> u64 {
         let mut h = Fnv::new();
         for sid in 1..=self.cfg.servers {
-            if let Some(image) = self.crashed.get(&sid) {
+            if let Some(fp) = self.crashed.get(&sid) {
                 h.u64(0xdead);
-                h.u64(image.fp);
+                h.u64(*fp);
                 continue;
             }
             h.u64(0xa11e);
@@ -1161,9 +966,9 @@ impl McWorld {
         }
         h.u64(u64::from(self.dups_left));
         h.u64(u64::from(self.crashes_left));
-        let last_acks = self.servers.last_acks();
-        h.u64(last_acks.len() as u64);
-        for ((sid, cid), lsn) in last_acks {
+        let acks = &self.servers.spec.acks;
+        h.u64(acks.len() as u64);
+        for ((sid, cid), lsn) in acks {
             h.u64(*sid);
             h.u64(*cid);
             h.u64(lsn.0);

@@ -39,7 +39,7 @@ pub mod hist;
 pub mod trace;
 
 pub use hist::{bucket_ceiling, bucket_index, HistogramSnapshot, LatencyHistogram, BUCKETS};
-pub use trace::{check_force_before_ack, Stage, TraceEvent, TraceLog};
+pub use trace::{Stage, TraceEvent, TraceLog};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

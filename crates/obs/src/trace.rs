@@ -180,36 +180,6 @@ impl TraceLog {
     }
 }
 
-/// The run-time check of §4.2's force-before-ack, which the compiler
-/// also holds through `dlog_storage::Durable`: every *forced*
-/// `AckHighLsn` event (detail low bit set) must be preceded in the trace
-/// by a `Force` event for the same client and LSN.
-///
-/// # Errors
-/// Describes the first unmatched acknowledgment.
-pub fn check_force_before_ack(events: &[TraceEvent]) -> Result<(), String> {
-    let mut forced: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
-    for e in events {
-        match e.stage {
-            Stage::Force => {
-                forced.insert((e.detail, e.lsn));
-            }
-            Stage::AckHighLsn if e.detail & 1 == 1 => {
-                let client = e.detail >> 1;
-                if !forced.contains(&(client, e.lsn)) {
-                    return Err(format!(
-                        "trace seq {}: forced AckHighLsn for client {} lsn {} \
-                         has no preceding Force event",
-                        e.seq, client, e.lsn
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,9 +220,10 @@ mod tests {
         t.push(ev(1, Stage::Force, 10, 3));
         let (events, pushed, _) = t.snapshot();
         assert_eq!(pushed, 2);
-        // An unforced ack is still there to be caught, not hidden by an
-        // empty snapshot.
-        assert!(check_force_before_ack(&events).is_err());
+        // The forced ack that no force precedes is still there to be
+        // caught, not hidden by an empty snapshot.
+        let stages: Vec<Stage> = events.iter().map(|e| e.stage).collect();
+        assert_eq!(stages, [Stage::AckHighLsn, Stage::Force]);
     }
 
     #[test]
@@ -261,21 +232,5 @@ mod tests {
             assert_eq!(Stage::from_u8(s.as_u8()), Some(s));
         }
         assert_eq!(Stage::from_u8(9), None);
-    }
-
-    #[test]
-    fn force_before_ack_invariant() {
-        // client 3, lsn 10: forced ack preceded by its force — ok.
-        let good = [
-            ev(0, Stage::Force, 10, 3),
-            ev(1, Stage::AckHighLsn, 10, (3 << 1) | 1),
-            // unsolicited ack needs no force:
-            ev(2, Stage::AckHighLsn, 11, 3 << 1),
-        ];
-        assert!(check_force_before_ack(&good).is_ok());
-
-        let bad = [ev(0, Stage::AckHighLsn, 10, (3 << 1) | 1)];
-        let err = check_force_before_ack(&bad).unwrap_err();
-        assert!(err.contains("client 3"), "{err}");
     }
 }

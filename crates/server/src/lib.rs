@@ -465,8 +465,8 @@ impl LogServer {
                 // arrives) and the cumulative `NewHighLSN` ack
                 // overstates what this server holds. NAKing instead
                 // makes the client resend from the origin; dlog-mc's
-                // durable-prefix invariant exists to catch exactly the
-                // ack-overstatement this guard prevents.
+                // spec guard on completed prefixes exists to catch
+                // exactly the ack-overstatement this guard prevents.
                 None => *lsn == Lsn::FIRST || granted,
                 // Stale epoch (a pre-crash straggler) or LSN-based
                 // duplicate suppression (§4.2): ignore.

@@ -3,7 +3,7 @@
 //! window sizes, fault plans, and flush interleavings,
 //!
 //! 1. every acknowledged `NewHighLSN` was durably forced first
-//!    (`check_force_before_ack` over each server's own trace),
+//!    (`dlog_mc::spec::check_trace` over each server's own trace),
 //! 2. a server never emits an out-of-order (decreasing) forced ack for
 //!    a client — group commit must preserve the cumulative-ack rule,
 //! 3. a full read-back returns every record byte-identical to what the
@@ -26,9 +26,10 @@ use proptest::prelude::*;
 use dlog_core::client::{ClientOptions, ReplicatedLog};
 use dlog_core::net::ClientNet;
 use dlog_mc::harness::{build_world, SyncEndpoint, SyncWorldOptions};
+use dlog_mc::spec::check_trace;
 use dlog_net::wire::NodeAddr;
 use dlog_net::FaultPlan;
-use dlog_obs::{check_force_before_ack, TraceEvent};
+use dlog_obs::TraceEvent;
 use dlog_types::{ClientId, Lsn, ReplicationConfig, ServerId};
 
 const M: u64 = 3;
@@ -113,8 +114,7 @@ fn run_case(
     for (addr, _, obs) in w.servers.obs() {
         let snap = obs.snapshot().expect("obs enabled");
         prop_assert_eq!(snap.trace_dropped, 0, "trace ring overflowed on {:?}", addr);
-        check_force_before_ack(&snap.trace)
-            .unwrap_or_else(|e| panic!("{addr:?}: force-before-ack violated: {e}"));
+        check_trace(addr, &snap.trace).unwrap_or_else(|v| panic!("{}: {}", v.invariant, v.detail));
         let (_, server) = w.servers.shards(addr).next().expect("server exists");
         let st = server.stats();
         coalesced_total += st.coalesced_forces;

@@ -100,7 +100,8 @@ fn run_once(plan: FaultPlan, dir: &Path, crash: bool) -> RunFingerprint {
         "suspiciously few events: {}",
         snap.trace.len()
     );
-    dlog_obs::check_force_before_ack(&snap.trace).expect("force-before-ack invariant");
+    // One handle shared by every server: one trace, keyed as server 0.
+    dlog_mc::spec::check_trace(0, &snap.trace).expect("force-before-ack invariant");
     let trace = snap.trace;
 
     // The sync world runs every server on this thread, so both the
